@@ -11,7 +11,6 @@ from .weyl import (
     WeylElement,
     act_on_poly,
     filtration_decompose,
-    multiply,
     order_and_symbol,
 )
 from .groebner import (
@@ -89,7 +88,7 @@ from .verify import CheckReport, run_check, run_suite
 
 __all__ = [
     "Polynomial", "WeylElement", "act_on_poly", "filtration_decompose",
-    "multiply", "order_and_symbol",
+    "order_and_symbol",
     "DegreeGuardExceeded", "FreeModuleElement", "GrobnerBasis", "buchberger",
     "express_in_inputs", "member", "normal_form", "set_degree_guard",
     "submodule_equal", "syzygies",

@@ -38,19 +38,12 @@ from .dga import (
     TermKey,
     _exponents_bounded,
 )
+from .rational_linalg import add_term, apply_linear, vec_add
 from .slices import TruncationResult, bounded_weq
 from .weyl import Exponent, WeylElement
 
 ModKey = Tuple  # ("t", key) | ("v", alpha, atoms, j, b)
 ModCoeffs = Dict[ModKey, Fraction]
-
-
-def _acc(store: Dict, key, c: Fraction):
-    s = store.get(key, Fraction(0)) + c
-    if s:
-        store[key] = s
-    else:
-        store.pop(key, None)
 
 
 class AModule:
@@ -160,7 +153,7 @@ class AModule:
         for aterm, ca in a.coeffs.items():
             for key, cm in elt.coeffs.items():
                 for k2, c2 in self.act_algebra_term_key(aterm, key).items():
-                    _acc(out, k2, ca * cm * c2)
+                    add_term(out, k2, ca * cm * c2)
         return AModuleElement(self, out)
 
     # -- D-action -------------------------------------------------------------
@@ -180,9 +173,9 @@ class AModule:
         # Leibniz: derivative of the algebra part, then of the V-atom
         da = self.algebra.act_d(i, AlgebraElement(self.algebra, {(alpha, atoms): Fraction(1)}))
         for (a2, at2), c in da.coeffs.items():
-            _acc(out, ("v", a2, at2, j, b), c)
+            add_term(out, ("v", a2, at2, j, b), c)
         nb = tuple(e + 1 if k == i else e for k, e in enumerate(b))
-        _acc(out, ("v", alpha, atoms, j, nb), Fraction(1))
+        add_term(out, ("v", alpha, atoms, j, nb), Fraction(1))
         return out
 
     def act_weyl(self, op: WeylElement, elt: "AModuleElement") -> "AModuleElement":
@@ -191,20 +184,11 @@ class AModule:
             cur = dict(elt.coeffs)
             for i, e in enumerate(b):
                 for _ in range(e):
-                    nxt: ModCoeffs = {}
-                    for key, c in cur.items():
-                        for k2, c2 in self.act_d_key(i, key).items():
-                            _acc(nxt, k2, c * c2)
-                    cur = nxt
+                    cur = apply_linear(lambda key: self.act_d_key(i, key), cur)
             for i, e in enumerate(a):
                 for _ in range(e):
-                    nxt = {}
-                    for key, c in cur.items():
-                        for k2, c2 in self.act_x_key(i, key).items():
-                            _acc(nxt, k2, c * c2)
-                    cur = nxt
-            for key, c in cur.items():
-                _acc(total, key, c * coef)
+                    cur = apply_linear(lambda key: self.act_x_key(i, key), cur)
+            vec_add(total, cur, coef)
         return AModuleElement(self, total)
 
     # -- differential ------------------------------------------------------------
@@ -228,22 +212,18 @@ class AModule:
         # d_A of the coefficient monomial, same V-atom
         da = self.algebra.d(AlgebraElement(self.algebra, {(alpha, atoms): Fraction(1)}))
         for (a2, at2), c in da.coeffs.items():
-            _acc(out, ("v", a2, at2, j, b), c)
+            add_term(out, ("v", a2, at2, j, b), c)
         # (-1)^{|a|} a . d(v)
         k = self.algebra.term_degree((alpha, atoms))
         sign = Fraction(1) if k % 2 == 0 else Fraction(-1)
         dv = self._d_of_atom(j, b)
         for key2, c in dv.items():
             for k3, c3 in self.act_algebra_term_key((alpha, atoms), key2).items():
-                _acc(out, k3, sign * c * c3)
+                add_term(out, k3, sign * c * c3)
         return out
 
     def diff_element(self, coeffs: ModCoeffs) -> ModCoeffs:
-        out: ModCoeffs = {}
-        for key, c in coeffs.items():
-            for k2, c2 in self.diff_key(key).items():
-                _acc(out, k2, c * c2)
-        return out
+        return apply_linear(self.diff_key, coeffs)
 
     def d(self, elt: "AModuleElement") -> "AModuleElement":
         return AModuleElement(self, self.diff_element(elt.coeffs))
@@ -285,8 +265,7 @@ class AModuleElement:
 
     def __add__(self, other: "AModuleElement") -> "AModuleElement":
         out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            _acc(out, k, c)
+        vec_add(out, other.coeffs)
         return AModuleElement(self.module, out)
 
     def __neg__(self):
@@ -352,7 +331,7 @@ def free_amodule(algebra: SullivanAlgebra, c: FreeDComplex, name: str = "m") -> 
             coeffs: ModCoeffs = {}
             for v in range(c.rank(n - 1)):
                 for (a, b), coef in mat[s][v].terms.items():
-                    _acc(coeffs, ("v", a, (), index[(n - 1, v)], b), coef)
+                    add_term(coeffs, ("v", a, (), index[(n - 1, v)], b), coef)
             if coeffs:
                 diff[index[(n, s)]] = coeffs
     return AModule(algebra, None, gens, diff)
@@ -445,25 +424,12 @@ class AModuleMorphism:
                 self.assignments[j],
             ).coeffs
             self._qv_cache[(j, b)] = qv
-        out: ModCoeffs = {}
-        for key2, c in qv.items():
-            for k3, c3 in self.target.act_algebra_term_key((alpha, atoms), key2).items():
-                _acc(out, k3, c * c3)
-        return out
+        return apply_linear(lambda key2: self.target.act_algebra_term_key((alpha, atoms), key2), qv)
 
     def apply(self, elt: AModuleElement) -> AModuleElement:
         if elt.module != self.source:
             raise ValueError("element not in the source module")
-        out: ModCoeffs = {}
-        for key, c in elt.coeffs.items():
-            for k2, c2 in self.apply_key(key).items():
-                _acc(out, k2, c * c2)
-        return AModuleElement(self.target, out)
-
-    def is_identity_shaped(self) -> bool:
-        return self.source == self.target and all(
-            self.assignments[j] == self.source.generator(j) for j in self.assignments
-        )
+        return AModuleElement(self.target, apply_linear(self.apply_key, elt.coeffs))
 
 
 def identity_amodule_morphism(m: AModule) -> AModuleMorphism:
@@ -489,11 +455,7 @@ def compose_amodule_morphisms(f: AModuleMorphism, g: AModuleMorphism) -> AModule
     m._pair = (f, g)
 
     def apply_key(key):
-        out: ModCoeffs = {}
-        for k2, c2 in f.apply_key(key).items():
-            for k3, c3 in g.apply_key(k2).items():
-                _acc(out, k3, c2 * c3)
-        return out
+        return apply_linear(g.apply_key, f.apply_key(key))
 
     m.apply_key = apply_key  # type: ignore[method-assign]
     return m
@@ -664,7 +626,7 @@ class TensorOverA:
         bk, j, bexp = key
         out: Dict = {}
         for k2, c in self.b.diff_key(bk).items():
-            _acc(out, (k2, j, bexp), c)
+            add_term(out, (k2, j, bexp), c)
         bdeg = self.b.key_degree(bk)
         sign = Fraction(1) if bdeg % 2 == 0 else Fraction(-1)
         dv = self.m._d_of_atom(j, bexp)  # element of A (x) V: keys ("v", a, at, j', b')
@@ -674,7 +636,7 @@ class TensorOverA:
             s2 = Fraction(1) if (adeg * bdeg) % 2 == 0 else Fraction(-1)
             acted = self.b.act_algebra_term_key((a2, at2), bk)
             for k3, c3 in acted.items():
-                _acc(out, (k3, j2, b2), sign * s2 * c * c3)
+                add_term(out, (k3, j2, b2), sign * s2 * c * c3)
         return out
 
     # the identification and its inverse on representatives
@@ -687,7 +649,7 @@ class TensorOverA:
                 bdeg = self.b.key_degree(bk)
                 sign = Fraction(1) if (adeg * bdeg) % 2 == 0 else Fraction(-1)
                 for k2, c2 in self.b.act_algebra_term_key(aterm, bk).items():
-                    _acc(out, (k2, m_key_j, m_b), sign * ca * cb * c2)
+                    add_term(out, (k2, m_key_j, m_b), sign * ca * cb * c2)
         return out
 
     def iso_inverse_key(self, key) -> Tuple[AModuleElement, AlgebraElement, int, Exponent]:
@@ -741,7 +703,7 @@ def tensor_bounded_weq(
         m, _ = flatten_sullivan(m)
     src = TensorOverA(f.source, m)
     tgt = TensorOverA(f.target, m)
-    degrees = range(0, max(src_top_hint(src, degree_window), tgt_top_hint(tgt, degree_window)) + 1)
+    degrees = range(0, max(src_top_hint(src, degree_window), src_top_hint(tgt, degree_window)) + 1)
     return bounded_weq(
         src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key,
         tensor_map(f, m), degrees, n,
@@ -751,9 +713,6 @@ def tensor_bounded_weq(
 def src_top_hint(t: TensorOverA, window: int) -> int:
     own = max([g.degree for g in t.m.gens], default=0)
     return t.b.top_degree_hint(window) + own
-
-
-tgt_top_hint = src_top_hint
 
 
 # ------------------------------------------------------ base change
@@ -792,7 +751,7 @@ class BaseChangeModule:
         nk, watoms = key
         out: Dict = {}
         for k2, c in self.n_mod.diff_key(nk).items():
-            _acc(out, (k2, watoms), c)
+            add_term(out, (k2, watoms), c)
         ndeg = self.n_mod.key_degree(nk)
         sign = Fraction(1) if ndeg % 2 == 0 else Fraction(-1)
         dsigma = self.b.d(
@@ -805,7 +764,7 @@ class BaseChangeModule:
             adeg = self.a.term_degree(aterm)
             s2 = Fraction(1) if (adeg * ndeg) % 2 == 0 else Fraction(-1)
             for k3, c3 in self.n_mod.act_algebra_term_key(aterm, nk).items():
-                _acc(out, (k3, w_atoms), sign * s2 * c * c3)
+                add_term(out, (k3, w_atoms), sign * s2 * c * c3)
         return out
 
 
@@ -894,7 +853,7 @@ class FreeModuleMonad:
         """eta_M: M -> A (x) M, m |-> 1_A (x) m."""
         coeffs: ModCoeffs = {}
         for (n, s, alpha, b), c in m_elem.items():
-            _acc(coeffs, ("v", alpha, (), self.index[(n, s)], b), c)
+            add_term(coeffs, ("v", alpha, (), self.index[(n, s)], b), c)
         return AModuleElement(self.sigma, coeffs)
 
     def mult(self, uum_elem: Dict) -> AModuleElement:
@@ -907,7 +866,7 @@ class FreeModuleMonad:
             if norm is None:
                 continue
             sign, merged = norm
-            _acc(coeffs, ("v", alpha, merged, self.index[(n, s)], b), c * sign)
+            add_term(coeffs, ("v", alpha, merged, self.index[(n, s)], b), c * sign)
         return AModuleElement(self.sigma, coeffs)
 
     def sigma_iota(self, n: int) -> AModuleMorphism:

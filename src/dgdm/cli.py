@@ -34,9 +34,10 @@ from .complexes import (
     mapping_cone,
 )
 from .dga import AlgebraElement, AlgebraMorphism, Generator, SullivanAlgebra, dga_pushout_gen
-from .groebner import DegreeGuardExceeded, FreeModuleElement, set_degree_guard
+from .groebner import DegreeGuardExceeded, FreeModuleElement, get_degree_guard, set_degree_guard
 from .model import certify_cofibration, attach_cells, iota, pushout, pushout_product, zeta
 from .obasis import is_bounded_weq
+from .slices import dsquare_witness
 from .weyl import WeylElement
 
 FORMAT_NAME = "dgdm-doc"
@@ -209,10 +210,6 @@ def parse_operator(text: str, nvars: int = 1) -> WeylElement:
         from_name=None,
     )
     return p.finish(value)
-
-
-def operator_to_string(w: WeylElement) -> str:
-    return w.to_string()
 
 
 def parse_algebra_element(text: str, algebra: SullivanAlgebra) -> AlgebraElement:
@@ -430,7 +427,9 @@ def amodule_from_body(body: Dict) -> AModule:
     bare = AModule(algebra, None, gens, {})
     diff = {}
     for name, expr in body.get("differential", {}).items():
-        j = next(i for i, g in enumerate(gens) if g.name == name)
+        j = next((i for i, g in enumerate(gens) if g.name == name), None)
+        if j is None:
+            raise DocumentError(f"differential of unknown generator {name!r}")
         diff[j] = parse_module_element(expr, bare).coeffs
     try:
         return AModule(algebra, None, gens, diff)
@@ -485,6 +484,22 @@ def _diag(msg: str):
     sys.stderr.write(msg + "\n")
 
 
+# d^2 = 0 checks on weight slices: command -> (input document kind,
+# report name, builder of the sliced complex from the document and vars)
+_DSQUARE_CHECKS = {
+    "tensor-a": (
+        "tensor-input", "tensor-over-A d^2 = 0 on slices",
+        lambda doc, nvars: TensorOverA(amodule_from_body(dict(doc["b"], vars=nvars)),
+                                       amodule_from_body(dict(doc["m"], vars=nvars))),
+    ),
+    "base-change": (
+        "base-change-input", "base-change d^2 = 0 on slices",
+        lambda doc, nvars: BaseChangeModule(algebra_from_body(dict(doc["b"], vars=nvars)),
+                                            amodule_from_body(dict(doc["n"], vars=nvars))),
+    ),
+}
+
+
 def dispatch(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="dgdm",
@@ -513,8 +528,8 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
     })
     add("attach", **{"--file": {"required": True}})
     add("sullivan-extend", **{"--file": {"required": True}})
-    add("tensor-a", **{"--file": {"required": True}, "--truncation": {"type": int, "default": 4}})
-    add("base-change", **{"--file": {"required": True}, "--truncation": {"type": int, "default": 4}})
+    for name in _DSQUARE_CHECKS:
+        add(name, **{"--file": {"required": True}, "--truncation": {"type": int, "default": 4}})
     add("check", **{
         "--check": {"required": True},
         "--seed": {"type": int, "default": 0},
@@ -535,14 +550,12 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
 
-    bound = args.bound
-    env_bound = os.environ.get("WEYL_BOUND")
-    if env_bound is not None:
-        bound = int(env_bound)
-    if bound is not None:
-        set_degree_guard(bound)
-
+    saved_guard = get_degree_guard()
     try:
+        env_bound = os.environ.get("WEYL_BOUND")
+        bound = args.bound if env_bound is None else int(env_bound)
+        if bound is not None:
+            set_degree_guard(bound)
         return _run_command(args)
     except DegreeGuardExceeded as e:
         _diag(f"degree guard: {e}")
@@ -553,6 +566,8 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as e:
         _diag(f"error: {e}")
         return 2
+    finally:
+        set_degree_guard(saved_guard)
 
 
 def _run_command(args) -> int:
@@ -668,53 +683,19 @@ def _run_command(args) -> int:
         }))
         return 0
 
-    if cmd == "tensor-a":
+    if cmd in _DSQUARE_CHECKS:
+        kind, check, build = _DSQUARE_CHECKS[cmd]
         doc = load_document(args.file)
-        if doc["kind"] != "tensor-input":
-            raise DocumentError(f"expected tensor-input, got {doc['kind']}")
-        b = amodule_from_body(dict(doc["b"], vars=doc.get("vars", 1)))
-        m = amodule_from_body(dict(doc["m"], vars=doc.get("vars", 1)))
-        t = TensorOverA(b, m)
-        witness = None
-        for p in range(0, 4):
-            for key in t.basis_keys(p, args.truncation - 2):
-                acc: Dict = {}
-                for k2, c2 in t.diff_key(key).items():
-                    for k3, c3 in t.diff_key(k2).items():
-                        acc[k3] = acc.get(k3, Fraction(0)) + c2 * c3
-                if any(acc.values()):
-                    witness = str(key)
-        verdict = "pass" if witness is None else "fail"
+        if doc["kind"] != kind:
+            raise DocumentError(f"expected {kind}, got {doc['kind']}")
+        t = build(doc, doc.get("vars", 1))
+        key = dsquare_witness(t.basis_keys, t.diff_key, range(0, 4), args.truncation - 2)
         _emit(make_document("check-report", {
-            "check": "tensor-over-A d^2 = 0 on slices",
-            "verdict": verdict,
-            "witness": witness,
+            "check": check,
+            "verdict": "pass" if key is None else "fail",
+            "witness": None if key is None else str(key),
         }))
-        return 0 if witness is None else 1
-
-    if cmd == "base-change":
-        doc = load_document(args.file)
-        if doc["kind"] != "base-change-input":
-            raise DocumentError(f"expected base-change-input, got {doc['kind']}")
-        b = algebra_from_body(dict(doc["b"], vars=doc.get("vars", 1)))
-        n_mod = amodule_from_body(dict(doc["n"], vars=doc.get("vars", 1)))
-        bc = BaseChangeModule(b, n_mod)
-        witness = None
-        for p in range(0, 4):
-            for key in bc.basis_keys(p, args.truncation - 2):
-                acc: Dict = {}
-                for k2, c2 in bc.diff_key(key).items():
-                    for k3, c3 in bc.diff_key(k2).items():
-                        acc[k3] = acc.get(k3, Fraction(0)) + c2 * c3
-                if any(acc.values()):
-                    witness = str(key)
-        verdict = "pass" if witness is None else "fail"
-        _emit(make_document("check-report", {
-            "check": "base-change d^2 = 0 on slices",
-            "verdict": verdict,
-            "witness": witness,
-        }))
-        return 0 if witness is None else 1
+        return 0 if key is None else 1
 
     if cmd == "check":
         params = {}

@@ -26,6 +26,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
+from .rational_linalg import add_term, vec_add
 from .slices import TruncationResult, bounded_weq
 from .weyl import Exponent, WeylElement
 
@@ -165,7 +166,7 @@ class SullivanAlgebra:
                     continue
                 sign, atoms = norm
                 key = (tuple(x + y for x, y in zip(a1, a2)), atoms)
-                _acc(out, key, c1 * c2 * sign)
+                add_term(out, key, c1 * c2 * sign)
         return AlgebraElement(self, out)
 
     # -- D-action ----------------------------------------------------------
@@ -174,7 +175,7 @@ class SullivanAlgebra:
         out: Coeffs = {}
         for (alpha, atoms), c in u.coeffs.items():
             na = tuple(e + 1 if k == i else e for k, e in enumerate(alpha))
-            _acc(out, (na, atoms), c)
+            add_term(out, (na, atoms), c)
         return AlgebraElement(self, out)
 
     def act_d(self, i: int, u: "AlgebraElement") -> "AlgebraElement":
@@ -183,7 +184,7 @@ class SullivanAlgebra:
         for (alpha, atoms), c in u.coeffs.items():
             if alpha[i] > 0:
                 na = tuple(e - 1 if k == i else e for k, e in enumerate(alpha))
-                _acc(out, (na, atoms), c * alpha[i])
+                add_term(out, (na, atoms), c * alpha[i])
             for t, (j, b) in enumerate(atoms):
                 nb = tuple(e + 1 if k == i else e for k, e in enumerate(b))
                 cand = atoms[:t] + ((j, nb),) + atoms[t + 1:]
@@ -191,7 +192,7 @@ class SullivanAlgebra:
                 if norm is None:
                     continue
                 sign, sorted_atoms = norm
-                _acc(out, (alpha, sorted_atoms), c * sign)
+                add_term(out, (alpha, sorted_atoms), c * sign)
         return AlgebraElement(self, out)
 
     def act(self, op: WeylElement, u: "AlgebraElement") -> "AlgebraElement":
@@ -303,14 +304,6 @@ class SullivanAlgebra:
         return f"SullivanAlgebra(nvars={self.nvars}, [{gens}])"
 
 
-def _acc(store: Coeffs, key: TermKey, c: Fraction):
-    s = store.get(key, Fraction(0)) + c
-    if s:
-        store[key] = s
-    else:
-        store.pop(key, None)
-
-
 def _exponents_bounded(nvars: int, total: int):
     if total < 0:
         return
@@ -341,8 +334,7 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            _acc(out, k, c)
+        vec_add(out, other.coeffs)
         return AlgebraElement(self.algebra, out)
 
     def __neg__(self):
@@ -399,10 +391,6 @@ class AlgebraElement:
             else:
                 parts.append(f"{c}*" + "*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def algebra_multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-    return u.algebra.multiply(u, v)
 
 
 def apply_differential(u: AlgebraElement) -> AlgebraElement:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .rational_linalg import add_term, vec_add
 from .weyl import Monomial, NvarsMismatch, WeylElement, mono_mul
 
 # module monomial: (position, x-exponents, d-exponents)
@@ -155,15 +156,6 @@ def _from_vec(vec: VecT, rank: int, nvars: int) -> FreeModuleElement:
     return FreeModuleElement([WeylElement(nvars, t) for t in per])
 
 
-def _vec_iadd(target: VecT, src: VecT, scale: Fraction):
-    for m, c in src.items():
-        s = target.get(m, Fraction(0)) + scale * c
-        if s:
-            target[m] = s
-        else:
-            target.pop(m, None)
-
-
 def _lm(vec: VecT) -> ModMonomial:
     return max(vec, key=_key)
 
@@ -196,13 +188,15 @@ class _Row:
         self.cof = cof  # cofactor j as dict of ring monomials (pos ignored, use pos 0)
 
 
-def _reduce(vec: VecT, cofs: Optional[List[VecT]], rows: List[_Row], guard: int) -> VecT:
-    """Full left normal form of vec against rows; cofactors updated in place.
+def _reduce(vec: VecT, rows: List[_Row], guard: int) -> Tuple[VecT, List[VecT]]:
+    """Full left normal form of vec against rows, with the quotients used.
 
-    cofs, when given, must have one (ring-element) dict per input
-    generator and already account for vec.
+    Returns (remainder, quotients): quotients[i] is a ring element (a dict
+    of monomials at position 0) and vec = sum_i quotients[i]*rows[i] +
+    remainder.
     """
     result: VecT = {}
+    quots: List[VecT] = [{} for _ in rows]
     work = dict(vec)
     while work:
         if _max_degree(work) > guard:
@@ -210,24 +204,29 @@ def _reduce(vec: VecT, cofs: Optional[List[VecT]], rows: List[_Row], guard: int)
                 f"reduction exceeded total degree {guard}"
             )
         m = _lm(work)
-        hit = None
-        for row in rows:
+        for idx, row in enumerate(rows):
             if _divides(_lm(row.vec), m):
-                hit = row
                 break
-        if hit is None:
+        else:
             result[m] = work.pop(m)
             continue
-        lm_r = _lm(hit.vec)
+        lm_r = _lm(row.vec)
         qa = tuple(x - y for x, y in zip(m[1], lm_r[1]))
         qb = tuple(x - y for x, y in zip(m[2], lm_r[2]))
-        ratio = work[m] / hit.vec[lm_r]
-        _vec_iadd(work, _left_mono_mul(qa, qb, hit.vec), -ratio)
-        if cofs is not None:
-            for j, hc in enumerate(hit.cof):
+        ratio = work[m] / row.vec[lm_r]
+        vec_add(work, _left_mono_mul(qa, qb, row.vec), -ratio)
+        add_term(quots[idx], (0, qa, qb), ratio)
+    return result, quots
+
+
+def _cofactors(cofs: List[VecT], quots: List[VecT], rows: List[_Row]) -> List[VecT]:
+    """cofs - sum_i quots[i]*rows[i].cof, computed in place in cofs."""
+    for q, row in zip(quots, rows):
+        for (_, qa, qb), c in q.items():
+            for j, hc in enumerate(row.cof):
                 if hc:
-                    _vec_iadd(cofs[j], _left_mono_mul(qa, qb, hc), -ratio)
-    return result
+                    vec_add(cofs[j], _left_mono_mul(qa, qb, hc), -c)
+    return cofs
 
 
 class GrobnerBasis:
@@ -294,15 +293,14 @@ def buchberger(
         if g.nvars != nvars:
             raise NvarsMismatch("generators over different Weyl algebras")
 
-    unit = WeylElement.one(nvars)
+    zero_exp = (0,) * nvars
     rows: List[_Row] = []
     for i, g in enumerate(gens):
-        cofs = [_to_vec(FreeModuleElement([WeylElement.zero(nvars)])) for _ in gens]
-        cofs[i] = _to_vec(FreeModuleElement([unit]))
-        vec = dict(_to_vec(g))
-        red = _reduce(vec, cofs, rows, degree_guard)
+        red, quots = _reduce(_to_vec(g), rows, degree_guard)
         if red:
-            rows.append(_Row(red, cofs))
+            cofs: List[VecT] = [{} for _ in gens]
+            cofs[i] = {(0, zero_exp, zero_exp): Fraction(1)}
+            rows.append(_Row(red, _cofactors(cofs, quots, rows)))
 
     def lcm_degree(i: int, j: int) -> Optional[int]:
         mi, mj = _lm(rows[i].vec), _lm(rows[j].vec)
@@ -329,19 +327,18 @@ def buchberger(
         qb_i = tuple(x - y for x, y in zip(lb, mi[2]))
         qa_j = tuple(x - y for x, y in zip(la, mj[1]))
         qb_j = tuple(x - y for x, y in zip(lb, mj[2]))
+        t_i, t_j = 1 / rows[i].vec[mi], -1 / rows[j].vec[mj]
         spoly: VecT = {}
-        cofs = [dict() for _ in gens]
-        _vec_iadd(spoly, _left_mono_mul(qa_i, qb_i, rows[i].vec), 1 / rows[i].vec[mi])
-        _vec_iadd(spoly, _left_mono_mul(qa_j, qb_j, rows[j].vec), -1 / rows[j].vec[mj])
-        for t, row in ((1 / rows[i].vec[mi], rows[i]), (-1 / rows[j].vec[mj], rows[j])):
-            qa, qb = (qa_i, qb_i) if row is rows[i] else (qa_j, qb_j)
-            for g_idx, hc in enumerate(row.cof):
-                if hc:
-                    _vec_iadd(cofs[g_idx], _left_mono_mul(qa, qb, hc), t)
-        red = _reduce(spoly, cofs, rows, degree_guard)
+        vec_add(spoly, _left_mono_mul(qa_i, qb_i, rows[i].vec), t_i)
+        vec_add(spoly, _left_mono_mul(qa_j, qb_j, rows[j].vec), t_j)
+        red, quots = _reduce(spoly, rows, degree_guard)
         if red:
+            # spoly = t_i*m_i*rows[i] + t_j*m_j*rows[j]: fold that into the
+            # quotients with the opposite sign
+            add_term(quots[i], (0, qa_i, qb_i), -t_i)
+            add_term(quots[j], (0, qa_j, qb_j), -t_j)
             new_idx = len(rows)
-            rows.append(_Row(red, cofs))
+            rows.append(_Row(red, _cofactors([{} for _ in gens], quots, rows)))
             for k in range(new_idx):
                 d = lcm_degree(k, new_idx)
                 if d is not None:
@@ -370,10 +367,10 @@ def _interreduce(rows: List[_Row], guard: int) -> List[_Row]:
     out: List[_Row] = []
     for r in minimal:
         others = [s for s in minimal if s is not r]
-        cofs = [dict(c) for c in r.cof]
-        red = _reduce(dict(r.vec), cofs, others, guard)
+        red, quots = _reduce(r.vec, others, guard)
         if not red:
             continue
+        cofs = _cofactors([dict(c) for c in r.cof], quots, others)
         lc = red[_lm(red)]
         red = {m: c / lc for m, c in red.items()}
         cofs = [{m: c / lc for m, c in cof.items()} for cof in cofs]
@@ -384,7 +381,7 @@ def _interreduce(rows: List[_Row], guard: int) -> List[_Row]:
 def normal_form(v: FreeModuleElement, gb: GrobnerBasis) -> FreeModuleElement:
     """Left normal form of v modulo the basis; zero iff v is a member."""
     _check_compat(v, gb)
-    red = _reduce(_to_vec(v), None, gb._rows, gb.degree_guard)
+    red, _ = _reduce(_to_vec(v), gb._rows, gb.degree_guard)
     return _from_vec(red, gb.rank, gb.nvars)
 
 
@@ -393,34 +390,9 @@ def normal_form_with_cofactors(
 ) -> Tuple[FreeModuleElement, List[WeylElement]]:
     """Normal form plus quotients over the basis: v = sum q_i*gb_i + nf."""
     _check_compat(v, gb)
-    cofs: List[VecT] = [dict() for _ in gb.generators]
-    work = dict(_to_vec(v))
-    result: VecT = {}
-    while work:
-        if _max_degree(work) > gb.degree_guard:
-            raise DegreeGuardExceeded(
-                f"reduction exceeded total degree {gb.degree_guard}"
-            )
-        m = _lm(work)
-        hit_idx = None
-        for idx, row in enumerate(gb._rows):
-            if _divides(_lm(row.vec), m):
-                hit_idx = idx
-                break
-        if hit_idx is None:
-            result[m] = work.pop(m)
-            continue
-        row = gb._rows[hit_idx]
-        lm_r = _lm(row.vec)
-        qa = tuple(x - y for x, y in zip(m[1], lm_r[1]))
-        qb = tuple(x - y for x, y in zip(m[2], lm_r[2]))
-        ratio = work[m] / row.vec[lm_r]
-        _vec_iadd(work, _left_mono_mul(qa, qb, row.vec), -ratio)
-        q = {(0, qa, qb): ratio}
-        _vec_iadd(cofs[hit_idx], q, Fraction(1))
-    nf = _from_vec(result, gb.rank, gb.nvars)
-    quots = [_from_vec(c, 1, gb.nvars).coords[0] for c in cofs]
-    return nf, quots
+    red, quots = _reduce(_to_vec(v), gb._rows, gb.degree_guard)
+    nf = _from_vec(red, gb.rank, gb.nvars)
+    return nf, [_from_vec(q, 1, gb.nvars).coords[0] for q in quots]
 
 
 def member(v: FreeModuleElement, gb: GrobnerBasis) -> bool:
@@ -512,7 +484,6 @@ def syzygies(
                 img[j] = img[j] + k.coords[i] * rows[i][j]
         if any(not e.is_zero() for e in img):
             raise AssertionError("syzygy candidate does not map to zero")
-    cof = [[WeylElement.zero(nvars)] * len(kernel) for _ in kernel]
     return GrobnerBasis(r, nvars, kernel, list(kernel),
                         [[one if i == j else zero for j in range(len(kernel))]
                          for i in range(len(kernel))],

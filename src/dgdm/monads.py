@@ -23,19 +23,12 @@ from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from .complexes import FreeDComplex
 from .dga import SullivanAlgebra, _exponents_bounded, _normalize_atoms
+from .rational_linalg import add_term, vec_add
 from .weyl import Exponent
 
 Core = Hashable
 Expansion = Dict[Tuple[Exponent, Core], Fraction]
 Element = Dict[Tuple[Exponent, Core], Fraction]
-
-
-def _acc(store, key, c):
-    s = store.get(key, Fraction(0)) + c
-    if s:
-        store[key] = s
-    else:
-        store.pop(key, None)
 
 
 class FreeBase:
@@ -76,7 +69,7 @@ class FreeBase:
                 continue
             prod = carrier * entry
             for (a2, b2), coef in prod.terms.items():
-                _acc(out, (a2, (n - 1, v, b2)), coef)
+                add_term(out, (a2, (n - 1, v, b2)), coef)
         return out
 
 
@@ -143,7 +136,7 @@ class FormalSym:
                 if norm is None:
                     continue
                 sign, sorted_core = norm
-                _acc(out, (gamma, sorted_core), c * sign)
+                add_term(out, (gamma, sorted_core), c * sign)
         return out
 
     def diff_core(self, core: Core) -> Expansion:
@@ -155,7 +148,7 @@ class FormalSym:
                 if norm is None:
                     continue
                 sign, sorted_core = norm
-                _acc(out, (gamma, sorted_core), c * sign * kos)
+                add_term(out, (gamma, sorted_core), c * sign * kos)
             if self._parity(atom):
                 kos = -kos
         return out
@@ -175,7 +168,7 @@ class FormalSym:
         out: Element = {}
         for (gamma, core2), c in self.diff_core(core).items():
             na = tuple(x + y for x, y in zip(alpha, gamma))
-            _acc(out, (na, core2), c)
+            add_term(out, (na, core2), c)
         return out
 
 
@@ -200,7 +193,7 @@ def sym_mu(outer: FormalSym, elem: Element) -> Element:
         if norm is None:
             continue
         sign, merged = norm
-        _acc(out, (alpha, merged), c * sign)
+        add_term(out, (alpha, merged), c * sign)
     return out
 
 
@@ -223,10 +216,9 @@ def sym_apply(
                         continue
                     sign, merged = norm
                     na = tuple(x + y for x, y in zip(a1, gamma))
-                    _acc(nxt, (na, merged), c1 * c2 * sign)
+                    add_term(nxt, (na, merged), c1 * c2 * sign)
             partial = nxt
-        for k, v in partial.items():
-            _acc(out, k, v)
+        vec_add(out, partial)
     return out
 
 
@@ -261,9 +253,9 @@ class TensorWithA:
             i, AlgebraElement(self.algebra, {((0,) * self.nvars, atoms): Fraction(1)})
         )
         for (gamma, atoms2), c in da.coeffs.items():
-            _acc(out, (gamma, (atoms2, ncore)), c)
+            add_term(out, (gamma, (atoms2, ncore)), c)
         for (gamma, ncore2), c in self.base.act_d_core(i, ncore).items():
-            _acc(out, (gamma, (atoms, ncore2)), c)
+            add_term(out, (gamma, (atoms, ncore2)), c)
         return out
 
     def diff_core(self, core: Core) -> Expansion:
@@ -275,11 +267,11 @@ class TensorWithA:
             AlgebraElement(self.algebra, {((0,) * self.nvars, atoms): Fraction(1)})
         )
         for (gamma, atoms2), c in da.coeffs.items():
-            _acc(out, (gamma, (atoms2, ncore)), c)
+            add_term(out, (gamma, (atoms2, ncore)), c)
         adeg = sum(self.algebra.generators[j].degree for j, _ in atoms)
         sign = 1 if adeg % 2 == 0 else -1
         for (gamma, ncore2), c in self.base.diff_core(ncore).items():
-            _acc(out, (gamma, (atoms, ncore2)), c * sign)
+            add_term(out, (gamma, (atoms, ncore2)), c * sign)
         return out
 
 
@@ -298,7 +290,7 @@ def tensor_mu(outer: TensorWithA, elem: Element) -> Element:
         if norm is None:
             continue
         sign, merged = norm
-        _acc(out, (alpha, (merged, ncore)), c * sign)
+        add_term(out, (alpha, (merged, ncore)), c * sign)
     return out
 
 
@@ -312,7 +304,7 @@ def tensor_apply(
     for (alpha, (atoms, ncore)), c in elem.items():
         for (gamma, ncore2), c2 in f_core(ncore).items():
             na = tuple(x + y for x, y in zip(alpha, gamma))
-            _acc(out, (na, (atoms, ncore2)), c * c2)
+            add_term(out, (na, (atoms, ncore2)), c * c2)
     return out
 
 

@@ -28,7 +28,8 @@ from itertools import product as iproduct
 from typing import Dict, Hashable, Iterator, List, Sequence, Tuple
 
 from .complexes import FreeDComplex
-from .slices import TruncationResult, bounded_acyclicity
+from .rational_linalg import add_term, apply_linear
+from .slices import TruncationResult, bounded_acyclicity, dsquare_witness
 from .weyl import WeylElement
 
 SlotId = Hashable
@@ -91,25 +92,21 @@ class OBasisComplex:
                 for (na, nb), c in carrier.terms.items():
                     nbs = (nb,) + bs[1:]
                     nkey = (tgt, na, nbs[:tgt_factors])
-                    _acc(out, nkey, c)
+                    add_term(out, nkey, c)
             else:
                 carrier = WeylElement.monomial(self.nvars, zero_a, bs[factor]) * coef
                 for (na, nb), c in carrier.terms.items():
                     nalpha = tuple(x + y for x, y in zip(alpha, na))
                     nbs = bs[:factor] + (nb,) + bs[factor + 1:]
                     nkey = (tgt, nalpha, nbs[:tgt_factors])
-                    _acc(out, nkey, c)
+                    add_term(out, nkey, c)
         return out
 
     def diff_key(self, key: Key) -> Element:
         return self.apply_entries(key, self.diff_entries.get(key[0], ()))
 
     def diff_element(self, elt: Element) -> Element:
-        out: Element = {}
-        for key, c in elt.items():
-            for k2, c2 in self.diff_key(key).items():
-                _acc(out, k2, c * c2)
-        return out
+        return apply_linear(self.diff_key, elt)
 
     # -- basis enumeration ---------------------------------------------
 
@@ -126,18 +123,9 @@ class OBasisComplex:
 
     def validate_dsquare(self, max_weight: int = 3):
         """d*d = 0 on every basis element up to the given weight."""
-        for p in range(2, self.top + 1):
-            for key in self.basis_keys(p, max_weight):
-                if self.diff_element(self.diff_key(key)):
-                    raise ValueError(f"d*d != 0 on basis element {key}")
-
-
-def _acc(store: Element, key: Key, c: Fraction):
-    s = store.get(key, Fraction(0)) + c
-    if s:
-        store[key] = s
-    else:
-        store.pop(key, None)
+        key = dsquare_witness(self.basis_keys, self.diff_key, range(2, self.top + 1), max_weight)
+        if key is not None:
+            raise ValueError(f"d*d != 0 on basis element {key}")
 
 
 def _bounded_exponent_blocks(nvars: int, blocks: int, total: int):
@@ -181,14 +169,8 @@ class OBasisChainMap:
         """f d = d f on basis elements up to the given weight."""
         for p in range(1, self.source.top + 1):
             for key in self.source.basis_keys(p, max_weight):
-                lhs: Element = {}
-                for k2, c in self.source.diff_key(key).items():
-                    for k3, c3 in self.apply_key(k2).items():
-                        _acc(lhs, k3, c * c3)
-                rhs: Element = {}
-                for k2, c in self.apply_key(key).items():
-                    for k3, c3 in self.target.diff_key(k2).items():
-                        _acc(rhs, k3, c * c3)
+                lhs = apply_linear(self.apply_key, self.source.diff_key(key))
+                rhs = apply_linear(self.target.diff_key, self.apply_key(key))
                 if lhs != rhs:
                     raise ValueError(f"chain property fails on {key}")
 

@@ -1,28 +1,54 @@
 """Sparse exact linear algebra over the rationals.
 
 Vectors are dicts mapping hashable, sortable column keys to nonzero
-Fractions.  The single workhorse is an incremental echelon form with a
-deterministic pivot rule (smallest column key), which is enough for
-span membership, solving, and nullspace computation.  No floating point.
+Fractions.  This module holds the one sparse-vector kernel every other
+module uses: `add_term` adds into one coordinate, `vec_add` adds a
+scaled vector in place, and `apply_linear` extends a map on keys
+linearly; all three drop zero coefficients.  On top of the kernel sits
+an incremental echelon form with a deterministic pivot rule (smallest
+column key), which is enough for span membership, solving, and
+nullspace computation.  No floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 Vec = Dict[Hashable, Fraction]
 
+_ZERO = Fraction(0)
 
-def vec_add(u: Vec, v: Vec, scale: Fraction = Fraction(1)) -> Vec:
-    """u + scale*v with zero coefficients dropped."""
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k, Fraction(0)) + scale * c
+
+def add_term(store: Vec, key: Hashable, c: Fraction):
+    """store[key] += c in place, dropping the key when the sum is zero."""
+    s = store.get(key, _ZERO) + c
+    if s:
+        store[key] = s
+    else:
+        store.pop(key, None)
+
+
+def vec_add(target: Vec, src: Vec, scale: Fraction = Fraction(1)):
+    """target += scale*src in place, with zero coefficients dropped."""
+    for k, c in src.items():
+        s = target.get(k, _ZERO) + scale * c
         if s:
-            out[k] = s
+            target[k] = s
         else:
-            out.pop(k, None)
+            target.pop(k, None)
+
+
+def apply_linear(key_map: Callable[[Hashable], Vec], vec: Vec) -> Vec:
+    """The linear extension of key_map evaluated on vec."""
+    out: Vec = {}
+    for key, c in vec.items():
+        for k2, c2 in key_map(key).items():
+            s = out.get(k2, _ZERO) + c * c2
+            if s:
+                out[k2] = s
+            else:
+                out.pop(k2, None)
     return out
 
 
@@ -48,7 +74,7 @@ class Echelon:
                         hit = k
             if hit is None:
                 return vec
-            vec = vec_add(vec, self.rows[hit], -vec[hit])
+            vec_add(vec, self.rows[hit], -vec[hit])
 
     def insert(self, vec: Vec) -> Optional[Hashable]:
         """Reduce vec and add it to the basis; returns its pivot (None if 0)."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
 
-from .rational_linalg import Echelon, nullspace
+from .rational_linalg import Echelon, apply_linear, nullspace
 
 BasisFn = Callable[[int, int], Iterable[Hashable]]  # (degree, max weight) -> keys
 DiffFn = Callable[[Hashable], Dict[Hashable, Fraction]]
@@ -80,6 +80,20 @@ def bounded_acyclicity(
     return TruncationResult("bounded-pass", (n, n + 1), None, degrees)
 
 
+def dsquare_witness(
+    basis_of: BasisFn,
+    diff_of: DiffFn,
+    degrees: Iterable[int],
+    max_weight: int,
+) -> Optional[Hashable]:
+    """The first basis key of weight <= max_weight with d(d(key)) != 0, or None."""
+    for p in degrees:
+        for key in basis_of(p, max_weight):
+            if apply_linear(diff_of, diff_of(key)):
+                return key
+    return None
+
+
 def cone_adapters(
     src_basis: BasisFn,
     src_diff: DiffFn,
@@ -100,17 +114,13 @@ def cone_adapters(
             yield ("t", k)
 
     def diff(key):
+        # the "s" and "t" blocks never share a key, so nothing accumulates
         tag, k = key
-        out: Dict[Hashable, Fraction] = {}
-        if tag == "s":
-            for k2, c in src_diff(k).items():
-                out[("s", k2)] = out.get(("s", k2), Fraction(0)) - c
-            for k2, c in map_fn(k).items():
-                out[("t", k2)] = out.get(("t", k2), Fraction(0)) + c
-        else:
-            for k2, c in tgt_diff(k).items():
-                out[("t", k2)] = out.get(("t", k2), Fraction(0)) + c
-        return {k2: c for k2, c in out.items() if c}
+        if tag == "t":
+            return {("t", k2): c for k2, c in tgt_diff(k).items() if c}
+        out = {("s", k2): -c for k2, c in src_diff(k).items() if c}
+        out.update((("t", k2), c) for k2, c in map_fn(k).items() if c)
+        return out
 
     return basis, diff
 

@@ -262,12 +262,6 @@ class Polynomial:
         z = (0,) * self.nvars
         return WeylElement(self.nvars, {(a, z): c for a, c in self.terms.items()})
 
-    @classmethod
-    def from_weyl(cls, p: WeylElement) -> "Polynomial":
-        if not p.is_polynomial():
-            raise ValueError("element has differential part, not in O")
-        return cls(p.nvars, {a: c for (a, _), c in p.terms.items()})
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         _check_same_nvars(self, other)
         terms = dict(self.terms)
@@ -306,11 +300,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.to_weyl().to_string()!r})"
-
-
-def multiply(p: WeylElement, q: WeylElement) -> WeylElement:
-    """Normal-ordered product in D."""
-    return p * q
 
 
 def act_on_poly(p: WeylElement, f: Polynomial) -> Polynomial:

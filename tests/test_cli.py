@@ -26,6 +26,7 @@ from dgdm.cli import (
 )
 from dgdm.complexes import disk, identity_matrix, FreeDComplex, ChainMap
 from dgdm.dga import Generator, SullivanAlgebra
+from dgdm.groebner import get_degree_guard
 from dgdm.amod import free_disk_module
 from dgdm.randgen import random_complex
 from dgdm.weyl import WeylElement
@@ -231,10 +232,25 @@ def test_degree_guard_exit_code(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, "g.doc", doc)
     monkeypatch.setenv("WEYL_BOUND", "3")
     rc = dispatch(["homology", "--file", path, "--degree", "0"])
-    monkeypatch.delenv("WEYL_BOUND")
-    from dgdm.groebner import set_degree_guard, DEFAULT_DEGREE_GUARD
-    set_degree_guard(DEFAULT_DEGREE_GUARD)
     assert rc == 3
+
+
+def test_degree_guard_restored_after_dispatch(tmp_path, capsys, monkeypatch):
+    # neither WEYL_BOUND nor a suite-config bound outlives the call
+    before = get_degree_guard()
+    cfg = make_document("suite-config", {"seed": 9, "filter": "disks", "bound": 5})
+    monkeypatch.setenv("WEYL_BOUND", "3")
+    dispatch(["suite", "--file", write_doc(tmp_path, "cfg.doc", cfg)])
+    assert get_degree_guard() == before
+    dispatch(["--bound", "7", "boxprod", "--m", "1", "--n", "1"])
+    assert get_degree_guard() == before
+
+
+def test_bad_bounds_are_usage_errors(capsys, monkeypatch):
+    assert dispatch(["--bound", "0", "boxprod", "--m", "1", "--n", "1"]) == 2
+    monkeypatch.setenv("WEYL_BOUND", "abc")
+    assert dispatch(["boxprod", "--m", "1", "--n", "1"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_usage_errors():
@@ -261,3 +277,45 @@ def test_operator_document_round_trip():
     assert parse_document(print_document(doc)) == doc
     w = parse_operator(doc["expr"], doc["vars"])
     assert parse_operator(w.to_string(), 1) == w
+
+
+ONE_GEN_ALGEBRA = {"generators": [{"name": "u", "degree": 2}], "differential": {}}
+G_TO_F = {
+    "algebra": ONE_GEN_ALGEBRA,
+    "generators": [{"name": "f", "degree": 1}, {"name": "g", "degree": 2}],
+    "differential": {"g": "f"},
+}
+
+
+def _dsquare_report(check: str) -> str:
+    return (
+        '{\n "check": "' + check + '",\n "format": "dgdm-doc",\n'
+        ' "kind": "check-report",\n "verdict": "pass",\n "version": 1,\n'
+        ' "witness": null\n}\n'
+    )
+
+
+def test_tensor_a_subcommand(tmp_path, capsys):
+    doc = make_document("tensor-input", {"vars": 1, "b": G_TO_F, "m": G_TO_F})
+    rc = dispatch(["tensor-a", "--file", write_doc(tmp_path, "t.doc", doc)])
+    assert rc == 0
+    assert capsys.readouterr().out == _dsquare_report("tensor-over-A d^2 = 0 on slices")
+
+
+def test_base_change_subcommand(tmp_path, capsys):
+    # the Sullivan extension A = (u) -> B = (u, w), d(w) = u
+    b = {
+        "generators": [{"name": "u", "degree": 2}, {"name": "w", "degree": 3}],
+        "differential": {"w": "u"},
+    }
+    doc = make_document("base-change-input", {"vars": 1, "b": b, "n": G_TO_F})
+    rc = dispatch(["base-change", "--file", write_doc(tmp_path, "b.doc", doc)])
+    assert rc == 0
+    assert capsys.readouterr().out == _dsquare_report("base-change d^2 = 0 on slices")
+
+
+def test_unknown_generator_in_module_differential(tmp_path, capsys):
+    bad = dict(G_TO_F, differential={"h": "f"})
+    doc = make_document("tensor-input", {"vars": 1, "b": bad, "m": G_TO_F})
+    assert dispatch(["tensor-a", "--file", write_doc(tmp_path, "t.doc", doc)]) == 2
+    assert "unknown generator 'h'" in capsys.readouterr().err

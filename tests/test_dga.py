@@ -12,7 +12,6 @@ from dgdm.dga import (
     Generator,
     SullivanAlgebra,
     algebra_bounded_weq,
-    algebra_multiply,
     apply_differential,
     compose_morphisms,
     dga_pushout_factor,

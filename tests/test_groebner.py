@@ -158,6 +158,30 @@ def _random_vec(rng, rank, nvars=1):
     return FreeModuleElement([_random_w(rng, nvars) for _ in range(rank)])
 
 
+def test_cofactors_reproduce_basis_random():
+    # independent of normal forms: each basis element must equal the left
+    # combination of the inputs named by its cofactors
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(20):
+        nvars = rng.choice([1, 1, 2])
+        rank = rng.randint(1, 2)
+        gens = [FreeModuleElement([_random_w(rng, nvars, 2, 2 if nvars == 1 else 1)
+                                   for _ in range(rank)])
+                for _ in range(rng.randint(1, 3))]
+        if all(g.is_zero() for g in gens):
+            continue
+        gb = buchberger(gens)
+        for g, cof in zip(gb.generators, gb.cofactors):
+            assert len(cof) == len(gb.inputs)
+            acc = FreeModuleElement.zero(gb.rank, gb.nvars)
+            for c, inp in zip(cof, gb.inputs):
+                acc = acc + inp.left_mul(c)
+            assert acc == g
+            checked += 1
+    assert checked > 20
+
+
 def test_normal_form_idempotent_random():
     rng = random.Random(23)
     for _ in range(15):
