@@ -24,7 +24,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import verify
-from .amod import AModule, AModuleElement, TensorOverA, BaseChangeModule, flatten_sullivan
+from .amod import (
+    AModule,
+    AModuleElement,
+    BaseChangeModule,
+    TensorOverA,
+    flatten_sullivan,
+    src_top_hint,
+)
 from .complexes import (
     ChainMap,
     ComplexError,
@@ -484,18 +491,24 @@ def _diag(msg: str):
     sys.stderr.write(msg + "\n")
 
 
-# d^2 = 0 checks on weight slices: command -> (input document kind,
-# report name, builder of the sliced complex from the document and vars)
+# d^2 = 0 checks on weight slices probe degrees 0 up to the top generator
+# degree plus this window; for generators in degree 0 that is 0..3
+_DSQUARE_WINDOW = 3
+
+# command -> (input document kind, report name, builder of the sliced
+# complex from the document and vars, top degree to probe)
 _DSQUARE_CHECKS = {
     "tensor-a": (
         "tensor-input", "tensor-over-A d^2 = 0 on slices",
         lambda doc, nvars: TensorOverA(amodule_from_body(dict(doc["b"], vars=nvars)),
                                        amodule_from_body(dict(doc["m"], vars=nvars))),
+        lambda t: src_top_hint(t, _DSQUARE_WINDOW),
     ),
     "base-change": (
         "base-change-input", "base-change d^2 = 0 on slices",
         lambda doc, nvars: BaseChangeModule(algebra_from_body(dict(doc["b"], vars=nvars)),
                                             amodule_from_body(dict(doc["n"], vars=nvars))),
+        lambda t: t.n_mod.top_degree_hint(_DSQUARE_WINDOW),
     ),
 }
 
@@ -552,8 +565,9 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
 
     saved_guard = get_degree_guard()
     try:
-        env_bound = os.environ.get("WEYL_BOUND")
-        bound = args.bound if env_bound is None else int(env_bound)
+        bound = args.bound
+        if bound is None and "WEYL_BOUND" in os.environ:
+            bound = int(os.environ["WEYL_BOUND"])
         if bound is not None:
             set_degree_guard(bound)
         return _run_command(args)
@@ -684,12 +698,13 @@ def _run_command(args) -> int:
         return 0
 
     if cmd in _DSQUARE_CHECKS:
-        kind, check, build = _DSQUARE_CHECKS[cmd]
+        kind, check, build, top = _DSQUARE_CHECKS[cmd]
         doc = load_document(args.file)
         if doc["kind"] != kind:
             raise DocumentError(f"expected {kind}, got {doc['kind']}")
         t = build(doc, doc.get("vars", 1))
-        key = dsquare_witness(t.basis_keys, t.diff_key, range(0, 4), args.truncation - 2)
+        key = dsquare_witness(t.basis_keys, t.diff_key, range(0, top(t) + 1),
+                              args.truncation - 2)
         _emit(make_document("check-report", {
             "check": check,
             "verdict": "pass" if key is None else "fail",

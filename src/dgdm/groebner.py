@@ -8,16 +8,19 @@ relations strictly drop below leading terms.  Consequently leading
 monomials multiply as in the commutative case, Buchberger's algorithm
 applies verbatim, and termination follows from Dickson's lemma.
 
-Cofactor tracking is always on: every basis element knows a left
+`buchberger` tracks cofactors: every basis element knows a left
 combination of the input generators producing it, and normal forms can
 report the quotients used.  Kernels (syzygies) are computed by the
 module elimination trick: run Buchberger in D^(s+r) on rows augmented
 with unit tags, with the image block dominating the tag block in the
 position order, and read off the basis elements supported in the tags.
+`syzygies` tracks no cofactors, because the tag block already holds them,
+and drops the S-pairs that the chain criterion shows redundant.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,14 +53,12 @@ class DegreeGuardExceeded(RuntimeError):
     """A Groebner computation exceeded the configured total-degree cap."""
 
 
-def _mono_key(a: Tuple[int, ...], b: Tuple[int, ...]):
-    e = a + b
-    return (sum(e), tuple(-v for v in reversed(e)))
-
-
 def _key(m: ModMonomial):
+    """Sort key of the module order, reversed: the larger of two module
+    monomials has the smaller key, so a min-heap pops the leading term."""
     pos, a, b = m
-    return (-pos, *_mono_key(a, b))
+    e = a + b
+    return (pos, -sum(e), e[::-1])
 
 
 def _divides(m1: ModMonomial, m2: ModMonomial) -> bool:
@@ -157,7 +158,7 @@ def _from_vec(vec: VecT, rank: int, nvars: int) -> FreeModuleElement:
 
 
 def _lm(vec: VecT) -> ModMonomial:
-    return max(vec, key=_key)
+    return min(vec, key=_key)
 
 
 def _left_mono_mul(a: Tuple[int, ...], b: Tuple[int, ...], vec: VecT) -> VecT:
@@ -166,25 +167,26 @@ def _left_mono_mul(a: Tuple[int, ...], b: Tuple[int, ...], vec: VecT) -> VecT:
     for (pos, c, d), coef in vec.items():
         for (na, nb), k in mono_mul((a, b), (c, d)).items():
             key = (pos, na, nb)
-            s = out.get(key, Fraction(0)) + coef * k
-            if s:
+            term = coef if k == 1 else coef * k
+            old = out.get(key)
+            if old is None:
+                out[key] = term
+            elif (s := old + term):
                 out[key] = s
             else:
-                out.pop(key, None)
+                del out[key]
     return out
 
 
-def _max_degree(vec: VecT) -> int:
-    return max((sum(a) + sum(b) for (_, a, b) in vec), default=-1)
-
-
 class _Row:
-    """A working basis row: vector plus cofactors over the input generators."""
+    """A working basis row: vector, leading monomial and cofactors over the
+    input generators (None when cofactors are not tracked)."""
 
-    __slots__ = ("vec", "cof")
+    __slots__ = ("vec", "lm", "cof")
 
-    def __init__(self, vec: VecT, cof: List[VecT]):
+    def __init__(self, vec: VecT, cof: Optional[List[VecT]]):
         self.vec = vec
+        self.lm = _lm(vec)
         self.cof = cof  # cofactor j as dict of ring monomials (pos ignored, use pos 0)
 
 
@@ -198,25 +200,46 @@ def _reduce(vec: VecT, rows: List[_Row], guard: int) -> Tuple[VecT, List[VecT]]:
     result: VecT = {}
     quots: List[VecT] = [{} for _ in rows]
     work = dict(vec)
-    while work:
-        if _max_degree(work) > guard:
-            raise DegreeGuardExceeded(
-                f"reduction exceeded total degree {guard}"
-            )
-        m = _lm(work)
+    # the terms of work, largest first; a popped term that has since
+    # cancelled is no longer in work and is skipped
+    heap = [_guarded_entry(m, guard) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.get(m)
+        if c is None:
+            continue
         for idx, row in enumerate(rows):
-            if _divides(_lm(row.vec), m):
+            if _divides(row.lm, m):
                 break
         else:
             result[m] = work.pop(m)
             continue
-        lm_r = _lm(row.vec)
+        lm_r = row.lm
         qa = tuple(x - y for x, y in zip(m[1], lm_r[1]))
         qb = tuple(x - y for x, y in zip(m[2], lm_r[2]))
-        ratio = work[m] / row.vec[lm_r]
-        vec_add(work, _left_mono_mul(qa, qb, row.vec), -ratio)
+        ratio = c / row.vec[lm_r]
+        for k, v in _left_mono_mul(qa, qb, row.vec).items():
+            old = work.get(k)
+            if old is None:
+                work[k] = -ratio * v
+                heapq.heappush(heap, _guarded_entry(k, guard))
+            else:
+                s = old - ratio * v
+                if s:
+                    work[k] = s
+                else:
+                    del work[k]
         add_term(quots[idx], (0, qa, qb), ratio)
     return result, quots
+
+
+def _guarded_entry(m: ModMonomial, guard: int):
+    """The heap entry of a term entering a reduction, checked against the guard."""
+    hk = _key(m)
+    if -hk[1] > guard:
+        raise DegreeGuardExceeded(f"reduction exceeded total degree {guard}")
+    return hk, m
 
 
 def _cofactors(cofs: List[VecT], quots: List[VecT], rows: List[_Row]) -> List[VecT]:
@@ -253,10 +276,9 @@ class GrobnerBasis:
         self.cofactors = cofactors
         self.order = order
         self.degree_guard = degree_guard
-        self._rows = [
-            _Row(_to_vec(g), [_to_vec(FreeModuleElement([c])) for c in cof])
-            for g, cof in zip(generators, cofactors)
-        ]
+        # normal forms reduce by the generators alone; their quotients are
+        # combined with `cofactors` by express_in_inputs
+        self._rows = [_Row(_to_vec(g), None) for g in generators]
 
     def __len__(self):
         return len(self.generators)
@@ -293,34 +315,55 @@ def buchberger(
         if g.nvars != nvars:
             raise NvarsMismatch("generators over different Weyl algebras")
 
+    rows = _groebner_rows([_to_vec(g) for g in gens], nvars, degree_guard, cofactors=True)
+    generators = [_from_vec(r.vec, rank, nvars) for r in rows]
+    cofactors = [
+        [_from_vec(c, 1, nvars).coords[0] for c in r.cof] for r in rows
+    ]
+    return GrobnerBasis(rank, nvars, generators, list(gens), cofactors,
+                        degree_guard=degree_guard)
+
+
+def _groebner_rows(vecs: List[VecT], nvars: int, guard: int, cofactors: bool) -> List[_Row]:
+    """The Buchberger loop on nonzero input vectors over one Weyl algebra.
+
+    Returns the inter-reduced monic basis rows sorted by decreasing leading
+    monomial.  With cofactors=False every row's cof is None, no cofactor
+    arithmetic is done, rows are made monic as they enter, and pairs are
+    pruned by the Gebauer-Moeller criteria (`_update_pairs`).  Pruning
+    leaves the reduced basis as it is, since that is unique, but changes
+    which intermediate rows appear, and so would change the cofactors that
+    `buchberger` reports.
+    """
     zero_exp = (0,) * nvars
     rows: List[_Row] = []
-    for i, g in enumerate(gens):
-        red, quots = _reduce(_to_vec(g), rows, degree_guard)
-        if red:
-            cofs: List[VecT] = [{} for _ in gens]
-            cofs[i] = {(0, zero_exp, zero_exp): Fraction(1)}
+    live: List[int] = []  # the rows that form pairs and enter the final basis
+    pairs: List[Tuple[int, int, int]] = []  # heap of (lcm degree, j, i), j < i
+
+    def add_row(red: VecT, cofs: List[VecT], quots: List[VecT]):
+        if cofactors:
             rows.append(_Row(red, _cofactors(cofs, quots, rows)))
+            h = len(rows) - 1
+            for k in live:
+                if rows[k].lm[0] == rows[h].lm[0]:
+                    m = _lcm(rows[k].lm, rows[h].lm)
+                    heapq.heappush(pairs, (sum(m[1]) + sum(m[2]), k, h))
+            live.append(h)
+        else:
+            lc = red[_lm(red)]
+            rows.append(_Row({m: c / lc for m, c in red.items()}, None))
+            _update_pairs(rows, live, pairs)
 
-    def lcm_degree(i: int, j: int) -> Optional[int]:
-        mi, mj = _lm(rows[i].vec), _lm(rows[j].vec)
-        if mi[0] != mj[0]:
-            return None
-        a = tuple(max(x, y) for x, y in zip(mi[1], mj[1]))
-        b = tuple(max(x, y) for x, y in zip(mi[2], mj[2]))
-        return sum(a) + sum(b)
-
-    pairs = []
-    for i in range(len(rows)):
-        for j in range(i):
-            d = lcm_degree(i, j)
-            if d is not None:
-                pairs.append((d, j, i))
+    for i, v in enumerate(vecs):
+        red, quots = _reduce(v, rows, guard)
+        if red:
+            cofs: List[VecT] = [{} for _ in vecs]
+            cofs[i] = {(0, zero_exp, zero_exp): Fraction(1)}
+            add_row(red, cofs, quots)
 
     while pairs:
-        pairs.sort()
-        _, i, j = pairs.pop(0)
-        mi, mj = _lm(rows[i].vec), _lm(rows[j].vec)
+        _, i, j = heapq.heappop(pairs)
+        mi, mj = rows[i].lm, rows[j].lm
         la = tuple(max(x, y) for x, y in zip(mi[1], mj[1]))
         lb = tuple(max(x, y) for x, y in zip(mi[2], mj[2]))
         qa_i = tuple(x - y for x, y in zip(la, mi[1]))
@@ -331,50 +374,84 @@ def buchberger(
         spoly: VecT = {}
         vec_add(spoly, _left_mono_mul(qa_i, qb_i, rows[i].vec), t_i)
         vec_add(spoly, _left_mono_mul(qa_j, qb_j, rows[j].vec), t_j)
-        red, quots = _reduce(spoly, rows, degree_guard)
+        red, quots = _reduce(spoly, rows, guard)
         if red:
             # spoly = t_i*m_i*rows[i] + t_j*m_j*rows[j]: fold that into the
             # quotients with the opposite sign
             add_term(quots[i], (0, qa_i, qb_i), -t_i)
             add_term(quots[j], (0, qa_j, qb_j), -t_j)
-            new_idx = len(rows)
-            rows.append(_Row(red, _cofactors([{} for _ in gens], quots, rows)))
-            for k in range(new_idx):
-                d = lcm_degree(k, new_idx)
-                if d is not None:
-                    pairs.append((d, k, new_idx))
+            add_row(red, [{} for _ in vecs], quots)
 
-    rows = _interreduce(rows, degree_guard)
-    rows.sort(key=lambda r: _key(_lm(r.vec)), reverse=True)
+    out = _interreduce([rows[k] for k in live], guard)
+    out.sort(key=lambda r: _key(r.lm))
+    return out
 
-    generators = [_from_vec(r.vec, rank, nvars) for r in rows]
-    cofactors = [
-        [_from_vec(c, 1, nvars).coords[0] for c in r.cof] for r in rows
-    ]
-    return GrobnerBasis(rank, nvars, generators, list(gens), cofactors,
-                        degree_guard=degree_guard)
+
+def _lcm(mi: ModMonomial, mj: ModMonomial) -> ModMonomial:
+    """lcm of two module monomials at the same position."""
+    return (mi[0], tuple(map(max, mi[1], mj[1])), tuple(map(max, mi[2], mj[2])))
+
+
+def _update_pairs(rows: List[_Row], live: List[int], pairs: list):
+    """Add the last row to the live rows and its pairs to the heap, by the
+    Gebauer-Moeller update (Becker-Weispfenning, Groebner Bases, p. 230).
+
+    Pairs that Buchberger's chain criterion shows redundant are dropped;
+    the criterion holds for left Groebner bases over algebras of solvable
+    type such as the Weyl algebra (Kandri-Rody & Weispfenning 1990).  The
+    product criterion does not hold there and is not used.  A live row
+    whose leading monomial the new one divides stops forming pairs and
+    stays out of the final basis; it still reduces, and its queued pairs
+    are still treated unless the criterion drops them.
+    """
+    h = len(rows) - 1
+    mh = rows[h].lm
+    lcms = {g: _lcm(rows[g].lm, mh) for g in live if rows[g].lm[0] == mh[0]}
+    # new pairs: one for each lcm that no other lcm properly divides
+    seen = set()
+    kept = []
+    for g, m in lcms.items():
+        if m in seen or any(o != m and _divides(o, m) for o in lcms.values()):
+            continue
+        seen.add(m)
+        kept.append((sum(m[1]) + sum(m[2]), g, h))
+    # old pairs: drop (j, i) when lm(h) divides its lcm and differs from
+    # it in the lcms with both lm(j) and lm(i)
+    for d, j, i in pairs:
+        m = _lcm(rows[j].lm, rows[i].lm)
+        if not (_divides(mh, m) and _lcm(rows[j].lm, mh) != m and _lcm(rows[i].lm, mh) != m):
+            kept.append((d, j, i))
+    heapq.heapify(kept)
+    pairs[:] = kept
+    live[:] = [g for g in live if not _divides(mh, rows[g].lm)]
+    live.append(h)
 
 
 def _interreduce(rows: List[_Row], guard: int) -> List[_Row]:
     # minimal set first (smallest leading monomials win), then tail-reduce
-    # each survivor against the others and normalize to monic
-    rows = sorted(rows, key=lambda r: _key(_lm(r.vec)))
+    # each survivor and normalize to monic.  A tail term lies below the
+    # leading monomial, so only rows with smaller leading monomials reduce
+    # it; without cofactors those are the rows already in `out`, whose
+    # coefficients are final and small.  With cofactors the survivor is
+    # reduced against all other survivors: the cofactors `buchberger`
+    # reports depend on which rows reduce it.
+    rows = sorted(rows, key=lambda r: _key(r.lm), reverse=True)
     minimal: List[_Row] = []
     for r in rows:
-        m = _lm(r.vec)
-        if not any(_divides(_lm(s.vec), m) for s in minimal):
+        if not any(_divides(s.lm, r.lm) for s in minimal):
             minimal.append(r)
     out: List[_Row] = []
     for r in minimal:
-        others = [s for s in minimal if s is not r]
+        others = out if r.cof is None else [s for s in minimal if s is not r]
         red, quots = _reduce(r.vec, others, guard)
         if not red:
             continue
-        cofs = _cofactors([dict(c) for c in r.cof], quots, others)
         lc = red[_lm(red)]
-        red = {m: c / lc for m, c in red.items()}
-        cofs = [{m: c / lc for m, c in cof.items()} for cof in cofs]
-        out.append(_Row(red, cofs))
+        cofs = None
+        if r.cof is not None:
+            cofs = _cofactors([dict(c) for c in r.cof], quots, others)
+            cofs = [{m: c / lc for m, c in cof.items()} for cof in cofs]
+        out.append(_Row({m: c / lc for m, c in red.items()}, cofs))
     return out
 
 
@@ -455,27 +532,29 @@ def syzygies(
         for entry in row:
             if entry.nvars != nvars:
                 raise NvarsMismatch("matrix entry over wrong Weyl algebra")
+    zero = WeylElement.zero(nvars)
+    one = WeylElement.one(nvars)
     if r == 0:
         return GrobnerBasis(0, nvars, [], [], [], degree_guard=degree_guard)
     if s == 0:
         # map to the zero module: kernel is everything
         units = [FreeModuleElement.unit(r, nvars, i) for i in range(r)]
-        cof = [[WeylElement.zero(nvars)] * r for _ in range(r)]
-        return GrobnerBasis(r, nvars, units, [], cof, degree_guard=degree_guard)
+        return GrobnerBasis(r, nvars, units, list(units), _identity(r, zero, one),
+                            degree_guard=degree_guard)
 
-    zero = WeylElement.zero(nvars)
-    one = WeylElement.one(nvars)
     augmented = []
     for i in range(r):
         coords = list(rows[i]) + [zero] * r
         coords[s + i] = one
-        augmented.append(FreeModuleElement(coords))
-    gb = buchberger(augmented, degree_guard=degree_guard)
+        augmented.append(_to_vec(FreeModuleElement(coords)))
+    basis = _groebner_rows(augmented, nvars, degree_guard, cofactors=False)
 
-    kernel: List[FreeModuleElement] = []
-    for g in gb.generators:
-        if all(g.coords[j].is_zero() for j in range(s)):
-            kernel.append(FreeModuleElement(g.coords[s:]))
+    # the leading monomial has the lowest position of a row, so a row lies
+    # in the tag block iff its leading monomial does
+    kernel = [
+        _from_vec({(pos - s, a, b): c for (pos, a, b), c in row.vec.items()}, r, nvars)
+        for row in basis if row.lm[0] >= s
+    ]
     # sanity: every kernel element must map to zero exactly
     for k in kernel:
         img = [zero] * s
@@ -484,10 +563,12 @@ def syzygies(
                 img[j] = img[j] + k.coords[i] * rows[i][j]
         if any(not e.is_zero() for e in img):
             raise AssertionError("syzygy candidate does not map to zero")
-    return GrobnerBasis(r, nvars, kernel, list(kernel),
-                        [[one if i == j else zero for j in range(len(kernel))]
-                         for i in range(len(kernel))],
+    return GrobnerBasis(r, nvars, kernel, list(kernel), _identity(len(kernel), zero, one),
                         degree_guard=degree_guard)
+
+
+def _identity(n: int, zero: WeylElement, one: WeylElement) -> List[List[WeylElement]]:
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def submodule_equal(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from operator import add
 from typing import Dict, Iterable, Tuple
 
 Exponent = Tuple[int, ...]
@@ -33,15 +34,26 @@ def _check_same_nvars(p, q):
         raise NvarsMismatch(f"nvars mismatch: {p.nvars} != {q.nvars}")
 
 
-def mono_mul(m1: Monomial, m2: Monomial) -> Dict[Monomial, Fraction]:
+def mono_mul(m1: Monomial, m2: Monomial) -> Dict[Monomial, int]:
     """Normal-ordered product of two monomials x^a d^b * x^c d^e.
 
     Rewriting d^b x^c by the commutation relation gives
         sum_k  binom(b,k) * c!/(c-k)! * x^{a+c-k} d^{b+e-k}
-    with k running componentwise over 0 <= k <= min(b, c).
+    with k running componentwise over 0 <= k <= min(b, c).  The
+    coefficients are positive integers.  When no d_i of the left factor
+    meets an x_i of the right one, only k = 0 occurs and the product is
+    the single monomial x^{a+c} d^{b+e}.
     """
     (a, b), (c, e) = m1, m2
-    out: Dict[Monomial, Fraction] = {}
+    if not any(bi and ci for bi, ci in zip(b, c)):
+        return {(tuple(map(add, a, c)), tuple(map(add, b, e))): 1}
+    return _normal_order(m1, m2)
+
+
+def _normal_order(m1: Monomial, m2: Monomial) -> Dict[Monomial, int]:
+    """mono_mul by the general formula, one term per k."""
+    (a, b), (c, e) = m1, m2
+    out: Dict[Monomial, int] = {}
     ranges = [range(min(bi, ci) + 1) for bi, ci in zip(b, c)]
     for k in product(*ranges):
         coef = 1
@@ -51,7 +63,7 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Dict[Monomial, Fraction]:
             tuple(ai + ci - ki for ai, ci, ki in zip(a, c, k)),
             tuple(bi + ei - ki for bi, ei, ki in zip(b, e, k)),
         )
-        out[key] = out.get(key, Fraction(0)) + coef
+        out[key] = coef
     return out
 
 
@@ -160,7 +172,9 @@ class WeylElement:
             for m2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for mono, coef in mono_mul(m1, m2).items():
-                    terms[mono] = terms.get(mono, Fraction(0)) + c12 * coef
+                    term = c12 if coef == 1 else c12 * coef
+                    old = terms.get(mono)
+                    terms[mono] = term if old is None else old + term
         return WeylElement(self.nvars, terms)
 
     def __rmul__(self, other) -> "WeylElement":

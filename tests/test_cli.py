@@ -319,3 +319,46 @@ def test_unknown_generator_in_module_differential(tmp_path, capsys):
     doc = make_document("tensor-input", {"vars": 1, "b": bad, "m": G_TO_F})
     assert dispatch(["tensor-a", "--file", write_doc(tmp_path, "t.doc", doc)]) == 2
     assert "unknown generator 'h'" in capsys.readouterr().err
+
+
+def test_bound_flag_beats_environment(tmp_path, monkeypatch):
+    doc = make_document("complex", {
+        "vars": 1, "ranks": {"0": 1, "1": 2},
+        "differentials": {"1": [["d1^4 + x1"], ["d1^2*x1^2"]]},
+    })
+    path = write_doc(tmp_path, "g.doc", doc)
+    monkeypatch.setenv("WEYL_BOUND", "3")
+    assert dispatch(["--bound", "40", "homology", "--file", path, "--degree", "0"]) == 0
+    monkeypatch.setenv("WEYL_BOUND", "40")
+    assert dispatch(["--bound", "3", "homology", "--file", path, "--degree", "0"]) == 3
+
+
+@pytest.mark.parametrize("cmd", ["tensor-a", "base-change"])
+def test_dsquare_probe_reaches_top_generator_degree(cmd, tmp_path, capsys, monkeypatch):
+    # the module's top generator h sits in degree 4; its keys must be probed
+    from dgdm import cli
+
+    probed = []
+    real = cli.dsquare_witness
+
+    def spy(basis_of, diff_of, degrees, max_weight):
+        probed.extend(degrees)
+        return real(basis_of, diff_of, degrees, max_weight)
+
+    monkeypatch.setattr(cli, "dsquare_witness", spy)
+    top4 = {
+        "algebra": ONE_GEN_ALGEBRA,
+        "generators": [{"name": "f", "degree": 3}, {"name": "h", "degree": 4}],
+        "differential": {"h": "f"},
+    }
+    unit = {"algebra": ONE_GEN_ALGEBRA, "generators": [{"name": "e", "degree": 0}],
+            "differential": {}}
+    if cmd == "tensor-a":
+        doc = make_document("tensor-input", {"vars": 1, "b": unit, "m": top4})
+        check = "tensor-over-A d^2 = 0 on slices"
+    else:
+        doc = make_document("base-change-input", {"vars": 1, "b": ONE_GEN_ALGEBRA, "n": top4})
+        check = "base-change d^2 = 0 on slices"
+    assert dispatch([cmd, "--file", write_doc(tmp_path, "t4.doc", doc)]) == 0
+    assert capsys.readouterr().out == _dsquare_report(check)
+    assert 4 in probed

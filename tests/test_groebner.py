@@ -1,5 +1,6 @@
 """Groebner kernel: normal forms, membership vs a brute-force oracle, syzygies."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -16,7 +17,8 @@ from dgdm.groebner import (
     submodule_equal,
     syzygies,
 )
-from dgdm.rational_linalg import solve
+from dgdm.randgen import random_weyl
+from dgdm.rational_linalg import nullspace, solve
 from dgdm.weyl import WeylElement
 
 
@@ -171,15 +173,48 @@ def test_cofactors_reproduce_basis_random():
                 for _ in range(rng.randint(1, 3))]
         if all(g.is_zero() for g in gens):
             continue
-        gb = buchberger(gens)
-        for g, cof in zip(gb.generators, gb.cofactors):
-            assert len(cof) == len(gb.inputs)
-            acc = FreeModuleElement.zero(gb.rank, gb.nvars)
-            for c, inp in zip(cof, gb.inputs):
-                acc = acc + inp.left_mul(c)
-            assert acc == g
-            checked += 1
+        checked += _assert_cofactors_reproduce(buchberger(gens))
     assert checked > 20
+    # syzygies reports its kernel basis as its own inputs, also when the
+    # target rank is zero and the kernel is everything
+    for rows in ([[_random_w(rng) for _ in range(2)] for _ in range(3)], [[X()], [D()]]):
+        _assert_cofactors_reproduce(syzygies(rows, 1))
+    assert _assert_cofactors_reproduce(syzygies([[], []], 1)) == 2
+
+
+def test_syzygies_match_unpruned_elimination():
+    # oracle for the pair pruning of syzygies: buchberger runs the same
+    # elimination on the tagged rows with every pair; the reduced basis is
+    # unique, so the tag-block generators must be the kernel, in order
+    # (two rows: with three, the unpruned run with cofactors can take minutes)
+    rng = random.Random(49)
+    nonzero = 0
+    for _ in range(60):
+        nvars = rng.choice([1, 1, 2])
+        r, s = 2, rng.randint(1, 2)
+        rows = [[_random_w(rng, nvars, 2, 2 if nvars == 1 else 1) for _ in range(s)]
+                for _ in range(r)]
+        zero, one = WeylElement.zero(nvars), WeylElement.one(nvars)
+        tagged = [FreeModuleElement(row + [one if k == i else zero for k in range(r)])
+                  for i, row in enumerate(rows)]
+        full = buchberger(tagged)
+        expected = [FreeModuleElement(g.coords[s:]) for g in full.generators
+                    if all(c.is_zero() for c in g.coords[:s])]
+        assert syzygies(rows, nvars).generators == expected
+        nonzero += bool(expected)
+    assert nonzero > 30
+
+
+def _assert_cofactors_reproduce(gb):
+    """generators[i] == sum_j cofactors[i][j]*inputs[j]; returns the count checked."""
+    assert len(gb.cofactors) == len(gb.generators)
+    for g, cof in zip(gb.generators, gb.cofactors):
+        assert len(cof) == len(gb.inputs)
+        acc = FreeModuleElement.zero(gb.rank, gb.nvars)
+        for c, inp in zip(cof, gb.inputs):
+            acc = acc + inp.left_mul(c)
+        assert acc == g
+    return len(gb.generators)
 
 
 def test_normal_form_idempotent_random():
@@ -263,6 +298,14 @@ def test_degree_guard_raises():
         normal_form(vec(WeylElement.monomial(1, (5, ), (5,))), gb)
 
 
+def test_degree_guard_raises_inside_buchberger():
+    # both inputs have total degree 3, but their S-pair has lcm x^3 d^3
+    gens = [vec(X() * X() * X() + D()), vec(D() * D() * D() + X())]
+    with pytest.raises(DegreeGuardExceeded):
+        buchberger(gens, degree_guard=3)
+    assert len(buchberger(gens, degree_guard=6)) > 0
+
+
 def test_two_variable_module():
     n = 2
     d1, d2 = WeylElement.d(1, n), WeylElement.d(2, n)
@@ -298,3 +341,54 @@ def test_desk_scale_instances_complete_quickly():
             comb = comb + g.left_mul(_random_w(rng, nvars, 1, 1))
         assert member(comb, gb)
     assert time.time() - t0 < 20
+
+
+# ---------------------------------------------------------------- ladder
+
+def ladder_matrix(rung):
+    """Rung s of the benchmark's syzygy ladder: a 3x2 matrix over D_1."""
+    rng = random.Random(rung)
+    return [[random_weyl(rng, 1, 3, 2) for _ in range(2)] for _ in range(3)]
+
+
+def kernel_digest(gb):
+    text = "\n".join(" ; ".join(c.to_string() for c in g.coords) for g in gb.generators)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# literal copies of the benchmark's pinned kernel digests
+LADDER_PINS = {
+    0: "62377e9232f4b1d2bc08632a7507f9db5260d13d185438192fb00b8064a93927",
+    2: "9eb33c56955e8731e6b7a9313ce21e168b888501bba77fdcd5fa47ba16a63852",
+    3: "00409986864591bb94aca11c389f70f500646081c66a4dc7a6aea109f2ced06c",
+    6: "00409986864591bb94aca11c389f70f500646081c66a4dc7a6aea109f2ced06c",
+    7: "e144fdd560026349deba06f170266118ce9352df6f0b592f4dd97622cd35b3a8",
+    10: "5e78b75ad3e19bdb0649eabdc9c44f5b6f0f263e738e4484e511a1804c0a8044",
+}
+
+
+@pytest.mark.parametrize("rung", sorted(LADDER_PINS))
+def test_ladder_kernels_match_pins(rung):
+    assert kernel_digest(syzygies(ladder_matrix(rung), 1)) == LADDER_PINS[rung]
+
+
+@pytest.mark.parametrize("rung", [0, 2, 3, 6])
+def test_ladder_kernel_complete_in_low_degree(rung):
+    # oracle: the kernel of the truncated map F_N^3 -> D^2, v |-> sum_i v_i*row_i,
+    # with every v_i of total degree <= N, by exact linear algebra; rung 0's
+    # kernel starts in degree 4
+    rows = ladder_matrix(rung)
+    syz = syzygies(rows, 1)
+    for deg in range(6):
+        images = []
+        for i, row in enumerate(rows):
+            for a, b in monomials_up_to(1, deg):
+                m = WeylElement.monomial(1, a, b)
+                img = {(j, mono): c for j, entry in enumerate(row)
+                       for mono, c in (m * entry).terms.items()}
+                images.append(((i, a, b), img))
+        for k in nullspace(images):
+            coords = [WeylElement.zero(1) for _ in rows]
+            for (i, a, b), c in k.items():
+                coords[i] = coords[i] + WeylElement.monomial(1, a, b, c)
+            assert member(FreeModuleElement(coords), syz)

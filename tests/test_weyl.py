@@ -10,8 +10,10 @@ from dgdm.weyl import (
     NvarsMismatch,
     Polynomial,
     WeylElement,
+    _normal_order,
     act_on_poly,
     filtration_decompose,
+    mono_mul,
     order_and_symbol,
     symbol_product,
 )
@@ -181,3 +183,48 @@ def test_restriction_to_O_is_commutative(p, q):
     qo = WeylElement(1, {((a), (0,)): c for ((a), _), c in q.terms.items()})
     assert po * qo == qo * po
     assert (po * qo).is_polynomial()
+
+
+def _bump(t, i, k):
+    return tuple(v + k if j == i else v for j, v in enumerate(t))
+
+
+def _left_by_generator(terms, var, i):
+    """Left-multiply a normal-ordered element {(a, b): coef} by x_i or d_i,
+    using only x_i*x^c d^e = x^(c+1_i) d^e and d_i*x^c = x^c*d_i + c_i*x^(c-1_i)."""
+    out = {}
+    for (c, e), coef in terms.items():
+        if var == "x":
+            images = [((_bump(c, i, 1), e), coef)]
+        else:
+            images = [((c, _bump(e, i, 1)), coef), ((_bump(c, i, -1), e), coef * c[i])]
+        for key, v in images:
+            out[key] = out.get(key, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _brute_force_mono_mul(m1, m2):
+    (a, b) = m1
+    terms = {m2: 1}
+    for i, k in enumerate(b):
+        for _ in range(k):
+            terms = _left_by_generator(terms, "d", i)
+    for i, k in enumerate(a):
+        for _ in range(k):
+            terms = _left_by_generator(terms, "x", i)
+    return terms
+
+
+exp_st = st.integers(1, 2).flatmap(lambda n: st.tuples(
+    *[st.tuples(*[st.integers(0, 3)] * n) for _ in range(4)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exp_st)
+def test_mono_mul_against_generator_products(exps):
+    a, b, c, e = exps
+    got = mono_mul((a, b), (c, e))
+    assert all(type(v) is int for v in got.values())
+    assert got == _brute_force_mono_mul((a, b), (c, e))
+    # the one-term fast path agrees with the general formula
+    assert got == _normal_order((a, b), (c, e))
