@@ -310,6 +310,53 @@ class DocumentError(ValueError):
     pass
 
 
+# Field readers: a field of the wrong JSON type is a document error, not a
+# TypeError from deep inside the engine.
+
+def _int(value, what: str) -> int:
+    """A JSON integer, or a string holding one (object keys are strings)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise DocumentError(f"{what} must be an integer, got {value!r}")
+
+
+def _object(value, what: str) -> Dict:
+    if not isinstance(value, dict):
+        raise DocumentError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> List:
+    if not isinstance(value, list):
+        raise DocumentError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise DocumentError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _vars(body: Dict) -> int:
+    nvars = _int(body.get("vars", 1), "vars")
+    if nvars < 1:
+        raise DocumentError(f"vars must be positive, got {nvars}")
+    return nvars
+
+
+def _operator_matrix(mat, nvars: int, what: str):
+    return tuple(
+        tuple(parse_operator(_text(e, what), nvars) for e in _list(row, what))
+        for row in _list(mat, what)
+    )
+
+
 def make_document(kind: str, body: Dict) -> Dict:
     doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": kind}
     doc.update(body)
@@ -351,13 +398,13 @@ def complex_body(c: FreeDComplex) -> Dict:
 
 
 def complex_from_body(body: Dict) -> FreeDComplex:
-    nvars = int(body.get("vars", 1))
-    ranks = {int(k): int(v) for k, v in body.get("ranks", {}).items()}
-    diffs = {}
-    for k, mat in body.get("differentials", {}).items():
-        diffs[int(k)] = tuple(
-            tuple(parse_operator(e, nvars) for e in row) for row in mat
-        )
+    nvars = _vars(body)
+    ranks = {_int(k, "degree"): _int(v, "rank")
+             for k, v in _object(body.get("ranks", {}), "ranks").items()}
+    diffs = {
+        _int(k, "degree"): _operator_matrix(mat, nvars, "differential entry")
+        for k, mat in _object(body.get("differentials", {}), "differentials").items()
+    }
     try:
         return FreeDComplex(nvars, ranks, diffs)
     except ComplexError as e:
@@ -377,12 +424,13 @@ def chainmap_body(f: ChainMap) -> Dict:
 
 
 def chainmap_from_body(body: Dict) -> ChainMap:
-    nvars = int(body.get("vars", 1))
-    src = complex_from_body(dict(body["source"], vars=nvars))
-    tgt = complex_from_body(dict(body["target"], vars=nvars))
-    maps = {}
-    for k, mat in body.get("maps", {}).items():
-        maps[int(k)] = tuple(tuple(parse_operator(e, nvars) for e in row) for row in mat)
+    nvars = _vars(body)
+    src = complex_from_body(dict(_object(body["source"], "source"), vars=nvars))
+    tgt = complex_from_body(dict(_object(body["target"], "target"), vars=nvars))
+    maps = {
+        _int(k, "degree"): _operator_matrix(mat, nvars, "map entry")
+        for k, mat in _object(body.get("maps", {}), "maps").items()
+    }
     try:
         return ChainMap(src, tgt, maps)
     except ComplexError as e:
@@ -400,14 +448,23 @@ def algebra_body(a: SullivanAlgebra) -> Dict:
     }
 
 
+def _generators(body: Dict) -> List[Generator]:
+    gens = []
+    for g in _list(body.get("generators", []), "generators"):
+        g = _object(g, "generator")
+        gens.append(Generator(_text(g["name"], "generator name"),
+                              _int(g["degree"], "generator degree")))
+    return gens
+
+
 def algebra_from_body(body: Dict) -> SullivanAlgebra:
-    nvars = int(body.get("vars", 1))
-    gens = [Generator(g["name"], int(g["degree"])) for g in body.get("generators", [])]
+    nvars = _vars(body)
+    gens = _generators(body)
     algebra = SullivanAlgebra(nvars, gens)  # no differential yet for parsing context
     diff = {}
-    for name, expr in body.get("differential", {}).items():
+    for name, expr in _object(body.get("differential", {}), "differential").items():
         j = algebra.generator_index(name)
-        diff[j] = parse_algebra_element(expr, algebra).coeffs
+        diff[j] = parse_algebra_element(_text(expr, "differential"), algebra).coeffs
     try:
         return SullivanAlgebra(nvars, gens, diff)
     except ValueError as e:
@@ -429,15 +486,15 @@ def amodule_body(m: AModule) -> Dict:
 
 
 def amodule_from_body(body: Dict) -> AModule:
-    algebra = algebra_from_body(dict(body["algebra"], vars=body.get("vars", 1)))
-    gens = [Generator(g["name"], int(g["degree"])) for g in body.get("generators", [])]
+    algebra = algebra_from_body(dict(_object(body["algebra"], "algebra"), vars=_vars(body)))
+    gens = _generators(body)
     bare = AModule(algebra, None, gens, {})
     diff = {}
-    for name, expr in body.get("differential", {}).items():
+    for name, expr in _object(body.get("differential", {}), "differential").items():
         j = next((i for i, g in enumerate(gens) if g.name == name), None)
         if j is None:
             raise DocumentError(f"differential of unknown generator {name!r}")
-        diff[j] = parse_module_element(expr, bare).coeffs
+        diff[j] = parse_module_element(_text(expr, "differential"), bare).coeffs
     try:
         return AModule(algebra, None, gens, diff)
     except ValueError as e:
@@ -483,6 +540,11 @@ def presentation_body(h) -> Dict:
 
 # ------------------------------------------------------------- dispatch
 
+def _part(doc: Dict, name: str) -> Dict:
+    """The sub-document `name` of an input document, with the document's vars."""
+    return dict(_object(doc[name], name), vars=doc.get("vars", 1))
+
+
 def _emit(doc: Dict):
     sys.stdout.write(print_document(doc) + "\n")
 
@@ -496,18 +558,18 @@ def _diag(msg: str):
 _DSQUARE_WINDOW = 3
 
 # command -> (input document kind, report name, builder of the sliced
-# complex from the document and vars, top degree to probe)
+# complex from the document, top degree to probe)
 _DSQUARE_CHECKS = {
     "tensor-a": (
         "tensor-input", "tensor-over-A d^2 = 0 on slices",
-        lambda doc, nvars: TensorOverA(amodule_from_body(dict(doc["b"], vars=nvars)),
-                                       amodule_from_body(dict(doc["m"], vars=nvars))),
+        lambda doc: TensorOverA(amodule_from_body(_part(doc, "b")),
+                                amodule_from_body(_part(doc, "m"))),
         lambda t: src_top_hint(t, _DSQUARE_WINDOW),
     ),
     "base-change": (
         "base-change-input", "base-change d^2 = 0 on slices",
-        lambda doc, nvars: BaseChangeModule(algebra_from_body(dict(doc["b"], vars=nvars)),
-                                            amodule_from_body(dict(doc["n"], vars=nvars))),
+        lambda doc: BaseChangeModule(algebra_from_body(_part(doc, "b")),
+                                     amodule_from_body(_part(doc, "n"))),
         lambda t: t.n_mod.top_degree_hint(_DSQUARE_WINDOW),
     ),
 }
@@ -577,7 +639,7 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
     except (DocumentError, ParseError, ComplexError, ValueError, KeyError) as e:
         _diag(f"error: {e}")
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         _diag(f"error: {e}")
         return 2
     finally:
@@ -615,8 +677,8 @@ def _run_command(args) -> int:
         doc = load_document(args.file)
         if doc["kind"] != "pushout-input":
             raise DocumentError(f"expected a pushout-input document, got {doc['kind']}")
-        f = chainmap_from_body(dict(doc["f"], vars=doc.get("vars", 1)))
-        g = chainmap_from_body(dict(doc["g"], vars=doc.get("vars", 1)))
+        f = chainmap_from_body(_part(doc, "f"))
+        g = chainmap_from_body(_part(doc, "g"))
         cert = certify_cofibration(g)
         if cert.verdict != "certified":
             _diag(f"attaching leg is {cert.verdict}")
@@ -660,14 +722,16 @@ def _run_command(args) -> int:
         doc = load_document(args.file)
         if doc["kind"] != "attach-input":
             raise DocumentError(f"expected an attach-input document, got {doc['kind']}")
-        base = complex_from_body(dict(doc["base"], vars=doc.get("vars", 1)))
+        base = complex_from_body(_part(doc, "base"))
         attachments = []
-        for a in doc.get("attachments", []):
-            n = int(a["degree"])
+        for a in _list(doc.get("attachments", []), "attachments"):
+            a = _object(a, "attachment")
+            n = _int(a["degree"], "attachment degree")
             cyc = a.get("cycle")
             z = None
             if cyc is not None:
-                z = FreeModuleElement([parse_operator(e, base.nvars) for e in cyc])
+                z = FreeModuleElement([parse_operator(_text(e, "cycle entry"), base.nvars)
+                                       for e in _list(cyc, "cycle")])
             attachments.append((n, z))
         res = attach_cells(base, attachments)
         cert = certify_cofibration(res.inclusion)
@@ -681,14 +745,15 @@ def _run_command(args) -> int:
         doc = load_document(args.file)
         if doc["kind"] != "sullivan-extend-input":
             raise DocumentError(f"expected sullivan-extend-input, got {doc['kind']}")
-        x = algebra_from_body(dict(doc["x"], vars=doc.get("vars", 1)))
-        y = algebra_from_body(dict(doc["y"], vars=doc.get("vars", 1)))
+        x = algebra_from_body(_part(doc, "x"))
+        y = algebra_from_body(_part(doc, "y"))
         assignments = {}
-        for name, expr in doc.get("map", {}).items():
-            assignments[x.generator_index(name)] = parse_algebra_element(expr, y)
+        for name, expr in _object(doc.get("map", {}), "map").items():
+            assignments[x.generator_index(name)] = parse_algebra_element(_text(expr, "map"), y)
         f = AlgebraMorphism(x, y, assignments)
-        n = int(doc["n"])
-        w = parse_algebra_element(doc.get("assignment", "0"), x) if doc.get("assignment") else x.zero()
+        n = _int(doc["n"], "n")
+        w = doc.get("assignment")
+        w = parse_algebra_element(_text(w, "assignment"), x) if w else x.zero()
         po = dga_pushout_gen(x, y, f, n, w)
         _emit(make_document("sullivan-extend-result", {
             "x_ext": algebra_body(po.x_ext),
@@ -702,7 +767,7 @@ def _run_command(args) -> int:
         doc = load_document(args.file)
         if doc["kind"] != kind:
             raise DocumentError(f"expected {kind}, got {doc['kind']}")
-        t = build(doc, doc.get("vars", 1))
+        t = build(doc)
         key = dsquare_witness(t.basis_keys, t.diff_key, range(0, top(t) + 1),
                               args.truncation - 2)
         _emit(make_document("check-report", {
@@ -726,12 +791,14 @@ def _run_command(args) -> int:
             cfg = load_document(args.file)
             if cfg["kind"] != "suite-config":
                 raise DocumentError(f"expected suite-config, got {cfg['kind']}")
-            seed = int(cfg.get("seed", seed))
+            seed = _int(cfg.get("seed", seed), "seed")
             name_filter = cfg.get("filter", name_filter)
+            if name_filter is not None:
+                _text(name_filter, "filter")
             if cfg.get("bound") is not None:
-                set_degree_guard(int(cfg["bound"]))
+                set_degree_guard(_int(cfg["bound"], "bound"))
             if cfg.get("truncation") is not None:
-                trunc = int(cfg["truncation"])
+                trunc = _int(cfg["truncation"], "truncation")
                 overrides = {
                     name: {"truncation": trunc}
                     for name, (_, defaults) in verify.CATALOG.items()

@@ -3,13 +3,23 @@
 Any complex whose degree-p piece carries a countable k-basis with a
 weight function making slices finite-dimensional can be checked here:
 the caller supplies a basis enumerator and a differential on basis
-keys.  Keys must be hashable and mutually sortable within one check.
+keys.  `basis_of(p, w)` yields the degree-p keys of weight <= w, so the
+slices of one degree are nested.  Keys must be hashable and mutually
+sortable within one check, and keys of different degrees differ.
 
 The contract of a check at level N (margin 2): every cycle assembled
 from basis keys of weight <= N-2 must be an exact boundary of an
 element of weight <= N.  A bounded-pass verdict means the check held
 at levels N and N+1 on the stated degrees; it is never an unconditional
 claim about the full complex.
+
+`bounded_acyclicity` walks the degrees once, checking level N and then
+level N+1 at each degree, so every differential is evaluated once: the
+boundary echelon of level N is extended to level N+1 rather than
+rebuilt, and the differentials of the next degree's cycle candidates
+are carried over from the boundary keys.  The witness is the one a
+level-major walk finds: the first level-N failure in degree order if
+there is one, else the first level-(N+1) failure.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
 
-from .rational_linalg import Echelon, apply_linear, nullspace
+from .rational_linalg import Echelon, Vec, apply_linear, nullspace
 
 BasisFn = Callable[[int, int], Iterable[Hashable]]  # (degree, max weight) -> keys
 DiffFn = Callable[[Hashable], Dict[Hashable, Fraction]]
@@ -41,26 +51,60 @@ class TruncationResult:
 def slice_witness(
     basis_of: BasisFn,
     diff_of: DiffFn,
-    degrees: Iterable[int],
-    level: int,
-) -> Optional[Dict]:
-    """One level of the check; a witness cycle or None if exact on the slice."""
-    for p in degrees:
-        low = list(basis_of(p, level - 2))
-        if not low:
-            continue
-        cycles = nullspace([(key, diff_of(key)) for key in low])
+    p: int,
+    n: int,
+    upper: bool,
+    carried: Dict[Hashable, Vec],
+    carry: bool,
+) -> Tuple[Optional[Dict], Optional[Dict], Dict[Hashable, Vec]]:
+    """Degree p of the walk: level n, then level n+1 if `upper` is set.
+
+    `carried` holds the differentials of `basis_of(p, n - 1)`, in that
+    order, when the step at p-1 evaluated them, and is empty otherwise.
+    Returns the level-n witness, the level-(n+1) witness (each None if
+    the slice is exact or was not checked) and, if `carry` is set and a
+    boundary was built, the differentials carried to degree p+1.
+    """
+    high = (list(carried) or list(basis_of(p, n - 1))) if upper else []
+
+    def image(key):
+        img = carried.get(key)
+        if img is None:
+            img = carried[key] = diff_of(key)
+        return img
+
+    ech: Optional[Echelon] = None
+    held = set()  # degree-(p+1) keys whose boundary ech holds
+    nxt: Dict[Hashable, Vec] = {}  # key of basis_of(p + 1, n - 1) -> its differential
+
+    def witness(keys, level):
+        nonlocal ech
+        if not keys:
+            return None
+        cycles = nullspace([(key, image(key)) for key in keys])
         if not cycles:
-            continue
-        ech = Echelon()
+            return None
+        if ech is None:
+            ech = Echelon()
+            if carry:
+                nxt.update(dict.fromkeys(basis_of(p + 1, n - 1)))
         for key in basis_of(p + 1, level):
-            img = diff_of(key)
-            if img:
-                ech.insert(img)
+            if key not in held:
+                held.add(key)
+                img = diff_of(key)
+                if key in nxt:
+                    nxt[key] = img
+                if img:
+                    ech.insert(img)
         for z in cycles:
             if not ech.in_span(z):
                 return {"degree": p, "cycle": z, "level": level}
-    return None
+        return None
+
+    low = witness(list(basis_of(p, n - 2)), n)
+    if low is not None:
+        return low, None, {}
+    return None, witness(high, n + 1), nxt
 
 
 def bounded_acyclicity(
@@ -73,10 +117,18 @@ def bounded_acyclicity(
     if n < 2:
         raise ValueError("truncation too small: need N >= 2")
     degrees = tuple(degrees)
-    for level in (n, n + 1):
-        witness = slice_witness(basis_of, diff_of, degrees, level)
-        if witness is not None:
-            return TruncationResult("fail", (n, n + 1), witness, degrees)
+    upper = None  # the first level-(n+1) failure
+    carried: Dict[Hashable, Vec] = {}
+    for i, p in enumerate(degrees):
+        carry = i + 1 < len(degrees) and degrees[i + 1] == p + 1
+        low, high, carried = slice_witness(
+            basis_of, diff_of, p, n, upper is None, carried, carry)
+        if low is not None:
+            return TruncationResult("fail", (n, n + 1), low, degrees)
+        if upper is None:
+            upper = high
+    if upper is not None:
+        return TruncationResult("fail", (n, n + 1), upper, degrees)
     return TruncationResult("bounded-pass", (n, n + 1), None, degrees)
 
 

@@ -1,9 +1,12 @@
 """CLI: grammar, documents, subcommand dispatch and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgdm.cli import (
     ParseError,
@@ -17,6 +20,7 @@ from dgdm.cli import (
     complex_from_body,
     dispatch,
     load_document,
+    main,
     make_document,
     parse_algebra_element,
     parse_document,
@@ -362,3 +366,128 @@ def test_dsquare_probe_reaches_top_generator_degree(cmd, tmp_path, capsys, monke
     assert dispatch([cmd, "--file", write_doc(tmp_path, "t4.doc", doc)]) == 0
     assert capsys.readouterr().out == _dsquare_report(check)
     assert 4 in probed
+
+
+# ------------------------------------------------- malformed documents
+
+def test_sullivan_extend_null_n_is_document_error(tmp_path, capsys):
+    alg = {"generators": [{"name": "u", "degree": 2}], "differential": {}}
+    doc = make_document("sullivan-extend-input", {
+        "vars": 1, "x": alg, "y": alg, "map": {"u": "u"}, "n": None, "assignment": "u",
+    })
+    assert dispatch(["sullivan-extend", "--file", write_doc(tmp_path, "s.doc", doc)]) == 2
+    assert "n must be an integer" in capsys.readouterr().err
+
+
+def test_homology_string_ranks_is_document_error(tmp_path, capsys):
+    doc = make_document("complex", {"vars": 1, "ranks": "abc", "differentials": {}})
+    path = write_doc(tmp_path, "c.doc", doc)
+    assert dispatch(["homology", "--file", path, "--degree", "0"]) == 2
+    assert "ranks must be an object" in capsys.readouterr().err
+
+
+def test_suite_config_list_truncation_is_document_error(tmp_path, capsys):
+    cfg = make_document("suite-config", {"seed": 9, "filter": "disks", "truncation": [1]})
+    assert dispatch(["suite", "--file", write_doc(tmp_path, "cfg.doc", cfg)]) == 2
+    assert "truncation must be an integer" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- fuzzing
+
+# whole tokens, so that exponents stay one digit and products stay small
+_OPERATOR_TOKENS = ["x1", "d1", "x2", "d2", "+", "-", "*", "^", "2 ", "3 ", "1/2 ", "0 ",
+                    "u", "f", "g[1]", "[", "]", ",", " ", "$", "\n"]
+_ELEMENT_TOKENS = ["u", "w", "e", "f", "g", "u[1]", "f[0]", "x1", "*", "+", "-", "2 ", " "]
+operator_text = st.lists(st.sampled_from(_OPERATOR_TOKENS), max_size=8).map("".join)
+element_text = st.lists(st.sampled_from(_ELEMENT_TOKENS), max_size=6).map("".join)
+# floats include nan, inf and values such as 3e8, which a document must not
+# pass off as an integer: "vars": 3e8 once allocated gigabytes
+json_value = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+              st.floats(allow_nan=True, allow_infinity=True), operator_text),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["0", "1", "u", "name", "degree"]), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def _field(valid):
+    """A well-formed field value or, as often, any JSON value."""
+    return st.one_of(valid, json_value)
+
+
+def _body(required, optional=None):
+    return st.fixed_dictionaries(
+        {k: _field(v) for k, v in required.items()},
+        optional={k: _field(v) for k, v in (optional or {}).items()},
+    )
+
+
+_degree_key = st.sampled_from(["0", "1", "2", "-1", "x"])
+_small = st.integers(-1, 2)
+_matrix = st.lists(st.lists(_field(operator_text), max_size=2), max_size=2)
+_vars = st.integers(0, 2)
+_complex = _body({"ranks": st.dictionaries(_degree_key, _field(_small), max_size=3)},
+                 {"vars": _vars, "differentials": st.dictionaries(_degree_key, _matrix, max_size=2)})
+_chainmap = _body({"source": _complex, "target": _complex},
+                  {"vars": _vars, "maps": st.dictionaries(_degree_key, _matrix, max_size=2)})
+_gen_name = st.sampled_from(["u", "w", "e", "f", "g"])
+_generators = st.lists(_body({"name": _gen_name, "degree": st.integers(0, 3)}), max_size=2)
+_differential = st.dictionaries(_gen_name, _field(element_text), max_size=2)
+_algebra = _body({"generators": _generators}, {"differential": _differential})
+_amodule = _body({"algebra": _algebra, "generators": _generators}, {"differential": _differential})
+
+# command -> (document kind, body, extra flags); the suite-config filter is
+# always present, and never empty or null, so no fuzzed suite runs a costly check
+FUZZ_COMMANDS = {
+    "homology": ("complex", _complex, ["--degree", "1"]),
+    "cone": ("chainmap", _chainmap, []),
+    "weq": ("chainmap", _chainmap, []),
+    "pushout": ("pushout-input", _body({"f": _chainmap, "g": _chainmap}), []),
+    "attach": ("attach-input", _body(
+        {"base": _complex},
+        {"attachments": st.lists(_body({"degree": _small},
+                                       {"cycle": st.lists(_field(operator_text), max_size=2)}),
+                                 max_size=2)}), []),
+    "sullivan-extend": ("sullivan-extend-input", _body(
+        {"x": _algebra, "y": _algebra, "n": st.integers(0, 3)},
+        {"map": st.dictionaries(_gen_name, _field(element_text), max_size=2),
+         "assignment": element_text}), []),
+    "tensor-a": ("tensor-input", _body({"b": _amodule, "m": _amodule}), ["--truncation", "3"]),
+    "base-change": ("base-change-input", _body({"b": _algebra, "n": _amodule}),
+                    ["--truncation", "3"]),
+    "suite": ("suite-config", st.fixed_dictionaries(
+        {"filter": st.one_of(st.sampled_from(["zz", "disks"]), st.integers(), st.booleans(),
+                             st.lists(st.integers(), max_size=1))},
+        optional={"seed": _field(st.integers(0, 5)), "bound": _field(st.integers(0, 40)),
+                  "truncation": _field(st.integers(0, 4))}), []),
+}
+_KINDS = sorted({kind for kind, _, _ in FUZZ_COMMANDS.values()})
+
+
+@pytest.mark.parametrize("cmd", sorted(FUZZ_COMMANDS))
+def test_fuzzed_documents_end_in_an_exit_code(cmd, tmp_path_factory):
+    kind, body, flags = FUZZ_COMMANDS[cmd]
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.one_of(st.just(kind), st.sampled_from(_KINDS)), body, _field(_vars))
+    def run(doc_kind, doc_body, nvars):
+        doc = make_document(doc_kind, dict(doc_body, vars=nvars))
+        path.write_text(print_document(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([cmd, "--file", str(path)] + flags) in (0, 1, 2, 3)
+
+    run()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(operator_text, st.integers(1, 2))
+def test_fuzzed_operator_strings_parse_or_raise_parse_error(text, nvars):
+    try:
+        w = parse_operator(text, nvars)
+    except ParseError:
+        return
+    assert isinstance(w, WeylElement) and w.nvars == nvars

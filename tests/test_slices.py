@@ -1,0 +1,157 @@
+"""The degree-major slice walk against hand-built sliced complexes.
+
+A sliced complex here is a dict of weighted keys per degree and a dict
+of differentials; `_level_major` is a copy of the earlier walk, which ran
+level n over every degree and then level n+1 from scratch, kept as the
+oracle for verdicts and witnesses.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from dgdm.complexes import disk
+from dgdm.obasis import tensor_free, truncated_acyclicity
+from dgdm.rational_linalg import Echelon, nullspace, vec_add
+from dgdm.slices import TruncationResult, bounded_acyclicity
+
+
+def _sliced(keys, diffs):
+    """basis_of/diff_of for {degree: [(key, weight)]} and {key: {key: coeff}}."""
+
+    def basis_of(p, w):
+        return [k for k, wt in keys.get(p, ()) if wt <= w]
+
+    def diff_of(key):
+        return {k: Fraction(c) for k, c in diffs.get(key, {}).items()}
+
+    return basis_of, diff_of
+
+
+def _counting(diff_of):
+    counts = Counter()
+
+    def counted(key):
+        counts[key] += 1
+        return diff_of(key)
+
+    return counted, counts
+
+
+def _level_major_witness(basis_of, diff_of, degrees, level):
+    for p in degrees:
+        low = list(basis_of(p, level - 2))
+        if not low:
+            continue
+        cycles = nullspace([(key, diff_of(key)) for key in low])
+        if not cycles:
+            continue
+        ech = Echelon()
+        for key in basis_of(p + 1, level):
+            img = diff_of(key)
+            if img:
+                ech.insert(img)
+        for z in cycles:
+            if not ech.in_span(z):
+                return {"degree": p, "cycle": z, "level": level}
+    return None
+
+
+def _level_major(basis_of, diff_of, degrees, n):
+    degrees = tuple(degrees)
+    for level in (n, n + 1):
+        witness = _level_major_witness(basis_of, diff_of, degrees, level)
+        if witness is not None:
+            return TruncationResult("fail", (n, n + 1), witness, degrees)
+    return TruncationResult("bounded-pass", (n, n + 1), None, degrees)
+
+
+def test_level_n_failure_beats_earlier_level_n_plus_1_failure():
+    # n = 2: the weight-1 cycle a in degree 1 has no preimage, which only
+    # level 3 sees; the weight-0 cycle c in degree 3 fails level 2
+    keys = {
+        0: [("z0", 0)],
+        1: [("a", 1), ("y1", 1)],
+        3: [("c", 0)],
+    }
+    basis_of, diff_of = _sliced(keys, {"y1": {"z0": 1}})
+    res = bounded_acyclicity(basis_of, diff_of, range(0, 4), 2)
+    assert res.verdict == "fail"
+    assert res.witness == {"degree": 3, "cycle": {"c": Fraction(1)}, "level": 2}
+    assert res == _level_major(basis_of, diff_of, range(0, 4), 2)
+
+
+@pytest.mark.parametrize("preimage_weight, verdict", [(6, "fail"), (5, "bounded-pass")])
+def test_level_n_plus_1_failure_is_returned_when_level_n_holds(preimage_weight, verdict):
+    # n = 4: z (degree 0, weight 3) bounds y, which level 5 reaches only
+    # at weight <= 5; level 4 has no candidate in degree 0, and the exact
+    # pair u <- v keeps level 4 busy in degree 1
+    n = 4
+    keys = {
+        0: [("z", n - 1)],
+        1: [("u", 0), ("y", preimage_weight)],
+        2: [("v", 1)],
+    }
+    basis_of, diff_of = _sliced(keys, {"y": {"z": 1}, "v": {"u": 1}})
+    res = bounded_acyclicity(basis_of, diff_of, range(0, 3), n)
+    assert res.verdict == verdict
+    if verdict == "fail":
+        assert res.witness == {"degree": 0, "cycle": {"z": Fraction(1)}, "level": n + 1}
+    assert res == _level_major(basis_of, diff_of, range(0, 3), n)
+
+
+def _random_sliced(rng, n):
+    """Keys (p, i) in degrees 0..top+1 with random weights and d^2 = 0."""
+    top = rng.randint(1, 4)
+    keys = {p: [((p, i), rng.randint(0, n + 2)) for i in range(rng.randint(0, 3))]
+            for p in range(top + 2)}
+    diffs = {}
+    for p in range(1, top + 2):
+        # d of degree p lands in the kernel of d on degree p-1
+        lower = [(k, diffs.get(k, {})) for k, _ in keys[p - 1]]
+        kernel = nullspace(lower) if lower else []
+        for k, _ in keys[p]:
+            img = {}
+            for z in kernel:
+                c = rng.randint(-1, 1)
+                if c:
+                    vec_add(img, z, Fraction(c))
+            diffs[k] = img
+    return top, keys, diffs
+
+
+def test_random_sliced_complexes_match_level_major_walk():
+    outcomes = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        top, keys, diffs = _random_sliced(rng, n)
+        degrees = list(range(0, top + 1))
+        if rng.random() < 0.3:  # gaps stop the carry from one degree to the next
+            degrees = sorted(rng.sample(degrees, rng.randint(1, len(degrees))))
+        basis_of, diff_of = _sliced(keys, diffs)
+        counted, counts = _counting(diff_of)
+        res = bounded_acyclicity(basis_of, counted, degrees, n)
+        ref = _level_major(basis_of, diff_of, degrees, n)
+        assert res == ref, seed
+        assert max(counts.values(), default=1) == 1, seed
+        outcomes[ref.witness["level"] - n if ref.witness else "pass"] += 1
+    # all three outcomes occur: a level-n failure, a level-(n+1) failure, a pass
+    assert set(outcomes) == {0, 1, "pass"}, outcomes
+
+
+# differential evaluations of the check below; the level-major walk made 976
+# for the same 416 distinct keys
+PINNED_DISK_EVALS = 416
+
+
+def test_tensor_of_disks_evaluates_each_differential_once():
+    t = tensor_free(disk(1), disk(2))
+    counted, counts = _counting(t.diff_key)
+    res = bounded_acyclicity(t.basis_keys, counted, range(0, t.top + 1), 6)
+    assert res == truncated_acyclicity(t, 6)
+    assert res.verdict == "bounded-pass"
+    assert max(counts.values()) == 1
+    assert sum(counts.values()) == PINNED_DISK_EVALS
