@@ -66,6 +66,7 @@ class AModule:
             j: dict(v) for j, v in (diff or {}).items() if v
         }
         self._dv_cache: Dict[Tuple[int, Exponent], ModCoeffs] = {}
+        self._basis_memo: Dict[Tuple[int, int], Tuple[ModKey, ...]] = {}
         for j, coeffs in self.diff_coeffs.items():
             if not 0 <= j < len(self.gens):
                 raise ValueError(f"differential assigned to unknown generator {j}")
@@ -99,7 +100,17 @@ class AModule:
         _, alpha, atoms, j, b = key
         return self.algebra.term_weight((alpha, atoms)) + sum(b) + 1
 
-    def basis_keys(self, degree: int, max_weight: int) -> Iterator[ModKey]:
+    def basis_keys(self, degree: int, max_weight: int) -> Tuple[ModKey, ...]:
+        """The keys of the given degree and weight bound, enumerated once
+        per (degree, max_weight) and kept on this module, in the order a
+        fresh enumeration yields (see `SullivanAlgebra.basis_keys`)."""
+        keys = self._basis_memo.get((degree, max_weight))
+        if keys is None:
+            keys = self._basis_memo[(degree, max_weight)] = tuple(
+                self._build_basis_keys(degree, max_weight))
+        return keys
+
+    def _build_basis_keys(self, degree: int, max_weight: int) -> Iterator[ModKey]:
         if self.t_part is not None:
             for k in self.t_part.basis_keys(degree, max_weight):
                 yield ("t", k)

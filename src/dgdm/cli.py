@@ -90,6 +90,16 @@ def _tokenize(text: str):
     return tokens
 
 
+def _check_exponent(power: int, line: int, column: int):
+    """Exponents are written out as repeated products (d-exponents of
+    atoms as repeated derivations), so one above the degree guard aborts
+    as the guard does (exit 3) before it costs that many steps."""
+    guard = get_degree_guard()
+    if power > guard:
+        raise DegreeGuardExceeded(
+            f"exponent {power} at line {line}, column {column} exceeds the degree guard {guard}")
+
+
 class _Parser:
     """Recursive-descent parser shared by the three element grammars."""
 
@@ -182,11 +192,13 @@ class _Parser:
                         f"atom exponent vector has length {len(exps)}, expected {self.nvars}",
                         line, col,
                     )
+                _check_exponent(sum(exps), line, col)
                 dexp = tuple(exps)
             base = from_name(value, dexp, line, col)
         else:
             self.error(("rational", "x<i>", "d<i>", "name"))
-        # postfix ^
+        # postfix ^; stacked exponents multiply, and each and their product are capped
+        total = 1
         while self.peek()[0] == "op" and self.peek()[1] == "^":
             self.advance()
             k2, v2, l2, c2 = self.peek()
@@ -194,6 +206,8 @@ class _Parser:
                 self.error(("integer exponent",))
             self.advance()
             power = int(v2)
+            total *= power
+            _check_exponent(max(power, total), l2, c2)  # x1^0^k still loops k times
             acc = None
             for _ in range(power):
                 acc = base if acc is None else mul(acc, base)
@@ -343,11 +357,20 @@ def _text(value, what: str) -> str:
     return value
 
 
-def _vars(body: Dict) -> int:
-    nvars = _int(body.get("vars", 1), "vars")
-    if nvars < 1:
-        raise DocumentError(f"vars must be positive, got {nvars}")
+# The engine builds exponent tuples of length vars before it checks
+# anything else, so a document or --vars names at most this many.
+MAX_VARS = 64
+
+
+def _nvars(value) -> int:
+    nvars = _int(value, "vars")
+    if not 1 <= nvars <= MAX_VARS:
+        raise DocumentError(f"vars must be between 1 and {MAX_VARS}, got {nvars}")
     return nvars
+
+
+def _vars(body: Dict) -> int:
+    return _nvars(body.get("vars", 1))
 
 
 def _operator_matrix(mat, nvars: int, what: str):
@@ -698,7 +721,7 @@ def _run_command(args) -> int:
         maps = []
         for kind, idx in zip(kinds, (args.m, args.n)):
             maps.append(iota(idx) if kind == "iota" else zeta(idx))
-        r = pushout_product(maps[0], maps[1], args.vars)
+        r = pushout_product(maps[0], maps[1], _nvars(args.vars))
         body = {
             "m": args.m,
             "n": args.n,

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .rational_linalg import add_term, vec_add
 from .slices import TruncationResult, bounded_weq
@@ -33,6 +33,7 @@ from .weyl import Exponent, WeylElement
 Atom = Tuple[int, Exponent]  # (generator index, d-exponent)
 TermKey = Tuple[Exponent, Tuple[Atom, ...]]
 Coeffs = Dict[TermKey, Fraction]
+Multisets = Tuple[Tuple[Tuple[Atom, ...], int], ...]  # (sorted atoms, cost) pairs
 
 DEFAULT_DEGREE_WINDOW = 6
 
@@ -81,6 +82,9 @@ class SullivanAlgebra:
         diff = {j: dict(v) for j, v in (differential or {}).items() if v}
         self.diff_coeffs: Dict[int, Coeffs] = diff
         self._datom_cache: Dict[Atom, "AlgebraElement"] = {}
+        # slice enumerations, each built once and replayed (see basis_keys)
+        self._multiset_memo: Dict[Tuple[int, int, int], Multisets] = {}
+        self._basis_memo: Dict[Tuple[int, int], Tuple[TermKey, ...]] = {}
         for j, coeffs in diff.items():
             if not 0 <= j < len(self.generators):
                 raise ValueError(f"differential assigned to unknown generator {j}")
@@ -239,15 +243,34 @@ class SullivanAlgebra:
 
     # -- slice enumeration -----------------------------------------------
 
-    def basis_keys(self, degree: int, max_weight: int) -> Iterator[TermKey]:
-        """All canonical term keys of the given algebra degree and weight bound."""
-        for atoms, cost in self._atom_multisets(0, degree, max_weight):
-            budget = max_weight - cost
-            for alpha in _exponents_bounded(self.nvars, budget):
-                yield (alpha, atoms)
+    def basis_keys(self, degree: int, max_weight: int) -> Tuple[TermKey, ...]:
+        """All canonical term keys of the given algebra degree and weight bound.
 
-    def _atom_multisets(self, j: int, degree: int, budget: int):
-        """Sorted atom tuples over generators j.. with given total degree."""
+        Each (degree, max_weight) is enumerated once and kept on this
+        algebra: a repeat call returns the stored tuple, in the order of
+        a fresh enumeration.  The memo lives per instance, never per
+        process, so nothing carries over to another algebra.
+        """
+        keys = self._basis_memo.get((degree, max_weight))
+        if keys is None:
+            keys = self._basis_memo[(degree, max_weight)] = tuple(
+                (alpha, atoms)
+                for atoms, cost in self._atom_multisets(0, degree, max_weight)
+                for alpha in _exponents_bounded(self.nvars, max_weight - cost)
+            )
+        return keys
+
+    def _atom_multisets(self, j: int, degree: int, budget: int) -> Multisets:
+        """Sorted atom tuples over generators j.. with given total degree
+        and cost <= budget, each with its cost; built once per instance."""
+        found = self._multiset_memo.get((j, degree, budget))
+        if found is None:
+            found = self._multiset_memo[(j, degree, budget)] = tuple(
+                self._build_atom_multisets(j, degree, budget))
+        return found
+
+    def _build_atom_multisets(self, j: int, degree: int, budget: int):
+        """The enumeration behind `_atom_multisets`, in its order."""
         if budget < 0 or degree < 0:
             return
         if j >= len(self.generators):

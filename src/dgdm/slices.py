@@ -20,6 +20,15 @@ rebuilt, and the differentials of the next degree's cycle candidates
 are carried over from the boundary keys.  The witness is the one a
 level-major walk finds: the first level-N failure in degree order if
 there is one, else the first level-(N+1) failure.
+
+A basis enumerator may replay stored keys: `SullivanAlgebra` and
+`AModule` build each (degree, max weight) slice once and keep the tuple
+on the instance, and the tensor, base-change and cone enumerators loop
+over those tuples.  A replayed slice lists the same keys in the same
+order as a fresh enumeration, so nullspace bases and witnesses do not
+depend on what was enumerated before.  The memo lives per instance,
+never per process: nothing carries from one check to the next unless
+the check is handed the same objects.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """A-modules: the extension lemma, pushouts, tensors, base change, monads."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from test_dga import assert_enumeration_contract
 
 from dgdm.amod import (
     AModule,
@@ -365,3 +367,42 @@ def test_base_change_free_case():
     # differential vanishes (sphere module over O with closed degree-0 atoms)
     for k in keys:
         assert bc.diff_key(k) == {}
+
+
+def test_module_enumerations_replay_and_nest():
+    rng = random.Random(24)  # A on generators of degrees 2 and 1; M with a T part
+    a = random_algebra(rng, max_gens=2, max_degree=2)
+    m = random_amodule(rng, a, cells=3, max_degree=2)
+    t = TensorOverA(m, free_amodule(a, disk(1)))
+    b = a.extended(Generator("w", 1), None).extended(Generator("v", 2), None)
+    bc = BaseChangeModule(b, m)
+    zero = (0,) * a.nvars
+    assert_enumeration_contract(m.basis_keys, m.key_degree, m.key_weight)
+    assert_enumeration_contract(t.basis_keys, t.key_degree, t.key_weight)
+    assert_enumeration_contract(
+        bc.basis_keys, bc.key_degree,
+        lambda key: m.key_weight(key[0]) + b.term_weight((zero, key[1])))
+
+
+# raw atom-multiset builds in the check below, each (algebra, j, degree,
+# budget) once; without the memo the enumeration ran 5,414 times for the
+# same keys
+PINNED_MULTISET_BUILDS = 128
+
+
+def test_base_change_builds_each_atom_multiset_once(algebra, monkeypatch):
+    rng = random.Random(9)
+    p = random_amodule(rng, algebra, cells=2, max_degree=2)
+    _, f = random_amodule_weq(rng, p)
+    b = algebra.extended(Generator("w", 1), None)
+    builds = Counter()
+    raw = SullivanAlgebra._build_atom_multisets
+
+    def counted(self, j, degree, budget):
+        builds[(id(self), j, degree, budget)] += 1
+        return raw(self, j, degree, budget)
+
+    monkeypatch.setattr(SullivanAlgebra, "_build_atom_multisets", counted)
+    assert base_change_bounded_weq(b, f, 5, 3).ok
+    assert max(builds.values()) == 1
+    assert sum(builds.values()) == PINNED_MULTISET_BUILDS

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -390,6 +391,65 @@ def test_suite_config_list_truncation_is_document_error(tmp_path, capsys):
     cfg = make_document("suite-config", {"seed": 9, "filter": "disks", "truncation": [1]})
     assert dispatch(["suite", "--file", write_doc(tmp_path, "cfg.doc", cfg)]) == 2
     assert "truncation must be an integer" in capsys.readouterr().err
+
+
+def _timed_dispatch(argv):
+    start = time.perf_counter()
+    rc = dispatch(argv)
+    return rc, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("expr", ["x1^999999999", "x1^40^40^40^40^40^40", "x1^0^999999999",
+                                  "d1^41"])
+def test_exponent_above_the_guard_aborts_at_once(expr, tmp_path, capsys):
+    # a power costs one product per unit of its exponent: x1^200000 took
+    # 1.8 s to parse, and x1^999999999 would run for hours
+    doc = make_document("complex", {
+        "vars": 1, "ranks": {"0": 1, "1": 1}, "differentials": {"1": [[expr]]},
+    })
+    rc, seconds = _timed_dispatch(["homology", "--file", write_doc(tmp_path, "c.doc", doc),
+                                   "--degree", "0"])
+    assert rc == 3 and seconds < 1.0
+    assert "exceeds the degree guard 40" in capsys.readouterr().err
+
+
+def test_atom_exponent_above_the_guard_aborts_at_once(tmp_path, capsys):
+    alg = {"generators": [{"name": "u", "degree": 2}, {"name": "v", "degree": 3}],
+           "differential": {"v": "u[999999999]"}}
+    doc = make_document("sullivan-extend-input", {
+        "vars": 1, "x": alg, "y": alg, "map": {"u": "u", "v": "v"}, "n": 3, "assignment": "u",
+    })
+    rc, seconds = _timed_dispatch(["sullivan-extend", "--file", write_doc(tmp_path, "s.doc", doc)])
+    assert rc == 3 and seconds < 1.0
+    assert "exceeds the degree guard" in capsys.readouterr().err
+
+
+def test_exponents_within_the_guard_parse_as_before(tmp_path, capsys):
+    x1 = WeylElement.x(1, 1)
+    power = WeylElement.one(1)
+    for _ in range(40):
+        power = power * x1
+    assert parse_operator("x1^40") == parse_operator("x1^2^4^5") == power
+    a = SullivanAlgebra(1, [Generator("u", 2)])
+    assert parse_algebra_element("u[40]", a) == a.atom(0, (40,))
+    doc = make_document("complex", {
+        "vars": 1, "ranks": {"0": 1, "1": 1}, "differentials": {"1": [["d1^41"]]},
+    })
+    path = write_doc(tmp_path, "c.doc", doc)
+    assert dispatch(["--bound", "41", "homology", "--file", path, "--degree", "0"]) == 0
+
+
+def test_vars_above_the_cap_is_a_usage_error(tmp_path, capsys):
+    # "vars": 300000000 once allocated gigabytes of exponent tuples
+    doc = make_document("complex", {"vars": 300000000, "ranks": {"0": 1}, "differentials": {}})
+    rc, seconds = _timed_dispatch(["homology", "--file", write_doc(tmp_path, "v.doc", doc),
+                                   "--degree", "0"])
+    assert rc == 2 and seconds < 1.0
+    assert "vars must be between 1 and 64" in capsys.readouterr().err
+    rc, seconds = _timed_dispatch(["boxprod", "--m", "1", "--n", "1", "--vars", "300000000"])
+    assert rc == 2 and seconds < 1.0
+    doc = make_document("complex", {"vars": 64, "ranks": {"0": 1}, "differentials": {}})
+    assert dispatch(["homology", "--file", write_doc(tmp_path, "w.doc", doc), "--degree", "0"]) == 0
 
 
 # ------------------------------------------------------------- fuzzing

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from dgdm.dga import (
     AlgebraMorphism,
     Generator,
     SullivanAlgebra,
+    _normalize_atoms,
     algebra_bounded_weq,
     apply_differential,
     compose_morphisms,
@@ -262,3 +264,52 @@ def test_initial_morphism_of_O_is_identity():
     for _ in range(10):
         e = random_algebra_element(rng, o, 0, 4)
         assert phi.apply(e) == e
+
+
+def assert_enumeration_contract(basis_keys, degree_of, weight_of, top=6):
+    """The slice contract for p <= 4 and w <= top: a repeat call gives the
+    same list, the weight-w slice is the in-order weight filter of the
+    weight-top slice, and its keys are distinct and of degree p."""
+    for p in range(5):
+        full = list(basis_keys(p, top))
+        for w in range(top + 1):
+            keys = list(basis_keys(p, w))
+            assert list(basis_keys(p, w)) == keys
+            assert keys == [k for k in full if weight_of(k) <= w], (p, w)
+            assert len(set(keys)) == len(keys)
+            assert all(degree_of(k) == p for k in keys)
+
+
+def _brute_force_keys(alg, max_weight):
+    """Every term key of weight <= max_weight: each x-exponent times each
+    canonical atom tuple `_normalize_atoms` makes from a multiset of atoms."""
+    atoms = [(j, b) for j in range(len(alg.generators))
+             for b in product(range(max_weight), repeat=alg.nvars) if sum(b) < max_weight]
+    canonical = set()
+    for k in range(max_weight + 1):
+        # each atom costs at least 1, so one of a k-tuple costs at most max_weight - k + 1
+        cheap = [a for a in atoms if sum(a[1]) + 1 <= max_weight - k + 1]
+        for combo in combinations_with_replacement(cheap, k):
+            if sum(sum(b) + 1 for _, b in combo) <= max_weight:
+                norm = _normalize_atoms(combo, alg.parities)
+                if norm is not None:
+                    canonical.add(norm[1])
+    alphas = [a for a in product(range(max_weight + 1), repeat=alg.nvars) if sum(a) <= max_weight]
+    return {(alpha, at) for alpha in alphas for at in canonical
+            if alg.term_weight((alpha, at)) <= max_weight}
+
+
+# seeds whose draw has three generators of both parities, then None: two
+# variables and a degree-0 generator, where the brute force is costlier
+@pytest.mark.parametrize("seed", [0, 17, 25, 38, None])
+def test_basis_keys_match_brute_force_and_nest(seed):
+    if seed is None:
+        a, top = SullivanAlgebra(2, [Generator("w", 0), Generator("g", 1), Generator("u", 2)]), 4
+    else:
+        a, top = random_algebra(random.Random(seed), max_gens=3, max_degree=3), 6
+    assert_enumeration_contract(a.basis_keys, a.term_degree, a.term_weight, top)
+    every = _brute_force_keys(a, top)
+    for p in range(5):
+        for w in range(top + 1):
+            want = {k for k in every if a.term_degree(k) == p and a.term_weight(k) <= w}
+            assert set(a.basis_keys(p, w)) == want, (p, w)
