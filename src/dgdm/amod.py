@@ -21,6 +21,10 @@ Element keys:
 
 Weights (x-degree + d-orders + atom counts) slice every degree finitely,
 so bounded weak-equivalence checks run on the underlying complexes.
+
+The differentials and actions on keys are memoised per instance over
+the term kernel of `dga` and are read-only, with `int` coefficients
+where integral; `AModuleElement` holds `Fraction`s.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .dga import (
     TermKey,
     _exponents_bounded,
 )
-from .rational_linalg import add_term, apply_linear, vec_add
+from .rational_linalg import add_term, apply_linear, integral, vec_add
 from .slices import TruncationResult, bounded_weq
 from .weyl import Exponent, WeylElement
 
@@ -66,6 +70,8 @@ class AModule:
             j: dict(v) for j, v in (diff or {}).items() if v
         }
         self._dv_cache: Dict[Tuple[int, Exponent], ModCoeffs] = {}
+        self._diff_memo: Dict[ModKey, ModCoeffs] = {}
+        self._act_memo: Dict[Tuple[TermKey, ModKey], ModCoeffs] = {}
         self._basis_memo: Dict[Tuple[int, int], Tuple[ModKey, ...]] = {}
         for j, coeffs in self.diff_coeffs.items():
             if not 0 <= j < len(self.gens):
@@ -82,8 +88,7 @@ class AModule:
                         f"{self.key_degree(key)}, expected {want}"
                     )
         for j in self.diff_coeffs:
-            dd = self.diff_element(self.diff_coeffs[j])
-            if dd:
+            if self.diff_element(self.diff_coeffs[j]):
                 raise ValueError(f"d*d != 0 on generator {self.gens[j].name}")
 
     # -- key structure ----------------------------------------------------
@@ -148,16 +153,18 @@ class AModule:
     # -- A-action -----------------------------------------------------------
 
     def act_algebra_term_key(self, aterm: TermKey, key: ModKey) -> ModCoeffs:
-        """The action of a single algebra monomial on a basis element."""
-        if key[0] == "t":
-            inner = self.t_part.act_algebra_term_key(aterm, key[1])
-            return {("t", k): c for k, c in inner.items()}
-        _, alpha, atoms, j, b = key
-        prod = self.algebra.multiply(
-            AlgebraElement(self.algebra, {aterm: Fraction(1)}),
-            AlgebraElement(self.algebra, {(alpha, atoms): Fraction(1)}),
-        )
-        return {("v", a2, at2, j, b): c for (a2, at2), c in prod.coeffs.items()}
+        """The action of a single algebra monomial on a basis element,
+        memoised; read-only."""
+        out = self._act_memo.get((aterm, key))
+        if out is None:
+            if key[0] == "t":
+                inner = self.t_part.act_algebra_term_key(aterm, key[1])
+                out = {("t", k): c for k, c in inner.items()}
+            else:
+                prod = self.algebra.term_product(aterm, key[1:3])
+                out = {} if prod is None else {("v",) + prod[1] + key[3:]: prod[0]}
+            self._act_memo[(aterm, key)] = out
+        return out
 
     def act_algebra(self, a: AlgebraElement, elt: "AModuleElement") -> "AModuleElement":
         out: ModCoeffs = {}
@@ -174,7 +181,7 @@ class AModule:
             return {("t", k): c for k, c in self.t_part.act_x_key(i, key[1]).items()}
         _, alpha, atoms, j, b = key
         na = tuple(e + 1 if k == i else e for k, e in enumerate(alpha))
-        return {("v", na, atoms, j, b): Fraction(1)}
+        return {("v", na, atoms, j, b): 1}
 
     def act_d_key(self, i: int, key: ModKey) -> ModCoeffs:
         if key[0] == "t":
@@ -182,54 +189,57 @@ class AModule:
         _, alpha, atoms, j, b = key
         out: ModCoeffs = {}
         # Leibniz: derivative of the algebra part, then of the V-atom
-        da = self.algebra.act_d(i, AlgebraElement(self.algebra, {(alpha, atoms): Fraction(1)}))
-        for (a2, at2), c in da.coeffs.items():
+        da = self.algebra.act_d_term(i, (alpha, atoms))
+        for (a2, at2), c in da.items():
             add_term(out, ("v", a2, at2, j, b), c)
         nb = tuple(e + 1 if k == i else e for k, e in enumerate(b))
-        add_term(out, ("v", alpha, atoms, j, nb), Fraction(1))
+        add_term(out, ("v", alpha, atoms, j, nb), 1)
         return out
 
     def act_weyl(self, op: WeylElement, elt: "AModuleElement") -> "AModuleElement":
         total: ModCoeffs = {}
         for (a, b), coef in op.terms.items():
-            cur = dict(elt.coeffs)
-            for i, e in enumerate(b):
-                for _ in range(e):
-                    cur = apply_linear(lambda key: self.act_d_key(i, key), cur)
-            for i, e in enumerate(a):
-                for _ in range(e):
-                    cur = apply_linear(lambda key: self.act_x_key(i, key), cur)
-            vec_add(total, cur, coef)
+            vec_add(total, self.act_monomial(a, b, elt.coeffs), coef)
         return AModuleElement(self, total)
+
+    def act_monomial(self, a: Exponent, b: Exponent, coeffs: ModCoeffs) -> ModCoeffs:
+        """x^a d^b applied to a coefficient dict: d's first, then x's."""
+        for i, e in enumerate(b):
+            for _ in range(e):
+                coeffs = apply_linear(lambda key: self.act_d_key(i, key), coeffs)
+        for i, e in enumerate(a):
+            for _ in range(e):
+                coeffs = apply_linear(lambda key: self.act_x_key(i, key), coeffs)
+        return coeffs
 
     # -- differential ------------------------------------------------------------
 
     def _d_of_atom(self, j: int, b: Exponent) -> ModCoeffs:
-        """d(d^b g_j) = d^b . d(g_j), cached."""
+        """d(d^b g_j) = d^b . d(g_j), memoised; read-only."""
         cached = self._dv_cache.get((j, b))
         if cached is None:
-            base = AModuleElement(self, self.diff_coeffs.get(j, {}))
-            cached = self.act_weyl(
-                WeylElement.monomial(self.nvars, (0,) * self.nvars, b), base
-            ).coeffs
-            self._dv_cache[(j, b)] = cached
+            own = {k: integral(c) for k, c in self.diff_coeffs.get(j, {}).items()}
+            cached = self._dv_cache[(j, b)] = self.act_monomial((0,) * self.nvars, b, own)
         return cached
 
     def diff_key(self, key: ModKey) -> ModCoeffs:
+        """The differential of one basis key, memoised; read-only."""
+        out = self._diff_memo.get(key)
+        if out is None:
+            out = self._diff_memo[key] = self._build_diff_key(key)
+        return out
+
+    def _build_diff_key(self, key: ModKey) -> ModCoeffs:
         if key[0] == "t":
             return {("t", k): c for k, c in self.t_part.diff_key(key[1]).items()}
         _, alpha, atoms, j, b = key
-        out: ModCoeffs = {}
+        aterm = (alpha, atoms)
         # d_A of the coefficient monomial, same V-atom
-        da = self.algebra.d(AlgebraElement(self.algebra, {(alpha, atoms): Fraction(1)}))
-        for (a2, at2), c in da.coeffs.items():
-            add_term(out, ("v", a2, at2, j, b), c)
+        out: ModCoeffs = {("v", a2, at2, j, b): c for (a2, at2), c in self.algebra.d_term(aterm).items()}
         # (-1)^{|a|} a . d(v)
-        k = self.algebra.term_degree((alpha, atoms))
-        sign = Fraction(1) if k % 2 == 0 else Fraction(-1)
-        dv = self._d_of_atom(j, b)
-        for key2, c in dv.items():
-            for k3, c3 in self.act_algebra_term_key((alpha, atoms), key2).items():
+        sign = -1 if self.algebra.term_degree(aterm) % 2 else 1
+        for key2, c in self._d_of_atom(j, b).items():
+            for k3, c3 in self.act_algebra_term_key(aterm, key2).items():
                 add_term(out, k3, sign * c * c3)
         return out
 
@@ -261,7 +271,7 @@ class AModuleElement:
 
     def __init__(self, module: AModule, coeffs: ModCoeffs):
         self.module = module
-        self.coeffs = {k: Fraction(c) for k, c in coeffs.items() if c}
+        self.coeffs = {k: c if type(c) is Fraction else Fraction(c) for k, c in coeffs.items() if c}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -424,17 +434,17 @@ class AModuleMorphism:
 
     def apply_key(self, key: ModKey) -> ModCoeffs:
         if getattr(self, "_relabel", False):
-            return {("t", key): Fraction(1)}
+            return {("t", key): 1}
+        if hasattr(self, "_pair"):  # a composite: f, then g
+            f, g = self._pair
+            return apply_linear(g.apply_key, f.apply_key(key))
         if key[0] == "t":
             return self.t_map.apply_key(key[1])
         _, alpha, atoms, j, b = key
         qv = self._qv_cache.get((j, b))
         if qv is None:
-            qv = self.target.act_weyl(
-                WeylElement.monomial(self.source.nvars, (0,) * self.source.nvars, b),
-                self.assignments[j],
-            ).coeffs
-            self._qv_cache[(j, b)] = qv
+            qv = self._qv_cache[(j, b)] = self.target.act_monomial(
+                (0,) * self.source.nvars, b, self.assignments[j].coeffs)
         return apply_linear(lambda key2: self.target.act_algebra_term_key((alpha, atoms), key2), qv)
 
     def apply(self, elt: AModuleElement) -> AModuleElement:
@@ -463,12 +473,7 @@ def compose_amodule_morphisms(f: AModuleMorphism, g: AModuleMorphism) -> AModule
     m.t_map = None
     m.assignments = {}
     m._qv_cache = {}
-    m._pair = (f, g)
-
-    def apply_key(key):
-        return apply_linear(g.apply_key, f.apply_key(key))
-
-    m.apply_key = apply_key  # type: ignore[method-assign]
+    m._pair = (f, g)  # held as data, so a deep copy copies both factors
     return m
 
 
@@ -635,19 +640,13 @@ class TensorOverA:
 
     def diff_key(self, key) -> Dict:
         bk, j, bexp = key
-        out: Dict = {}
-        for k2, c in self.b.diff_key(bk).items():
-            add_term(out, (k2, j, bexp), c)
+        out: Dict = {(k2, j, bexp): c for k2, c in self.b.diff_key(bk).items()}
         bdeg = self.b.key_degree(bk)
-        sign = Fraction(1) if bdeg % 2 == 0 else Fraction(-1)
-        dv = self.m._d_of_atom(j, bexp)  # element of A (x) V: keys ("v", a, at, j', b')
-        for key2, c in dv.items():
-            _, a2, at2, j2, b2 = key2
-            adeg = self.m.algebra.term_degree((a2, at2))
-            s2 = Fraction(1) if (adeg * bdeg) % 2 == 0 else Fraction(-1)
-            acted = self.b.act_algebra_term_key((a2, at2), bk)
-            for k3, c3 in acted.items():
-                add_term(out, (k3, j2, b2), sign * s2 * c * c3)
+        # element of A (x) V: keys ("v", a, at, j', b'); sign (-1)^{|b| + |a||b|}
+        for (_, a2, at2, j2, b2), c in self.m._d_of_atom(j, bexp).items():
+            sign = -1 if bdeg * (1 + self.m.algebra.term_degree((a2, at2))) % 2 else 1
+            for k3, c3 in self.b.act_algebra_term_key((a2, at2), bk).items():
+                add_term(out, (k3, j2, b2), sign * c * c3)
         return out
 
     # the identification and its inverse on representatives
@@ -658,7 +657,7 @@ class TensorOverA:
             adeg = self.m.algebra.term_degree(aterm)
             for bk, cb in b_elt.coeffs.items():
                 bdeg = self.b.key_degree(bk)
-                sign = Fraction(1) if (adeg * bdeg) % 2 == 0 else Fraction(-1)
+                sign = -1 if adeg * bdeg % 2 else 1
                 for k2, c2 in self.b.act_algebra_term_key(aterm, bk).items():
                     add_term(out, (k2, m_key_j, m_b), sign * ca * cb * c2)
         return out
@@ -666,12 +665,7 @@ class TensorOverA:
     def iso_inverse_key(self, key) -> Tuple[AModuleElement, AlgebraElement, int, Exponent]:
         """i^{-1}(b (x) m) = b (x) (1_A (x) m), on a basis key."""
         bk, j, bexp = key
-        return (
-            AModuleElement(self.b, {bk: Fraction(1)}),
-            self.m.algebra.one(),
-            j,
-            bexp,
-        )
+        return AModuleElement(self.b, {bk: Fraction(1)}), self.m.algebra.one(), j, bexp
 
 
 def tensor_over_A(b: AModule, m: AModule) -> TensorOverA:
@@ -760,22 +754,16 @@ class BaseChangeModule:
 
     def diff_key(self, key) -> Dict:
         nk, watoms = key
-        out: Dict = {}
-        for k2, c in self.n_mod.diff_key(nk).items():
-            add_term(out, (k2, watoms), c)
+        out: Dict = {(k2, watoms): c for k2, c in self.n_mod.diff_key(nk).items()}
         ndeg = self.n_mod.key_degree(nk)
-        sign = Fraction(1) if ndeg % 2 == 0 else Fraction(-1)
-        dsigma = self.b.d(
-            AlgebraElement(self.b, {((0,) * self.nvars, watoms): Fraction(1)})
-        )
-        for (alpha, atoms), c in dsigma.coeffs.items():
+        for (alpha, atoms), c in self.b.d_term(((0,) * self.nvars, watoms)).items():
             a_atoms = tuple(at for at in atoms if at[0] < self.w_start)
             w_atoms = tuple(at for at in atoms if at[0] >= self.w_start)
             aterm = (alpha, a_atoms)
-            adeg = self.a.term_degree(aterm)
-            s2 = Fraction(1) if (adeg * ndeg) % 2 == 0 else Fraction(-1)
+            # (-1)^{|n| + |a||n|}
+            sign = -1 if ndeg * (1 + self.a.term_degree(aterm)) % 2 else 1
             for k3, c3 in self.n_mod.act_algebra_term_key(aterm, nk).items():
-                add_term(out, (k3, w_atoms), sign * s2 * c * c3)
+                add_term(out, (k3, w_atoms), sign * c * c3)
         return out
 
 

@@ -130,11 +130,10 @@ class FreeDComplex:
                 diffs[n] = mat
         self.differentials = diffs
         self.top = max(self.ranks, default=-1)
-        for n in range(1, self.top + 1):
-            a, b = self.diff(n + 1), self.diff(n)
-            if self.rank(n + 1) and self.rank(n) and self.rank(n - 1):
-                if not mat_is_zero(mat_mul(a, b, nvars)):
-                    raise ComplexError(f"d*d != 0 between degrees {n + 1} and {n - 1}")
+        # d*d can be nonzero only where two nonzero differentials meet
+        for n in sorted(diffs):
+            if n + 1 in diffs and not mat_is_zero(mat_mul(diffs[n + 1], diffs[n], nvars)):
+                raise ComplexError(f"d*d != 0 between degrees {n + 1} and {n - 1}")
 
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
@@ -192,20 +191,13 @@ class ChainMap:
             if mat and mat[0] and not mat_is_zero(mat):
                 mats[n] = mat
         self.maps = mats
-        top = max(source.top, target.top)
-        for n in range(1, top + 1):
-            r, c = source.rank(n), target.rank(n - 1)
-            if r == 0 or c == 0:
-                continue
-            if target.rank(n) == 0:
-                lhs = zero_matrix(r, c, self.nvars)
-            else:
-                lhs = mat_mul(self.component(n), target.diff(n), self.nvars)
-            if source.rank(n - 1) == 0:
-                rhs = zero_matrix(r, c, self.nvars)
-            else:
-                rhs = mat_mul(source.diff(n), self.component(n - 1), self.nvars)
-            if lhs != rhs:
+        # a square can fail only where one of its paths composes two nonzero maps
+        for n in sorted({n for n in mats if n in target.differentials}
+                        | {n for n in source.differentials if n - 1 in mats}):
+            lhs = mat_mul(self.component(n), target.diff(n), self.nvars)
+            rhs = mat_mul(source.diff(n), self.component(n - 1), self.nvars)
+            # a side through a zero-rank module is an empty matrix
+            if lhs != rhs and not (mat_is_zero(lhs) and mat_is_zero(rhs)):
                 raise ComplexError(f"does not commute with differentials at degree {n}")
 
     def component(self, n: int) -> Matrix:
@@ -257,9 +249,8 @@ def direct_sum(c1: FreeDComplex, c2: FreeDComplex) -> FreeDComplex:
     for n in set(c1.ranks) | set(c2.ranks):
         ranks[n] = c1.rank(n) + c2.rank(n)
     diffs = {}
-    for n in range(1, max(c1.top, c2.top) + 1):
-        r, c = ranks.get(n, 0), ranks.get(n - 1, 0)
-        if r == 0 or c == 0:
+    for n in sorted(ranks):
+        if not ranks.get(n - 1):
             continue
         rows = []
         for i in range(c1.rank(n)):
@@ -332,12 +323,17 @@ class HomologyPresentation:
         return len(self.generators) == r and not self.relations
 
 
+def _whole_kernel(c: FreeDComplex, n: int) -> bool:
+    """ker d_n is all of D^{rank(n)}: d_n is zero."""
+    return n == 0 or c.rank(n - 1) == 0 or n not in c.differentials
+
+
 def kernel_generators(c: FreeDComplex, n: int) -> List[FreeModuleElement]:
-    """Generators of ker d_n inside D^{rank(n)} (all of it when d_n = 0)."""
+    """Generators of ker d_n inside D^{rank(n)} (the unit vectors when d_n = 0)."""
     r = c.rank(n)
     if r == 0:
         return []
-    if n == 0 or c.rank(n - 1) == 0 or n not in c.differentials:
+    if _whole_kernel(c, n):
         return [FreeModuleElement.unit(r, c.nvars, i) for i in range(r)]
     ker = syzygies(c.diff(n), c.nvars, source_rank=r, target_rank=c.rank(n - 1))
     return list(ker.generators)
@@ -363,6 +359,9 @@ def homology(c: FreeDComplex, n: int) -> HomologyPresentation:
     gb_img = buchberger(image, rank=r, nvars=c.nvars)
     if all(member(k, gb_img) for k in kernel):
         return HomologyPresentation(n, c.nvars, r)
+    if _whole_kernel(c, n):
+        # each image row is its own coordinate row; unit vectors have no syzygies
+        return HomologyPresentation(n, c.nvars, r, kernel, image)
     t = len(kernel)
     gb_ker = buchberger(kernel)
     relations: List[FreeModuleElement] = []
@@ -379,10 +378,8 @@ def homology(c: FreeDComplex, n: int) -> HomologyPresentation:
 
 def is_acyclic(c: FreeDComplex) -> bool:
     """Exact Groebner acyclicity: every cycle is a boundary, H_0 included."""
-    for n in range(0, c.top + 1):
+    for n in c.degrees():
         r = c.rank(n)
-        if r == 0:
-            continue
         image = [g for g in image_generators(c, n) if not g.is_zero()]
         gb_img = buchberger(image, rank=r, nvars=c.nvars)
         for k in kernel_generators(c, n):
@@ -397,16 +394,11 @@ def mapping_cone(f: ChainMap) -> FreeDComplex:
     """Mc(f)_n = X_{n-1} (+) Y_n with d(c, c') = (-dc, f(c) + dc')."""
     x, y = f.source, f.target
     nvars = f.nvars
-    ranks = {}
-    for n in range(0, max(x.top + 1, y.top) + 1):
-        r = x.rank(n - 1) + y.rank(n)
-        if r:
-            ranks[n] = r
+    degrees = sorted({n + 1 for n in x.ranks} | set(y.ranks))  # the nonzero ones
+    ranks = {n: x.rank(n - 1) + y.rank(n) for n in degrees}
     diffs = {}
-    for n in range(1, max(x.top + 1, y.top) + 1):
-        rows_n = x.rank(n - 1) + y.rank(n)
-        cols = x.rank(n - 2) + y.rank(n - 1)
-        if rows_n == 0 or cols == 0:
+    for n in degrees:
+        if x.rank(n - 2) + y.rank(n - 1) == 0:
             continue
         rows = []
         negd = mat_neg(x.diff(n - 1))

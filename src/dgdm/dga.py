@@ -17,6 +17,12 @@ square of an odd element vanishes); sorting costs Koszul signs.  The
 x_i act on the coefficient, the d_i act as even derivations, and the
 differential is an odd derivation, so checking identities on atoms and
 generators checks them everywhere.
+
+The arithmetic runs on term keys and raw coefficient dicts
+(`term_product`, `act_d_term`, `act_monomial`, `d_term`).  The memos of
+`d_term` and `_d_atom` live on the algebra, never per process, and are
+read-only; they hold `int` coefficients wherever the value is integral.
+The public wrapper `AlgebraElement`, and every report, holds `Fraction`s.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .rational_linalg import add_term, vec_add
+from .rational_linalg import add_term, apply_linear, integral, vec_add
 from .slices import TruncationResult, bounded_weq
 from .weyl import Exponent, WeylElement
 
@@ -81,7 +87,8 @@ class SullivanAlgebra:
         self.parities = tuple(g.degree % 2 for g in self.generators)
         diff = {j: dict(v) for j, v in (differential or {}).items() if v}
         self.diff_coeffs: Dict[int, Coeffs] = diff
-        self._datom_cache: Dict[Atom, "AlgebraElement"] = {}
+        self._datom_cache: Dict[Atom, Coeffs] = {}
+        self._dterm_memo: Dict[TermKey, Coeffs] = {}
         # slice enumerations, each built once and replayed (see basis_keys)
         self._multiset_memo: Dict[Tuple[int, int, int], Multisets] = {}
         self._basis_memo: Dict[Tuple[int, int], Tuple[TermKey, ...]] = {}
@@ -102,8 +109,7 @@ class SullivanAlgebra:
                         "the differential must be lowering"
                     )
         for j in diff:
-            dd = self.d(self.d_generator(j))
-            if not dd.is_zero():
+            if apply_linear(self.d_term, diff[j]):
                 raise ValueError(f"d*d != 0 on generator {self.generators[j].name}")
 
     # -- constructors ---------------------------------------------------
@@ -159,87 +165,91 @@ class SullivanAlgebra:
         alpha, atoms = key
         return sum(alpha) + sum(sum(b) + 1 for (_, b) in atoms)
 
+    def term_product(self, k1: TermKey, k2: TermKey) -> Optional[Tuple[int, TermKey]]:
+        """The product of two term keys as (sign, key); None when it vanishes."""
+        norm = _normalize_atoms(k1[1] + k2[1], self.parities)
+        if norm is None:
+            return None
+        return norm[0], (tuple(x + y for x, y in zip(k1[0], k2[0])), norm[1])
+
     def multiply(self, u: "AlgebraElement", v: "AlgebraElement") -> "AlgebraElement":
         if u.algebra is not self and u.algebra != self:
             raise ValueError("element of a different algebra")
         out: Coeffs = {}
-        for (a1, at1), c1 in u.coeffs.items():
-            for (a2, at2), c2 in v.coeffs.items():
-                norm = _normalize_atoms(at1 + at2, self.parities)
-                if norm is None:
-                    continue
-                sign, atoms = norm
-                key = (tuple(x + y for x, y in zip(a1, a2)), atoms)
-                add_term(out, key, c1 * c2 * sign)
+        for k1, c1 in u.coeffs.items():
+            for k2, c2 in v.coeffs.items():
+                prod = self.term_product(k1, k2)
+                if prod is not None:
+                    add_term(out, prod[1], c1 * c2 * prod[0])
         return AlgebraElement(self, out)
 
     # -- D-action ----------------------------------------------------------
 
-    def act_x(self, i: int, u: "AlgebraElement") -> "AlgebraElement":
+    def act_d_term(self, i: int, key: TermKey) -> Coeffs:
+        """d_i on one term, as an even derivation: on the coefficient and on each atom."""
+        alpha, atoms = key
         out: Coeffs = {}
-        for (alpha, atoms), c in u.coeffs.items():
-            na = tuple(e + 1 if k == i else e for k, e in enumerate(alpha))
-            add_term(out, (na, atoms), c)
-        return AlgebraElement(self, out)
+        if alpha[i] > 0:
+            na = tuple(e - 1 if k == i else e for k, e in enumerate(alpha))
+            out[(na, atoms)] = alpha[i]
+        for t, (j, b) in enumerate(atoms):
+            nb = tuple(e + 1 if k == i else e for k, e in enumerate(b))
+            norm = _normalize_atoms(atoms[:t] + ((j, nb),) + atoms[t + 1:], self.parities)
+            if norm is not None:
+                add_term(out, (alpha, norm[1]), norm[0])
+        return out
 
-    def act_d(self, i: int, u: "AlgebraElement") -> "AlgebraElement":
-        """d_i as an even derivation: on the coefficient and on each atom."""
-        out: Coeffs = {}
-        for (alpha, atoms), c in u.coeffs.items():
-            if alpha[i] > 0:
-                na = tuple(e - 1 if k == i else e for k, e in enumerate(alpha))
-                add_term(out, (na, atoms), c * alpha[i])
-            for t, (j, b) in enumerate(atoms):
-                nb = tuple(e + 1 if k == i else e for k, e in enumerate(b))
-                cand = atoms[:t] + ((j, nb),) + atoms[t + 1:]
-                norm = _normalize_atoms(cand, self.parities)
-                if norm is None:
-                    continue
-                sign, sorted_atoms = norm
-                add_term(out, (alpha, sorted_atoms), c * sign)
-        return AlgebraElement(self, out)
+    def act_monomial(self, a: Exponent, b: Exponent, coeffs: Coeffs) -> Coeffs:
+        """x^a d^b applied to a coefficient dict: d's first, then x's."""
+        for i, e in enumerate(b):
+            for _ in range(e):
+                coeffs = apply_linear(lambda key: self.act_d_term(i, key), coeffs)
+        return {(tuple(x + y for x, y in zip(alpha, a)), atoms): c for (alpha, atoms), c in coeffs.items()}
 
     def act(self, op: WeylElement, u: "AlgebraElement") -> "AlgebraElement":
-        """Action of a Weyl element: d's first, then x's (normal order)."""
+        """Action of a Weyl element, term by term in normal order."""
         if op.nvars != self.nvars:
             raise ValueError("operator over the wrong Weyl algebra")
-        total = self.zero()
+        total: Coeffs = {}
         for (a, b), coef in op.terms.items():
-            cur = u
-            for i, e in enumerate(b):
-                for _ in range(e):
-                    cur = self.act_d(i, cur)
-            for i, e in enumerate(a):
-                for _ in range(e):
-                    cur = self.act_x(i, cur)
-            total = total + cur.scale(coef)
-        return total
+            vec_add(total, self.act_monomial(a, b, u.coeffs), coef)
+        return AlgebraElement(self, total)
 
     # -- differential -------------------------------------------------------
 
-    def _d_atom(self, atom: Atom) -> "AlgebraElement":
+    def _d_atom(self, atom: Atom) -> Coeffs:
+        """d(d^b g_j) = d^b . d(g_j), memoised; read-only."""
         cached = self._datom_cache.get(atom)
         if cached is None:
             j, b = atom
-            base = self.d_generator(j)
-            cached = self.act(WeylElement.monomial(self.nvars, (0,) * self.nvars, b), base)
-            self._datom_cache[atom] = cached
+            own = {k: integral(c) for k, c in self.diff_coeffs.get(j, {}).items()}
+            cached = self._datom_cache[atom] = self.act_monomial((0,) * self.nvars, b, own)
         return cached
+
+    def d_term(self, key: TermKey) -> Coeffs:
+        """The differential of one term key, memoised; read-only.
+
+        d(prefix * atom * suffix) = (-1)^|prefix| prefix * d(atom) * suffix,
+        summed over the atoms; one sort gives the Koszul sign of both products.
+        """
+        out = self._dterm_memo.get(key)
+        if out is None:
+            alpha, atoms = key
+            out = self._dterm_memo[key] = {}
+            sign = 1
+            for t, atom in enumerate(atoms):
+                for (beta, datoms), c in self._d_atom(atom).items():
+                    norm = _normalize_atoms(atoms[:t] + datoms + atoms[t + 1:], self.parities)
+                    if norm is not None:
+                        na = tuple(x + y for x, y in zip(alpha, beta))
+                        add_term(out, (na, norm[1]), sign * norm[0] * c)
+                if self.parities[atom[0]]:
+                    sign = -sign
+        return out
 
     def d(self, u: "AlgebraElement") -> "AlgebraElement":
         """The odd derivation extending the generator assignment D-linearly."""
-        total = self.zero()
-        for (alpha, atoms), c in u.coeffs.items():
-            sign = 1
-            for t, atom in enumerate(atoms):
-                datom = self._d_atom(atom)
-                if not datom.is_zero():
-                    prefix = AlgebraElement(self, {(alpha, atoms[:t]): Fraction(c * sign)})
-                    suffix = AlgebraElement(self, {((0,) * self.nvars, atoms[t + 1:]): Fraction(1)})
-                    total = total + self.multiply(self.multiply(prefix, datom), suffix)
-                if self.parities[atom[0]]:
-                    sign = -sign
-        return total
+        return AlgebraElement(self, apply_linear(self.d_term, u.coeffs))
 
     # -- slice enumeration -----------------------------------------------
 
@@ -309,9 +319,6 @@ class SullivanAlgebra:
 
         yield from rec(0, budget)
 
-    def diff_on_key(self, key: TermKey) -> Coeffs:
-        return self.d(AlgebraElement(self, {key: Fraction(1)})).coeffs
-
     # -- misc ---------------------------------------------------------------
 
     def __eq__(self, other):
@@ -342,7 +349,7 @@ class AlgebraElement:
 
     def __init__(self, algebra: SullivanAlgebra, coeffs: Coeffs):
         self.algebra = algebra
-        self.coeffs = {k: Fraction(c) for k, c in coeffs.items() if c}
+        self.coeffs = {k: c if type(c) is Fraction else Fraction(c) for k, c in coeffs.items() if c}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -453,20 +460,17 @@ class AlgebraMorphism:
                     )
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
-        out = self.target.zero()
-        for (alpha, atoms), c in u.coeffs.items():
-            term = AlgebraElement(self.target, {(alpha, ()): c})
-            for (j, b) in atoms:
-                img = self.target.act(
-                    WeylElement.monomial(self.target.nvars, (0,) * self.target.nvars, b),
-                    self.assignments[j],
-                )
-                term = term * img
-            out = out + term
-        return out
+        return AlgebraElement(self.target, apply_linear(self.apply_key, u.coeffs))
 
     def apply_key(self, key: TermKey) -> Coeffs:
-        return self.apply(AlgebraElement(self.source, {key: Fraction(1)})).coeffs
+        """x^alpha times the images d^b . phi(g_j) of the atoms of key."""
+        alpha, atoms = key
+        tgt = self.target
+        term = AlgebraElement(tgt, {(alpha, ()): Fraction(1)})
+        for (j, b) in atoms:
+            img = tgt.act_monomial((0,) * tgt.nvars, b, self.assignments[j].coeffs)
+            term = term * AlgebraElement(tgt, img)
+        return term.coeffs
 
     def __eq__(self, other):
         return (
@@ -584,9 +588,9 @@ def algebra_bounded_weq(
     src, tgt = f.source, f.target
     return bounded_weq(
         src.basis_keys,
-        src.diff_on_key,
+        src.d_term,
         tgt.basis_keys,
-        tgt.diff_on_key,
+        tgt.d_term,
         f.apply_key,
         range(0, degree_window + 1),
         n,

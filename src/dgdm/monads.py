@@ -245,28 +245,18 @@ class TensorWithA:
         return sum(sum(b) + 1 for _, b in atoms) + self.base.core_cost(ncore)
 
     def act_d_core(self, i: int, core: Core) -> Expansion:
-        from .dga import AlgebraElement
-
         atoms, ncore = core
         out: Expansion = {}
-        da = self.algebra.act_d(
-            i, AlgebraElement(self.algebra, {((0,) * self.nvars, atoms): Fraction(1)})
-        )
-        for (gamma, atoms2), c in da.coeffs.items():
+        for (gamma, atoms2), c in self.algebra.act_d_term(i, ((0,) * self.nvars, atoms)).items():
             add_term(out, (gamma, (atoms2, ncore)), c)
         for (gamma, ncore2), c in self.base.act_d_core(i, ncore).items():
             add_term(out, (gamma, (atoms, ncore2)), c)
         return out
 
     def diff_core(self, core: Core) -> Expansion:
-        from .dga import AlgebraElement
-
         atoms, ncore = core
         out: Expansion = {}
-        da = self.algebra.d(
-            AlgebraElement(self.algebra, {((0,) * self.nvars, atoms): Fraction(1)})
-        )
-        for (gamma, atoms2), c in da.coeffs.items():
+        for (gamma, atoms2), c in self.algebra.d_term(((0,) * self.nvars, atoms)).items():
             add_term(out, (gamma, (atoms2, ncore)), c)
         adeg = sum(self.algebra.generators[j].degree for j, _ in atoms)
         sign = 1 if adeg % 2 == 0 else -1

@@ -1,13 +1,15 @@
 """Sparse exact linear algebra over the rationals.
 
 Vectors are dicts mapping hashable, sortable column keys to nonzero
-Fractions.  This module holds the one sparse-vector kernel every other
-module uses: `add_term` adds into one coordinate, `vec_add` adds a
-scaled vector in place, and `apply_linear` extends a map on keys
-linearly; all three drop zero coefficients.  On top of the kernel sits
-an incremental echelon form with a deterministic pivot rule (smallest
-column key), which is enough for span membership, solving, and
-nullspace computation.  No floating point.
+rationals: `Fraction`s, or `int`s where a kernel keeps integral values.
+This module holds the one sparse-vector kernel every other module uses:
+`add_term` adds into one coordinate, `vec_add` adds a scaled vector in
+place, and `apply_linear` extends a map on keys linearly; all three drop
+zero coefficients.  On top of the kernel sits an incremental echelon
+form with a deterministic pivot rule (smallest column key), which is
+enough for span membership, solving, and nullspace computation.  Every
+division is exact, so echelon rows, kernel vectors and solutions hold
+`Fraction`s.  No floating point.
 """
 
 from __future__ import annotations
@@ -17,12 +19,19 @@ from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 Vec = Dict[Hashable, Fraction]
 
-_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def integral(c):
+    """c as an int when its value is integral, else c itself."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def add_term(store: Vec, key: Hashable, c: Fraction):
-    """store[key] += c in place, dropping the key when the sum is zero."""
-    s = store.get(key, _ZERO) + c
+    """store[key] += c in place, dropping the key when the sum is zero;
+    a new key takes c as it is, so an int stays an int."""
+    old = store.get(key)
+    s = c if old is None else old + c
     if s:
         store[key] = s
     else:
@@ -32,7 +41,8 @@ def add_term(store: Vec, key: Hashable, c: Fraction):
 def vec_add(target: Vec, src: Vec, scale: Fraction = Fraction(1)):
     """target += scale*src in place, with zero coefficients dropped."""
     for k, c in src.items():
-        s = target.get(k, _ZERO) + scale * c
+        old = target.get(k)
+        s = scale * c if old is None else old + scale * c
         if s:
             target[k] = s
         else:
@@ -44,7 +54,8 @@ def apply_linear(key_map: Callable[[Hashable], Vec], vec: Vec) -> Vec:
     out: Vec = {}
     for key, c in vec.items():
         for k2, c2 in key_map(key).items():
-            s = out.get(k2, _ZERO) + c * c2
+            old = out.get(k2)
+            s = c * c2 if old is None else old + c * c2
             if s:
                 out[k2] = s
             else:
@@ -82,7 +93,7 @@ class Echelon:
         if not red:
             return None
         piv = min(red)
-        inv = 1 / red[piv]
+        inv = _ONE / red[piv]
         self.rows[piv] = {k: c * inv for k, c in red.items()}
         return piv
 
@@ -114,7 +125,7 @@ def nullspace(images: List[Tuple[Hashable, Vec]]) -> List[Vec]:
         if piv[0] == 1:  # image part eliminated -> kernel element
             kernel.append({k[1]: c for k, c in red.items()})
             continue
-        inv = 1 / red[piv]
+        inv = _ONE / red[piv]
         ech.rows[piv] = {k: c * inv for k, c in red.items()}
     return kernel
 
@@ -136,7 +147,7 @@ def solve(generators: List[Tuple[Hashable, Vec]], target: Vec) -> Optional[Vec]:
         if piv[0] == 1:
             # generator dependent on earlier ones; nothing new to solve with
             continue
-        inv = 1 / red[piv]
+        inv = _ONE / red[piv]
         ech.rows[piv] = {k: c * inv for k, c in red.items()}
     query: Vec = {(0, k): c for k, c in target.items()}
     red = ech.reduce(query)

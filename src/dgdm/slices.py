@@ -7,6 +7,10 @@ keys.  `basis_of(p, w)` yields the degree-p keys of weight <= w, so the
 slices of one degree are nested.  Keys must be hashable and mutually
 sortable within one check, and keys of different degrees differ.
 
+A differential handed to a check is read-only: it may return a dict it
+keeps (the Sullivan algebras and A-modules memoise theirs), so the walk
+and the echelon form copy what they change and never write to it.
+
 The contract of a check at level N (margin 2): every cycle assembled
 from basis keys of weight <= N-2 must be an exact boundary of an
 element of weight <= N.  A bounded-pass verdict means the check held

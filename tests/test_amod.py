@@ -1,11 +1,12 @@
 """A-modules: the extension lemma, pushouts, tensors, base change, monads."""
 
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from test_dga import assert_enumeration_contract
+from test_dga import _as_fractions, _ref_act_d, _ref_d_key, _ref_multiply, assert_enumeration_contract
 
 from dgdm.amod import (
     AModule,
@@ -32,7 +33,7 @@ from dgdm.amod import (
     under_to_cmon,
 )
 from dgdm.complexes import disk, sphere
-from dgdm.dga import AlgebraMorphism, Generator, SullivanAlgebra, identity_morphism
+from dgdm.dga import AlgebraMorphism, Generator, SullivanAlgebra, algebra_bounded_weq, identity_morphism
 from dgdm.randgen import (
     random_algebra,
     random_algebra_element,
@@ -42,6 +43,7 @@ from dgdm.randgen import (
     random_closed_element,
     random_module_element,
 )
+from dgdm.slices import dsquare_witness
 from dgdm.weyl import WeylElement
 
 D1 = WeylElement.d(1, 1)
@@ -406,3 +408,191 @@ def test_base_change_builds_each_atom_multiset_once(algebra, monkeypatch):
     assert base_change_bounded_weq(b, f, 5, 3).ok
     assert max(builds.values()) == 1
     assert sum(builds.values()) == PINNED_MULTISET_BUILDS
+
+
+# ------------------------------------------------ module kernel oracle and memos
+# The reference builds module differentials from the element-level algebra
+# reference of test_dga: the action through the written-out product, the
+# D-action as a derivation, and the old formulas of the tensor and
+# base-change differentials with their two separate signs.
+
+def _acc(pairs):
+    out = Counter()
+    for k, c in pairs:
+        out[k] += c
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_act(m, aterm, key):
+    if key[0] == "t":
+        return {("t", k): c for k, c in _ref_act(m.t_part, aterm, key[1]).items()}
+    _, alpha, atoms, j, b = key
+    prod = _ref_multiply(m.algebra, {aterm: Fraction(1)}, {(alpha, atoms): Fraction(1)})
+    return {("v", a2, at2, j, b): c for (a2, at2), c in prod.items()}
+
+
+def _ref_act_d_mod(m, i, coeffs):
+    def terms():
+        for key, c in coeffs.items():
+            if key[0] == "t":
+                for k, c2 in _ref_act_d_mod(m.t_part, i, {key[1]: c}).items():
+                    yield ("t", k), c2
+                continue
+            _, alpha, atoms, j, b = key
+            for (a2, at2), c2 in _ref_act_d(m.algebra, i, {(alpha, atoms): c}).items():
+                yield ("v", a2, at2, j, b), c2
+            yield ("v", alpha, atoms, j, tuple(e + (k == i) for k, e in enumerate(b))), c
+    return _acc(terms())
+
+
+def _ref_d_of_atom(m, j, b):
+    dv = {k: Fraction(c) for k, c in m.diff_coeffs.get(j, {}).items()}
+    for i, e in enumerate(b):
+        for _ in range(e):
+            dv = _ref_act_d_mod(m, i, dv)
+    return dv
+
+
+def _ref_diff_key(m, key):
+    if key[0] == "t":
+        return {("t", k): c for k, c in _ref_diff_key(m.t_part, key[1]).items()}
+    _, alpha, atoms, j, b = key
+    sign = (-1) ** m.algebra.term_degree((alpha, atoms))
+    da = [(("v", a2, at2, j, b), c) for (a2, at2), c in _ref_d_key(m.algebra, (alpha, atoms)).items()]
+    return _acc(da + [(k3, sign * c * c3) for key2, c in _ref_d_of_atom(m, j, b).items()
+                      for k3, c3 in _ref_act(m, (alpha, atoms), key2).items()])
+
+
+def _ref_tensor_diff(t, key):
+    bk, j, bexp = key
+    bdeg = t.b.key_degree(bk)
+    pairs = [((k2, j, bexp), c) for k2, c in _ref_diff_key(t.b, bk).items()]
+    for (_, a2, at2, j2, b2), c in _ref_d_of_atom(t.m, j, bexp).items():
+        sign = Fraction(-1) ** bdeg * Fraction(-1) ** (t.m.algebra.term_degree((a2, at2)) * bdeg)
+        pairs += [((k3, j2, b2), sign * c * c3) for k3, c3 in _ref_act(t.b, (a2, at2), bk).items()]
+    return _acc(pairs)
+
+
+def _ref_base_change_diff(bc, key):
+    nk, watoms = key
+    ndeg = bc.n_mod.key_degree(nk)
+    pairs = [((k2, watoms), c) for k2, c in _ref_diff_key(bc.n_mod, nk).items()]
+    for (alpha, atoms), c in _ref_d_key(bc.b, ((0,) * bc.nvars, watoms)).items():
+        aterm = (alpha, tuple(at for at in atoms if at[0] < bc.w_start))
+        w_atoms = tuple(at for at in atoms if at[0] >= bc.w_start)
+        sign = Fraction(-1) ** ndeg * Fraction(-1) ** (bc.a.term_degree(aterm) * ndeg)
+        pairs += [((k3, w_atoms), sign * c * c3) for k3, c3 in _ref_act(bc.n_mod, aterm, nk).items()]
+    return _acc(pairs)
+
+
+def _module_instance(seed):
+    """(f, m, b) the way the bounded checks draw them: an A-module weak
+    equivalence f, a module m to tensor with, and an extension b of A."""
+    rng = random.Random(seed)
+    a, _ = random_algebra_weq(rng, random_algebra(rng, max_gens=1, max_degree=2))
+    p = random_amodule(rng, a, cells=2, max_degree=2)
+    _, f = random_amodule_weq(rng, p)
+    m, _ = flatten_sullivan(random_amodule(rng, a, cells=rng.randint(1, 3), max_degree=2))
+    b = a
+    for idx in range(rng.randint(1, 2)):
+        deg = rng.randint(1, 2)
+        w = b.d(random_algebra_element(rng, b, deg, 2))
+        b = b.extended(Generator(f"w{idx}", deg), None if w.is_zero() else w)
+    return f, m, b
+
+
+def _keys(basis_keys, top=4, weight=3):
+    return [k for p in range(0, top + 1) for k in basis_keys(p, weight)]
+
+
+def test_module_kernel_matches_element_level_reference():
+    nonzero = 0
+    for seed in range(6):
+        f, m, b = _module_instance(1300 + seed)
+        for mod in (f.source, f.target, m):
+            aterms = _keys(mod.algebra.basis_keys, 2, 2)
+            for key in _keys(mod.basis_keys):
+                got = mod.diff_key(key)
+                assert _as_fractions(got) == _ref_diff_key(mod, key), (seed, key)
+                assert all(type(c) is int for c in got.values())
+                nonzero += bool(got)
+                for aterm in aterms[:6]:
+                    want = _ref_act(mod, aterm, key)
+                    assert _as_fractions(mod.act_algebra_term_key(aterm, key)) == want
+        free_target, _ = flatten_sullivan(f.target)  # d(top cell) = lower cell
+        for wrapped, ref in ((TensorOverA(f.source, m), _ref_tensor_diff),
+                             (TensorOverA(f.target, free_target), _ref_tensor_diff),
+                             (BaseChangeModule(b, f.target), _ref_base_change_diff)):
+            for key in _keys(wrapped.basis_keys):
+                assert _as_fractions(wrapped.diff_key(key)) == ref(wrapped, key), (seed, key)
+            assert dsquare_witness(wrapped.basis_keys, wrapped.diff_key, range(0, 5), 3) is None
+    assert nonzero > 200
+
+
+def _fresh(mod):
+    """An equal module on new instances, none of whose memos has been read."""
+    a = mod.algebra
+    alg = SullivanAlgebra(a.nvars, a.generators, a.diff_coeffs)
+    t_part = None if mod.t_part is None else _fresh(mod.t_part)
+    return AModule(alg, t_part, mod.gens, mod.diff_coeffs)
+
+
+def test_memoised_module_kernel_matches_fresh_instances_around_a_check():
+    for seed in range(4):
+        f, m, b = _module_instance(1400 + seed)
+
+        def compare():
+            for mod in (f.source, f.target):
+                fresh = _fresh(mod)
+                keys = _keys(mod.basis_keys, 5, 4)
+                for key in keys:
+                    assert mod.diff_key(key) == fresh.diff_key(key), (seed, key)
+                for aterm in _keys(mod.algebra.basis_keys, 2, 2):
+                    for key in keys[:40]:
+                        got = mod.act_algebra_term_key(aterm, key)
+                        assert got == fresh.act_algebra_term_key(aterm, key), (seed, aterm, key)
+
+        compare()
+        assert amodule_bounded_weq(f, 5, 3).ok
+        assert tensor_bounded_weq(f, m, 5, 3).ok
+        compare()  # no check changed a memoised dict
+
+
+# module differentials the check below builds, one per (instance, key);
+# AModule.diff_key is asked 2,211 times during it, and without the memo
+# every one of 3,148 calls (inner keys asked again) ran the body
+PINNED_TENSOR_DIFF_BUILDS = 1310
+
+
+def test_tensor_check_builds_each_module_differential_once(monkeypatch):
+    f, m, _ = _module_instance(1501)
+    builds = Counter()
+    raw = AModule._build_diff_key
+
+    def counted(self, key):
+        builds[(id(self), key)] += 1
+        return raw(self, key)
+
+    monkeypatch.setattr(AModule, "_build_diff_key", counted)
+    assert tensor_bounded_weq(f, m, 6, 3).ok
+    assert max(builds.values()) == 1
+    assert sum(builds.values()) == PINNED_TENSOR_DIFF_BUILDS
+
+
+def test_checks_on_deep_copies_leave_the_memos_of_their_inputs_alone():
+    f, m, b = _module_instance(1601)
+    rng = random.Random(1601)
+    _, g = random_algebra_weq(rng, random_algebra(rng, max_gens=2, max_degree=2))
+    inputs = (f.source, f.target, f.source.algebra, m, m.algebra, b, g.source, g.target)
+    names = ("_dterm_memo", "_datom_cache", "_diff_memo", "_act_memo", "_dv_cache", "_qv_cache")
+    memos = [getattr(obj, name) for obj in inputs + (f,) for name in names if hasattr(obj, name)]
+    before = [len(memo) for memo in memos]
+    cf, cm, cb, cg = copy.deepcopy((f, m, b, g))
+    assert tensor_bounded_weq(cf, cm, 5, 3).ok
+    assert base_change_bounded_weq(cb, cf, 5, 3).ok
+    assert amodule_bounded_weq(cf, 5, 3).ok
+    assert algebra_bounded_weq(cg, 5, 3).ok
+    assert [len(memo) for memo in memos] == before
+    # the copies did the work
+    assert len(cf.source._diff_memo) > len(f.source._diff_memo)
+    assert len(cg.target._dterm_memo) > len(g.target._dterm_memo)

@@ -136,6 +136,18 @@ def test_homology_subcommand(tmp_path, capsys):
     assert out["relations"] == [["d1"]]
 
 
+def test_homology_of_a_wide_zero_complex_is_quick(tmp_path, capsys):
+    # d_0 = 0 on D^600: the kernel is all unit vectors and needs no Groebner
+    # basis (the Groebner path took about 3 s at this rank, 53 s at 3000)
+    path = write_doc(tmp_path, "z.doc", make_document("complex", {"vars": 1, "ranks": {"0": 600}}))
+    start = time.perf_counter()
+    rc = dispatch(["homology", "--file", path, "--degree", "0"])
+    assert time.perf_counter() - start < 1.0
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert len(out["generators"]) == 600 and out["relations"] == []
+
+
 def test_weq_subcommand_exit_codes(tmp_path, capsys):
     # zeta_1 is a weq: exit 0
     doc = make_document("chainmap", {

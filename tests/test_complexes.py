@@ -1,6 +1,8 @@
 """Complexes: homology presentations, cones, shifts, weqs, connections."""
 
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -333,3 +335,79 @@ def test_weq_oracle_agreement_on_arbitrary_maps():
         assert exact == bounded.ok, (exact, bounded.verdict)
         agree += 1
     assert agree == 12
+
+
+TOP = 10 ** 12  # a degree no loop over range(top) gets through
+
+
+def test_high_degree_complex_and_chain_map_build_quickly():
+    start = time.perf_counter()
+    c = FreeDComplex(1, {TOP - 1: 1, TOP: 1, TOP + 1: 1}, {TOP: [[D1]]})
+    assert c.top == TOP + 1
+    assert FreeDComplex(1, {1000000: 1}, {}).top == 1000000
+    f = ChainMap(c, c, {TOP - 1: [[D1]], TOP: [[D1]], TOP + 1: [[X1]]})
+    assert set(f.maps) == {TOP - 1, TOP, TOP + 1}
+    assert set(identity_map(c).maps) == {TOP - 1, TOP, TOP + 1}
+    # the cone, the direct sum and the exact weq test walk only occupied degrees
+    assert is_weak_equivalence(identity_map(c)) and not is_weak_equivalence(zero_map(c, c))
+    assert direct_sum(c, sphere(0)).ranks == {0: 1, TOP - 1: 1, TOP: 1, TOP + 1: 1}
+    assert time.perf_counter() - start < 1.0
+
+
+def test_high_degree_dsquare_and_squares_still_rejected():
+    with pytest.raises(ComplexError, match=f"between degrees {TOP + 1} and {TOP - 1}"):
+        FreeDComplex(1, {TOP - 1: 1, TOP: 1, TOP + 1: 1}, {TOP: [[ONE]], TOP + 1: [[ONE]]})
+    c = FreeDComplex(1, {TOP - 1: 1, TOP: 1}, {TOP: [[D1]]})
+    with pytest.raises(ComplexError, match=f"at degree {TOP}"):
+        ChainMap(c, c, {TOP - 1: [[X1]], TOP: [[X1]]})  # x d != d x
+    # one path of the square passes through a zero-rank module, so the other must vanish
+    top_only = FreeDComplex(1, {TOP: 1}, {})
+    bottom_only = FreeDComplex(1, {TOP - 1: 1}, {})
+    with pytest.raises(ComplexError, match=f"at degree {TOP}"):
+        ChainMap(top_only, c, {TOP: [[ONE]]})
+    with pytest.raises(ComplexError, match=f"at degree {TOP}"):
+        ChainMap(c, bottom_only, {TOP - 1: [[ONE]]})
+    ChainMap(c, top_only, {TOP: [[ONE]]})
+    ChainMap(bottom_only, c, {TOP - 1: [[ONE]]})
+    # a square through a zero-rank module whose other path cancels to zero
+    wide = FreeDComplex(1, {TOP - 1: 1, TOP: 2}, {TOP: [[D1], [D1]]})
+    ChainMap(top_only, wide, {TOP: [[ONE, -ONE]]})
+
+
+def _homology_via_groebner(c, n):
+    """The presentation computed with Groebner bases throughout, as before
+    the unit-vector shortcut."""
+    from dgdm.complexes import HomologyPresentation, image_generators, kernel_generators
+    from dgdm.groebner import buchberger, express_in_inputs, member, syzygies
+
+    r = c.rank(n)
+    if r == 0:
+        return HomologyPresentation(n, c.nvars, 0)
+    kernel = kernel_generators(c, n)
+    image = [g for g in image_generators(c, n) if not g.is_zero()]
+    if not kernel:
+        return HomologyPresentation(n, c.nvars, r)
+    gb_img = buchberger(image, rank=r, nvars=c.nvars)
+    if all(member(k, gb_img) for k in kernel):
+        return HomologyPresentation(n, c.nvars, r)
+    gb_ker = buchberger(kernel)
+    relations = [FreeModuleElement(express_in_inputs(g, gb_ker)) for g in image]
+    ker_matrix = [list(k.coords) for k in kernel]
+    relations += syzygies(ker_matrix, c.nvars, source_rank=len(kernel), target_rank=r).generators
+    return HomologyPresentation(n, c.nvars, r, kernel, relations)
+
+
+def test_unit_kernel_shortcut_matches_groebner_presentations():
+    from dgdm.cli import presentation_body
+    from dgdm.complexes import _whole_kernel
+    from dgdm.randgen import random_complex
+
+    shortcut = 0  # cases that reach the shortcut: d_n = 0 and H_n != 0
+    for seed in range(50):
+        c = random_complex(random.Random(seed), max_top=2, max_cells=3)
+        for n in c.degrees():
+            h = homology(c, n)
+            want = _homology_via_groebner(c, n)
+            assert json.dumps(presentation_body(h)) == json.dumps(presentation_body(want)), (seed, n)
+            shortcut += _whole_kernel(c, n) and not h.is_zero()
+    assert shortcut >= 40, shortcut

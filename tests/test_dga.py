@@ -22,6 +22,7 @@ from dgdm.dga import (
     initial_morphism,
 )
 from dgdm.randgen import random_algebra, random_algebra_element, random_algebra_weq
+from dgdm.rational_linalg import apply_linear
 from dgdm.weyl import WeylElement
 
 D1 = WeylElement.d(1, 1)
@@ -313,3 +314,104 @@ def test_basis_keys_match_brute_force_and_nest(seed):
         for w in range(top + 1):
             want = {k for k in every if a.term_degree(k) == p and a.term_weight(k) <= w}
             assert set(a.basis_keys(p, w)) == want, (p, w)
+
+
+# ---------------------------------------------------------- term-kernel oracle
+# The reference below is the element-level arithmetic the term kernel
+# replaced: products written out term by term, d_i as an even derivation
+# and d(key) as the sum of the chains prefix * d(atom) * suffix.
+
+def _ref_multiply(alg, u, v):
+    out = {}
+    for (a1, at1), c1 in u.items():
+        for (a2, at2), c2 in v.items():
+            norm = _normalize_atoms(at1 + at2, alg.parities)
+            if norm is not None:
+                key = (tuple(x + y for x, y in zip(a1, a2)), norm[1])
+                out[key] = out.get(key, 0) + Fraction(c1) * c2 * norm[0]
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_act_d(alg, i, u):
+    out = {}
+    for (alpha, atoms), c in u.items():
+        if alpha[i]:
+            na = tuple(e - 1 if k == i else e for k, e in enumerate(alpha))
+            out[(na, atoms)] = out.get((na, atoms), 0) + c * alpha[i]
+        for t, (j, b) in enumerate(atoms):
+            nb = tuple(e + 1 if k == i else e for k, e in enumerate(b))
+            norm = _normalize_atoms(atoms[:t] + ((j, nb),) + atoms[t + 1:], alg.parities)
+            if norm is not None:
+                out[(alpha, norm[1])] = out.get((alpha, norm[1]), 0) + c * norm[0]
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_d_key(alg, key):
+    alpha, atoms = key
+    zero = (0,) * alg.nvars
+    total, sign = {}, 1
+    for t, (j, b) in enumerate(atoms):
+        datom = {k: Fraction(c) for k, c in alg.diff_coeffs.get(j, {}).items()}
+        for i, e in enumerate(b):
+            for _ in range(e):
+                datom = _ref_act_d(alg, i, datom)
+        prefix = {(alpha, atoms[:t]): Fraction(sign)}
+        suffix = {(zero, atoms[t + 1:]): Fraction(1)}
+        for k, c in _ref_multiply(alg, _ref_multiply(alg, prefix, datom), suffix).items():
+            total[k] = total.get(k, 0) + c
+        if alg.parities[j]:
+            sign = -sign
+    return {k: c for k, c in total.items() if c}
+
+
+def _as_fractions(coeffs):
+    assert all(type(c) in (int, Fraction) for c in coeffs.values())
+    return {k: Fraction(c) for k, c in coeffs.items()}
+
+
+def _kernel_algebras():
+    """Random algebras with nonzero differentials: an acyclic extension
+    (d b_k = a_k) of a random algebra, then generators killing boundaries."""
+    for seed in range(12):
+        rng = random.Random(1200 + seed)
+        alg, _ = random_algebra_weq(rng, random_algebra(rng, nvars=1 + seed % 2, max_gens=2), 2)
+        for idx in range(2):
+            deg = rng.randint(1, 3)
+            w = alg.d(random_algebra_element(rng, alg, deg, 3))
+            alg = alg.extended(Generator(f"w{idx}", deg), None if w.is_zero() else w)
+        yield rng, alg
+
+
+def test_term_kernel_matches_element_level_reference():
+    checked = 0
+    for rng, alg in _kernel_algebras():
+        keys = [k for p in range(0, 6) for k in alg.basis_keys(p, 3)]
+        for key in keys:
+            got = alg.d_term(key)
+            assert _as_fractions(got) == _ref_d_key(alg, key), (alg, key)
+            # integral differentials keep int coefficients in the memo
+            assert all(type(c) is int for c in got.values())
+            checked += bool(got)
+        for _ in range(40):
+            k1, k2 = rng.choice(keys), rng.choice(keys)
+            prod = alg.term_product(k1, k2)
+            want = _ref_multiply(alg, {k1: Fraction(1)}, {k2: Fraction(1)})
+            assert ({} if prod is None else {prod[1]: Fraction(prod[0])}) == want
+            for i in range(alg.nvars):
+                assert _as_fractions(alg.act_d_term(i, k1)) == _ref_act_d(alg, i, {k1: Fraction(1)})
+    assert checked > 100  # enough keys with a nonzero differential
+
+
+def test_term_kernel_squares_to_zero_and_is_a_graded_derivation():
+    for rng, alg in _kernel_algebras():
+        for p in range(0, 6):
+            for key in alg.basis_keys(p, 3):
+                assert apply_linear(alg.d_term, alg.d_term(key)) == {}, (alg, key)
+        # d(uv) = du.v + (-1)^|u| u.dv on random homogeneous pairs
+        for _ in range(15):
+            du, dv = rng.randint(0, 4), rng.randint(0, 4)
+            u = random_algebra_element(rng, alg, du, 3)
+            v = random_algebra_element(rng, alg, dv, 3)
+            lhs = alg.d(u * v)
+            rhs = alg.d(u) * v + (u * alg.d(v)).scale((-1) ** du)
+            assert lhs == rhs, (alg, u, v)

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from dgdm.rational_linalg import Echelon, add_term, apply_linear, nullspace, vec_add
+from dgdm.rational_linalg import Echelon, add_term, apply_linear, nullspace, solve, vec_add
 from dgdm.slices import dsquare_witness
 
 
@@ -59,6 +59,36 @@ def test_nullspace_vectors_map_to_zero():
         assert len(kernel) == 5 - ech.rank()
         for z in kernel:
             assert apply_linear(dict(images).__getitem__, z) == {}
+
+
+def _all_fractions(vec):
+    return all(type(c) is Fraction for c in vec.values())
+
+
+def test_int_coefficients_give_exact_fraction_results():
+    ech = Echelon()
+    assert ech.insert({"a": 2, "b": 1}) == "a"
+    assert ech.rows["a"] == {"a": F(1), "b": F(1, 2)} and _all_fractions(ech.rows["a"])
+    rng = random.Random(5)
+    for _ in range(20):
+        images = [(k, {j: rng.choice([-3, -2, 2, 3]) for j in range(3) if rng.random() < 0.6})
+                  for k in range(5)]
+        kernel = nullspace(images)
+        assert all(_all_fractions(z) for z in kernel)
+        for z in kernel:
+            assert apply_linear(dict(images).__getitem__, z) == {}
+        # a random combination of the images is solved exactly
+        coeffs = {k: rng.randint(-2, 2) for k in range(5)}
+        target = {}
+        for k, img in images:
+            vec_add(target, img, F(coeffs[k]))
+        sol = solve(images, target)
+        assert sol is not None and _all_fractions(sol)
+        back = {}
+        for k, c in sol.items():
+            vec_add(back, dict(images)[k], c)
+        assert back == target
+    assert solve([("g", {"a": 2})], {"a": 3}) == {"g": F(3, 2)}
 
 
 def test_dsquare_witness_reports_the_first_failing_key():
