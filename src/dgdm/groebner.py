@@ -8,14 +8,15 @@ relations strictly drop below leading terms.  Consequently leading
 monomials multiply as in the commutative case, Buchberger's algorithm
 applies verbatim, and termination follows from Dickson's lemma.
 
-`buchberger` tracks cofactors: every basis element knows a left
-combination of the input generators producing it, and normal forms can
-report the quotients used.  Kernels (syzygies) are computed by the
-module elimination trick: run Buchberger in D^(s+r) on rows augmented
-with unit tags, with the image block dominating the tag block in the
-position order, and read off the basis elements supported in the tags.
-`syzygies` tracks no cofactors, because the tag block already holds them,
-and drops the S-pairs that the chain criterion shows redundant.
+One Buchberger loop serves every job.  It keeps rows monic and drops the
+S-pairs that the chain criterion shows redundant.  Kernels (syzygies) are
+computed by the module elimination trick: run the loop in D^(s+r) on the
+tagged rows (row_i | e_i), with the image block dominating the tag block
+in the position order, and read off the basis elements supported in the
+tags.  Lifts over the input generators (`express_in_inputs`) use the same
+tagged rows, as Singular's `lift` does: a row of that basis is image | c
+with image = sum_j c_j*inputs[j], so reducing v | 0 by the rows that
+lead in the image block leaves 0 | -u with v = sum_j u_j*inputs[j].
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ VecT = Dict[ModMonomial, Fraction]
 
 DEFAULT_DEGREE_GUARD = 40
 _active_guard = DEFAULT_DEGREE_GUARD
-
-ORDER_DESCRIPTOR = "position-over-term(degrevlex on x,d)"
 
 
 def set_degree_guard(n: int):
@@ -179,15 +178,13 @@ def _left_mono_mul(a: Tuple[int, ...], b: Tuple[int, ...], vec: VecT) -> VecT:
 
 
 class _Row:
-    """A working basis row: vector, leading monomial and cofactors over the
-    input generators (None when cofactors are not tracked)."""
+    """A working basis row: vector and leading monomial."""
 
-    __slots__ = ("vec", "lm", "cof")
+    __slots__ = ("vec", "lm")
 
-    def __init__(self, vec: VecT, cof: Optional[List[VecT]]):
+    def __init__(self, vec: VecT):
         self.vec = vec
         self.lm = _lm(vec)
-        self.cof = cof  # cofactor j as dict of ring monomials (pos ignored, use pos 0)
 
 
 def _reduce(vec: VecT, rows: List[_Row], guard: int) -> Tuple[VecT, List[VecT]]:
@@ -242,21 +239,11 @@ def _guarded_entry(m: ModMonomial, guard: int):
     return hk, m
 
 
-def _cofactors(cofs: List[VecT], quots: List[VecT], rows: List[_Row]) -> List[VecT]:
-    """cofs - sum_i quots[i]*rows[i].cof, computed in place in cofs."""
-    for q, row in zip(quots, rows):
-        for (_, qa, qb), c in q.items():
-            for j, hc in enumerate(row.cof):
-                if hc:
-                    vec_add(cofs[j], _left_mono_mul(qa, qb, hc), -c)
-    return cofs
-
-
 class GrobnerBasis:
     """An inter-reduced monic left Groebner basis of a submodule of D^rank.
 
-    `cofactors[i]` expresses generators[i] as a left combination of the
-    original input generators: generators[i] = sum_j cofactors[i][j] * input[j].
+    `inputs` are the generators it was computed from, zero ones included:
+    `express_in_inputs` writes members as left combinations of them.
     """
 
     def __init__(
@@ -265,20 +252,16 @@ class GrobnerBasis:
         nvars: int,
         generators: List[FreeModuleElement],
         inputs: List[FreeModuleElement],
-        cofactors: List[List[WeylElement]],
-        order: str = ORDER_DESCRIPTOR,
         degree_guard: int = DEFAULT_DEGREE_GUARD,
     ):
         self.rank = rank
         self.nvars = nvars
         self.generators = generators
         self.inputs = inputs
-        self.cofactors = cofactors
-        self.order = order
         self.degree_guard = degree_guard
-        # normal forms reduce by the generators alone; their quotients are
-        # combined with `cofactors` by express_in_inputs
-        self._rows = [_Row(_to_vec(g), None) for g in generators]
+        self._rows = [_Row(_to_vec(g)) for g in generators]
+        # the lift basis over `inputs`, built by the first express_in_inputs
+        self._lift_rows: Optional[List[_Row]] = None
 
     def __len__(self):
         return len(self.generators)
@@ -302,11 +285,11 @@ def buchberger(
     """
     if degree_guard is None:
         degree_guard = _active_guard
-    gens = [g for g in gens if not g.is_zero()]
+    gens = list(gens)
     if not gens:
         if rank is None or nvars is None:
             raise ValueError("empty generator list needs explicit rank and nvars")
-        return GrobnerBasis(rank, nvars, [], [], [], degree_guard=degree_guard)
+        return GrobnerBasis(rank, nvars, [], [], degree_guard)
     rank = gens[0].rank
     nvars = gens[0].nvars
     for g in gens:
@@ -315,76 +298,55 @@ def buchberger(
         if g.nvars != nvars:
             raise NvarsMismatch("generators over different Weyl algebras")
 
-    rows = _groebner_rows([_to_vec(g) for g in gens], nvars, degree_guard, cofactors=True)
+    rows = _groebner_rows([_to_vec(g) for g in gens], degree_guard)
     generators = [_from_vec(r.vec, rank, nvars) for r in rows]
-    cofactors = [
-        [_from_vec(c, 1, nvars).coords[0] for c in r.cof] for r in rows
-    ]
-    return GrobnerBasis(rank, nvars, generators, list(gens), cofactors,
-                        degree_guard=degree_guard)
+    return GrobnerBasis(rank, nvars, generators, gens, degree_guard)
 
 
-def _groebner_rows(vecs: List[VecT], nvars: int, guard: int, cofactors: bool) -> List[_Row]:
-    """The Buchberger loop on nonzero input vectors over one Weyl algebra.
+def _groebner_rows(vecs: List[VecT], guard: int, cut: Optional[int] = None) -> List[_Row]:
+    """The Buchberger loop on input vectors over one Weyl algebra.
 
     Returns the inter-reduced monic basis rows sorted by decreasing leading
-    monomial.  With cofactors=False every row's cof is None, no cofactor
-    arithmetic is done, rows are made monic as they enter, and pairs are
-    pruned by the Gebauer-Moeller criteria (`_update_pairs`).  Pruning
-    leaves the reduced basis as it is, since that is unique, but changes
-    which intermediate rows appear, and so would change the cofactors that
-    `buchberger` reports.
+    monomial.  Rows are made monic as they enter, and pairs are pruned by
+    the Gebauer-Moeller criteria (`_update_pairs`).  With a cut-off, a new
+    row whose leading monomial has position >= cut is discarded: on tagged
+    rows it is a syzygy, which a lift does not need, and keeping them can
+    make the loop blow up.  Discarding them leaves the positions below the
+    cut of every other row as they are, because a reduction treats every
+    term there before any term at or above the cut.
     """
-    zero_exp = (0,) * nvars
     rows: List[_Row] = []
     live: List[int] = []  # the rows that form pairs and enter the final basis
     pairs: List[Tuple[int, int, int]] = []  # heap of (lcm degree, j, i), j < i
 
-    def add_row(red: VecT, cofs: List[VecT], quots: List[VecT]):
-        if cofactors:
-            rows.append(_Row(red, _cofactors(cofs, quots, rows)))
-            h = len(rows) - 1
-            for k in live:
-                if rows[k].lm[0] == rows[h].lm[0]:
-                    m = _lcm(rows[k].lm, rows[h].lm)
-                    heapq.heappush(pairs, (sum(m[1]) + sum(m[2]), k, h))
-            live.append(h)
-        else:
-            lc = red[_lm(red)]
-            rows.append(_Row({m: c / lc for m, c in red.items()}, None))
+    def add_row(red: VecT):
+        lm = _lm(red)
+        if cut is None or lm[0] < cut:
+            lc = red[lm]
+            rows.append(_Row({m: c / lc for m, c in red.items()}))
             _update_pairs(rows, live, pairs)
 
-    for i, v in enumerate(vecs):
-        red, quots = _reduce(v, rows, guard)
+    for v in vecs:
+        red, _ = _reduce(v, rows, guard)
         if red:
-            cofs: List[VecT] = [{} for _ in vecs]
-            cofs[i] = {(0, zero_exp, zero_exp): Fraction(1)}
-            add_row(red, cofs, quots)
+            add_row(red)
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
         mi, mj = rows[i].lm, rows[j].lm
-        la = tuple(max(x, y) for x, y in zip(mi[1], mj[1]))
-        lb = tuple(max(x, y) for x, y in zip(mi[2], mj[2]))
-        qa_i = tuple(x - y for x, y in zip(la, mi[1]))
-        qb_i = tuple(x - y for x, y in zip(lb, mi[2]))
-        qa_j = tuple(x - y for x, y in zip(la, mj[1]))
-        qb_j = tuple(x - y for x, y in zip(lb, mj[2]))
-        t_i, t_j = 1 / rows[i].vec[mi], -1 / rows[j].vec[mj]
+        _, la, lb = _lcm(mi, mj)
         spoly: VecT = {}
-        vec_add(spoly, _left_mono_mul(qa_i, qb_i, rows[i].vec), t_i)
-        vec_add(spoly, _left_mono_mul(qa_j, qb_j, rows[j].vec), t_j)
-        red, quots = _reduce(spoly, rows, guard)
+        vec_add(spoly, _left_mono_mul(_sub(la, mi[1]), _sub(lb, mi[2]), rows[i].vec))
+        vec_add(spoly, _left_mono_mul(_sub(la, mj[1]), _sub(lb, mj[2]), rows[j].vec), -1)
+        red, _ = _reduce(spoly, rows, guard)
         if red:
-            # spoly = t_i*m_i*rows[i] + t_j*m_j*rows[j]: fold that into the
-            # quotients with the opposite sign
-            add_term(quots[i], (0, qa_i, qb_i), -t_i)
-            add_term(quots[j], (0, qa_j, qb_j), -t_j)
-            add_row(red, [{} for _ in vecs], quots)
+            add_row(red)
 
-    out = _interreduce([rows[k] for k in live], guard)
-    out.sort(key=lambda r: _key(r.lm))
-    return out
+    return _interreduce([rows[k] for k in live], guard)
+
+
+def _sub(e: Tuple[int, ...], f: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(x - y for x, y in zip(e, f))
 
 
 def _lcm(mi: ModMonomial, mj: ModMonomial) -> ModMonomial:
@@ -428,30 +390,19 @@ def _update_pairs(rows: List[_Row], live: List[int], pairs: list):
 
 
 def _interreduce(rows: List[_Row], guard: int) -> List[_Row]:
-    # minimal set first (smallest leading monomials win), then tail-reduce
-    # each survivor and normalize to monic.  A tail term lies below the
-    # leading monomial, so only rows with smaller leading monomials reduce
-    # it; without cofactors those are the rows already in `out`, whose
-    # coefficients are final and small.  With cofactors the survivor is
-    # reduced against all other survivors: the cofactors `buchberger`
-    # reports depend on which rows reduce it.
-    rows = sorted(rows, key=lambda r: _key(r.lm), reverse=True)
-    minimal: List[_Row] = []
-    for r in rows:
-        if not any(_divides(s.lm, r.lm) for s in minimal):
-            minimal.append(r)
+    """Tail-reduce the live rows, sorted by decreasing leading monomial.
+
+    The live rows are already minimal: each new row is reduced by every
+    row, and `_update_pairs` retires the rows whose leading monomials it
+    divides.  A tail term lies below the leading monomial, so only rows
+    with smaller leading monomials reduce it: the rows already in `out`,
+    whose coefficients are final and small.  Reduction keeps the leading
+    term, so the rows stay monic.
+    """
     out: List[_Row] = []
-    for r in minimal:
-        others = out if r.cof is None else [s for s in minimal if s is not r]
-        red, quots = _reduce(r.vec, others, guard)
-        if not red:
-            continue
-        lc = red[_lm(red)]
-        cofs = None
-        if r.cof is not None:
-            cofs = _cofactors([dict(c) for c in r.cof], quots, others)
-            cofs = [{m: c / lc for m, c in cof.items()} for cof in cofs]
-        out.append(_Row({m: c / lc for m, c in red.items()}, cofs))
+    for r in sorted(rows, key=lambda r: _key(r.lm), reverse=True):
+        out.append(_Row(_reduce(r.vec, out, guard)[0]))
+    out.reverse()
     return out
 
 
@@ -480,21 +431,36 @@ def member(v: FreeModuleElement, gb: GrobnerBasis) -> bool:
 def express_in_inputs(
     v: FreeModuleElement, gb: GrobnerBasis
 ) -> Optional[List[WeylElement]]:
-    """Write a member v as a left combination of the ORIGINAL generators.
+    """Write a member v as a left combination of the input generators.
 
-    Returns coefficients u with v = sum u_j * inputs[j], or None when v
-    is not a member.
+    Returns coefficients u, one per entry of gb.inputs (zero ones
+    included), with v = sum u_j * inputs[j], or None when v is not a
+    member.  The first call builds the lift basis: the loop run on the
+    tagged rows (inputs[j] | e_j) with the tag block cut off.  Reducing
+    v | 0 by it leaves 0 | -u for a member and an image term otherwise.
     """
-    nf, quots = normal_form_with_cofactors(v, gb)
-    if not nf.is_zero():
-        return None
-    out = [WeylElement.zero(gb.nvars) for _ in gb.inputs]
-    for q, cof in zip(quots, gb.cofactors):
-        if q.is_zero():
-            continue
-        for j, c in enumerate(cof):
-            out[j] = out[j] + q * c
-    return out
+    _check_compat(v, gb)
+    if gb._lift_rows is None:
+        tagged = _tagged([g.coords for g in gb.inputs], gb.rank, gb.nvars)
+        gb._lift_rows = _groebner_rows(tagged, gb.degree_guard, cut=gb.rank)
+    red, _ = _reduce(_to_vec(v), gb._lift_rows, gb.degree_guard)
+    u: List[Dict[Monomial, Fraction]] = [{} for _ in gb.inputs]
+    for (pos, a, b), c in red.items():
+        if pos < gb.rank:
+            return None
+        u[pos - gb.rank][(a, b)] = -c
+    return [WeylElement(gb.nvars, t) for t in u]
+
+
+def _tagged(rows: Sequence[Sequence[WeylElement]], s: int, nvars: int) -> List[VecT]:
+    """The rows (row_i | e_i) of D^(s + len(rows)), each row_i of length s."""
+    zero = WeylElement.zero(nvars)
+    tagged = []
+    for i, row in enumerate(rows):
+        coords = list(row) + [zero] * len(rows)
+        coords[s + i] = WeylElement.one(nvars)
+        tagged.append(_to_vec(FreeModuleElement(coords)))
+    return tagged
 
 
 def syzygies(
@@ -532,22 +498,14 @@ def syzygies(
         for entry in row:
             if entry.nvars != nvars:
                 raise NvarsMismatch("matrix entry over wrong Weyl algebra")
-    zero = WeylElement.zero(nvars)
-    one = WeylElement.one(nvars)
     if r == 0:
-        return GrobnerBasis(0, nvars, [], [], [], degree_guard=degree_guard)
+        return GrobnerBasis(0, nvars, [], [], degree_guard)
     if s == 0:
         # map to the zero module: kernel is everything
         units = [FreeModuleElement.unit(r, nvars, i) for i in range(r)]
-        return GrobnerBasis(r, nvars, units, list(units), _identity(r, zero, one),
-                            degree_guard=degree_guard)
+        return GrobnerBasis(r, nvars, units, list(units), degree_guard)
 
-    augmented = []
-    for i in range(r):
-        coords = list(rows[i]) + [zero] * r
-        coords[s + i] = one
-        augmented.append(_to_vec(FreeModuleElement(coords)))
-    basis = _groebner_rows(augmented, nvars, degree_guard, cofactors=False)
+    basis = _groebner_rows(_tagged(rows, s, nvars), degree_guard)
 
     # the leading monomial has the lowest position of a row, so a row lies
     # in the tag block iff its leading monomial does
@@ -556,6 +514,7 @@ def syzygies(
         for row in basis if row.lm[0] >= s
     ]
     # sanity: every kernel element must map to zero exactly
+    zero = WeylElement.zero(nvars)
     for k in kernel:
         img = [zero] * s
         for i in range(r):
@@ -563,12 +522,7 @@ def syzygies(
                 img[j] = img[j] + k.coords[i] * rows[i][j]
         if any(not e.is_zero() for e in img):
             raise AssertionError("syzygy candidate does not map to zero")
-    return GrobnerBasis(r, nvars, kernel, list(kernel), _identity(len(kernel), zero, one),
-                        degree_guard=degree_guard)
-
-
-def _identity(n: int, zero: WeylElement, one: WeylElement) -> List[List[WeylElement]]:
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    return GrobnerBasis(r, nvars, kernel, list(kernel), degree_guard)
 
 
 def submodule_equal(

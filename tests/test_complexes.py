@@ -1,5 +1,6 @@
 """Complexes: homology presentations, cones, shifts, weqs, connections."""
 
+import hashlib
 import json
 import random
 import time
@@ -29,7 +30,8 @@ from dgdm.complexes import (
     zero_map,
     cone_to_cokernel_projection,
 )
-from dgdm.groebner import FreeModuleElement, submodule_equal
+from dgdm.groebner import FreeModuleElement, submodule_equal, syzygies
+from dgdm.randgen import random_weyl
 from dgdm.weyl import Polynomial, WeylElement
 
 D1 = WeylElement.d(1, 1)
@@ -219,6 +221,35 @@ def test_homology_relations_evaluate_into_image():
         from dgdm.groebner import buchberger, member
 
         assert member(acc, buchberger(image))
+
+
+def _syzygy_rich_complex(rng):
+    """D^(1 or 2) -> D^3 -> D over D_1: a random d_1, and d_2 rows that are
+    random combinations of the kernel generators of d_1.  Those generators
+    often have syzygies, and then an image row has many lifts over them."""
+    r2 = rng.randint(1, 2)
+    d1 = [[random_weyl(rng, 1, 2, 1)] for _ in range(3)]
+    kernel = syzygies(d1, 1).generators
+    d2 = []
+    for _ in range(r2):
+        row = FreeModuleElement.zero(3, 1)
+        for k in kernel:
+            row = row + k.left_mul(random_weyl(rng, 1, 2, 1))
+        d2.append(row.coords)
+    return FreeDComplex(1, {0: 1, 1: 3, 2: r2}, {1: d1, 2: d2})
+
+
+def test_homology_relations_keep_their_bytes():
+    # the one place where a lift is not unique: the digest pins the
+    # relations homology reports on 200 such complexes (35 of them with
+    # syzygies among the kernel generators and an image to lift)
+    rng = random.Random("homology-bytes")
+    digest = hashlib.sha256()
+    for _ in range(200):
+        for rel in homology(_syzygy_rich_complex(rng), 1).relations:
+            digest.update((" ; ".join(e.to_string() for e in rel.coords) + "\n").encode())
+        digest.update(b"|\n")
+    assert digest.hexdigest() == "c62a887f5f546809729161f884025340a430a5cd857403763066a03fec5be530"
 
 
 def test_dsquare_rejected_on_mutated_random_complexes():

@@ -160,10 +160,12 @@ def _random_vec(rng, rank, nvars=1):
     return FreeModuleElement([_random_w(rng, nvars) for _ in range(rank)])
 
 
-def test_cofactors_reproduce_basis_random():
-    # independent of normal forms: each basis element must equal the left
-    # combination of the inputs named by its cofactors
+def test_lift_multiplies_back_random():
+    # independent of normal forms: every basis generator and every probe
+    # member must equal the left combination of the inputs that
+    # express_in_inputs names, with one coefficient per input
     rng = random.Random(31)
+    probe_rng = random.Random(32)
     checked = 0
     for _ in range(20):
         nvars = rng.choice([1, 1, 2])
@@ -173,20 +175,177 @@ def test_cofactors_reproduce_basis_random():
                 for _ in range(rng.randint(1, 3))]
         if all(g.is_zero() for g in gens):
             continue
-        checked += _assert_cofactors_reproduce(buchberger(gens))
-    assert checked > 20
+        # the same set with a zero input spliced in
+        with_zero = gens[:1] + [FreeModuleElement.zero(rank, nvars)] + gens[1:]
+        for inputs in (gens, with_zero):
+            gb = buchberger(inputs)
+            assert gb.inputs == inputs
+            checked += _assert_lifts_multiply_back(gb, gb.generators + [
+                _combination(probe_rng, inputs) for _ in range(2)])
+    assert checked > 80
     # syzygies reports its kernel basis as its own inputs, also when the
     # target rank is zero and the kernel is everything
     for rows in ([[_random_w(rng) for _ in range(2)] for _ in range(3)], [[X()], [D()]]):
-        _assert_cofactors_reproduce(syzygies(rows, 1))
-    assert _assert_cofactors_reproduce(syzygies([[], []], 1)) == 2
+        ker = syzygies(rows, 1)
+        assert _assert_lifts_multiply_back(ker, ker.generators) == len(ker.generators) > 0
+    ker = syzygies([[], []], 1)
+    assert _assert_lifts_multiply_back(
+        ker, ker.generators + [_combination(probe_rng, ker.inputs)]) == 3
+
+
+def test_lift_keeps_zero_inputs():
+    # one coefficient per input passed, zero inputs included
+    assert express_in_inputs(vec(X()), buchberger([vec(ZERO), vec(X())])) == [ZERO, ONE]
+    assert express_in_inputs(vec(ZERO), buchberger([vec(ZERO), vec(ZERO)])) == [ZERO, ZERO]
+    assert express_in_inputs(vec(ONE), buchberger([vec(ZERO), vec(D())])) is None
+    assert express_in_inputs(vec(ZERO), buchberger([], rank=1, nvars=1)) == []
+
+
+def _combination(rng, inputs):
+    """A random left combination of the inputs: a member to probe with."""
+    v = FreeModuleElement.zero(inputs[0].rank, inputs[0].nvars)
+    for g in inputs:
+        v = v + g.left_mul(_random_w(rng, g.nvars, 2, 1))
+    return v
+
+
+def _assert_lifts_multiply_back(gb, members):
+    """Each member is sum_j u_j*inputs[j] for u = express_in_inputs; returns
+    the count checked."""
+    for v in members:
+        u = express_in_inputs(v, gb)
+        assert len(u) == len(gb.inputs)
+        acc = FreeModuleElement.zero(gb.rank, gb.nvars)
+        for c, inp in zip(u, gb.inputs):
+            acc = acc + inp.left_mul(c)
+        assert acc == v
+    return len(members)
+
+
+# ---------------------------------------------------------------- reference
+
+def _order_key(m):
+    """The module order as a sort key, smallest first for the leading
+    monomial: position over term, then degree-reverse-lex on (x, d)."""
+    pos, a, b = m
+    e = a + b
+    return (pos, -sum(e), e[::-1])
+
+
+def _leading(v):
+    """The leading monomial (pos, a, b) of a nonzero v and its coefficient."""
+    terms = [((pos, a, b), c) for pos, e in enumerate(v.coords) for (a, b), c in e.terms.items()]
+    return min(terms, key=lambda t: _order_key(t[0]))
+
+
+def _term(v, m, c):
+    """The one-term element c*x^a d^b at position pos of v's module."""
+    pos, a, b = m
+    coords = [WeylElement.zero(v.nvars)] * v.rank
+    coords[pos] = WeylElement.monomial(v.nvars, a, b, c)
+    return FreeModuleElement(coords)
+
+
+def _quotient(m, n):
+    """x^qa d^qb with n * (x^qa d^qb) = m as exponents, or None."""
+    if m[0] != n[0]:
+        return None
+    qa = tuple(x - y for x, y in zip(m[1], n[1]))
+    qb = tuple(x - y for x, y in zip(m[2], n[2]))
+    return None if min(qa + qb, default=0) < 0 else (qa, qb)
+
+
+def _reference_reduce(v, basis):
+    """Full left normal form of v by basis, leading term first."""
+    rest = FreeModuleElement.zero(v.rank, v.nvars)
+    while not v.is_zero():
+        m, c = _leading(v)
+        for g in basis:
+            gm, gc = _leading(g)
+            q = _quotient(m, gm)
+            if q is not None:
+                v = v - g.left_mul(WeylElement.monomial(v.nvars, q[0], q[1], c / gc))
+                break
+        else:
+            t = _term(v, m, c)
+            rest, v = rest + t, v - t
+    return rest
+
+
+def _reference_basis(gens):
+    """The reduced monic Groebner basis by Buchberger's algorithm on element
+    arithmetic, treating every S-pair (no criterion), lowest lcm degree
+    first; sorted by decreasing leading monomial.  The reduced basis is
+    unique, so the pruned loop must return exactly this."""
+    basis, pairs = [], []
+
+    def add(h):
+        if not h.is_zero():
+            pairs.extend((g, h) for g in basis if _leading(g)[0][0] == _leading(h)[0][0])
+            basis.append(h)
+
+    for g in gens:
+        add(_reference_reduce(g, basis))
+    while pairs:
+        k = min(range(len(pairs)), key=lambda k: _pair_degree(*pairs[k]))
+        add(_reference_reduce(_spoly(*pairs.pop(k)), basis))
+    minimal = [g for g in basis
+               if not any(h is not g and _quotient(_leading(g)[0], _leading(h)[0]) is not None
+                          for h in basis)]
+    reduced = []
+    for g in minimal:
+        r = _reference_reduce(g, [h for h in minimal if h is not g])
+        reduced.append(r.scale(1 / _leading(r)[1]))
+    return sorted(reduced, key=lambda g: _order_key(_leading(g)[0]))
+
+
+def _lcm(g1, g2):
+    (pos, a1, b1), (_, a2, b2) = _leading(g1)[0], _leading(g2)[0]
+    return pos, tuple(map(max, a1, a2)), tuple(map(max, b1, b2))
+
+
+def _pair_degree(g1, g2):
+    _, a, b = _lcm(g1, g2)
+    return sum(a) + sum(b)
+
+
+def _spoly(g1, g2):
+    m = _lcm(g1, g2)
+    out = FreeModuleElement.zero(g1.rank, g1.nvars)
+    for g, sign in ((g1, 1), (g2, -1)):
+        gm, gc = _leading(g)
+        qa, qb = _quotient(m, gm)
+        out = out + g.left_mul(WeylElement.monomial(g.nvars, qa, qb, sign / gc))
+    return out
+
+
+def test_buchberger_matches_unpruned_reference():
+    # oracle for the pair pruning: the reduced basis is unique, so the
+    # pruned loop must return the unpruned reference's generators, in order;
+    # the second half of the sets carry unit tag columns, as the lift's
+    # inputs do, which makes their bases larger
+    rng = random.Random(53)
+    sizes = []
+    for tagged in (False, True):
+        for _ in range(40):
+            nvars = rng.choice([1, 1, 2])
+            rank = rng.randint(1, 2)
+            count = rng.randint(1, 2 if tagged else 4)
+            zero, one = WeylElement.zero(nvars), WeylElement.one(nvars)
+            tags = [[one if k == i else zero for k in range(count)] if tagged else []
+                    for i in range(count)]
+            gens = [FreeModuleElement([_random_w(rng, nvars, 2, 1) for _ in range(rank)] + tags[i])
+                    for i in range(count)]
+            expected = _reference_basis(gens)
+            assert buchberger(gens).generators == expected
+            sizes.append(len(expected))
+    assert max(sizes) >= 6
 
 
 def test_syzygies_match_unpruned_elimination():
-    # oracle for the pair pruning of syzygies: buchberger runs the same
+    # oracle for the pair pruning of syzygies: the reference runs the same
     # elimination on the tagged rows with every pair; the reduced basis is
     # unique, so the tag-block generators must be the kernel, in order
-    # (two rows: with three, the unpruned run with cofactors can take minutes)
     rng = random.Random(49)
     nonzero = 0
     for _ in range(60):
@@ -197,24 +356,11 @@ def test_syzygies_match_unpruned_elimination():
         zero, one = WeylElement.zero(nvars), WeylElement.one(nvars)
         tagged = [FreeModuleElement(row + [one if k == i else zero for k in range(r)])
                   for i, row in enumerate(rows)]
-        full = buchberger(tagged)
-        expected = [FreeModuleElement(g.coords[s:]) for g in full.generators
+        expected = [FreeModuleElement(g.coords[s:]) for g in _reference_basis(tagged)
                     if all(c.is_zero() for c in g.coords[:s])]
         assert syzygies(rows, nvars).generators == expected
         nonzero += bool(expected)
     assert nonzero > 30
-
-
-def _assert_cofactors_reproduce(gb):
-    """generators[i] == sum_j cofactors[i][j]*inputs[j]; returns the count checked."""
-    assert len(gb.cofactors) == len(gb.generators)
-    for g, cof in zip(gb.generators, gb.cofactors):
-        assert len(cof) == len(gb.inputs)
-        acc = FreeModuleElement.zero(gb.rank, gb.nvars)
-        for c, inp in zip(cof, gb.inputs):
-            acc = acc + inp.left_mul(c)
-        assert acc == g
-    return len(gb.generators)
 
 
 def test_normal_form_idempotent_random():

@@ -206,6 +206,18 @@ def test_lifting_spot_check():
     assert compose(h, p) == v
 
 
+def test_lifting_through_a_zero_column():
+    # i: 0 -> S^0, p: D^2 -> S^0 sends the first unit to zero, v = id: the
+    # cell's lift must give the zero column a coefficient of its own
+    empty, s0 = FreeDComplex(1, {}, {}), sphere(0)
+    i = ChainMap(empty, s0, {})
+    e = FreeDComplex(1, {0: 2}, {})
+    p = ChainMap(e, s0, {0: [[WeylElement.zero(1)], [ONE]]})
+    h = solve_lifting(i, certify_cofibration(i), p, ChainMap(empty, e, {}), identity_map(s0))
+    assert h is not None
+    assert h.component(0) == ((WeylElement.zero(1), ONE),)
+
+
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2), (0, 1), (1, 0), (0, 0)])
 def test_pushout_product_iota_iota(m, n):
     r = pushout_product(iota(m), iota(n))
