@@ -17,8 +17,10 @@ from .groebner import (
     DegreeGuardExceeded,
     FreeModuleElement,
     GrobnerBasis,
+    LiftBasis,
     buchberger,
     express_in_inputs,
+    lift_basis,
     member,
     normal_form,
     set_degree_guard,
@@ -89,8 +91,8 @@ from .verify import CheckReport, run_check, run_suite
 __all__ = [
     "Polynomial", "WeylElement", "act_on_poly", "filtration_decompose",
     "order_and_symbol",
-    "DegreeGuardExceeded", "FreeModuleElement", "GrobnerBasis", "buchberger",
-    "express_in_inputs", "member", "normal_form", "set_degree_guard",
+    "DegreeGuardExceeded", "FreeModuleElement", "GrobnerBasis", "LiftBasis", "buchberger",
+    "express_in_inputs", "lift_basis", "member", "normal_form", "set_degree_guard",
     "submodule_equal", "syzygies",
     "ChainMap", "ComplexError", "ConnectionModule", "FreeDComplex",
     "HomologyPresentation", "direct_sum", "disk", "homology", "identity_map",

@@ -22,6 +22,7 @@ from .groebner import (
     FreeModuleElement,
     buchberger,
     express_in_inputs,
+    lift_basis,
     member,
     syzygies,
 )
@@ -363,10 +364,10 @@ def homology(c: FreeDComplex, n: int) -> HomologyPresentation:
         # each image row is its own coordinate row; unit vectors have no syzygies
         return HomologyPresentation(n, c.nvars, r, kernel, image)
     t = len(kernel)
-    gb_ker = buchberger(kernel)
+    ker_lift = lift_basis(kernel)
     relations: List[FreeModuleElement] = []
     for g in image:
-        u = express_in_inputs(g, gb_ker)
+        u = express_in_inputs(g, ker_lift)
         if u is None:
             raise AssertionError("image element escaped the kernel: d*d != 0?")
         relations.append(FreeModuleElement(u))

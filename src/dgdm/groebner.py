@@ -239,7 +239,19 @@ def _guarded_entry(m: ModMonomial, guard: int):
     return hk, m
 
 
-class GrobnerBasis:
+class LiftBasis:
+    """The inputs of a submodule of D^rank, zero ones included, and the
+    lift basis over them that the first `express_in_inputs` builds."""
+
+    def __init__(self, rank: int, nvars: int, inputs: List[FreeModuleElement], degree_guard: int):
+        self.rank = rank
+        self.nvars = nvars
+        self.inputs = inputs
+        self.degree_guard = degree_guard
+        self._lift_rows: Optional[List[_Row]] = None
+
+
+class GrobnerBasis(LiftBasis):
     """An inter-reduced monic left Groebner basis of a submodule of D^rank.
 
     `inputs` are the generators it was computed from, zero ones included:
@@ -254,14 +266,9 @@ class GrobnerBasis:
         inputs: List[FreeModuleElement],
         degree_guard: int = DEFAULT_DEGREE_GUARD,
     ):
-        self.rank = rank
-        self.nvars = nvars
+        super().__init__(rank, nvars, inputs, degree_guard)
         self.generators = generators
-        self.inputs = inputs
-        self.degree_guard = degree_guard
         self._rows = [_Row(_to_vec(g)) for g in generators]
-        # the lift basis over `inputs`, built by the first express_in_inputs
-        self._lift_rows: Optional[List[_Row]] = None
 
     def __len__(self):
         return len(self.generators)
@@ -283,13 +290,31 @@ def buchberger(
     result is inter-reduced, monic, and sorted by decreasing leading
     monomial for reproducibility.
     """
+    base = lift_basis(gens, rank, nvars, degree_guard)  # the argument checks
+    rank, nvars, gens = base.rank, base.nvars, base.inputs
+    rows = _groebner_rows([_to_vec(g) for g in gens], base.degree_guard)
+    generators = [_from_vec(r.vec, rank, nvars) for r in rows]
+    return GrobnerBasis(rank, nvars, generators, gens, base.degree_guard)
+
+
+def lift_basis(
+    gens: Sequence[FreeModuleElement],
+    rank: Optional[int] = None,
+    nvars: Optional[int] = None,
+    degree_guard: Optional[int] = None,
+) -> LiftBasis:
+    """The inputs of `express_in_inputs` without the plain Groebner basis.
+
+    Takes the arguments of `buchberger`, for callers that only write
+    members as combinations of gens, and checks them the same way.
+    """
     if degree_guard is None:
         degree_guard = _active_guard
     gens = list(gens)
     if not gens:
         if rank is None or nvars is None:
             raise ValueError("empty generator list needs explicit rank and nvars")
-        return GrobnerBasis(rank, nvars, [], [], degree_guard)
+        return LiftBasis(rank, nvars, [], degree_guard)
     rank = gens[0].rank
     nvars = gens[0].nvars
     for g in gens:
@@ -297,10 +322,7 @@ def buchberger(
             raise ValueError("generators of different rank")
         if g.nvars != nvars:
             raise NvarsMismatch("generators over different Weyl algebras")
-
-    rows = _groebner_rows([_to_vec(g) for g in gens], degree_guard)
-    generators = [_from_vec(r.vec, rank, nvars) for r in rows]
-    return GrobnerBasis(rank, nvars, generators, gens, degree_guard)
+    return LiftBasis(rank, nvars, gens, degree_guard)
 
 
 def _groebner_rows(vecs: List[VecT], guard: int, cut: Optional[int] = None) -> List[_Row]:
@@ -429,7 +451,7 @@ def member(v: FreeModuleElement, gb: GrobnerBasis) -> bool:
 
 
 def express_in_inputs(
-    v: FreeModuleElement, gb: GrobnerBasis
+    v: FreeModuleElement, gb: LiftBasis
 ) -> Optional[List[WeylElement]]:
     """Write a member v as a left combination of the input generators.
 

@@ -27,7 +27,7 @@ from .complexes import (
     sphere,
     zero_matrix,
 )
-from .groebner import FreeModuleElement, buchberger, express_in_inputs, member
+from .groebner import FreeModuleElement, LiftBasis, buchberger, express_in_inputs, lift_basis, member
 from .obasis import (
     Entry,
     OBasisChainMap,
@@ -222,19 +222,26 @@ class PushoutResult:
     from_attached: ChainMap  # W -> Z, the pushout of f
 
 
-def _decompose(
-    w: FreeModuleElement,
-    g_rows: List[FreeModuleElement],
-    comp: List[FreeModuleElement],
-    nvars: int,
-) -> Tuple[List[WeylElement], List[WeylElement]]:
-    """Unique splitting w = sum a_i g(e_i) + sum q_k c_k in W_n."""
-    gens = g_rows + comp
-    gb = buchberger(gens, rank=w.rank, nvars=nvars)
-    u = express_in_inputs(w, gb)
-    if u is None:
-        raise ComplexError("element escapes im(g) + complement; certificate is stale")
-    return u[: len(g_rows)], u[len(g_rows):]
+def _decomposer(g: ChainMap, cells: Dict[int, List[FreeModuleElement]], nvars: int):
+    """The splitting (w, n) -> (a, q) with w = sum a_i g(e_i) + sum q_k c_k
+    in the degree-n target of g, unique for a certified g with complement
+    cells.  One lift basis per degree serves every split in that degree,
+    for as long as the returned function lives."""
+    lifts: Dict[int, LiftBasis] = {}
+
+    def decompose(w: FreeModuleElement, n: int) -> Tuple[List[WeylElement], List[WeylElement]]:
+        lift = lifts.get(n)
+        if lift is None:
+            rows = g.component(n) if g.source.rank(n) and g.target.rank(n) else []
+            gens = [FreeModuleElement(list(r)) for r in rows] + cells.get(n, [])
+            lift = lifts[n] = lift_basis(gens, rank=w.rank, nvars=nvars)
+        u = express_in_inputs(w, lift)
+        if u is None:
+            raise ComplexError("element escapes im(g) + complement; certificate is stale")
+        k = len(u) - len(cells.get(n, []))
+        return u[:k], u[k:]
+
+    return decompose
 
 
 def pushout(
@@ -264,11 +271,7 @@ def pushout(
         if r:
             ranks[n] = r
 
-    def g_rows(n: int) -> List[FreeModuleElement]:
-        if x.rank(n) == 0 or w.rank(n) == 0:
-            return []
-        return [FreeModuleElement(list(r)) for r in g.component(n)]
-
+    decompose = _decomposer(g, cells, nvars)
     diffs: Dict[int, List[Tuple[WeylElement, ...]]] = {}
     top = max([w.top, y.top, 0])
     for n in range(1, top + 1):
@@ -288,7 +291,7 @@ def pushout(
             dcell = mat_apply(cell, w.diff(n), nvars, w.rank(n - 1)) if w.rank(n - 1) else None
             row = list(zero_row)
             if dcell is not None and not dcell.is_zero():
-                a, q = _decompose(dcell, g_rows(n - 1), cells.get(n - 1, []), nvars)
+                a, q = decompose(dcell, n - 1)
                 xv = FreeModuleElement(a) if a else None
                 if xv is not None and y.rank(n - 1):
                     fx = mat_apply(xv, f.component(n - 1), nvars, y.rank(n - 1))
@@ -317,7 +320,7 @@ def pushout(
         rows = []
         for i in range(w.rank(n)):
             unit = FreeModuleElement.unit(w.rank(n), nvars, i)
-            a, q = _decompose(unit, g_rows(n), cells.get(n, []), nvars)
+            a, q = decompose(unit, n)
             row = [WeylElement.zero(nvars)] * z.rank(n)
             if a and y.rank(n):
                 fx = mat_apply(FreeModuleElement(a), f.component(n), nvars, y.rank(n))
@@ -381,10 +384,10 @@ def _complement_elements(po: PushoutResult, n: int) -> List[FreeModuleElement]:
     units = [FreeModuleElement.unit(w.rank(n), nvars, i) for i in range(w.rank(n))]
     kmat = po.from_attached.component(n)
     images = [mat_apply(u, kmat, nvars, z.rank(n)) for u in units]
-    gb = buchberger(images, rank=z.rank(n), nvars=nvars)
+    lift = lift_basis(images, rank=z.rank(n), nvars=nvars)
     for j in range(n_cells):
         target = FreeModuleElement.unit(z.rank(n), nvars, y.rank(n) + j)
-        u = express_in_inputs(target, gb)
+        u = express_in_inputs(target, lift)
         if u is None:
             raise AssertionError("cell unit not in the image of the attached leg")
         acc = FreeModuleElement.zero(w.rank(n), nvars)
@@ -452,14 +455,8 @@ def solve_lifting(i: ChainMap, cert: CofibrationCertificate, p: ChainMap, u: Cha
     nvars = i.nvars
     if u.source != a or u.target != e or v.source != c or v.target != b:
         raise ComplexError("lifting square is malformed")
-    h_rows: Dict[int, List[Tuple[WeylElement, ...]]] = {}
-
-    def g_rows(n):
-        if a.rank(n) == 0 or c.rank(n) == 0:
-            return []
-        return [FreeModuleElement(list(r)) for r in i.component(n)]
-
     cells = {n: cert.complement.get(n, []) for n in range(0, c.top + 1)}
+    decompose = _decomposer(i, cells, nvars)
     h_on_cells: Dict[int, List[FreeModuleElement]] = {}
     for n in range(0, c.top + 1):
         vals: List[FreeModuleElement] = []
@@ -469,7 +466,7 @@ def solve_lifting(i: ChainMap, cert: CofibrationCertificate, p: ChainMap, u: Cha
             hdc = None
             if c.rank(n - 1) and e.rank(n - 1):
                 dcell = mat_apply(cell, c.diff(n), nvars, c.rank(n - 1))
-                hdc = _apply_extension(dcell, n - 1, g_rows, cells, u, h_on_cells, e, nvars)
+                hdc = _apply_extension(dcell, n - 1, decompose, u, h_on_cells, e, nvars)
             # solve e with p(e) = vc, d(e) = hdc
             cols_b, cols_e1 = b.rank(n), e.rank(n - 1)
             gens = []
@@ -486,8 +483,8 @@ def solve_lifting(i: ChainMap, cert: CofibrationCertificate, p: ChainMap, u: Cha
             )
             if not tgt_coords:
                 tgt_coords = [WeylElement.zero(nvars)]
-            gb = buchberger(gens, rank=max(len(tgt_coords), 1), nvars=nvars)
-            sol = express_in_inputs(FreeModuleElement(tgt_coords), gb)
+            lift = lift_basis(gens, rank=max(len(tgt_coords), 1), nvars=nvars)
+            sol = express_in_inputs(FreeModuleElement(tgt_coords), lift)
             if sol is None:
                 return None
             vals.append(FreeModuleElement(sol) if sol else FreeModuleElement.zero(max(e.rank(n), 1), nvars))
@@ -500,7 +497,7 @@ def solve_lifting(i: ChainMap, cert: CofibrationCertificate, p: ChainMap, u: Cha
         rows = []
         for idx in range(c.rank(n)):
             unit = FreeModuleElement.unit(c.rank(n), nvars, idx)
-            img = _apply_extension(unit, n, g_rows, cells, u, h_on_cells, e, nvars)
+            img = _apply_extension(unit, n, decompose, u, h_on_cells, e, nvars)
             rows.append(tuple(img.coords))
         maps[n] = tuple(rows)
     h = ChainMap(c, e, maps)
@@ -509,9 +506,9 @@ def solve_lifting(i: ChainMap, cert: CofibrationCertificate, p: ChainMap, u: Cha
     return h
 
 
-def _apply_extension(w, n, g_rows, cells, u, h_on_cells, e, nvars):
+def _apply_extension(w, n, decompose, u, h_on_cells, e, nvars):
     """Evaluate the partial lift on w in C_n: through A via u, cells via chosen values."""
-    a_coeffs, q = _decompose(w, g_rows(n), cells.get(n, []), nvars)
+    a_coeffs, q = decompose(w, n)
     out = FreeModuleElement.zero(e.rank(n), nvars) if e.rank(n) else None
     if out is None:
         raise ComplexError("lift lands in a zero module")

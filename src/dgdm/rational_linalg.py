@@ -5,21 +5,23 @@ rationals: `Fraction`s, or `int`s where a kernel keeps integral values.
 This module holds the one sparse-vector kernel every other module uses:
 `add_term` adds into one coordinate, `vec_add` adds a scaled vector in
 place, and `apply_linear` extends a map on keys linearly; all three drop
-zero coefficients.  On top of the kernel sits an incremental echelon
+zero coefficients.  On top of the kernel sits a fraction-free echelon
 form with a deterministic pivot rule (smallest column key), which is
-enough for span membership, solving, and nullspace computation.  Every
-division is exact, so echelon rows, kernel vectors and solutions hold
-`Fraction`s.  No floating point.
+enough for span membership, solving, and nullspace computation.  Its
+rows hold `int`s; kernel vectors and solutions leave as `Fraction`s.
+No floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 Vec = Dict[Hashable, Fraction]
 
-_ONE = Fraction(1)
+_ONE = Fraction(1)  # immutable, so kernel vectors can share it
 
 
 def integral(c):
@@ -64,28 +66,59 @@ def apply_linear(key_map: Callable[[Hashable], Vec], vec: Vec) -> Vec:
 
 
 class Echelon:
-    """Incremental row echelon form over Q with sparse rows.
+    """Incremental fraction-free row echelon form with sparse integer rows.
 
-    Rows are normalized to pivot coefficient 1; each inserted row is
-    forward-reduced against the existing pivots.  The pivot of a row is
-    its smallest column key, so column blocks can be prioritized by key
-    design (used for nullspace tags below).
+    Each row is a primitive integer vector: its content is removed and
+    its pivot, the smallest column key, has a positive coefficient, so
+    column blocks can be prioritized by key design (used for nullspace
+    tags below).  A vector entering `reduce` has its denominators cleared
+    once; each step then cancels a pivot column by cross-multiplication,
+    vec <- a*vec - c*row with gcd(a, c) divided out (Bareiss 1968), so
+    no `Fraction` is built inside the elimination.
     """
 
     def __init__(self):
-        self.rows: Dict[Hashable, Vec] = {}  # pivot key -> normalized row
+        self.rows: Dict[Hashable, Dict[Hashable, int]] = {}  # pivot key -> primitive row
 
-    def reduce(self, vec: Vec) -> Vec:
-        vec = dict(vec)
-        while True:
-            hit = None
-            for k in vec:
-                if k in self.rows:
-                    if hit is None or k < hit:
-                        hit = k
-            if hit is None:
-                return vec
-            vec_add(vec, self.rows[hit], -vec[hit])
+    def reduce(self, vec: Vec) -> Dict[Hashable, int]:
+        """A positive integer multiple of the residue of vec, as a new int
+        vector with every pivot column cleared; empty iff vec is in the span."""
+        ints, den = True, 1
+        for c in vec.values():
+            if type(c) is not int:
+                ints, den = False, lcm(den, c.denominator)
+        if ints:
+            vec = dict(vec)
+        else:
+            vec = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+        rows = self.rows
+        heap = [k for k in vec if k in rows]  # candidate pivots, smallest first
+        heapify(heap)
+        while heap:
+            piv = heappop(heap)
+            c = vec.get(piv)
+            if c is None:  # cancelled, or a repeated push
+                continue
+            row = rows[piv]
+            a = row[piv]
+            g = gcd(a, c)
+            a, c = a // g, c // g
+            if a != 1:
+                for k in vec:
+                    vec[k] *= a
+            for k, r in row.items():
+                old = vec.get(k)
+                if old is None:
+                    vec[k] = -c * r
+                    if k in rows:
+                        heappush(heap, k)
+                else:
+                    s = old - c * r
+                    if s:
+                        vec[k] = s
+                    else:
+                        del vec[k]
+        return vec
 
     def insert(self, vec: Vec) -> Optional[Hashable]:
         """Reduce vec and add it to the basis; returns its pivot (None if 0)."""
@@ -93,9 +126,15 @@ class Echelon:
         if not red:
             return None
         piv = min(red)
-        inv = _ONE / red[piv]
-        self.rows[piv] = {k: c * inv for k, c in red.items()}
+        self._add_row(piv, red)
         return piv
+
+    def _add_row(self, piv: Hashable, red: Dict[Hashable, int]):
+        """Store a reduced int vector with pivot piv as a primitive row."""
+        g = gcd(*red.values())
+        if red[piv] < 0:
+            g = -g
+        self.rows[piv] = red if g == 1 else {k: c // g for k, c in red.items()}
 
     def in_span(self, vec: Vec) -> bool:
         return not self.reduce(vec)
@@ -104,29 +143,42 @@ class Echelon:
         return len(self.rows)
 
 
+def _tag_residues(ech: Echelon, images: List[Tuple[Hashable, Vec]]):
+    """Echelonize the image vectors augmented with domain tags.
+
+    Tag columns sort after all image columns, so a residue pivoted in the
+    tag block has zero image part: it is yielded with its domain key, and
+    every other residue becomes a row of ech.
+    """
+    for dk, img in images:
+        if not img:  # the fresh tag column is all there is to reduce
+            yield dk, {(1, dk): 1}
+            continue
+        vec = {(0, k): c for k, c in img.items()}
+        vec[(1, dk)] = 1
+        red = ech.reduce(vec)
+        if not red:
+            # cannot happen for distinct domain keys: the tag column is fresh
+            raise AssertionError("augmented vector reduced to zero")
+        piv = min(red)
+        if piv[0] == 1:
+            yield dk, red
+        else:
+            ech._add_row(piv, red)
+
+
 def nullspace(images: List[Tuple[Hashable, Vec]]) -> List[Vec]:
     """Kernel of the linear map sending domain key dk to its image vector.
 
     `images` lists (domain key, image vector) pairs.  Returns a basis of
-    the kernel as dicts over domain keys.  Works by echelonizing the
-    image vectors augmented with domain tags; tag columns sort after all
-    image columns, so rows pivoted in the tag block have zero image part.
+    the kernel as dicts of `Fraction`s over domain keys: the residue of
+    each tagged vector whose image part is eliminated, divided by its
+    own tag coefficient.
     """
-    ech = Echelon()
     kernel: List[Vec] = []
-    for dk, img in images:
-        vec: Vec = {(0, k): c for k, c in img.items()}
-        vec[(1, dk)] = Fraction(1)
-        red = ech.reduce(vec)
-        if not red:
-            # cannot happen: the tag column is fresh
-            raise AssertionError("augmented vector reduced to zero")
-        piv = min(red)
-        if piv[0] == 1:  # image part eliminated -> kernel element
-            kernel.append({k[1]: c for k, c in red.items()})
-            continue
-        inv = _ONE / red[piv]
-        ech.rows[piv] = {k: c * inv for k, c in red.items()}
+    for dk, red in _tag_residues(Echelon(), images):
+        t = red[(1, dk)]
+        kernel.append({k[1]: _ONE if c == t else Fraction(c, t) for k, c in red.items()})
     return kernel
 
 
@@ -134,23 +186,17 @@ def solve(generators: List[Tuple[Hashable, Vec]], target: Vec) -> Optional[Vec]:
     """Express target as a Q-linear combination of the generator vectors.
 
     Returns {generator key: coefficient} or None when target is not in
-    the span.  Tag bookkeeping mirrors `nullspace`.
+    the span.  The generators are echelonized as in `nullspace`; the
+    target carries a tag (2,) after every generator tag, whose
+    coefficient in the residue is the scale to divide out.
     """
     ech = Echelon()
-    for gk, gvec in generators:
-        vec: Vec = {(0, k): c for k, c in gvec.items()}
-        vec[(1, gk)] = Fraction(1)
-        red = ech.reduce(vec)
-        if not red:
-            continue
-        piv = min(red)
-        if piv[0] == 1:
-            # generator dependent on earlier ones; nothing new to solve with
-            continue
-        inv = _ONE / red[piv]
-        ech.rows[piv] = {k: c * inv for k, c in red.items()}
+    for _ in _tag_residues(ech, generators):
+        pass  # a generator dependent on earlier ones adds nothing to solve with
     query: Vec = {(0, k): c for k, c in target.items()}
+    query[(2,)] = 1
     red = ech.reduce(query)
-    if any(k[0] == 0 for k in red):
+    if min(red)[0] == 0:
         return None
-    return {k[1]: -c for k, c in red.items()}
+    t = red.pop((2,))
+    return {k[1]: Fraction(-c, t) for k, c in red.items()}

@@ -188,6 +188,35 @@ def test_pushout_of_weq_along_cell_is_weq():
     assert is_weak_equivalence(po.from_attached)
 
 
+def test_pushout_builds_one_lift_basis_per_degree(monkeypatch):
+    # two cells on S^0 (+) S^0: the pushout splits 2 cell boundaries and
+    # 2 units in degree 0 and 2 units in degree 1, over one lift basis each
+    from dgdm import groebner, model
+
+    zero = WeylElement.zero(1)
+    x = direct_sum(sphere(0), sphere(0))
+    res = attach_cells(x, [(1, FreeModuleElement([D1, zero])), (1, FreeModuleElement([X1, ONE]))])
+    f = ChainMap(x, direct_sum(x, disk(1)), {0: ((ONE, zero, zero), (zero, ONE, zero))})
+    builds, lifts = [], []
+    rows, express = groebner._groebner_rows, model.express_in_inputs
+
+    def counted_rows(vecs, guard, cut=None):
+        if cut is not None:
+            builds.append(len(vecs))
+        return rows(vecs, guard, cut)
+
+    def counted_express(v, lift):
+        lifts.append(lift)
+        return express(v, lift)
+
+    monkeypatch.setattr(groebner, "_groebner_rows", counted_rows)
+    monkeypatch.setattr(model, "express_in_inputs", counted_express)
+    po = pushout(f, res.inclusion)
+    assert po.complex.ranks == {0: 3, 1: 3}
+    assert len(lifts) == 6 and len({id(lift) for lift in lifts}) == 2
+    assert builds == [2, 2]
+
+
 def test_lifting_spot_check():
     # i: S^0 -> D^1 certified cofibration; p: (S^0 (+) D^1) -> S^0 a
     # trivial fibration; u hits the D^1 summand, v = 0

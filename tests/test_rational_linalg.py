@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from dgdm.rational_linalg import Echelon, add_term, apply_linear, nullspace, solve, vec_add
 from dgdm.slices import dsquare_witness
@@ -66,9 +67,17 @@ def _all_fractions(vec):
 
 
 def test_int_coefficients_give_exact_fraction_results():
+    # rows are primitive int vectors with a positive pivot, whatever the input
     ech = Echelon()
     assert ech.insert({"a": 2, "b": 1}) == "a"
-    assert ech.rows["a"] == {"a": F(1), "b": F(1, 2)} and _all_fractions(ech.rows["a"])
+    assert ech.insert({"b": F(-2, 3), "c": F(4, 9)}) == "b"
+    assert ech.insert({"a": 4, "b": 2, "d": F(1, 2)}) == "d"
+    for piv, row in ech.rows.items():
+        assert all(type(c) is int for c in row.values())
+        assert row[piv] > 0 and min(row) == piv
+        assert gcd(*row.values()) == 1
+    assert ech.rows == {"a": {"a": 2, "b": 1}, "b": {"b": 3, "c": -2}, "d": {"d": 1}}
+    assert not any(isinstance(c, float) for row in ech.rows.values() for c in row.values())
     rng = random.Random(5)
     for _ in range(20):
         images = [(k, {j: rng.choice([-3, -2, 2, 3]) for j in range(3) if rng.random() < 0.6})
@@ -89,6 +98,120 @@ def test_int_coefficients_give_exact_fraction_results():
             vec_add(back, dict(images)[k], c)
         assert back == target
     assert solve([("g", {"a": 2})], {"a": 3}) == {"g": F(3, 2)}
+
+
+class _FractionEchelon:
+    """The Fraction echelon form the integer kernel replaced, kept as its
+    oracle: rows normalized to pivot coefficient 1, linear pivot scan."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, vec):
+        vec = dict(vec)
+        while True:
+            hit = None
+            for k in vec:
+                if k in self.rows:
+                    if hit is None or k < hit:
+                        hit = k
+            if hit is None:
+                return vec
+            vec_add(vec, self.rows[hit], -vec[hit])
+
+    def insert(self, vec):
+        red = self.reduce(vec)
+        if not red:
+            return None
+        piv = min(red)
+        inv = F(1) / red[piv]
+        self.rows[piv] = {k: c * inv for k, c in red.items()}
+        return piv
+
+
+def _fraction_nullspace(images):
+    ech = _FractionEchelon()
+    kernel = []
+    for dk, img in images:
+        vec = {(0, k): c for k, c in img.items()}
+        vec[(1, dk)] = F(1)
+        red = ech.reduce(vec)
+        piv = min(red)
+        if piv[0] == 1:
+            kernel.append({k[1]: c for k, c in red.items()})
+            continue
+        inv = F(1) / red[piv]
+        ech.rows[piv] = {k: c * inv for k, c in red.items()}
+    return kernel
+
+
+def _random_columns(rng):
+    if rng.random() < 0.5:
+        return list(range(rng.randint(1, 7)))
+    return [(rng.choice("st"), i, (i % 3,)) for i in range(rng.randint(1, 7))]
+
+
+def _random_vector(rng, columns):
+    vec = {}
+    for col in columns:
+        if rng.random() < 0.5:
+            c = rng.choice([-3, -2, -1, 1, 2, 3, 6])
+            vec[col] = F(c, rng.randint(2, 6)) if rng.random() < 0.4 else c
+    return vec
+
+
+def _random_images(rng, columns):
+    """(domain key, image) pairs with int and Fraction entries, empty
+    images and repeated images; tuple domain keys with tuple columns."""
+    images = []
+    for j in range(rng.randint(1, 9)):
+        roll = rng.random()
+        if roll < 0.15:
+            img = {}
+        elif roll < 0.3 and images:
+            img = dict(rng.choice(images)[1])
+        else:
+            img = _random_vector(rng, columns)
+        images.append((("d", j) if isinstance(columns[0], tuple) else j, img))
+    return images
+
+
+def test_integer_kernel_matches_fraction_oracle():
+    rng = random.Random(2024)
+    for trial in range(400):
+        columns = _random_columns(rng)
+        images = _random_images(rng, columns)
+        kernel = nullspace(images)
+        ref = _fraction_nullspace(images)
+        # entry for entry and in the same key order, so witnesses keep their bytes
+        assert [list(z.items()) for z in kernel] == [list(z.items()) for z in ref], trial
+        assert all(_all_fractions(z) for z in kernel)
+        ech, oracle = Echelon(), _FractionEchelon()
+        for _, img in images:
+            piv = ech.insert(img)
+            assert piv == oracle.insert(img), trial
+            if piv is not None:
+                # a primitive integer multiple of the oracle's row
+                row = ech.rows[piv]
+                assert all(type(c) is int for c in row.values()) and row[piv] > 0
+                assert {k: F(c, row[piv]) for k, c in row.items()} == oracle.rows[piv]
+        assert ech.rank() == len(oracle.rows)
+        for _ in range(5):
+            # a random vector, or a combination of the images, which lies in their span
+            probe = _random_vector(rng, columns)
+            if rng.random() < 0.5:
+                probe = {}
+                for _, img in images:
+                    vec_add(probe, img, F(rng.randint(-2, 2), rng.randint(1, 3)))
+            assert ech.in_span(probe) == (not oracle.reduce(probe)), trial
+            sol = solve(images, probe)
+            assert (sol is None) == bool(oracle.reduce(probe)), trial
+            if sol is not None:
+                assert _all_fractions(sol)
+                back = {}
+                for k, c in sol.items():
+                    vec_add(back, dict(images)[k], c)
+                assert back == probe, trial
 
 
 def test_dsquare_witness_reports_the_first_failing_key():

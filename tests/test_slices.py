@@ -102,8 +102,9 @@ def test_level_n_plus_1_failure_is_returned_when_level_n_holds(preimage_weight, 
     assert res == _level_major(basis_of, diff_of, range(0, 3), n)
 
 
-def _random_sliced(rng, n):
-    """Keys (p, i) in degrees 0..top+1 with random weights and d^2 = 0."""
+def _random_sliced(rng, n, spread=1):
+    """Keys (p, i) in degrees 0..top+1 with random weights and d^2 = 0;
+    differentials combine kernel vectors with coefficients up to `spread`."""
     top = rng.randint(1, 4)
     keys = {p: [((p, i), rng.randint(0, n + 2)) for i in range(rng.randint(0, 3))]
             for p in range(top + 2)}
@@ -115,31 +116,62 @@ def _random_sliced(rng, n):
         for k, _ in keys[p]:
             img = {}
             for z in kernel:
-                c = rng.randint(-1, 1)
+                c = rng.randint(-spread, spread)
                 if c:
                     vec_add(img, z, Fraction(c))
             diffs[k] = img
     return top, keys, diffs
 
 
-def test_random_sliced_complexes_match_level_major_walk():
-    outcomes = Counter()
-    for seed in range(300):
+def _match_level_major(seeds, scaled=False):
+    """Check the walk against the level-major oracle on random sliced
+    complexes; returns the outcomes and the witnesses.
+
+    With `scaled`, the differential of each degree is multiplied by a
+    rational with denominator 2..5.  That keeps cycles, boundaries and the
+    normalized kernel basis, so the walk must also return what it returns
+    on the integral complex, whatever the echelon form does with the
+    denominators.
+    """
+    outcomes, witnesses = Counter(), []
+    for seed in seeds:
         rng = random.Random(seed)
         n = rng.randint(2, 4)
-        top, keys, diffs = _random_sliced(rng, n)
+        top, keys, diffs = _random_sliced(rng, n, 3 if scaled else 1)
         degrees = list(range(0, top + 1))
         if rng.random() < 0.3:  # gaps stop the carry from one degree to the next
             degrees = sorted(rng.sample(degrees, rng.randint(1, len(degrees))))
+        integral = None
+        if scaled:
+            integral = bounded_acyclicity(*_sliced(keys, diffs), degrees, n)
+            for p in range(1, top + 2):
+                scale = Fraction(rng.choice([-4, -3, -1, 1, 2, 3]), rng.randint(2, 5))
+                for k, _ in keys[p]:
+                    diffs[k] = {k2: scale * c for k2, c in diffs[k].items()}
         basis_of, diff_of = _sliced(keys, diffs)
         counted, counts = _counting(diff_of)
         res = bounded_acyclicity(basis_of, counted, degrees, n)
         ref = _level_major(basis_of, diff_of, degrees, n)
         assert res == ref, seed
+        assert integral is None or res == integral, seed
         assert max(counts.values(), default=1) == 1, seed
         outcomes[ref.witness["level"] - n if ref.witness else "pass"] += 1
+        if res.witness:
+            witnesses.append(res.witness)
+    return outcomes, witnesses
+
+
+def test_random_sliced_complexes_match_level_major_walk():
+    outcomes, _ = _match_level_major(range(300))
     # all three outcomes occur: a level-n failure, a level-(n+1) failure, a pass
     assert set(outcomes) == {0, 1, "pass"}, outcomes
+
+
+def test_scaled_sliced_complexes_match_level_major_walk():
+    # denominators in the differentials are cleared on entry to the echelon
+    outcomes, witnesses = _match_level_major(range(1000, 1300), scaled=True)
+    assert set(outcomes) == {0, 1, "pass"}, outcomes
+    assert all(type(c) is Fraction for w in witnesses for c in w["cycle"].values())
 
 
 # differential evaluations of the check below; the level-major walk made 976
