@@ -7,8 +7,8 @@ This module holds the one sparse-vector kernel every other module uses:
 place, and `apply_linear` extends a map on keys linearly; all three drop
 zero coefficients.  On top of the kernel sits a fraction-free echelon
 form with a deterministic pivot rule (smallest column key), which is
-enough for span membership, solving, and nullspace computation.  Its
-rows hold `int`s; kernel vectors and solutions leave as `Fraction`s.
+enough for span membership and nullspace computation.  Its rows hold
+`int`s; kernel vectors leave as `Fraction`s.
 No floating point.
 """
 
@@ -143,60 +143,29 @@ class Echelon:
         return len(self.rows)
 
 
-def _tag_residues(ech: Echelon, images: List[Tuple[Hashable, Vec]]):
-    """Echelonize the image vectors augmented with domain tags.
-
-    Tag columns sort after all image columns, so a residue pivoted in the
-    tag block has zero image part: it is yielded with its domain key, and
-    every other residue becomes a row of ech.
-    """
-    for dk, img in images:
-        if not img:  # the fresh tag column is all there is to reduce
-            yield dk, {(1, dk): 1}
-            continue
-        vec = {(0, k): c for k, c in img.items()}
-        vec[(1, dk)] = 1
-        red = ech.reduce(vec)
-        if not red:
-            # cannot happen for distinct domain keys: the tag column is fresh
-            raise AssertionError("augmented vector reduced to zero")
-        piv = min(red)
-        if piv[0] == 1:
-            yield dk, red
-        else:
-            ech._add_row(piv, red)
-
-
 def nullspace(images: List[Tuple[Hashable, Vec]]) -> List[Vec]:
     """Kernel of the linear map sending domain key dk to its image vector.
 
     `images` lists (domain key, image vector) pairs.  Returns a basis of
-    the kernel as dicts of `Fraction`s over domain keys: the residue of
-    each tagged vector whose image part is eliminated, divided by its
-    own tag coefficient.
+    the kernel as dicts of `Fraction`s over domain keys.  Each image is
+    echelonized augmented with a tag column for its domain key; tag
+    columns sort after all image columns, so a residue pivoted in the tag
+    block has zero image part and, divided by its own tag coefficient, is
+    a kernel vector.  Every other residue becomes a row of the echelon.
     """
+    ech = Echelon()
     kernel: List[Vec] = []
-    for dk, red in _tag_residues(Echelon(), images):
+    for dk, img in images:
+        if not img:  # the fresh tag column is all there is to reduce
+            kernel.append({dk: _ONE})
+            continue
+        vec = {(0, k): c for k, c in img.items()}
+        vec[(1, dk)] = 1
+        red = ech.reduce(vec)
+        piv = min(red)  # red is nonzero for distinct domain keys: the tag column is fresh
+        if piv[0] == 0:
+            ech._add_row(piv, red)
+            continue
         t = red[(1, dk)]
         kernel.append({k[1]: _ONE if c == t else Fraction(c, t) for k, c in red.items()})
     return kernel
-
-
-def solve(generators: List[Tuple[Hashable, Vec]], target: Vec) -> Optional[Vec]:
-    """Express target as a Q-linear combination of the generator vectors.
-
-    Returns {generator key: coefficient} or None when target is not in
-    the span.  The generators are echelonized as in `nullspace`; the
-    target carries a tag (2,) after every generator tag, whose
-    coefficient in the residue is the scale to divide out.
-    """
-    ech = Echelon()
-    for _ in _tag_residues(ech, generators):
-        pass  # a generator dependent on earlier ones adds nothing to solve with
-    query: Vec = {(0, k): c for k, c in target.items()}
-    query[(2,)] = 1
-    red = ech.reduce(query)
-    if min(red)[0] == 0:
-        return None
-    t = red.pop((2,))
-    return {k[1]: Fraction(-c, t) for k, c in red.items()}

@@ -18,12 +18,16 @@ at levels N and N+1 on the stated degrees; it is never an unconditional
 claim about the full complex.
 
 `bounded_acyclicity` walks the degrees once, checking level N and then
-level N+1 at each degree, so every differential is evaluated once: the
-boundary echelon of level N is extended to level N+1 rather than
-rebuilt, and the differentials of the next degree's cycle candidates
-are carried over from the boundary keys.  The witness is the one a
-level-major walk finds: the first level-N failure in degree order if
-there is one, else the first level-(N+1) failure.
+level N+1 at each degree, and evaluates each differential at most once.
+Boundaries enter the echelon by level block (weight <= N-1, then N,
+then N+1 at level N+1), and the walk stops inserting as soon as every
+cycle lies in their span, so a passing slice often never evaluates its
+later keys.  A failing level still sees every boundary.  The echelon of
+level N is extended to level N+1 rather than rebuilt, and the
+differentials of the next degree's cycle candidates are carried over
+from the boundary keys.  The witness is the one a level-major walk
+finds: the first level-N failure in degree order if there is one, else
+the first level-(N+1) failure.
 
 A basis enumerator may replay stored keys: `SullivanAlgebra` and
 `AModule` build each (degree, max weight) slice once and keep the tuple
@@ -67,16 +71,18 @@ def slice_witness(
     p: int,
     n: int,
     upper: bool,
-    carried: Dict[Hashable, Vec],
+    carried: Dict[Hashable, Optional[Vec]],
     carry: bool,
-) -> Tuple[Optional[Dict], Optional[Dict], Dict[Hashable, Vec]]:
+) -> Tuple[Optional[Dict], Optional[Dict], Dict[Hashable, Optional[Vec]]]:
     """Degree p of the walk: level n, then level n+1 if `upper` is set.
 
-    `carried` holds the differentials of `basis_of(p, n - 1)`, in that
-    order, when the step at p-1 evaluated them, and is empty otherwise.
-    Returns the level-n witness, the level-(n+1) witness (each None if
-    the slice is exact or was not checked) and, if `carry` is set and a
-    boundary was built, the differentials carried to degree p+1.
+    `carried` holds the keys of `basis_of(p, n - 1)`, in that order,
+    when the step at p-1 built a boundary echelon, and is empty
+    otherwise; it maps each key to its differential, or to None where
+    that step stopped before evaluating it.  Returns the level-n
+    witness, the level-(n+1) witness (each None if the slice is exact or
+    was not checked) and, if `carry` is set and a boundary was built,
+    the keys and differentials carried to degree p+1.
     """
     high = (list(carried) or list(basis_of(p, n - 1))) if upper else []
 
@@ -88,7 +94,7 @@ def slice_witness(
 
     ech: Optional[Echelon] = None
     held = set()  # degree-(p+1) keys whose boundary ech holds
-    nxt: Dict[Hashable, Vec] = {}  # key of basis_of(p + 1, n - 1) -> its differential
+    nxt: Dict[Hashable, Optional[Vec]] = {}  # key of basis_of(p + 1, n - 1) -> its differential or None
 
     def witness(keys, level):
         nonlocal ech
@@ -101,18 +107,32 @@ def slice_witness(
             ech = Echelon()
             if carry:
                 nxt.update(dict.fromkeys(basis_of(p + 1, n - 1)))
-        for key in basis_of(p + 1, level):
-            if key not in held:
+        # cycle index -> its residue modulo the boundaries inserted so far
+        pending = {i: r for i, r in enumerate(map(ech.reduce, cycles)) if r}
+        if not pending:
+            return None
+        for w in range(n - 1, level + 1):  # boundaries by level block
+            for key in nxt if w == n - 1 and carry else basis_of(p + 1, w):
+                if key in held:
+                    continue
                 held.add(key)
                 img = diff_of(key)
                 if key in nxt:
                     nxt[key] = img
-                if img:
-                    ech.insert(img)
-        for z in cycles:
-            if not ech.in_span(z):
-                return {"degree": p, "cycle": z, "level": level}
-        return None
+                q = ech.insert(img) if img else None
+                if q is None:
+                    continue
+                for i, r in list(pending.items()):
+                    if q in r:
+                        r = ech.reduce(r)
+                        if r:
+                            pending[i] = r
+                        else:
+                            del pending[i]
+                if not pending:
+                    return None
+        # every boundary of the level is in: the first cycle outside their span
+        return {"degree": p, "cycle": cycles[min(pending)], "level": level}
 
     low = witness(list(basis_of(p, n - 2)), n)
     if low is not None:
@@ -131,7 +151,7 @@ def bounded_acyclicity(
         raise ValueError("truncation too small: need N >= 2")
     degrees = tuple(degrees)
     upper = None  # the first level-(n+1) failure
-    carried: Dict[Hashable, Vec] = {}
+    carried: Dict[Hashable, Optional[Vec]] = {}
     for i, p in enumerate(degrees):
         carry = i + 1 < len(degrees) and degrees[i + 1] == p + 1
         low, high, carried = slice_witness(

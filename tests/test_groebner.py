@@ -18,7 +18,7 @@ from dgdm.groebner import (
     syzygies,
 )
 from dgdm.randgen import random_weyl
-from dgdm.rational_linalg import nullspace, solve
+from dgdm.rational_linalg import Echelon, nullspace
 from dgdm.weyl import WeylElement
 
 
@@ -50,8 +50,8 @@ def brute_force_member(v, gens, deg):
     total degree <= deg?  Solved as exact Q-linear algebra; one-sided:
     True certifies membership, False only says no low-degree witness."""
     nvars = v.nvars
-    columns = []
-    for i, g in enumerate(gens):
+    columns = Echelon()
+    for g in gens:
         for (a, b) in monomials_up_to(nvars, deg):
             mult = WeylElement.monomial(nvars, a, b)
             img = g.left_mul(mult)
@@ -59,13 +59,12 @@ def brute_force_member(v, gens, deg):
             for pos, c in enumerate(img.coords):
                 for mono, coef in c.terms.items():
                     colvec[(pos, mono)] = coef
-            if colvec:
-                columns.append(((i, a, b), colvec))
+            columns.insert(colvec)
     target = {}
     for pos, c in enumerate(v.coords):
         for mono, coef in c.terms.items():
             target[(pos, mono)] = coef
-    return solve(columns, target) is not None
+    return columns.in_span(target)
 
 
 # ---------------------------------------------------------------- examples

@@ -123,9 +123,29 @@ def _random_sliced(rng, n, spread=1):
     return top, keys, diffs
 
 
-def _match_level_major(seeds, scaled=False):
+def _wide_sliced(rng, n, spread=1):
+    """Like `_random_sliced` with up to 8 keys per degree; each
+    differential combines one or two kernel vectors, so a cycle is often
+    bounded by a few keys only, late in their level block."""
+    top = rng.randint(1, 3)
+    keys = {p: [((p, i), rng.randint(0, n + 2)) for i in range(rng.randint(0, 8))]
+            for p in range(top + 2)}
+    diffs = {}
+    for p in range(1, top + 2):
+        lower = [(k, diffs.get(k, {})) for k, _ in keys[p - 1]]
+        kernel = nullspace(lower) if lower else []
+        for k, _ in keys[p]:
+            img = {}
+            for z in rng.sample(kernel, min(len(kernel), rng.randint(1, 2))):
+                vec_add(img, z, Fraction(rng.choice((-1, 1)) * rng.randint(1, spread)))
+            diffs[k] = img
+    return top, keys, diffs
+
+
+def _match_level_major(seeds, scaled=False, family=_random_sliced):
     """Check the walk against the level-major oracle on random sliced
-    complexes; returns the outcomes and the witnesses.
+    complexes; returns the outcomes, the witnesses and how many distinct
+    differentials the oracle evaluated that the walk did not.
 
     With `scaled`, the differential of each degree is multiplied by a
     rational with denominator 2..5.  That keeps cycles, boundaries and the
@@ -133,11 +153,11 @@ def _match_level_major(seeds, scaled=False):
     on the integral complex, whatever the echelon form does with the
     denominators.
     """
-    outcomes, witnesses = Counter(), []
+    outcomes, witnesses, skipped = Counter(), [], 0
     for seed in seeds:
         rng = random.Random(seed)
         n = rng.randint(2, 4)
-        top, keys, diffs = _random_sliced(rng, n, 3 if scaled else 1)
+        top, keys, diffs = family(rng, n, 3 if scaled else 1)
         degrees = list(range(0, top + 1))
         if rng.random() < 0.3:  # gaps stop the carry from one degree to the next
             degrees = sorted(rng.sample(degrees, rng.randint(1, len(degrees))))
@@ -151,32 +171,67 @@ def _match_level_major(seeds, scaled=False):
         basis_of, diff_of = _sliced(keys, diffs)
         counted, counts = _counting(diff_of)
         res = bounded_acyclicity(basis_of, counted, degrees, n)
-        ref = _level_major(basis_of, diff_of, degrees, n)
+        ref_counted, ref_counts = _counting(diff_of)
+        ref = _level_major(basis_of, ref_counted, degrees, n)
         assert res == ref, seed
         assert integral is None or res == integral, seed
         assert max(counts.values(), default=1) == 1, seed
+        skipped += len(ref_counts) - len(counts)
         outcomes[ref.witness["level"] - n if ref.witness else "pass"] += 1
         if res.witness:
             witnesses.append(res.witness)
-    return outcomes, witnesses
+    return outcomes, witnesses, skipped
 
 
 def test_random_sliced_complexes_match_level_major_walk():
-    outcomes, _ = _match_level_major(range(300))
+    outcomes, _, _ = _match_level_major(range(300))
     # all three outcomes occur: a level-n failure, a level-(n+1) failure, a pass
     assert set(outcomes) == {0, 1, "pass"}, outcomes
 
 
 def test_scaled_sliced_complexes_match_level_major_walk():
     # denominators in the differentials are cleared on entry to the echelon
-    outcomes, witnesses = _match_level_major(range(1000, 1300), scaled=True)
+    outcomes, witnesses, _ = _match_level_major(range(1000, 1300), scaled=True)
     assert set(outcomes) == {0, 1, "pass"}, outcomes
     assert all(type(c) is Fraction for w in witnesses for c in w["cycle"].values())
 
 
-# differential evaluations of the check below; the level-major walk made 976
-# for the same 416 distinct keys
-PINNED_DISK_EVALS = 416
+def test_wide_sliced_complexes_match_level_major_walk():
+    # blocks of up to 8 keys, where the walk stops inside a block
+    outcomes, _, skipped = _match_level_major(range(2000, 2400), family=_wide_sliced)
+    assert set(outcomes) == {0, 1, "pass"}, outcomes
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("last", [True, False])
+def test_cycle_covered_only_by_the_last_key_of_the_top_block(last):
+    # n = 3: level 4 checks the weight-2 cycle z1; in degree 1, b0 and e1
+    # bound z0 only, e2 is a cycle, f (weight 5) lies above level 4, and
+    # e3, the last key of the weight-4 block, is the one boundary with z1
+    n = 3
+    keys = {
+        0: [("z0", 0), ("z1", n - 1)],
+        1: [("b0", 0), ("e1", n + 1), ("f", n + 2), ("e2", n + 1), ("e3", n + 1)],
+    }
+    diffs = {"b0": {"z0": 1}, "e1": {"z0": -2}, "f": {"z1": 1}, "e3": {"z0": 1, "z1": 3}}
+    if not last:
+        keys[1].pop()
+    basis_of, diff_of = _sliced(keys, diffs)
+    counted, counts = _counting(diff_of)
+    res = bounded_acyclicity(basis_of, counted, [0], n)
+    assert res == _level_major(basis_of, diff_of, [0], n)
+    assert max(counts.values()) == 1
+    if last:
+        assert res.verdict == "bounded-pass"
+    else:
+        assert res.witness == {"degree": 0, "cycle": {"z1": Fraction(1)}, "level": n + 1}
+
+
+# differential evaluations of the check below: the walk stops inserting
+# boundaries once every cycle of a slice lies in their span, so it reaches
+# 224 of the 416 keys whose boundaries a full echelon needs; the level-major
+# walk made 976 evaluations of those 416
+PINNED_DISK_EVALS = 224
 
 
 def test_tensor_of_disks_evaluates_each_differential_once():
