@@ -19,11 +19,11 @@ from .groebner import (
     GrobnerBasis,
     LiftBasis,
     buchberger,
+    degree_guard,
     express_in_inputs,
     lift_basis,
     member,
     normal_form,
-    set_degree_guard,
     submodule_equal,
     syzygies,
 )
@@ -92,7 +92,7 @@ __all__ = [
     "Polynomial", "WeylElement", "act_on_poly", "filtration_decompose",
     "order_and_symbol",
     "DegreeGuardExceeded", "FreeModuleElement", "GrobnerBasis", "LiftBasis", "buchberger",
-    "express_in_inputs", "lift_basis", "member", "normal_form", "set_degree_guard",
+    "degree_guard", "express_in_inputs", "lift_basis", "member", "normal_form",
     "submodule_equal", "syzygies",
     "ChainMap", "ComplexError", "ConnectionModule", "FreeDComplex",
     "HomologyPresentation", "direct_sum", "disk", "homology", "identity_map",

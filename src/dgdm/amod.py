@@ -40,11 +40,10 @@ from .dga import (
     Generator,
     SullivanAlgebra,
     TermKey,
-    _exponents_bounded,
 )
 from .rational_linalg import add_term, apply_linear, integral, vec_add
 from .slices import TruncationResult, bounded_weq
-from .weyl import Exponent, WeylElement
+from .weyl import Exponent, WeylElement, exponents_bounded
 
 ModKey = Tuple  # ("t", key) | ("v", alpha, atoms, j, b)
 ModCoeffs = Dict[ModKey, Fraction]
@@ -122,7 +121,7 @@ class AModule:
         for j, g in enumerate(self.gens):
             if g.degree > degree:
                 continue
-            for b in _exponents_bounded(self.nvars, max_weight - 1):
+            for b in exponents_bounded(self.nvars, max_weight - 1):
                 cost = sum(b) + 1
                 for akey in self.algebra.basis_keys(degree - g.degree, max_weight - cost):
                     yield ("v", akey[0], akey[1], j, b)
@@ -633,7 +632,7 @@ class TensorOverA:
         for j, g in enumerate(self.m.gens):
             if g.degree > degree:
                 continue
-            for bexp in _exponents_bounded(self.nvars, max_weight - 1):
+            for bexp in exponents_bounded(self.nvars, max_weight - 1):
                 cost = sum(bexp) + 1
                 for bk in self.b.basis_keys(degree - g.degree, max_weight - cost):
                     yield (bk, j, bexp)

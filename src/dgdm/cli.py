@@ -20,6 +20,7 @@ import json
 import os
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -40,12 +41,12 @@ from .complexes import (
     is_weak_equivalence,
     mapping_cone,
 )
-from .dga import AlgebraElement, AlgebraMorphism, Generator, SullivanAlgebra, dga_pushout_gen
-from .groebner import DegreeGuardExceeded, FreeModuleElement, get_degree_guard, set_degree_guard
+from .dga import AlgebraElement, AlgebraMorphism, Generator, SullivanAlgebra, atom_name, dga_pushout_gen
+from .groebner import DegreeGuardExceeded, FreeModuleElement, degree_guard, get_degree_guard
 from .model import certify_cofibration, attach_cells, iota, pushout, pushout_product, zeta
 from .obasis import is_bounded_weq
 from .slices import dsquare_witness
-from .weyl import WeylElement
+from .weyl import WeylElement, join_terms, power_factors
 
 FORMAT_NAME = "dgdm-doc"
 FORMAT_VERSION = 1
@@ -525,30 +526,14 @@ def amodule_from_body(body: Dict) -> AModule:
 
 
 def _module_element_to_string(elt: AModuleElement, m: AModule) -> str:
-    if elt.is_zero():
-        return "0"
-    parts = []
-    for key in sorted(elt.coeffs, key=repr):
-        c = elt.coeffs[key]
+    gens = m.algebra.generators
+
+    def term(key):
         _, alpha, atoms, j, b = key
-        factors = []
-        for i, e in enumerate(alpha):
-            if e == 1:
-                factors.append(f"x{i + 1}")
-            elif e > 1:
-                factors.append(f"x{i + 1}^{e}")
-        for (ja, ba) in atoms:
-            gname = m.algebra.generators[ja].name
-            factors.append(gname if sum(ba) == 0 else f"{gname}[{','.join(map(str, ba))}]")
-        gname = m.gens[j].name
-        factors.append(gname if sum(b) == 0 else f"{gname}[{','.join(map(str, b))}]")
-        if c == 1:
-            parts.append("*".join(factors))
-        elif c == -1:
-            parts.append("-" + "*".join(factors))
-        else:
-            parts.append(f"{c}*" + "*".join(factors))
-    return " + ".join(parts).replace("+ -", "- ")
+        factors = power_factors("x", alpha) + [atom_name(gens[ja].name, ba) for ja, ba in atoms]
+        return elt.coeffs[key], factors + [atom_name(m.gens[j].name, b)]
+
+    return join_terms(map(term, sorted(elt.coeffs, key=repr)))
 
 
 def presentation_body(h) -> Dict:
@@ -648,14 +633,12 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
 
-    saved_guard = get_degree_guard()
     try:
         bound = args.bound
         if bound is None and "WEYL_BOUND" in os.environ:
             bound = int(os.environ["WEYL_BOUND"])
-        if bound is not None:
-            set_degree_guard(bound)
-        return _run_command(args)
+        with nullcontext() if bound is None else degree_guard(bound):
+            return _run_command(args)
     except DegreeGuardExceeded as e:
         _diag(f"degree guard: {e}")
         return 3
@@ -665,8 +648,6 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
     except OSError as e:
         _diag(f"error: {e}")
         return 2
-    finally:
-        set_degree_guard(saved_guard)
 
 
 def _run_command(args) -> int:
@@ -681,17 +662,14 @@ def _run_command(args) -> int:
         _emit(make_document("presentation", presentation_body(h)))
         return 0
 
-    if cmd == "cone":
+    if cmd in ("cone", "weq"):
         doc = load_document(args.file)
         if doc["kind"] != "chainmap":
             raise DocumentError(f"expected a chainmap document, got {doc['kind']}")
         f = chainmap_from_body(doc)
-        _emit(make_document("complex", complex_body(mapping_cone(f))))
-        return 0
-
-    if cmd == "weq":
-        doc = load_document(args.file)
-        f = chainmap_from_body(doc)
+        if cmd == "cone":
+            _emit(make_document("complex", complex_body(mapping_cone(f))))
+            return 0
         verdict = is_weak_equivalence(f)
         _emit(make_document("verdict", {"claim": "weak-equivalence", "value": verdict}))
         return 0 if verdict else 1
@@ -810,6 +788,7 @@ def _run_command(args) -> int:
 
     if cmd == "suite":
         seed, name_filter, overrides = args.seed, args.filter, None
+        guard = nullcontext()
         if args.file:
             cfg = load_document(args.file)
             if cfg["kind"] != "suite-config":
@@ -819,7 +798,7 @@ def _run_command(args) -> int:
             if name_filter is not None:
                 _text(name_filter, "filter")
             if cfg.get("bound") is not None:
-                set_degree_guard(_int(cfg["bound"], "bound"))
+                guard = degree_guard(_int(cfg["bound"], "bound"))
             if cfg.get("truncation") is not None:
                 trunc = _int(cfg["truncation"], "truncation")
                 overrides = {
@@ -827,7 +806,8 @@ def _run_command(args) -> int:
                     for name, (_, defaults) in verify.CATALOG.items()
                     if "truncation" in defaults
                 }
-        reports = verify.run_suite(name_filter, seed, overrides)
+        with guard:
+            reports = verify.run_suite(name_filter, seed, overrides)
         agg = verify.aggregate_verdict(reports)
         _emit(make_document("suite-report", {
             "seed": seed,

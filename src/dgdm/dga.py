@@ -29,12 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .rational_linalg import add_term, apply_linear, integral, vec_add
 from .slices import TruncationResult, bounded_weq
-from .weyl import Exponent, WeylElement
+from .weyl import Exponent, WeylElement, exponents_bounded, join_terms, power_factors
 
 Atom = Tuple[int, Exponent]  # (generator index, d-exponent)
 TermKey = Tuple[Exponent, Tuple[Atom, ...]]
@@ -266,7 +265,7 @@ class SullivanAlgebra:
             keys = self._basis_memo[(degree, max_weight)] = tuple(
                 (alpha, atoms)
                 for atoms, cost in self._atom_multisets(0, degree, max_weight)
-                for alpha in _exponents_bounded(self.nvars, max_weight - cost)
+                for alpha in exponents_bounded(self.nvars, max_weight - cost)
             )
         return keys
 
@@ -304,7 +303,7 @@ class SullivanAlgebra:
 
     def _exponent_chains(self, budget: int, strictly: bool):
         """Nonempty sorted tuples of d-exponents with sum(|b|+1) <= budget."""
-        singles = sorted(_exponents_bounded(self.nvars, budget - 1))
+        singles = sorted(exponents_bounded(self.nvars, budget - 1))
 
         def rec(start_idx, remaining):
             for idx in range(start_idx, len(singles)):
@@ -334,12 +333,9 @@ class SullivanAlgebra:
         return f"SullivanAlgebra(nvars={self.nvars}, [{gens}])"
 
 
-def _exponents_bounded(nvars: int, total: int):
-    if total < 0:
-        return
-    for e in iproduct(*(range(total + 1) for _ in range(nvars))):
-        if sum(e) <= total:
-            yield e
+def atom_name(name: str, b: Exponent) -> str:
+    """An atom as text: the generator name, then its d-exponents if any."""
+    return name if sum(b) == 0 else f"{name}[{','.join(map(str, b))}]"
 
 
 class AlgebraElement:
@@ -394,33 +390,12 @@ class AlgebraElement:
         return f"AlgebraElement({self.to_string()!r})"
 
     def to_string(self) -> str:
-        if not self.coeffs:
-            return "0"
         gens = self.algebra.generators
-        parts = []
-        for key in sorted(self.coeffs):
-            alpha, atoms = key
-            c = self.coeffs[key]
-            factors = []
-            for i, e in enumerate(alpha):
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e > 1:
-                    factors.append(f"x{i + 1}^{e}")
-            for (j, b) in atoms:
-                if sum(b) == 0:
-                    factors.append(gens[j].name)
-                else:
-                    factors.append(f"{gens[j].name}[{','.join(map(str, b))}]")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
+        return join_terms(
+            (self.coeffs[(alpha, atoms)],
+             power_factors("x", alpha) + [atom_name(gens[j].name, b) for j, b in atoms])
+            for alpha, atoms in sorted(self.coeffs)
+        )
 
 
 def apply_differential(u: AlgebraElement) -> AlgebraElement:

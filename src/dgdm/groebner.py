@@ -21,7 +21,9 @@ lead in the image block leaves 0 | -u with v = sum_j u_j*inputs[j].
 
 from __future__ import annotations
 
+import contextvars
 import heapq
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,19 +35,26 @@ ModMonomial = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 VecT = Dict[ModMonomial, Fraction]
 
 DEFAULT_DEGREE_GUARD = 40
-_active_guard = DEFAULT_DEGREE_GUARD
+_GUARD = contextvars.ContextVar("degree_guard", default=DEFAULT_DEGREE_GUARD)
 
 
-def set_degree_guard(n: int):
-    """Set the process-wide total-degree cap for Groebner computations."""
-    global _active_guard
+@contextmanager
+def degree_guard(n: int):
+    """Cap the total degree of Groebner computations at n inside the block.
+
+    The previous cap comes back on exit, also when the block raises.
+    """
     if n < 1:
         raise ValueError("degree guard must be positive")
-    _active_guard = n
+    token = _GUARD.set(n)
+    try:
+        yield
+    finally:
+        _GUARD.reset(token)
 
 
 def get_degree_guard() -> int:
-    return _active_guard
+    return _GUARD.get()
 
 
 class DegreeGuardExceeded(RuntimeError):
@@ -243,11 +252,10 @@ class LiftBasis:
     """The inputs of a submodule of D^rank, zero ones included, and the
     lift basis over them that the first `express_in_inputs` builds."""
 
-    def __init__(self, rank: int, nvars: int, inputs: List[FreeModuleElement], degree_guard: int):
+    def __init__(self, rank: int, nvars: int, inputs: List[FreeModuleElement]):
         self.rank = rank
         self.nvars = nvars
         self.inputs = inputs
-        self.degree_guard = degree_guard
         self._lift_rows: Optional[List[_Row]] = None
 
 
@@ -264,9 +272,8 @@ class GrobnerBasis(LiftBasis):
         nvars: int,
         generators: List[FreeModuleElement],
         inputs: List[FreeModuleElement],
-        degree_guard: int = DEFAULT_DEGREE_GUARD,
     ):
-        super().__init__(rank, nvars, inputs, degree_guard)
+        super().__init__(rank, nvars, inputs)
         self.generators = generators
         self._rows = [_Row(_to_vec(g)) for g in generators]
 
@@ -281,7 +288,6 @@ def buchberger(
     gens: Sequence[FreeModuleElement],
     rank: Optional[int] = None,
     nvars: Optional[int] = None,
-    degree_guard: Optional[int] = None,
 ) -> GrobnerBasis:
     """Compute the left Groebner basis of the submodule generated by gens.
 
@@ -290,31 +296,28 @@ def buchberger(
     result is inter-reduced, monic, and sorted by decreasing leading
     monomial for reproducibility.
     """
-    base = lift_basis(gens, rank, nvars, degree_guard)  # the argument checks
+    base = lift_basis(gens, rank, nvars)  # the argument checks
     rank, nvars, gens = base.rank, base.nvars, base.inputs
-    rows = _groebner_rows([_to_vec(g) for g in gens], base.degree_guard)
+    rows = _groebner_rows([_to_vec(g) for g in gens], _GUARD.get())
     generators = [_from_vec(r.vec, rank, nvars) for r in rows]
-    return GrobnerBasis(rank, nvars, generators, gens, base.degree_guard)
+    return GrobnerBasis(rank, nvars, generators, gens)
 
 
 def lift_basis(
     gens: Sequence[FreeModuleElement],
     rank: Optional[int] = None,
     nvars: Optional[int] = None,
-    degree_guard: Optional[int] = None,
 ) -> LiftBasis:
     """The inputs of `express_in_inputs` without the plain Groebner basis.
 
     Takes the arguments of `buchberger`, for callers that only write
     members as combinations of gens, and checks them the same way.
     """
-    if degree_guard is None:
-        degree_guard = _active_guard
     gens = list(gens)
     if not gens:
         if rank is None or nvars is None:
             raise ValueError("empty generator list needs explicit rank and nvars")
-        return LiftBasis(rank, nvars, [], degree_guard)
+        return LiftBasis(rank, nvars, [])
     rank = gens[0].rank
     nvars = gens[0].nvars
     for g in gens:
@@ -322,7 +325,7 @@ def lift_basis(
             raise ValueError("generators of different rank")
         if g.nvars != nvars:
             raise NvarsMismatch("generators over different Weyl algebras")
-    return LiftBasis(rank, nvars, gens, degree_guard)
+    return LiftBasis(rank, nvars, gens)
 
 
 def _groebner_rows(vecs: List[VecT], guard: int, cut: Optional[int] = None) -> List[_Row]:
@@ -431,7 +434,7 @@ def _interreduce(rows: List[_Row], guard: int) -> List[_Row]:
 def normal_form(v: FreeModuleElement, gb: GrobnerBasis) -> FreeModuleElement:
     """Left normal form of v modulo the basis; zero iff v is a member."""
     _check_compat(v, gb)
-    red, _ = _reduce(_to_vec(v), gb._rows, gb.degree_guard)
+    red, _ = _reduce(_to_vec(v), gb._rows, _GUARD.get())
     return _from_vec(red, gb.rank, gb.nvars)
 
 
@@ -440,7 +443,7 @@ def normal_form_with_cofactors(
 ) -> Tuple[FreeModuleElement, List[WeylElement]]:
     """Normal form plus quotients over the basis: v = sum q_i*gb_i + nf."""
     _check_compat(v, gb)
-    red, quots = _reduce(_to_vec(v), gb._rows, gb.degree_guard)
+    red, quots = _reduce(_to_vec(v), gb._rows, _GUARD.get())
     nf = _from_vec(red, gb.rank, gb.nvars)
     return nf, [_from_vec(q, 1, gb.nvars).coords[0] for q in quots]
 
@@ -462,10 +465,11 @@ def express_in_inputs(
     v | 0 by it leaves 0 | -u for a member and an image term otherwise.
     """
     _check_compat(v, gb)
+    guard = _GUARD.get()
     if gb._lift_rows is None:
         tagged = _tagged([g.coords for g in gb.inputs], gb.rank, gb.nvars)
-        gb._lift_rows = _groebner_rows(tagged, gb.degree_guard, cut=gb.rank)
-    red, _ = _reduce(_to_vec(v), gb._lift_rows, gb.degree_guard)
+        gb._lift_rows = _groebner_rows(tagged, guard, cut=gb.rank)
+    red, _ = _reduce(_to_vec(v), gb._lift_rows, guard)
     u: List[Dict[Monomial, Fraction]] = [{} for _ in gb.inputs]
     for (pos, a, b), c in red.items():
         if pos < gb.rank:
@@ -490,7 +494,6 @@ def syzygies(
     nvars: int,
     source_rank: Optional[int] = None,
     target_rank: Optional[int] = None,
-    degree_guard: Optional[int] = None,
 ) -> GrobnerBasis:
     """Groebner basis of the left kernel of v |-> v*matrix on D^source_rank.
 
@@ -498,8 +501,6 @@ def syzygies(
     the i-th unit vector to row i, so a vector (v_1..v_r) maps to
     sum_i v_i * row_i with coordinates multiplying entries on the left.
     """
-    if degree_guard is None:
-        degree_guard = _active_guard
     rows = [list(r) for r in matrix]
     r = len(rows) if source_rank is None else source_rank
     if rows and len(rows) != r:
@@ -521,13 +522,13 @@ def syzygies(
             if entry.nvars != nvars:
                 raise NvarsMismatch("matrix entry over wrong Weyl algebra")
     if r == 0:
-        return GrobnerBasis(0, nvars, [], [], degree_guard)
+        return GrobnerBasis(0, nvars, [], [])
     if s == 0:
         # map to the zero module: kernel is everything
         units = [FreeModuleElement.unit(r, nvars, i) for i in range(r)]
-        return GrobnerBasis(r, nvars, units, list(units), degree_guard)
+        return GrobnerBasis(r, nvars, units, list(units))
 
-    basis = _groebner_rows(_tagged(rows, s, nvars), degree_guard)
+    basis = _groebner_rows(_tagged(rows, s, nvars), _GUARD.get())
 
     # the leading monomial has the lowest position of a row, so a row lies
     # in the tag block iff its leading monomial does
@@ -544,7 +545,7 @@ def syzygies(
                 img[j] = img[j] + k.coords[i] * rows[i][j]
         if any(not e.is_zero() for e in img):
             raise AssertionError("syzygy candidate does not map to zero")
-    return GrobnerBasis(r, nvars, kernel, list(kernel), degree_guard)
+    return GrobnerBasis(r, nvars, kernel, list(kernel))
 
 
 def submodule_equal(
@@ -552,13 +553,10 @@ def submodule_equal(
     gens2: Sequence[FreeModuleElement],
     rank: int,
     nvars: int,
-    degree_guard: Optional[int] = None,
 ) -> bool:
     """Mutual membership test: do two generating sets span the same submodule?"""
-    if degree_guard is None:
-        degree_guard = _active_guard
-    gb1 = buchberger(list(gens1), rank=rank, nvars=nvars, degree_guard=degree_guard)
-    gb2 = buchberger(list(gens2), rank=rank, nvars=nvars, degree_guard=degree_guard)
+    gb1 = buchberger(list(gens1), rank=rank, nvars=nvars)
+    gb2 = buchberger(list(gens2), rank=rank, nvars=nvars)
     return all(member(g, gb1) for g in gens2) and all(member(g, gb2) for g in gens1)
 
 

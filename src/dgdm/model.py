@@ -220,6 +220,9 @@ class PushoutResult:
     complex: FreeDComplex
     from_target: ChainMap  # Y -> Z, along f
     from_attached: ChainMap  # W -> Z, the pushout of f
+    # the complement cells of W_n: from_attached sends cell i to the unit
+    # y.rank(n) + i of Z_n
+    cells: Dict[int, List[FreeModuleElement]]
 
 
 def _decomposer(g: ChainMap, cells: Dict[int, List[FreeModuleElement]], nvars: int):
@@ -334,17 +337,16 @@ def pushout(
 
     if compose(f, h) != compose(g, k):
         raise AssertionError("pushout square does not commute")
-    return PushoutResult(z, h, k)
+    return PushoutResult(z, h, k, cells)
 
 
 def pushout_factor(po: PushoutResult, q: ChainMap, p: ChainMap) -> ChainMap:
     """The unique map u: Z -> E with u o from_target = q, u o from_attached = p.
 
     q: Y -> E and p: W -> E must form a cocone (q f = p g); rows of u are
-    forced: Y-part by q, cell rows by p on the complement elements.
+    forced: Y-part by q, cell rows by p on the complement cells.
     """
     y = po.from_target.source
-    w = po.from_attached.source
     z = po.complex
     e = q.target
     if p.target != e:
@@ -357,44 +359,11 @@ def pushout_factor(po: PushoutResult, q: ChainMap, p: ChainMap) -> ChainMap:
         rows = []
         for i in range(y.rank(n)):
             rows.append(tuple(q.component(n)[i]))
-        n_cells = z.rank(n) - y.rank(n)
-        if n_cells:
-            # cell i of Z at degree n is the image under from_attached of the
-            # i-th complement element; pushing it through p gives the row
-            comp_elements = _complement_elements(po, n)
-            for cell in comp_elements:
-                img = mat_apply(cell, p.component(n), nvars, e.rank(n))
-                rows.append(tuple(img.coords))
+        for cell in po.cells.get(n, []):
+            img = mat_apply(cell, p.component(n), nvars, e.rank(n))
+            rows.append(tuple(img.coords))
         maps[n] = tuple(rows)
     return ChainMap(z, e, maps)
-
-
-def _complement_elements(po: PushoutResult, n: int) -> List[FreeModuleElement]:
-    """Recover the complement elements whose classes are the cells of Z_n."""
-    w = po.from_attached.source
-    z = po.complex
-    y = po.from_target.source
-    nvars = z.nvars
-    cells = []
-    n_cells = z.rank(n) - y.rank(n)
-    if n_cells == 0:
-        return []
-    # solve k(c) = cell unit: cells appear as the rows of from_attached with
-    # unit coordinates in the cell block; reconstruct by Groebner expression
-    units = [FreeModuleElement.unit(w.rank(n), nvars, i) for i in range(w.rank(n))]
-    kmat = po.from_attached.component(n)
-    images = [mat_apply(u, kmat, nvars, z.rank(n)) for u in units]
-    lift = lift_basis(images, rank=z.rank(n), nvars=nvars)
-    for j in range(n_cells):
-        target = FreeModuleElement.unit(z.rank(n), nvars, y.rank(n) + j)
-        u = express_in_inputs(target, lift)
-        if u is None:
-            raise AssertionError("cell unit not in the image of the attached leg")
-        acc = FreeModuleElement.zero(w.rank(n), nvars)
-        for c, unit in zip(u, units):
-            acc = acc + unit.left_mul(c)
-        cells.append(acc)
-    return cells
 
 
 # ---------------------------------------------------------------- cells

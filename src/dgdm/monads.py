@@ -1,9 +1,8 @@
 """The two concrete monads: free algebra (symmetric tower) and free module.
 
 Both monads live over "O-based modules": objects presented by a set of
-basis cores, free over O, with the actions of the d_i and the
-differential given core-by-core as expansions { (gamma, core') : c }
-meaning sum c * x^gamma . core'.  Elements are dicts {(alpha, core): c}.
+basis cores, free over O, with the differential given core-by-core as
+expansions { (gamma, core') : c } meaning sum c * x^gamma . core'.  Elements are dicts {(alpha, core): c}.
 
   FreeBase(C)        a free D-complex C through its O-basis d^b e_{n,s}
   FormalSym(N)       the free graded-commutative algebra on N (cores are
@@ -22,9 +21,9 @@ from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from .complexes import FreeDComplex
-from .dga import SullivanAlgebra, _exponents_bounded, _normalize_atoms
+from .dga import SullivanAlgebra, _normalize_atoms
 from .rational_linalg import add_term, vec_add
-from .weyl import Exponent
+from .weyl import Exponent, exponents_bounded
 
 Core = Hashable
 Expansion = Dict[Tuple[Exponent, Core], Fraction]
@@ -40,7 +39,7 @@ class FreeBase:
 
     def cores(self, degree: int, max_cost: int) -> Iterator[Core]:
         for s in range(self.complex.rank(degree)):
-            for b in _exponents_bounded(self.nvars, max_cost):
+            for b in exponents_bounded(self.nvars, max_cost):
                 yield (degree, s, b)
 
     def core_degree(self, core: Core) -> int:
@@ -48,11 +47,6 @@ class FreeBase:
 
     def core_cost(self, core: Core) -> int:
         return sum(core[2])
-
-    def act_d_core(self, i: int, core: Core) -> Expansion:
-        n, s, b = core
-        nb = tuple(e + 1 if k == i else e for k, e in enumerate(b))
-        return {((0,) * self.nvars, (n, s, nb)): Fraction(1)}
 
     def diff_core(self, core: Core) -> Expansion:
         n, s, b = core
@@ -128,17 +122,6 @@ class FormalSym:
     def core_cost(self, core: Core) -> int:
         return len(core) + sum(self.base.core_cost(c) for c in core)
 
-    def act_d_core(self, i: int, core: Core) -> Expansion:
-        out: Expansion = {}
-        for t, atom in enumerate(core):
-            for (gamma, atom2), c in self.base.act_d_core(i, atom).items():
-                norm = self.normalize(core[:t] + (atom2,) + core[t + 1:])
-                if norm is None:
-                    continue
-                sign, sorted_core = norm
-                add_term(out, (gamma, sorted_core), c * sign)
-        return out
-
     def diff_core(self, core: Core) -> Expansion:
         out: Expansion = {}
         kos = 1
@@ -156,12 +139,8 @@ class FormalSym:
     def basis_keys(self, degree: int, max_weight: int):
         for core in self.cores(degree, max_weight):
             cost = self.core_cost(core)
-            for alpha in _exponents_bounded(self.nvars, max_weight - cost):
+            for alpha in exponents_bounded(self.nvars, max_weight - cost):
                 yield (alpha, core)
-
-    def key_weight(self, key) -> int:
-        alpha, core = key
-        return sum(alpha) + self.core_cost(core)
 
     def diff_key(self, key) -> Element:
         alpha, core = key
@@ -236,33 +215,6 @@ class TensorWithA:
                 for ncore in self.base.cores(degree - adeg, max_cost - cost):
                     yield (atoms, ncore)
 
-    def core_degree(self, core: Core) -> int:
-        atoms, ncore = core
-        return sum(self.algebra.generators[j].degree for j, _ in atoms) + self.base.core_degree(ncore)
-
-    def core_cost(self, core: Core) -> int:
-        atoms, ncore = core
-        return sum(sum(b) + 1 for _, b in atoms) + self.base.core_cost(ncore)
-
-    def act_d_core(self, i: int, core: Core) -> Expansion:
-        atoms, ncore = core
-        out: Expansion = {}
-        for (gamma, atoms2), c in self.algebra.act_d_term(i, ((0,) * self.nvars, atoms)).items():
-            add_term(out, (gamma, (atoms2, ncore)), c)
-        for (gamma, ncore2), c in self.base.act_d_core(i, ncore).items():
-            add_term(out, (gamma, (atoms, ncore2)), c)
-        return out
-
-    def diff_core(self, core: Core) -> Expansion:
-        atoms, ncore = core
-        out: Expansion = {}
-        for (gamma, atoms2), c in self.algebra.d_term(((0,) * self.nvars, atoms)).items():
-            add_term(out, (gamma, (atoms2, ncore)), c)
-        adeg = sum(self.algebra.generators[j].degree for j, _ in atoms)
-        sign = 1 if adeg % 2 == 0 else -1
-        for (gamma, ncore2), c in self.base.diff_core(ncore).items():
-            add_term(out, (gamma, (atoms, ncore2)), c * sign)
-        return out
 
 
 def tensor_eta(elem: Element) -> Element:

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 from typing import Dict, Hashable, Iterator, List, Sequence, Tuple
 
 from .complexes import FreeDComplex
 from .rational_linalg import add_term, apply_linear
 from .slices import TruncationResult, bounded_acyclicity, dsquare_witness
-from .weyl import WeylElement
+from .weyl import WeylElement, exponents_bounded
 
 SlotId = Hashable
 # a differential/map entry: (target slot, factor index, coefficient)
@@ -130,17 +129,12 @@ class OBasisComplex:
 
 def _bounded_exponent_blocks(nvars: int, blocks: int, total: int):
     """All tuples of `blocks` exponent vectors with combined degree <= total."""
-    def gen_vec(budget):
-        for e in iproduct(*(range(budget + 1) for _ in range(nvars))):
-            if sum(e) <= budget:
-                yield e
-
     def rec(i, budget):
         if i == blocks - 1:
-            for e in gen_vec(budget):
+            for e in exponents_bounded(nvars, budget):
                 yield (e,)
             return
-        for e in gen_vec(budget):
+        for e in exponents_bounded(nvars, budget):
             for rest in rec(i + 1, budget - sum(e)):
                 yield (e,) + rest
 

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from itertools import product
 from operator import add
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 Monomial = Tuple[Exponent, Exponent]  # (x-exponents, d-exponents)
@@ -65,6 +65,39 @@ def _normal_order(m1: Monomial, m2: Monomial) -> Dict[Monomial, int]:
         )
         out[key] = coef
     return out
+
+
+def exponents_bounded(nvars: int, total: int) -> Iterator[Exponent]:
+    """The exponent vectors of length nvars and total degree <= total,
+    in lexicographic order."""
+    if total < 0:
+        return
+    for e in product(range(total + 1), repeat=nvars):
+        if sum(e) <= total:
+            yield e
+
+
+def power_factors(letter: str, exps: Exponent) -> List[str]:
+    """The factors letter1^e1, letter2^e2, ... of an exponent vector, with
+    zero powers left out and first powers written without ^1."""
+    return [f"{letter}{i + 1}" if e == 1 else f"{letter}{i + 1}^{e}"
+            for i, e in enumerate(exps) if e]
+
+
+def join_terms(terms: Iterable[Tuple[Fraction, Sequence[str]]]) -> str:
+    """The text of a sum of (coefficient, factors) terms: a coefficient 1
+    or -1 in front of factors is left unwritten, and "+ -" becomes "- "."""
+    parts = []
+    for c, factors in terms:
+        if not factors:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append("*".join(factors))
+        elif c == -1:
+            parts.append("-" + "*".join(factors))
+        else:
+            parts.append(f"{c}*" + "*".join(factors))
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 class WeylElement:
@@ -208,32 +241,10 @@ class WeylElement:
         return f"WeylElement({self.to_string()!r})"
 
     def to_string(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self.terms, key=lambda m: (sum(m[0]) + sum(m[1]), m)):
-            coef = self.terms[(a, b)]
-            factors = []
-            for i, e in enumerate(a):
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e > 1:
-                    factors.append(f"x{i + 1}^{e}")
-            for i, e in enumerate(b):
-                if e == 1:
-                    factors.append(f"d{i + 1}")
-                elif e > 1:
-                    factors.append(f"d{i + 1}^{e}")
-            if not factors:
-                parts.append(str(coef))
-            elif coef == 1:
-                parts.append("*".join(factors))
-            elif coef == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(str(coef) + "*" + "*".join(factors))
-        s = " + ".join(parts)
-        return s.replace("+ -", "- ")
+        return join_terms(
+            (self.terms[(a, b)], power_factors("x", a) + power_factors("d", b))
+            for (a, b) in sorted(self.terms, key=lambda m: (sum(m[0]) + sum(m[1]), m))
+        )
 
 
 class Polynomial:

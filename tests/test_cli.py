@@ -5,12 +5,14 @@ import io
 import json
 import os
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgdm.cli import (
     ParseError,
+    _module_element_to_string,
     algebra_body,
     algebra_from_body,
     amodule_body,
@@ -30,9 +32,9 @@ from dgdm.cli import (
     print_document,
 )
 from dgdm.complexes import disk, identity_matrix, FreeDComplex, ChainMap
-from dgdm.dga import Generator, SullivanAlgebra
+from dgdm.dga import AlgebraElement, Generator, SullivanAlgebra
 from dgdm.groebner import get_degree_guard
-from dgdm.amod import free_disk_module
+from dgdm.amod import AModule, AModuleElement, free_disk_module
 from dgdm.randgen import random_complex
 from dgdm.weyl import WeylElement
 
@@ -75,6 +77,45 @@ def test_algebra_element_round_trip():
     a = SullivanAlgebra(1, [Generator("g", 1), Generator("h", 2)])
     e = a.atom(0, (1,)) * a.generator(1) + a.x_poly((2,), coef=3)
     assert parse_algebra_element(e.to_string(), a) == e
+
+
+# strings printed before the three printers shared one term printer
+PRINTED = [
+    ("-3/2 + x1^2*d1 - 3/2*x1*d1*d2^2 - x1*x2*d1*d2 - x1^2*x2*d1^2*d2^2",
+     "1/2 - 3/2*a*b[1,0] + 1/2*x2*a*b + x1 + 1/2*x1*x2^2",
+     "-3/2*a*e[0,1] + 1/2*b[0,1]*e - 3/2*x1*b*e - x1^2*f"),
+    ("-1 - 3/2*x2*d2 - 3/2*x1^2*d1 - x1*x2*d1^2*d2 + 1/2*x1^2*d1^2*d2",
+     "-1 + a[1,0] - 3/2*x2 + x1*b[1,0] + x1*x2^2",
+     "b*e[1,0] - e[1,1] - 3/2*x1*a*f - 3/2*x1^2*f"),
+    ("1 + 1/2*d1 + x1*x2^2*d2^2 - 3/2*x1^2*x2^2*d2 - 3/2*x1^2*x2^2*d1*d2^2",
+     "1/2 - 3/2*a[1,1] - 3/2*x2 + 1/2*x2^2 - x1*x2*b",
+     "1/2*a*e - e[2,0] + f[1,1] - x2*e[1,0]"),
+]
+
+
+@pytest.mark.parametrize("seed", range(len(PRINTED)))
+def test_printed_elements_are_pinned(seed):
+    # coefficients 1, -1, 1/2, -3/2, constant terms, atoms with and
+    # without d-exponents, over two variables
+    coeffs = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)]
+    rng = random.Random(seed)
+    w = {((0, 0), (0, 0)): rng.choice(coeffs)}
+    for _ in range(4):
+        key = (tuple(rng.randint(0, 2) for _ in range(2)), tuple(rng.randint(0, 2) for _ in range(2)))
+        w[key] = rng.choice(coeffs)
+    a = SullivanAlgebra(2, [Generator("a", 1), Generator("b", 2)])
+    akeys = [k for deg in range(4) for k in a.basis_keys(deg, 3)]
+    ac = {((0, 0), ()): rng.choice(coeffs)}
+    for k in rng.sample(akeys, 4):
+        ac[k] = rng.choice(coeffs)
+    m = AModule(a, None, [Generator("e", 0), Generator("f", 1)])
+    mkeys = [k for deg in range(3) for k in m.basis_keys(deg, 3)]
+    mc = {k: rng.choice(coeffs) for k in rng.sample(mkeys, 4)}
+    got = (WeylElement(2, w).to_string(), AlgebraElement(a, ac).to_string(),
+           _module_element_to_string(AModuleElement(m, mc), m))
+    assert got == PRINTED[seed]
+    assert WeylElement.zero(2).to_string() == a.zero().to_string() == "0"
+    assert _module_element_to_string(AModuleElement(m, {}), m) == "0"
 
 
 def test_module_element_parsing():
@@ -166,6 +207,12 @@ def test_weq_subcommand_exit_codes(tmp_path, capsys):
         "maps": {},
     })
     assert dispatch(["weq", "--file", write_doc(tmp_path, "s.doc", doc)]) == 1
+
+
+def test_weq_rejects_other_document_kinds(tmp_path, capsys):
+    doc = make_document("complex", {"vars": 1, "ranks": {"0": 1}, "differentials": {}})
+    assert dispatch(["weq", "--file", write_doc(tmp_path, "c.doc", doc)]) == 2
+    assert capsys.readouterr().err == "error: expected a chainmap document, got complex\n"
 
 
 def test_cone_subcommand(tmp_path, capsys):

@@ -1,17 +1,23 @@
 """Groebner kernel: normal forms, membership vs a brute-force oracle, syzygies."""
 
+import ast
 import hashlib
+import os
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import dgdm
 from dgdm.groebner import (
+    DEFAULT_DEGREE_GUARD,
     DegreeGuardExceeded,
     FreeModuleElement,
     buchberger,
+    degree_guard,
     express_in_inputs,
+    get_degree_guard,
     member,
     normal_form,
     submodule_equal,
@@ -438,17 +444,46 @@ def test_rank_mismatch_rejected():
 def test_degree_guard_raises():
     # x*d + c generates steadily growing elements when paired with d^4
     # under a tiny cap; the guard must abort rather than spin
-    with pytest.raises(DegreeGuardExceeded):
-        gb = buchberger([vec(D() * D() * D() * D() + X())], degree_guard=3)
+    with pytest.raises(DegreeGuardExceeded), degree_guard(3):
+        gb = buchberger([vec(D() * D() * D() * D() + X())])
         normal_form(vec(WeylElement.monomial(1, (5, ), (5,))), gb)
 
 
 def test_degree_guard_raises_inside_buchberger():
     # both inputs have total degree 3, but their S-pair has lcm x^3 d^3
     gens = [vec(X() * X() * X() + D()), vec(D() * D() * D() + X())]
+    with pytest.raises(DegreeGuardExceeded), degree_guard(3):
+        buchberger(gens)
+    with degree_guard(6):
+        assert len(buchberger(gens)) > 0
+
+
+def test_degree_guard_scope_restores_outer_value():
+    gens = [vec(X() * X() * X() + D()), vec(D() * D() * D() + X())]
+    assert get_degree_guard() == DEFAULT_DEGREE_GUARD
     with pytest.raises(DegreeGuardExceeded):
-        buchberger(gens, degree_guard=3)
-    assert len(buchberger(gens, degree_guard=6)) > 0
+        with degree_guard(3):
+            buchberger(gens)
+    assert get_degree_guard() == DEFAULT_DEGREE_GUARD
+    with degree_guard(7):
+        with degree_guard(3):
+            assert get_degree_guard() == 3
+        assert get_degree_guard() == 7
+    assert get_degree_guard() == DEFAULT_DEGREE_GUARD
+    with pytest.raises(ValueError):
+        with degree_guard(0):
+            pass
+    assert get_degree_guard() == DEFAULT_DEGREE_GUARD
+
+
+def test_no_global_statement_in_the_package():
+    # settings are scoped (context variables), never process-wide globals
+    root = os.path.dirname(dgdm.__file__)
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), name
 
 
 def test_two_variable_module():
