@@ -11,12 +11,17 @@ generators in ambient D^{r_n}, together with rows expressing (a) the
 image generators of the next differential and (b) the syzygies among
 the kernel generators.  Weak equivalence of chain maps is decided
 exactly through acyclicity of the mapping cone.
+
+Every map between direct sums (sums, summand maps, cones, pushouts,
+shears) is assembled by `block_matrix`, the one place that knows the
+layout: the first summand's coordinates come first, each summand
+offset by the ranks before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import (
     FreeModuleElement,
@@ -42,6 +47,28 @@ def identity_matrix(n: int, nvars: int) -> Matrix:
     one = WeylElement.one(nvars)
     z = WeylElement.zero(nvars)
     return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
+
+
+def block_matrix(
+    blocks: Sequence[Sequence[Optional[Sequence[Sequence[WeylElement]]]]],
+    rows: Sequence[int],
+    cols: Sequence[int],
+    nvars: int,
+) -> Matrix:
+    """The matrix of a map between direct sums, from its blocks.
+
+    blocks[i][j] is the rows[i] x cols[j] matrix from summand i of the
+    source to summand j of the target, or None for a zero block.
+    """
+    zero = WeylElement.zero(nvars)
+    out = []
+    for brow, r in zip(blocks, rows):
+        for i in range(r):
+            row: List[WeylElement] = []
+            for block, c in zip(brow, cols):
+                row.extend(block[i] if block is not None else (zero,) * c)
+            out.append(tuple(row))
+    return tuple(out)
 
 
 def mat_mul(a: Matrix, b: Matrix, nvars: int) -> Matrix:
@@ -253,49 +280,31 @@ def direct_sum(c1: FreeDComplex, c2: FreeDComplex) -> FreeDComplex:
     for n in sorted(ranks):
         if not ranks.get(n - 1):
             continue
-        rows = []
-        for i in range(c1.rank(n)):
-            row = list(c1.diff(n)[i]) + [WeylElement.zero(nvars)] * c2.rank(n - 1)
-            rows.append(tuple(row))
-        for i in range(c2.rank(n)):
-            row = [WeylElement.zero(nvars)] * c1.rank(n - 1) + list(c2.diff(n)[i])
-            rows.append(tuple(row))
-        diffs[n] = tuple(rows)
+        diffs[n] = block_matrix(
+            [[c1.differentials.get(n), None], [None, c2.differentials.get(n)]],
+            (c1.rank(n), c2.rank(n)), (c1.rank(n - 1), c2.rank(n - 1)), nvars,
+        )
     return FreeDComplex(nvars, ranks, diffs)
 
 
 def summand_inclusion(c1: FreeDComplex, c2: FreeDComplex, which: int) -> ChainMap:
-    total = direct_sum(c1, c2)
-    src = c1 if which == 0 else c2
-    nvars = src.nvars
+    src = (c1, c2)[which]
     maps = {}
     for n in src.degrees():
-        rows = []
-        for i in range(src.rank(n)):
-            row = [WeylElement.zero(nvars)] * total.rank(n)
-            offset = 0 if which == 0 else c1.rank(n)
-            row[offset + i] = WeylElement.one(nvars)
-            rows.append(tuple(row))
-        maps[n] = tuple(rows)
-    return ChainMap(src, total, maps)
+        blocks = [None, None]
+        blocks[which] = identity_matrix(src.rank(n), src.nvars)
+        maps[n] = block_matrix([blocks], (src.rank(n),), (c1.rank(n), c2.rank(n)), src.nvars)
+    return ChainMap(src, direct_sum(c1, c2), maps)
 
 
 def summand_projection(c1: FreeDComplex, c2: FreeDComplex, which: int) -> ChainMap:
     total = direct_sum(c1, c2)
-    tgt = c1 if which == 0 else c2
-    nvars = tgt.nvars
+    tgt = (c1, c2)[which]
     maps = {}
-    for n in total.degrees():
-        if tgt.rank(n) == 0:
-            continue
-        rows = []
-        for i in range(total.rank(n)):
-            row = [WeylElement.zero(nvars)] * tgt.rank(n)
-            offset = 0 if which == 0 else c1.rank(n)
-            if offset <= i < offset + tgt.rank(n):
-                row[i - offset] = WeylElement.one(nvars)
-            rows.append(tuple(row))
-        maps[n] = tuple(rows)
+    for n in tgt.degrees():
+        blocks = [[None], [None]]
+        blocks[which] = [identity_matrix(tgt.rank(n), tgt.nvars)]
+        maps[n] = block_matrix(blocks, (c1.rank(n), c2.rank(n)), (tgt.rank(n),), tgt.nvars)
     return ChainMap(total, tgt, maps)
 
 
@@ -394,29 +403,17 @@ def is_acyclic(c: FreeDComplex) -> bool:
 def mapping_cone(f: ChainMap) -> FreeDComplex:
     """Mc(f)_n = X_{n-1} (+) Y_n with d(c, c') = (-dc, f(c) + dc')."""
     x, y = f.source, f.target
-    nvars = f.nvars
     degrees = sorted({n + 1 for n in x.ranks} | set(y.ranks))  # the nonzero ones
     ranks = {n: x.rank(n - 1) + y.rank(n) for n in degrees}
     diffs = {}
     for n in degrees:
         if x.rank(n - 2) + y.rank(n - 1) == 0:
             continue
-        rows = []
-        negd = mat_neg(x.diff(n - 1))
-        fcomp = f.component(n - 1)
-        for i in range(x.rank(n - 1)):
-            row = [negd[i][j] for j in range(x.rank(n - 2))] + [
-                fcomp[i][j] for j in range(y.rank(n - 1))
-            ]
-            rows.append(tuple(row))
-        dy = y.diff(n)
-        for i in range(y.rank(n)):
-            row = [WeylElement.zero(nvars)] * x.rank(n - 2) + [
-                dy[i][j] for j in range(y.rank(n - 1))
-            ]
-            rows.append(tuple(row))
-        diffs[n] = tuple(rows)
-    return FreeDComplex(nvars, ranks, diffs)
+        diffs[n] = block_matrix(
+            [[mat_neg(x.diff(n - 1)), f.component(n - 1)], [None, y.diff(n)]],
+            (x.rank(n - 1), y.rank(n)), (x.rank(n - 2), y.rank(n - 1)), f.nvars,
+        )
+    return FreeDComplex(f.nvars, ranks, diffs)
 
 
 def shift(c: FreeDComplex, k: int) -> FreeDComplex:
@@ -449,16 +446,8 @@ def cone_to_cokernel_projection(f: ChainMap, coker: FreeDComplex, proj: Dict[int
     cone = mapping_cone(f)
     x, y = f.source, f.target
     maps = {}
-    for n in cone.degrees():
-        if coker.rank(n) == 0:
-            continue
-        rows = []
-        for _ in range(x.rank(n - 1)):
-            rows.append(tuple(WeylElement.zero(f.nvars) for _ in range(coker.rank(n))))
-        q = proj.get(n, zero_matrix(y.rank(n), coker.rank(n), f.nvars))
-        for i in range(y.rank(n)):
-            rows.append(tuple(q[i]))
-        maps[n] = tuple(rows)
+    for n in coker.degrees():
+        maps[n] = block_matrix([[None], [proj.get(n)]], (x.rank(n - 1), y.rank(n)), (coker.rank(n),), f.nvars)
     return ChainMap(cone, coker, maps)
 
 
@@ -570,21 +559,11 @@ def _untwist_mono(a, b, j: int, m: ConnectionModule) -> List[WeylElement]:
 
 
 def _untwist_matrix(mat: Matrix, rows: int, cols: int, m: ConnectionModule, nvars: int) -> Matrix:
-    """Conjugate a matrix over D through D (x)_O M ~ D^s blockwise."""
+    """Conjugate a matrix over D through D (x)_O M ~ D^s blockwise: entry
+    (u, v) becomes the s x s block whose row j untwists it against e_j."""
     s = m.rank
-    out = []
-    for u in range(rows):
-        for j in range(s):
-            row = [WeylElement.zero(nvars) for _ in range(cols * s)]
-            for v in range(cols):
-                entry = mat[u][v]
-                if entry.is_zero():
-                    continue
-                q = _untwist(entry, j, m)
-                for k in range(s):
-                    row[v * s + k] = row[v * s + k] + q[k]
-            out.append(tuple(row))
-    return tuple(out)
+    blocks = [[None if e.is_zero() else [_untwist(e, j, m) for j in range(s)] for e in row] for row in mat]
+    return block_matrix(blocks, (s,) * rows, (s,) * cols, nvars)
 
 
 def tensor_with_connection(c: FreeDComplex, m: ConnectionModule) -> FreeDComplex:

@@ -20,12 +20,12 @@ from .complexes import (
     ComplexError,
     FreeDComplex,
     Matrix,
+    block_matrix,
     compose,
     disk,
     identity_matrix,
     mat_apply,
     sphere,
-    zero_matrix,
 )
 from .groebner import FreeModuleElement, LiftBasis, buchberger, express_in_inputs, lift_basis, member
 from .obasis import (
@@ -135,14 +135,8 @@ def _free_complement(mat: Matrix, rows: int, cols: int, nvars: int) -> Optional[
     B[v] by B[v] + c*B[w].  When every row gets pivoted the non-pivot
     basis vectors freely complement the image.
     """
-    if rows == 0:
-        return [FreeModuleElement.unit(cols, nvars, j) for j in range(cols)] if cols else []
-    if cols == 0:
-        return None  # nonzero source into the zero module cannot split injectively
     work = [[e for e in row] for row in mat]
-    basis = [[WeylElement.zero(nvars) for _ in range(cols)] for _ in range(cols)]
-    for j in range(cols):
-        basis[j][j] = WeylElement.one(nvars)
+    basis = [list(row) for row in identity_matrix(cols, nvars)]
     piv_rows: Dict[int, int] = {}
     piv_cols = set()
     while True:
@@ -268,71 +262,52 @@ def pushout(
     comp = certificate.complement
     cells = {n: comp.get(n, []) for n in range(0, w.top + 1)}
 
-    ranks = {}
-    for n in set(y.ranks) | {n for n, cs in cells.items() if cs}:
-        r = y.rank(n) + len(cells.get(n, []))
-        if r:
-            ranks[n] = r
+    ranks = {n: y.rank(n) + len(cells.get(n, [])) for n in set(y.ranks) | set(cells)}
 
     decompose = _decomposer(g, cells, nvars)
-    diffs: Dict[int, List[Tuple[WeylElement, ...]]] = {}
+    zero = WeylElement.zero(nvars)
+
+    def split(vectors: List[FreeModuleElement], n: int):
+        """The blocks (f(a) | q) of the Z_n-rows of W_n-vectors v = g(a) + sum q_k c_k."""
+        fa_rows, q_rows = [], []
+        for v in vectors:
+            a, q = decompose(v, n) if not v.is_zero() else ([], [zero] * len(cells[n]))
+            if a and y.rank(n):
+                fa_rows.append(mat_apply(FreeModuleElement(a), f.component(n), nvars, y.rank(n)).coords)
+            else:
+                fa_rows.append((zero,) * y.rank(n))
+            q_rows.append(q)
+        return fa_rows, q_rows
+
+    diffs: Dict[int, Matrix] = {}
     top = max([w.top, y.top, 0])
     for n in range(1, top + 1):
-        rows_n = ranks.get(n, 0)
-        cols = ranks.get(n - 1, 0)
-        if rows_n == 0 or cols == 0:
+        if not ranks.get(n) or not ranks.get(n - 1):
             continue
-        zero_row = [WeylElement.zero(nvars)] * cols
-        rows = []
-        dy = y.diff(n)
-        for i in range(y.rank(n)):
-            row = list(zero_row)
-            for j in range(y.rank(n - 1)):
-                row[j] = dy[i][j]
-            rows.append(tuple(row))
-        for cell in cells.get(n, []):
-            dcell = mat_apply(cell, w.diff(n), nvars, w.rank(n - 1)) if w.rank(n - 1) else None
-            row = list(zero_row)
-            if dcell is not None and not dcell.is_zero():
-                a, q = decompose(dcell, n - 1)
-                xv = FreeModuleElement(a) if a else None
-                if xv is not None and y.rank(n - 1):
-                    fx = mat_apply(xv, f.component(n - 1), nvars, y.rank(n - 1))
-                    for j in range(y.rank(n - 1)):
-                        row[j] = fx.coords[j]
-                for k, qk in enumerate(q):
-                    row[y.rank(n - 1) + k] = qk
-            rows.append(tuple(row))
-        diffs[n] = tuple(rows)
+        cells_n = cells.get(n, [])
+        # the rows of the cells: d(cell) in W_{n-1}, split; zero where W_{n-1} = 0
+        fa = q = None
+        if cells_n and w.rank(n - 1):
+            fa, q = split([mat_apply(cell, w.diff(n), nvars, w.rank(n - 1)) for cell in cells_n], n - 1)
+        diffs[n] = block_matrix(
+            [[y.diff(n), None], [fa, q]],
+            (y.rank(n), len(cells_n)), (y.rank(n - 1), len(cells.get(n - 1, []))), nvars,
+        )
     z = FreeDComplex(nvars, ranks, diffs)
 
-    h_maps = {}
-    for n in y.degrees():
-        rows = []
-        for i in range(y.rank(n)):
-            row = [WeylElement.zero(nvars)] * z.rank(n)
-            row[i] = WeylElement.one(nvars)
-            rows.append(tuple(row))
-        h_maps[n] = tuple(rows)
+    h_maps = {
+        n: block_matrix([[identity_matrix(y.rank(n), nvars), None]],
+                        (y.rank(n),), (y.rank(n), len(cells.get(n, []))), nvars)
+        for n in y.degrees()
+    }
     h = ChainMap(y, z, h_maps)
 
     k_maps = {}
     for n in w.degrees():
         if z.rank(n) == 0:
             continue
-        rows = []
-        for i in range(w.rank(n)):
-            unit = FreeModuleElement.unit(w.rank(n), nvars, i)
-            a, q = decompose(unit, n)
-            row = [WeylElement.zero(nvars)] * z.rank(n)
-            if a and y.rank(n):
-                fx = mat_apply(FreeModuleElement(a), f.component(n), nvars, y.rank(n))
-                for j in range(y.rank(n)):
-                    row[j] = fx.coords[j]
-            for kk, qk in enumerate(q):
-                row[y.rank(n) + kk] = qk
-            rows.append(tuple(row))
-        k_maps[n] = tuple(rows)
+        units = [FreeModuleElement.unit(w.rank(n), nvars, i) for i in range(w.rank(n))]
+        k_maps[n] = block_matrix([split(units, n)], (w.rank(n),), (y.rank(n), len(cells[n])), nvars)
     k = ChainMap(w, z, k_maps)
 
     if compose(f, h) != compose(g, k):
@@ -351,18 +326,13 @@ def pushout_factor(po: PushoutResult, q: ChainMap, p: ChainMap) -> ChainMap:
     e = q.target
     if p.target != e:
         raise ComplexError("cocone legs land in different complexes")
-    nvars = z.nvars
     maps = {}
     for n in z.degrees():
         if e.rank(n) == 0:
             continue
-        rows = []
-        for i in range(y.rank(n)):
-            rows.append(tuple(q.component(n)[i]))
-        for cell in po.cells.get(n, []):
-            img = mat_apply(cell, p.component(n), nvars, e.rank(n))
-            rows.append(tuple(img.coords))
-        maps[n] = tuple(rows)
+        cells = po.cells.get(n, [])
+        cell_rows = [mat_apply(cell, p.component(n), z.nvars, e.rank(n)).coords for cell in cells]
+        maps[n] = block_matrix([[q.component(n)], [cell_rows]], (y.rank(n), len(cells)), (e.rank(n),), z.nvars)
     return ChainMap(z, e, maps)
 
 
@@ -437,23 +407,14 @@ def solve_lifting(i: ChainMap, cert: CofibrationCertificate, p: ChainMap, u: Cha
                 dcell = mat_apply(cell, c.diff(n), nvars, c.rank(n - 1))
                 hdc = _apply_extension(dcell, n - 1, decompose, u, h_on_cells, e, nvars)
             # solve e with p(e) = vc, d(e) = hdc
-            cols_b, cols_e1 = b.rank(n), e.rank(n - 1)
-            gens = []
-            for idx in range(e.rank(n)):
-                unit = FreeModuleElement.unit(e.rank(n), nvars, idx)
-                img_p = mat_apply(unit, p.component(n), nvars, cols_b) if cols_b else None
-                img_d = mat_apply(unit, e.diff(n), nvars, cols_e1) if cols_e1 else None
-                coords = (list(img_p.coords) if img_p else []) + (list(img_d.coords) if img_d else [])
-                if not coords:
-                    coords = [WeylElement.zero(nvars)]
-                gens.append(FreeModuleElement(coords))
-            tgt_coords = (list(vc.coords) if vc is not None else [WeylElement.zero(nvars)] * cols_b) + (
-                list(hdc.coords) if hdc is not None else [WeylElement.zero(nvars)] * cols_e1
-            )
-            if not tgt_coords:
-                tgt_coords = [WeylElement.zero(nvars)]
-            lift = lift_basis(gens, rank=max(len(tgt_coords), 1), nvars=nvars)
-            sol = express_in_inputs(FreeModuleElement(tgt_coords), lift)
+            cols = (b.rank(n), e.rank(n - 1))
+            # a cell in a zero module still needs one coordinate
+            pad = [] if sum(cols) else [WeylElement.zero(nvars)]
+            target = [None if t is None else [t.coords] for t in (vc, hdc)]
+            *rows, tgt = block_matrix([[p.component(n), e.diff(n)], target], (e.rank(n), 1), cols, nvars)
+            gens = [FreeModuleElement(list(row) + pad) for row in rows]
+            lift = lift_basis(gens, rank=max(sum(cols), 1), nvars=nvars)
+            sol = express_in_inputs(FreeModuleElement(list(tgt) + pad), lift)
             if sol is None:
                 return None
             vals.append(FreeModuleElement(sol) if sol else FreeModuleElement.zero(max(e.rank(n), 1), nvars))
@@ -523,27 +484,13 @@ def pushout_product(a: GeneratingMap, b: GeneratingMap, nvars: int = 1) -> Pusho
         diff[(m, n - 1, 0, 0)] = [((m - 1, n - 1, 0, 0), 0, one)]
         sign = one if (m - 1) % 2 == 0 else -one
         diff[(m - 1, n, 0, 0)] = [((m - 1, n - 1, 0, 0), 1, sign)]
-    elif a.kind == "iota" and b.kind == "iota":
-        # at least one leg is iota_0; corner = S^0 (x) src(b) or src(a) (x) S^0
-        corner = tensor_free(a.target(nvars) if a.n == 0 else a.source(nvars),
-                             b.source(nvars) if a.n == 0 else b.target(nvars))
-        if a.n == 0 and b.n == 0:
-            corner = tensor_free(FreeDComplex(nvars, {}, {}), FreeDComplex(nvars, {}, {}))
-        slots, diff = corner.slots, corner.diff_entries
-    elif a.kind == "zeta" and b.kind == "iota":
-        if b.n >= 1:
-            corner = tensor_free(a.target(nvars), b.source(nvars))
-        else:
-            corner = tensor_free(FreeDComplex(nvars, {}, {}), FreeDComplex(nvars, {}, {}))
-        slots, diff = corner.slots, corner.diff_entries
-    elif a.kind == "iota" and b.kind == "zeta":
-        if a.n >= 1:
+    else:
+        # here a source is zero, so of the two sides src(a) (x) tgt(b) and
+        # tgt(a) (x) src(b) glued along src(a) (x) src(b), one is the corner
+        if a.source(nvars).ranks:
             corner = tensor_free(a.source(nvars), b.target(nvars))
         else:
-            corner = tensor_free(FreeDComplex(nvars, {}, {}), FreeDComplex(nvars, {}, {}))
-        slots, diff = corner.slots, corner.diff_entries
-    else:  # zeta box zeta
-        corner = tensor_free(FreeDComplex(nvars, {}, {}), FreeDComplex(nvars, {}, {}))
+            corner = tensor_free(a.target(nvars), b.source(nvars))
         slots, diff = corner.slots, corner.diff_entries
 
     domain = OBasisComplex(nvars, slots, diff)

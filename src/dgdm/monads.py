@@ -22,7 +22,7 @@ from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from .complexes import FreeDComplex
 from .dga import SullivanAlgebra, _normalize_atoms
-from .rational_linalg import add_term, vec_add
+from .rational_linalg import add_term, apply_linear, vec_add
 from .weyl import Exponent, exponents_bounded
 
 Core = Hashable
@@ -255,8 +255,9 @@ def tensor_apply(
 def check_sym_monad_laws(c: FreeDComplex, probes: List[Element]) -> List[str]:
     """Monad laws for T = (free algebra, mu, eta) on S^3-level probes.
 
-    Each probe is an element of S(S(S(FreeBase(c)))).  Returns the list
-    of violated laws (empty = all hold).
+    Each probe is an element of S(S(S(FreeBase(c)))).  Besides the laws,
+    mu and eta must be chain maps for the differentials `diff_key`
+    extends from c.  Returns the list of violated laws (empty = all hold).
     """
     base = FreeBase(c)
     s1 = FormalSym(base)
@@ -271,6 +272,13 @@ def check_sym_monad_laws(c: FreeDComplex, probes: List[Element]) -> List[str]:
         rhs = sym_mu(s2, sym_mu(s3, z))
         if lhs != rhs:
             failures.append("associativity")
+            break
+    for z in probes:
+        # d mu = mu d, on S3 -> S2 and on its image, S2 -> S1
+        mz = sym_mu(s3, z)
+        if (apply_linear(s2.diff_key, mz) != sym_mu(s3, apply_linear(s3.diff_key, z))
+                or apply_linear(s1.diff_key, sym_mu(s2, mz)) != sym_mu(s2, apply_linear(s2.diff_key, mz))):
+            failures.append("mu chain map")
             break
     # unit laws on S1-level probes derived from the S3 probes' atoms
     s1_probes = []
@@ -287,6 +295,10 @@ def check_sym_monad_laws(c: FreeDComplex, probes: List[Element]) -> List[str]:
         t_eta = {(alpha, tuple((a,) for a in ms)): v for (alpha, ms), v in w.items()}
         if sym_mu(s2, t_eta) != w:
             failures.append("right unit")
+            break
+    for w in s1_probes[:10]:
+        if apply_linear(s2.diff_key, sym_eta(w)) != sym_eta(apply_linear(s1.diff_key, w)):
+            failures.append("eta chain map")
             break
     return failures
 

@@ -16,10 +16,12 @@ from typing import Optional, Tuple
 from .complexes import (
     ChainMap,
     FreeDComplex,
+    block_matrix,
     compose,
     direct_sum,
     disk,
     identity_map,
+    identity_matrix,
     mapping_cone,
     mat_apply,
     sphere,
@@ -106,17 +108,12 @@ def random_map_from_cone(rng: random.Random, z: FreeDComplex, x: FreeDComplex) -
         cols = x.rank(n)
         if (rows_z1 + rows_z) == 0 or cols == 0:
             continue
-        rows = []
-        for i in range(rows_z1):
-            rows.append(u[n][i] if n in u else tuple(WeylElement.zero(nv) for _ in range(cols)))
-        if rows_z:
-            v = zero_matrix(rows_z, cols, nv)
-            if n in u and rows_z1:
-                v = mat_add(v, mat_mul(z.diff(n), u[n], nv))
-            if (n + 1) in u and x.rank(n + 1):
-                v = mat_add(v, mat_mul(u[n + 1], x.diff(n + 1), nv))
-            rows.extend(v)
-        maps[n] = tuple(rows)
+        v = zero_matrix(rows_z, cols, nv)
+        if n in u:
+            v = mat_add(v, mat_mul(z.diff(n), u[n], nv))
+        if (n + 1) in u and x.rank(n + 1):
+            v = mat_add(v, mat_mul(u[n + 1], x.diff(n + 1), nv))
+        maps[n] = block_matrix([[u.get(n)], [v]], (rows_z1, rows_z), (cols,), nv)
     return ChainMap(cone, x, maps)
 
 
@@ -141,21 +138,12 @@ def random_weq(
     # shear (x', c) |-> (x' + psi(c), c): a chain automorphism of Y
     maps = {}
     for n in y.degrees():
-        rows = []
-        for i in range(x.rank(n)):
-            row = [WeylElement.zero(x.nvars) for _ in range(y.rank(n))]
-            row[i] = WeylElement.one(x.nvars)
-            rows.append(tuple(row))
-        for i in range(cz.rank(n)):
-            row = [WeylElement.zero(x.nvars) for _ in range(y.rank(n))]
-            if x.rank(n):
-                unit = FreeModuleElement.unit(cz.rank(n), x.nvars, i)
-                img = psi.apply(n, unit) if x.rank(n) else None
-                for col in range(x.rank(n)):
-                    row[col] = img.coords[col]
-            row[x.rank(n) + i] = WeylElement.one(x.nvars)
-            rows.append(tuple(row))
-        maps[n] = tuple(rows)
+        sizes = (x.rank(n), cz.rank(n))
+        maps[n] = block_matrix(
+            [[identity_matrix(x.rank(n), x.nvars), None],
+             [psi.component(n), identity_matrix(cz.rank(n), x.nvars)]],
+            sizes, sizes, x.nvars,
+        )
     shear = ChainMap(y, y, maps)
     return compose(inc, shear)
 

@@ -28,11 +28,13 @@ from .complexes import (
     ChainMap,
     ConnectionModule,
     FreeDComplex,
+    block_matrix,
     compose,
     direct_sum,
     disk,
     homology,
     identity_map,
+    identity_matrix,
     is_acyclic,
     is_weak_equivalence,
     mapping_cone,
@@ -370,6 +372,19 @@ def b_elt_key(b_elt) -> tuple:
     return key
 
 
+def _monad_probes(rng, cores, count: int) -> List[Dict]:
+    """Up to `count` nonzero random elements x^alpha * core on the given cores."""
+    probes = []
+    for _ in range(count):
+        elem = {}
+        for _ in range(rng.randint(1, 3)):
+            elem[((rng.randint(0, 2),), rng.choice(cores))] = Fraction(rng.randint(-2, 2))
+        elem = {k: v for k, v in elem.items() if v}
+        if elem:
+            probes.append(elem)
+    return probes
+
+
 def check_monad_laws(rng, params):
     """Monad laws for T = FS (free algebra) and U = PhiSigma (free module),
     plus the generating morphisms Sigma(iota_n), Sigma(zeta_n)."""
@@ -379,15 +394,7 @@ def check_monad_laws(rng, params):
     s2 = mo.FormalSym(s1)
     s3 = mo.FormalSym(s2)
     s3_cores = [core for d in range(0, 4) for core in s3.cores(d, 4)]
-    probes = []
-    for _ in range(params["probes"]):
-        elem = {}
-        for _ in range(rng.randint(1, 3)):
-            elem[((rng.randint(0, 2),), rng.choice(s3_cores))] = Fraction(rng.randint(-2, 2))
-        elem = {k: v for k, v in elem.items() if v}
-        if elem:
-            probes.append(elem)
-    fails = mo.check_sym_monad_laws(c, probes)
+    fails = mo.check_sym_monad_laws(c, _monad_probes(rng, s3_cores, params["probes"]))
     if fails:
         return "fail", {"monad": "T = FS", "laws": fails}
     a = rg.random_algebra(rng, max_gens=2, max_degree=2)
@@ -395,15 +402,7 @@ def check_monad_laws(rng, params):
     u2 = mo.TensorWithA(a, u1)
     u3 = mo.TensorWithA(a, u2)
     u3_cores = [core for d in range(0, 4) for core in u3.cores(d, 4)]
-    probes = []
-    for _ in range(params["probes"]):
-        elem = {}
-        for _ in range(rng.randint(1, 3)):
-            elem[((rng.randint(0, 2),), rng.choice(u3_cores))] = Fraction(rng.randint(-2, 2))
-        elem = {k: v for k, v in elem.items() if v}
-        if elem:
-            probes.append(elem)
-    fails = mo.check_tensor_monad_laws(a, c, probes)
+    fails = mo.check_tensor_monad_laws(a, c, _monad_probes(rng, u3_cores, params["probes"]))
     if fails:
         return "fail", {"monad": "U = PhiSigma", "laws": fails}
     # Sigma of the generating maps: valid A-module morphisms
@@ -432,25 +431,13 @@ def check_limit_colimit_weq(rng, params):
             y_new = direct_sum(prev.target, cz2)
             rho = rg.random_map_from_cone(rng, z1, cz2)
             tau = rg.random_map_from_cone(rng, z1, prev.target)
-            maps = {}
-            for n in x_new.degrees():
-                if y_new.rank(n) == 0:
-                    continue
-                rows = []
-                for i in range(prev.source.rank(n)):
-                    row = [WeylElement.zero(1)] * y_new.rank(n)
-                    comp = prev.component(n)
-                    for jcol in range(prev.target.rank(n)):
-                        row[jcol] = comp[i][jcol]
-                    rows.append(tuple(row))
-                for i in range(cz1.rank(n)):
-                    row = [WeylElement.zero(1)] * y_new.rank(n)
-                    for jcol in range(prev.target.rank(n)):
-                        row[jcol] = tau.component(n)[i][jcol]
-                    for jcol in range(cz2.rank(n)):
-                        row[prev.target.rank(n) + jcol] = rho.component(n)[i][jcol]
-                    rows.append(tuple(row))
-                maps[n] = tuple(rows)
+            maps = {
+                n: block_matrix(
+                    [[prev.component(n), None], [tau.component(n), rho.component(n)]],
+                    (prev.source.rank(n), cz1.rank(n)), (prev.target.rank(n), cz2.rank(n)), 1,
+                )
+                for n in x_new.degrees() if y_new.rank(n)
+            }
             stages.append(ChainMap(x_new, y_new, maps))
         for beta, phi in enumerate(stages):
             if not is_weak_equivalence(phi):
@@ -478,18 +465,12 @@ def check_graded_filtration_weq(rng, params):
             for deg in x2.degrees():
                 if y2.rank(deg) == 0:
                     continue
-                rows = []
-                comp = f.component(deg)
-                for i in range(x.rank(deg)):
-                    row = [WeylElement.zero(1)] * y2.rank(deg)
-                    for jcol in range(f.target.rank(deg)):
-                        row[jcol] = comp[i][jcol]
-                    rows.append(tuple(row))
-                for i in range(x2.rank(deg) - x.rank(deg)):
-                    row = [WeylElement.zero(1)] * y2.rank(deg)
-                    row[f.target.rank(deg) + i] = WeylElement.one(1)
-                    rows.append(tuple(row))
-                maps[deg] = tuple(rows)
+                # both sides gained the same cell, which the stage map fixes
+                cells = x2.rank(deg) - x.rank(deg)
+                maps[deg] = block_matrix(
+                    [[f.component(deg), None], [None, identity_matrix(cells, 1)]],
+                    (x.rank(deg), cells), (f.target.rank(deg), cells), 1,
+                )
             f = ChainMap(x2, y2, maps)
             if not is_weak_equivalence(f):
                 return "fail", {"instance": idx}

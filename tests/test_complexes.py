@@ -150,6 +150,48 @@ def test_direct_sum_is_biproduct():
     assert s.rank(1) == c1.rank(1) + c2.rank(1)
 
 
+def _layout_pair():
+    # c2 is empty in degree 0 and c1 in degree 2, so the sum has blocks
+    # with no rows and blocks with no columns
+    c1 = FreeDComplex(1, {0: 1, 1: 2}, {1: [[D1], [X1]]})
+    c2 = FreeDComplex(1, {1: 1, 2: 1}, {2: [[X1 + ONE]]})
+    return c1, c2
+
+
+def _components(f):
+    return [f.component(n) for n in range(4)]
+
+
+def test_direct_sum_layout_is_pinned():
+    # the first summand's coordinates come first, in every degree
+    c1, c2 = _layout_pair()
+    s = direct_sum(c1, c2)
+    assert s.ranks == {0: 1, 1: 3, 2: 1}
+    assert s.diff(1) == ((D1,), (X1,), (ZERO,))
+    assert s.diff(2) == ((ZERO, ZERO, X1 + ONE),)
+    assert _components(summand_inclusion(c1, c2, 0)) == [
+        ((ONE,),), ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO)), (), ()]
+    assert _components(summand_inclusion(c1, c2, 1)) == [
+        (), ((ZERO, ZERO, ONE),), ((ONE,),), ()]
+    assert _components(summand_projection(c1, c2, 0)) == [
+        ((ONE,),), ((ONE, ZERO), (ZERO, ONE), (ZERO, ZERO)), ((),), ()]
+    assert _components(summand_projection(c1, c2, 1)) == [
+        ((),), ((ZERO,), (ZERO,), (ONE,)), ((ONE,),), ()]
+
+
+def test_mapping_cone_layout_is_pinned():
+    # Mc(f)_n = X_{n-1} (+) Y_n, the X-coordinates first
+    c1, c2 = _layout_pair()
+    f = ChainMap(c1, c2, {1: [[X1 + D1], [ONE]]})
+    cone = mapping_cone(f)
+    assert cone.ranks == {1: 2, 2: 3}
+    assert cone.diff(1) == ((), ())
+    assert cone.diff(2) == ((-D1, X1 + D1), (-X1, ONE), (ZERO, X1 + ONE))
+    # im f_1 is all of Y_1, so the cokernel is Y_2 alone
+    q = cone_to_cokernel_projection(f, sphere(2), {2: ((ONE,),)})
+    assert _components(q) == [(), ((), ()), ((ZERO,), (ZERO,), (ONE,)), ()]
+
+
 def test_connection_flatness_two_vars():
     zero = Polynomial.zero(2)
     x2 = Polynomial.x(2, 2)

@@ -258,9 +258,13 @@ def test_pushout_product_iota_iota(m, n):
     assert r.codomain.slots[sid].factors == 2
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
-def test_pushout_product_zeta_iota_is_bounded_trivial(m, n):
-    r = pushout_product(zeta(m), iota(n))
+# ids "m-n" are zeta(m) box iota(n)
+@pytest.mark.parametrize("a,b", [
+    (zeta(1), iota(1)), (zeta(2), iota(1)), (zeta(1), iota(2)),
+    (iota(1), zeta(1)), (iota(2), zeta(1)), (zeta(1), iota(0)), (iota(0), zeta(2)), (zeta(1), zeta(1)),
+], ids=["1-1", "2-1", "1-2", "iota1-zeta1", "iota2-zeta1", "zeta1-iota0", "iota0-zeta2", "zeta1-zeta1"])
+def test_pushout_product_zeta_iota_is_bounded_trivial(a, b):
+    r = pushout_product(a, b)
     assert truncated_acyclicity(r.domain, 5).ok
     assert truncated_acyclicity(r.codomain, 5).ok
     assert is_bounded_weq(r.map, 5).ok

@@ -74,3 +74,24 @@ def test_sym_differential_squares_to_zero():
                 for k3, c3 in s2.diff_key(k2).items():
                     acc[k3] = acc.get(k3, Fraction(0)) + c * c3
             assert not any(acc.values()), key
+
+
+def test_sym_monad_laws_catch_a_differential_that_is_no_derivation(monkeypatch):
+    # d acting on the first factor of a product alone keeps every monad
+    # law, but mu stops commuting with it
+    def first_factor_only(self, core):
+        out = {}
+        for (gamma, atom), c in (self.base.diff_core(core[0]) if core else {}).items():
+            norm = self.normalize((atom,) + core[1:])
+            if norm is not None:
+                key = (gamma, norm[1])
+                out[key] = out.get(key, 0) + c * norm[0]
+        return {k: v for k, v in out.items() if v}
+
+    rng = random.Random(0)
+    c = disk(1)
+    s3 = FormalSym(FormalSym(FormalSym(FreeBase(c))))
+    cores = [core for d in range(0, 4) for core in s3.cores(d, 4)]
+    probes = random_probes(rng, cores)
+    monkeypatch.setattr(FormalSym, "diff_core", first_factor_only)
+    assert check_sym_monad_laws(c, probes) == ["mu chain map"]

@@ -1,6 +1,12 @@
 """The check catalog: verdicts, determinism, report serialization."""
 
+import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
+
+from dgdm import cli
 
 from dgdm.verify import (
     CATALOG,
@@ -116,3 +122,23 @@ def test_bounded_pass_records_truncation_levels():
     r = run_check("trivial_pp_weq", {"max_mn": 1, "truncation": 4}, seed=0)
     assert r.verdict == "bounded-pass"
     assert r.parameters["truncation_levels"] == [4, 5]
+
+
+# literal copies of the benchmark's pinned suite digests (stdout of
+# `dgdm suite --seed 42`, and of the same with `--filter f`)
+SUITE_PINS = {
+    "all:42": "e025edb4cd0a877e9e989f3daab9dbc33e6ec9c8c4ddb14a329a308f39da15be",
+    "f:42": "29b4f9dbb26afde8b98a20960395872d6350893ecfe9ff870139bcdde421b93d",
+}
+
+
+SUITE_RUNS = {"all:42": ["suite", "--seed", "42"],
+              "f:42": ["suite", "--seed", "42", "--filter", "f"]}
+
+
+@pytest.mark.parametrize("key", sorted(SUITE_PINS))
+def test_suite_report_bytes_match_pins(key):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert cli.main(SUITE_RUNS[key]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SUITE_PINS[key]
