@@ -22,6 +22,15 @@ Element keys:
 Weights (x-degree + d-orders + atom counts) slice every degree finitely,
 so bounded weak-equivalence checks run on the underlying complexes.
 
+The HAC3 and HAC4 checks run on twisted tensors N (x) W with keys
+(n_key,) + w: given d(w) = sum a (x) w' over A-monomials a,
+
+    d(n (x) w) = dn (x) w + sum (-1)^{|n|(1+|a|)} (a . n) (x) w'.
+
+Its two instances supply only their W-blocks and twist terms:
+`TensorOverA` (N = B, w a V-atom (j, b) of A (x) V) and
+`BaseChangeModule` (w the atoms of B's new generators).
+
 The differentials and actions on keys are memoised per instance over
 the term kernel of `dga` and are read-only, with `int` coefficients
 where integral; `AModuleElement` holds `Fraction`s.
@@ -47,6 +56,14 @@ from .weyl import Exponent, WeylElement, exponents_bounded
 
 ModKey = Tuple  # ("t", key) | ("v", alpha, atoms, j, b)
 ModCoeffs = Dict[ModKey, Fraction]
+
+
+def _v_atoms(gens: Sequence[Generator], nvars: int, degree: int, max_weight: int):
+    """((j, b), |g_j|, |b| + 1) for each V-atom d^b g_j within the bounds, in order."""
+    for j, g in enumerate(gens):
+        if g.degree <= degree:
+            for b in exponents_bounded(nvars, max_weight - 1):
+                yield (j, b), g.degree, sum(b) + 1
 
 
 class AModule:
@@ -118,13 +135,9 @@ class AModule:
         if self.t_part is not None:
             for k in self.t_part.basis_keys(degree, max_weight):
                 yield ("t", k)
-        for j, g in enumerate(self.gens):
-            if g.degree > degree:
-                continue
-            for b in exponents_bounded(self.nvars, max_weight - 1):
-                cost = sum(b) + 1
-                for akey in self.algebra.basis_keys(degree - g.degree, max_weight - cost):
-                    yield ("v", akey[0], akey[1], j, b)
+        for (j, b), v_degree, cost in _v_atoms(self.gens, self.nvars, degree, max_weight):
+            for alpha, atoms in self.algebra.basis_keys(degree - v_degree, max_weight - cost):
+                yield ("v", alpha, atoms, j, b)
 
     def top_degree_hint(self, degree_window: int) -> int:
         """Degrees worth checking: own generators plus the algebra window."""
@@ -325,26 +338,22 @@ def extend_differential(
     supported on T (+) A (x) V_{<j}, and closed; the constructor enforces
     all of it and the resulting differential squares to zero.
     """
-    diff: Dict[int, ModCoeffs] = {}
-    for j, elt in assignments.items():
-        if elt.is_zero():
-            continue
-        diff[j] = dict(elt.coeffs)
-    return AModule(algebra, t_part, gens, diff)
+    return AModule(algebra, t_part, gens, {j: elt.coeffs for j, elt in assignments.items()})
+
+
+def _cell_index(c: FreeDComplex) -> Dict[Tuple[int, int], int]:
+    """The generator index of each cell (degree, position) of c, degrees ascending."""
+    cells = [(n, s) for n in sorted(c.ranks) for s in range(c.rank(n))]
+    return {cell: j for j, cell in enumerate(cells)}
 
 
 def free_amodule(algebra: SullivanAlgebra, c: FreeDComplex, name: str = "m") -> AModule:
     """A (x) C for a free D-complex C, with the standard differential."""
     if c.nvars != algebra.nvars:
         raise ValueError("complex over the wrong Weyl algebra")
-    gens: List[Generator] = []
-    index: Dict[Tuple[int, int], int] = {}
-    for n in sorted(c.ranks):
-        for s in range(c.rank(n)):
-            index[(n, s)] = len(gens)
-            gens.append(Generator(f"{name}{n}_{s}", n))
+    index = _cell_index(c)
+    gens = [Generator(f"{name}{n}_{s}", n) for n, s in index]
     diff: Dict[int, ModCoeffs] = {}
-    zero_a = (0,) * algebra.nvars
     for n in c.differentials:
         mat = c.diff(n)
         for s in range(c.rank(n)):
@@ -419,24 +428,12 @@ class AModuleMorphism:
                         f"{source.gens[j].name}; mismatch {mismatch!r}"
                     )
 
-    @classmethod
-    def t_inclusion(cls, big: AModule) -> "AModuleMorphism":
+    @staticmethod
+    def t_inclusion(big: AModule) -> "AModuleMorphism":
         """The inclusion of the graded piece T into T (+) A (x) V."""
-        m = cls.__new__(cls)
-        m.source = big.t_part
-        m.target = big
-        m.t_map = None
-        m.assignments = {}
-        m._qv_cache = {}
-        m._relabel = True
-        return m
+        return TInclusion(big)
 
     def apply_key(self, key: ModKey) -> ModCoeffs:
-        if getattr(self, "_relabel", False):
-            return {("t", key): 1}
-        if hasattr(self, "_pair"):  # a composite: f, then g
-            f, g = self._pair
-            return apply_linear(g.apply_key, f.apply_key(key))
         if key[0] == "t":
             return self.t_map.apply_key(key[1])
         _, alpha, atoms, j, b = key
@@ -452,11 +449,34 @@ class AModuleMorphism:
         return AModuleElement(self.target, apply_linear(self.apply_key, elt.coeffs))
 
 
+class TInclusion(AModuleMorphism):
+    """The inclusion of the graded piece T into T (+) A (x) V."""
+
+    def __init__(self, big: AModule):
+        self.source = big.t_part
+        self.target = big
+
+    def apply_key(self, key: ModKey) -> ModCoeffs:
+        return {("t", key): 1}
+
+
+class ComposedMorphism(AModuleMorphism):
+    """g after f, evaluated key by key."""
+
+    def __init__(self, f: AModuleMorphism, g: AModuleMorphism):
+        if f.target != g.source:
+            raise ValueError("morphisms do not compose")
+        self.source = f.source
+        self.target = g.target
+        self.factors = (f, g)  # held as data, so a deep copy copies both factors
+
+    def apply_key(self, key: ModKey) -> ModCoeffs:
+        f, g = self.factors
+        return apply_linear(g.apply_key, f.apply_key(key))
+
+
 def identity_amodule_morphism(m: AModule) -> AModuleMorphism:
-    t_map = None
-    if m.t_part is not None:
-        t_incl = AModuleMorphism.t_inclusion(m)
-        t_map = t_incl
+    t_map = None if m.t_part is None else TInclusion(m)
     return AModuleMorphism(
         m, m, t_map, {j: m.generator(j) for j in range(len(m.gens))}, check=False
     )
@@ -464,16 +484,7 @@ def identity_amodule_morphism(m: AModule) -> AModuleMorphism:
 
 def compose_amodule_morphisms(f: AModuleMorphism, g: AModuleMorphism) -> AModuleMorphism:
     """g after f, as a generic key-level composite."""
-    if f.target != g.source:
-        raise ValueError("morphisms do not compose")
-    m = AModuleMorphism.__new__(AModuleMorphism)
-    m.source = f.source
-    m.target = g.target
-    m.t_map = None
-    m.assignments = {}
-    m._qv_cache = {}
-    m._pair = (f, g)  # held as data, so a deep copy copies both factors
-    return m
+    return ComposedMorphism(f, g)
 
 
 def extend_morphism(
@@ -600,9 +611,52 @@ def flatten_sullivan(m: AModule) -> Tuple[AModule, Callable]:
     return AModule(m.algebra, None, gens, diff), key_map
 
 
-# ------------------------------------------------------ tensor over A
+# ------------------------------------------------------ twisted tensors
 
-class TensorOverA:
+def _twisted_basis_keys(t, degree: int, max_weight: int) -> Iterator[Tuple]:
+    """The keys (n_key,) + w of a twisted tensor: W-blocks outside, N inside."""
+    for w, w_degree, cost in t.w_blocks(degree, max_weight):
+        for nk in t.n_mod.basis_keys(degree - w_degree, max_weight - cost):
+            yield (nk,) + w
+
+
+def _twisted_diff_key(t, key) -> Dict:
+    """d(n (x) w) on one key; the twist terms of each w are kept on t."""
+    nk, w = key[0], key[1:]
+    out: Dict = {(k2,) + w: c for k2, c in t.n_mod.diff_key(nk).items()}
+    terms = t._twist_memo.get(w)
+    if terms is None:
+        terms = t._twist_memo[w] = tuple(t.twist_terms(w))
+    ndeg = t.n_mod.key_degree(nk)
+    for aterm, adeg, w2, c in terms:
+        sign = -c if ndeg * (1 + adeg) % 2 else c
+        for k3, c3 in t.n_mod.act_algebra_term_key(aterm, nk).items():
+            add_term(out, (k3,) + w2, sign * c3)
+    return out
+
+
+class _TwistedTensor:
+    """N (x) W of the module docstring; a subclass supplies `w_blocks`,
+    `w_grading` and `twist_terms` (d(w) as (a, |a|, w', c)), and keeps
+    `basis_keys`/`diff_key` in its own body (perfbench/tracing.py patches them)."""
+
+    def __init__(self, n_mod: AModule, w_top: int):
+        self.n_mod = n_mod
+        self.nvars = n_mod.nvars
+        self.w_top = w_top
+        self._twist_memo: Dict[Tuple, Tuple] = {}
+
+    def key_degree(self, key) -> int:
+        return self.n_mod.key_degree(key[0]) + self.w_grading(key[1:])[0]
+
+    def key_weight(self, key) -> int:
+        return self.n_mod.key_weight(key[0]) + self.w_grading(key[1:])[1]
+
+    def top_degree_hint(self, degree_window: int) -> int:
+        return self.n_mod.top_degree_hint(degree_window) + self.w_top
+
+
+class TensorOverA(_TwistedTensor):
     """B (x)_A (A (x) V) identified with B (x) V via
 
         i: b (x) (a (x) m) |-> (-1)^{|a||b|} a . (b (x) m),
@@ -616,37 +670,25 @@ class TensorOverA:
             raise ValueError("second factor must have free shape A (x) V")
         if b.algebra != m.algebra:
             raise ValueError("factors over different algebras")
-        self.b = b
+        super().__init__(b, max([g.degree for g in m.gens], default=0))
         self.m = m
-        self.nvars = b.nvars
 
-    def key_degree(self, key) -> int:
-        bk, j, bexp = key
-        return self.b.key_degree(bk) + self.m.gens[j].degree
+    def w_blocks(self, degree: int, max_weight: int):
+        return _v_atoms(self.m.gens, self.nvars, degree, max_weight)
 
-    def key_weight(self, key) -> int:
-        bk, j, bexp = key
-        return self.b.key_weight(bk) + sum(bexp) + 1
+    def w_grading(self, w) -> Tuple[int, int]:
+        return self.m.gens[w[0]].degree, sum(w[1]) + 1
+
+    def twist_terms(self, w):
+        # d(d^b g_j) in A (x) V: keys ("v", a, atoms, j', b')
+        for (_, a2, at2, j2, b2), c in self.m._d_of_atom(*w).items():
+            yield (a2, at2), self.m.algebra.term_degree((a2, at2)), (j2, b2), c
 
     def basis_keys(self, degree: int, max_weight: int):
-        for j, g in enumerate(self.m.gens):
-            if g.degree > degree:
-                continue
-            for bexp in exponents_bounded(self.nvars, max_weight - 1):
-                cost = sum(bexp) + 1
-                for bk in self.b.basis_keys(degree - g.degree, max_weight - cost):
-                    yield (bk, j, bexp)
+        return _twisted_basis_keys(self, degree, max_weight)
 
     def diff_key(self, key) -> Dict:
-        bk, j, bexp = key
-        out: Dict = {(k2, j, bexp): c for k2, c in self.b.diff_key(bk).items()}
-        bdeg = self.b.key_degree(bk)
-        # element of A (x) V: keys ("v", a, at, j', b'); sign (-1)^{|b| + |a||b|}
-        for (_, a2, at2, j2, b2), c in self.m._d_of_atom(j, bexp).items():
-            sign = -1 if bdeg * (1 + self.m.algebra.term_degree((a2, at2))) % 2 else 1
-            for k3, c3 in self.b.act_algebra_term_key((a2, at2), bk).items():
-                add_term(out, (k3, j2, b2), sign * c * c3)
-        return out
+        return _twisted_diff_key(self, key)
 
     # the identification and its inverse on representatives
     def iso_from_tensor(self, b_elt: AModuleElement, a: AlgebraElement, m_key_j: int, m_b: Exponent) -> Dict:
@@ -655,16 +697,16 @@ class TensorOverA:
         for aterm, ca in a.coeffs.items():
             adeg = self.m.algebra.term_degree(aterm)
             for bk, cb in b_elt.coeffs.items():
-                bdeg = self.b.key_degree(bk)
+                bdeg = self.n_mod.key_degree(bk)
                 sign = -1 if adeg * bdeg % 2 else 1
-                for k2, c2 in self.b.act_algebra_term_key(aterm, bk).items():
+                for k2, c2 in self.n_mod.act_algebra_term_key(aterm, bk).items():
                     add_term(out, (k2, m_key_j, m_b), sign * ca * cb * c2)
         return out
 
     def iso_inverse_key(self, key) -> Tuple[AModuleElement, AlgebraElement, int, Exponent]:
         """i^{-1}(b (x) m) = b (x) (1_A (x) m), on a basis key."""
         bk, j, bexp = key
-        return AModuleElement(self.b, {bk: Fraction(1)}), self.m.algebra.one(), j, bexp
+        return AModuleElement(self.n_mod, {bk: Fraction(1)}), self.m.algebra.one(), j, bexp
 
 
 def tensor_over_A(b: AModule, m: AModule) -> TensorOverA:
@@ -686,14 +728,59 @@ def tensor_unit_case(b: AModule) -> bool:
     return True
 
 
-def tensor_map(f: AModuleMorphism, m: AModule) -> Callable:
-    """f (x)_A Id_{A (x) V} read through the identification: f (x) Id_V."""
+class BaseChangeModule(_TwistedTensor):
+    """B (x)_A N for a Sullivan extension A -> B, identified with N (x) S(W)
+    where W spans B's new generators; keys are (n_key, w_atoms)."""
 
-    def apply_key(key):
-        bk, j, bexp = key
-        return {(k2, j, bexp): c for k2, c in f.apply_key(bk).items()}
+    def __init__(self, b: SullivanAlgebra, n_mod: AModule):
+        a = n_mod.algebra
+        if b.nvars != a.nvars or b.generators[: len(a.generators)] != a.generators:
+            raise ValueError("B is not a Sullivan extension of A")
+        # both algebras drop zero assignments, so absent means d = 0
+        if any(b.diff_coeffs.get(j) != a.diff_coeffs.get(j) for j in range(len(a.generators))):
+            raise ValueError("B's differential disagrees with A on A's generators")
+        super().__init__(n_mod, 0)
+        self.b = b
+        self.a = a
+        self.w_start = len(a.generators)
 
-    return apply_key
+    def w_blocks(self, degree: int, max_weight: int):
+        for deg_w in range(0, degree + 1):
+            for watoms, cost in self.b._atom_multisets(self.w_start, deg_w, max_weight):
+                yield (watoms,), deg_w, cost
+
+    def w_grading(self, w) -> Tuple[int, int]:
+        term = ((0,) * self.nvars,) + w  # the B-term 1 * watoms
+        return self.b.term_degree(term), self.b.term_weight(term)
+
+    def twist_terms(self, w):
+        # d of the W-monomial in B, each term split into its A- and W-atoms
+        for (alpha, atoms), c in self.b.d_term(((0,) * self.nvars,) + w).items():
+            aterm = (alpha, tuple(at for at in atoms if at[0] < self.w_start))
+            w_atoms = tuple(at for at in atoms if at[0] >= self.w_start)
+            yield aterm, self.a.term_degree(aterm), (w_atoms,), c
+
+    def basis_keys(self, degree: int, max_weight: int):
+        return _twisted_basis_keys(self, degree, max_weight)
+
+    def diff_key(self, key) -> Dict:
+        return _twisted_diff_key(self, key)
+
+
+def base_change(b: SullivanAlgebra, n_mod: AModule) -> BaseChangeModule:
+    return BaseChangeModule(b, n_mod)
+
+
+def _tensor_id(f: AModuleMorphism) -> Callable:
+    """f (x) Id_W on twisted-tensor keys (n_key,) + w."""
+    return lambda key: {(k2,) + key[1:]: c for k2, c in f.apply_key(key[0]).items()}
+
+
+def _sliced_bounded_weq(src, tgt, apply_key: Callable, n: int, degree_window: int) -> TruncationResult:
+    """Bounded check of apply_key: src -> tgt up to the larger top-degree hint."""
+    top = max(src.top_degree_hint(degree_window), tgt.top_degree_hint(degree_window))
+    return bounded_weq(src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key,
+                       apply_key, range(0, top + 1), n)
 
 
 def tensor_bounded_weq(
@@ -705,77 +792,8 @@ def tensor_bounded_weq(
     """Bounded check that f (x)_A Id_M is a weak equivalence."""
     if m.t_part is not None:
         m, _ = flatten_sullivan(m)
-    src = TensorOverA(f.source, m)
-    tgt = TensorOverA(f.target, m)
-    degrees = range(0, max(src_top_hint(src, degree_window), src_top_hint(tgt, degree_window)) + 1)
-    return bounded_weq(
-        src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key,
-        tensor_map(f, m), degrees, n,
-    )
-
-
-def src_top_hint(t: TensorOverA, window: int) -> int:
-    own = max([g.degree for g in t.m.gens], default=0)
-    return t.b.top_degree_hint(window) + own
-
-
-# ------------------------------------------------------ base change
-
-class BaseChangeModule:
-    """B (x)_A N for a Sullivan extension A -> B, identified with N (x) S(W)
-    where W spans B's new generators; keys are (n_key, w_atoms)."""
-
-    def __init__(self, b: SullivanAlgebra, n_mod: AModule):
-        a = n_mod.algebra
-        if b.nvars != a.nvars or b.generators[: len(a.generators)] != a.generators:
-            raise ValueError("B is not a Sullivan extension of A")
-        for j in a.diff_coeffs:
-            if b.diff_coeffs.get(j, {}) != a.diff_coeffs[j]:
-                raise ValueError("B's differential disagrees with A on A's generators")
-        for j in b.diff_coeffs:
-            if j < len(a.generators) and j not in a.diff_coeffs:
-                raise ValueError("B's differential disagrees with A on A's generators")
-        self.b = b
-        self.a = a
-        self.n_mod = n_mod
-        self.w_start = len(a.generators)
-        self.nvars = b.nvars
-
-    def key_degree(self, key) -> int:
-        nk, watoms = key
-        return self.n_mod.key_degree(nk) + sum(self.b.generators[j].degree for j, _ in watoms)
-
-    def basis_keys(self, degree: int, max_weight: int):
-        for deg_w in range(0, degree + 1):
-            for watoms, cost in self.b._atom_multisets(self.w_start, deg_w, max_weight):
-                for nk in self.n_mod.basis_keys(degree - deg_w, max_weight - cost):
-                    yield (nk, watoms)
-
-    def diff_key(self, key) -> Dict:
-        nk, watoms = key
-        out: Dict = {(k2, watoms): c for k2, c in self.n_mod.diff_key(nk).items()}
-        ndeg = self.n_mod.key_degree(nk)
-        for (alpha, atoms), c in self.b.d_term(((0,) * self.nvars, watoms)).items():
-            a_atoms = tuple(at for at in atoms if at[0] < self.w_start)
-            w_atoms = tuple(at for at in atoms if at[0] >= self.w_start)
-            aterm = (alpha, a_atoms)
-            # (-1)^{|n| + |a||n|}
-            sign = -1 if ndeg * (1 + self.a.term_degree(aterm)) % 2 else 1
-            for k3, c3 in self.n_mod.act_algebra_term_key(aterm, nk).items():
-                add_term(out, (k3, w_atoms), sign * c * c3)
-        return out
-
-
-def base_change(b: SullivanAlgebra, n_mod: AModule) -> BaseChangeModule:
-    return BaseChangeModule(b, n_mod)
-
-
-def base_change_map(f: AModuleMorphism) -> Callable:
-    def apply_key(key):
-        nk, watoms = key
-        return {(k2, watoms): c for k2, c in f.apply_key(nk).items()}
-
-    return apply_key
+    return _sliced_bounded_weq(TensorOverA(f.source, m), TensorOverA(f.target, m),
+                               _tensor_id(f), n, degree_window)
 
 
 def base_change_bounded_weq(
@@ -784,13 +802,8 @@ def base_change_bounded_weq(
     n: int = 5,
     degree_window: int = 5,
 ) -> TruncationResult:
-    src = BaseChangeModule(b, f.source)
-    tgt = BaseChangeModule(b, f.target)
-    top = max(f.source.top_degree_hint(degree_window), f.target.top_degree_hint(degree_window))
-    return bounded_weq(
-        src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key,
-        base_change_map(f), range(0, top + 1), n,
-    )
+    return _sliced_bounded_weq(BaseChangeModule(b, f.source), BaseChangeModule(b, f.target),
+                               _tensor_id(f), n, degree_window)
 
 
 # ------------------------------------------- modules <-> undercategory
@@ -883,14 +896,7 @@ class FreeModuleMonad:
 def free_amodule_monad(algebra: SullivanAlgebra, c: FreeDComplex) -> FreeModuleMonad:
     """The free A-module monad value at a free complex, with unit and
     multiplication; the full law checks live in the monads module."""
-    sigma = free_amodule(algebra, c)
-    index: Dict[Tuple[int, int], int] = {}
-    pos = 0
-    for n in sorted(c.ranks):
-        for s in range(c.rank(n)):
-            index[(n, s)] = pos
-            pos += 1
-    return FreeModuleMonad(algebra, sigma, index)
+    return FreeModuleMonad(algebra, free_amodule(algebra, c), _cell_index(c))
 
 
 # ------------------------------------------------------ bounded weq for Mod(A)
@@ -901,16 +907,4 @@ def amodule_bounded_weq(
     degree_window: int = 4,
 ) -> TruncationResult:
     """Weak equivalence of A-module maps, tested on the underlying complexes."""
-    top = max(
-        f.source.top_degree_hint(degree_window),
-        f.target.top_degree_hint(degree_window),
-    )
-    return bounded_weq(
-        f.source.basis_keys,
-        f.source.diff_key,
-        f.target.basis_keys,
-        f.target.diff_key,
-        f.apply_key,
-        range(0, top + 1),
-        n,
-    )
+    return _sliced_bounded_weq(f.source, f.target, f.apply_key, n, degree_window)

@@ -31,7 +31,6 @@ from .amod import (
     BaseChangeModule,
     TensorOverA,
     flatten_sullivan,
-    src_top_hint,
 )
 from .complexes import (
     ChainMap,
@@ -102,13 +101,18 @@ def _check_exponent(power: int, line: int, column: int):
 
 
 class _Parser:
-    """Recursive-descent parser shared by the three element grammars."""
+    """Recursive-descent parser shared by the three element grammars, each
+    given by its callbacks: `from_name` is None where names are not atoms."""
 
-    def __init__(self, text: str, nvars: int, atom_lookup=None):
+    def __init__(self, text: str, nvars: int, mul, neg, from_rat, from_var, from_name=None):
         self.tokens = _tokenize(text)
         self.i = 0
         self.nvars = nvars
-        self.atom_lookup = atom_lookup  # name -> callable(dexp) -> value
+        self.mul = mul
+        self.neg = neg
+        self.from_rat = from_rat
+        self.from_var = from_var
+        self.from_name = from_name
 
     def peek(self):
         return self.tokens[self.i]
@@ -129,47 +133,47 @@ class _Parser:
             return self.advance()
         self.error((op,))
 
-    def parse_sum(self, mul, neg, from_rat, from_var, from_name):
+    def parse_sum(self):
         # expr := ['-'] term (('+'|'-') term)*
         negate = False
         if self.peek()[0] == "op" and self.peek()[1] == "-":
             self.advance()
             negate = True
-        total = self.parse_term(mul, from_rat, from_var, from_name)
+        total = self.parse_term()
         if negate:
-            total = neg(total)
+            total = self.neg(total)
         while True:
             kind, value, _, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                term = self.parse_term(mul, from_rat, from_var, from_name)
-                total = total + (neg(term) if value == "-" else term)
+                term = self.parse_term()
+                total = total + (self.neg(term) if value == "-" else term)
             else:
                 return total
 
-    def parse_term(self, mul, from_rat, from_var, from_name):
-        total = self.parse_factor(mul, from_rat, from_var, from_name)
+    def parse_term(self):
+        total = self.parse_factor()
         while True:
             kind, value, _, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                total = mul(total, self.parse_factor(mul, from_rat, from_var, from_name))
+                total = self.mul(total, self.parse_factor())
             else:
                 return total
 
-    def parse_factor(self, mul, from_rat, from_var, from_name):
+    def parse_factor(self):
         kind, value, line, col = self.peek()
         if kind == "rat":
             self.advance()
-            base = from_rat(Fraction(value))
+            base = self.from_rat(Fraction(value))
         elif kind == "var":
             self.advance()
             idx = int(value[1:])
             if not 1 <= idx <= self.nvars:
                 raise ParseError(f"unknown variable index {value!r}", line, col)
-            base = from_var(value[0], idx)
+            base = self.from_var(value[0], idx)
         elif kind == "name":
-            if from_name is None:
+            if self.from_name is None:
                 self.error(("rational", "x<i>", "d<i>"))
             self.advance()
             dexp = (0,) * self.nvars
@@ -195,7 +199,7 @@ class _Parser:
                     )
                 _check_exponent(sum(exps), line, col)
                 dexp = tuple(exps)
-            base = from_name(value, dexp, line, col)
+            base = self.from_name(value, dexp, line, col)
         else:
             self.error(("rational", "x<i>", "d<i>", "name"))
         # postfix ^; stacked exponents multiply, and each and their product are capped
@@ -211,8 +215,8 @@ class _Parser:
             _check_exponent(max(power, total), l2, c2)  # x1^0^k still loops k times
             acc = None
             for _ in range(power):
-                acc = base if acc is None else mul(acc, base)
-            base = acc if acc is not None else from_rat(Fraction(1))
+                acc = base if acc is None else self.mul(acc, base)
+            base = acc if acc is not None else self.from_rat(Fraction(1))
         return base
 
     def finish(self, value):
@@ -223,15 +227,14 @@ class _Parser:
 
 def parse_operator(text: str, nvars: int = 1) -> WeylElement:
     """Parse an operator expression into a canonical WeylElement."""
-    p = _Parser(text, nvars)
-    value = p.parse_sum(
+    p = _Parser(
+        text, nvars,
         mul=lambda a, b: a * b,
         neg=lambda a: -a,
         from_rat=lambda c: WeylElement.scalar(nvars, c),
         from_var=lambda kind, i: (WeylElement.x if kind == "x" else WeylElement.d)(i, nvars),
-        from_name=None,
     )
-    return p.finish(value)
+    return p.finish(p.parse_sum())
 
 
 def parse_algebra_element(text: str, algebra: SullivanAlgebra) -> AlgebraElement:
@@ -250,15 +253,15 @@ def parse_algebra_element(text: str, algebra: SullivanAlgebra) -> AlgebraElement
             raise ParseError("free d-factors are not algebra elements; use atom exponents", 1, 1)
         return algebra.x_poly(tuple(1 if k == i - 1 else 0 for k in range(nvars)))
 
-    p = _Parser(text, nvars)
-    value = p.parse_sum(
+    p = _Parser(
+        text, nvars,
         mul=lambda a, b: a * b,
         neg=lambda a: -a,
         from_rat=lambda c: algebra.one(c),
         from_var=from_var,
         from_name=from_name,
     )
-    return p.finish(value)
+    return p.finish(p.parse_sum())
 
 
 def parse_module_element(text: str, module: AModule) -> AModuleElement:
@@ -305,9 +308,8 @@ def parse_module_element(text: str, module: AModule) -> AModuleElement:
             raise ParseError("free d-factors are not module elements; use atom exponents", 1, 1)
         return Wrap([(algebra.x_poly(tuple(1 if k == i - 1 else 0 for k in range(nvars))), None)])
 
-    p = _Parser(text, nvars)
-    w = p.parse_sum(mul, neg, lambda c: Wrap([(algebra.one(c), None)]), from_var, from_name)
-    p.finish(w)
+    p = _Parser(text, nvars, mul, neg, lambda c: Wrap([(algebra.one(c), None)]), from_var, from_name)
+    w = p.finish(p.parse_sum())
     out = module.zero()
     for (ae, at) in w.terms:
         if at is None:
@@ -566,19 +568,17 @@ def _diag(msg: str):
 _DSQUARE_WINDOW = 3
 
 # command -> (input document kind, report name, builder of the sliced
-# complex from the document, top degree to probe)
+# complex from the document)
 _DSQUARE_CHECKS = {
     "tensor-a": (
         "tensor-input", "tensor-over-A d^2 = 0 on slices",
         lambda doc: TensorOverA(amodule_from_body(_part(doc, "b")),
                                 amodule_from_body(_part(doc, "m"))),
-        lambda t: src_top_hint(t, _DSQUARE_WINDOW),
     ),
     "base-change": (
         "base-change-input", "base-change d^2 = 0 on slices",
         lambda doc: BaseChangeModule(algebra_from_body(_part(doc, "b")),
                                      amodule_from_body(_part(doc, "n"))),
-        lambda t: t.n_mod.top_degree_hint(_DSQUARE_WINDOW),
     ),
 }
 
@@ -764,13 +764,13 @@ def _run_command(args) -> int:
         return 0
 
     if cmd in _DSQUARE_CHECKS:
-        kind, check, build, top = _DSQUARE_CHECKS[cmd]
+        kind, check, build = _DSQUARE_CHECKS[cmd]
         doc = load_document(args.file)
         if doc["kind"] != kind:
             raise DocumentError(f"expected {kind}, got {doc['kind']}")
         t = build(doc)
-        key = dsquare_witness(t.basis_keys, t.diff_key, range(0, top(t) + 1),
-                              args.truncation - 2)
+        degrees = range(0, t.top_degree_hint(_DSQUARE_WINDOW) + 1)
+        key = dsquare_witness(t.basis_keys, t.diff_key, degrees, args.truncation - 2)
         _emit(make_document("check-report", {
             "check": check,
             "verdict": "pass" if key is None else "fail",

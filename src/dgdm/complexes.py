@@ -259,7 +259,8 @@ def compose(f: ChainMap, g: ChainMap) -> ChainMap:
         raise ComplexError("maps do not compose")
     mats = {}
     for n in f.source.degrees():
-        if g.target.rank(n):
+        # zero through a zero middle rank, where mat_mul cannot size it
+        if f.target.rank(n) and g.target.rank(n):
             mats[n] = mat_mul(f.component(n), g.component(n), f.nvars)
     return ChainMap(f.source, g.target, mats)
 

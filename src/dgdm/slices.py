@@ -31,7 +31,7 @@ the first level-(N+1) failure.
 
 A basis enumerator may replay stored keys: `SullivanAlgebra` and
 `AModule` build each (degree, max weight) slice once and keep the tuple
-on the instance, and the tensor, base-change and cone enumerators loop
+on the instance, and the twisted-tensor (`amod`) and cone enumerators loop
 over those tuples.  A replayed slice lists the same keys in the same
 order as a fresh enumeration, so nullspace bases and witnesses do not
 depend on what was enumerated before.  The memo lives per instance,

@@ -335,7 +335,6 @@ def check_simpl_tens_iso(rng, params):
         b = rg.random_amodule(rng, a, cells=2, max_degree=2)
         m = rg.random_amodule(rng, a, cells=1, max_degree=2)
         t = am.TensorOverA(b, m)
-        zero_exp = (0,) * a.nvars
         keys = [k for p in range(0, 4) for k in t.basis_keys(p, 3)]
         if not keys:
             continue
@@ -406,12 +405,10 @@ def check_monad_laws(rng, params):
     if fails:
         return "fail", {"monad": "U = PhiSigma", "laws": fails}
     # Sigma of the generating maps: valid A-module morphisms
+    monad = am.free_amodule_monad(a, c)
     for n in (1, 2):
-        sphere_mod = am.free_amodule(a, sphere(n - 1), name="s")
-        disk_mod = am.free_amodule(a, disk(n), name="d")
-        am.AModuleMorphism(sphere_mod, disk_mod, None, {0: disk_mod.generator(0)})
-        empty = am.AModule(a, None, (), {})
-        am.AModuleMorphism(empty, disk_mod, None, {})
+        monad.sigma_iota(n)
+        monad.sigma_zeta(n)
     return "pass", None
 
 

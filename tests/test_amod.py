@@ -285,6 +285,13 @@ def test_base_change_requires_extension(algebra):
     m = free_sphere_module(algebra, 0)
     with pytest.raises(ValueError):
         BaseChangeModule(other, m)
+    # same generators, but d(u) = e on one side only
+    gens = [Generator("e", 1), Generator("u", 2)]
+    closed = SullivanAlgebra(1, gens)
+    twisted = SullivanAlgebra(1, gens, {1: {((0,), ((0, (0,)),)): Fraction(1)}})
+    for a, b in ((closed, twisted), (twisted, closed)):
+        with pytest.raises(ValueError, match="disagrees"):
+            BaseChangeModule(b, free_sphere_module(a, 0))
     # B = A is allowed: the identity functor case
     bc = BaseChangeModule(algebra, m)
     keys = list(bc.basis_keys(0, 2))
@@ -378,12 +385,9 @@ def test_module_enumerations_replay_and_nest():
     t = TensorOverA(m, free_amodule(a, disk(1)))
     b = a.extended(Generator("w", 1), None).extended(Generator("v", 2), None)
     bc = BaseChangeModule(b, m)
-    zero = (0,) * a.nvars
     assert_enumeration_contract(m.basis_keys, m.key_degree, m.key_weight)
     assert_enumeration_contract(t.basis_keys, t.key_degree, t.key_weight)
-    assert_enumeration_contract(
-        bc.basis_keys, bc.key_degree,
-        lambda key: m.key_weight(key[0]) + b.term_weight((zero, key[1])))
+    assert_enumeration_contract(bc.basis_keys, bc.key_degree, bc.key_weight)
 
 
 # raw atom-multiset builds in the check below, each (algebra, j, degree,
@@ -466,11 +470,11 @@ def _ref_diff_key(m, key):
 
 def _ref_tensor_diff(t, key):
     bk, j, bexp = key
-    bdeg = t.b.key_degree(bk)
-    pairs = [((k2, j, bexp), c) for k2, c in _ref_diff_key(t.b, bk).items()]
+    bdeg = t.n_mod.key_degree(bk)
+    pairs = [((k2, j, bexp), c) for k2, c in _ref_diff_key(t.n_mod, bk).items()]
     for (_, a2, at2, j2, b2), c in _ref_d_of_atom(t.m, j, bexp).items():
         sign = Fraction(-1) ** bdeg * Fraction(-1) ** (t.m.algebra.term_degree((a2, at2)) * bdeg)
-        pairs += [((k3, j2, b2), sign * c * c3) for k3, c3 in _ref_act(t.b, (a2, at2), bk).items()]
+        pairs += [((k3, j2, b2), sign * c * c3) for k3, c3 in _ref_act(t.n_mod, (a2, at2), bk).items()]
     return _acc(pairs)
 
 
@@ -598,3 +602,21 @@ def test_checks_on_deep_copies_leave_the_memos_of_their_inputs_alone():
     # the copies did the work
     assert len(cf.source._diff_memo) > len(f.source._diff_memo)
     assert len(cg.target._dterm_memo) > len(g.target._dterm_memo)
+
+
+def test_bounded_module_checks_keep_their_degree_ranges():
+    # the tensor adds the top generator degree of M to the window of B;
+    # base change and Mod(A) read the window of the module alone
+    f, m, b = _module_instance(1300)
+    assert tensor_bounded_weq(f, m, 3, 2).degrees_checked == tuple(range(7))
+    assert base_change_bounded_weq(b, f, 3, 2).degrees_checked == tuple(range(6))
+    assert amodule_bounded_weq(f, 3, 2).degrees_checked == tuple(range(6))
+
+
+def test_deep_copied_composite_applies_like_the_original():
+    f, _, _ = _module_instance(1301)  # two inclusions, then a shear
+    keys = f.source.basis_keys(2, 3)
+    assert len(keys) == 14
+    copied = copy.deepcopy(f)
+    for key in keys:
+        assert copied.apply_key(key) == f.apply_key(key), key

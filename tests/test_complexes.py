@@ -484,3 +484,10 @@ def test_unit_kernel_shortcut_matches_groebner_presentations():
             assert json.dumps(presentation_body(h)) == json.dumps(presentation_body(want)), (seed, n)
             shortcut += _whole_kernel(c, n) and not h.is_zero()
     assert shortcut >= 40, shortcut
+
+
+def test_compose_through_the_zero_complex():
+    # mat_mul of a 1 x 0 and a 0 x 1 matrix cannot know its column count
+    e = FreeDComplex(1, {}, {})
+    got = compose(zero_map(sphere(0), e), zero_map(e, sphere(0)))
+    assert got == zero_map(sphere(0), sphere(0))
