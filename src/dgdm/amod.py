@@ -341,17 +341,13 @@ def extend_differential(
     return AModule(algebra, t_part, gens, {j: elt.coeffs for j, elt in assignments.items()})
 
 
-def _cell_index(c: FreeDComplex) -> Dict[Tuple[int, int], int]:
-    """The generator index of each cell (degree, position) of c, degrees ascending."""
-    cells = [(n, s) for n in sorted(c.ranks) for s in range(c.rank(n))]
-    return {cell: j for j, cell in enumerate(cells)}
-
-
 def free_amodule(algebra: SullivanAlgebra, c: FreeDComplex, name: str = "m") -> AModule:
     """A (x) C for a free D-complex C, with the standard differential."""
     if c.nvars != algebra.nvars:
         raise ValueError("complex over the wrong Weyl algebra")
-    index = _cell_index(c)
+    # the generator index of each cell (degree, position), degrees ascending
+    cells = [(n, s) for n in sorted(c.ranks) for s in range(c.rank(n))]
+    index = {cell: j for j, cell in enumerate(cells)}
     gens = [Generator(f"{name}{n}_{s}", n) for n, s in index]
     diff: Dict[int, ModCoeffs] = {}
     for n in c.differentials:
@@ -842,61 +838,6 @@ def cmon_to_under(n: CMonInModA) -> AlgebraMorphism:
         n.monoid,
         {j: n.act(n.base.generator(j), one) for j in range(len(n.base.generators))},
     )
-
-
-# ------------------------------------------------------ the free-module monad
-
-@dataclass
-class FreeModuleMonad:
-    """Sigma(M) = A (x) M with its unit and multiplication.
-
-    Elements of M are given on the O-basis of the free complex as
-    {(n, s, alpha, b): c}; U(M)-elements reuse the AModule keys of
-    `sigma`, and U^2(M)-elements carry two A-monomial blocks:
-    {(alpha, atoms1, atoms2, (n, s), b): c}.
-    """
-
-    algebra: SullivanAlgebra
-    sigma: AModule
-    index: Dict[Tuple[int, int], int]  # (degree, position) -> generator index
-
-    def unit(self, m_elem: Dict) -> AModuleElement:
-        """eta_M: M -> A (x) M, m |-> 1_A (x) m."""
-        coeffs: ModCoeffs = {}
-        for (n, s, alpha, b), c in m_elem.items():
-            add_term(coeffs, ("v", alpha, (), self.index[(n, s)], b), c)
-        return AModuleElement(self.sigma, coeffs)
-
-    def mult(self, uum_elem: Dict) -> AModuleElement:
-        """mu_M: A (x) (A (x) M) -> A (x) M, a (x) (a' (x) m) |-> (a a') (x) m."""
-        from .dga import _normalize_atoms
-
-        coeffs: ModCoeffs = {}
-        for (alpha, at1, at2, (n, s), b), c in uum_elem.items():
-            norm = _normalize_atoms(at1 + at2, self.algebra.parities)
-            if norm is None:
-                continue
-            sign, merged = norm
-            add_term(coeffs, ("v", alpha, merged, self.index[(n, s)], b), c * sign)
-        return AModuleElement(self.sigma, coeffs)
-
-    def sigma_iota(self, n: int) -> AModuleMorphism:
-        """Sigma(iota_n): A (x) S^{n-1} -> A (x) D^n (n >= 1)."""
-        src = free_sphere_module(self.algebra, n - 1, name="s")
-        tgt = free_disk_module(self.algebra, n, name="e")
-        return AModuleMorphism(src, tgt, None, {0: tgt.generator(0)})
-
-    def sigma_zeta(self, n: int) -> AModuleMorphism:
-        """Sigma(zeta_n): 0 -> A (x) D^n (n >= 1)."""
-        src = AModule(self.algebra, None, (), {})
-        tgt = free_disk_module(self.algebra, n, name="e")
-        return AModuleMorphism(src, tgt, None, {})
-
-
-def free_amodule_monad(algebra: SullivanAlgebra, c: FreeDComplex) -> FreeModuleMonad:
-    """The free A-module monad value at a free complex, with unit and
-    multiplication; the full law checks live in the monads module."""
-    return FreeModuleMonad(algebra, free_amodule(algebra, c), _cell_index(c))
 
 
 # ------------------------------------------------------ bounded weq for Mod(A)

@@ -407,9 +407,14 @@ def parse_document(text: str) -> Dict:
     return doc
 
 
-def load_document(path: str) -> Dict:
+def load_document(path: str, kind: str) -> Dict:
+    """Read the document at path; it must be of the given kind."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read())
+        doc = parse_document(fh.read())
+    if doc["kind"] != kind:
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise DocumentError(f"expected {article} {kind} document, got {doc['kind']}")
+    return doc
 
 
 def complex_body(c: FreeDComplex) -> Dict:
@@ -654,18 +659,14 @@ def _run_command(args) -> int:
     cmd = args.command
 
     if cmd == "homology":
-        doc = load_document(args.file)
-        if doc["kind"] != "complex":
-            raise DocumentError(f"expected a complex document, got {doc['kind']}")
+        doc = load_document(args.file, "complex")
         c = complex_from_body(doc)
         h = homology(c, args.degree)
         _emit(make_document("presentation", presentation_body(h)))
         return 0
 
     if cmd in ("cone", "weq"):
-        doc = load_document(args.file)
-        if doc["kind"] != "chainmap":
-            raise DocumentError(f"expected a chainmap document, got {doc['kind']}")
+        doc = load_document(args.file, "chainmap")
         f = chainmap_from_body(doc)
         if cmd == "cone":
             _emit(make_document("complex", complex_body(mapping_cone(f))))
@@ -675,9 +676,7 @@ def _run_command(args) -> int:
         return 0 if verdict else 1
 
     if cmd == "pushout":
-        doc = load_document(args.file)
-        if doc["kind"] != "pushout-input":
-            raise DocumentError(f"expected a pushout-input document, got {doc['kind']}")
+        doc = load_document(args.file, "pushout-input")
         f = chainmap_from_body(_part(doc, "f"))
         g = chainmap_from_body(_part(doc, "g"))
         cert = certify_cofibration(g)
@@ -720,9 +719,7 @@ def _run_command(args) -> int:
         return 0
 
     if cmd == "attach":
-        doc = load_document(args.file)
-        if doc["kind"] != "attach-input":
-            raise DocumentError(f"expected an attach-input document, got {doc['kind']}")
+        doc = load_document(args.file, "attach-input")
         base = complex_from_body(_part(doc, "base"))
         attachments = []
         for a in _list(doc.get("attachments", []), "attachments"):
@@ -743,9 +740,7 @@ def _run_command(args) -> int:
         return 0 if cert.verdict == "certified" else 1
 
     if cmd == "sullivan-extend":
-        doc = load_document(args.file)
-        if doc["kind"] != "sullivan-extend-input":
-            raise DocumentError(f"expected sullivan-extend-input, got {doc['kind']}")
+        doc = load_document(args.file, "sullivan-extend-input")
         x = algebra_from_body(_part(doc, "x"))
         y = algebra_from_body(_part(doc, "y"))
         assignments = {}
@@ -765,10 +760,7 @@ def _run_command(args) -> int:
 
     if cmd in _DSQUARE_CHECKS:
         kind, check, build = _DSQUARE_CHECKS[cmd]
-        doc = load_document(args.file)
-        if doc["kind"] != kind:
-            raise DocumentError(f"expected {kind}, got {doc['kind']}")
-        t = build(doc)
+        t = build(load_document(args.file, kind))
         degrees = range(0, t.top_degree_hint(_DSQUARE_WINDOW) + 1)
         key = dsquare_witness(t.basis_keys, t.diff_key, degrees, args.truncation - 2)
         _emit(make_document("check-report", {
@@ -790,9 +782,7 @@ def _run_command(args) -> int:
         seed, name_filter, overrides = args.seed, args.filter, None
         guard = nullcontext()
         if args.file:
-            cfg = load_document(args.file)
-            if cfg["kind"] != "suite-config":
-                raise DocumentError(f"expected suite-config, got {cfg['kind']}")
+            cfg = load_document(args.file, "suite-config")
             seed = _int(cfg.get("seed", seed), "seed")
             name_filter = cfg.get("filter", name_filter)
             if name_filter is not None:

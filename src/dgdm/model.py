@@ -23,11 +23,20 @@ from .complexes import (
     block_matrix,
     compose,
     disk,
+    identity_map,
     identity_matrix,
     mat_apply,
     sphere,
 )
-from .groebner import FreeModuleElement, LiftBasis, buchberger, express_in_inputs, lift_basis, member
+from .groebner import (
+    FreeModuleElement,
+    LiftBasis,
+    buchberger,
+    express_in_inputs,
+    lift_basis,
+    member,
+    syzygies,
+)
 from .obasis import (
     Entry,
     OBasisChainMap,
@@ -191,8 +200,6 @@ def certify_cofibration(f: ChainMap) -> CofibrationCertificate:
         r = f.source.rank(n)
         if r == 0:
             continue
-        from .groebner import syzygies
-
         ker = syzygies(f.component(n), f.nvars, source_rank=r, target_rank=f.target.rank(n))
         if ker.generators:
             return CofibrationCertificate("refuted", kernel_witness=(n, ker.generators[0]))
@@ -374,8 +381,6 @@ def attach_cells(base: FreeDComplex, attachments: Sequence[Tuple[int, Optional[F
         incl = step if incl is None else compose(incl, step)
         current = po.complex
     if incl is None:
-        from .complexes import identity_map
-
         incl = identity_map(base)
     return AttachResult(current, incl)
 

@@ -10,24 +10,39 @@ expansions { (gamma, core') : c } meaning sum c * x^gamma . core'.  Elements are
   TensorWithA(A, N)  A (x) N (cores pair an A-atom monomial with an N-core)
 
 Towering FormalSym (resp. TensorWithA) twice or thrice gives the
-iterated endofunctor values needed to state the monad laws; `sym_mu`,
-`sym_eta`, `tensor_mu`, `tensor_eta` are the structure maps, and
-`sym_apply`/`tensor_apply` implement the functor on core-level maps.
+iterated endofunctor values needed to state the monad laws.  Every map
+of elements is a core map extended by `o_linear`: mu (`sym_mu_core`,
+`tensor_mu_core`), the functor (`sym_apply`, `tensor_apply`) and d
+(`diff_key`); the units `sym_eta`/`tensor_eta` only relabel cores.
+The free-module monad U = A (x) - lives here and nowhere else.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from .complexes import FreeDComplex
 from .dga import SullivanAlgebra, _normalize_atoms
-from .rational_linalg import add_term, apply_linear, vec_add
-from .weyl import Exponent, exponents_bounded
+from .rational_linalg import add_term
+from .weyl import Exponent, WeylElement, exponents_bounded
 
 Core = Hashable
 Expansion = Dict[Tuple[Exponent, Core], Fraction]
 Element = Dict[Tuple[Exponent, Core], Fraction]
+
+
+def o_linear(core_map: Callable[[Core], Expansion], elem: Element) -> Element:
+    """The O-linear extension of a core map:
+    sum c x^alpha . core |-> sum c c2 x^(alpha + gamma) . core2 over core_map(core)."""
+    out: Element = {}
+    for (alpha, core), c in elem.items():
+        for (gamma, core2), c2 in core_map(core).items():
+            add_term(out, (tuple(x + y for x, y in zip(alpha, gamma)), core2), c * c2)
+    return out
 
 
 class FreeBase:
@@ -54,8 +69,6 @@ class FreeBase:
         if c.rank(n - 1) == 0 or n not in c.differentials:
             return {}
         out: Expansion = {}
-        from .weyl import WeylElement
-
         carrier = WeylElement.monomial(self.nvars, (0,) * self.nvars, b)
         for v in range(c.rank(n - 1)):
             entry = c.diff(n)[s][v]
@@ -110,11 +123,8 @@ class FormalSym:
                 for rest in rec(nxt, deg_left - da, cost_left - ca):
                     yield (a,) + rest
 
-        seen = set()
-        for ms in rec(0, degree, max_cost):
-            if ms not in seen:
-                seen.add(ms)
-                yield ms
+        # atoms are distinct and indices never decrease, so no multiset repeats
+        yield from rec(0, degree, max_cost)
 
     def core_degree(self, core: Core) -> int:
         return sum(self.base.core_degree(c) for c in core)
@@ -143,17 +153,21 @@ class FormalSym:
                 yield (alpha, core)
 
     def diff_key(self, key) -> Element:
-        alpha, core = key
-        out: Element = {}
-        for (gamma, core2), c in self.diff_core(core).items():
-            na = tuple(x + y for x, y in zip(alpha, gamma))
-            add_term(out, (na, core2), c)
-        return out
+        return o_linear(self.diff_core, {key: 1})
 
 
 def sym_eta(elem: Element) -> Element:
     """N -> S(N): inclusion as polynomial degree one."""
     return {(alpha, (core,)): c for (alpha, core), c in elem.items()}
+
+
+def sym_mu_core(outer: FormalSym, core) -> Expansion:
+    """mu on one S(S(N))-core: concatenate its S(N)-cores and sort."""
+    norm = outer.base.normalize(sum(core, ()))
+    if norm is None:
+        return {}
+    sign, merged = norm
+    return {((0,) * outer.nvars, merged): Fraction(sign)}
 
 
 def sym_mu(outer: FormalSym, elem: Element) -> Element:
@@ -162,43 +176,27 @@ def sym_mu(outer: FormalSym, elem: Element) -> Element:
     `outer` is FormalSym(FormalSym(base)); keys of elem are
     (alpha, multiset of S(base)-cores) and the result lives in S(base).
     """
-    inner: FormalSym = outer.base
-    out: Element = {}
-    for (alpha, mss), c in elem.items():
-        concat: Tuple[Core, ...] = ()
-        for ms in mss:
-            concat = concat + ms
-        norm = inner.normalize(concat)
-        if norm is None:
-            continue
-        sign, merged = norm
-        add_term(out, (alpha, merged), c * sign)
-    return out
+    return o_linear(partial(sym_mu_core, outer), elem)
 
 
 def sym_apply(
-    src: FormalSym,
     dst: FormalSym,
     f_core: Callable[[Core], Expansion],
     elem: Element,
 ) -> Element:
-    """S(f) for an (even, O-linear) core-level map f: src.base -> dst.base."""
-    out: Element = {}
-    for (alpha, ms), c in elem.items():
-        partial: Element = {(alpha, ()): c}
-        for atom in ms:
-            nxt: Element = {}
-            for (a1, acc_core), c1 in partial.items():
-                for (gamma, core2), c2 in f_core(atom).items():
-                    norm = dst.normalize(acc_core + (core2,))
-                    if norm is None:
-                        continue
-                    sign, merged = norm
-                    na = tuple(x + y for x, y in zip(a1, gamma))
-                    add_term(nxt, (na, merged), c1 * c2 * sign)
-            partial = nxt
-        vec_add(out, partial)
-    return out
+    """S(f) for an (even, O-linear) core-level map f into dst.base: the
+    O-linear extension of the product, in dst, of the images of a core's atoms."""
+
+    def on_core(ms) -> Expansion:
+        out: Expansion = {}
+        for terms in product(*(f_core(atom).items() for atom in ms)):  # one term per atom
+            norm = dst.normalize(tuple(core2 for (_, core2), _ in terms))
+            if norm is not None:
+                gamma = tuple(map(sum, zip((0,) * dst.nvars, *(g for (g, _), _ in terms))))
+                add_term(out, (gamma, norm[1]), math.prod(c for _, c in terms) * norm[0])
+        return out
+
+    return o_linear(on_core, elem)
 
 
 class TensorWithA:
@@ -216,142 +214,95 @@ class TensorWithA:
                     yield (atoms, ncore)
 
 
-
 def tensor_eta(elem: Element) -> Element:
     """N -> A (x) N, m |-> 1 (x) m."""
     return {(alpha, ((), core)): c for (alpha, core), c in elem.items()}
 
 
+def tensor_mu_core(outer: TensorWithA, core) -> Expansion:
+    """mu on one A (x) (A (x) N)-core: multiply the two A-blocks."""
+    at1, (at2, ncore) = core
+    norm = _normalize_atoms(at1 + at2, outer.algebra.parities)
+    if norm is None:
+        return {}
+    sign, merged = norm
+    return {((0,) * outer.nvars, (merged, ncore)): Fraction(sign)}
+
+
 def tensor_mu(outer: TensorWithA, elem: Element) -> Element:
     """A (x) (A (x) N) -> A (x) N: multiply the two A-blocks."""
-    inner: TensorWithA = outer.base
-    algebra = outer.algebra
-    out: Element = {}
-    for (alpha, (at1, (at2, ncore))), c in elem.items():
-        norm = _normalize_atoms(at1 + at2, algebra.parities)
-        if norm is None:
-            continue
-        sign, merged = norm
-        add_term(out, (alpha, (merged, ncore)), c * sign)
-    return out
+    return o_linear(partial(tensor_mu_core, outer), elem)
 
 
-def tensor_apply(
-    tower: TensorWithA,
-    f_core: Callable[[Core], Expansion],
-    elem: Element,
-) -> Element:
+def tensor_apply(f_core: Callable[[Core], Expansion], elem: Element) -> Element:
     """A (x) f on elements, for an even core-level map on the base."""
-    out: Element = {}
-    for (alpha, (atoms, ncore)), c in elem.items():
-        for (gamma, ncore2), c2 in f_core(ncore).items():
-            na = tuple(x + y for x, y in zip(alpha, gamma))
-            add_term(out, (na, (atoms, ncore2)), c * c2)
-    return out
+    return o_linear(
+        lambda core: {(gamma, (core[0], ncore2)): c for (gamma, ncore2), c in f_core(core[1]).items()},
+        elem,
+    )
 
 
 # ----------------------------------------------------------- law checks
+
+def _associativity_failures(mu_core, functor, t2, t3, probes: List[Element]) -> List[str]:
+    """mu o T(mu) = mu o mu_T on T^3-level probes; `functor` lifts a
+    core map T^2 -> T to a map of elements T^3 -> T^2."""
+    mu2, mu3 = partial(mu_core, t2), partial(mu_core, t3)
+    if all(o_linear(mu2, functor(mu2, z)) == o_linear(mu2, o_linear(mu3, z)) for z in probes):
+        return []
+    return ["associativity"]
+
+
+def _unit_failures(mu, eta, functor, nvars: int, probes: List[Element]) -> List[str]:
+    """mu o eta_T = Id (left unit), then mu o T(eta) = Id (right unit), on
+    the first ten T-level probes; T(eta) is the functor on eta of one core."""
+    t_eta = partial(functor, lambda core: eta({((0,) * nvars, core): Fraction(1)}))
+    for w in probes[:10]:
+        if mu(eta(w)) != w:
+            return ["left unit"]
+        if mu(t_eta(w)) != w:
+            return ["right unit"]
+    return []
+
 
 def check_sym_monad_laws(c: FreeDComplex, probes: List[Element]) -> List[str]:
     """Monad laws for T = (free algebra, mu, eta) on S^3-level probes.
 
     Each probe is an element of S(S(S(FreeBase(c)))).  Besides the laws,
-    mu and eta must be chain maps for the differentials `diff_key`
+    mu and eta must be chain maps for the differentials `diff_core`
     extends from c.  Returns the list of violated laws (empty = all hold).
     """
-    base = FreeBase(c)
-    s1 = FormalSym(base)
+    s1 = FormalSym(FreeBase(c))
     s2 = FormalSym(s1)
     s3 = FormalSym(s2)
-    failures = []
-
-    for z in probes:
-        # associativity: mu o T(mu) = mu o mu_T on S3
-        t_mu = sym_apply(s3, s2, lambda core: _expand_mu_core(s2, core), z)
-        lhs = sym_mu(s2, t_mu)
-        rhs = sym_mu(s2, sym_mu(s3, z))
-        if lhs != rhs:
-            failures.append("associativity")
-            break
+    failures = _associativity_failures(sym_mu_core, partial(sym_apply, s2), s2, s3, probes)
     for z in probes:
         # d mu = mu d, on S3 -> S2 and on its image, S2 -> S1
         mz = sym_mu(s3, z)
-        if (apply_linear(s2.diff_key, mz) != sym_mu(s3, apply_linear(s3.diff_key, z))
-                or apply_linear(s1.diff_key, sym_mu(s2, mz)) != sym_mu(s2, apply_linear(s2.diff_key, mz))):
+        if (o_linear(s2.diff_core, mz) != sym_mu(s3, o_linear(s3.diff_core, z))
+                or o_linear(s1.diff_core, sym_mu(s2, mz)) != sym_mu(s2, o_linear(s2.diff_core, mz))):
             failures.append("mu chain map")
             break
-    # unit laws on S1-level probes derived from the S3 probes' atoms
-    s1_probes = []
-    for z in probes:
-        for (alpha, mss) in z:
-            for ms2 in mss:  # an S2-core: a multiset of S1-cores
-                for ms1 in ms2:
-                    s1_probes.append({(alpha, ms1): Fraction(1)})
+    # unit laws on S1-level probes derived from the S3 probes' atoms; each
+    # S2-core ms2 is a multiset of S1-cores
+    s1_probes = [{(alpha, ms1): Fraction(1)} for z in probes for (alpha, mss) in z
+                 for ms2 in mss for ms1 in ms2]
+    failures += _unit_failures(partial(sym_mu, s2), sym_eta, partial(sym_apply, s2), c.nvars,
+                               s1_probes)
     for w in s1_probes[:10]:
-        if sym_mu(s2, sym_eta(w)) != w:
-            failures.append("left unit")
-            break
-        # T(eta): each atom of the S1-core becomes a singleton S1-core
-        t_eta = {(alpha, tuple((a,) for a in ms)): v for (alpha, ms), v in w.items()}
-        if sym_mu(s2, t_eta) != w:
-            failures.append("right unit")
-            break
-    for w in s1_probes[:10]:
-        if apply_linear(s2.diff_key, sym_eta(w)) != sym_eta(apply_linear(s1.diff_key, w)):
+        if o_linear(s2.diff_core, sym_eta(w)) != sym_eta(o_linear(s1.diff_core, w)):
             failures.append("eta chain map")
             break
     return failures
-
-
-def _expand_mu_core(s2: FormalSym, core) -> Expansion:
-    """mu as a core-level map S(S(N))-core -> S(N)-expansion."""
-    inner: FormalSym = s2.base
-    concat = ()
-    for ms in core:
-        concat = concat + ms
-    norm = inner.normalize(concat)
-    if norm is None:
-        return {}
-    sign, merged = norm
-    return {((0,) * s2.nvars, merged): Fraction(sign)}
 
 
 def check_tensor_monad_laws(
     algebra: SullivanAlgebra, c: FreeDComplex, probes: List[Element]
 ) -> List[str]:
     """Monad laws for U = (A (x) -, mu, eta) on U^3-level probes."""
-    base = FreeBase(c)
-    u1 = TensorWithA(algebra, base)
-    u2 = TensorWithA(algebra, u1)
+    u2 = TensorWithA(algebra, TensorWithA(algebra, FreeBase(c)))
     u3 = TensorWithA(algebra, u2)
-    failures = []
-    for z in probes:
-        # associativity on U^3
-        t_mu = tensor_apply(u3, lambda core: _expand_tensor_mu_core(u2, core), z)
-        lhs = tensor_mu(u2, t_mu)
-        rhs = tensor_mu(u2, tensor_mu(u3, z))
-        if lhs != rhs:
-            failures.append("associativity")
-            break
-    u1_probes: List[Element] = []
-    for z in probes:
-        for (alpha, (at1, (at2, (at3, ncore)))), v in z.items():
-            u1_probes.append({(alpha, (at3, ncore)): Fraction(1)})
-    for w in u1_probes[:10]:
-        if tensor_mu(u2, tensor_eta(w)) != w:
-            failures.append("left unit")
-            break
-        t_eta = tensor_apply(u2, lambda core: {((0,) * c.nvars, ((), core)): Fraction(1)}, w)
-        if tensor_mu(u2, t_eta) != w:
-            failures.append("right unit")
-            break
-    return failures
-
-
-def _expand_tensor_mu_core(u2: TensorWithA, core) -> Expansion:
-    at1, (at2, ncore) = core
-    norm = _normalize_atoms(at1 + at2, u2.algebra.parities)
-    if norm is None:
-        return {}
-    sign, merged = norm
-    return {((0,) * u2.nvars, (merged, ncore)): Fraction(sign)}
+    u1_probes = [{(alpha, (at3, ncore)): Fraction(1)}
+                 for z in probes for (alpha, (_, (_, (at3, ncore)))) in z]
+    return (_associativity_failures(tensor_mu_core, tensor_apply, u2, u3, probes)
+            + _unit_failures(partial(tensor_mu, u2), tensor_eta, tensor_apply, c.nvars, u1_probes))

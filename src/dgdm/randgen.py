@@ -23,12 +23,14 @@ from .complexes import (
     identity_map,
     identity_matrix,
     mapping_cone,
+    mat_add,
     mat_apply,
+    mat_mul,
     sphere,
     summand_inclusion,
     zero_matrix,
 )
-from .dga import AlgebraElement, AlgebraMorphism, Generator, SullivanAlgebra
+from .dga import AlgebraElement, AlgebraMorphism, Generator, SullivanAlgebra, compose_morphisms
 from .groebner import FreeModuleElement
 from .weyl import WeylElement
 from . import amod as amod_mod
@@ -91,8 +93,6 @@ def random_map_from_cone(rng: random.Random, z: FreeDComplex, x: FreeDComplex) -
     condition forces v_n = u_n o d_Z + d_X o u_{n+1}; every choice of u
     works, so the family is as random as u is.
     """
-    from .complexes import mat_add, mat_mul
-
     cone = mapping_cone(identity_map(z))
     nv = z.nvars
     u = {}
@@ -230,8 +230,6 @@ def random_algebra_weq(
             shear_assign = {i: y.generator(i) for i in range(len(y.generators))}
             shear_assign[j] = y.generator(j) + w
             shear = AlgebraMorphism(y, y, shear_assign)
-            from .dga import compose_morphisms
-
             f = compose_morphisms(f, shear)
     return y, f
 

@@ -1,4 +1,4 @@
-"""A-modules: the extension lemma, pushouts, tensors, base change, monads."""
+"""A-modules: the extension lemma, pushouts, tensors, base change, Sigma maps."""
 
 import copy
 import random
@@ -341,26 +341,13 @@ def test_bounded_weq_modA():
     assert amodule_bounded_weq(inc, 4, 3).verdict == "fail"
 
 
-def test_free_amodule_monad_surface(algebra):
-    from dgdm.amod import free_amodule_monad
-    from dgdm.complexes import disk
-
-    monad = free_amodule_monad(algebra, disk(1))
-    # eta followed by mu is the identity (unit law on a concrete element)
-    m_elem = {(1, 0, (2,), (1,)): Fraction(3)}  # 3 x^2 d . (top of D^1)
-    em = monad.unit(m_elem)
-    # view eta(m) inside U^2 as 1 (x) (eta m) and multiply back down
-    uum = {}
-    for key, c in em.coeffs.items():
-        _, alpha, atoms, j, b = key
-        n_deg = monad.sigma.gens[j].degree
-        pos = [p for (nd, p), idx in monad.index.items() if idx == j and nd == n_deg][0]
-        uum[(alpha, (), atoms, (n_deg, pos), b)] = c
-    assert monad.mult(uum) == em
-    # Sigma(iota_n) and Sigma(zeta_n) are valid module morphisms
-    f = monad.sigma_iota(2)
+def test_sigma_of_the_generating_maps(algebra):
+    # Sigma(iota_n): A (x) S^{n-1} -> A (x) D^n and Sigma(zeta_n): 0 -> A (x) D^n
+    # are valid module morphisms
+    tgt = free_disk_module(algebra, 2)
+    f = AModuleMorphism(free_sphere_module(algebra, 1, name="s"), tgt, None, {0: tgt.generator(0)})
     assert f.apply(f.source.generator(0)) == f.target.generator(0)
-    z = monad.sigma_zeta(1)
+    z = AModuleMorphism(AModule(algebra, None, (), {}), free_disk_module(algebra, 1), None, {})
     assert z.target.gens[1].degree == 1
 
 

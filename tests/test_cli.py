@@ -211,8 +211,14 @@ def test_weq_subcommand_exit_codes(tmp_path, capsys):
 
 def test_weq_rejects_other_document_kinds(tmp_path, capsys):
     doc = make_document("complex", {"vars": 1, "ranks": {"0": 1}, "differentials": {}})
-    assert dispatch(["weq", "--file", write_doc(tmp_path, "c.doc", doc)]) == 2
+    path = write_doc(tmp_path, "c.doc", doc)
+    assert dispatch(["weq", "--file", path]) == 2
     assert capsys.readouterr().err == "error: expected a chainmap document, got complex\n"
+    # every command that reads a document names the kind it expected in one form
+    for cmd, kind in (("attach", "an attach-input"), ("sullivan-extend", "a sullivan-extend-input"),
+                      ("tensor-a", "a tensor-input"), ("suite", "a suite-config")):
+        assert dispatch([cmd, "--file", path]) == 2
+        assert capsys.readouterr().err == f"error: expected {kind} document, got complex\n"
 
 
 def test_cone_subcommand(tmp_path, capsys):

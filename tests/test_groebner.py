@@ -486,6 +486,19 @@ def test_no_global_statement_in_the_package():
             assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), name
 
 
+def test_no_import_inside_a_function_in_the_package():
+    # every dependency of a module shows at its head
+    root = os.path.dirname(dgdm.__file__)
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for node in ast.walk(fn):
+                        assert not isinstance(node, (ast.Import, ast.ImportFrom)), (name, node.lineno)
+
+
 def test_two_variable_module():
     n = 2
     d1, d2 = WeylElement.d(1, n), WeylElement.d(2, n)

@@ -1,5 +1,6 @@
 """Formal monad towers: structure maps and laws on random probes."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from dgdm.monads import (
     tensor_eta,
     tensor_mu,
 )
+from dgdm.verify import _monad_probes
 
 
 def random_probes(rng, cores, levels=3, count=8):
@@ -95,3 +97,39 @@ def test_sym_monad_laws_catch_a_differential_that_is_no_derivation(monkeypatch):
     probes = random_probes(rng, cores)
     monkeypatch.setattr(FormalSym, "diff_core", first_factor_only)
     assert check_sym_monad_laws(c, probes) == ["mu chain map"]
+
+
+def test_structure_map_values_are_pinned():
+    # the suite's probe draws; values, not just laws, are pinned
+    a = SullivanAlgebra(1, [Generator("g", 1), Generator("u", 2)])
+    lines = []
+    for c in (disk(1), sphere(1), disk(2)):
+        s2 = FormalSym(FormalSym(FreeBase(c)))
+        s3 = FormalSym(s2)
+        u2 = TensorWithA(a, TensorWithA(a, FreeBase(c)))
+        u3 = TensorWithA(a, u2)
+        s3_cores = [core for d in range(0, 4) for core in s3.cores(d, 4)]
+        u3_cores = [core for d in range(0, 4) for core in u3.cores(d, 4)]
+        for seed in range(5):
+            rng = random.Random(seed)
+            for z in _monad_probes(rng, s3_cores, 8):
+                lines.append(sym_mu(s3, z))
+                lines.append(sym_mu(s2, sym_mu(s3, z)))
+            for z in _monad_probes(rng, u3_cores, 8):
+                lines.append(tensor_mu(u3, z))
+                lines.append(tensor_mu(u2, tensor_mu(u3, z)))
+    text = "\n".join(repr(sorted(v.items(), key=repr)) for v in lines)
+    assert len(lines) == 434
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fb7faf5ed51ff4e2d9c7ca261fc3bdb9d1ed0ac95e2f134b824e1ba24b4bc761")
+
+
+def test_tensor_monad_laws_catch_a_mu_that_drops_the_atoms(monkeypatch):
+    rng = random.Random(2)
+    c = disk(1)
+    a = SullivanAlgebra(1, [Generator("g", 1), Generator("u", 2)])
+    u3 = TensorWithA(a, TensorWithA(a, TensorWithA(a, FreeBase(c))))
+    cores = [core for d in range(0, 4) for core in u3.cores(d, 4)]
+    probes = random_probes(rng, cores)
+    monkeypatch.setattr("dgdm.monads._normalize_atoms", lambda atoms, par: (1, ()))
+    assert check_tensor_monad_laws(a, c, probes) == ["left unit"]
