@@ -31,7 +31,7 @@ from .groebner import (
     member,
     syzygies,
 )
-from .weyl import Polynomial, WeylElement
+from .weyl import Polynomial, WeylElement, act_on_poly
 
 Matrix = Tuple[Tuple[WeylElement, ...], ...]
 
@@ -496,27 +496,16 @@ class ConnectionModule:
     def _curvature_vanishes(self, i: int, j: int) -> bool:
         # partial_i A_j - partial_j A_i + [A_i, A_j] == 0
         s = self.rank
+        d_i, d_j = WeylElement.d(i + 1, self.nvars), WeylElement.d(j + 1, self.nvars)
         for r in range(s):
             for c in range(s):
-                term = _poly_partial(self.matrices[j][r][c], i) - _poly_partial(
-                    self.matrices[i][r][c], j
-                )
+                term = act_on_poly(d_i, self.matrices[j][r][c]) - act_on_poly(d_j, self.matrices[i][r][c])
                 for k in range(s):
                     term = term + self.matrices[i][r][k] * self.matrices[j][k][c]
                     term = term - self.matrices[j][r][k] * self.matrices[i][k][c]
                 if not term.is_zero():
                     return False
         return True
-
-
-def _poly_partial(p: Polynomial, i: int) -> Polynomial:
-    terms = {}
-    for a, c in p.terms.items():
-        if a[i] == 0:
-            continue
-        key = tuple(e - 1 if idx == i else e for idx, e in enumerate(a))
-        terms[key] = terms.get(key, 0) + c * a[i]
-    return Polynomial(p.nvars, terms)
 
 
 def _untwist(p: WeylElement, j: int, m: ConnectionModule) -> List[WeylElement]:

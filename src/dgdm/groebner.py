@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .rational_linalg import add_term, vec_add
+from .rational_linalg import vec_add
 from .weyl import Monomial, NvarsMismatch, WeylElement, mono_mul
 
 # module monomial: (position, x-exponents, d-exponents)
@@ -196,15 +196,9 @@ class _Row:
         self.lm = _lm(vec)
 
 
-def _reduce(vec: VecT, rows: List[_Row], guard: int) -> Tuple[VecT, List[VecT]]:
-    """Full left normal form of vec against rows, with the quotients used.
-
-    Returns (remainder, quotients): quotients[i] is a ring element (a dict
-    of monomials at position 0) and vec = sum_i quotients[i]*rows[i] +
-    remainder.
-    """
+def _reduce(vec: VecT, rows: List[_Row], guard: int) -> VecT:
+    """Full left normal form of vec against rows: the remainder."""
     result: VecT = {}
-    quots: List[VecT] = [{} for _ in rows]
     work = dict(vec)
     # the terms of work, largest first; a popped term that has since
     # cancelled is no longer in work and is skipped
@@ -215,7 +209,7 @@ def _reduce(vec: VecT, rows: List[_Row], guard: int) -> Tuple[VecT, List[VecT]]:
         c = work.get(m)
         if c is None:
             continue
-        for idx, row in enumerate(rows):
+        for row in rows:
             if _divides(row.lm, m):
                 break
         else:
@@ -236,8 +230,7 @@ def _reduce(vec: VecT, rows: List[_Row], guard: int) -> Tuple[VecT, List[VecT]]:
                     work[k] = s
                 else:
                     del work[k]
-        add_term(quots[idx], (0, qa, qb), ratio)
-    return result, quots
+    return result
 
 
 def _guarded_entry(m: ModMonomial, guard: int):
@@ -352,7 +345,7 @@ def _groebner_rows(vecs: List[VecT], guard: int, cut: Optional[int] = None) -> L
             _update_pairs(rows, live, pairs)
 
     for v in vecs:
-        red, _ = _reduce(v, rows, guard)
+        red = _reduce(v, rows, guard)
         if red:
             add_row(red)
 
@@ -363,7 +356,7 @@ def _groebner_rows(vecs: List[VecT], guard: int, cut: Optional[int] = None) -> L
         spoly: VecT = {}
         vec_add(spoly, _left_mono_mul(_sub(la, mi[1]), _sub(lb, mi[2]), rows[i].vec))
         vec_add(spoly, _left_mono_mul(_sub(la, mj[1]), _sub(lb, mj[2]), rows[j].vec), -1)
-        red, _ = _reduce(spoly, rows, guard)
+        red = _reduce(spoly, rows, guard)
         if red:
             add_row(red)
 
@@ -426,7 +419,7 @@ def _interreduce(rows: List[_Row], guard: int) -> List[_Row]:
     """
     out: List[_Row] = []
     for r in sorted(rows, key=lambda r: _key(r.lm), reverse=True):
-        out.append(_Row(_reduce(r.vec, out, guard)[0]))
+        out.append(_Row(_reduce(r.vec, out, guard)))
     out.reverse()
     return out
 
@@ -434,18 +427,20 @@ def _interreduce(rows: List[_Row], guard: int) -> List[_Row]:
 def normal_form(v: FreeModuleElement, gb: GrobnerBasis) -> FreeModuleElement:
     """Left normal form of v modulo the basis; zero iff v is a member."""
     _check_compat(v, gb)
-    red, _ = _reduce(_to_vec(v), gb._rows, _GUARD.get())
+    red = _reduce(_to_vec(v), gb._rows, _GUARD.get())
     return _from_vec(red, gb.rank, gb.nvars)
 
 
 def normal_form_with_cofactors(
     v: FreeModuleElement, gb: GrobnerBasis
 ) -> Tuple[FreeModuleElement, List[WeylElement]]:
-    """Normal form plus quotients over the basis: v = sum q_i*gb_i + nf."""
-    _check_compat(v, gb)
-    red, quots = _reduce(_to_vec(v), gb._rows, _GUARD.get())
-    nf = _from_vec(red, gb.rank, gb.nvars)
-    return nf, [_from_vec(q, 1, gb.nvars).coords[0] for q in quots]
+    """Normal form plus cofactors over the basis: v = sum q_i*gb_i + nf.
+
+    v - nf is a member, so the cofactors are its lift over the basis
+    generators; they need not be the quotients of the division.
+    """
+    nf = normal_form(v, gb)
+    return nf, express_in_inputs(v - nf, LiftBasis(gb.rank, gb.nvars, gb.generators))
 
 
 def member(v: FreeModuleElement, gb: GrobnerBasis) -> bool:
@@ -469,7 +464,7 @@ def express_in_inputs(
     if gb._lift_rows is None:
         tagged = _tagged([g.coords for g in gb.inputs], gb.rank, gb.nvars)
         gb._lift_rows = _groebner_rows(tagged, guard, cut=gb.rank)
-    red, _ = _reduce(_to_vec(v), gb._lift_rows, guard)
+    red = _reduce(_to_vec(v), gb._lift_rows, guard)
     u: List[Dict[Monomial, Fraction]] = [{} for _ in gb.inputs]
     for (pos, a, b), c in red.items():
         if pos < gb.rank:

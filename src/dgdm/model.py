@@ -5,7 +5,8 @@ degrees).  Cofibration recognition is a certificate system: `certified`
 means degreewise injective with an explicitly computed free complement
 of the image, `refuted` means injectivity fails, and `not-certified`
 is an honest "don't know" (projectivity of a general cokernel is not
-decided here).  Pushouts are taken along certified maps only, which is
+decided here).  One unit-pivot row reduction per degree certifies,
+gives the complement and splits target elements along it.  Pushouts are taken along certified maps only, which is
 exactly the class of pushouts the underlying theory ever computes.
 """
 
@@ -30,7 +31,6 @@ from .complexes import (
 )
 from .groebner import (
     FreeModuleElement,
-    LiftBasis,
     buchberger,
     express_in_inputs,
     lift_basis,
@@ -136,81 +136,70 @@ def _scalar_entry(e: WeylElement) -> Optional[Fraction]:
     return None
 
 
-def _free_complement(mat: Matrix, rows: int, cols: int, nvars: int) -> Optional[List[FreeModuleElement]]:
-    """Unit-pivot reduction: split the image off the target, or give up.
+def _unit_pivot_split(mat: Matrix, rows: int, cols: int, nvars: int):
+    """Unit-pivot row reduction of the tagged rows (M_u | e_u), or None.
 
-    Column operations are tracked as an evolving target basis B (in the
-    original coordinates): the op col_w -= col_v * c replaces
-    B[v] by B[v] + c*B[w].  When every row gets pivoted the non-pivot
-    basis vectors freely complement the image.
+    Pivot rule: the first unpivoted row, then its first unpivoted column
+    v whose entry is a nonzero scalar sc; the other rows are cleared at v
+    by row operations.  Every row stays (E_u*M | E_u) for one invertible
+    E, and column v_u of E*M holds sc_u at row u and zero elsewhere.
+    None when some row is never pivoted.  When every row is, a kernel
+    vector k of M gives k*E^-1 killing E*M, hence zero at each pivot
+    column: M is injective, and with the unit vectors e_k of the free
+    (never pivoted) columns its rows form a basis of D^cols.  Returns the
+    free columns and the split w -> (a, q), w = sum a_i*M_i + sum q_k*e_k,
+    by substitution: b_u = w[v_u]/sc_u, a = sum b_u*E_u and
+    q_k = w[k] - sum b_u*(E*M)_u[k].
     """
-    work = [[e for e in row] for row in mat]
-    basis = [list(row) for row in identity_matrix(cols, nvars)]
-    piv_rows: Dict[int, int] = {}
-    piv_cols = set()
-    while True:
-        found = None
-        for u in range(rows):
-            if u in piv_rows:
-                continue
-            for v in range(cols):
-                if v in piv_cols:
-                    continue
-                sc = _scalar_entry(work[u][v])
-                if sc is not None:
-                    found = (u, v, sc)
-                    break
-            if found:
-                break
-        if not found:
-            break
+    one, zero = WeylElement.one(nvars), WeylElement.zero(nvars)
+    work = [list(row) + [one if j == i else zero for j in range(rows)] for i, row in enumerate(mat)]
+    pivots: Dict[int, Tuple[int, Fraction]] = {}  # row u -> (v_u, sc_u)
+    taken = set()
+    while len(pivots) < rows:
+        found = next(((u, v, sc) for u in range(rows) if u not in pivots for v in range(cols)
+                      if v not in taken and (sc := _scalar_entry(work[u][v])) is not None), None)
+        if found is None:
+            return None
         u, v, sc = found
-        # clear row u with column ops (the only ops that move the basis)
-        for w in range(cols):
-            if w == v or work[u][w].is_zero():
-                continue
-            c = work[u][w].scale(Fraction(1) / sc)
-            for t in range(rows):
-                if not work[t][v].is_zero():
-                    work[t][w] = work[t][w] - work[t][v] * c
-            for t in range(cols):
-                if not basis[w][t].is_zero():
-                    basis[v][t] = basis[v][t] + c * basis[w][t]
-        # clear column v with row ops (no basis impact)
         for t in range(rows):
-            if t == u or work[t][v].is_zero():
-                continue
-            q = work[t][v].scale(Fraction(1) / sc)
-            for w in range(cols):
-                if not work[u][w].is_zero():
-                    work[t][w] = work[t][w] - q * work[u][w]
-        piv_rows[u] = v
-        piv_cols.add(v)
-    if len(piv_rows) < rows:
-        # some row not pivoted: either a hidden dependency or no scalar pivot
-        return None
-    return [FreeModuleElement(basis[w]) for w in range(cols) if w not in piv_cols]
+            if t != u and not work[t][v].is_zero():
+                c = work[t][v].scale(Fraction(1) / sc)
+                work[t] = [x if y.is_zero() else x - c * y for x, y in zip(work[t], work[u])]
+        pivots[u] = (v, sc)
+        taken.add(v)
+    free = [k for k in range(cols) if k not in taken]
+
+    def split(w: FreeModuleElement) -> Tuple[List[WeylElement], List[WeylElement]]:
+        b = {u: w.coords[v].scale(Fraction(1) / sc) for u, (v, sc) in pivots.items()}
+
+        def through(k: int) -> WeylElement:
+            return sum((bu * work[u][k] for u, bu in b.items()), zero)
+
+        return [through(cols + i) for i in range(rows)], [w.coords[k] - through(k) for k in free]
+
+    return free, split
 
 
 def certify_cofibration(f: ChainMap) -> CofibrationCertificate:
-    """Certificate-style cofibration recognition (see class docstring)."""
+    """Certificate-style cofibration recognition (see class docstring).
+
+    One unit-pivot reduction per degree certifies; only when some degree
+    fails does `syzygies` run, there, to tell refuted from not-certified.
+    """
     top = max(f.source.top, f.target.top)
-    # injectivity first: a nonzero kernel refutes
-    for n in range(0, top + 1):
-        r = f.source.rank(n)
-        if r == 0:
-            continue
-        ker = syzygies(f.component(n), f.nvars, source_rank=r, target_rank=f.target.rank(n))
+    splits = {n: _unit_pivot_split(f.component(n), f.source.rank(n), f.target.rank(n), f.nvars)
+              for n in range(0, top + 1)}
+    failed = [n for n, red in splits.items() if red is None]
+    for n in failed:
+        ker = syzygies(f.component(n), f.nvars, source_rank=f.source.rank(n), target_rank=f.target.rank(n))
         if ker.generators:
             return CofibrationCertificate("refuted", kernel_witness=(n, ker.generators[0]))
-    complement: Dict[int, List[FreeModuleElement]] = {}
-    for n in range(0, top + 1):
-        s = f.target.rank(n)
-        comp = _free_complement(f.component(n), f.source.rank(n), s, f.nvars)
-        if comp is None:
-            return CofibrationCertificate("not-certified")
-        if comp:
-            complement[n] = comp
+    if failed:
+        return CofibrationCertificate("not-certified")
+    complement = {
+        n: [FreeModuleElement.unit(f.target.rank(n), f.nvars, k) for k in free]
+        for n, (free, _) in splits.items() if free
+    }
     return CofibrationCertificate("certified", complement=complement)
 
 
@@ -229,21 +218,18 @@ class PushoutResult:
 def _decomposer(g: ChainMap, cells: Dict[int, List[FreeModuleElement]], nvars: int):
     """The splitting (w, n) -> (a, q) with w = sum a_i g(e_i) + sum q_k c_k
     in the degree-n target of g, unique for a certified g with complement
-    cells.  One lift basis per degree serves every split in that degree,
-    for as long as the returned function lives."""
-    lifts: Dict[int, LiftBasis] = {}
+    cells.  One unit-pivot reduction per degree serves every split in
+    that degree, for as long as the returned function lives."""
+    splits = {}
 
     def decompose(w: FreeModuleElement, n: int) -> Tuple[List[WeylElement], List[WeylElement]]:
-        lift = lifts.get(n)
-        if lift is None:
-            rows = g.component(n) if g.source.rank(n) and g.target.rank(n) else []
-            gens = [FreeModuleElement(list(r)) for r in rows] + cells.get(n, [])
-            lift = lifts[n] = lift_basis(gens, rank=w.rank, nvars=nvars)
-        u = express_in_inputs(w, lift)
-        if u is None:
-            raise ComplexError("element escapes im(g) + complement; certificate is stale")
-        k = len(u) - len(cells.get(n, []))
-        return u[:k], u[k:]
+        if n not in splits:
+            s = g.target.rank(n)
+            red = _unit_pivot_split(g.component(n), g.source.rank(n), s, nvars)
+            if red is None or [FreeModuleElement.unit(s, nvars, k) for k in red[0]] != cells.get(n, []):
+                raise ComplexError("g splits off other cells than the certificate's; certificate is stale")
+            splits[n] = red[1]
+        return splits[n](w)
 
     return decompose
 

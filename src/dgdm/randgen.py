@@ -244,7 +244,6 @@ def random_amodule(
 ) -> amod_mod.AModule:
     """A Sullivan A-module built by attaching cells along closed elements."""
     base = amod_mod.free_sphere_module(algebra, rng.randint(0, max_degree - 1), name="b")
-    stages = []
     current = base
     for idx in range(cells - 1):
         n = rng.randint(1, max_degree)

@@ -203,7 +203,6 @@ def check_monoid_axiom_pushout(rng, params):
         m_cx = rg.random_complex(rng, max_top=1, max_cells=2, twists=1)
         n_cx = rg.random_complex(rng, max_top=2, max_cells=2, twists=1)
         tensor = ob.tensor_free(disk(n), m_cx)
-        pushout_cx = ob.obasis_direct_sum(tensor, ob.obasis_of_free(n_cx))
         i2 = ob.obasis_inclusion(tensor, ob.obasis_of_free(n_cx), 1)
         res = ob.is_bounded_weq(i2, params["truncation"])
         if not res.ok:

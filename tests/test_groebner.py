@@ -20,6 +20,7 @@ from dgdm.groebner import (
     get_degree_guard,
     member,
     normal_form,
+    normal_form_with_cofactors,
     submodule_equal,
     syzygies,
 )
@@ -384,6 +385,30 @@ def test_normal_form_idempotent_random():
             assert member(v - nf, gb)
 
 
+def test_normal_form_with_cofactors_contract():
+    # v = sum q_i*gb_i + nf with nf the normal form, one cofactor per
+    # basis generator; on seeded bases, the empty basis and v = 0
+    rng = random.Random(29)
+    cases = [(buchberger([], rank=2, nvars=1), _random_vec(rng, 2)),
+             (buchberger([], rank=1, nvars=2), vec(WeylElement.zero(2)))]
+    while len(cases) < 200:
+        nvars = rng.choice([1, 1, 2])
+        rank = rng.randint(1, 2)
+        gens = [FreeModuleElement([_random_w(rng, nvars, 2, 2 if nvars == 1 else 1) for _ in range(rank)])
+                for _ in range(rng.randint(1, 3))]
+        gb = buchberger(gens)
+        cases.append((gb, FreeModuleElement.zero(rank, nvars)))
+        cases += [(gb, FreeModuleElement([_random_w(rng, nvars) for _ in range(rank)])) for _ in range(3)]
+    for gb, v in cases:
+        nf, q = normal_form_with_cofactors(v, gb)
+        assert nf == normal_form(v, gb)
+        assert len(q) == len(gb.generators)
+        acc = nf
+        for qi, g in zip(q, gb.generators):
+            acc = acc + g.left_mul(qi)
+        assert acc == v
+
+
 def test_membership_agrees_with_brute_force():
     rng = random.Random(42)
     agree = 0
@@ -497,6 +522,27 @@ def test_no_import_inside_a_function_in_the_package():
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     for node in ast.walk(fn):
                         assert not isinstance(node, (ast.Import, ast.ImportFrom)), (name, node.lineno)
+
+
+def test_no_dead_local_in_the_package():
+    # a simple `name = ...` in a function body is read by that function
+    root = os.path.dirname(dgdm.__file__)
+    dead = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    nodes = list(ast.walk(fn))
+                    read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                    read.update(v for n in nodes if isinstance(n, ast.Nonlocal) for v in n.names)
+                    dead += [
+                        (name, fn.name, target.id, node.lineno)
+                        for node in nodes if isinstance(node, ast.Assign)
+                        for target in node.targets if isinstance(target, ast.Name) and target.id not in read
+                    ]
+    assert dead == []
 
 
 def test_two_variable_module():

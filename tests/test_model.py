@@ -1,6 +1,8 @@
 """Model-structure recognizers and constructions."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -14,13 +16,16 @@ from dgdm.complexes import (
     identity_map,
     identity_matrix,
     is_weak_equivalence,
+    mat_apply,
     sphere,
     summand_projection,
     zero_map,
 )
-from dgdm.groebner import FreeModuleElement, submodule_equal
+from dgdm.groebner import FreeModuleElement, express_in_inputs, lift_basis, submodule_equal, syzygies
 from dgdm.model import (
     AttachResult,
+    CofibrationCertificate,
+    _decomposer,
     GeneratingMap,
     attach_cells,
     certify_cofibration,
@@ -33,6 +38,7 @@ from dgdm.model import (
     zeta,
 )
 from dgdm.obasis import is_bounded_weq, truncated_acyclicity
+from dgdm.randgen import random_complex, random_cycle, random_weq, random_weyl
 from dgdm.weyl import WeylElement
 
 ONE = WeylElement.one(1)
@@ -188,33 +194,223 @@ def test_pushout_of_weq_along_cell_is_weq():
     assert is_weak_equivalence(po.from_attached)
 
 
-def test_pushout_builds_one_lift_basis_per_degree(monkeypatch):
-    # two cells on S^0 (+) S^0: the pushout splits 2 cell boundaries and
-    # 2 units in degree 0 and 2 units in degree 1, over one lift basis each
-    from dgdm import groebner, model
+def test_pushout_runs_no_groebner_loop(monkeypatch):
+    # two cells on S^0 (+) S^0: certifying the inclusion and splitting its
+    # cell boundaries and units are unit-pivot reductions, no Groebner loop
+    from dgdm import groebner
 
     zero = WeylElement.zero(1)
     x = direct_sum(sphere(0), sphere(0))
     res = attach_cells(x, [(1, FreeModuleElement([D1, zero])), (1, FreeModuleElement([X1, ONE]))])
     f = ChainMap(x, direct_sum(x, disk(1)), {0: ((ONE, zero, zero), (zero, ONE, zero))})
-    builds, lifts = [], []
-    rows, express = groebner._groebner_rows, model.express_in_inputs
+    loops = []
+    rows = groebner._groebner_rows
 
     def counted_rows(vecs, guard, cut=None):
-        if cut is not None:
-            builds.append(len(vecs))
+        loops.append(len(vecs))
         return rows(vecs, guard, cut)
 
-    def counted_express(v, lift):
-        lifts.append(lift)
-        return express(v, lift)
-
     monkeypatch.setattr(groebner, "_groebner_rows", counted_rows)
-    monkeypatch.setattr(model, "express_in_inputs", counted_express)
     po = pushout(f, res.inclusion)
     assert po.complex.ranks == {0: 3, 1: 3}
-    assert len(lifts) == 6 and len({id(lift) for lift in lifts}) == 2
-    assert builds == [2, 2]
+    assert loops == []
+
+
+def test_pushout_with_another_maps_certificate_is_stale(monkeypatch):
+    # iota_1 needs a degree-1 cell; the certificate of id_{D^1} has none
+    g = iota(1).chain_map()
+    stale = certify_cofibration(identity_map(disk(1)))
+    assert stale.verdict == "certified" and stale.complement == {}
+    with pytest.raises(ComplexError, match="certificate is stale"):
+        pushout(g, g, stale)
+    from dgdm import model
+
+    monkeypatch.setattr(model, "_decomposer", _ref_decomposer)
+    with pytest.raises(ComplexError, match="certificate is stale"):
+        pushout(g, g, stale)
+
+
+# The certificate and the split as computed before the unit-pivot
+# reduction: a scalar-pivot reduction with column operations and a tracked
+# target basis, syzygies-first injectivity, and a Groebner lift basis per
+# degree.  Kept as the reference the model's one reduction must match.
+
+def _ref_scalar_entry(e):
+    return e.scalar_value() if e.is_scalar() and not e.is_zero() else None
+
+
+def _ref_free_complement(mat, rows, cols, nvars):
+    work = [[e for e in row] for row in mat]
+    basis = [list(row) for row in identity_matrix(cols, nvars)]
+    piv_rows, piv_cols = {}, set()
+    while True:
+        found = None
+        for u in range(rows):
+            if u in piv_rows:
+                continue
+            for v in range(cols):
+                if v in piv_cols:
+                    continue
+                sc = _ref_scalar_entry(work[u][v])
+                if sc is not None:
+                    found = (u, v, sc)
+                    break
+            if found:
+                break
+        if not found:
+            break
+        u, v, sc = found
+        for w in range(cols):
+            if w == v or work[u][w].is_zero():
+                continue
+            c = work[u][w].scale(Fraction(1) / sc)
+            for t in range(rows):
+                if not work[t][v].is_zero():
+                    work[t][w] = work[t][w] - work[t][v] * c
+            for t in range(cols):
+                if not basis[w][t].is_zero():
+                    basis[v][t] = basis[v][t] + c * basis[w][t]
+        for t in range(rows):
+            if t == u or work[t][v].is_zero():
+                continue
+            q = work[t][v].scale(Fraction(1) / sc)
+            for w in range(cols):
+                if not work[u][w].is_zero():
+                    work[t][w] = work[t][w] - q * work[u][w]
+        piv_rows[u] = v
+        piv_cols.add(v)
+    if len(piv_rows) < rows:
+        return None
+    return [FreeModuleElement(basis[w]) for w in range(cols) if w not in piv_cols]
+
+
+def _ref_certify(f):
+    top = max(f.source.top, f.target.top)
+    for n in range(0, top + 1):
+        r = f.source.rank(n)
+        if r == 0:
+            continue
+        ker = syzygies(f.component(n), f.nvars, source_rank=r, target_rank=f.target.rank(n))
+        if ker.generators:
+            return CofibrationCertificate("refuted", kernel_witness=(n, ker.generators[0]))
+    complement = {}
+    for n in range(0, top + 1):
+        comp = _ref_free_complement(f.component(n), f.source.rank(n), f.target.rank(n), f.nvars)
+        if comp is None:
+            return CofibrationCertificate("not-certified")
+        if comp:
+            complement[n] = comp
+    return CofibrationCertificate("certified", complement=complement)
+
+
+def _ref_decomposer(g, cells, nvars):
+    lifts = {}
+
+    def decompose(w, n):
+        lift = lifts.get(n)
+        if lift is None:
+            rows = g.component(n) if g.source.rank(n) and g.target.rank(n) else []
+            gens = [FreeModuleElement(list(r)) for r in rows] + cells.get(n, [])
+            lift = lifts[n] = lift_basis(gens, rank=w.rank, nvars=nvars)
+        u = express_in_inputs(w, lift)
+        if u is None:
+            raise ComplexError("element escapes im(g) + complement; certificate is stale")
+        k = len(u) - len(cells.get(n, []))
+        return u[:k], u[k:]
+
+    return decompose
+
+
+def _free_in_degree_0(rank, nvars):
+    return FreeDComplex(nvars, {0: rank} if rank else {}, {})
+
+
+def _random_entry(rng, nvars):
+    kind = rng.random()
+    if kind < 0.35:
+        return WeylElement.one(nvars).scale(rng.randint(-2, 2))
+    if kind < 0.5:
+        return WeylElement.x(rng.randint(1, nvars), nvars)
+    if kind < 0.6:
+        return WeylElement.d(rng.randint(1, nvars), nvars)
+    return random_weyl(rng, nvars, 2, 1)
+
+
+def _random_degree_0_map(rng, r, s, nvars=1, zero=False):
+    src, tgt = _free_in_degree_0(r, nvars), _free_in_degree_0(s, nvars)
+    if not (r and s):
+        return ChainMap(src, tgt, {})
+    entry = (lambda: WeylElement.zero(nvars)) if zero else (lambda: _random_entry(rng, nvars))
+    return ChainMap(src, tgt, {0: tuple(tuple(entry() for _ in range(s)) for _ in range(r))})
+
+
+def _random_attachment(rng, x):
+    """The inclusion of x into x with one or two cells attached."""
+    incl = identity_map(x)
+    for _ in range(rng.randint(1, 2)):
+        y = incl.target
+        candidates = [n for n in range(1, 3) if y.rank(n - 1) > 0]
+        n = rng.choice(candidates) if candidates else 0
+        z = random_cycle(rng, y, n - 1) if n else None
+        incl = compose(incl, attach_cells(y, [(n, z)]).inclusion)
+    return incl
+
+
+def _seeded_maps(seed, count):
+    """Weak equivalences, attachment inclusions, degree-0 matrices (zero
+    and rank-0 ends included) and composites of them."""
+    rng = random.Random(seed)
+    maps = [_random_degree_0_map(rng, 0, s) for s in range(3)]
+    maps += [_random_degree_0_map(rng, r, 0) for r in range(1, 3)]
+    maps += [_random_degree_0_map(rng, r, s, zero=True) for r in range(1, 3) for s in range(1, 3)]
+    while len(maps) < count:
+        kind = rng.randrange(5)
+        if kind == 0:
+            maps.append(random_weq(rng, max_top=1))
+        elif kind == 1:
+            maps.append(_random_attachment(rng, random_complex(rng, max_top=1, max_cells=2, twists=1)))
+        elif kind == 2:
+            maps.append(_random_degree_0_map(rng, rng.randint(0, 3), rng.randint(0, 3), rng.choice([1, 1, 2])))
+        elif kind == 3:
+            f = _random_degree_0_map(rng, rng.randint(1, 2), rng.randint(1, 3))
+            maps.append(compose(f, _random_degree_0_map(rng, f.target.rank(0), rng.randint(1, 3))))
+        else:
+            f = random_weq(rng, max_top=1)
+            maps.append(compose(f, _random_attachment(rng, f.target)))
+    return maps
+
+
+def test_certificates_match_the_reference_on_seeded_maps():
+    verdicts = Counter()
+    for f in _seeded_maps(2024, 1000):
+        cert = certify_cofibration(f)
+        assert cert == _ref_certify(f)
+        verdicts[cert.verdict] += 1
+    assert set(verdicts) == {"certified", "not-certified", "refuted"}
+
+
+def test_splits_multiply_back_and_match_the_lift_basis():
+    rng = random.Random(7)
+    checked = 0
+    for f in _seeded_maps(99, 300):
+        cert = certify_cofibration(f)
+        if cert.verdict != "certified":
+            continue
+        cells = cert.complement
+        ours, ref = _decomposer(f, cells, f.nvars), _ref_decomposer(f, cells, f.nvars)
+        for n in f.target.degrees():
+            s = f.target.rank(n)
+            w = FreeModuleElement([random_weyl(rng, f.nvars, 2, 2) for _ in range(s)])
+            a, q = ours(w, n)
+            back = FreeModuleElement.zero(s, f.nvars)
+            if a:
+                back = back + mat_apply(FreeModuleElement(a), f.component(n), f.nvars, s)
+            for qk, cell in zip(q, cells.get(n, [])):
+                back = back + cell.left_mul(qk)
+            assert back == w
+            assert (a, q) == ref(w, n)
+            checked += 1
+    assert checked >= 300
 
 
 def test_lifting_spot_check():
