@@ -17,14 +17,29 @@ tags.  Lifts over the input generators (`express_in_inputs`) use the same
 tagged rows, as Singular's `lift` does: a row of that basis is image | c
 with image = sum_j c_j*inputs[j], so reducing v | 0 by the rows that
 lead in the image block leaves 0 | -u with v = sum_j u_j*inputs[j].
+
+Kernels whose coefficients swell take a modular path.  `syzygies` starts
+the Q loop; once a new row's leading coefficient passes _SWELL_BITS bits,
+it runs the same loop again on int coefficients mod a large prime,
+reconstructs the rationals (Wang; CRT over more primes of _PRIMES when
+one is not enough) and accepts the rows only if four exact checks over Q
+hold: every row (v | c) multiplies back, v = sum_j c_j*row_j, in
+integers; every tagged input reduces to 0 by the rows; so does every
+S-pair that `_update_pairs` keeps; and the rows are monic and reduced.
+The reduced Groebner basis is unique, so such rows are the Q loop's.  If
+no prime passes, the Q loop runs to the end.  `buchberger` and the lift
+stay on the Q loop: their rows are not the full basis of a tagged
+module, so these checks do not prove them right.
 """
 
 from __future__ import annotations
 
 import contextvars
 import heapq
+import math
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .rational_linalg import vec_add
@@ -35,6 +50,11 @@ ModMonomial = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 VecT = Dict[ModMonomial, Fraction]
 
 DEFAULT_DEGREE_GUARD = 40
+# `syzygies` leaves the Q loop for the modular path when a new row's
+# leading coefficient has a numerator or denominator above this many bits
+_SWELL_BITS = 64
+# the primes of the modular path, tried in order and combined by CRT
+_PRIMES = (2**255 - 19, 2**521 - 1, 2**607 - 1)
 _GUARD = contextvars.ContextVar("degree_guard", default=DEFAULT_DEGREE_GUARD)
 
 
@@ -170,7 +190,15 @@ def _lm(vec: VecT) -> ModMonomial:
 
 
 def _left_mono_mul(a: Tuple[int, ...], b: Tuple[int, ...], vec: VecT) -> VecT:
-    """Left-multiply a module vector by the ring monomial x^a d^b."""
+    """Left-multiply a module vector by the ring monomial x^a d^b.
+
+    Without d's the product only shifts x exponents, and by 1 it is vec
+    itself, so callers must not change the result.
+    """
+    if not any(b):
+        if not any(a):
+            return vec
+        return {(pos, tuple(map(add, a, c)), d): coef for (pos, c, d), coef in vec.items()}
     out: VecT = {}
     for (pos, c, d), coef in vec.items():
         for (na, nb), k in mono_mul((a, b), (c, d)).items():
@@ -196,8 +224,12 @@ class _Row:
         self.lm = _lm(vec)
 
 
-def _reduce(vec: VecT, rows: List[_Row], guard: int) -> VecT:
-    """Full left normal form of vec against rows: the remainder."""
+def _reduce(vec: VecT, rows: List[_Row], guard: int, p: int = 0) -> VecT:
+    """Full left normal form of vec against monic rows: the remainder.
+
+    With p > 0 the coefficients are ints mod p.  The work vector then
+    holds them unreduced, and a term is reduced mod p when it is popped.
+    """
     result: VecT = {}
     work = dict(vec)
     # the terms of work, largest first; a popped term that has since
@@ -209,23 +241,28 @@ def _reduce(vec: VecT, rows: List[_Row], guard: int) -> VecT:
         c = work.get(m)
         if c is None:
             continue
+        if p:
+            # a multiple of p left behind by cancelling m is zero
+            c %= p
+            if not c:
+                continue
         for row in rows:
             if _divides(row.lm, m):
                 break
         else:
-            result[m] = work.pop(m)
+            del work[m]
+            result[m] = c
             continue
         lm_r = row.lm
         qa = tuple(x - y for x, y in zip(m[1], lm_r[1]))
         qb = tuple(x - y for x, y in zip(m[2], lm_r[2]))
-        ratio = c / row.vec[lm_r]
         for k, v in _left_mono_mul(qa, qb, row.vec).items():
             old = work.get(k)
             if old is None:
-                work[k] = -ratio * v
+                work[k] = -c * v
                 heapq.heappush(heap, _guarded_entry(k, guard))
             else:
-                s = old - ratio * v
+                s = old - c * v
                 if s:
                     work[k] = s
                 else:
@@ -321,7 +358,9 @@ def lift_basis(
     return LiftBasis(rank, nvars, gens)
 
 
-def _groebner_rows(vecs: List[VecT], guard: int, cut: Optional[int] = None) -> List[_Row]:
+def _groebner_rows(
+    vecs: List[VecT], guard: int, cut: Optional[int] = None, p: int = 0, watch: bool = False
+) -> List[_Row]:
     """The Buchberger loop on input vectors over one Weyl algebra.
 
     Returns the inter-reduced monic basis rows sorted by decreasing leading
@@ -332,6 +371,10 @@ def _groebner_rows(vecs: List[VecT], guard: int, cut: Optional[int] = None) -> L
     make the loop blow up.  Discarding them leaves the positions below the
     cut of every other row as they are, because a reduction treats every
     term there before any term at or above the cut.
+
+    With p > 0 the loop runs on int coefficients mod the prime p.  With
+    watch, the Q loop raises `_CoefficientSwell` on a new row whose leading
+    coefficient passes _SWELL_BITS.
     """
     rows: List[_Row] = []
     live: List[int] = []  # the rows that form pairs and enter the final basis
@@ -341,26 +384,42 @@ def _groebner_rows(vecs: List[VecT], guard: int, cut: Optional[int] = None) -> L
         lm = _lm(red)
         if cut is None or lm[0] < cut:
             lc = red[lm]
-            rows.append(_Row({m: c / lc for m, c in red.items()}))
+            if p:
+                inv = pow(lc, -1, p)
+                rows.append(_Row({m: c * inv % p for m, c in red.items()}))
+            else:
+                if watch and max(lc.numerator.bit_length(), lc.denominator.bit_length()) > _SWELL_BITS:
+                    raise _CoefficientSwell()
+                rows.append(_Row({m: c / lc for m, c in red.items()}))
             _update_pairs(rows, live, pairs)
 
     for v in vecs:
-        red = _reduce(v, rows, guard)
+        red = _reduce(v, rows, guard, p)
         if red:
             add_row(red)
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        mi, mj = rows[i].lm, rows[j].lm
-        _, la, lb = _lcm(mi, mj)
-        spoly: VecT = {}
-        vec_add(spoly, _left_mono_mul(_sub(la, mi[1]), _sub(lb, mi[2]), rows[i].vec))
-        vec_add(spoly, _left_mono_mul(_sub(la, mj[1]), _sub(lb, mj[2]), rows[j].vec), -1)
-        red = _reduce(spoly, rows, guard)
+        red = _reduce(_spoly(rows[i], rows[j]), rows, guard, p)
         if red:
             add_row(red)
 
-    return _interreduce([rows[k] for k in live], guard)
+    return _interreduce([rows[k] for k in live], guard, p)
+
+
+class _CoefficientSwell(Exception):
+    """The Q loop of `syzygies` made a row with a leading coefficient above _SWELL_BITS."""
+
+
+def _spoly(ri: _Row, rj: _Row) -> VecT:
+    """The S-vector of two monic rows whose leading monomials share a position."""
+    mi, mj = ri.lm, rj.lm
+    _, la, lb = _lcm(mi, mj)
+    spoly: VecT = {}
+    # int scales: rows mod p must stay ints
+    vec_add(spoly, _left_mono_mul(_sub(la, mi[1]), _sub(lb, mi[2]), ri.vec), 1)
+    vec_add(spoly, _left_mono_mul(_sub(la, mj[1]), _sub(lb, mj[2]), rj.vec), -1)
+    return spoly
 
 
 def _sub(e: Tuple[int, ...], f: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -407,7 +466,7 @@ def _update_pairs(rows: List[_Row], live: List[int], pairs: list):
     live.append(h)
 
 
-def _interreduce(rows: List[_Row], guard: int) -> List[_Row]:
+def _interreduce(rows: List[_Row], guard: int, p: int = 0) -> List[_Row]:
     """Tail-reduce the live rows, sorted by decreasing leading monomial.
 
     The live rows are already minimal: each new row is reduced by every
@@ -419,7 +478,7 @@ def _interreduce(rows: List[_Row], guard: int) -> List[_Row]:
     """
     out: List[_Row] = []
     for r in sorted(rows, key=lambda r: _key(r.lm), reverse=True):
-        out.append(_Row(_reduce(r.vec, out, guard)))
+        out.append(_Row(_reduce(r.vec, out, guard, p)))
     out.reverse()
     return out
 
@@ -523,24 +582,132 @@ def syzygies(
         units = [FreeModuleElement.unit(r, nvars, i) for i in range(r)]
         return GrobnerBasis(r, nvars, units, list(units))
 
-    basis = _groebner_rows(_tagged(rows, s, nvars), _GUARD.get())
+    tagged = _tagged(rows, s, nvars)
+    guard = _GUARD.get()
+    try:
+        basis = _groebner_rows(tagged, guard, watch=True)
+    except _CoefficientSwell:
+        basis = _modular_rows(tagged, s, guard)
+        if basis is None:  # no reconstruction passed the checks
+            basis = _groebner_rows(tagged, guard)
 
     # the leading monomial has the lowest position of a row, so a row lies
     # in the tag block iff its leading monomial does
+    kernel = [row for row in basis if row.lm[0] >= s]
+    # sanity: every kernel element must map to zero exactly
+    if not _multiplies_back(kernel, tagged, s):
+        raise AssertionError("syzygy candidate does not map to zero")
     kernel = [
         _from_vec({(pos - s, a, b): c for (pos, a, b), c in row.vec.items()}, r, nvars)
-        for row in basis if row.lm[0] >= s
+        for row in kernel
     ]
-    # sanity: every kernel element must map to zero exactly
-    zero = WeylElement.zero(nvars)
-    for k in kernel:
-        img = [zero] * s
-        for i in range(r):
-            for j in range(s):
-                img[j] = img[j] + k.coords[i] * rows[i][j]
-        if any(not e.is_zero() for e in img):
-            raise AssertionError("syzygy candidate does not map to zero")
     return GrobnerBasis(r, nvars, kernel, list(kernel))
+
+
+def _modular_rows(tagged: List[VecT], s: int, guard: int) -> Optional[List[_Row]]:
+    """The reduced basis of the tagged rows by the loop mod the primes of
+    _PRIMES, or None if no prime gives a basis that `_certified` accepts.
+
+    The rows mod each prime are combined by CRT with those of the earlier
+    primes while their supports agree; a prime whose rows differ in
+    support starts the combination afresh.  After each prime the
+    rationals are reconstructed from the combined residues and checked.
+    """
+    acc: Optional[List[_Row]] = None
+    modulus = 1
+    for p in _PRIMES:
+        if any(c.denominator % p == 0 for v in tagged for c in v.values()):
+            continue
+        vecs = [{m: r for m, c in v.items() if (r := c.numerator * pow(c.denominator, -1, p) % p)}
+                for v in tagged]
+        rows = _groebner_rows(vecs, guard, p=p)
+        if acc is not None and [r.vec.keys() for r in acc] == [r.vec.keys() for r in rows]:
+            inv = pow(modulus, -1, p)
+            for ra, rp in zip(acc, rows):
+                ra.vec = {m: a + modulus * ((rp.vec[m] - a) * inv % p) for m, a in ra.vec.items()}
+            modulus *= p
+        else:
+            acc, modulus = rows, p
+        candidate = _reconstruct(acc, modulus)
+        if candidate is not None and _certified(candidate, tagged, s, guard):
+            return candidate
+    return None
+
+
+def _reconstruct(rows: List[_Row], modulus: int) -> Optional[List[_Row]]:
+    """The rows with every residue mod modulus replaced by its rational
+    reconstruction, or None if one has none."""
+    out = []
+    for row in rows:
+        vec: VecT = {}
+        for m, c in row.vec.items():
+            q = _rational(c, modulus)
+            if q is None:
+                return None
+            vec[m] = q
+        out.append(_Row(vec))
+    return out
+
+
+def _rational(c: int, m: int) -> Optional[Fraction]:
+    """The fraction a/b = c mod m with |a|, b <= sqrt(m/2), or None: Wang's
+    rational reconstruction by the extended Euclidean algorithm."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, c, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _certified(rows: List[_Row], tagged: List[VecT], s: int, guard: int) -> bool:
+    """Is rows the reduced Groebner basis of the module the tagged rows span?
+
+    Checked exactly over Q: the rows are monic and reduced, each row lies
+    in the module (`_multiplies_back`), each tagged row reduces to 0 by the
+    rows, and so does every S-pair that `_update_pairs` keeps.  The reduced
+    basis is unique, so such rows are the Q loop's.
+    """
+    # monic first: `_reduce` relies on it
+    for r in rows:
+        if r.vec[r.lm] != 1 or any(_divides(o.lm, m) for o in rows if o is not r for m in r.vec):
+            return False
+    if not _multiplies_back(rows, tagged, s):
+        return False
+    seen: List[_Row] = []
+    live: List[int] = []
+    pairs: List[Tuple[int, int, int]] = []
+    for r in rows:
+        seen.append(r)
+        _update_pairs(seen, live, pairs)
+    return (all(not _reduce(_spoly(rows[i], rows[j]), rows, guard) for _, i, j in pairs)
+            and all(not _reduce(v, rows, guard) for v in tagged))
+
+
+def _multiplies_back(rows: List[_Row], tagged: List[VecT], s: int) -> bool:
+    """Does every row (v | c) of D^(s + len(tagged)) have v = sum_j c_j*row_j,
+    with tagged[j] = (row_j | e_j)?  Checked in integers: each row's
+    denominators are cleared by their lcm, and those of all row_j by theirs."""
+    den = math.lcm(*(c.denominator for v in tagged for c in v.values()))
+    ints = [{m: c.numerator * (den // c.denominator) for m, c in v.items() if m[0] < s}
+            for v in tagged]
+    for row in rows:
+        scale = math.lcm(*(c.denominator for c in row.vec.values()))
+        image: Dict[ModMonomial, int] = {}
+        combo: Dict[ModMonomial, int] = {}
+        for (pos, a, b), c in row.vec.items():
+            c = c.numerator * (scale // c.denominator)
+            if pos < s:
+                image[(pos, a, b)] = c * den
+            else:
+                for k, v in _left_mono_mul(a, b, ints[pos - s]).items():
+                    combo[k] = combo.get(k, 0) + c * v
+        if {k: v for k, v in combo.items() if v} != image:
+            return False
+    return True
 
 
 def submodule_equal(

@@ -106,20 +106,21 @@ class FormalSym:
         return sign, tuple(items)
 
     def cores(self, degree: int, max_cost: int) -> Iterator[Core]:
-        atoms = sorted(
-            {c for d in range(0, degree + 1) for c in self.base.cores(d, max_cost - 1)},
-        )
+        base = self.base
+        # each atom with its degree and cost (+1 for the atom itself), once
+        atoms = [(a, base.core_degree(a), base.core_cost(a) + 1) for a in sorted(
+            {c for d in range(0, degree + 1) for c in base.cores(d, max_cost - 1)},
+        )]
 
         def rec(start, deg_left, cost_left):
             if deg_left == 0:
                 yield ()
             for idx in range(start, len(atoms)):
-                a = atoms[idx]
-                da = self.base.core_degree(a)
-                ca = self.base.core_cost(a) + 1
+                a, da, ca = atoms[idx]
                 if da > deg_left or ca > cost_left:
                     continue
-                nxt = idx + 1 if self._parity(a) else idx
+                # an odd atom occurs at most once
+                nxt = idx + 1 if da % 2 else idx
                 for rest in rec(nxt, deg_left - da, cost_left - ca):
                     yield (a,) + rest
 

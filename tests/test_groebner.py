@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 
 import dgdm
+from dgdm import groebner
 from dgdm.groebner import (
     DEFAULT_DEGREE_GUARD,
     DegreeGuardExceeded,
@@ -25,7 +26,7 @@ from dgdm.groebner import (
     syzygies,
 )
 from dgdm.randgen import random_weyl
-from dgdm.rational_linalg import Echelon, nullspace
+from dgdm.rational_linalg import Echelon, nullspace, vec_add
 from dgdm.weyl import WeylElement
 
 
@@ -348,17 +349,23 @@ def test_buchberger_matches_unpruned_reference():
     assert max(sizes) >= 6
 
 
+def _syzygy_family():
+    """60 seeded random 2 x s matrices over D_1 or D_2: (nvars, rows)."""
+    rng = random.Random(49)
+    for _ in range(60):
+        nvars = rng.choice([1, 1, 2])
+        s = rng.randint(1, 2)
+        yield nvars, [[_random_w(rng, nvars, 2, 2 if nvars == 1 else 1) for _ in range(s)]
+                      for _ in range(2)]
+
+
 def test_syzygies_match_unpruned_elimination():
     # oracle for the pair pruning of syzygies: the reference runs the same
     # elimination on the tagged rows with every pair; the reduced basis is
     # unique, so the tag-block generators must be the kernel, in order
-    rng = random.Random(49)
     nonzero = 0
-    for _ in range(60):
-        nvars = rng.choice([1, 1, 2])
-        r, s = 2, rng.randint(1, 2)
-        rows = [[_random_w(rng, nvars, 2, 2 if nvars == 1 else 1) for _ in range(s)]
-                for _ in range(r)]
+    for nvars, rows in _syzygy_family():
+        r, s = len(rows), len(rows[0])
         zero, one = WeylElement.zero(nvars), WeylElement.one(nvars)
         tagged = [FreeModuleElement(row + [one if k == i else zero for k in range(r)])
                   for i, row in enumerate(rows)]
@@ -595,14 +602,21 @@ def kernel_digest(gb):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# literal copies of the benchmark's pinned kernel digests
+# literal copies of the benchmark's pinned kernel digests; rung 9, which the
+# benchmark does not pin, is the digest of a full run of the Q loop
 LADDER_PINS = {
     0: "62377e9232f4b1d2bc08632a7507f9db5260d13d185438192fb00b8064a93927",
+    1: "1bd77aec3637f9fdf4bc62c7882da8f8a2a90faaf0b7025774896cecab458c4f",
     2: "9eb33c56955e8731e6b7a9313ce21e168b888501bba77fdcd5fa47ba16a63852",
     3: "00409986864591bb94aca11c389f70f500646081c66a4dc7a6aea109f2ced06c",
+    4: "520ba4fe27aee81f318c0d47e9708cca71d576cf7a89827abacfa8d79a380aa1",
+    5: "3497dc776397e5bb7f660ee4661733937466da84f91e53d4c66dd742ba9d8f07",
     6: "00409986864591bb94aca11c389f70f500646081c66a4dc7a6aea109f2ced06c",
     7: "e144fdd560026349deba06f170266118ce9352df6f0b592f4dd97622cd35b3a8",
+    8: "43b007811330ed17be65954d56dade74b9be97dd9248084e9a3491ffa54628fa",
+    9: "04ada37aa525175f317778df87bacf92bf5d9ec7f67a46ba7af5a83403ca79e1",
     10: "5e78b75ad3e19bdb0649eabdc9c44f5b6f0f263e738e4484e511a1804c0a8044",
+    11: "00409986864591bb94aca11c389f70f500646081c66a4dc7a6aea109f2ced06c",
 }
 
 
@@ -631,3 +645,124 @@ def test_ladder_kernel_complete_in_low_degree(rung):
             for (i, a, b), c in k.items():
                 coords[i] = coords[i] + WeylElement.monomial(1, a, b, c)
             assert member(FreeModuleElement(coords), syz)
+
+
+# ---------------------------------------------------------------- modular path
+
+class _ModularPathTaken(Exception):
+    pass
+
+
+def _refuse_modular(*args):
+    raise _ModularPathTaken()
+
+
+def test_only_coefficient_swell_takes_the_modular_path(monkeypatch):
+    # the kernels of the suite and of the timed ladder rungs keep small
+    # coefficients and stay on the Q loop; rung 9's swell at once
+    monkeypatch.setattr(groebner, "_modular_rows", _refuse_modular)
+    for rung in (0, 1, 2, 3, 4, 6, 10, 11):
+        assert kernel_digest(syzygies(ladder_matrix(rung), 1)) == LADDER_PINS[rung]
+    for nvars, rows in _syzygy_family():
+        syzygies(rows, nvars)
+    with pytest.raises(_ModularPathTaken):
+        syzygies(ladder_matrix(9), 1)
+
+
+def test_forced_modular_path_matches_q_loop(monkeypatch):
+    # oracle for the modular path: the certified rows are the Q loop's, and
+    # with the trigger at 0 bits every syzygies call takes them
+    guard = get_degree_guard()
+    for nvars, rows in _syzygy_family():
+        tagged = groebner._tagged(rows, len(rows[0]), nvars)
+        q_rows = groebner._groebner_rows(tagged, guard)
+        mod_rows = groebner._modular_rows(tagged, len(rows[0]), guard)
+        assert mod_rows is not None
+        assert [r.vec for r in mod_rows] == [r.vec for r in q_rows]
+    expected = [syzygies(rows, nvars).generators for nvars, rows in _syzygy_family()]
+    monkeypatch.setattr(groebner, "_SWELL_BITS", 0)
+    modular = groebner._modular_rows
+    taken = []
+    monkeypatch.setattr(groebner, "_modular_rows", lambda *a: taken.append(r := modular(*a)) or r)
+    assert [syzygies(rows, nvars).generators for nvars, rows in _syzygy_family()] == expected
+    assert len(taken) == len(expected) and None not in taken
+
+
+@pytest.mark.parametrize("primes, certified_modulus", [
+    ((7,), None),  # residues mod 7 cannot give 441-bit coefficients: the Q fallback
+    ((7, 2**255 - 19), 2**255 - 19),  # CRT with 7 or a fresh start: either way certified
+    ((2**61 - 1, 2**127 - 1), (2**61 - 1) * (2**127 - 1)),  # 61 bits alone are too few
+])
+def test_small_primes_end_in_more_primes_or_the_fallback(monkeypatch, primes, certified_modulus):
+    monkeypatch.setattr(groebner, "_PRIMES", primes)
+    moduli, verdicts = [], []
+    certify, reconstruct = groebner._certified, groebner._reconstruct
+
+    def recorded(rows, modulus):
+        moduli.append(modulus)
+        return reconstruct(rows, modulus)
+
+    def certified(*args):
+        verdicts.append(certify(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(groebner, "_reconstruct", recorded)
+    monkeypatch.setattr(groebner, "_certified", certified)
+    assert kernel_digest(syzygies(ladder_matrix(8), 1)) == LADDER_PINS[8]
+    assert len(moduli) == len(primes)
+    if certified_modulus is None:
+        assert True not in verdicts
+    else:
+        assert verdicts[-1] is True and moduli[-1] % certified_modulus == 0
+
+
+def test_corrupted_coefficient_fails_the_checks(monkeypatch):
+    rows = ladder_matrix(7)
+    tagged = groebner._tagged(rows, 2, 1)
+    guard = get_degree_guard()
+    q_rows = groebner._groebner_rows(tagged, guard)
+    assert groebner._certified(q_rows, tagged, 2, guard)
+    for k, row in enumerate(q_rows):
+        for m in (row.lm, max(row.vec, key=groebner._key)):  # the leading and the last term
+            bad = [groebner._Row(dict(r.vec)) for r in q_rows]
+            bad[k].vec[m] += Fraction(1, 3)
+            assert not groebner._certified(bad, tagged, 2, guard)
+    # a reconstruction corrupted in every prime ends in the Q fallback
+    reconstruct = groebner._reconstruct
+
+    def corrupted(rows, modulus):
+        out = reconstruct(rows, modulus)
+        row = out[-1]
+        row.vec[max(row.vec, key=groebner._key)] += 1
+        return out
+
+    monkeypatch.setattr(groebner, "_reconstruct", corrupted)
+    assert kernel_digest(syzygies(rows, 1)) == LADDER_PINS[7]
+
+
+def test_each_check_rejects_what_only_it_sees():
+    guard = get_degree_guard()
+    # x | 1 | 0 and d | 0 | 1 are monic, reduced, in the module and generate
+    # it, but their S-pair leaves (1 | d | -x): not a Groebner basis
+    tagged = groebner._tagged([[X()], [D()]], 1, 1)
+    rows = [groebner._Row(dict(v)) for v in tagged]
+    assert not groebner._certified(rows, tagged, 1, guard)
+    # the unit vectors are the reduced basis of all of D^3, which holds the
+    # module: only multiplying back sees that e_0 is not in it
+    units = [groebner._Row(groebner._to_vec(FreeModuleElement.unit(3, 1, i))) for i in range(3)]
+    assert not groebner._certified(units, tagged, 1, guard)
+    # rung 7's kernel rows alone are a Groebner basis of a smaller module:
+    # the tagged inputs do not reduce to 0
+    tagged = groebner._tagged(ladder_matrix(7), 2, 1)
+    q_rows = groebner._groebner_rows(tagged, guard)
+    assert not groebner._certified([r for r in q_rows if r.lm[0] >= 2], tagged, 2, guard)
+    # adding the last row to the first keeps a monic Groebner basis of the
+    # module, but no longer a reduced one
+    first = dict(q_rows[0].vec)
+    vec_add(first, q_rows[-1].vec)
+    added = [groebner._Row(first)] + q_rows[1:]
+    assert added[0].lm == q_rows[0].lm
+    assert not groebner._certified(added, tagged, 2, guard)
+    # twice the basis is no longer monic
+    doubled = [groebner._Row({m: 2 * c for m, c in r.vec.items()}) for r in q_rows]
+    assert not groebner._certified(doubled, tagged, 2, guard)
