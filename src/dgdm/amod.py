@@ -33,7 +33,8 @@ Its two instances supply only their W-blocks and twist terms:
 
 The differentials and actions on keys are memoised per instance over
 the term kernel of `dga` and are read-only, with `int` coefficients
-where integral; `AModuleElement` holds `Fraction`s.
+where integral.  `AModuleElement` is the module kind of `dga`'s element
+class `GradedElement` and holds `Fraction`s.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .dga import (
     AlgebraElement,
     AlgebraMorphism,
     Generator,
+    GradedElement,
     SullivanAlgebra,
     TermKey,
 )
@@ -278,45 +280,11 @@ class AModule:
         return f"AModule(T={t}, V=[{gens}])"
 
 
-class AModuleElement:
-    __slots__ = ("module", "coeffs")
+class AModuleElement(GradedElement):
+    """An element of an A-module, on the element class of `dga`."""
 
-    def __init__(self, module: AModule, coeffs: ModCoeffs):
-        self.module = module
-        self.coeffs = {k: c if type(c) is Fraction else Fraction(c) for k, c in coeffs.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> Optional[int]:
-        degs = {self.module.key_degree(k) for k in self.coeffs}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("inhomogeneous element has no degree")
-        return degs.pop()
-
-    def __add__(self, other: "AModuleElement") -> "AModuleElement":
-        out = dict(self.coeffs)
-        vec_add(out, other.coeffs)
-        return AModuleElement(self.module, out)
-
-    def __neg__(self):
-        return AModuleElement(self.module, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "AModuleElement":
-        c = Fraction(c)
-        return AModuleElement(self.module, {k: c * v for k, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AModuleElement)
-            and self.module == other.module
-            and self.coeffs == other.coeffs
-        )
+    __slots__ = ()
+    module = property(lambda self: self.owner)
 
     def __repr__(self):
         return f"AModuleElement({dict(list(self.coeffs.items())[:4])!r}...)" if len(

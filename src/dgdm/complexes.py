@@ -105,16 +105,9 @@ def mat_is_zero(a: Matrix) -> bool:
 
 def mat_apply(v: FreeModuleElement, m: Matrix, nvars: int, cols: int) -> FreeModuleElement:
     """Row vector times matrix: the image of v under the left-linear map."""
-    out = [WeylElement.zero(nvars) for _ in range(cols)]
-    for i, c in enumerate(v.coords):
-        if c.is_zero():
-            continue
-        for j in range(cols):
-            if not m[i][j].is_zero():
-                out[j] = out[j] + c * m[i][j]
     if cols == 0:
         raise ValueError("image lives in the zero module")
-    return FreeModuleElement(out)
+    return FreeModuleElement(mat_mul((v.coords,), m, nvars)[0])
 
 
 # ---------------------------------------------------------------- complexes
@@ -365,10 +358,7 @@ def homology(c: FreeDComplex, n: int) -> HomologyPresentation:
         return HomologyPresentation(n, c.nvars, 0)
     kernel = kernel_generators(c, n)
     image = [g for g in image_generators(c, n) if not g.is_zero()]
-    if not kernel:
-        return HomologyPresentation(n, c.nvars, r)
-    gb_img = buchberger(image, rank=r, nvars=c.nvars)
-    if all(member(k, gb_img) for k in kernel):
+    if _cycles_are_boundaries(c, n, kernel, image):
         return HomologyPresentation(n, c.nvars, r)
     if _whole_kernel(c, n):
         # each image row is its own coordinate row; unit vectors have no syzygies
@@ -387,16 +377,22 @@ def homology(c: FreeDComplex, n: int) -> HomologyPresentation:
     return HomologyPresentation(n, c.nvars, r, kernel, relations)
 
 
+def _cycles_are_boundaries(c: FreeDComplex, n: int, kernel: List, image: List) -> bool:
+    """Every cycle at degree n is a boundary: each kernel generator is a member
+    of the span of the nonzero image rows; no Groebner work without cycles."""
+    if not kernel:
+        return True
+    gb_img = buchberger(image, rank=c.rank(n), nvars=c.nvars)
+    return all(member(k, gb_img) for k in kernel)
+
+
 def is_acyclic(c: FreeDComplex) -> bool:
     """Exact Groebner acyclicity: every cycle is a boundary, H_0 included."""
-    for n in c.degrees():
-        r = c.rank(n)
-        image = [g for g in image_generators(c, n) if not g.is_zero()]
-        gb_img = buchberger(image, rank=r, nvars=c.nvars)
-        for k in kernel_generators(c, n):
-            if not member(k, gb_img):
-                return False
-    return True
+    return all(
+        _cycles_are_boundaries(c, n, kernel_generators(c, n),
+                               [g for g in image_generators(c, n) if not g.is_zero()])
+        for n in c.degrees()
+    )
 
 
 # ---------------------------------------------------------------- cone, shift

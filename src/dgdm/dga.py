@@ -18,6 +18,12 @@ x_i act on the coefficient, the d_i act as even derivations, and the
 differential is an odd derivation, so checking identities on atoms and
 generators checks them everywhere.
 
+This module is the one home of the graded-commutative rules that
+`amod` and `monads` use too: the element class `GradedElement` (sums,
+scales, degrees and equality of {key: Fraction} over an owner answering
+`key_degree`), the Koszul sort `_normalize_atoms` (parity given as a
+function of the atom) and the Leibniz rule `odd_derivation`.
+
 The arithmetic runs on term keys and raw coefficient dicts
 (`term_product`, `act_d_term`, `act_monomial`, `d_term`).  The memos of
 `d_term` and `_d_atom` live on the algebra, never per process, and are
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 from .rational_linalg import add_term, apply_linear, integral, vec_add
 from .slices import TruncationResult, bounded_weq
@@ -39,6 +45,7 @@ Atom = Tuple[int, Exponent]  # (generator index, d-exponent)
 TermKey = Tuple[Exponent, Tuple[Atom, ...]]
 Coeffs = Dict[TermKey, Fraction]
 Multisets = Tuple[Tuple[Tuple[Atom, ...], int], ...]  # (sorted atoms, cost) pairs
+Parity = Callable[[Hashable], int]  # an atom's parity, for the Koszul sort
 
 DEFAULT_DEGREE_WINDOW = 6
 
@@ -53,22 +60,45 @@ class Generator:
             raise ValueError("generator degrees must be non-negative")
 
 
-def _normalize_atoms(atoms: Sequence[Atom], parities: Sequence[int]) -> Optional[Tuple[int, Tuple[Atom, ...]]]:
-    """Sort atoms, tracking the Koszul sign; None when an odd atom repeats."""
+def _normalize_atoms(atoms: Sequence[Hashable], odd: Parity) -> Optional[Tuple[int, Tuple]]:
+    """Sort atoms, tracking the Koszul sign; None when an odd atom repeats.
+
+    The one Koszul sort of the package: `odd(atom)` is the atom's parity.
+    """
     items = list(atoms)
     sign = 1
     # insertion sort; each swap of adjacent odd atoms flips the sign
     for i in range(1, len(items)):
         j = i
         while j > 0 and items[j] < items[j - 1]:
-            if parities[items[j][0]] and parities[items[j - 1][0]]:
+            if odd(items[j]) and odd(items[j - 1]):
                 sign = -sign
             items[j], items[j - 1] = items[j - 1], items[j]
             j -= 1
     for a, b in zip(items, items[1:]):
-        if a == b and parities[a[0]]:
+        if a == b and odd(a):
             return None
     return sign, tuple(items)
+
+
+def odd_derivation(alpha: Exponent, atoms: Tuple, d_atom: Callable[[Hashable], Dict], odd: Parity) -> Dict:
+    """The one Leibniz rule: an odd derivation on the term x^alpha * atoms,
+
+        sum over t of (-1)^|atoms[:t]| x^alpha atoms[:t] d(atoms[t]) atoms[t+1:],
+
+    with d_atom(atom) = {(beta, atom tuple): c}; one sort gives the
+    Koszul sign of both products of each summand.
+    """
+    out: Dict = {}
+    sign = 1
+    for t, atom in enumerate(atoms):
+        for (beta, datoms), c in d_atom(atom).items():
+            norm = _normalize_atoms(atoms[:t] + datoms + atoms[t + 1:], odd)
+            if norm is not None:
+                add_term(out, (tuple(x + y for x, y in zip(alpha, beta)), norm[1]), sign * norm[0] * c)
+        if odd(atom):
+            sign = -sign
+    return out
 
 
 class SullivanAlgebra:
@@ -159,6 +189,11 @@ class SullivanAlgebra:
     def term_degree(self, key: TermKey) -> int:
         return sum(self.generators[j].degree for (j, _) in key[1])
 
+    key_degree = term_degree  # the name `GradedElement.degree` asks its owner for
+
+    def atom_parity(self, atom: Atom) -> int:
+        return self.parities[atom[0]]
+
     def term_weight(self, key: TermKey) -> int:
         """|alpha| + sum over atoms of (|b| + 1); slices are finite."""
         alpha, atoms = key
@@ -166,7 +201,7 @@ class SullivanAlgebra:
 
     def term_product(self, k1: TermKey, k2: TermKey) -> Optional[Tuple[int, TermKey]]:
         """The product of two term keys as (sign, key); None when it vanishes."""
-        norm = _normalize_atoms(k1[1] + k2[1], self.parities)
+        norm = _normalize_atoms(k1[1] + k2[1], self.atom_parity)
         if norm is None:
             return None
         return norm[0], (tuple(x + y for x, y in zip(k1[0], k2[0])), norm[1])
@@ -193,7 +228,7 @@ class SullivanAlgebra:
             out[(na, atoms)] = alpha[i]
         for t, (j, b) in enumerate(atoms):
             nb = tuple(e + 1 if k == i else e for k, e in enumerate(b))
-            norm = _normalize_atoms(atoms[:t] + ((j, nb),) + atoms[t + 1:], self.parities)
+            norm = _normalize_atoms(atoms[:t] + ((j, nb),) + atoms[t + 1:], self.atom_parity)
             if norm is not None:
                 add_term(out, (alpha, norm[1]), norm[0])
         return out
@@ -226,24 +261,10 @@ class SullivanAlgebra:
         return cached
 
     def d_term(self, key: TermKey) -> Coeffs:
-        """The differential of one term key, memoised; read-only.
-
-        d(prefix * atom * suffix) = (-1)^|prefix| prefix * d(atom) * suffix,
-        summed over the atoms; one sort gives the Koszul sign of both products.
-        """
+        """The differential of one term key by `odd_derivation`, memoised; read-only."""
         out = self._dterm_memo.get(key)
         if out is None:
-            alpha, atoms = key
-            out = self._dterm_memo[key] = {}
-            sign = 1
-            for t, atom in enumerate(atoms):
-                for (beta, datoms), c in self._d_atom(atom).items():
-                    norm = _normalize_atoms(atoms[:t] + datoms + atoms[t + 1:], self.parities)
-                    if norm is not None:
-                        na = tuple(x + y for x, y in zip(alpha, beta))
-                        add_term(out, (na, norm[1]), sign * norm[0] * c)
-                if self.parities[atom[0]]:
-                    sign = -sign
+            out = self._dterm_memo[key] = odd_derivation(key[0], key[1], self._d_atom, self.atom_parity)
         return out
 
     def d(self, u: "AlgebraElement") -> "AlgebraElement":
@@ -338,50 +359,55 @@ def atom_name(name: str, b: Exponent) -> str:
     return name if sum(b) == 0 else f"{name}[{','.join(map(str, b))}]"
 
 
-class AlgebraElement:
-    """A canonical-form element of a Sullivan algebra."""
+class GradedElement:
+    """A finite sum {key: Fraction} of basis keys of a graded object, its
+    owner, which answers `key_degree`.  Algebra and module elements are
+    its two kinds; an element never equals one of the other kind."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("owner", "coeffs")
 
-    def __init__(self, algebra: SullivanAlgebra, coeffs: Coeffs):
-        self.algebra = algebra
+    def __init__(self, owner, coeffs: Dict):
+        self.owner = owner
         self.coeffs = {k: c if type(c) is Fraction else Fraction(c) for k, c in coeffs.items() if c}
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def degree(self) -> Optional[int]:
-        degs = {self.algebra.term_degree(k) for k in self.coeffs}
+        degs = {self.owner.key_degree(k) for k in self.coeffs}
         if not degs:
             return None
         if len(degs) > 1:
             raise ValueError("inhomogeneous element has no degree")
         return degs.pop()
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __add__(self, other):
         out = dict(self.coeffs)
         vec_add(out, other.coeffs)
-        return AlgebraElement(self.algebra, out)
+        return type(self)(self.owner, out)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, {k: -c for k, c in self.coeffs.items()})
+        return type(self)(self.owner, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c) -> "AlgebraElement":
+    def scale(self, c):
         c = Fraction(c)
-        return AlgebraElement(self.algebra, {k: c * v for k, v in self.coeffs.items()})
+        return type(self)(self.owner, {k: c * v for k, v in self.coeffs.items()})
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.owner == other.owner and self.coeffs == other.coeffs
+
+
+class AlgebraElement(GradedElement):
+    """A canonical-form element of a Sullivan algebra."""
+
+    __slots__ = ()
+    algebra = property(lambda self: self.owner)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self.algebra.multiply(self, other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.algebra == other.algebra
-            and self.coeffs == other.coeffs
-        )
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))

@@ -147,9 +147,6 @@ class FreeModuleElement:
     def scale(self, c) -> "FreeModuleElement":
         return FreeModuleElement([x.scale(c) for x in self.coords])
 
-    def total_degree(self) -> int:
-        return max(c.total_degree() for c in self.coords)
-
     def _check(self, other):
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} != {other.rank}")

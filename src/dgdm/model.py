@@ -6,15 +6,18 @@ means degreewise injective with an explicitly computed free complement
 of the image, `refuted` means injectivity fails, and `not-certified`
 is an honest "don't know" (projectivity of a general cokernel is not
 decided here).  One unit-pivot row reduction per degree certifies,
-gives the complement and splits target elements along it.  Pushouts are taken along certified maps only, which is
-exactly the class of pushouts the underlying theory ever computes.
+gives the complement and splits target elements along it; a certified
+certificate carries those splits next to the map it certifies, and
+`pushout` and `solve_lifting` read them from there.  Pushouts are taken
+along certified maps only, which is exactly the class of pushouts the
+underlying theory ever computes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
     ChainMap,
@@ -123,11 +126,16 @@ class CofibrationCertificate:
     refuted: `kernel_witness` is a nonzero kernel element in some degree.
     not-certified: injective as far as checked, but no scalar-pivot
     splitting was found; nothing is claimed about the cokernel.
+
+    A certified certificate also keeps the map f it certifies and per degree
+    its split w -> (a, q), w = sum a_i f(e_i) + sum q_k c_k over the cells c_k.
     """
 
     verdict: str
     complement: Dict[int, List[FreeModuleElement]] = field(default_factory=dict)
     kernel_witness: Optional[Tuple[int, FreeModuleElement]] = None
+    map: Optional[ChainMap] = field(default=None, compare=False, repr=False)
+    splits: Dict[int, Callable] = field(default_factory=dict, compare=False, repr=False)
 
 
 def _scalar_entry(e: WeylElement) -> Optional[Fraction]:
@@ -187,9 +195,9 @@ def certify_cofibration(f: ChainMap) -> CofibrationCertificate:
     fails does `syzygies` run, there, to tell refuted from not-certified.
     """
     top = max(f.source.top, f.target.top)
-    splits = {n: _unit_pivot_split(f.component(n), f.source.rank(n), f.target.rank(n), f.nvars)
-              for n in range(0, top + 1)}
-    failed = [n for n, red in splits.items() if red is None]
+    reductions = {n: _unit_pivot_split(f.component(n), f.source.rank(n), f.target.rank(n), f.nvars)
+                  for n in range(0, top + 1)}
+    failed = [n for n, red in reductions.items() if red is None]
     for n in failed:
         ker = syzygies(f.component(n), f.nvars, source_rank=f.source.rank(n), target_rank=f.target.rank(n))
         if ker.generators:
@@ -198,9 +206,17 @@ def certify_cofibration(f: ChainMap) -> CofibrationCertificate:
         return CofibrationCertificate("not-certified")
     complement = {
         n: [FreeModuleElement.unit(f.target.rank(n), f.nvars, k) for k in free]
-        for n, (free, _) in splits.items() if free
+        for n, (free, _) in reductions.items() if free
     }
-    return CofibrationCertificate("certified", complement=complement)
+    return CofibrationCertificate("certified", complement=complement, map=f,
+                                  splits={n: split for n, (_, split) in reductions.items()})
+
+
+def _splits_of(g: ChainMap, certificate: CofibrationCertificate) -> Dict[int, Callable]:
+    """The certificate's per-degree splits, once it is known to certify g."""
+    if certificate.map != g:
+        raise ComplexError("certificate was made for another map; certificate is stale")
+    return certificate.splits
 
 
 # ---------------------------------------------------------------- pushouts
@@ -213,25 +229,6 @@ class PushoutResult:
     # the complement cells of W_n: from_attached sends cell i to the unit
     # y.rank(n) + i of Z_n
     cells: Dict[int, List[FreeModuleElement]]
-
-
-def _decomposer(g: ChainMap, cells: Dict[int, List[FreeModuleElement]], nvars: int):
-    """The splitting (w, n) -> (a, q) with w = sum a_i g(e_i) + sum q_k c_k
-    in the degree-n target of g, unique for a certified g with complement
-    cells.  One unit-pivot reduction per degree serves every split in
-    that degree, for as long as the returned function lives."""
-    splits = {}
-
-    def decompose(w: FreeModuleElement, n: int) -> Tuple[List[WeylElement], List[WeylElement]]:
-        if n not in splits:
-            s = g.target.rank(n)
-            red = _unit_pivot_split(g.component(n), g.source.rank(n), s, nvars)
-            if red is None or [FreeModuleElement.unit(s, nvars, k) for k in red[0]] != cells.get(n, []):
-                raise ComplexError("g splits off other cells than the certificate's; certificate is stale")
-            splits[n] = red[1]
-        return splits[n](w)
-
-    return decompose
 
 
 def pushout(
@@ -257,14 +254,14 @@ def pushout(
 
     ranks = {n: y.rank(n) + len(cells.get(n, [])) for n in set(y.ranks) | set(cells)}
 
-    decompose = _decomposer(g, cells, nvars)
+    splits = _splits_of(g, certificate)
     zero = WeylElement.zero(nvars)
 
     def split(vectors: List[FreeModuleElement], n: int):
         """The blocks (f(a) | q) of the Z_n-rows of W_n-vectors v = g(a) + sum q_k c_k."""
         fa_rows, q_rows = [], []
         for v in vectors:
-            a, q = decompose(v, n) if not v.is_zero() else ([], [zero] * len(cells[n]))
+            a, q = splits[n](v) if not v.is_zero() else ([], [zero] * len(cells[n]))
             if a and y.rank(n):
                 fa_rows.append(mat_apply(FreeModuleElement(a), f.component(n), nvars, y.rank(n)).coords)
             else:
@@ -386,7 +383,7 @@ def solve_lifting(i: ChainMap, cert: CofibrationCertificate, p: ChainMap, u: Cha
     if u.source != a or u.target != e or v.source != c or v.target != b:
         raise ComplexError("lifting square is malformed")
     cells = {n: cert.complement.get(n, []) for n in range(0, c.top + 1)}
-    decompose = _decomposer(i, cells, nvars)
+    splits = _splits_of(i, cert)
     h_on_cells: Dict[int, List[FreeModuleElement]] = {}
     for n in range(0, c.top + 1):
         vals: List[FreeModuleElement] = []
@@ -396,7 +393,7 @@ def solve_lifting(i: ChainMap, cert: CofibrationCertificate, p: ChainMap, u: Cha
             hdc = None
             if c.rank(n - 1) and e.rank(n - 1):
                 dcell = mat_apply(cell, c.diff(n), nvars, c.rank(n - 1))
-                hdc = _apply_extension(dcell, n - 1, decompose, u, h_on_cells, e, nvars)
+                hdc = _apply_extension(dcell, n - 1, splits, u, h_on_cells, e, nvars)
             # solve e with p(e) = vc, d(e) = hdc
             cols = (b.rank(n), e.rank(n - 1))
             # a cell in a zero module still needs one coordinate
@@ -418,7 +415,7 @@ def solve_lifting(i: ChainMap, cert: CofibrationCertificate, p: ChainMap, u: Cha
         rows = []
         for idx in range(c.rank(n)):
             unit = FreeModuleElement.unit(c.rank(n), nvars, idx)
-            img = _apply_extension(unit, n, decompose, u, h_on_cells, e, nvars)
+            img = _apply_extension(unit, n, splits, u, h_on_cells, e, nvars)
             rows.append(tuple(img.coords))
         maps[n] = tuple(rows)
     h = ChainMap(c, e, maps)
@@ -427,9 +424,9 @@ def solve_lifting(i: ChainMap, cert: CofibrationCertificate, p: ChainMap, u: Cha
     return h
 
 
-def _apply_extension(w, n, decompose, u, h_on_cells, e, nvars):
+def _apply_extension(w, n, splits, u, h_on_cells, e, nvars):
     """Evaluate the partial lift on w in C_n: through A via u, cells via chosen values."""
-    a_coeffs, q = decompose(w, n)
+    a_coeffs, q = splits[n](w)
     out = FreeModuleElement.zero(e.rank(n), nvars) if e.rank(n) else None
     if out is None:
         raise ComplexError("lift lands in a zero module")

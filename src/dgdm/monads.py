@@ -13,8 +13,11 @@ Towering FormalSym (resp. TensorWithA) twice or thrice gives the
 iterated endofunctor values needed to state the monad laws.  Every map
 of elements is a core map extended by `o_linear`: mu (`sym_mu_core`,
 `tensor_mu_core`), the functor (`sym_apply`, `tensor_apply`) and d
-(`diff_key`); the units `sym_eta`/`tensor_eta` only relabel cores.
+(`diff_core`); the units `sym_eta`/`tensor_eta` only relabel cores.
 The free-module monad U = A (x) - lives here and nowhere else.
+
+The graded-commutative rules come from `dga`: cores and A-blocks sort by
+its Koszul sort, and `FormalSym.diff_core` is its Leibniz rule.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from itertools import product
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from .complexes import FreeDComplex
-from .dga import SullivanAlgebra, _normalize_atoms
+from .dga import SullivanAlgebra, _normalize_atoms, odd_derivation
 from .rational_linalg import add_term
 from .weyl import Exponent, WeylElement, exponents_bounded
 
@@ -91,19 +94,7 @@ class FormalSym:
         return self.base.core_degree(core) % 2
 
     def normalize(self, cores: Tuple[Core, ...]) -> Optional[Tuple[int, Tuple[Core, ...]]]:
-        items = list(cores)
-        sign = 1
-        for i in range(1, len(items)):
-            j = i
-            while j > 0 and items[j] < items[j - 1]:
-                if self._parity(items[j]) and self._parity(items[j - 1]):
-                    sign = -sign
-                items[j], items[j - 1] = items[j - 1], items[j]
-                j -= 1
-        for a, b in zip(items, items[1:]):
-            if a == b and self._parity(a):
-                return None
-        return sign, tuple(items)
+        return _normalize_atoms(cores, self._parity)
 
     def cores(self, degree: int, max_cost: int) -> Iterator[Core]:
         base = self.base
@@ -134,27 +125,10 @@ class FormalSym:
         return len(core) + sum(self.base.core_cost(c) for c in core)
 
     def diff_core(self, core: Core) -> Expansion:
-        out: Expansion = {}
-        kos = 1
-        for t, atom in enumerate(core):
-            for (gamma, atom2), c in self.base.diff_core(atom).items():
-                norm = self.normalize(core[:t] + (atom2,) + core[t + 1:])
-                if norm is None:
-                    continue
-                sign, sorted_core = norm
-                add_term(out, (gamma, sorted_core), c * sign * kos)
-            if self._parity(atom):
-                kos = -kos
-        return out
+        def d_atom(atom):  # the base's d, each image core as a 1-tuple of atoms
+            return {(gamma, (atom2,)): c for (gamma, atom2), c in self.base.diff_core(atom).items()}
 
-    def basis_keys(self, degree: int, max_weight: int):
-        for core in self.cores(degree, max_weight):
-            cost = self.core_cost(core)
-            for alpha in exponents_bounded(self.nvars, max_weight - cost):
-                yield (alpha, core)
-
-    def diff_key(self, key) -> Element:
-        return o_linear(self.diff_core, {key: 1})
+        return odd_derivation((0,) * self.nvars, core, d_atom, self._parity)
 
 
 def sym_eta(elem: Element) -> Element:
@@ -223,7 +197,7 @@ def tensor_eta(elem: Element) -> Element:
 def tensor_mu_core(outer: TensorWithA, core) -> Expansion:
     """mu on one A (x) (A (x) N)-core: multiply the two A-blocks."""
     at1, (at2, ncore) = core
-    norm = _normalize_atoms(at1 + at2, outer.algebra.parities)
+    norm = _normalize_atoms(at1 + at2, outer.algebra.atom_parity)
     if norm is None:
         return {}
     sign, merged = norm

@@ -194,16 +194,20 @@ def random_algebra(
     return a
 
 
+def _random_element(rng: random.Random, owner, element_class, degree: int, max_weight: int):
+    """One or two random keys of the slice, with coefficients in -2..2
+    (zero when the slice is empty); algebras and modules draw alike."""
+    keys = list(owner.basis_keys(degree, max_weight))
+    coeffs = {}
+    for _ in range(rng.randint(1, 2) if keys else 0):
+        coeffs[rng.choice(keys)] = Fraction(rng.randint(-2, 2))
+    return element_class(owner, coeffs)
+
+
 def random_algebra_element(
     rng: random.Random, a: SullivanAlgebra, degree: int, max_weight: int = 3
 ) -> AlgebraElement:
-    keys = list(a.basis_keys(degree, max_weight))
-    if not keys:
-        return a.zero()
-    coeffs = {}
-    for _ in range(rng.randint(1, 2)):
-        coeffs[rng.choice(keys)] = Fraction(rng.randint(-2, 2))
-    return AlgebraElement(a, {k: c for k, c in coeffs.items() if c})
+    return _random_element(rng, a, AlgebraElement, degree, max_weight)
 
 
 def random_algebra_weq(
@@ -257,13 +261,7 @@ def random_amodule(
 def random_module_element(
     rng: random.Random, m: amod_mod.AModule, degree: int, max_weight: int = 3
 ) -> amod_mod.AModuleElement:
-    keys = list(m.basis_keys(degree, max_weight))
-    if not keys:
-        return m.zero()
-    coeffs = {}
-    for _ in range(rng.randint(1, 2)):
-        coeffs[rng.choice(keys)] = Fraction(rng.randint(-2, 2))
-    return amod_mod.AModuleElement(m, {k: c for k, c in coeffs.items() if c})
+    return _random_element(rng, m, amod_mod.AModuleElement, degree, max_weight)
 
 
 def random_closed_element(

@@ -175,12 +175,6 @@ class WeylElement:
         z = (0,) * self.nvars
         return self.terms.get((z, z), Fraction(0))
 
-    def total_degree(self) -> int:
-        """Max of |a| + |b| over the support; -1 for zero."""
-        if not self.terms:
-            return -1
-        return max(sum(a) + sum(b) for (a, b) in self.terms)
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "WeylElement") -> "WeylElement":

@@ -62,6 +62,27 @@ def test_free_disk_is_standard(algebra):
     assert m.d(m.d(g)).is_zero()
 
 
+def test_algebra_and_module_elements_share_one_element_class():
+    a = SullivanAlgebra(1, [Generator("g", 1), Generator("u", 2)])
+    m = free_sphere_module(a, 1)
+    g, u, e = a.generator(0), a.generator(1), m.generator(0)
+    x = u + u.scale(2)
+    assert x == u.scale(3) and x - u == u + u and (x - x).is_zero() and (-x).degree() == 2
+    ge = m.act_algebra(g, e)
+    y = e.scale(Fraction(1, 2)) - e
+    assert y == e.scale(-0.5) and -y + y == m.zero() and ge.degree() == 2 and (ge - ge).is_zero()
+    for inhomogeneous in (g + u, e + ge):
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            inhomogeneous.degree()
+    assert hash(x) == hash(u.scale(3))
+    with pytest.raises(TypeError):
+        hash(e)
+    # same owner and coefficients, other kind: never equal
+    assert AModuleElement(a, x.coeffs) != x and x != AModuleElement(a, x.coeffs)
+    assert a.zero() != m.zero()
+    assert x.algebra is a and ge.module is m
+
+
 def test_extend_differential_disk_shape(algebra):
     # T = A (x) S^{n-1}, V = S^n, d(1_n) = 1_{n-1}: this is A (x) D^n
     t = free_sphere_module(algebra, 1)

@@ -292,7 +292,7 @@ def _brute_force_keys(alg, max_weight):
         cheap = [a for a in atoms if sum(a[1]) + 1 <= max_weight - k + 1]
         for combo in combinations_with_replacement(cheap, k):
             if sum(sum(b) + 1 for _, b in combo) <= max_weight:
-                norm = _normalize_atoms(combo, alg.parities)
+                norm = _normalize_atoms(combo, alg.atom_parity)
                 if norm is not None:
                     canonical.add(norm[1])
     alphas = [a for a in product(range(max_weight + 1), repeat=alg.nvars) if sum(a) <= max_weight]
@@ -325,7 +325,7 @@ def _ref_multiply(alg, u, v):
     out = {}
     for (a1, at1), c1 in u.items():
         for (a2, at2), c2 in v.items():
-            norm = _normalize_atoms(at1 + at2, alg.parities)
+            norm = _normalize_atoms(at1 + at2, alg.atom_parity)
             if norm is not None:
                 key = (tuple(x + y for x, y in zip(a1, a2)), norm[1])
                 out[key] = out.get(key, 0) + Fraction(c1) * c2 * norm[0]
@@ -340,7 +340,7 @@ def _ref_act_d(alg, i, u):
             out[(na, atoms)] = out.get((na, atoms), 0) + c * alpha[i]
         for t, (j, b) in enumerate(atoms):
             nb = tuple(e + 1 if k == i else e for k, e in enumerate(b))
-            norm = _normalize_atoms(atoms[:t] + ((j, nb),) + atoms[t + 1:], alg.parities)
+            norm = _normalize_atoms(atoms[:t] + ((j, nb),) + atoms[t + 1:], alg.atom_parity)
             if norm is not None:
                 out[(alpha, norm[1])] = out.get((alpha, norm[1]), 0) + c * norm[0]
     return {k: c for k, c in out.items() if c}

@@ -552,6 +552,38 @@ def test_no_dead_local_in_the_package():
     assert dead == []
 
 
+def test_no_cloned_statement_run_in_the_package():
+    # with every name, attribute, argument and constant blanked, no run of 4
+    # consecutive statements of one block (holding at least 6 statements,
+    # nested ones counted) has the shape of a run at another place
+    root = os.path.dirname(dgdm.__file__)
+    places = {}
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    node.id = "_"
+                elif isinstance(node, ast.Attribute):
+                    node.attr = "_"
+                elif isinstance(node, ast.arg):
+                    node.arg = "_"
+                elif isinstance(node, ast.Constant):
+                    node.value = None
+            for node in ast.walk(tree):
+                for block in (getattr(node, f, None) for f in ("body", "orelse", "finalbody")):
+                    if not (isinstance(block, list) and block and isinstance(block[0], ast.stmt)):
+                        continue
+                    for i in range(len(block) - 3):
+                        run = block[i:i + 4]
+                        fields = all(isinstance(s, ast.AnnAssign) and s.value is None for s in run)
+                        if fields or sum(isinstance(n, ast.stmt) for s in run for n in ast.walk(s)) < 6:
+                            continue
+                        places.setdefault("\n".join(map(ast.dump, run)), []).append((name, run[0].lineno))
+    assert [where for where in places.values() if len(where) > 1] == []
+
+
 def test_two_variable_module():
     n = 2
     d1, d2 = WeylElement.d(1, n), WeylElement.d(2, n)

@@ -12,6 +12,7 @@ from dgdm.monads import (
     TensorWithA,
     check_sym_monad_laws,
     check_tensor_monad_laws,
+    o_linear,
     sym_eta,
     sym_mu,
     tensor_eta,
@@ -68,14 +69,26 @@ def test_unit_triangle_concrete():
 
 
 def test_sym_differential_squares_to_zero():
+    # d is O-linear, so d*d = 0 on the cores (alpha = 0) gives it everywhere
     s2 = FormalSym(FormalSym(FreeBase(disk(2))))
     for deg in range(0, 5):
-        for key in list(s2.basis_keys(deg, 4))[:30]:
-            acc = {}
-            for k2, c in s2.diff_key(key).items():
-                for k3, c3 in s2.diff_key(k2).items():
-                    acc[k3] = acc.get(k3, Fraction(0)) + c * c3
-            assert not any(acc.values()), key
+        for core in list(s2.cores(deg, 4))[:30]:
+            dd = o_linear(s2.diff_core, o_linear(s2.diff_core, {((0,), core): 1}))
+            assert dd == {}, core
+
+
+def test_tower_differential_values_are_pinned():
+    # the values of d on S(S(C)), not just d*d = 0, are pinned
+    lines = []
+    for c in (disk(1), sphere(1), disk(2)):
+        s2 = FormalSym(FormalSym(FreeBase(c)))
+        for d in range(0, 4):
+            for core in s2.cores(d, 4):
+                v = o_linear(s2.diff_core, {((0,), core): 1})
+                lines.append(repr(sorted(v.items(), key=repr)))
+    assert len(lines) == 64
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "2006bd1e9bc3eb2a5209d0554ac5a3edcd0e5a2abe4df93d4f61f48ac3896cbd")
 
 
 def test_sym_monad_laws_catch_a_differential_that_is_no_derivation(monkeypatch):
