@@ -76,6 +76,7 @@ from .amod import (
     AModule,
     AModuleElement,
     AModuleMorphism,
+    Inclusion,
     amod_pushout_gen,
     base_change,
     cmon_to_under,
@@ -105,7 +106,7 @@ __all__ = [
     "pushout_product", "zeta",
     "AlgebraElement", "AlgebraMorphism", "Generator", "SullivanAlgebra",
     "algebra_bounded_weq", "dga_pushout_gen", "initial_morphism",
-    "AModule", "AModuleElement", "AModuleMorphism", "amod_pushout_gen",
+    "AModule", "AModuleElement", "AModuleMorphism", "Inclusion", "amod_pushout_gen",
     "base_change", "cmon_to_under", "extend_differential", "extend_morphism",
     "free_amodule", "tensor_over_A", "transfinite_compose_finite",
     "under_to_cmon",

@@ -1,23 +1,21 @@
 """Modules over a Sullivan differential graded D-algebra A.
 
-An AModule has shape T (+) A (x) V: T a previously built AModule (or
-zero), V a free graded D-module with ordered homogeneous basis, A acting
-through its multiplication on the free part and through T's action on T.
-The differential assigns to each V-generator an element of
-T (+) A (x) V_{<j} (the classical extension lemma is the case where
-every assignment lands in T) and extends by
+An AModule is A (x) V: V a free graded D-module on the ordered
+homogeneous generators g_0, g_1, ..., and A acting through its
+multiplication.  The differential assigns to each g_j an element of
+A (x) V_{<j} (lowering) and extends by
 
-    d(t + a (x) v) = d_T(t) + d_A(a) (x) v + (-1)^{|a|} a . d(v)
+    d(a (x) v) = d_A(a) (x) v + (-1)^{|a|} a . d(v)
 
 which squares to zero and commutes with the A-action; morphisms extend
-assignments q(g_j) with d_B q(g_j) = q(d g_j) by
+assignments q(g_j) with d_B q(g_j) = q(d g_j) by q(a (x) v) = a . q(v).
 
-    q(t + a (x) v) = p(t) + a . q(v).
-
-Element keys:
-
-    ("t", k)                      a key k of T
-    ("v", alpha, atoms, j, b)     x^alpha * (A-monomial atoms) (x) d^b g_j
+A relative Sullivan A-module T (+) A (x) V is T's generators followed
+by V's, as `SullivanAlgebra.extended` builds relative Sullivan algebras:
+`AModule.extended` appends one generator, a pushout along a generating
+cofibration is one such step, and `Inclusion` includes a module into
+any module whose generators and differential extend its own.  The key
+("v", alpha, atoms, j, b) is x^alpha * (A-monomial atoms) (x) d^b g_j.
 
 Weights (x-degree + d-orders + atom counts) slice every degree finitely,
 so bounded weak-equivalence checks run on the underlying complexes.
@@ -51,12 +49,13 @@ from .dga import (
     GradedElement,
     SullivanAlgebra,
     TermKey,
+    atom_name,
 )
 from .rational_linalg import add_term, apply_linear, integral, vec_add
 from .slices import TruncationResult, bounded_weq
-from .weyl import Exponent, WeylElement, exponents_bounded
+from .weyl import Exponent, WeylElement, exponents_bounded, join_terms, power_factors
 
-ModKey = Tuple  # ("t", key) | ("v", alpha, atoms, j, b)
+ModKey = Tuple  # ("v", alpha, atoms, j, b)
 ModCoeffs = Dict[ModKey, Fraction]
 
 
@@ -69,20 +68,16 @@ def _v_atoms(gens: Sequence[Generator], nvars: int, degree: int, max_weight: int
 
 
 class AModule:
-    """T (+) A (x) V with a lowering differential (see module docstring)."""
+    """A (x) V with a lowering differential (see module docstring)."""
 
     def __init__(
         self,
         algebra: SullivanAlgebra,
-        t_part: Optional["AModule"],
         gens: Sequence[Generator] = (),
         diff: Optional[Dict[int, ModCoeffs]] = None,
     ):
-        if t_part is not None and t_part.algebra != algebra:
-            raise ValueError("graded piece T lives over a different algebra")
         self.algebra = algebra
         self.nvars = algebra.nvars
-        self.t_part = t_part
         self.gens = tuple(gens)
         self.diff_coeffs: Dict[int, ModCoeffs] = {
             j: dict(v) for j, v in (diff or {}).items() if v
@@ -96,30 +91,29 @@ class AModule:
                 raise ValueError(f"differential assigned to unknown generator {j}")
             want = self.gens[j].degree - 1
             for key in coeffs:
-                if key[0] == "v" and key[3] >= j:
-                    raise ValueError(
-                        f"d({self.gens[j].name}) hits generator {key[3]}: not lowering"
-                    )
+                if key[3] >= j:
+                    raise ValueError(f"d({self.gens[j].name}) hits generator {key[3]}: not lowering")
                 if self.key_degree(key) != want:
-                    raise ValueError(
-                        f"d({self.gens[j].name}) has a term of degree "
-                        f"{self.key_degree(key)}, expected {want}"
-                    )
+                    raise ValueError(f"d({self.gens[j].name}) has a term of degree "
+                                     f"{self.key_degree(key)}, expected {want}")
         for j in self.diff_coeffs:
             if self.diff_element(self.diff_coeffs[j]):
                 raise ValueError(f"d*d != 0 on generator {self.gens[j].name}")
 
+    def extended(self, gen: Generator, d_assignment: "AModuleElement | None") -> "AModule":
+        """A new module with one more (last) generator."""
+        diff = dict(self.diff_coeffs)
+        if d_assignment is not None and not d_assignment.is_zero():
+            diff[len(self.gens)] = d_assignment.coeffs
+        return AModule(self.algebra, self.gens + (gen,), diff)
+
     # -- key structure ----------------------------------------------------
 
     def key_degree(self, key: ModKey) -> int:
-        if key[0] == "t":
-            return self.t_part.key_degree(key[1])
         _, alpha, atoms, j, b = key
         return self.algebra.term_degree((alpha, atoms)) + self.gens[j].degree
 
     def key_weight(self, key: ModKey) -> int:
-        if key[0] == "t":
-            return self.t_part.key_weight(key[1])
         _, alpha, atoms, j, b = key
         return self.algebra.term_weight((alpha, atoms)) + sum(b) + 1
 
@@ -134,29 +128,23 @@ class AModule:
         return keys
 
     def _build_basis_keys(self, degree: int, max_weight: int) -> Iterator[ModKey]:
-        if self.t_part is not None:
-            for k in self.t_part.basis_keys(degree, max_weight):
-                yield ("t", k)
         for (j, b), v_degree, cost in _v_atoms(self.gens, self.nvars, degree, max_weight):
             for alpha, atoms in self.algebra.basis_keys(degree - v_degree, max_weight - cost):
                 yield ("v", alpha, atoms, j, b)
 
     def top_degree_hint(self, degree_window: int) -> int:
-        """Degrees worth checking: own generators plus the algebra window."""
-        own = max([g.degree for g in self.gens], default=0)
-        t_top = self.t_part.top_degree_hint(degree_window) if self.t_part else 0
-        return max(own + degree_window, t_top)
+        """Degrees worth checking: the generators plus the algebra window."""
+        return max([g.degree for g in self.gens], default=0) + degree_window
 
     # -- generators ---------------------------------------------------------
 
     def generator(self, j: int) -> "AModuleElement":
-        zero_a = (0,) * self.nvars
-        return AModuleElement(self, {("v", zero_a, (), j, zero_a): Fraction(1)})
+        return self.atom(j, (0,) * self.nvars)
 
-    def include_t(self, elt: "AModuleElement") -> "AModuleElement":
-        if elt.module != self.t_part:
-            raise ValueError("element is not in the graded piece T")
-        return AModuleElement(self, {("t", k): c for k, c in elt.coeffs.items()})
+    def atom(self, j: int, b: Sequence[int]) -> "AModuleElement":
+        if not 0 <= j < len(self.gens):
+            raise ValueError(f"no generator with index {j}")
+        return AModuleElement(self, {("v", (0,) * self.nvars, (), j, tuple(b)): Fraction(1)})
 
     def zero(self) -> "AModuleElement":
         return AModuleElement(self, {})
@@ -171,12 +159,8 @@ class AModule:
         memoised; read-only."""
         out = self._act_memo.get((aterm, key))
         if out is None:
-            if key[0] == "t":
-                inner = self.t_part.act_algebra_term_key(aterm, key[1])
-                out = {("t", k): c for k, c in inner.items()}
-            else:
-                prod = self.algebra.term_product(aterm, key[1:3])
-                out = {} if prod is None else {("v",) + prod[1] + key[3:]: prod[0]}
+            prod = self.algebra.term_product(aterm, key[1:3])
+            out = {} if prod is None else {("v",) + prod[1] + key[3:]: prod[0]}
             self._act_memo[(aterm, key)] = out
         return out
 
@@ -191,15 +175,11 @@ class AModule:
     # -- D-action -------------------------------------------------------------
 
     def act_x_key(self, i: int, key: ModKey) -> ModCoeffs:
-        if key[0] == "t":
-            return {("t", k): c for k, c in self.t_part.act_x_key(i, key[1]).items()}
         _, alpha, atoms, j, b = key
         na = tuple(e + 1 if k == i else e for k, e in enumerate(alpha))
         return {("v", na, atoms, j, b): 1}
 
     def act_d_key(self, i: int, key: ModKey) -> ModCoeffs:
-        if key[0] == "t":
-            return {("t", k): c for k, c in self.t_part.act_d_key(i, key[1]).items()}
         _, alpha, atoms, j, b = key
         out: ModCoeffs = {}
         # Leibniz: derivative of the algebra part, then of the V-atom
@@ -244,8 +224,6 @@ class AModule:
         return out
 
     def _build_diff_key(self, key: ModKey) -> ModCoeffs:
-        if key[0] == "t":
-            return {("t", k): c for k, c in self.t_part.diff_key(key[1]).items()}
         _, alpha, atoms, j, b = key
         aterm = (alpha, atoms)
         # d_A of the coefficient monomial, same V-atom
@@ -269,15 +247,13 @@ class AModule:
         return (
             isinstance(other, AModule)
             and self.algebra == other.algebra
-            and self.t_part == other.t_part
             and self.gens == other.gens
             and self.diff_coeffs == other.diff_coeffs
         )
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.gens)
-        t = "0" if self.t_part is None else repr(self.t_part)
-        return f"AModule(T={t}, V=[{gens}])"
+        return f"AModule(V=[{gens}])"
 
 
 class AModuleElement(GradedElement):
@@ -291,22 +267,28 @@ class AModuleElement(GradedElement):
             self.coeffs
         ) > 4 else f"AModuleElement({self.coeffs!r})"
 
+    def to_string(self) -> str:
+        agens, mgens = self.module.algebra.generators, self.module.gens
+
+        def term(key):
+            _, alpha, atoms, j, b = key
+            names = [atom_name(agens[ja].name, ba) for ja, ba in atoms] + [atom_name(mgens[j].name, b)]
+            return self.coeffs[key], power_factors("x", alpha) + names
+
+        return join_terms(map(term, sorted(self.coeffs, key=repr)))
+
 
 # ------------------------------------------------------------- constructors
 
 def extend_differential(
     algebra: SullivanAlgebra,
-    t_part: Optional[AModule],
     gens: Sequence[Generator],
     assignments: Dict[int, AModuleElement],
 ) -> AModule:
-    """Endow T (+) A (x) V with the unique differential extending d_T.
-
-    Each assignment d(g_j) must be homogeneous of degree n_j - 1,
-    supported on T (+) A (x) V_{<j}, and closed; the constructor enforces
-    all of it and the resulting differential squares to zero.
-    """
-    return AModule(algebra, t_part, gens, {j: elt.coeffs for j, elt in assignments.items()})
+    """Endow A (x) V with d(g_j) = assignments[j]: each assignment is
+    homogeneous of degree n_j - 1, supported on A (x) V_{<j} and closed (the
+    constructor enforces all of it), so the differential squares to zero."""
+    return AModule(algebra, gens, {j: elt.coeffs for j, elt in assignments.items()})
 
 
 def free_amodule(algebra: SullivanAlgebra, c: FreeDComplex, name: str = "m") -> AModule:
@@ -327,48 +309,37 @@ def free_amodule(algebra: SullivanAlgebra, c: FreeDComplex, name: str = "m") -> 
                     add_term(coeffs, ("v", a, (), index[(n - 1, v)], b), coef)
             if coeffs:
                 diff[index[(n, s)]] = coeffs
-    return AModule(algebra, None, gens, diff)
+    return AModule(algebra, gens, diff)
 
 
 def free_sphere_module(algebra: SullivanAlgebra, n: int, name: str = "e") -> AModule:
     """A (x) S^n: one generator of degree n, zero differential."""
-    return AModule(algebra, None, (Generator(name, n),), {})
+    return AModule(algebra, (Generator(name, n),), {})
 
 
 def free_disk_module(algebra: SullivanAlgebra, n: int, name: str = "e") -> AModule:
     """A (x) D^n: generators in degrees n-1, n with d(top) = bottom."""
-    zero_a = (0,) * algebra.nvars
-    return AModule(
-        algebra,
-        None,
-        (Generator(f"{name}{n - 1}", n - 1), Generator(f"{name}{n}", n)),
-        {1: {("v", zero_a, (), 0, zero_a): Fraction(1)}},
-    )
+    sphere = free_sphere_module(algebra, n - 1, name=f"{name}{n - 1}")
+    return sphere.extended(Generator(f"{name}{n}", n), sphere.generator(0))
 
 
 # ------------------------------------------------------------- morphisms
 
 class AModuleMorphism:
-    """An A-linear chain map determined by a morphism on T and generator
-    assignments; evaluation follows q(t + a (x) v) = p(t) + a . q(v)."""
+    """An A-linear chain map determined by generator assignments;
+    evaluation follows q(a (x) v) = a . q(v)."""
 
     def __init__(
         self,
         source: AModule,
         target: AModule,
-        t_map: Optional["AModuleMorphism"],
         assignments: Dict[int, AModuleElement],
         check: bool = True,
     ):
         if source.algebra != target.algebra:
             raise ValueError("source and target over different algebras")
-        if (source.t_part is None) != (t_map is None):
-            raise ValueError("t_map must be given exactly when T is nonzero")
-        if t_map is not None and (t_map.source != source.t_part or t_map.target != target):
-            raise ValueError("t_map must go from T to the target module")
         self.source = source
         self.target = target
-        self.t_map = t_map
         self.assignments = dict(assignments)
         self._qv_cache: Dict[Tuple[int, Exponent], ModCoeffs] = {}
         for j in range(len(source.gens)):
@@ -386,20 +357,10 @@ class AModuleMorphism:
                 lhs = target.d(self.assignments[j])
                 rhs = self.apply(source.d_generator(j))
                 if lhs != rhs:
-                    mismatch = lhs - rhs
-                    raise ValueError(
-                        f"condition d_B q = q d fails on generator "
-                        f"{source.gens[j].name}; mismatch {mismatch!r}"
-                    )
-
-    @staticmethod
-    def t_inclusion(big: AModule) -> "AModuleMorphism":
-        """The inclusion of the graded piece T into T (+) A (x) V."""
-        return TInclusion(big)
+                    raise ValueError(f"condition d_B q = q d fails on generator "
+                                     f"{source.gens[j].name}; mismatch {lhs - rhs!r}")
 
     def apply_key(self, key: ModKey) -> ModCoeffs:
-        if key[0] == "t":
-            return self.t_map.apply_key(key[1])
         _, alpha, atoms, j, b = key
         qv = self._qv_cache.get((j, b))
         if qv is None:
@@ -413,15 +374,20 @@ class AModuleMorphism:
         return AModuleElement(self.target, apply_linear(self.apply_key, elt.coeffs))
 
 
-class TInclusion(AModuleMorphism):
-    """The inclusion of the graded piece T into T (+) A (x) V."""
+class Inclusion(AModuleMorphism):
+    """The inclusion of a module into one whose generators start with its
+    generators, with the same differential on them."""
 
-    def __init__(self, big: AModule):
-        self.source = big.t_part
+    def __init__(self, small: AModule, big: AModule):
+        k = len(small.gens)
+        if (small.algebra != big.algebra or big.gens[:k] != small.gens
+                or any(big.diff_coeffs.get(j) != small.diff_coeffs.get(j) for j in range(k))):
+            raise ValueError("target does not extend the source")
+        self.source = small
         self.target = big
 
     def apply_key(self, key: ModKey) -> ModCoeffs:
-        return {("t", key): 1}
+        return {key: 1}
 
 
 class ComposedMorphism(AModuleMorphism):
@@ -440,10 +406,7 @@ class ComposedMorphism(AModuleMorphism):
 
 
 def identity_amodule_morphism(m: AModule) -> AModuleMorphism:
-    t_map = None if m.t_part is None else TInclusion(m)
-    return AModuleMorphism(
-        m, m, t_map, {j: m.generator(j) for j in range(len(m.gens))}, check=False
-    )
+    return Inclusion(m, m)
 
 
 def compose_amodule_morphisms(f: AModuleMorphism, g: AModuleMorphism) -> AModuleMorphism:
@@ -452,59 +415,52 @@ def compose_amodule_morphisms(f: AModuleMorphism, g: AModuleMorphism) -> AModule
 
 
 def extend_morphism(
-    p: Optional[AModuleMorphism],
+    p: AModuleMorphism,
     source: AModule,
     target: AModule,
     assignments: Dict[int, AModuleElement],
 ) -> AModuleMorphism:
-    """Lemma-style extension: the unique A-module morphism restricting to
-    p on T with the given generator values (condition d_B q(g_j) = p d(g_j)
-    checked; violations report the failing generator and mismatch)."""
-    return AModuleMorphism(source, target, p, assignments, check=True)
+    """Lemma-style extension: the unique A-module morphism agreeing with p
+    on the generators of p.source (the first ones of source) and taking
+    the given values, by index, on the others (condition d_B q(g_j) =
+    q(d g_j) checked on every generator; violations report the failing
+    generator and mismatch)."""
+    values = {j: p.apply(p.source.generator(j)) for j in range(len(p.source.gens))}
+    return AModuleMorphism(source, target, {**values, **assignments}, check=True)
 
 
 # ------------------------------------------------------------- pushouts
 
 @dataclass
 class AmodPushout:
-    module: AModule  # B (+) A (x) S^n
+    module: AModule  # B (+) A (x) S^n: B's generators, then 1_n
     from_target: AModuleMorphism  # h: B -> module
     from_disk: AModuleMorphism  # g: A (x) D^n -> module
     disk: AModule
-    new_index: int = 0
+    new_index: int  # index of 1_n in module
 
 
 def amod_pushout_gen(f: AModuleMorphism, name: str = "c") -> AmodPushout:
     """Pushout of Id_A (x) iota_n: A (x) S^{n-1} -> A (x) D^n along f.
 
     f must have source A (x) S^{n-1}; its single assignment z = f(1_{n-1})
-    is closed of degree n-1, and the pushout is B (+) A (x) S^n with
+    is closed of degree n-1, and the pushout is B extended by 1_n with
     d(1_n) = z, h the inclusion of B, and g determined by g(1_n) = 1_n.
     """
     src = f.source
-    if src.t_part is not None or len(src.gens) != 1 or src.diff_coeffs:
+    if len(src.gens) != 1 or src.diff_coeffs:
         raise ValueError("source of f must be a free sphere module A (x) S^{n-1}")
     n = src.gens[0].degree + 1
     b_mod = f.target
     z = f.assignments[0]
     if not b_mod.d(z).is_zero():
         raise ValueError("f(1_{n-1}) is not closed")
-    pushed = AModule(
-        b_mod.algebra,
-        b_mod,
-        (Generator(name, n),),
-        {0: {("t", k): c for k, c in z.coeffs.items()}},
-    )
-    h = AModuleMorphism.t_inclusion(pushed)
+    pushed = b_mod.extended(Generator(name, n), z)
+    h = Inclusion(b_mod, pushed)
     disk_mod = free_disk_module(b_mod.algebra, n, name=f"{name}d")
-    g = AModuleMorphism(
-        disk_mod,
-        pushed,
-        None,
-        {0: h.apply(z), 1: pushed.generator(0)},
-        check=True,
-    )
-    return AmodPushout(pushed, h, g, disk_mod)
+    new = len(b_mod.gens)
+    g = AModuleMorphism(disk_mod, pushed, {0: h.apply(z), 1: pushed.generator(new)}, check=True)
+    return AmodPushout(pushed, h, g, disk_mod, new)
 
 
 def amod_pushout_factor(po: AmodPushout, q: AModuleMorphism, p: AModuleMorphism) -> AModuleMorphism:
@@ -513,7 +469,7 @@ def amod_pushout_factor(po: AmodPushout, q: AModuleMorphism, p: AModuleMorphism)
         raise ValueError("cocone legs have wrong sources")
     if q.target != p.target:
         raise ValueError("cocone legs land in different modules")
-    return AModuleMorphism(po.module, q.target, q, {0: p.apply(po.disk.generator(1))}, check=True)
+    return extend_morphism(q, po.module, q.target, {po.new_index: p.apply(po.disk.generator(1))})
 
 
 @dataclass
@@ -543,36 +499,11 @@ def transfinite_compose_finite(
         if z.module != current:
             raise ValueError(f"stage {idx}: attaching element lives in the wrong module")
         src = free_sphere_module(current.algebra, n - 1, name=f"s{idx}")
-        f = AModuleMorphism(src, current, None, {0: z}, check=True)
+        f = AModuleMorphism(src, current, {0: z}, check=True)
         po = amod_pushout_gen(f, name=f"c{idx}")
         current = po.module
         built.append(current)
     return TransfiniteResult(current, built)
-
-
-def flatten_sullivan(m: AModule) -> Tuple[AModule, Callable]:
-    """Rewrite a nested Sullivan module (every level built over a smaller
-    one, bottoming out at zero) in the flat shape A (x) V.
-
-    Returns the flat module and the key translation old -> new; inner
-    generators come first, so the lowering property is preserved.
-    """
-    if m.t_part is None:
-        return m, lambda k: k
-    inner_flat, inner_map = flatten_sullivan(m.t_part)
-    offset = len(inner_flat.gens)
-
-    def key_map(k):
-        if k[0] == "t":
-            return inner_map(k[1])
-        _, a, at, j, b = k
-        return ("v", a, at, offset + j, b)
-
-    gens = inner_flat.gens + m.gens
-    diff = {j: dict(v) for j, v in inner_flat.diff_coeffs.items()}
-    for j, coeffs in m.diff_coeffs.items():
-        diff[offset + j] = {key_map(k): c for k, c in coeffs.items()}
-    return AModule(m.algebra, None, gens, diff), key_map
 
 
 # ------------------------------------------------------ twisted tensors
@@ -630,8 +561,6 @@ class TensorOverA(_TwistedTensor):
     """
 
     def __init__(self, b: AModule, m: AModule):
-        if m.t_part is not None:
-            raise ValueError("second factor must have free shape A (x) V")
         if b.algebra != m.algebra:
             raise ValueError("factors over different algebras")
         super().__init__(b, max([g.degree for g in m.gens], default=0))
@@ -754,8 +683,6 @@ def tensor_bounded_weq(
     degree_window: int = 5,
 ) -> TruncationResult:
     """Bounded check that f (x)_A Id_M is a weak equivalence."""
-    if m.t_part is not None:
-        m, _ = flatten_sullivan(m)
     return _sliced_bounded_weq(TensorOverA(f.source, m), TensorOverA(f.target, m),
                                _tensor_id(f), n, degree_window)
 

@@ -30,7 +30,6 @@ from .amod import (
     AModuleElement,
     BaseChangeModule,
     TensorOverA,
-    flatten_sullivan,
 )
 from .complexes import (
     ChainMap,
@@ -40,12 +39,12 @@ from .complexes import (
     is_weak_equivalence,
     mapping_cone,
 )
-from .dga import AlgebraElement, AlgebraMorphism, Generator, SullivanAlgebra, atom_name, dga_pushout_gen
+from .dga import AlgebraElement, AlgebraMorphism, Generator, SullivanAlgebra, dga_pushout_gen
 from .groebner import DegreeGuardExceeded, FreeModuleElement, degree_guard, get_degree_guard
 from .model import certify_cofibration, attach_cells, iota, pushout, pushout_product, zeta
 from .obasis import is_bounded_weq
 from .slices import dsquare_witness
-from .weyl import WeylElement, join_terms, power_factors
+from .weyl import WeylElement
 
 FORMAT_NAME = "dgdm-doc"
 FORMAT_VERSION = 1
@@ -315,9 +314,7 @@ def parse_module_element(text: str, module: AModule) -> AModuleElement:
         if at is None:
             raise ParseError("every term needs exactly one module atom", 1, 1)
         j, dexp = at
-        out = out + module.act_algebra(ae, AModuleElement(
-            module, {("v", (0,) * nvars, (), j, dexp): Fraction(1)}
-        ))
+        out = out + module.act_algebra(ae, module.atom(j, dexp))
     return out
 
 
@@ -503,14 +500,12 @@ def algebra_from_body(body: Dict) -> SullivanAlgebra:
 
 
 def amodule_body(m: AModule) -> Dict:
-    if m.t_part is not None:
-        m, _ = flatten_sullivan(m)
     return {
         "vars": m.nvars,
         "algebra": algebra_body(m.algebra),
         "generators": [{"name": g.name, "degree": g.degree} for g in m.gens],
         "differential": {
-            m.gens[j].name: _module_element_to_string(AModuleElement(m, coeffs), m)
+            m.gens[j].name: AModuleElement(m, coeffs).to_string()
             for j, coeffs in sorted(m.diff_coeffs.items())
         },
     }
@@ -519,7 +514,7 @@ def amodule_body(m: AModule) -> Dict:
 def amodule_from_body(body: Dict) -> AModule:
     algebra = algebra_from_body(dict(_object(body["algebra"], "algebra"), vars=_vars(body)))
     gens = _generators(body)
-    bare = AModule(algebra, None, gens, {})
+    bare = AModule(algebra, gens)
     diff = {}
     for name, expr in _object(body.get("differential", {}), "differential").items():
         j = next((i for i, g in enumerate(gens) if g.name == name), None)
@@ -527,20 +522,9 @@ def amodule_from_body(body: Dict) -> AModule:
             raise DocumentError(f"differential of unknown generator {name!r}")
         diff[j] = parse_module_element(_text(expr, "differential"), bare).coeffs
     try:
-        return AModule(algebra, None, gens, diff)
+        return AModule(algebra, gens, diff)
     except ValueError as e:
         raise DocumentError(str(e))
-
-
-def _module_element_to_string(elt: AModuleElement, m: AModule) -> str:
-    gens = m.algebra.generators
-
-    def term(key):
-        _, alpha, atoms, j, b = key
-        factors = power_factors("x", alpha) + [atom_name(gens[ja].name, ba) for ja, ba in atoms]
-        return elt.coeffs[key], factors + [atom_name(m.gens[j].name, b)]
-
-    return join_terms(map(term, sorted(elt.coeffs, key=repr)))
 
 
 def presentation_body(h) -> Dict:

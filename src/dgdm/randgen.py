@@ -253,7 +253,7 @@ def random_amodule(
         n = rng.randint(1, max_degree)
         z = random_closed_element(rng, current, n - 1)
         src = amod_mod.free_sphere_module(algebra, n - 1, name=f"s{idx}")
-        f = amod_mod.AModuleMorphism(src, current, None, {0: z}, check=True)
+        f = amod_mod.AModuleMorphism(src, current, {0: z}, check=True)
         current = amod_mod.amod_pushout_gen(f, name=f"c{idx}").module
     return current
 
@@ -278,20 +278,15 @@ def random_amodule_weq(
 ) -> Tuple[amod_mod.AModule, amod_mod.AModuleMorphism]:
     """P -> P + (contractible cell pair), composed with a shear."""
     n = rng.randint(1, 2)
-    tr = amod_mod.transfinite_compose_finite(p, [(n, None)])
-    mid = tr.module
-    top_gen = mid.generator(0)
-    tr2 = amod_mod.transfinite_compose_finite(mid, [(n + 1, top_gen)])
-    q = tr2.module
-    inc1 = amod_mod.AModuleMorphism.t_inclusion(mid)
-    inc2 = amod_mod.AModuleMorphism.t_inclusion(q)
-    f = amod_mod.compose_amodule_morphisms(inc1, inc2)
+    mid = amod_mod.transfinite_compose_finite(p, [(n, None)]).module
+    top_gen = mid.generator(len(mid.gens) - 1)
+    q = amod_mod.transfinite_compose_finite(mid, [(n + 1, top_gen)]).module
+    f = amod_mod.Inclusion(p, q)
     # shear the top cell by a boundary
-    w = q.d(random_module_element(rng, q, q.gens[0].degree + 1))
+    top = len(q.gens) - 1
+    w = q.d(random_module_element(rng, q, q.gens[top].degree + 1))
     if not w.is_zero():
-        t_map = amod_mod.AModuleMorphism.t_inclusion(q)
-        shear = amod_mod.AModuleMorphism(
-            q, q, t_map, {0: q.generator(0) + w}, check=True
-        )
+        shear = amod_mod.extend_morphism(
+            amod_mod.Inclusion(mid, q), q, q, {top: q.generator(top) + w})
         f = amod_mod.compose_amodule_morphisms(f, shear)
     return q, f

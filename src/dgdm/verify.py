@@ -241,11 +241,11 @@ def check_properness_random(rng, params):
         n = rng.randint(1, 2)
         z = rg.random_closed_element(rng, p, n - 1)
         src = am.free_sphere_module(a, n - 1, name="att")
-        att_p = am.AModuleMorphism(src, p, None, {0: z})
+        att_p = am.AModuleMorphism(src, p, {0: z})
         po_p = am.amod_pushout_gen(att_p)
         fz = f.apply(z)
         src2 = am.free_sphere_module(a, n - 1, name="att")
-        att_q = am.AModuleMorphism(src2, q, None, {0: fz})
+        att_q = am.AModuleMorphism(src2, q, {0: fz})
         po_q = am.amod_pushout_gen(att_q)
         t_map = am.compose_amodule_morphisms(f, po_q.from_target)
         f_ext = am.amod_pushout_factor(po_p, t_map, po_q.from_disk)
@@ -402,9 +402,9 @@ def check_monad_laws(rng, params):
     # are valid A-module morphisms
     for n in (1, 2):
         disk_n = am.free_disk_module(a, n)
-        am.AModuleMorphism(am.free_sphere_module(a, n - 1, name="s"), disk_n, None,
+        am.AModuleMorphism(am.free_sphere_module(a, n - 1, name="s"), disk_n,
                            {0: disk_n.generator(0)})
-        am.AModuleMorphism(am.AModule(a, None, (), {}), disk_n, None, {})
+        am.AModuleMorphism(am.AModule(a), disk_n, {})
     return "pass", None
 
 
@@ -569,15 +569,12 @@ def check_cofibrant_retract(rng, params):
         a = rg.random_algebra(rng, max_gens=1, max_degree=2)
         c = rg.random_amodule(rng, a, cells=2, max_degree=2)
         n = rng.randint(1, 2)
-        tr = am.transfinite_compose_finite(c, [(n, None)])
-        mid = tr.module
-        qc = am.transfinite_compose_finite(mid, [(n + 1, mid.generator(0))]).module
-        ell = am.compose_amodule_morphisms(
-            am.AModuleMorphism.t_inclusion(mid), am.AModuleMorphism.t_inclusion(qc)
-        )
+        mid = am.transfinite_compose_finite(c, [(n, None)]).module
+        qc = am.transfinite_compose_finite(mid, [(n + 1, mid.generator(len(mid.gens) - 1))]).module
+        ell = am.Inclusion(c, qc)
         # retraction z'': QC -> C kills the two added cells
-        r_mid = am.AModuleMorphism(mid, c, am.identity_amodule_morphism(c), {0: c.zero()})
-        r = am.AModuleMorphism(qc, c, r_mid, {0: c.zero()})
+        added = dict.fromkeys(range(len(c.gens), len(qc.gens)), c.zero())
+        r = am.extend_morphism(am.Inclusion(c, c), qc, c, added)
         # z'' o ell = id_C on probes
         for _ in range(4):
             deg = rng.randint(0, 3)

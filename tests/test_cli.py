@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from dgdm.cli import (
     ParseError,
-    _module_element_to_string,
     algebra_body,
     algebra_from_body,
     amodule_body,
@@ -108,14 +107,14 @@ def test_printed_elements_are_pinned(seed):
     ac = {((0, 0), ()): rng.choice(coeffs)}
     for k in rng.sample(akeys, 4):
         ac[k] = rng.choice(coeffs)
-    m = AModule(a, None, [Generator("e", 0), Generator("f", 1)])
+    m = AModule(a, [Generator("e", 0), Generator("f", 1)])
     mkeys = [k for deg in range(3) for k in m.basis_keys(deg, 3)]
     mc = {k: rng.choice(coeffs) for k in rng.sample(mkeys, 4)}
     got = (WeylElement(2, w).to_string(), AlgebraElement(a, ac).to_string(),
-           _module_element_to_string(AModuleElement(m, mc), m))
+           AModuleElement(m, mc).to_string())
     assert got == PRINTED[seed]
     assert WeylElement.zero(2).to_string() == a.zero().to_string() == "0"
-    assert _module_element_to_string(AModuleElement(m, {}), m) == "0"
+    assert m.zero().to_string() == "0"
 
 
 def test_module_element_parsing():
@@ -127,6 +126,18 @@ def test_module_element_parsing():
         parse_module_element("u", m)  # no module atom
     with pytest.raises(ParseError):
         parse_module_element("e1*e2", m)  # two module atoms
+
+
+def test_module_atoms_print_and_parse_by_name():
+    a = SullivanAlgebra(1, [Generator("u", 2)])
+    m = free_disk_module(a, 2)
+    d1 = WeylElement.d(1, 1)
+    assert m.atom(1, (2,)) == m.act_weyl(d1 * d1, m.generator(1))
+    with pytest.raises(ValueError, match="no generator"):
+        m.atom(2, (0,))
+    e = m.act_algebra(a.generator(0), m.generator(0)) + m.act_weyl(WeylElement.x(1, 1), m.atom(1, (1,))).scale(2)
+    assert e.to_string() == "u*e1 + 2*x1*e2[1]"
+    assert parse_module_element(e.to_string(), m) == e
 
 
 def test_document_round_trip_randomized():

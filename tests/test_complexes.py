@@ -244,9 +244,6 @@ def test_cone_tensor_compatibility_rank1():
     )
     rhs = tensor_with_connection(mapping_cone(f), m)
     assert lhs.ranks == rhs.ranks
-    for n in lhs.degrees():
-        for k in range(0, lhs.top + 1):
-            pass
     # same differentials after the canonical index identification
     assert lhs == rhs
 

@@ -584,6 +584,30 @@ def test_no_cloned_statement_run_in_the_package():
     assert [where for where in places.values() if len(where) > 1] == []
 
 
+def _truthy_constant(node):
+    return isinstance(node, ast.Constant) and bool(node.value)
+
+
+def test_no_vacuous_check_in_the_tests():
+    # no assert of a truthy constant, no `assert ... or <truthy constant>`,
+    # and no for loop whose body is only `pass`
+    root = os.path.dirname(os.path.abspath(__file__))
+    vacuous = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assert):
+                    test = node.test
+                    ors = test.values if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or) else []
+                    if _truthy_constant(test) or any(map(_truthy_constant, ors)):
+                        vacuous.append((name, node.lineno))
+                elif isinstance(node, ast.For) and all(isinstance(s, ast.Pass) for s in node.body):
+                    vacuous.append((name, node.lineno))
+    assert vacuous == []
+
+
 def test_two_variable_module():
     n = 2
     d1, d2 = WeylElement.d(1, n), WeylElement.d(2, n)
