@@ -244,7 +244,7 @@ class AModule:
     # -- misc ------------------------------------------------------------------
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, AModule)
             and self.algebra == other.algebra
             and self.gens == other.gens
@@ -334,7 +334,6 @@ class AModuleMorphism:
         source: AModule,
         target: AModule,
         assignments: Dict[int, AModuleElement],
-        check: bool = True,
     ):
         if source.algebra != target.algebra:
             raise ValueError("source and target over different algebras")
@@ -352,13 +351,12 @@ class AModuleMorphism:
                 raise ValueError(
                     f"assignment for {source.gens[j].name} has degree {img.degree()}"
                 )
-        if check:
-            for j in range(len(source.gens)):
-                lhs = target.d(self.assignments[j])
-                rhs = self.apply(source.d_generator(j))
-                if lhs != rhs:
-                    raise ValueError(f"condition d_B q = q d fails on generator "
-                                     f"{source.gens[j].name}; mismatch {lhs - rhs!r}")
+        for j in range(len(source.gens)):
+            lhs = target.d(self.assignments[j])
+            rhs = self.apply(source.d_generator(j))
+            if lhs != rhs:
+                raise ValueError(f"condition d_B q = q d fails on generator "
+                                 f"{source.gens[j].name}; mismatch {lhs - rhs!r}")
 
     def apply_key(self, key: ModKey) -> ModCoeffs:
         _, alpha, atoms, j, b = key
@@ -426,7 +424,7 @@ def extend_morphism(
     q(d g_j) checked on every generator; violations report the failing
     generator and mismatch)."""
     values = {j: p.apply(p.source.generator(j)) for j in range(len(p.source.gens))}
-    return AModuleMorphism(source, target, {**values, **assignments}, check=True)
+    return AModuleMorphism(source, target, {**values, **assignments})
 
 
 # ------------------------------------------------------------- pushouts
@@ -435,8 +433,6 @@ def extend_morphism(
 class AmodPushout:
     module: AModule  # B (+) A (x) S^n: B's generators, then 1_n
     from_target: AModuleMorphism  # h: B -> module
-    from_disk: AModuleMorphism  # g: A (x) D^n -> module
-    disk: AModule
     new_index: int  # index of 1_n in module
 
 
@@ -444,32 +440,25 @@ def amod_pushout_gen(f: AModuleMorphism, name: str = "c") -> AmodPushout:
     """Pushout of Id_A (x) iota_n: A (x) S^{n-1} -> A (x) D^n along f.
 
     f must have source A (x) S^{n-1}; its single assignment z = f(1_{n-1})
-    is closed of degree n-1, and the pushout is B extended by 1_n with
-    d(1_n) = z, h the inclusion of B, and g determined by g(1_n) = 1_n.
+    is closed of degree n-1 (the morphism check of f ensures it), and the
+    pushout is B extended by 1_n with d(1_n) = z and h the inclusion of B.
+    The leg from A (x) D^n sends its top generator to 1_n and is not built:
+    a cocone is q on B and its value on 1_n (see `amod_pushout_factor`).
     """
     src = f.source
     if len(src.gens) != 1 or src.diff_coeffs:
         raise ValueError("source of f must be a free sphere module A (x) S^{n-1}")
-    n = src.gens[0].degree + 1
     b_mod = f.target
-    z = f.assignments[0]
-    if not b_mod.d(z).is_zero():
-        raise ValueError("f(1_{n-1}) is not closed")
-    pushed = b_mod.extended(Generator(name, n), z)
-    h = Inclusion(b_mod, pushed)
-    disk_mod = free_disk_module(b_mod.algebra, n, name=f"{name}d")
-    new = len(b_mod.gens)
-    g = AModuleMorphism(disk_mod, pushed, {0: h.apply(z), 1: pushed.generator(new)}, check=True)
-    return AmodPushout(pushed, h, g, disk_mod, new)
+    pushed = b_mod.extended(Generator(name, src.gens[0].degree + 1), f.assignments[0])
+    return AmodPushout(pushed, Inclusion(b_mod, pushed), len(b_mod.gens))
 
 
-def amod_pushout_factor(po: AmodPushout, q: AModuleMorphism, p: AModuleMorphism) -> AModuleMorphism:
-    """The unique u with u h = q and u g = p: u|_B = q, u(1_n) = p(1_n)."""
-    if q.source != po.from_target.source or p.source != po.disk:
-        raise ValueError("cocone legs have wrong sources")
-    if q.target != p.target:
-        raise ValueError("cocone legs land in different modules")
-    return extend_morphism(q, po.module, q.target, {po.new_index: p.apply(po.disk.generator(1))})
+def amod_pushout_factor(po: AmodPushout, q: AModuleMorphism, cell: AModuleElement) -> AModuleMorphism:
+    """The unique u with u h = q and u(1_n) = cell; refused unless
+    d(cell) = q(z), that is unless (q, cell) is a cocone."""
+    if q.source != po.from_target.source:
+        raise ValueError("cocone leg has the wrong source")
+    return extend_morphism(q, po.module, q.target, {po.new_index: cell})
 
 
 @dataclass
@@ -498,10 +487,7 @@ def transfinite_compose_finite(
             raise ValueError(f"stage {idx}: attaching element has degree {z.degree()}, expected {n - 1}")
         if z.module != current:
             raise ValueError(f"stage {idx}: attaching element lives in the wrong module")
-        src = free_sphere_module(current.algebra, n - 1, name=f"s{idx}")
-        f = AModuleMorphism(src, current, {0: z}, check=True)
-        po = amod_pushout_gen(f, name=f"c{idx}")
-        current = po.module
+        current = current.extended(Generator(f"c{idx}", n), z)
         built.append(current)
     return TransfiniteResult(current, built)
 

@@ -342,7 +342,7 @@ class SullivanAlgebra:
     # -- misc ---------------------------------------------------------------
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, SullivanAlgebra)
             and self.nvars == other.nvars
             and self.generators == other.generators

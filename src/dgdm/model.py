@@ -27,7 +27,6 @@ from .complexes import (
     block_matrix,
     compose,
     disk,
-    identity_map,
     identity_matrix,
     mat_apply,
     sphere,
@@ -98,10 +97,10 @@ def zeta(n: int) -> GeneratingMap:
 
 def is_fibration(f: ChainMap) -> bool:
     """Surjective in every strictly positive degree (exact membership)."""
-    for n in range(1, f.target.top + 1):
-        s = f.target.rank(n)
-        if s == 0:
+    for n in f.target.degrees():
+        if n == 0:
             continue
+        s = f.target.rank(n)
         rows = [
             FreeModuleElement(list(r))
             for r in f.component(n)
@@ -194,9 +193,8 @@ def certify_cofibration(f: ChainMap) -> CofibrationCertificate:
     One unit-pivot reduction per degree certifies; only when some degree
     fails does `syzygies` run, there, to tell refuted from not-certified.
     """
-    top = max(f.source.top, f.target.top)
     reductions = {n: _unit_pivot_split(f.component(n), f.source.rank(n), f.target.rank(n), f.nvars)
-                  for n in range(0, top + 1)}
+                  for n in sorted(set(f.source.ranks) | set(f.target.ranks))}
     failed = [n for n, red in reductions.items() if red is None]
     for n in failed:
         ker = syzygies(f.component(n), f.nvars, source_rank=f.source.rank(n), target_rank=f.target.rank(n))
@@ -250,9 +248,9 @@ def pushout(
     x, y, w = f.source, f.target, g.target
     nvars = f.nvars
     comp = certificate.complement
-    cells = {n: comp.get(n, []) for n in range(0, w.top + 1)}
+    cells = {n: comp.get(n, []) for n in w.degrees()}
 
-    ranks = {n: y.rank(n) + len(cells.get(n, [])) for n in set(y.ranks) | set(cells)}
+    ranks = {n: y.rank(n) + len(cells.get(n, [])) for n in sorted(set(y.ranks) | set(cells))}
 
     splits = _splits_of(g, certificate)
     zero = WeylElement.zero(nvars)
@@ -270,9 +268,8 @@ def pushout(
         return fa_rows, q_rows
 
     diffs: Dict[int, Matrix] = {}
-    top = max([w.top, y.top, 0])
-    for n in range(1, top + 1):
-        if not ranks.get(n) or not ranks.get(n - 1):
+    for n in ranks:
+        if not ranks[n] or not ranks.get(n - 1):
             continue
         cells_n = cells.get(n, [])
         # the rows of the cells: d(cell) in W_{n-1}, split; zero where W_{n-1} = 0
@@ -338,34 +335,37 @@ def attach_cells(base: FreeDComplex, attachments: Sequence[Tuple[int, Optional[F
     """Iterated pushout along generating cofibrations iota_n.
 
     Each attachment is (n, z) with z a cycle in degree n-1 of the current
-    complex (z is ignored for n = 0).  Returns the final complex and the
-    composite inclusion of the base, which certify_cofibration certifies.
+    complex (z is ignored for n = 0).  For free complexes that pushout
+    appends one cell e to degree n with d(e) = z: a last row z of d_n and
+    a zero last column of d_{n+1}.  Returns the final complex and the
+    inclusion of the base, identity blocks padded with zero columns, which
+    certify_cofibration certifies.
     """
-    current = base
-    incl = None  # ChainMap base -> current
     nvars = base.nvars
+    zero = WeylElement.zero(nvars)
+    ranks = dict(base.ranks)
+    rows = {n: [list(row) for row in base.diff(n)] for n in base.degrees() if n >= 1}
     for (n, z) in attachments:
-        gen = iota(n)
-        g = gen.chain_map(nvars)
-        if n == 0:
-            f = ChainMap(g.source, current, {})
-        else:
+        if n < 0:
+            raise ValueError("iota needs n >= 0")
+        if n >= 1:
+            below = ranks.get(n - 1, 0)
             if z is None:
-                z = FreeModuleElement.zero(max(current.rank(n - 1), 1), nvars)
-            if current.rank(n - 1) == 0 or z.rank != current.rank(n - 1):
-                raise ComplexError(f"attaching element has rank {z.rank}, degree {n - 1} has rank {current.rank(n - 1)}")
-            if current.rank(n - 2) > 0:
-                img = mat_apply(z, current.diff(n - 1), nvars, current.rank(n - 2))
+                z = FreeModuleElement.zero(max(below, 1), nvars)
+            if below == 0 or z.rank != below:
+                raise ComplexError(f"attaching element has rank {z.rank}, degree {n - 1} has rank {below}")
+            if ranks.get(n - 2, 0) > 0:
+                img = mat_apply(z, rows[n - 1], nvars, ranks[n - 2])
                 if not img.is_zero():
                     raise ComplexError("attaching element is not a cycle")
-            f = ChainMap(g.source, current, {n - 1: (tuple(z.coords),)})
-        po = pushout(f, g)
-        step = po.from_target
-        incl = step if incl is None else compose(incl, step)
-        current = po.complex
-    if incl is None:
-        incl = identity_map(base)
-    return AttachResult(current, incl)
+            rows.setdefault(n, []).append(list(z.coords))
+        ranks[n] = ranks.get(n, 0) + 1
+        for row in rows.get(n + 1, ()):
+            row.append(zero)
+    complex_ = FreeDComplex(nvars, dict(sorted(ranks.items())), rows)
+    maps = {n: block_matrix([[identity_matrix(r, nvars), None]], (r,), (r, ranks[n] - r), nvars)
+            for n, r in base.ranks.items()}
+    return AttachResult(complex_, ChainMap(base, complex_, maps))
 
 
 # ---------------------------------------------------------------- lifting
@@ -382,12 +382,11 @@ def solve_lifting(i: ChainMap, cert: CofibrationCertificate, p: ChainMap, u: Cha
     nvars = i.nvars
     if u.source != a or u.target != e or v.source != c or v.target != b:
         raise ComplexError("lifting square is malformed")
-    cells = {n: cert.complement.get(n, []) for n in range(0, c.top + 1)}
     splits = _splits_of(i, cert)
     h_on_cells: Dict[int, List[FreeModuleElement]] = {}
-    for n in range(0, c.top + 1):
+    for n in c.degrees():
         vals: List[FreeModuleElement] = []
-        for cell in cells.get(n, []):
+        for cell in cert.complement.get(n, []):
             # target data
             vc = mat_apply(cell, v.component(n), nvars, b.rank(n)) if b.rank(n) else None
             hdc = None
@@ -409,8 +408,8 @@ def solve_lifting(i: ChainMap, cert: CofibrationCertificate, p: ChainMap, u: Cha
         h_on_cells[n] = vals
     # assemble h as a matrix: rows = C-units decomposed through (i, cells)
     maps = {}
-    for n in range(0, c.top + 1):
-        if c.rank(n) == 0 or e.rank(n) == 0:
+    for n in c.degrees():
+        if e.rank(n) == 0:
             continue
         rows = []
         for idx in range(c.rank(n)):

@@ -252,9 +252,7 @@ def random_amodule(
     for idx in range(cells - 1):
         n = rng.randint(1, max_degree)
         z = random_closed_element(rng, current, n - 1)
-        src = amod_mod.free_sphere_module(algebra, n - 1, name=f"s{idx}")
-        f = amod_mod.AModuleMorphism(src, current, {0: z}, check=True)
-        current = amod_mod.amod_pushout_gen(f, name=f"c{idx}").module
+        current = current.extended(Generator(f"c{idx}", n), z)
     return current
 
 

@@ -248,7 +248,7 @@ def check_properness_random(rng, params):
         att_q = am.AModuleMorphism(src2, q, {0: fz})
         po_q = am.amod_pushout_gen(att_q)
         t_map = am.compose_amodule_morphisms(f, po_q.from_target)
-        f_ext = am.amod_pushout_factor(po_p, t_map, po_q.from_disk)
+        f_ext = am.amod_pushout_factor(po_p, t_map, po_q.module.generator(po_q.new_index))
         res = am.amodule_bounded_weq(f_ext, params["truncation"], params["degree_window"])
         if not res.ok:
             return "fail", {"category": "Mod(A)", "instance": idx, "witness": res.witness}

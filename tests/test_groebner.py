@@ -531,6 +531,29 @@ def test_no_import_inside_a_function_in_the_package():
                         assert not isinstance(node, (ast.Import, ast.ImportFrom)), (name, node.lineno)
 
 
+def test_no_unused_import_in_the_package():
+    # a name imported at module level is read in its module or exported
+    root = os.path.dirname(dgdm.__file__)
+    unused = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            read.update(
+                n.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for n in ast.walk(node.value) if isinstance(n, ast.Constant)
+            )
+            unused += [
+                (name, alias.asname or alias.name.split(".")[0], node.lineno)
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for alias in node.names if (alias.asname or alias.name.split(".")[0]) not in read
+            ]
+    assert unused == []
+
+
 def test_no_dead_local_in_the_package():
     # a simple `name = ...` in a function body is read by that function
     root = os.path.dirname(dgdm.__file__)
