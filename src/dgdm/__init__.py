@@ -67,23 +67,21 @@ from .dga import (
     AlgebraElement,
     AlgebraMorphism,
     Generator,
+    Inclusion,
     SullivanAlgebra,
     algebra_bounded_weq,
     dga_pushout_gen,
+    extend_morphism,
     initial_morphism,
 )
 from .amod import (
     AModule,
     AModuleElement,
     AModuleMorphism,
-    Inclusion,
     amod_pushout_gen,
-    base_change,
     cmon_to_under,
     extend_differential,
-    extend_morphism,
     free_amodule,
-    tensor_over_A,
     transfinite_compose_finite,
     under_to_cmon,
 )
@@ -104,12 +102,11 @@ __all__ = [
     "CofibrationCertificate", "GeneratingMap", "attach_cells",
     "certify_cofibration", "iota", "is_fibration", "pushout",
     "pushout_product", "zeta",
-    "AlgebraElement", "AlgebraMorphism", "Generator", "SullivanAlgebra",
-    "algebra_bounded_weq", "dga_pushout_gen", "initial_morphism",
-    "AModule", "AModuleElement", "AModuleMorphism", "Inclusion", "amod_pushout_gen",
-    "base_change", "cmon_to_under", "extend_differential", "extend_morphism",
-    "free_amodule", "tensor_over_A", "transfinite_compose_finite",
-    "under_to_cmon",
+    "AlgebraElement", "AlgebraMorphism", "Generator", "Inclusion", "SullivanAlgebra",
+    "algebra_bounded_weq", "dga_pushout_gen", "extend_morphism", "initial_morphism",
+    "AModule", "AModuleElement", "AModuleMorphism", "amod_pushout_gen",
+    "cmon_to_under", "extend_differential", "free_amodule",
+    "transfinite_compose_finite", "under_to_cmon",
     "CheckReport", "run_check", "run_suite",
 ]
 

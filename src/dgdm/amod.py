@@ -12,9 +12,10 @@ assignments q(g_j) with d_B q(g_j) = q(d g_j) by q(a (x) v) = a . q(v).
 
 A relative Sullivan A-module T (+) A (x) V is T's generators followed
 by V's, as `SullivanAlgebra.extended` builds relative Sullivan algebras:
-`AModule.extended` appends one generator, a pushout along a generating
-cofibration is one such step, and `Inclusion` includes a module into
-any module whose generators and differential extend its own.  The key
+`AModule.extended` appends one generator, and a pushout along a
+generating cofibration is one such step.  `AModuleMorphism` is the module
+kind of `dga`'s `Morphism`; the inclusion, composite, extension and
+pushout record are `dga`'s, shared with algebras.  The key
 ("v", alpha, atoms, j, b) is x^alpha * (A-monomial atoms) (x) d^b g_j.
 
 Weights (x-degree + d-orders + atom counts) slice every degree finitely,
@@ -45,11 +46,14 @@ from .complexes import FreeDComplex
 from .dga import (
     AlgebraElement,
     AlgebraMorphism,
+    CellPushout,
     Generator,
     GradedElement,
+    Morphism,
     SullivanAlgebra,
     TermKey,
     atom_name,
+    attach_cell,
 )
 from .rational_linalg import add_term, apply_linear, integral, vec_add
 from .slices import TruncationResult, bounded_weq
@@ -73,12 +77,12 @@ class AModule:
     def __init__(
         self,
         algebra: SullivanAlgebra,
-        gens: Sequence[Generator] = (),
+        generators: Sequence[Generator] = (),
         diff: Optional[Dict[int, ModCoeffs]] = None,
     ):
         self.algebra = algebra
         self.nvars = algebra.nvars
-        self.gens = tuple(gens)
+        self.generators = tuple(generators)
         self.diff_coeffs: Dict[int, ModCoeffs] = {
             j: dict(v) for j, v in (diff or {}).items() if v
         }
@@ -87,31 +91,36 @@ class AModule:
         self._act_memo: Dict[Tuple[TermKey, ModKey], ModCoeffs] = {}
         self._basis_memo: Dict[Tuple[int, int], Tuple[ModKey, ...]] = {}
         for j, coeffs in self.diff_coeffs.items():
-            if not 0 <= j < len(self.gens):
+            if not 0 <= j < len(self.generators):
                 raise ValueError(f"differential assigned to unknown generator {j}")
-            want = self.gens[j].degree - 1
+            want = self.generators[j].degree - 1
             for key in coeffs:
                 if key[3] >= j:
-                    raise ValueError(f"d({self.gens[j].name}) hits generator {key[3]}: not lowering")
+                    raise ValueError(f"d({self.generators[j].name}) hits generator {key[3]}: not lowering")
                 if self.key_degree(key) != want:
-                    raise ValueError(f"d({self.gens[j].name}) has a term of degree "
+                    raise ValueError(f"d({self.generators[j].name}) has a term of degree "
                                      f"{self.key_degree(key)}, expected {want}")
         for j in self.diff_coeffs:
             if self.diff_element(self.diff_coeffs[j]):
-                raise ValueError(f"d*d != 0 on generator {self.gens[j].name}")
+                raise ValueError(f"d*d != 0 on generator {self.generators[j].name}")
+
+    ground = property(lambda self: self.algebra)  # what both ends of a morphism share
+
+    def morphism(self, target: "AModule", assignments: Dict[int, "AModuleElement"]) -> "AModuleMorphism":
+        return AModuleMorphism(self, target, assignments)
 
     def extended(self, gen: Generator, d_assignment: "AModuleElement | None") -> "AModule":
         """A new module with one more (last) generator."""
         diff = dict(self.diff_coeffs)
         if d_assignment is not None and not d_assignment.is_zero():
-            diff[len(self.gens)] = d_assignment.coeffs
-        return AModule(self.algebra, self.gens + (gen,), diff)
+            diff[len(self.generators)] = d_assignment.coeffs
+        return AModule(self.algebra, self.generators + (gen,), diff)
 
     # -- key structure ----------------------------------------------------
 
     def key_degree(self, key: ModKey) -> int:
         _, alpha, atoms, j, b = key
-        return self.algebra.term_degree((alpha, atoms)) + self.gens[j].degree
+        return self.algebra.term_degree((alpha, atoms)) + self.generators[j].degree
 
     def key_weight(self, key: ModKey) -> int:
         _, alpha, atoms, j, b = key
@@ -128,13 +137,13 @@ class AModule:
         return keys
 
     def _build_basis_keys(self, degree: int, max_weight: int) -> Iterator[ModKey]:
-        for (j, b), v_degree, cost in _v_atoms(self.gens, self.nvars, degree, max_weight):
+        for (j, b), v_degree, cost in _v_atoms(self.generators, self.nvars, degree, max_weight):
             for alpha, atoms in self.algebra.basis_keys(degree - v_degree, max_weight - cost):
                 yield ("v", alpha, atoms, j, b)
 
     def top_degree_hint(self, degree_window: int) -> int:
         """Degrees worth checking: the generators plus the algebra window."""
-        return max([g.degree for g in self.gens], default=0) + degree_window
+        return max([g.degree for g in self.generators], default=0) + degree_window
 
     # -- generators ---------------------------------------------------------
 
@@ -142,7 +151,7 @@ class AModule:
         return self.atom(j, (0,) * self.nvars)
 
     def atom(self, j: int, b: Sequence[int]) -> "AModuleElement":
-        if not 0 <= j < len(self.gens):
+        if not 0 <= j < len(self.generators):
             raise ValueError(f"no generator with index {j}")
         return AModuleElement(self, {("v", (0,) * self.nvars, (), j, tuple(b)): Fraction(1)})
 
@@ -247,12 +256,12 @@ class AModule:
         return self is other or (
             isinstance(other, AModule)
             and self.algebra == other.algebra
-            and self.gens == other.gens
+            and self.generators == other.generators
             and self.diff_coeffs == other.diff_coeffs
         )
 
     def __repr__(self):
-        gens = ", ".join(f"{g.name}:{g.degree}" for g in self.gens)
+        gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)
         return f"AModule(V=[{gens}])"
 
 
@@ -268,7 +277,7 @@ class AModuleElement(GradedElement):
         ) > 4 else f"AModuleElement({self.coeffs!r})"
 
     def to_string(self) -> str:
-        agens, mgens = self.module.algebra.generators, self.module.gens
+        agens, mgens = self.module.algebra.generators, self.module.generators
 
         def term(key):
             _, alpha, atoms, j, b = key
@@ -282,13 +291,13 @@ class AModuleElement(GradedElement):
 
 def extend_differential(
     algebra: SullivanAlgebra,
-    gens: Sequence[Generator],
+    generators: Sequence[Generator],
     assignments: Dict[int, AModuleElement],
 ) -> AModule:
     """Endow A (x) V with d(g_j) = assignments[j]: each assignment is
     homogeneous of degree n_j - 1, supported on A (x) V_{<j} and closed (the
     constructor enforces all of it), so the differential squares to zero."""
-    return AModule(algebra, gens, {j: elt.coeffs for j, elt in assignments.items()})
+    return AModule(algebra, generators, {j: elt.coeffs for j, elt in assignments.items()})
 
 
 def free_amodule(algebra: SullivanAlgebra, c: FreeDComplex, name: str = "m") -> AModule:
@@ -325,38 +334,13 @@ def free_disk_module(algebra: SullivanAlgebra, n: int, name: str = "e") -> AModu
 
 # ------------------------------------------------------------- morphisms
 
-class AModuleMorphism:
-    """An A-linear chain map determined by generator assignments;
-    evaluation follows q(a (x) v) = a . q(v)."""
+class AModuleMorphism(Morphism):
+    """An A-linear chain map fixed by generator values, checked as every
+    `dga.Morphism` is; evaluation follows q(a (x) v) = a . q(v)."""
 
-    def __init__(
-        self,
-        source: AModule,
-        target: AModule,
-        assignments: Dict[int, AModuleElement],
-    ):
-        if source.algebra != target.algebra:
-            raise ValueError("source and target over different algebras")
-        self.source = source
-        self.target = target
-        self.assignments = dict(assignments)
+    def __init__(self, source: AModule, target: AModule, assignments: Dict[int, AModuleElement]):
         self._qv_cache: Dict[Tuple[int, Exponent], ModCoeffs] = {}
-        for j in range(len(source.gens)):
-            if j not in self.assignments:
-                raise ValueError(f"no assignment for generator {source.gens[j].name}")
-            img = self.assignments[j]
-            if img.module != target:
-                raise ValueError("assignment lives in the wrong module")
-            if not img.is_zero() and img.degree() != source.gens[j].degree:
-                raise ValueError(
-                    f"assignment for {source.gens[j].name} has degree {img.degree()}"
-                )
-        for j in range(len(source.gens)):
-            lhs = target.d(self.assignments[j])
-            rhs = self.apply(source.d_generator(j))
-            if lhs != rhs:
-                raise ValueError(f"condition d_B q = q d fails on generator "
-                                 f"{source.gens[j].name}; mismatch {lhs - rhs!r}")
+        super().__init__(source, target, assignments)
 
     def apply_key(self, key: ModKey) -> ModCoeffs:
         _, alpha, atoms, j, b = key
@@ -366,99 +350,22 @@ class AModuleMorphism:
                 (0,) * self.source.nvars, b, self.assignments[j].coeffs)
         return apply_linear(lambda key2: self.target.act_algebra_term_key((alpha, atoms), key2), qv)
 
-    def apply(self, elt: AModuleElement) -> AModuleElement:
-        if elt.module != self.source:
-            raise ValueError("element not in the source module")
-        return AModuleElement(self.target, apply_linear(self.apply_key, elt.coeffs))
-
-
-class Inclusion(AModuleMorphism):
-    """The inclusion of a module into one whose generators start with its
-    generators, with the same differential on them."""
-
-    def __init__(self, small: AModule, big: AModule):
-        k = len(small.gens)
-        if (small.algebra != big.algebra or big.gens[:k] != small.gens
-                or any(big.diff_coeffs.get(j) != small.diff_coeffs.get(j) for j in range(k))):
-            raise ValueError("target does not extend the source")
-        self.source = small
-        self.target = big
-
-    def apply_key(self, key: ModKey) -> ModCoeffs:
-        return {key: 1}
-
-
-class ComposedMorphism(AModuleMorphism):
-    """g after f, evaluated key by key."""
-
-    def __init__(self, f: AModuleMorphism, g: AModuleMorphism):
-        if f.target != g.source:
-            raise ValueError("morphisms do not compose")
-        self.source = f.source
-        self.target = g.target
-        self.factors = (f, g)  # held as data, so a deep copy copies both factors
-
-    def apply_key(self, key: ModKey) -> ModCoeffs:
-        f, g = self.factors
-        return apply_linear(g.apply_key, f.apply_key(key))
-
-
-def identity_amodule_morphism(m: AModule) -> AModuleMorphism:
-    return Inclusion(m, m)
-
-
-def compose_amodule_morphisms(f: AModuleMorphism, g: AModuleMorphism) -> AModuleMorphism:
-    """g after f, as a generic key-level composite."""
-    return ComposedMorphism(f, g)
-
-
-def extend_morphism(
-    p: AModuleMorphism,
-    source: AModule,
-    target: AModule,
-    assignments: Dict[int, AModuleElement],
-) -> AModuleMorphism:
-    """Lemma-style extension: the unique A-module morphism agreeing with p
-    on the generators of p.source (the first ones of source) and taking
-    the given values, by index, on the others (condition d_B q(g_j) =
-    q(d g_j) checked on every generator; violations report the failing
-    generator and mismatch)."""
-    values = {j: p.apply(p.source.generator(j)) for j in range(len(p.source.gens))}
-    return AModuleMorphism(source, target, {**values, **assignments})
-
 
 # ------------------------------------------------------------- pushouts
 
-@dataclass
-class AmodPushout:
-    module: AModule  # B (+) A (x) S^n: B's generators, then 1_n
-    from_target: AModuleMorphism  # h: B -> module
-    new_index: int  # index of 1_n in module
-
-
-def amod_pushout_gen(f: AModuleMorphism, name: str = "c") -> AmodPushout:
+def amod_pushout_gen(f: AModuleMorphism, name: str = "c") -> CellPushout:
     """Pushout of Id_A (x) iota_n: A (x) S^{n-1} -> A (x) D^n along f.
 
     f must have source A (x) S^{n-1}; its single assignment z = f(1_{n-1})
     is closed of degree n-1 (the morphism check of f ensures it), and the
     pushout is B extended by 1_n with d(1_n) = z and h the inclusion of B.
     The leg from A (x) D^n sends its top generator to 1_n and is not built:
-    a cocone is q on B and its value on 1_n (see `amod_pushout_factor`).
+    a cocone is q on B and its value on 1_n (see `dga.pushout_factor`).
     """
     src = f.source
-    if len(src.gens) != 1 or src.diff_coeffs:
+    if len(src.generators) != 1 or src.diff_coeffs:
         raise ValueError("source of f must be a free sphere module A (x) S^{n-1}")
-    b_mod = f.target
-    pushed = b_mod.extended(Generator(name, src.gens[0].degree + 1), f.assignments[0])
-    return AmodPushout(pushed, Inclusion(b_mod, pushed), len(b_mod.gens))
-
-
-def amod_pushout_factor(po: AmodPushout, q: AModuleMorphism, cell: AModuleElement) -> AModuleMorphism:
-    """The unique u with u h = q and u(1_n) = cell; refused unless
-    d(cell) = q(z), that is unless (q, cell) is a cocone."""
-    if q.source != po.from_target.source:
-        raise ValueError("cocone leg has the wrong source")
-    return extend_morphism(q, po.module, q.target, {po.new_index: cell})
+    return attach_cell(f.target, Generator(name, src.generators[0].degree + 1), f.assignments[0])
 
 
 @dataclass
@@ -549,14 +456,14 @@ class TensorOverA(_TwistedTensor):
     def __init__(self, b: AModule, m: AModule):
         if b.algebra != m.algebra:
             raise ValueError("factors over different algebras")
-        super().__init__(b, max([g.degree for g in m.gens], default=0))
+        super().__init__(b, max([g.degree for g in m.generators], default=0))
         self.m = m
 
     def w_blocks(self, degree: int, max_weight: int):
-        return _v_atoms(self.m.gens, self.nvars, degree, max_weight)
+        return _v_atoms(self.m.generators, self.nvars, degree, max_weight)
 
     def w_grading(self, w) -> Tuple[int, int]:
-        return self.m.gens[w[0]].degree, sum(w[1]) + 1
+        return self.m.generators[w[0]].degree, sum(w[1]) + 1
 
     def twist_terms(self, w):
         # d(d^b g_j) in A (x) V: keys ("v", a, atoms, j', b')
@@ -586,10 +493,6 @@ class TensorOverA(_TwistedTensor):
         """i^{-1}(b (x) m) = b (x) (1_A (x) m), on a basis key."""
         bk, j, bexp = key
         return AModuleElement(self.n_mod, {bk: Fraction(1)}), self.m.algebra.one(), j, bexp
-
-
-def tensor_over_A(b: AModule, m: AModule) -> TensorOverA:
-    return TensorOverA(b, m)
 
 
 def tensor_unit_case(b: AModule) -> bool:
@@ -646,10 +549,6 @@ class BaseChangeModule(_TwistedTensor):
         return _twisted_diff_key(self, key)
 
 
-def base_change(b: SullivanAlgebra, n_mod: AModule) -> BaseChangeModule:
-    return BaseChangeModule(b, n_mod)
-
-
 def _tensor_id(f: AModuleMorphism) -> Callable:
     """f (x) Id_W on twisted-tensor keys (n_key,) + w."""
     return lambda key: {(k2,) + key[1:]: c for k2, c in f.apply_key(key[0]).items()}
@@ -702,7 +601,7 @@ class CMonInModA:
         return self.monoid.multiply(self.structure_morphism().apply(a), m)
 
 
-def under_to_cmon(phi: AlgebraMorphism) -> CMonInModA:
+def under_to_cmon(phi: Morphism) -> CMonInModA:
     """F: (phi: A -> M) |-> M with a . m := phi(a) * m."""
     return CMonInModA(
         phi.source,

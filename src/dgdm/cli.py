@@ -271,7 +271,7 @@ def parse_module_element(text: str, module: AModule) -> AModuleElement:
     """
     algebra = module.algebra
     nvars = module.nvars
-    mod_names = {g.name: j for j, g in enumerate(module.gens)}
+    mod_names = {g.name: j for j, g in enumerate(module.generators)}
 
     class Wrap:
         # (algebra element, optional (j, dexp)) pairs summed
@@ -503,9 +503,9 @@ def amodule_body(m: AModule) -> Dict:
     return {
         "vars": m.nvars,
         "algebra": algebra_body(m.algebra),
-        "generators": [{"name": g.name, "degree": g.degree} for g in m.gens],
+        "generators": [{"name": g.name, "degree": g.degree} for g in m.generators],
         "differential": {
-            m.gens[j].name: AModuleElement(m, coeffs).to_string()
+            m.generators[j].name: AModuleElement(m, coeffs).to_string()
             for j, coeffs in sorted(m.diff_coeffs.items())
         },
     }
@@ -735,10 +735,12 @@ def _run_command(args) -> int:
         w = doc.get("assignment")
         w = parse_algebra_element(_text(w, "assignment"), x) if w else x.zero()
         po = dga_pushout_gen(x, y, f, n, w)
+        x_ext = po.map.source
         _emit(make_document("sullivan-extend-result", {
-            "x_ext": algebra_body(po.x_ext),
-            "y_ext": algebra_body(po.y_ext),
-            "map": {po.x_ext.generators[j].name: v.to_string() for j, v in po.map.assignments.items()},
+            "x_ext": algebra_body(x_ext),
+            "y_ext": algebra_body(po.cell.extended),
+            "map": {g.name: po.map.apply(x_ext.generator(j)).to_string()
+                    for j, g in enumerate(x_ext.generators)},
         }))
         return 0
 

@@ -24,6 +24,12 @@ scales, degrees and equality of {key: Fraction} over an owner answering
 `key_degree`), the Koszul sort `_normalize_atoms` (parity given as a
 function of the atom) and the Leibniz rule `odd_derivation`.
 
+It is also the one home of the morphism code that algebras and A-modules,
+both free on generators, share: `Morphism` checks values on generators,
+`Inclusion`, `ComposedMorphism` and `extend_morphism` serve both kinds,
+and attaching one generator is a `CellPushout` with its `pushout_factor`.
+Each object supplies its kind's `ground` and `morphism`.
+
 The arithmetic runs on term keys and raw coefficient dicts
 (`term_product`, `act_d_term`, `act_monomial`, `d_term`).  The memos of
 `d_term` and `_d_atom` live on the algebra, never per process, and are
@@ -147,6 +153,11 @@ class SullivanAlgebra:
     def oh(cls, nvars: int) -> "SullivanAlgebra":
         """The initial algebra O (no generators)."""
         return cls(nvars)
+
+    ground = property(lambda self: self.nvars)  # what both ends of a morphism share
+
+    def morphism(self, target: "SullivanAlgebra", assignments: Dict[int, "AlgebraElement"]) -> "AlgebraMorphism":
+        return AlgebraMorphism(self, target, assignments)
 
     def extended(self, gen: Generator, d_assignment: "AlgebraElement | None") -> "SullivanAlgebra":
         """A new algebra with one more (last) generator."""
@@ -428,40 +439,119 @@ def apply_differential(u: AlgebraElement) -> AlgebraElement:
     return u.algebra.d(u)
 
 
-# ---------------------------------------------------------------- morphisms
+# ------------------------------------- morphisms of both kinds of object
 
-class AlgebraMorphism:
-    """A DGDA morphism determined by generator assignments.
+class Morphism:
+    """A chain map out of an object free on generators, evaluated key by
+    key through the kind's `apply_key`.
 
-    Acts as the identity on O-coefficients, sends atom d^b g_j to
-    d^b . phi(g_j), and extends multiplicatively; the chain-map law is
-    checked on every generator at construction.
+    Built from values q(g_j) on the generators, it checks that every
+    generator has a value, in the target and of the generator's degree,
+    and that d q(g_j) = q(d g_j); a failure names the generator.
+    `Inclusion` and `ComposedMorphism` are built from other data.
     """
 
-    def __init__(self, source: SullivanAlgebra, target: SullivanAlgebra, assignments: Dict[int, AlgebraElement], check: bool = True):
-        if source.nvars != target.nvars:
-            raise ValueError("source and target over different Weyl algebras")
+    def __init__(self, source, target, assignments: Dict[int, GradedElement]):
+        if source.ground != target.ground:
+            raise ValueError("source and target over different grounds")
         self.source = source
         self.target = target
         self.assignments = dict(assignments)
-        for j in range(len(source.generators)):
-            if j not in self.assignments:
-                raise ValueError(f"no assignment for generator {source.generators[j].name}")
-            img = self.assignments[j]
+        # lowering differentials: d(g_j) only needs the values checked before j
+        for j, g in enumerate(source.generators):
+            img = self.assignments.get(j)
+            if img is None:
+                raise ValueError(f"no assignment for generator {g.name}")
+            if img.owner != target:
+                raise ValueError(f"assignment for {g.name} lies outside the target")
             deg = img.degree()
-            if deg is not None and deg != source.generators[j].degree:
-                raise ValueError(f"assignment for {source.generators[j].name} has wrong degree")
-        if check:
-            for j in range(len(source.generators)):
-                lhs = target.d(self.assignments[j])
-                rhs = self.apply(source.d_generator(j))
-                if lhs != rhs:
-                    raise ValueError(
-                        f"not a chain map on generator {source.generators[j].name}"
-                    )
+            if deg is not None and deg != g.degree:
+                raise ValueError(f"assignment for {g.name} has degree {deg}, expected {g.degree}")
+            lhs, rhs = target.d(img), self.apply(source.d_generator(j))
+            if lhs != rhs:
+                raise ValueError(f"not a chain map: d q = q d fails on generator "
+                                 f"{g.name}; mismatch {lhs - rhs!r}")
 
-    def apply(self, u: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(self.target, apply_linear(self.apply_key, u.coeffs))
+    def apply(self, elt: GradedElement) -> GradedElement:
+        if elt.owner != self.source:
+            raise ValueError("element not in the source")
+        return type(elt)(self.target, apply_linear(self.apply_key, elt.coeffs))
+
+
+class Inclusion(Morphism):
+    """The inclusion of an object into one whose generators start with its
+    generators, with the same differential on them: key |-> key."""
+
+    def __init__(self, small, big):
+        k = len(small.generators)
+        if (small.ground != big.ground or big.generators[:k] != small.generators
+                or any(big.diff_coeffs.get(j) != small.diff_coeffs.get(j) for j in range(k))):
+            raise ValueError("target does not extend the source")
+        self.source = small
+        self.target = big
+
+    def apply_key(self, key) -> Dict:
+        return {key: 1}
+
+
+class ComposedMorphism(Morphism):
+    """g after f, evaluated key by key."""
+
+    def __init__(self, f: Morphism, g: Morphism):
+        if f.target != g.source:
+            raise ValueError("morphisms do not compose")
+        self.source = f.source
+        self.target = g.target
+        self.factors = (f, g)  # held as data, so a deep copy copies both factors
+
+    def apply_key(self, key) -> Dict:
+        f, g = self.factors
+        return apply_linear(g.apply_key, f.apply_key(key))
+
+
+def identity_morphism(a) -> Morphism:
+    return Inclusion(a, a)
+
+
+def compose_morphisms(f: Morphism, g: Morphism) -> Morphism:
+    """g after f."""
+    return ComposedMorphism(f, g)
+
+
+def extend_morphism(p: Morphism, source, target, assignments: Dict[int, GradedElement]) -> Morphism:
+    """The morphism of source's kind that agrees with p on the generators
+    of p.source (the first ones of source) and takes the given values, by
+    index, on the others; checked as every morphism is."""
+    values = {j: p.apply(p.source.generator(j)) for j in range(len(p.source.generators))}
+    return source.morphism(target, {**values, **assignments})
+
+
+@dataclass
+class CellPushout:
+    """The pushout along a generating cofibration attaching a cell along z:
+    the object extended by one last generator g with d(g) = z."""
+
+    extended: object  # the old object's generators, then g
+    from_target: Inclusion  # the old object into extended
+    new_index: int  # index of g in extended
+
+
+def attach_cell(obj, gen: Generator, z: Optional[GradedElement]) -> CellPushout:
+    ext = obj.extended(gen, z)
+    return CellPushout(ext, Inclusion(obj, ext), len(obj.generators))
+
+
+def pushout_factor(po: CellPushout, q: Morphism, cell: GradedElement) -> Morphism:
+    """The unique u with u o from_target = q and u(g) = cell; refused unless
+    d(cell) = q(z), that is unless (q, cell) is a cocone."""
+    if q.source != po.from_target.source:
+        raise ValueError("cocone leg has the wrong source")
+    return extend_morphism(q, po.extended, q.target, {po.new_index: cell})
+
+
+class AlgebraMorphism(Morphism):
+    """A DGDA morphism fixed by generator values: the identity on
+    O-coefficients, d^b g_j |-> d^b . phi(g_j), extended multiplicatively."""
 
     def apply_key(self, key: TermKey) -> Coeffs:
         """x^alpha times the images d^b . phi(g_j) of the atoms of key."""
@@ -473,63 +563,31 @@ class AlgebraMorphism:
             term = term * AlgebraElement(tgt, img)
         return term.coeffs
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.assignments == other.assignments
-        )
 
-
-def identity_morphism(a: SullivanAlgebra) -> AlgebraMorphism:
-    return AlgebraMorphism(a, a, {j: a.generator(j) for j in range(len(a.generators))}, check=False)
-
-
-def compose_morphisms(f: AlgebraMorphism, g: AlgebraMorphism) -> AlgebraMorphism:
-    """g after f."""
-    if f.target != g.source:
-        raise ValueError("morphisms do not compose")
-    return AlgebraMorphism(
-        f.source, g.target, {j: g.apply(v) for j, v in f.assignments.items()}, check=False
-    )
-
-
-def initial_morphism(a: SullivanAlgebra) -> AlgebraMorphism:
+def initial_morphism(a: SullivanAlgebra) -> Morphism:
     """The unique unital morphism O -> A, f |-> f.1_A; always injective
     because Sullivan algebras are free (hence nonzero)."""
-    return AlgebraMorphism(SullivanAlgebra.oh(a.nvars), a, {}, check=False)
+    return Inclusion(SullivanAlgebra.oh(a.nvars), a)
 
 
 # ----------------------------------------------------- pushout by one sphere
 
 @dataclass
 class DgaPushout:
-    """Pushout of f: X -> Y along X -> X (x) S(free rank-1 module in degree n).
+    """Pushout of f: X -> Y along X -> X(s), s of degree n with d(s) = w.
 
-    The right leg is f (x) Id; the new generator's differential in the
-    extended Y is f applied to its differential in the extended X.
+    `cell` is Y(s): Y extended by s with d(s) = f(w); `map` is the right
+    leg f (x) Id: X(s) -> Y(s), with source X(s).
     """
 
-    x_ext: SullivanAlgebra
-    y_ext: SullivanAlgebra
-    map: AlgebraMorphism  # f (x) Id : x_ext -> y_ext
-    incl_x: AlgebraMorphism
-    incl_y: AlgebraMorphism
-    new_index: int      # index of the new generator in x_ext
-    new_index_y: int    # index of the new generator in y_ext
-
-
-def include_element(u: AlgebraElement, bigger: SullivanAlgebra) -> AlgebraElement:
-    """Reinterpret an element in an algebra extending its own by new last
-    generators (indices are preserved)."""
-    return AlgebraElement(bigger, dict(u.coeffs))
+    map: AlgebraMorphism
+    cell: CellPushout
 
 
 def dga_pushout_gen(
     x: SullivanAlgebra,
     y: SullivanAlgebra,
-    f: AlgebraMorphism,
+    f: Morphism,
     n: int,
     d_new: AlgebraElement,
     name: str = "s",
@@ -537,41 +595,14 @@ def dga_pushout_gen(
     """Attach a degree-n sphere generator to X and push out along f.
 
     d_new is the differential assigned to the new generator inside X;
-    it must be d-closed of degree n-1 (else the extension is rejected).
+    the extension refuses it unless it is d-closed of degree n-1.
     """
     if f.source != x or f.target != y:
         raise ValueError("map does not go from X to Y")
-    if not d_new.is_zero():
-        deg = d_new.degree()
-        if deg != n - 1:
-            raise ValueError(f"assignment has degree {deg}, expected {n - 1}")
-        if not x.d(d_new).is_zero():
-            raise ValueError("assignment is not closed")
     x_ext = x.extended(Generator(name, n), d_new)
-    fd = f.apply(d_new)
-    y_ext = y.extended(Generator(name, n), include_element(fd, y) if fd.algebra == y else fd)
-    new_idx = len(x.generators)
-    assignments = {j: include_element(f.assignments[j], y_ext) for j in f.assignments}
-    assignments[new_idx] = y_ext.generator(len(y.generators))
-    f_ext = AlgebraMorphism(x_ext, y_ext, assignments)
-    incl_x = AlgebraMorphism(x, x_ext, {j: x_ext.generator(j) for j in range(len(x.generators))}, check=False)
-    incl_y = AlgebraMorphism(y, y_ext, {j: y_ext.generator(j) for j in range(len(y.generators))}, check=False)
-    return DgaPushout(x_ext, y_ext, f_ext, incl_x, incl_y, new_idx, len(y.generators))
-
-
-def dga_pushout_factor(po: DgaPushout, h: AlgebraMorphism, k: AlgebraMorphism) -> AlgebraMorphism:
-    """The universal map out of the pushout corner.
-
-    h: Y -> E and k: X_ext -> E with k o incl_x = h o f must be a cocone;
-    the factoring morphism is h on Y-generators and sends the new
-    generator to k(new generator).
-    """
-    e = h.target
-    if k.target != e:
-        raise ValueError("cocone legs land in different algebras")
-    assignments = dict(h.assignments)
-    assignments[po.new_index_y] = k.apply(po.x_ext.generator(po.new_index))
-    return AlgebraMorphism(po.y_ext, e, assignments)
+    cell = attach_cell(y, Generator(name, n), f.apply(d_new))
+    new = {len(x.generators): cell.extended.generator(cell.new_index)}
+    return DgaPushout(extend_morphism(compose_morphisms(f, cell.from_target), x_ext, cell.extended, new), cell)
 
 
 # ---------------------------------------------------------------- bounded weq

@@ -30,7 +30,16 @@ from .complexes import (
     summand_inclusion,
     zero_matrix,
 )
-from .dga import AlgebraElement, AlgebraMorphism, Generator, SullivanAlgebra, compose_morphisms
+from .dga import (
+    AlgebraElement,
+    AlgebraMorphism,
+    Generator,
+    Inclusion,
+    Morphism,
+    SullivanAlgebra,
+    compose_morphisms,
+    extend_morphism,
+)
 from .groebner import FreeModuleElement
 from .weyl import WeylElement
 from . import amod as amod_mod
@@ -212,16 +221,19 @@ def random_algebra_element(
 
 def random_algebra_weq(
     rng: random.Random, x: SullivanAlgebra, pairs: int = 1
-) -> Tuple[SullivanAlgebra, AlgebraMorphism]:
-    """X -> X (x) (acyclic Sullivan extension), postcomposed with shears."""
+) -> Tuple[SullivanAlgebra, Morphism]:
+    """X -> X (x) (acyclic Sullivan extension), postcomposed with a shear.
+
+    The shear sends one generator g_j to g_j + d(u), u on earlier
+    generators; it is an automorphism, and a chain map because g_j is
+    sheared only when no later differential involves it.
+    """
     y = x
     for k in range(pairs):
         deg = rng.randint(1, 2)
         y = y.extended(Generator(f"a{k}", deg), None)
         y = y.extended(Generator(f"b{k}", deg + 1), y.generator(len(y.generators) - 1))
-    assignments = {j: y.generator(j) for j in range(len(x.generators))}
-    f = AlgebraMorphism(x, y, assignments, check=False)
-    # shear: send one generator g to g + d(random) (an automorphism)
+    f = Inclusion(x, y)
     if y.generators and rng.random() < 0.7:
         j = rng.randrange(len(y.generators))
         deg = y.generators[j].degree
@@ -230,11 +242,11 @@ def random_algebra_weq(
             y, {k: c for k, c in u.coeffs.items() if all(a[0] < j for a in k[1])}
         )
         w = y.d(u)
-        if not w.is_zero():
+        involved = any(a[0] == j for coeffs in y.diff_coeffs.values() for key in coeffs for a in key[1])
+        if not w.is_zero() and not involved:
             shear_assign = {i: y.generator(i) for i in range(len(y.generators))}
             shear_assign[j] = y.generator(j) + w
-            shear = AlgebraMorphism(y, y, shear_assign)
-            f = compose_morphisms(f, shear)
+            f = compose_morphisms(f, AlgebraMorphism(y, y, shear_assign))
     return y, f
 
 
@@ -273,18 +285,17 @@ def random_closed_element(
 
 def random_amodule_weq(
     rng: random.Random, p: amod_mod.AModule
-) -> Tuple[amod_mod.AModule, amod_mod.AModuleMorphism]:
+) -> Tuple[amod_mod.AModule, Morphism]:
     """P -> P + (contractible cell pair), composed with a shear."""
     n = rng.randint(1, 2)
     mid = amod_mod.transfinite_compose_finite(p, [(n, None)]).module
-    top_gen = mid.generator(len(mid.gens) - 1)
+    top_gen = mid.generator(len(mid.generators) - 1)
     q = amod_mod.transfinite_compose_finite(mid, [(n + 1, top_gen)]).module
-    f = amod_mod.Inclusion(p, q)
+    f = Inclusion(p, q)
     # shear the top cell by a boundary
-    top = len(q.gens) - 1
-    w = q.d(random_module_element(rng, q, q.gens[top].degree + 1))
+    top = len(q.generators) - 1
+    w = q.d(random_module_element(rng, q, q.generators[top].degree + 1))
     if not w.is_zero():
-        shear = amod_mod.extend_morphism(
-            amod_mod.Inclusion(mid, q), q, q, {top: q.generator(top) + w})
-        f = amod_mod.compose_amodule_morphisms(f, shear)
+        shear = extend_morphism(Inclusion(mid, q), q, q, {top: q.generator(top) + w})
+        f = compose_morphisms(f, shear)
     return q, f

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from dgdm.amod import AModuleElement, Inclusion, free_sphere_module
+from dgdm.amod import AModuleElement, free_sphere_module
+from dgdm.dga import Inclusion
 from dgdm.complexes import disk, homology, is_acyclic, sphere
 from dgdm.dga import Generator, SullivanAlgebra
 from dgdm.groebner import (
@@ -152,7 +153,7 @@ def test_criterion_08_extension_lemma_fidelity():
         n = rng.randint(1, 2)
         z = random_closed_element(rng, t_mod, n - 1)
         ext = t_mod.extended(Generator("c", n), z)
-        include_t, new = Inclusion(t_mod, ext).apply, ext.generator(len(t_mod.gens))
+        include_t, new = Inclusion(t_mod, ext).apply, ext.generator(len(t_mod.generators))
         # (a) the formula d(t + a (x) v) = d_T t + d_A a (x) v + (-1)^k a . d(v)
         for _ in range(10):
             k_deg = rng.randint(0, 2)
@@ -176,7 +177,7 @@ def test_criterion_08_extension_lemma_fidelity():
         # the Leibniz compatibility with the A-action somewhere
         candidates = [
             key for p in range(0, 4) for key in ext.basis_keys(p, 3)
-            if key[3] == len(t_mod.gens) and (key[2] or sum(key[1]) > 0)
+            if key[3] == len(t_mod.generators) and (key[2] or sum(key[1]) > 0)
         ]
         rng.shuffle(candidates)
         tested = 0

@@ -16,25 +16,30 @@ from dgdm.amod import (
     AModuleMorphism,
     BaseChangeModule,
     TensorOverA,
-    amod_pushout_factor,
     amod_pushout_gen,
     amodule_bounded_weq,
     base_change_bounded_weq,
     cmon_to_under,
-    compose_amodule_morphisms,
-    Inclusion,
-    extend_morphism,
     free_amodule,
     free_disk_module,
     free_sphere_module,
-    identity_amodule_morphism,
     tensor_bounded_weq,
     tensor_unit_case,
     transfinite_compose_finite,
     under_to_cmon,
 )
 from dgdm.complexes import disk, sphere
-from dgdm.dga import AlgebraMorphism, Generator, SullivanAlgebra, algebra_bounded_weq, identity_morphism
+from dgdm.dga import (
+    AlgebraMorphism,
+    Generator,
+    Inclusion,
+    SullivanAlgebra,
+    algebra_bounded_weq,
+    compose_morphisms,
+    extend_morphism,
+    identity_morphism,
+    pushout_factor,
+)
 from dgdm.randgen import (
     random_algebra,
     random_algebra_element,
@@ -120,7 +125,7 @@ def test_defamoddiff_formula(algebra):
     n = 2
     z = random_closed_element(rng, t, n - 1)
     ext = t.extended(Generator("c", n), z)
-    include_t, new = Inclusion(t, ext).apply, ext.generator(len(t.gens))
+    include_t, new = Inclusion(t, ext).apply, ext.generator(len(t.generators))
     for _ in range(25):
         deg_a = rng.randint(0, 2)
         a = random_algebra_element(rng, algebra, deg_a, 2)
@@ -165,7 +170,7 @@ def test_extend_morphism_and_error_reporting(algebra):
     f = AModuleMorphism(zero_t, m, {0: m.zero()})
     assert f.apply(zero_t.generator(0)).is_zero()
     # identity extension
-    idm = identity_amodule_morphism(m)
+    idm = identity_morphism(m)
     rng = random.Random(3)
     for _ in range(10):
         e = random_module_element(rng, m, rng.randint(0, 3), 3)
@@ -186,7 +191,7 @@ def test_inclusion_refuses_a_target_that_does_not_extend_its_source(algebra):
     m = free_disk_module(algebra, 2)
     bottom = free_sphere_module(algebra, 1, "e1")
     assert Inclusion(bottom, m).apply(bottom.generator(0)) == m.generator(0)
-    assert identity_amodule_morphism(m).apply(m.generator(1)) == m.generator(1)
+    assert identity_morphism(m).apply(m.generator(1)) == m.generator(1)
     other = SullivanAlgebra(1, [Generator("v", 2)])
     for small, big in ((m, bottom),  # fewer generators
                        (free_sphere_module(algebra, 1, "f1"), m),  # another name
@@ -212,16 +217,16 @@ def test_pushout_characterization(algebra):
     src = free_sphere_module(algebra, 0, "s")
     f = AModuleMorphism(src, b, {0: b.generator(0)})
     po = amod_pushout_gen(f)
-    assert [field.name for field in dataclasses.fields(po)] == ["module", "from_target", "new_index"]
-    assert po.new_index == 1 and po.module.gens[po.new_index].degree == 1
+    assert [field.name for field in dataclasses.fields(po)] == ["extended", "from_target", "new_index"]
+    assert po.new_index == 1 and po.extended.generators[po.new_index].degree == 1
     # d(1_n) = h(z)
-    assert po.module.d_generator(po.new_index) == po.from_target.apply(f.apply(src.generator(0)))
+    assert po.extended.d_generator(po.new_index) == po.from_target.apply(f.apply(src.generator(0)))
     # a cocone is q on B and a cell with d(cell) = q(z); any other cell is refused
-    new = po.module.generator(po.new_index)
-    assert amod_pushout_factor(po, po.from_target, new).apply(new) == new
-    for cell in (new + new, po.module.zero()):
+    new = po.extended.generator(po.new_index)
+    assert pushout_factor(po, po.from_target, new).apply(new) == new
+    for cell in (new + new, po.extended.zero()):
         with pytest.raises(ValueError):
-            amod_pushout_factor(po, po.from_target, cell)
+            pushout_factor(po, po.from_target, cell)
 
 
 def test_pushout_refuses_an_attaching_element_that_is_not_closed(algebra):
@@ -233,27 +238,42 @@ def test_pushout_refuses_an_attaching_element_that_is_not_closed(algebra):
 
 
 def test_pushout_universality_random_cocones(algebra):
-    # 100 random cocones: 10 module instances, 10 shear-twisted cocones each
+    # 300 random cocones: 10 rounds of 3 bases, 10 shear-twisted cocones each.
+    # Random Sullivan modules over this algebra have d = 0, so every element
+    # is closed and may be z; disks and weq targets carry d != 0 and attach
+    # along boundaries z = d(e).
     rng = random.Random(5)
+    zs = []
     for _ in range(10):
-        b = random_amodule(rng, algebra, cells=2, max_degree=2)
-        n = rng.randint(1, 2)
-        z = random_closed_element(rng, b, n - 1)
-        src = free_sphere_module(algebra, n - 1, "s")
-        f = AModuleMorphism(src, b, {0: z})
-        po = amod_pushout_gen(f)
-        new = po.module.generator(po.new_index)
-        for _ in range(10):
-            # twist the canonical cocone (h, 1_n) by a shear automorphism sigma
-            w = po.module.d(random_module_element(rng, po.module, n + 1, 3))
-            sigma = extend_morphism(po.from_target, po.module, po.module, {po.new_index: new + w})
-            q = compose_amodule_morphisms(po.from_target, sigma)
-            cell = sigma.apply(new)
-            u = amod_pushout_factor(po, q, cell)
-            # u h = q on probes of B, and u(1_n) = cell
-            probe = random_module_element(rng, b, rng.randint(0, 2), 2)
-            assert u.apply(po.from_target.apply(probe)) == q.apply(probe)
-            assert u.apply(new) == cell
+        plain = random_amodule(rng, algebra, cells=2, max_degree=2)
+        m = rng.randint(1, 2)
+        disk = free_disk_module(algebra, m + 1)
+        target = random_amodule_weq(rng, random_amodule(rng, algebra, cells=2, max_degree=2))[0]
+        top = target.generators[-1].degree
+        for b, n, z in ((plain, m, random_module_element(rng, plain, m - 1, 3)),
+                        (disk, m + 1, disk.d(random_module_element(rng, disk, m + 1, 2))),
+                        (target, top, target.d(random_module_element(rng, target, top, 1)))):
+            zs.append(z)
+            src = free_sphere_module(algebra, n - 1, "s")
+            f = AModuleMorphism(src, b, {0: z})
+            po = amod_pushout_gen(f)
+            new = po.extended.generator(po.new_index)
+            for _ in range(10):
+                # twist the canonical cocone (h, 1_n) by a shear automorphism sigma
+                w = po.extended.d(random_module_element(rng, po.extended, n + 1, 3))
+                sigma = extend_morphism(po.from_target, po.extended, po.extended, {po.new_index: new + w})
+                q = compose_morphisms(po.from_target, sigma)
+                cell = sigma.apply(new)
+                u = pushout_factor(po, q, cell)
+                # u h = q on probes of B, and u(1_n) = cell
+                probe = random_module_element(rng, b, rng.randint(0, 2), 2)
+                assert u.apply(po.from_target.apply(probe)) == q.apply(probe)
+                assert u.apply(new) == cell
+            # a cell off the cocone is refused when d(cell) != q(z)
+            if not z.is_zero():
+                with pytest.raises(ValueError, match="fails on generator"):
+                    pushout_factor(po, q, cell + cell)
+    assert 2 * sum(not z.is_zero() for z in zs) >= len(zs)
 
 
 def test_transfinite_stages_append_what_pushouts_build(algebra):
@@ -270,10 +290,10 @@ def test_transfinite_stages_append_what_pushouts_build(algebra):
             n = rng.randint(1, 3)
             z = None if rng.random() < 0.2 else folded.d(random_module_element(rng, folded, n, 2))
             f = AModuleMorphism(free_sphere_module(algebra, n - 1), folded, {0: folded.zero() if z is None else z})
-            folded = amod_pushout_gen(f, name=f"c{idx}").module
+            folded = amod_pushout_gen(f, name=f"c{idx}").extended
             stages.append((n, z))
         module = transfinite_compose_finite(base, stages).module
-        assert module.gens == folded.gens
+        assert module.generators == folded.generators
         assert module.diff_coeffs == folded.diff_coeffs
 
 
@@ -294,8 +314,8 @@ def test_attaching_cells_builds_no_sphere_module_and_no_morphism(algebra, monkey
     monkeypatch.setattr(amod, "free_sphere_module", counted_sphere)
     monkeypatch.setattr(amod.AModuleMorphism, "__init__", counted_init)
     m = random_amodule(random.Random(3), algebra, cells=4, max_degree=2)
-    assert len(m.gens) == 4 and built == {"sphere": 1}  # the base
-    assert len(transfinite_compose_finite(m, [(1, None), (2, None), (1, None)]).module.gens) == 7
+    assert len(m.generators) == 4 and built == {"sphere": 1}  # the base
+    assert len(transfinite_compose_finite(m, [(1, None), (2, None), (1, None)]).module.generators) == 7
     assert built == {"sphere": 1}
 
 
@@ -309,7 +329,7 @@ def test_transfinite_composition(algebra):
     po_direct = amod_pushout_gen(
         AModuleMorphism(free_sphere_module(algebra, 0, "s0"), b, {0: b.zero()})
     )
-    assert tr.module.gens[-1].degree == po_direct.module.gens[-1].degree
+    assert tr.module.generators[-1].degree == po_direct.extended.generators[-1].degree
     # stage-order stability for attachments landing in the base
     z1 = b.act_weyl(D1, b.generator(0))
     flat_a = transfinite_compose_finite(b, [(1, z1), (1, None)]).module
@@ -319,7 +339,7 @@ def test_transfinite_composition(algebra):
     tr_b = transfinite_compose_finite(b2, [(1, None)])
     z_in_mid = Inclusion(b2, tr_b.module).apply(z1b)
     flat_b = transfinite_compose_finite(tr_b.module, [(1, z_in_mid)]).module
-    assert sorted(g.degree for g in flat_a.gens) == sorted(g.degree for g in flat_b.gens)
+    assert sorted(g.degree for g in flat_a.generators) == sorted(g.degree for g in flat_b.generators)
     # differentials carry the same single nonzero assignment d(c) = d1 . b
     nz_a = [v for v in flat_a.diff_coeffs.values()]
     nz_b = [v for v in flat_b.diff_coeffs.values()]
@@ -338,7 +358,7 @@ def test_tensor_over_A_unit_and_free(algebra):
     zero = (0,)
     for p in range(0, 4):
         for bk in a_mod.basis_keys(p, 2):
-            for j, g in enumerate(v_mod.gens):
+            for j, g in enumerate(v_mod.generators):
                 got = t.diff_key((bk, j, zero))
                 # standard: d_B b (x) m + (-1)^{|b|} b (x) d m
                 want = {}
@@ -397,7 +417,8 @@ def test_cmon_roundtrip_and_bilinearity(algebra):
     m_alg, phi = random_algebra_weq(rng, algebra, pairs=1)
     n = under_to_cmon(phi)
     phi2 = cmon_to_under(n)
-    assert phi2.assignments == phi.assignments
+    gens = [algebra.generator(j) for j in range(len(algebra.generators))]
+    assert [phi2.apply(g) for g in gens] == [phi.apply(g) for g in gens]
     assert under_to_cmon(phi2).action_on_generators == n.action_on_generators
     # O case: the action is scalar multiplication
     o = SullivanAlgebra.oh(1)
@@ -412,7 +433,8 @@ def test_morphism_functoriality(algebra):
     rng = random.Random(11)
     m1, phi1 = random_algebra_weq(rng, algebra, pairs=1)
     m2, psi = random_algebra_weq(rng, m1, pairs=1)
-    phi2 = AlgebraMorphism(algebra, m2, {j: psi.apply(v) for j, v in phi1.assignments.items()}, check=False)
+    gens = [algebra.generator(j) for j in range(len(algebra.generators))]
+    phi2 = AlgebraMorphism(algebra, m2, {j: psi.apply(phi1.apply(g)) for j, g in enumerate(gens)})
     n1, n2 = under_to_cmon(phi1), under_to_cmon(phi2)
     for _ in range(8):
         a = random_algebra_element(rng, algebra, rng.randint(0, 2), 2)
@@ -442,7 +464,7 @@ def test_sigma_of_the_generating_maps(algebra):
     f = AModuleMorphism(free_sphere_module(algebra, 1, name="s"), tgt, {0: tgt.generator(0)})
     assert f.apply(f.source.generator(0)) == f.target.generator(0)
     z = AModuleMorphism(AModule(algebra), free_disk_module(algebra, 1), {})
-    assert z.target.gens[1].degree == 1
+    assert z.target.generators[1].degree == 1
 
 
 def test_base_change_free_case():
@@ -610,7 +632,7 @@ def _fresh(mod):
     """An equal module on new instances, none of whose memos has been read."""
     a = mod.algebra
     alg = SullivanAlgebra(a.nvars, a.generators, a.diff_coeffs)
-    return AModule(alg, mod.gens, mod.diff_coeffs)
+    return AModule(alg, mod.generators, mod.diff_coeffs)
 
 
 def test_memoised_module_kernel_matches_fresh_instances_around_a_check():
@@ -713,7 +735,7 @@ def test_flat_modules_and_maps_are_pinned():
         p = random_amodule(rng, a, cells=3, max_degree=2)
         q, f = random_amodule_weq(rng, p)
         for m in (p, q):
-            lines.append(repr(m.gens))
+            lines.append(repr(m.generators))
             lines.append(repr(sorted((j, _norm(v)) for j, v in m.diff_coeffs.items())))
         for deg in range(4):
             keys = list(p.basis_keys(deg, 3))

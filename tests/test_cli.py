@@ -1,6 +1,7 @@
 """CLI: grammar, documents, subcommand dispatch and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -34,7 +35,7 @@ from dgdm.complexes import disk, identity_matrix, FreeDComplex, ChainMap
 from dgdm.dga import AlgebraElement, Generator, SullivanAlgebra
 from dgdm.groebner import get_degree_guard
 from dgdm.amod import AModule, AModuleElement, free_disk_module
-from dgdm.randgen import random_complex
+from dgdm.randgen import random_algebra_element, random_complex
 from dgdm.weyl import WeylElement
 
 import random
@@ -290,6 +291,45 @@ def test_sullivan_extend_subcommand(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert out["y_ext"]["differential"]["s"] == "u"
+
+
+def _extend_inputs(count=40):
+    """sullivan-extend inputs with a nonzero attaching element w, over bases
+    with nonzero differentials: y is X with an acyclic pair (d b = a), and f
+    sends the last generator of X to itself plus a boundary."""
+    mixed = SullivanAlgebra(1, [Generator("g", 1), Generator("u", 2), Generator("v", 3)],
+                            {2: {((0,), ((1, (0,)),)): Fraction(1)}})
+    bases = [mixed, mixed.extended(Generator("e", 2), mixed.x_poly((1,)) * mixed.generator(0))]
+    docs, seed = [], 0
+    while len(docs) < count:
+        rng = random.Random(seed)
+        seed += 1
+        x = bases[seed % 2]
+        k = rng.randint(1, 2)
+        y = x.extended(Generator("a", k), None)
+        y = y.extended(Generator("b", k + 1), y.generator(len(x.generators)))
+        last = len(x.generators) - 1
+        image = [y.generator(j) for j in range(len(x.generators))]
+        image[last] += y.d(random_algebra_element(rng, y, x.generators[last].degree + 1, 3))
+        n = rng.randint(1, 3)
+        w = x.d(random_algebra_element(rng, x, n, 3))
+        if w.is_zero():
+            continue
+        docs.append(make_document("sullivan-extend-input", {
+            "vars": 1, "x": algebra_body(x), "y": algebra_body(y), "n": n,
+            "map": {g.name: v.to_string() for g, v in zip(x.generators, image)},
+            "assignment": w.to_string()}))
+    return docs
+
+
+def test_sullivan_extend_reports_with_nonzero_attaching_elements_are_pinned(tmp_path, capsys):
+    # the sha256 of the 40 reports in order, as the pushout printed them
+    # before it was built on the shared cell record and morphism code
+    digest = hashlib.sha256()
+    for i, doc in enumerate(_extend_inputs()):
+        assert dispatch(["sullivan-extend", "--file", write_doc(tmp_path, f"s{i}.doc", doc)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == "868c69df0979ebd34e4e6aac3bc30b637cb5431378672ac3d29a72d8db8edd47"
 
 
 def test_check_and_suite_subcommands(capsys):

@@ -15,12 +15,15 @@ from dgdm.dga import (
     _normalize_atoms,
     algebra_bounded_weq,
     apply_differential,
+    Inclusion,
     compose_morphisms,
-    dga_pushout_factor,
     dga_pushout_gen,
+    extend_morphism,
     identity_morphism,
     initial_morphism,
+    pushout_factor,
 )
+from dgdm.amod import free_sphere_module
 from dgdm.randgen import random_algebra, random_algebra_element, random_algebra_weq
 from dgdm.rational_linalg import apply_linear
 from dgdm.weyl import WeylElement
@@ -150,12 +153,13 @@ def test_morphism_chain_condition_checked(mixed):
 def test_pushout_one_sphere_trivial_case():
     o = SullivanAlgebra.oh(1)
     po = dga_pushout_gen(o, o, identity_morphism(o), 2, o.zero())
-    assert len(po.x_ext.generators) == 1
-    assert len(po.y_ext.generators) == 1
-    assert po.map.assignments[0] == po.y_ext.generator(0)
+    x_ext, y_ext = po.map.source, po.cell.extended
+    assert len(x_ext.generators) == 1
+    assert len(y_ext.generators) == 1
+    assert po.map.assignments[0] == y_ext.generator(0)
     # d(new generator) = 0 on both sides
-    assert po.x_ext.d_generator(0).is_zero()
-    assert po.y_ext.d_generator(0).is_zero()
+    assert x_ext.d_generator(0).is_zero()
+    assert y_ext.d_generator(0).is_zero()
 
 
 def test_pushout_filtration_compatibility(mixed):
@@ -165,22 +169,23 @@ def test_pushout_filtration_compatibility(mixed):
     y, f = random_algebra_weq(rng, mixed)
     w = mixed.d(random_algebra_element(rng, mixed, 2, 2))
     po = dga_pushout_gen(mixed, y, f, 2, w)
-    s_new = po.x_ext.generator(po.new_index)
+    x_ext, new_index = po.map.source, len(mixed.generators)
+    s_new = x_ext.generator(new_index)
     # d stabilizes X (x) S^{<=k}: d of (elt * s^k) has s-degree <= k
     for k in (1, 2):
         probe = random_algebra_element(rng, mixed, 1, 2)
-        probe_ext = AlgebraElement(po.x_ext, dict(probe.coeffs))
+        probe_ext = AlgebraElement(x_ext, dict(probe.coeffs))
         u = probe_ext
         for _ in range(k):
             u = u * s_new
-        du = po.x_ext.d(u)
+        du = x_ext.d(u)
         for (_, atoms) in du.coeffs:
-            assert sum(1 for a in atoms if a[0] == po.new_index) <= k
+            assert sum(1 for a in atoms if a[0] == new_index) <= k
         # graded piece: (f (x) Id)(elt * s^k) = f(elt) * s'^k exactly
         img = po.map.apply(u)
         fw = f.apply(probe)
-        expected = AlgebraElement(po.y_ext, dict(fw.coeffs))
-        s_y = po.y_ext.generator(po.new_index_y)
+        expected = AlgebraElement(po.cell.extended, dict(fw.coeffs))
+        s_y = po.cell.extended.generator(po.cell.new_index)
         for _ in range(k):
             expected = expected * s_y
         assert img == expected
@@ -191,14 +196,74 @@ def test_pushout_universality_and_uniqueness(mixed):
     y, f = random_algebra_weq(rng, mixed)
     w = mixed.d(random_algebra_element(rng, mixed, 2, 2))
     po = dga_pushout_gen(mixed, y, f, 2, w)
-    h = po.incl_y
+    h = po.cell.from_target
     k = po.map
-    mu = dga_pushout_factor(po, h, k)
-    for j in range(len(po.y_ext.generators)):
-        assert mu.assignments[j] == po.y_ext.generator(j)
-    # changing the forced value breaks the triangle at the new generator
-    forced = k.apply(po.x_ext.generator(po.new_index))
-    assert mu.assignments[po.new_index_y] == forced
+    y_ext = po.cell.extended
+    forced = k.apply(k.source.generator(len(mixed.generators)))
+    mu = pushout_factor(po.cell, h, forced)
+    for j in range(len(y_ext.generators)):
+        assert mu.assignments[j] == y_ext.generator(j)
+    # the value at the new generator is forced by the triangle mu o map = k
+    assert mu.apply(forced) == forced
+
+
+def _acyclic_pair(x):
+    """x extended by a:2 and b:3 with d b = a."""
+    y = x.extended(Generator("a", 2), None)
+    return y.extended(Generator("b", 3), y.generator(len(x.generators)))
+
+
+def test_random_algebra_weq_is_a_chain_map_on_every_draw(mixed):
+    # shearing a generator that a later differential involves (a_k, with
+    # d b_k = a_k) breaks the chain law, so such a generator is never sheared
+    for seed, pairs in product(range(300), (1, 2, 3)):
+        rng = random.Random(seed)
+        for x in (random_algebra(rng), mixed):
+            y, f = random_algebra_weq(rng, x, pairs)
+            for g in map(x.generator, range(len(x.generators))):
+                assert y.d(f.apply(g)) == f.apply(x.d(g)), (seed, pairs)
+
+
+def test_apply_refuses_an_element_of_another_object(mixed):
+    other = _acyclic_pair(mixed)
+    module = free_sphere_module(mixed, 1)
+    for f, foreign in ((identity_morphism(mixed), other.generator(3)),
+                       (AlgebraMorphism(mixed, mixed, {j: mixed.generator(j) for j in range(3)}), other.one()),
+                       (compose_morphisms(Inclusion(mixed, other), identity_morphism(other)), other.one()),
+                       (identity_morphism(module), free_sphere_module(mixed, 2).generator(0))):
+        with pytest.raises(ValueError, match="not in the source"):
+            f.apply(foreign)
+
+
+def test_every_algebra_morphism_is_checked(mixed):
+    y = _acyclic_pair(mixed)
+    # a shear a |-> a + u (u = d v a boundary) breaks d b = a
+    shear = {j: y.generator(j) for j in range(len(y.generators))}
+    shear[3] = y.generator(3) + y.generator(1)
+    with pytest.raises(ValueError, match="fails on generator b"):
+        AlgebraMorphism(y, y, shear)
+    # values of a composite, as composition used to pass them unchecked
+    inc = Inclusion(mixed, y)
+    values = {j: inc.apply(mixed.generator(j)) for j in range(3)}
+    assert AlgebraMorphism(mixed, y, values).apply(mixed.generator(2)) == y.generator(2)
+    with pytest.raises(ValueError, match="fails on generator v"):
+        AlgebraMorphism(mixed, y, {**values, 2: y.zero()})
+    with pytest.raises(ValueError, match="outside the target"):
+        AlgebraMorphism(mixed, y, {**values, 0: mixed.generator(0)})
+    with pytest.raises(ValueError, match="fails on generator b"):
+        extend_morphism(inc, y, y, {3: y.generator(3), 4: y.zero()})
+
+
+def test_inclusion_refuses_an_algebra_that_does_not_extend_its_source(mixed):
+    assert Inclusion(mixed, _acyclic_pair(mixed)).apply(mixed.generator(2)).coeffs == mixed.generator(2).coeffs
+    flat = SullivanAlgebra(1, mixed.generators)  # d v = 0 here
+    for small, big in ((_acyclic_pair(mixed), mixed),  # fewer generators
+                       (SullivanAlgebra(1, [Generator("h", 1)]), mixed),  # another name
+                       (SullivanAlgebra(1, [Generator("g", 3)]), mixed),  # another degree
+                       (flat, mixed), (mixed, flat),  # another differential
+                       (SullivanAlgebra(2, [Generator("g", 1)]), mixed)):  # another Weyl algebra
+        with pytest.raises(ValueError, match="does not extend"):
+            Inclusion(small, big)
 
 
 def test_non_closed_assignment_rejected(mixed):
@@ -212,10 +277,10 @@ def test_bounded_weq_accepts_acyclic_extension_rejects_sphere():
     o = SullivanAlgebra.oh(1)
     acyclic = o.extended(Generator("a", 2), None)
     acyclic = acyclic.extended(Generator("b", 3), acyclic.generator(0))
-    inc = AlgebraMorphism(o, acyclic, {}, check=False)
+    inc = AlgebraMorphism(o, acyclic, {})
     assert algebra_bounded_weq(inc, 5, 5).ok
     poly = o.extended(Generator("c", 2), None)
-    inc2 = AlgebraMorphism(o, poly, {}, check=False)
+    inc2 = AlgebraMorphism(o, poly, {})
     res = algebra_bounded_weq(inc2, 5, 5)
     assert res.verdict == "fail"
     assert res.witness["degree"] == 2

@@ -554,6 +554,17 @@ def test_no_unused_import_in_the_package():
     assert unused == []
 
 
+def test_source_stays_within_the_seed_line_count():
+    # the package may shrink, but never past the 6,527 lines it was seeded with
+    root = os.path.dirname(dgdm.__file__)
+    total = 0
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                total += sum(1 for _ in fh)
+    assert total <= 6527, total
+
+
 def test_no_dead_local_in_the_package():
     # a simple `name = ...` in a function body is read by that function
     root = os.path.dirname(dgdm.__file__)
