@@ -7,7 +7,6 @@ checks runnable from the `dgdm` command line.
 """
 
 from .weyl import (
-    Polynomial,
     WeylElement,
     act_on_poly,
     filtration_decompose,
@@ -88,7 +87,7 @@ from .amod import (
 from .verify import CheckReport, run_check, run_suite
 
 __all__ = [
-    "Polynomial", "WeylElement", "act_on_poly", "filtration_decompose",
+    "WeylElement", "act_on_poly", "filtration_decompose",
     "order_and_symbol",
     "DegreeGuardExceeded", "FreeModuleElement", "GrobnerBasis", "LiftBasis", "buchberger",
     "degree_guard", "express_in_inputs", "lift_basis", "member", "normal_form",

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .complexes import FreeDComplex
@@ -594,11 +595,12 @@ class CMonInModA:
     monoid: SullivanAlgebra
     action_on_generators: Dict[int, AlgebraElement]
 
+    @cached_property
     def structure_morphism(self) -> AlgebraMorphism:
         return AlgebraMorphism(self.base, self.monoid, dict(self.action_on_generators))
 
     def act(self, a: AlgebraElement, m: AlgebraElement) -> AlgebraElement:
-        return self.monoid.multiply(self.structure_morphism().apply(a), m)
+        return self.monoid.multiply(self.structure_morphism.apply(a), m)
 
 
 def under_to_cmon(phi: Morphism) -> CMonInModA:

@@ -556,16 +556,17 @@ def _diag(msg: str):
 # degree plus this window; for generators in degree 0 that is 0..3
 _DSQUARE_WINDOW = 3
 
-# command -> (input document kind, report name, builder of the sliced
-# complex from the document)
+# command -> (input document kind, report name, least truncation, builder of
+# the sliced complex from the document).  Slices reach weight truncation - 2,
+# and keys weigh >= 2 over A, >= 1 in a base change: below, none is checked.
 _DSQUARE_CHECKS = {
     "tensor-a": (
-        "tensor-input", "tensor-over-A d^2 = 0 on slices",
+        "tensor-input", "tensor-over-A d^2 = 0 on slices", 4,
         lambda doc: TensorOverA(amodule_from_body(_part(doc, "b")),
                                 amodule_from_body(_part(doc, "m"))),
     ),
     "base-change": (
-        "base-change-input", "base-change d^2 = 0 on slices",
+        "base-change-input", "base-change d^2 = 0 on slices", 3,
         lambda doc: BaseChangeModule(algebra_from_body(_part(doc, "b")),
                                      amodule_from_body(_part(doc, "n"))),
     ),
@@ -745,7 +746,9 @@ def _run_command(args) -> int:
         return 0
 
     if cmd in _DSQUARE_CHECKS:
-        kind, check, build = _DSQUARE_CHECKS[cmd]
+        kind, check, least, build = _DSQUARE_CHECKS[cmd]
+        if args.truncation < least:
+            raise ValueError(f"{cmd} checks no key below --truncation {least}, got {args.truncation}")
         t = build(load_document(args.file, kind))
         degrees = range(0, t.top_degree_hint(_DSQUARE_WINDOW) + 1)
         key = dsquare_witness(t.basis_keys, t.diff_key, degrees, args.truncation - 2)

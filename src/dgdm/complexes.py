@@ -31,7 +31,7 @@ from .groebner import (
     member,
     syzygies,
 )
-from .weyl import Polynomial, WeylElement, act_on_poly
+from .weyl import WeylElement, act_on_poly
 
 Matrix = Tuple[Tuple[WeylElement, ...], ...]
 
@@ -455,11 +455,11 @@ class ConnectionModule:
 
     matrices[i] is the s x s matrix over O of the action of d_{i+1}:
     d_i . e_j = sum_k A_i[k][j] e_k, so on coordinate columns the
-    operator is  partial_i + A_i.  Flatness of the connection is checked
-    at construction (automatic for one variable).
+    operator is  partial_i + A_i.  That the entries lie in O (no d) and the
+    connection is flat (automatic for one variable) is checked at construction.
     """
 
-    def __init__(self, nvars: int, rank: int, matrices: Sequence[Sequence[Sequence[Polynomial]]]):
+    def __init__(self, nvars: int, rank: int, matrices: Sequence[Sequence[Sequence[WeylElement]]]):
         if rank < 1:
             raise ValueError("rank must be positive")
         if len(matrices) != nvars:
@@ -472,12 +472,15 @@ class ConnectionModule:
         for m in self.matrices:
             if len(m) != rank or any(len(row) != rank for row in m):
                 raise ValueError("connection matrix of the wrong shape")
+            for e in (e for row in m for e in row):
+                if not (isinstance(e, WeylElement) and e.nvars == nvars and e.is_polynomial()):
+                    raise ValueError(f"connection entry {e!r} is not in O with nvars={nvars}")
         if not self.is_flat():
             raise ValueError("connection is not flat")
 
     @classmethod
     def trivial(cls, nvars: int) -> "ConnectionModule":
-        zero = Polynomial.zero(nvars)
+        zero = WeylElement.zero(nvars)
         return cls(nvars, 1, [[[zero]] for _ in range(nvars)])
 
     def is_flat(self) -> bool:
@@ -535,7 +538,7 @@ def _untwist_mono(a, b, j: int, m: ConnectionModule) -> List[WeylElement]:
         gain = m.matrices[i][k][j]
         if gain.is_zero():
             continue
-        sub = _untwist(r_elt * gain.to_weyl(), k, m)
+        sub = _untwist(r_elt * gain, k, m)
         for t in range(m.rank):
             out[t] = out[t] - sub[t]
     if sum(a) > 0:

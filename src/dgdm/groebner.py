@@ -42,7 +42,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .rational_linalg import vec_add
+from .rational_linalg import add_term, vec_add
 from .weyl import Monomial, NvarsMismatch, WeylElement, mono_mul
 
 # module monomial: (position, x-exponents, d-exponents)
@@ -701,8 +701,8 @@ def _multiplies_back(rows: List[_Row], tagged: List[VecT], s: int) -> bool:
                 image[(pos, a, b)] = c * den
             else:
                 for k, v in _left_mono_mul(a, b, ints[pos - s]).items():
-                    combo[k] = combo.get(k, 0) + c * v
-        if {k: v for k, v in combo.items() if v} != image:
+                    add_term(combo, k, c * v)
+        if combo != image:
             return False
     return True
 

@@ -48,7 +48,7 @@ from .complexes import (
 )
 from .groebner import FreeModuleElement, buchberger, member, normal_form, submodule_equal
 from .rational_linalg import apply_linear
-from .weyl import Polynomial, WeylElement, act_on_poly, filtration_decompose
+from .weyl import WeylElement, act_on_poly, filtration_decompose
 
 
 @dataclass
@@ -112,7 +112,7 @@ def check_flatness_counterexample(rng, params):
     gb = buchberger([FreeModuleElement([d])])
     nf = normal_form(one, gb)
     is_member = member(one, gb)
-    image = act_on_poly(d, Polynomial.one(1))
+    image = act_on_poly(d, WeylElement.one(1))
     ok = (not is_member) and nf == one and image.is_zero()
     witness = {
         "normal_form_of_1_mod_Dd": nf,
@@ -475,7 +475,7 @@ def check_kunneth_mapcone(rng, params):
     acyclic when f is a weq (exact, via flat connection modules)."""
     for idx in range(params["seeds"]):
         f = rg.random_weq(rng, nvars=1, max_top=1)
-        poly = Polynomial(1, {(rng.randint(0, 2),): Fraction(rng.randint(-2, 2))})
+        poly = WeylElement.monomial(1, (rng.randint(0, 2),), (0,), rng.randint(-2, 2))
         m = ConnectionModule(1, 1, [[[poly]]])
         tf = tensor_chain_map_with_connection(f, m)
         lhs = mapping_cone(tf)
@@ -485,7 +485,7 @@ def check_kunneth_mapcone(rng, params):
         if not is_acyclic(lhs):
             return "fail", {"instance": idx, "law": "acyclicity"}
     # presentation-level comparison on a non-acyclic example, with a shift
-    m = ConnectionModule(1, 1, [[[Polynomial.x(1, 1)]]])
+    m = ConnectionModule(1, 1, [[[WeylElement.x(1, 1)]]])
     f0 = zero_map(FreeDComplex(1, {}, {}), sphere(1))
     k = 1
     tf0 = tensor_chain_map_with_connection(f0, m)

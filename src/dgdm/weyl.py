@@ -9,8 +9,8 @@ rational coefficients; that normal form is the stored representation.
   Monomial = (a, b)   a, b tuples of length nvars (x- and d-exponents)
   terms    = Dict[Monomial, Fraction], zero coefficients never stored
 
-O = k[x_1..x_n] sits inside D as the elements with b = 0; `Polynomial`
-is the standalone representation used where only O is meant.
+O = k[x_1..x_n] sits inside D as the operators of order 0 (b = 0), which
+`is_polynomial` recognises and on which D acts by `act_on_poly`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from fractions import Fraction
 from itertools import product
 from operator import add
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+
+from .rational_linalg import add_term
 
 Exponent = Tuple[int, ...]
 Monomial = Tuple[Exponent, Exponent]  # (x-exponents, d-exponents)
@@ -181,7 +183,7 @@ class WeylElement:
         _check_same_nvars(self, other)
         terms = dict(self.terms)
         for mono, coef in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coef
+            add_term(terms, mono, coef)
         return WeylElement(self.nvars, terms)
 
     def __neg__(self) -> "WeylElement":
@@ -199,9 +201,7 @@ class WeylElement:
             for m2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for mono, coef in mono_mul(m1, m2).items():
-                    term = c12 if coef == 1 else c12 * coef
-                    old = terms.get(mono)
-                    terms[mono] = term if old is None else old + term
+                    add_term(terms, mono, c12 if coef == 1 else c12 * coef)
         return WeylElement(self.nvars, terms)
 
     def __rmul__(self, other) -> "WeylElement":
@@ -241,104 +241,26 @@ class WeylElement:
         )
 
 
-class Polynomial:
-    """An element of O = k[x_1..x_n]; the monoidal unit lives in degree 0."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: Dict[Exponent, Fraction] | None = None):
-        if nvars < 1:
-            raise ValueError("nvars must be a positive integer")
-        self.nvars = nvars
-        clean: Dict[Exponent, Fraction] = {}
-        for mono, coef in (terms or {}).items():
-            coef = Fraction(coef)
-            if coef:
-                clean[tuple(mono)] = coef
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
-
-    @classmethod
-    def one(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
-
-    @classmethod
-    def x(cls, i: int, nvars: int) -> "Polynomial":
-        a = tuple(1 if j == i - 1 else 0 for j in range(nvars))
-        return cls(nvars, {a: Fraction(1)})
-
-    @classmethod
-    def monomial(cls, nvars: int, a: Iterable[int], coef=1) -> "Polynomial":
-        return cls(nvars, {tuple(a): Fraction(coef)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def to_weyl(self) -> WeylElement:
-        z = (0,) * self.nvars
-        return WeylElement(self.nvars, {(a, z): c for a, c in self.terms.items()})
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        _check_same_nvars(self, other)
-        terms = dict(self.terms)
-        for mono, coef in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coef
-        return Polynomial(self.nvars, terms)
-
-    def __neg__(self):
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(self.nvars, {m: Fraction(other) * c for m, c in self.terms.items()})
-        _check_same_nvars(self, other)
-        terms: Dict[Exponent, Fraction] = {}
-        for a, c1 in self.terms.items():
-            for b, c2 in other.terms.items():
-                key = tuple(ai + bi for ai, bi in zip(a, b))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return Polynomial(self.nvars, terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"Polynomial({self.to_weyl().to_string()!r})"
-
-
-def act_on_poly(p: WeylElement, f: Polynomial) -> Polynomial:
-    """The tautological left action of D on O.
+def act_on_poly(p: WeylElement, f: WeylElement) -> WeylElement:
+    """The tautological left action of D on O, for f in O (no d's).
 
     x^a d^b acting on x^c gives  c!/(c-b)! x^{a+c-b}  when b <= c
     componentwise and 0 otherwise.
     """
     _check_same_nvars(p, f)
-    terms: Dict[Exponent, Fraction] = {}
+    if not f.is_polynomial():
+        raise ValueError(f"D acts on O, and {f.to_string()} contains a d")
+    z = (0,) * p.nvars
+    terms: Dict[Monomial, Fraction] = {}
     for (a, b), coef in p.terms.items():
-        for c, fc in f.terms.items():
+        for (c, _), fc in f.terms.items():
             if any(bi > ci for bi, ci in zip(b, c)):
                 continue
             scale = 1
             for bi, ci in zip(b, c):
                 scale *= math.perm(ci, bi)
-            key = tuple(ai + ci - bi for ai, ci, bi in zip(a, c, b))
-            terms[key] = terms.get(key, Fraction(0)) + coef * fc * scale
-    return Polynomial(p.nvars, terms)
+            add_term(terms, (tuple(ai + ci - bi for ai, ci, bi in zip(a, c, b)), z), coef * fc * scale)
+    return WeylElement(p.nvars, terms)
 
 
 def order_and_symbol(p: WeylElement) -> Tuple[int, Dict[Monomial, Fraction]]:
@@ -378,5 +300,5 @@ def symbol_product(s1: Dict[Monomial, Fraction], s2: Dict[Monomial, Fraction]) -
                 tuple(x + y for x, y in zip(a1, a2)),
                 tuple(x + y for x, y in zip(b1, b2)),
             )
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {k: v for k, v in out.items() if v}
+            add_term(out, key, c1 * c2)
+    return out

@@ -33,6 +33,7 @@ from dgdm.dga import (
     AlgebraMorphism,
     Generator,
     Inclusion,
+    Morphism,
     SullivanAlgebra,
     algebra_bounded_weq,
     compose_morphisms,
@@ -426,6 +427,25 @@ def test_cmon_roundtrip_and_bilinearity(algebra):
     f_elt = o.x_poly((2,))
     m_elt = o.x_poly((1,))
     assert n0.act(f_elt, m_elt) == o.x_poly((3,))
+
+
+def test_cmon_action_builds_one_structure_morphism(algebra, monkeypatch):
+    rng = random.Random(10)
+    _, phi = random_algebra_weq(rng, algebra, pairs=1)
+    n = under_to_cmon(phi)
+    built = []
+    init = Morphism.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Morphism, "__init__", counting_init)
+    one = n.monoid.one()
+    gens = [algebra.generator(j) for j in range(len(algebra.generators))]
+    for _ in range(4):
+        assert [n.act(g, one) for g in gens] == [phi.apply(g) for g in gens]
+    assert len(built) <= 1
 
 
 def test_morphism_functoriality(algebra):

@@ -435,6 +435,22 @@ def test_base_change_subcommand(tmp_path, capsys):
     assert capsys.readouterr().out == _dsquare_report("base-change d^2 = 0 on slices")
 
 
+@pytest.mark.parametrize("cmd, kind, b, part, least", [
+    ("tensor-a", "tensor-input", G_TO_F, "m", 4),
+    ("base-change", "base-change-input", ONE_GEN_ALGEBRA, "n", 3),
+])
+def test_dsquare_check_refuses_a_truncation_that_checks_no_key(cmd, kind, b, part, least, tmp_path, capsys):
+    path = write_doc(tmp_path, "t.doc", make_document(kind, {"vars": 1, "b": b, part: G_TO_F}))
+    for t in (-5, 0, least - 1):
+        assert dispatch([cmd, "--file", path, "--truncation", str(t)]) == 2
+        assert f"below --truncation {least}" in capsys.readouterr().err
+    assert dispatch([cmd, "--file", path, "--truncation", str(least)]) == 0
+    # a zero module has no key to check at a valid truncation, and passes
+    zero = {"algebra": ONE_GEN_ALGEBRA, "generators": [], "differential": {}}
+    path = write_doc(tmp_path, "z.doc", make_document(kind, {"vars": 1, "b": b, part: zero}))
+    assert dispatch([cmd, "--file", path, "--truncation", str(least)]) == 0
+
+
 def test_unknown_generator_in_module_differential(tmp_path, capsys):
     bad = dict(G_TO_F, differential={"h": "f"})
     doc = make_document("tensor-input", {"vars": 1, "b": bad, "m": G_TO_F})
@@ -644,7 +660,7 @@ FUZZ_COMMANDS = {
         {"x": _algebra, "y": _algebra, "n": st.integers(0, 3)},
         {"map": st.dictionaries(_gen_name, _field(element_text), max_size=2),
          "assignment": element_text}), []),
-    "tensor-a": ("tensor-input", _body({"b": _amodule, "m": _amodule}), ["--truncation", "3"]),
+    "tensor-a": ("tensor-input", _body({"b": _amodule, "m": _amodule}), ["--truncation", "4"]),
     "base-change": ("base-change-input", _body({"b": _algebra, "n": _amodule}),
                     ["--truncation", "3"]),
     "suite": ("suite-config", st.fixed_dictionaries(

@@ -32,7 +32,7 @@ from dgdm.complexes import (
 )
 from dgdm.groebner import FreeModuleElement, submodule_equal, syzygies
 from dgdm.randgen import random_weyl
-from dgdm.weyl import Polynomial, WeylElement
+from dgdm.weyl import WeylElement
 
 D1 = WeylElement.d(1, 1)
 X1 = WeylElement.x(1, 1)
@@ -193,14 +193,22 @@ def test_mapping_cone_layout_is_pinned():
 
 
 def test_connection_flatness_two_vars():
-    zero = Polynomial.zero(2)
-    x2 = Polynomial.x(2, 2)
+    zero = WeylElement.zero(2)
+    x2 = WeylElement.x(2, 2)
     # d_1 acts by x2, d_2 by 0: curvature d_2(x2) = 1 != 0
     with pytest.raises(ValueError):
         ConnectionModule(2, 1, [[[x2]], [[zero]]])
     # constant commuting matrices are fine
-    one = Polynomial.one(2)
+    one = WeylElement.one(2)
     ConnectionModule(2, 1, [[[one]], [[one]]])
+
+
+@pytest.mark.parametrize("entry", [WeylElement.d(1, 1), WeylElement.x(1, 2), "junk"],
+                         ids=["has-a-d", "two-variables", "not-an-element"])
+def test_connection_refuses_an_entry_outside_O(entry):
+    # one variable skips the flatness check, so the entries are checked on their own
+    with pytest.raises(ValueError, match="is not in O with nvars=1"):
+        ConnectionModule(1, 1, [[[entry]]])
 
 
 def test_tensor_with_trivial_connection_is_identity():
@@ -210,7 +218,7 @@ def test_tensor_with_trivial_connection_is_identity():
 
 def test_tensor_with_rank1_twist():
     c = d_complex()
-    m = ConnectionModule(1, 1, [[[Polynomial.x(1, 1)]]])
+    m = ConnectionModule(1, 1, [[[WeylElement.x(1, 1)]]])
     t = tensor_with_connection(c, m)
     assert t.diff(1)[0][0] == D1 - X1
     # d - x is a nonzerodivisor: H_1 = 0; H_0 is D/D(d-x)
@@ -222,7 +230,7 @@ def test_tensor_with_rank1_twist():
 
 def test_tensor_with_connection_rank2():
     # rank-2 connection: d.e1 = e2, d.e2 = 0 (nilpotent, flat since n = 1)
-    zero, one = Polynomial.zero(1), Polynomial.one(1)
+    zero, one = WeylElement.zero(1), WeylElement.one(1)
     m = ConnectionModule(1, 2, [[[zero, zero], [one, zero]]])
     c = d_complex()
     t = tensor_with_connection(c, m)
@@ -233,7 +241,7 @@ def test_tensor_with_connection_rank2():
 def test_cone_tensor_compatibility_rank1():
     # Mc(f (x) id_M) identified with Mc(f) (x) M for a rank-1 twist
     rng = random.Random(4)
-    m = ConnectionModule(1, 1, [[[Polynomial.x(1, 1)]]])
+    m = ConnectionModule(1, 1, [[[WeylElement.x(1, 1)]]])
     f = ChainMap(sphere(0), disk(1), {0: identity_matrix(1, 1)})
     lhs = mapping_cone(
         ChainMap(

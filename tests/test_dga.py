@@ -167,35 +167,41 @@ def test_pushout_filtration_compatibility(mixed):
     the identity-shaped map on every graded piece."""
     rng = random.Random(6)
     y, f = random_algebra_weq(rng, mixed)
-    w = mixed.d(random_algebra_element(rng, mixed, 2, 2))
-    po = dga_pushout_gen(mixed, y, f, 2, w)
-    x_ext, new_index = po.map.source, len(mixed.generators)
-    s_new = x_ext.generator(new_index)
-    # d stabilizes X (x) S^{<=k}: d of (elt * s^k) has s-degree <= k
-    for k in (1, 2):
-        probe = random_algebra_element(rng, mixed, 1, 2)
-        probe_ext = AlgebraElement(x_ext, dict(probe.coeffs))
-        u = probe_ext
-        for _ in range(k):
-            u = u * s_new
-        du = x_ext.d(u)
-        for (_, atoms) in du.coeffs:
-            assert sum(1 for a in atoms if a[0] == new_index) <= k
-        # graded piece: (f (x) Id)(elt * s^k) = f(elt) * s'^k exactly
-        img = po.map.apply(u)
-        fw = f.apply(probe)
-        expected = AlgebraElement(po.cell.extended, dict(fw.coeffs))
-        s_y = po.cell.extended.generator(po.cell.new_index)
-        for _ in range(k):
-            expected = expected * s_y
-        assert img == expected
+    # d v = u makes the attaching elements nonzero; the odd cell of degree 3
+    # squares to zero, the even one of degree 4 does not
+    for n in (3, 4):
+        w = mixed.d(random_algebra_element(rng, mixed, n, 2))
+        assert not w.is_zero()
+        po = dga_pushout_gen(mixed, y, f, n, w)
+        x_ext, new_index = po.map.source, len(mixed.generators)
+        s_new = x_ext.generator(new_index)
+        # d stabilizes X (x) S^{<=k}: d of (elt * s^k) has s-degree <= k
+        for k in (1, 2):
+            probe = random_algebra_element(rng, mixed, 1, 2)
+            probe_ext = AlgebraElement(x_ext, dict(probe.coeffs))
+            u = probe_ext
+            for _ in range(k):
+                u = u * s_new
+            du = x_ext.d(u)
+            for (_, atoms) in du.coeffs:
+                assert sum(1 for a in atoms if a[0] == new_index) <= k
+            # graded piece: (f (x) Id)(elt * s^k) = f(elt) * s'^k exactly
+            img = po.map.apply(u)
+            fw = f.apply(probe)
+            expected = AlgebraElement(po.cell.extended, dict(fw.coeffs))
+            s_y = po.cell.extended.generator(po.cell.new_index)
+            for _ in range(k):
+                expected = expected * s_y
+            assert img == expected
+        assert (s_new * s_new).is_zero() == (n == 3)
 
 
 def test_pushout_universality_and_uniqueness(mixed):
     rng = random.Random(7)
     y, f = random_algebra_weq(rng, mixed)
-    w = mixed.d(random_algebra_element(rng, mixed, 2, 2))
-    po = dga_pushout_gen(mixed, y, f, 2, w)
+    w = mixed.d(random_algebra_element(rng, mixed, 3, 2))
+    assert not w.is_zero()  # d v = u
+    po = dga_pushout_gen(mixed, y, f, 3, w)
     h = po.cell.from_target
     k = po.map
     y_ext = po.cell.extended
@@ -205,6 +211,9 @@ def test_pushout_universality_and_uniqueness(mixed):
         assert mu.assignments[j] == y_ext.generator(j)
     # the value at the new generator is forced by the triangle mu o map = k
     assert mu.apply(forced) == forced
+    # d(2 forced) = 2 f(w) differs from f(w): not a cocone
+    with pytest.raises(ValueError, match="fails on generator s"):
+        pushout_factor(po.cell, h, forced.scale(2))
 
 
 def _acyclic_pair(x):

@@ -565,6 +565,34 @@ def test_source_stays_within_the_seed_line_count():
     assert total <= 6527, total
 
 
+def _zero_default(node):
+    """Is node the literal 0 or the call Fraction(0)?"""
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+                and len(node.args) == 1 and _zero_default(node.args[0]))
+    return isinstance(node, ast.Constant) and node.value == 0
+
+
+def test_only_the_sparse_kernel_accumulates_into_a_dict():
+    # `x.get(k, 0) + c` and `x.get(k, Fraction(0)) + c` hand-roll what
+    # rational_linalg.add_term does; a count such as `x.get(k, 0) + 1` is no sum
+    root = os.path.dirname(dgdm.__file__)
+    found = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py") and name != "rational_linalg.py":
+            with open(os.path.join(root, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [
+                (name, node.lineno) for node in ast.walk(tree)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                and isinstance(node.left, ast.Call) and isinstance(node.left.func, ast.Attribute)
+                and node.left.func.attr == "get" and len(node.left.args) == 2
+                and _zero_default(node.left.args[1])
+                and not (isinstance(node.right, ast.Constant) and isinstance(node.right.value, int))
+            ]
+    assert found == []
+
+
 def test_no_dead_local_in_the_package():
     # a simple `name = ...` in a function body is read by that function
     root = os.path.dirname(dgdm.__file__)

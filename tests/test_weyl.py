@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from dgdm.weyl import (
     NvarsMismatch,
-    Polynomial,
     WeylElement,
     _normal_order,
     act_on_poly,
@@ -27,6 +26,11 @@ def D(i=1, n=1):
     return WeylElement.d(i, n)
 
 
+def O(a, coef=1):
+    """The element coef*x^a of O, over one variable."""
+    return WeylElement.monomial(1, (a,), (0,), coef)
+
+
 def test_defining_relation():
     # d*x = x*d + 1
     assert D() * X() == X() * D() + WeylElement.one(1)
@@ -42,26 +46,33 @@ def test_d2_x_against_action_oracle():
     rhs = X() * D() * D() + 2 * D()
     assert lhs == rhs
     for k in range(7):
-        f = Polynomial.monomial(1, (k,))
+        f = O(k)
         assert act_on_poly(lhs, f) == act_on_poly(D(), act_on_poly(D(), act_on_poly(X(), f)))
         assert act_on_poly(lhs, f) == act_on_poly(rhs, f)
 
 
 def test_action_examples():
-    assert act_on_poly(D(), Polynomial.monomial(1, (3,))) == Polynomial.monomial(1, (2,), 3)
-    assert act_on_poly(X() * D(), Polynomial.monomial(1, (2,))) == Polynomial.monomial(1, (2,), 2)
+    assert act_on_poly(D(), O(3)) == O(2, 3)
+    assert act_on_poly(X() * D(), O(2)) == O(2, 2)
     # repeated differentiation oracle
-    p = Polynomial.monomial(1, (4,))
+    p = O(4)
     once = act_on_poly(D(), p)
     twice = act_on_poly(D(), once)
-    assert act_on_poly(D() * D(), p) == twice == Polynomial.monomial(1, (2,), 12)
+    assert act_on_poly(D() * D(), p) == twice == O(2, 12)
 
 
 def test_nvars_mismatch_raises():
     with pytest.raises(NvarsMismatch):
         X(1, 1) * X(1, 2)
     with pytest.raises(NvarsMismatch):
-        act_on_poly(X(1, 2), Polynomial.one(1))
+        act_on_poly(X(1, 2), WeylElement.one(1))
+
+
+def test_act_on_poly_refuses_an_operator_with_a_d():
+    with pytest.raises(ValueError, match="contains a d"):
+        act_on_poly(X(), D())
+    with pytest.raises(ValueError, match="contains a d"):
+        act_on_poly(WeylElement.one(2), X(1, 2) + D(2, 2))
 
 
 def _random_element(rng, nvars=1, max_terms=5, max_exp=4):
@@ -90,12 +101,14 @@ def test_action_is_module_action(nvars):
     for _ in range(25):
         p, q = _random_element(rng, nvars, 4, 3), _random_element(rng, nvars, 4, 3)
         f_terms = {
-            tuple(rng.randint(0, 3) for _ in range(nvars)): Fraction(rng.randint(-3, 3))
+            (tuple(rng.randint(0, 3) for _ in range(nvars)), (0,) * nvars): Fraction(rng.randint(-3, 3))
             for _ in range(3)
         }
-        f = Polynomial(nvars, f_terms)
+        f = WeylElement(nvars, f_terms)
         assert act_on_poly(p * q, f) == act_on_poly(p, act_on_poly(q, f))
         assert act_on_poly(WeylElement.one(nvars), f) == f
+        # f acts on O by multiplication, so the product in D and the action agree
+        assert act_on_poly(p, f) == act_on_poly(p * f, WeylElement.one(nvars))
 
 
 def test_order_and_symbol_examples():
