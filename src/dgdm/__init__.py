@@ -79,7 +79,6 @@ from .amod import (
     AModuleMorphism,
     amod_pushout_gen,
     cmon_to_under,
-    extend_differential,
     free_amodule,
     transfinite_compose_finite,
     under_to_cmon,
@@ -104,7 +103,7 @@ __all__ = [
     "AlgebraElement", "AlgebraMorphism", "Generator", "Inclusion", "SullivanAlgebra",
     "algebra_bounded_weq", "dga_pushout_gen", "extend_morphism", "initial_morphism",
     "AModule", "AModuleElement", "AModuleMorphism", "amod_pushout_gen",
-    "cmon_to_under", "extend_differential", "free_amodule",
+    "cmon_to_under", "free_amodule",
     "transfinite_compose_finite", "under_to_cmon",
     "CheckReport", "run_check", "run_suite",
 ]

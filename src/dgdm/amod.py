@@ -290,17 +290,6 @@ class AModuleElement(GradedElement):
 
 # ------------------------------------------------------------- constructors
 
-def extend_differential(
-    algebra: SullivanAlgebra,
-    generators: Sequence[Generator],
-    assignments: Dict[int, AModuleElement],
-) -> AModule:
-    """Endow A (x) V with d(g_j) = assignments[j]: each assignment is
-    homogeneous of degree n_j - 1, supported on A (x) V_{<j} and closed (the
-    constructor enforces all of it), so the differential squares to zero."""
-    return AModule(algebra, generators, {j: elt.coeffs for j, elt in assignments.items()})
-
-
 def free_amodule(algebra: SullivanAlgebra, c: FreeDComplex, name: str = "m") -> AModule:
     """A (x) C for a free D-complex C, with the standard differential."""
     if c.nvars != algebra.nvars:
@@ -310,12 +299,11 @@ def free_amodule(algebra: SullivanAlgebra, c: FreeDComplex, name: str = "m") -> 
     index = {cell: j for j, cell in enumerate(cells)}
     gens = [Generator(f"{name}{n}_{s}", n) for n, s in index]
     diff: Dict[int, ModCoeffs] = {}
-    for n in c.differentials:
-        mat = c.diff(n)
-        for s in range(c.rank(n)):
+    for n, mat in c.differentials.items():
+        for s, row in enumerate(mat.rows):
             coeffs: ModCoeffs = {}
-            for v in range(c.rank(n - 1)):
-                for (a, b), coef in mat[s][v].terms.items():
+            for v, entry in row.items():
+                for (a, b), coef in entry.terms.items():
                     add_term(coeffs, ("v", a, (), index[(n - 1, v)], b), coef)
             if coeffs:
                 diff[index[(n, s)]] = coeffs

@@ -419,7 +419,7 @@ def complex_body(c: FreeDComplex) -> Dict:
         "vars": c.nvars,
         "ranks": {str(n): r for n, r in sorted(c.ranks.items())},
         "differentials": {
-            str(n): [[e.to_string() for e in row] for row in mat]
+            str(n): [[e.to_string() for e in row.coords] for row in mat.rows]
             for n, mat in sorted(c.differentials.items())
         },
     }
@@ -445,7 +445,7 @@ def chainmap_body(f: ChainMap) -> Dict:
         "source": complex_body(f.source),
         "target": complex_body(f.target),
         "maps": {
-            str(n): [[e.to_string() for e in row] for row in mat]
+            str(n): [[e.to_string() for e in row.coords] for row in mat.rows]
             for n, mat in sorted(f.maps.items())
         },
     }
@@ -714,7 +714,7 @@ def _run_command(args) -> int:
             z = None
             if cyc is not None:
                 z = FreeModuleElement([parse_operator(_text(e, "cycle entry"), base.nvars)
-                                       for e in _list(cyc, "cycle")])
+                                       for e in _list(cyc, "cycle")], base.nvars)
             attachments.append((n, z))
         res = attach_cells(base, attachments)
         cert = certify_cofibration(res.inclusion)

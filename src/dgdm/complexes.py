@@ -6,6 +6,13 @@ images of unit vectors, and elements (row vectors) multiply matrix
 entries on the LEFT, so composition is plain matrix product in
 application order.  d o d = 0 is enforced at construction time.
 
+A matrix is a `Matrix`: a tuple of sparse rows (`FreeModuleElement`s,
+each a dict from column to nonzero entry) and its column count, so a
+matrix without rows still knows its columns and the zero module D^0 is
+an ordinary rank.  Products, sums and cones touch nonzero entries only.
+Constructors also take dense nested lists of WeylElements, checked by
+`as_matrix`; documents stay dense JSON lists.
+
 Homology is returned as a finite presentation: the kernel Groebner
 generators in ambient D^{r_n}, together with rows expressing (a) the
 image generators of the next differential and (b) the syzygies among
@@ -21,36 +28,35 @@ offset by the ranks before it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .groebner import (
     FreeModuleElement,
+    Matrix,
+    as_matrix,
     buchberger,
     express_in_inputs,
     lift_basis,
     member,
     syzygies,
 )
+from .rational_linalg import vec_add
 from .weyl import WeylElement, act_on_poly
-
-Matrix = Tuple[Tuple[WeylElement, ...], ...]
 
 
 # ---------------------------------------------------------------- matrices
 
 def zero_matrix(rows: int, cols: int, nvars: int) -> Matrix:
-    z = WeylElement.zero(nvars)
-    return tuple(tuple(z for _ in range(cols)) for _ in range(rows))
+    return Matrix(tuple(FreeModuleElement.zero(cols, nvars) for _ in range(rows)), cols)
 
 
 def identity_matrix(n: int, nvars: int) -> Matrix:
     one = WeylElement.one(nvars)
-    z = WeylElement.zero(nvars)
-    return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
+    return Matrix(tuple(FreeModuleElement.sparse(n, nvars, {i: one}) for i in range(n)), n)
 
 
 def block_matrix(
-    blocks: Sequence[Sequence[Optional[Sequence[Sequence[WeylElement]]]]],
+    blocks: Sequence[Sequence[Optional[Matrix]]],
     rows: Sequence[int],
     cols: Sequence[int],
     nvars: int,
@@ -58,56 +64,46 @@ def block_matrix(
     """The matrix of a map between direct sums, from its blocks.
 
     blocks[i][j] is the rows[i] x cols[j] matrix from summand i of the
-    source to summand j of the target, or None for a zero block.
+    source to summand j of the target, or None for a zero block; the
+    entries of block column j move right by the ranks cols[:j].
     """
-    zero = WeylElement.zero(nvars)
+    offsets = [sum(cols[:j]) for j in range(len(cols))]
+    total = sum(cols)
     out = []
     for brow, r in zip(blocks, rows):
         for i in range(r):
-            row: List[WeylElement] = []
-            for block, c in zip(brow, cols):
-                row.extend(block[i] if block is not None else (zero,) * c)
-            out.append(tuple(row))
-    return tuple(out)
+            entries = {}
+            for block, offset in zip(brow, offsets):
+                if block is not None:
+                    for k, e in block.rows[i].entries.items():
+                        entries[offset + k] = e
+            out.append(FreeModuleElement.sparse(total, nvars, entries))
+    return Matrix(tuple(out), total)
 
 
-def mat_mul(a: Matrix, b: Matrix, nvars: int) -> Matrix:
-    if not a or not b:
-        rows = len(a)
-        cols = len(b[0]) if b else 0
-        return zero_matrix(rows, cols, nvars)
-    assert len(a[0]) == len(b), "inner dimensions disagree"
-    cols = len(b[0])
-    out = []
-    for row in a:
-        new = [WeylElement.zero(nvars) for _ in range(cols)]
-        for j, e in enumerate(row):
-            if e.is_zero():
-                continue
-            for k in range(cols):
-                if not b[j][k].is_zero():
-                    new[k] = new[k] + e * b[j][k]
-        out.append(tuple(new))
-    return tuple(out)
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(tuple(mat_apply(row, b) for row in a.rows), b.cols)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return Matrix(tuple(x + y for x, y in zip(a.rows, b.rows)), a.cols)
 
 
 def mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
+    return Matrix(tuple(-x for x in a.rows), a.cols)
 
 
 def mat_is_zero(a: Matrix) -> bool:
-    return all(e.is_zero() for row in a for e in row)
+    return all(row.is_zero() for row in a.rows)
 
 
-def mat_apply(v: FreeModuleElement, m: Matrix, nvars: int, cols: int) -> FreeModuleElement:
-    """Row vector times matrix: the image of v under the left-linear map."""
-    if cols == 0:
-        raise ValueError("image lives in the zero module")
-    return FreeModuleElement(mat_mul((v.coords,), m, nvars)[0])
+def mat_apply(v: FreeModuleElement, m: Matrix) -> FreeModuleElement:
+    """Row vector times matrix: the image of v under the left-linear map,
+    sum_j v_j * m_j with the rows m_j added in ascending j."""
+    out: Dict[int, WeylElement] = {}
+    for j, e in v.items():
+        vec_add(out, m.rows[j].entries, e)
+    return FreeModuleElement.sparse(m.cols, v.nvars, out)
 
 
 # ---------------------------------------------------------------- complexes
@@ -116,10 +112,18 @@ class ComplexError(ValueError):
     """Malformed complex data (shape mismatch or d*d != 0)."""
 
 
+def _shaped(m, rows: int, cols: int, nvars: int, what: str) -> Matrix:
+    """m as a rows x cols D-matrix (see `as_matrix`), or ComplexError."""
+    try:
+        return as_matrix(m, nvars, rows, cols)
+    except ValueError as e:
+        raise ComplexError(f"{what}: {e}") from None
+
+
 class FreeDComplex:
     """A bounded non-negatively graded complex of finite-rank free D-modules."""
 
-    def __init__(self, nvars: int, ranks: Dict[int, int], differentials: Dict[int, Sequence[Sequence[WeylElement]]]):
+    def __init__(self, nvars: int, ranks: Dict[int, int], differentials: Dict[int, object]):
         self.nvars = nvars
         self.ranks: Dict[int, int] = {}
         for n, r in ranks.items():
@@ -133,27 +137,14 @@ class FreeDComplex:
         for n, m in differentials.items():
             if n < 1:
                 raise ComplexError(f"differential indexed by {n}; lowest allowed is 1")
-            mat = tuple(tuple(row) for row in m)
-            if len(mat) != self.rank(n):
-                raise ComplexError(
-                    f"differential at degree {n} has {len(mat)} rows, expected {self.rank(n)}"
-                )
-            for row in mat:
-                if len(row) != self.rank(n - 1):
-                    raise ComplexError(
-                        f"differential at degree {n} has a row of length {len(row)}, "
-                        f"expected {self.rank(n - 1)}"
-                    )
-                for e in row:
-                    if e.nvars != nvars:
-                        raise ComplexError("matrix entry over the wrong Weyl algebra")
-            if mat and mat[0] and not mat_is_zero(mat):
+            mat = _shaped(m, self.rank(n), self.rank(n - 1), nvars, f"differential at degree {n}")
+            if not mat_is_zero(mat):
                 diffs[n] = mat
         self.differentials = diffs
         self.top = max(self.ranks, default=-1)
         # d*d can be nonzero only where two nonzero differentials meet
         for n in sorted(diffs):
-            if n + 1 in diffs and not mat_is_zero(mat_mul(diffs[n + 1], diffs[n], nvars)):
+            if n + 1 in diffs and not mat_is_zero(mat_mul(diffs[n + 1], diffs[n])):
                 raise ComplexError(f"d*d != 0 between degrees {n + 1} and {n - 1}")
 
     def rank(self, n: int) -> int:
@@ -198,7 +189,7 @@ def disk(n: int, nvars: int = 1) -> FreeDComplex:
 class ChainMap:
     """A degree-preserving map of complexes commuting with differentials."""
 
-    def __init__(self, source: FreeDComplex, target: FreeDComplex, maps: Dict[int, Sequence[Sequence[WeylElement]]]):
+    def __init__(self, source: FreeDComplex, target: FreeDComplex, maps: Dict[int, object]):
         if source.nvars != target.nvars:
             raise ComplexError("source and target over different Weyl algebras")
         self.source = source
@@ -206,19 +197,16 @@ class ChainMap:
         self.nvars = source.nvars
         mats: Dict[int, Matrix] = {}
         for n, m in maps.items():
-            mat = tuple(tuple(row) for row in m)
-            if len(mat) != source.rank(n) or any(len(r) != target.rank(n) for r in mat):
-                raise ComplexError(f"component at degree {n} has the wrong shape")
-            if mat and mat[0] and not mat_is_zero(mat):
+            mat = _shaped(m, source.rank(n), target.rank(n), self.nvars, f"component at degree {n}")
+            if not mat_is_zero(mat):
                 mats[n] = mat
         self.maps = mats
         # a square can fail only where one of its paths composes two nonzero maps
         for n in sorted({n for n in mats if n in target.differentials}
                         | {n for n in source.differentials if n - 1 in mats}):
-            lhs = mat_mul(self.component(n), target.diff(n), self.nvars)
-            rhs = mat_mul(source.diff(n), self.component(n - 1), self.nvars)
-            # a side through a zero-rank module is an empty matrix
-            if lhs != rhs and not (mat_is_zero(lhs) and mat_is_zero(rhs)):
+            lhs = mat_mul(self.component(n), target.diff(n))
+            rhs = mat_mul(source.diff(n), self.component(n - 1))
+            if lhs != rhs:
                 raise ComplexError(f"does not commute with differentials at degree {n}")
 
     def component(self, n: int) -> Matrix:
@@ -228,7 +216,7 @@ class ChainMap:
         return m
 
     def apply(self, n: int, v: FreeModuleElement) -> FreeModuleElement:
-        return mat_apply(v, self.component(n), self.nvars, self.target.rank(n))
+        return mat_apply(v, self.component(n))
 
     def __eq__(self, other):
         return (
@@ -250,12 +238,7 @@ def compose(f: ChainMap, g: ChainMap) -> ChainMap:
     """g after f (apply f first)."""
     if f.target != g.source:
         raise ComplexError("maps do not compose")
-    mats = {}
-    for n in f.source.degrees():
-        # zero through a zero middle rank, where mat_mul cannot size it
-        if f.target.rank(n) and g.target.rank(n):
-            mats[n] = mat_mul(f.component(n), g.component(n), f.nvars)
-    return ChainMap(f.source, g.target, mats)
+    return ChainMap(f.source, g.target, {n: mat_mul(f.maps[n], g.component(n)) for n in sorted(f.maps)})
 
 
 def zero_map(source: FreeDComplex, target: FreeDComplex) -> ChainMap:
@@ -271,9 +254,7 @@ def direct_sum(c1: FreeDComplex, c2: FreeDComplex) -> FreeDComplex:
     for n in set(c1.ranks) | set(c2.ranks):
         ranks[n] = c1.rank(n) + c2.rank(n)
     diffs = {}
-    for n in sorted(ranks):
-        if not ranks.get(n - 1):
-            continue
+    for n in sorted(set(c1.differentials) | set(c2.differentials)):
         diffs[n] = block_matrix(
             [[c1.differentials.get(n), None], [None, c2.differentials.get(n)]],
             (c1.rank(n), c2.rank(n)), (c1.rank(n - 1), c2.rank(n - 1)), nvars,
@@ -334,28 +315,19 @@ def _whole_kernel(c: FreeDComplex, n: int) -> bool:
 
 def kernel_generators(c: FreeDComplex, n: int) -> List[FreeModuleElement]:
     """Generators of ker d_n inside D^{rank(n)} (the unit vectors when d_n = 0)."""
-    r = c.rank(n)
-    if r == 0:
-        return []
     if _whole_kernel(c, n):
-        return [FreeModuleElement.unit(r, c.nvars, i) for i in range(r)]
-    ker = syzygies(c.diff(n), c.nvars, source_rank=r, target_rank=c.rank(n - 1))
-    return list(ker.generators)
+        return list(identity_matrix(c.rank(n), c.nvars).rows)
+    return list(syzygies(c.diff(n), c.nvars).generators)
 
 
 def image_generators(c: FreeDComplex, n: int) -> List[FreeModuleElement]:
     """Images of the unit vectors under d_{n+1}, i.e. rows of its matrix."""
-    if c.rank(n + 1) == 0 or c.rank(n) == 0:
-        return []
-    m = c.diff(n + 1)
-    return [FreeModuleElement(list(row)) for row in m]
+    return list(c.diff(n + 1).rows)
 
 
 def homology(c: FreeDComplex, n: int) -> HomologyPresentation:
     """Presentation of H_n = ker d_n / im d_{n+1} (C_0 / im d_1 at n = 0)."""
     r = c.rank(n)
-    if r == 0:
-        return HomologyPresentation(n, c.nvars, 0)
     kernel = kernel_generators(c, n)
     image = [g for g in image_generators(c, n) if not g.is_zero()]
     if _cycles_are_boundaries(c, n, kernel, image):
@@ -363,7 +335,6 @@ def homology(c: FreeDComplex, n: int) -> HomologyPresentation:
     if _whole_kernel(c, n):
         # each image row is its own coordinate row; unit vectors have no syzygies
         return HomologyPresentation(n, c.nvars, r, kernel, image)
-    t = len(kernel)
     ker_lift = lift_basis(kernel)
     relations: List[FreeModuleElement] = []
     for g in image:
@@ -371,9 +342,7 @@ def homology(c: FreeDComplex, n: int) -> HomologyPresentation:
         if u is None:
             raise AssertionError("image element escaped the kernel: d*d != 0?")
         relations.append(FreeModuleElement(u))
-    ker_matrix = [list(k.coords) for k in kernel]
-    for s in syzygies(ker_matrix, c.nvars, source_rank=t, target_rank=r).generators:
-        relations.append(s)
+    relations += syzygies(Matrix(tuple(kernel), r), c.nvars).generators
     return HomologyPresentation(n, c.nvars, r, kernel, relations)
 
 
@@ -403,11 +372,11 @@ def mapping_cone(f: ChainMap) -> FreeDComplex:
     degrees = sorted({n + 1 for n in x.ranks} | set(y.ranks))  # the nonzero ones
     ranks = {n: x.rank(n - 1) + y.rank(n) for n in degrees}
     diffs = {}
-    for n in degrees:
-        if x.rank(n - 2) + y.rank(n - 1) == 0:
-            continue
+    # the degrees where some block is nonzero
+    for n in sorted({n + 1 for n in x.differentials} | {n + 1 for n in f.maps} | set(y.differentials)):
+        dx = x.differentials.get(n - 1)
         diffs[n] = block_matrix(
-            [[mat_neg(x.diff(n - 1)), f.component(n - 1)], [None, y.diff(n)]],
+            [[None if dx is None else mat_neg(dx), f.maps.get(n - 1)], [None, y.differentials.get(n)]],
             (x.rank(n - 1), y.rank(n)), (x.rank(n - 2), y.rank(n - 1)), f.nvars,
         )
     return FreeDComplex(f.nvars, ranks, diffs)
@@ -551,7 +520,10 @@ def _untwist_matrix(mat: Matrix, rows: int, cols: int, m: ConnectionModule, nvar
     """Conjugate a matrix over D through D (x)_O M ~ D^s blockwise: entry
     (u, v) becomes the s x s block whose row j untwists it against e_j."""
     s = m.rank
-    blocks = [[None if e.is_zero() else [_untwist(e, j, m) for j in range(s)] for e in row] for row in mat]
+    blocks: List[List[Optional[Matrix]]] = [[None] * cols for _ in range(rows)]
+    for u, row in enumerate(mat.rows):
+        for v, e in row.entries.items():
+            blocks[u][v] = Matrix(tuple(FreeModuleElement(_untwist(e, j, m)) for j in range(s)), s)
     return block_matrix(blocks, (s,) * rows, (s,) * cols, nvars)
 
 

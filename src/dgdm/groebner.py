@@ -1,6 +1,13 @@
 """Left Groebner bases for submodules of free modules over the Weyl algebra.
 
-All submodules are left submodules of D^r.  A module monomial is a
+All submodules are left submodules of D^r.  An element of D^r is a
+`FreeModuleElement`: its rank, its nvars and a dict from column to
+nonzero WeylElement, so D^0 is an ordinary module; a `Matrix` is a tuple
+of such rows and its column count, and `as_matrix` turns dense nested
+lists into one, checking their shape.  The dense view, zeros included,
+is `FreeModuleElement.coords`, which documents and reports print.
+
+A module monomial is a
 triple (position, a, b); the admissible order is degree-reverse-lex on
 the 2n exponents (x block before d block) with position over term, so it
 refines total (x,d)-degree and the commutator corrections of the Weyl
@@ -38,6 +45,7 @@ import contextvars
 import heapq
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -99,87 +107,150 @@ def _divides(m1: ModMonomial, m2: ModMonomial) -> bool:
 
 
 class FreeModuleElement:
-    """An element of D^rank: a vector of WeylElements."""
+    """An element of D^rank: its nonzero coordinates by column.
 
-    __slots__ = ("rank", "coords")
+    `entries` maps a column to a nonzero WeylElement over nvars, and rank 0
+    (the zero module) is an ordinary rank.  The constructor takes the dense
+    coordinate list (nvars is needed only when it is empty) and checks it;
+    `coords`, and iteration, give that dense view back.
+    """
 
-    def __init__(self, coords: Sequence[WeylElement]):
+    __slots__ = ("rank", "nvars", "entries")
+
+    def __init__(self, coords: Sequence[WeylElement], nvars: Optional[int] = None):
         coords = tuple(coords)
-        if not coords:
-            raise ValueError("rank must be positive")
-        nvars = coords[0].nvars
+        if nvars is None:
+            if not coords:
+                raise ValueError("an element of rank 0 needs its nvars")
+            nvars = coords[0].nvars
         if any(c.nvars != nvars for c in coords):
             raise NvarsMismatch("coordinates over different Weyl algebras")
         self.rank = len(coords)
-        self.coords = coords
+        self.nvars = nvars
+        self.entries = {j: c for j, c in enumerate(coords) if c}
+
+    @classmethod
+    def sparse(cls, rank: int, nvars: int, entries: Dict[int, WeylElement]) -> "FreeModuleElement":
+        """The element with these nonzero coordinates, taken as they are."""
+        v = cls.__new__(cls)
+        v.rank, v.nvars, v.entries = rank, nvars, entries
+        return v
 
     @classmethod
     def zero(cls, rank: int, nvars: int) -> "FreeModuleElement":
-        return cls([WeylElement.zero(nvars)] * rank)
+        return cls.sparse(rank, nvars, {})
 
     @classmethod
     def unit(cls, rank: int, nvars: int, i: int) -> "FreeModuleElement":
-        coords = [WeylElement.zero(nvars)] * rank
-        coords[i] = WeylElement.one(nvars)
-        return cls(coords)
+        if not 0 <= i < rank:
+            raise IndexError(f"unit {i} outside rank {rank}")
+        return cls.sparse(rank, nvars, {i: WeylElement.one(nvars)})
 
     @property
-    def nvars(self) -> int:
-        return self.coords[0].nvars
+    def coords(self) -> Tuple[WeylElement, ...]:
+        zero = WeylElement.zero(self.nvars)
+        return tuple(self.entries.get(j, zero) for j in range(self.rank))
+
+    def __iter__(self):
+        return iter(self.coords)
+
+    def items(self) -> List[Tuple[int, WeylElement]]:
+        """The nonzero coordinates as (column, entry), columns ascending."""
+        return sorted(self.entries.items())
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not self.entries
 
     def __add__(self, other: "FreeModuleElement") -> "FreeModuleElement":
-        self._check(other)
-        return FreeModuleElement([a + b for a, b in zip(self.coords, other.coords)])
+        return self._plus(other)
 
     def __sub__(self, other: "FreeModuleElement") -> "FreeModuleElement":
-        self._check(other)
-        return FreeModuleElement([a - b for a, b in zip(self.coords, other.coords)])
+        return self._plus(other, -1)
 
-    def __neg__(self):
-        return FreeModuleElement([-c for c in self.coords])
-
-    def left_mul(self, p: WeylElement) -> "FreeModuleElement":
-        return FreeModuleElement([p * c for c in self.coords])
-
-    def scale(self, c) -> "FreeModuleElement":
-        return FreeModuleElement([x.scale(c) for x in self.coords])
-
-    def _check(self, other):
+    def _plus(self, other: "FreeModuleElement", scale=None) -> "FreeModuleElement":
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} != {other.rank}")
         if self.nvars != other.nvars:
             raise NvarsMismatch(f"nvars mismatch: {self.nvars} != {other.nvars}")
+        out = dict(self.entries)
+        vec_add(out, other.entries, scale)
+        return FreeModuleElement.sparse(self.rank, self.nvars, out)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def left_mul(self, p) -> "FreeModuleElement":
+        """p*self: p a WeylElement or a rational, multiplying on the left."""
+        out: Dict[int, WeylElement] = {}
+        vec_add(out, self.entries, p)
+        return FreeModuleElement.sparse(self.rank, self.nvars, out)
+
+    scale = left_mul
 
     def __eq__(self, other):
         return (
             isinstance(other, FreeModuleElement)
             and self.rank == other.rank
-            and self.coords == other.coords
+            and self.nvars == other.nvars
+            and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.rank, self.nvars, frozenset(self.entries.items())))
 
     def __repr__(self):
         return "FreeModuleElement([" + ", ".join(c.to_string() for c in self.coords) + "])"
 
 
+@dataclass(frozen=True)
+class Matrix:
+    """A D-matrix: a tuple of rows in D^cols and the column count, which a
+    matrix without rows keeps too.  Row i is the image of the i-th unit
+    vector of the source, and iteration walks the rows."""
+
+    rows: Tuple[FreeModuleElement, ...]
+    cols: int
+
+    def __iter__(self):
+        return iter(self.rows)
+
+
+def as_matrix(m, nvars: int, nrows: Optional[int] = None, ncols: Optional[int] = None) -> Matrix:
+    """m as a D-matrix over nvars variables with nrows rows and ncols columns.
+
+    m is a Matrix or dense nested rows of WeylElements; a count left None is
+    read off m.  Raises ValueError when m does not have that shape.
+    """
+    if isinstance(m, Matrix):
+        rows, cols = m.rows, m.cols
+        if any(r.nvars != nvars or r.rank != cols for r in rows):
+            raise ValueError("matrix row over the wrong Weyl algebra or of the wrong rank")
+    else:
+        dense = [tuple(row) for row in m]
+        cols = ncols
+        if cols is None:
+            if not dense:
+                raise ValueError("column count unknown for a matrix without rows")
+            cols = len(dense[0])
+        if any(len(row) != cols for row in dense):
+            raise ValueError(f"matrix has a row of length other than {cols}")
+        rows = tuple(FreeModuleElement(row, nvars) for row in dense)
+    if nrows is not None and len(rows) != nrows:
+        raise ValueError(f"matrix has {len(rows)} rows, expected {nrows}")
+    if ncols is not None and cols != ncols:
+        raise ValueError(f"matrix has {cols} columns, expected {ncols}")
+    return Matrix(rows, cols)
+
+
 def _to_vec(v: FreeModuleElement) -> VecT:
-    out: VecT = {}
-    for pos, c in enumerate(v.coords):
-        for (a, b), coef in c.terms.items():
-            out[(pos, a, b)] = coef
-    return out
+    return {(pos, a, b): coef for pos, c in v.items() for (a, b), coef in c.terms.items()}
 
 
 def _from_vec(vec: VecT, rank: int, nvars: int) -> FreeModuleElement:
-    per: List[Dict[Monomial, Fraction]] = [dict() for _ in range(rank)]
+    per: Dict[int, Dict[Monomial, Fraction]] = {}
     for (pos, a, b), coef in vec.items():
-        per[pos][(a, b)] = coef
-    return FreeModuleElement([WeylElement(nvars, t) for t in per])
+        per.setdefault(pos, {})[(a, b)] = coef
+    return FreeModuleElement.sparse(rank, nvars, {pos: WeylElement(nvars, t) for pos, t in per.items()})
 
 
 def _lm(vec: VecT) -> ModMonomial:
@@ -518,7 +589,7 @@ def express_in_inputs(
     _check_compat(v, gb)
     guard = _GUARD.get()
     if gb._lift_rows is None:
-        tagged = _tagged([g.coords for g in gb.inputs], gb.rank, gb.nvars)
+        tagged = _tagged(Matrix(tuple(gb.inputs), gb.rank))
         gb._lift_rows = _groebner_rows(tagged, guard, cut=gb.rank)
     red = _reduce(_to_vec(v), gb._lift_rows, guard)
     u: List[Dict[Monomial, Fraction]] = [{} for _ in gb.inputs]
@@ -529,57 +600,34 @@ def express_in_inputs(
     return [WeylElement(gb.nvars, t) for t in u]
 
 
-def _tagged(rows: Sequence[Sequence[WeylElement]], s: int, nvars: int) -> List[VecT]:
-    """The rows (row_i | e_i) of D^(s + len(rows)), each row_i of length s."""
-    zero = WeylElement.zero(nvars)
+def _tagged(m: Matrix) -> List[VecT]:
+    """The rows (row_i | e_i) of D^(cols + len(rows)), positions ascending."""
     tagged = []
-    for i, row in enumerate(rows):
-        coords = list(row) + [zero] * len(rows)
-        coords[s + i] = WeylElement.one(nvars)
-        tagged.append(_to_vec(FreeModuleElement(coords)))
+    for i, row in enumerate(m.rows):
+        vec = _to_vec(row)
+        z = (0,) * row.nvars
+        vec[(m.cols + i, z, z)] = Fraction(1)
+        tagged.append(vec)
     return tagged
 
 
 def syzygies(
-    matrix: Sequence[Sequence[WeylElement]],
+    matrix,
     nvars: int,
     source_rank: Optional[int] = None,
     target_rank: Optional[int] = None,
 ) -> GrobnerBasis:
     """Groebner basis of the left kernel of v |-> v*matrix on D^source_rank.
 
-    `matrix` has source_rank rows of target_rank entries; the map sends
-    the i-th unit vector to row i, so a vector (v_1..v_r) maps to
-    sum_i v_i * row_i with coordinates multiplying entries on the left.
+    `matrix` is a Matrix or dense nested rows (see `as_matrix`) with
+    source_rank rows and target_rank columns, each read off it when None;
+    the map sends the i-th unit vector to row i, so a vector (v_1..v_r)
+    maps to sum_i v_i * row_i with coordinates multiplying entries on the
+    left.
     """
-    rows = [list(r) for r in matrix]
-    r = len(rows) if source_rank is None else source_rank
-    if rows and len(rows) != r:
-        raise ValueError("matrix row count disagrees with source rank")
-    s = target_rank
-    if rows:
-        widths = {len(row) for row in rows}
-        if len(widths) != 1:
-            raise ValueError("ragged matrix")
-        w = widths.pop()
-        if s is None:
-            s = w
-        elif s != w:
-            raise ValueError("matrix width disagrees with target rank")
-    if s is None:
-        raise ValueError("target rank unknown for empty matrix")
-    for row in rows:
-        for entry in row:
-            if entry.nvars != nvars:
-                raise NvarsMismatch("matrix entry over wrong Weyl algebra")
-    if r == 0:
-        return GrobnerBasis(0, nvars, [], [])
-    if s == 0:
-        # map to the zero module: kernel is everything
-        units = [FreeModuleElement.unit(r, nvars, i) for i in range(r)]
-        return GrobnerBasis(r, nvars, units, list(units))
-
-    tagged = _tagged(rows, s, nvars)
+    m = as_matrix(matrix, nvars, source_rank, target_rank)
+    r, s = len(m.rows), m.cols
+    tagged = _tagged(m)
     guard = _GUARD.get()
     try:
         basis = _groebner_rows(tagged, guard, watch=True)

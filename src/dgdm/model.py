@@ -23,7 +23,6 @@ from .complexes import (
     ChainMap,
     ComplexError,
     FreeDComplex,
-    Matrix,
     block_matrix,
     compose,
     disk,
@@ -33,6 +32,7 @@ from .complexes import (
 )
 from .groebner import (
     FreeModuleElement,
+    Matrix,
     buchberger,
     express_in_inputs,
     lift_basis,
@@ -47,6 +47,7 @@ from .obasis import (
     SlotId,
     tensor_free,
 )
+from .rational_linalg import vec_add
 from .weyl import WeylElement
 
 
@@ -101,11 +102,7 @@ def is_fibration(f: ChainMap) -> bool:
         if n == 0:
             continue
         s = f.target.rank(n)
-        rows = [
-            FreeModuleElement(list(r))
-            for r in f.component(n)
-            if any(not e.is_zero() for e in r)
-        ]
+        rows = [r for r in f.component(n).rows if not r.is_zero()]
         gb = buchberger(rows, rank=s, nvars=f.nvars)
         for i in range(s):
             if not member(FreeModuleElement.unit(s, f.nvars, i), gb):
@@ -143,7 +140,7 @@ def _scalar_entry(e: WeylElement) -> Optional[Fraction]:
     return None
 
 
-def _unit_pivot_split(mat: Matrix, rows: int, cols: int, nvars: int):
+def _unit_pivot_split(mat: Matrix, nvars: int):
     """Unit-pivot row reduction of the tagged rows (M_u | e_u), or None.
 
     Pivot rule: the first unpivoted row, then its first unpivoted column
@@ -158,31 +155,35 @@ def _unit_pivot_split(mat: Matrix, rows: int, cols: int, nvars: int):
     by substitution: b_u = w[v_u]/sc_u, a = sum b_u*E_u and
     q_k = w[k] - sum b_u*(E*M)_u[k].
     """
-    one, zero = WeylElement.one(nvars), WeylElement.zero(nvars)
-    work = [list(row) + [one if j == i else zero for j in range(rows)] for i, row in enumerate(mat)]
+    rows, cols = len(mat.rows), mat.cols
+    one = WeylElement.one(nvars)
+    work = [dict(row.entries) for row in mat.rows]
+    for i, w in enumerate(work):
+        w[cols + i] = one
     pivots: Dict[int, Tuple[int, Fraction]] = {}  # row u -> (v_u, sc_u)
     taken = set()
     while len(pivots) < rows:
-        found = next(((u, v, sc) for u in range(rows) if u not in pivots for v in range(cols)
-                      if v not in taken and (sc := _scalar_entry(work[u][v])) is not None), None)
+        found = next(((u, v, sc) for u in range(rows) if u not in pivots for v in sorted(work[u])
+                      if v < cols and v not in taken and (sc := _scalar_entry(work[u][v])) is not None), None)
         if found is None:
             return None
         u, v, sc = found
         for t in range(rows):
-            if t != u and not work[t][v].is_zero():
-                c = work[t][v].scale(Fraction(1) / sc)
-                work[t] = [x if y.is_zero() else x - c * y for x, y in zip(work[t], work[u])]
+            if t != u and v in work[t]:
+                vec_add(work[t], work[u], -work[t][v].scale(Fraction(1) / sc))
         pivots[u] = (v, sc)
         taken.add(v)
     free = [k for k in range(cols) if k not in taken]
 
-    def split(w: FreeModuleElement) -> Tuple[List[WeylElement], List[WeylElement]]:
-        b = {u: w.coords[v].scale(Fraction(1) / sc) for u, (v, sc) in pivots.items()}
-
-        def through(k: int) -> WeylElement:
-            return sum((bu * work[u][k] for u, bu in b.items()), zero)
-
-        return [through(cols + i) for i in range(rows)], [w.coords[k] - through(k) for k in free]
+    def split(w: FreeModuleElement) -> Tuple[FreeModuleElement, FreeModuleElement]:
+        through: Dict[int, WeylElement] = {}  # sum b_u * work[u]
+        for u, (v, sc) in pivots.items():
+            if v in w.entries:
+                vec_add(through, work[u], w.entries[v].scale(Fraction(1) / sc))
+        a = {i: through[cols + i] for i in range(rows) if cols + i in through}
+        q = {i: w.entries[k] for i, k in enumerate(free) if k in w.entries}
+        vec_add(q, {i: through[k] for i, k in enumerate(free) if k in through}, -1)
+        return FreeModuleElement.sparse(rows, nvars, a), FreeModuleElement.sparse(len(free), nvars, q)
 
     return free, split
 
@@ -193,11 +194,11 @@ def certify_cofibration(f: ChainMap) -> CofibrationCertificate:
     One unit-pivot reduction per degree certifies; only when some degree
     fails does `syzygies` run, there, to tell refuted from not-certified.
     """
-    reductions = {n: _unit_pivot_split(f.component(n), f.source.rank(n), f.target.rank(n), f.nvars)
+    reductions = {n: _unit_pivot_split(f.component(n), f.nvars)
                   for n in sorted(set(f.source.ranks) | set(f.target.ranks))}
     failed = [n for n, red in reductions.items() if red is None]
     for n in failed:
-        ker = syzygies(f.component(n), f.nvars, source_rank=f.source.rank(n), target_rank=f.target.rank(n))
+        ker = syzygies(f.component(n), f.nvars)
         if ker.generators:
             return CofibrationCertificate("refuted", kernel_witness=(n, ker.generators[0]))
     if failed:
@@ -253,19 +254,12 @@ def pushout(
     ranks = {n: y.rank(n) + len(cells.get(n, [])) for n in sorted(set(y.ranks) | set(cells))}
 
     splits = _splits_of(g, certificate)
-    zero = WeylElement.zero(nvars)
 
-    def split(vectors: List[FreeModuleElement], n: int):
+    def split(vectors: List[FreeModuleElement], n: int) -> List[Matrix]:
         """The blocks (f(a) | q) of the Z_n-rows of W_n-vectors v = g(a) + sum q_k c_k."""
-        fa_rows, q_rows = [], []
-        for v in vectors:
-            a, q = splits[n](v) if not v.is_zero() else ([], [zero] * len(cells[n]))
-            if a and y.rank(n):
-                fa_rows.append(mat_apply(FreeModuleElement(a), f.component(n), nvars, y.rank(n)).coords)
-            else:
-                fa_rows.append((zero,) * y.rank(n))
-            q_rows.append(q)
-        return fa_rows, q_rows
+        halves = [splits[n](v) for v in vectors]
+        return [Matrix(tuple(mat_apply(a, f.component(n)) for a, _ in halves), y.rank(n)),
+                Matrix(tuple(q for _, q in halves), len(cells[n]))]
 
     diffs: Dict[int, Matrix] = {}
     for n in ranks:
@@ -275,7 +269,7 @@ def pushout(
         # the rows of the cells: d(cell) in W_{n-1}, split; zero where W_{n-1} = 0
         fa = q = None
         if cells_n and w.rank(n - 1):
-            fa, q = split([mat_apply(cell, w.diff(n), nvars, w.rank(n - 1)) for cell in cells_n], n - 1)
+            fa, q = split([mat_apply(cell, w.diff(n)) for cell in cells_n], n - 1)
         diffs[n] = block_matrix(
             [[y.diff(n), None], [fa, q]],
             (y.rank(n), len(cells_n)), (y.rank(n - 1), len(cells.get(n - 1, []))), nvars,
@@ -288,13 +282,9 @@ def pushout(
         for n in y.degrees()
     }
     h = ChainMap(y, z, h_maps)
-
-    k_maps = {}
-    for n in w.degrees():
-        if z.rank(n) == 0:
-            continue
-        units = [FreeModuleElement.unit(w.rank(n), nvars, i) for i in range(w.rank(n))]
-        k_maps[n] = block_matrix([split(units, n)], (w.rank(n),), (y.rank(n), len(cells[n])), nvars)
+    k_maps = {n: block_matrix([split(identity_matrix(w.rank(n), nvars).rows, n)],
+                              (w.rank(n),), (y.rank(n), len(cells[n])), nvars)
+              for n in w.degrees()}
     k = ChainMap(w, z, k_maps)
 
     if compose(f, h) != compose(g, k):
@@ -315,10 +305,8 @@ def pushout_factor(po: PushoutResult, q: ChainMap, p: ChainMap) -> ChainMap:
         raise ComplexError("cocone legs land in different complexes")
     maps = {}
     for n in z.degrees():
-        if e.rank(n) == 0:
-            continue
         cells = po.cells.get(n, [])
-        cell_rows = [mat_apply(cell, p.component(n), z.nvars, e.rank(n)).coords for cell in cells]
+        cell_rows = Matrix(tuple(mat_apply(cell, p.component(n)) for cell in cells), e.rank(n))
         maps[n] = block_matrix([[q.component(n)], [cell_rows]], (y.rank(n), len(cells)), (e.rank(n),), z.nvars)
     return ChainMap(z, e, maps)
 
@@ -335,34 +323,36 @@ def attach_cells(base: FreeDComplex, attachments: Sequence[Tuple[int, Optional[F
     """Iterated pushout along generating cofibrations iota_n.
 
     Each attachment is (n, z) with z a cycle in degree n-1 of the current
-    complex (z is ignored for n = 0).  For free complexes that pushout
-    appends one cell e to degree n with d(e) = z: a last row z of d_n and
-    a zero last column of d_{n+1}.  Returns the final complex and the
-    inclusion of the base, identity blocks padded with zero columns, which
+    complex (z is ignored for n = 0, and None is the zero cycle).  For free
+    complexes that pushout appends one cell e to degree n with d(e) = z: a
+    last row z of d_n, and a new last column of d_{n+1}, where no row has
+    an entry.  Over a zero C_{n-1} the cycle is the element of D^0 and the
+    cell a new summand S^n.  Returns the final complex and the inclusion of
+    the base, identity blocks followed by the cells, which
     certify_cofibration certifies.
     """
     nvars = base.nvars
-    zero = WeylElement.zero(nvars)
     ranks = dict(base.ranks)
-    rows = {n: [list(row) for row in base.diff(n)] for n in base.degrees() if n >= 1}
+    rows = {n: list(base.diff(n).rows) for n in base.degrees() if n >= 1}
     for (n, z) in attachments:
         if n < 0:
             raise ValueError("iota needs n >= 0")
         if n >= 1:
             below = ranks.get(n - 1, 0)
             if z is None:
-                z = FreeModuleElement.zero(max(below, 1), nvars)
-            if below == 0 or z.rank != below:
+                z = FreeModuleElement.zero(below, nvars)
+            if z.rank != below:
                 raise ComplexError(f"attaching element has rank {z.rank}, degree {n - 1} has rank {below}")
-            if ranks.get(n - 2, 0) > 0:
-                img = mat_apply(z, rows[n - 1], nvars, ranks[n - 2])
-                if not img.is_zero():
-                    raise ComplexError("attaching element is not a cycle")
-            rows.setdefault(n, []).append(list(z.coords))
+            # a row of d_{n-1} may be older than the last cells of degree n-2,
+            # which it does not reach; mat_apply reads its entries only
+            if n >= 2 and not mat_apply(z, Matrix(tuple(rows.get(n - 1, ())), ranks.get(n - 2, 0))).is_zero():
+                raise ComplexError("attaching element is not a cycle")
+            rows.setdefault(n, []).append(z)
         ranks[n] = ranks.get(n, 0) + 1
-        for row in rows.get(n + 1, ()):
-            row.append(zero)
-    complex_ = FreeDComplex(nvars, dict(sorted(ranks.items())), rows)
+    diffs = {n: Matrix(tuple(FreeModuleElement.sparse(ranks.get(n - 1, 0), nvars, r.entries) for r in rs),
+                       ranks.get(n - 1, 0))
+             for n, rs in rows.items()}
+    complex_ = FreeDComplex(nvars, dict(sorted(ranks.items())), diffs)
     maps = {n: block_matrix([[identity_matrix(r, nvars), None]], (r,), (r, ranks[n] - r), nvars)
             for n, r in base.ranks.items()}
     return AttachResult(complex_, ChainMap(base, complex_, maps))
@@ -387,54 +377,37 @@ def solve_lifting(i: ChainMap, cert: CofibrationCertificate, p: ChainMap, u: Cha
     for n in c.degrees():
         vals: List[FreeModuleElement] = []
         for cell in cert.complement.get(n, []):
-            # target data
-            vc = mat_apply(cell, v.component(n), nvars, b.rank(n)) if b.rank(n) else None
+            # target data; h(dc) is zero where C_{n-1} = 0
+            vc = Matrix((mat_apply(cell, v.component(n)),), b.rank(n))
             hdc = None
-            if c.rank(n - 1) and e.rank(n - 1):
-                dcell = mat_apply(cell, c.diff(n), nvars, c.rank(n - 1))
-                hdc = _apply_extension(dcell, n - 1, splits, u, h_on_cells, e, nvars)
+            if c.rank(n - 1):
+                dcell = mat_apply(cell, c.diff(n))
+                hdc = Matrix((_apply_extension(dcell, n - 1, splits, u, h_on_cells, e),), e.rank(n - 1))
             # solve e with p(e) = vc, d(e) = hdc
             cols = (b.rank(n), e.rank(n - 1))
-            # a cell in a zero module still needs one coordinate
-            pad = [] if sum(cols) else [WeylElement.zero(nvars)]
-            target = [None if t is None else [t.coords] for t in (vc, hdc)]
-            *rows, tgt = block_matrix([[p.component(n), e.diff(n)], target], (e.rank(n), 1), cols, nvars)
-            gens = [FreeModuleElement(list(row) + pad) for row in rows]
-            lift = lift_basis(gens, rank=max(sum(cols), 1), nvars=nvars)
-            sol = express_in_inputs(FreeModuleElement(list(tgt) + pad), lift)
+            *rows, tgt = block_matrix([[p.component(n), e.diff(n)], [vc, hdc]], (e.rank(n), 1), cols, nvars).rows
+            sol = express_in_inputs(tgt, lift_basis(rows, rank=sum(cols), nvars=nvars))
             if sol is None:
                 return None
-            vals.append(FreeModuleElement(sol) if sol else FreeModuleElement.zero(max(e.rank(n), 1), nvars))
+            vals.append(FreeModuleElement(sol, nvars))
         h_on_cells[n] = vals
     # assemble h as a matrix: rows = C-units decomposed through (i, cells)
-    maps = {}
-    for n in c.degrees():
-        if e.rank(n) == 0:
-            continue
-        rows = []
-        for idx in range(c.rank(n)):
-            unit = FreeModuleElement.unit(c.rank(n), nvars, idx)
-            img = _apply_extension(unit, n, splits, u, h_on_cells, e, nvars)
-            rows.append(tuple(img.coords))
-        maps[n] = tuple(rows)
+    maps = {n: Matrix(tuple(_apply_extension(unit, n, splits, u, h_on_cells, e)
+                            for unit in identity_matrix(c.rank(n), nvars).rows), e.rank(n))
+            for n in c.degrees()}
     h = ChainMap(c, e, maps)
     if compose(i, h) != u or compose(h, p) != v:
         return None
     return h
 
 
-def _apply_extension(w, n, splits, u, h_on_cells, e, nvars):
+def _apply_extension(w, n, splits, u, h_on_cells, e):
     """Evaluate the partial lift on w in C_n: through A via u, cells via chosen values."""
     a_coeffs, q = splits[n](w)
-    out = FreeModuleElement.zero(e.rank(n), nvars) if e.rank(n) else None
-    if out is None:
-        raise ComplexError("lift lands in a zero module")
-    if a_coeffs and u.source.rank(n):
-        ua = mat_apply(FreeModuleElement(a_coeffs), u.component(n), nvars, e.rank(n))
-        out = out + ua
-    for qk, val in zip(q, h_on_cells.get(n, [])):
-        out = out + val.left_mul(qk)
-    return out
+    out = dict(mat_apply(a_coeffs, u.component(n)).entries)
+    for k, qk in q.items():
+        vec_add(out, h_on_cells[n][k].entries, qk)
+    return FreeModuleElement.sparse(e.rank(n), e.nvars, out)
 
 
 # ---------------------------------------------------------------- box products

@@ -68,15 +68,12 @@ class FreeBase:
 
     def diff_core(self, core: Core) -> Expansion:
         n, s, b = core
-        c = self.complex
-        if c.rank(n - 1) == 0 or n not in c.differentials:
+        d = self.complex.differentials.get(n)
+        if d is None:
             return {}
         out: Expansion = {}
         carrier = WeylElement.monomial(self.nvars, (0,) * self.nvars, b)
-        for v in range(c.rank(n - 1)):
-            entry = c.diff(n)[s][v]
-            if entry.is_zero():
-                continue
+        for v, entry in d.rows[s].items():
             prod = carrier * entry
             for (a2, b2), coef in prod.terms.items():
                 add_term(out, (a2, (n - 1, v, b2)), coef)

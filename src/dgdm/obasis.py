@@ -176,13 +176,9 @@ def obasis_of_free(c: FreeDComplex, tag: str = "F") -> OBasisComplex:
     for n, r in c.ranks.items():
         for s in range(r):
             slots[(tag, n, s)] = Slot(degree=n, factors=1)
-    for n in c.differentials:
-        mat = c.diff(n)
-        for s in range(c.rank(n)):
-            entries = []
-            for v in range(c.rank(n - 1)):
-                if not mat[s][v].is_zero():
-                    entries.append(((tag, n - 1, v), 0, mat[s][v]))
+    for n, mat in c.differentials.items():
+        for s, row in enumerate(mat.rows):
+            entries = [((tag, n - 1, v), 0, e) for v, e in row.items()]
             if entries:
                 diff[(tag, n, s)] = entries
     return OBasisComplex(c.nvars, slots, diff)
@@ -207,17 +203,11 @@ def tensor_free(c1: FreeDComplex, c2: FreeDComplex) -> OBasisComplex:
                     slots[(i, j, s, t)] = Slot(degree=i + j, factors=2)
     for (i, j, s, t) in list(slots):
         entries: List[Entry] = []
-        if i >= 1 and c1.rank(i - 1) > 0 and i in c1.differentials:
-            mat = c1.diff(i)
-            for v in range(c1.rank(i - 1)):
-                if not mat[s][v].is_zero():
-                    entries.append(((i - 1, j, v, t), 0, mat[s][v]))
-        if j >= 1 and c2.rank(j - 1) > 0 and j in c2.differentials:
+        if i in c1.differentials:
+            entries += [((i - 1, j, v, t), 0, e) for v, e in c1.differentials[i].rows[s].items()]
+        if j in c2.differentials:
             sign = 1 if i % 2 == 0 else -1
-            mat = c2.diff(j)
-            for w in range(c2.rank(j - 1)):
-                if not mat[t][w].is_zero():
-                    entries.append(((i, j - 1, s, w), 1, mat[t][w].scale(sign)))
+            entries += [((i, j - 1, s, w), 1, e.scale(sign)) for w, e in c2.differentials[j].rows[t].items()]
         if entries:
             diff[(i, j, s, t)] = entries
     return OBasisComplex(nvars, slots, diff)

@@ -40,7 +40,7 @@ from .dga import (
     compose_morphisms,
     extend_morphism,
 )
-from .groebner import FreeModuleElement
+from .groebner import FreeModuleElement, Matrix
 from .weyl import WeylElement
 from . import amod as amod_mod
 
@@ -73,7 +73,7 @@ def random_complex(
     for p in pieces[1:]:
         c = direct_sum(c, p)
     ranks = dict(c.ranks)
-    diffs = {n: [list(row) for row in c.diff(n)] for n in c.differentials}
+    diffs = {n: list(m.rows) for n, m in c.differentials.items()}
     for _ in range(twists):
         degrees = [n for n, r in ranks.items() if r >= 2]
         if not degrees:
@@ -84,14 +84,14 @@ def random_complex(
         p = random_weyl(rng, nvars, 1, 1)
         if p.is_zero():
             continue
-        # basis change e_i += p * e_j in degree n
+        # basis change e_i += p * e_j in degree n: row i of d_n gains p * row j,
+        # and column j of d_{n+1} loses column i times p
         if n in diffs:
-            for col in range(len(diffs[n][0])):
-                diffs[n][i][col] = diffs[n][i][col] + p * diffs[n][j][col]
-        if (n + 1) in diffs:
-            for row in range(len(diffs[n + 1])):
-                diffs[n + 1][row][j] = diffs[n + 1][row][j] - diffs[n + 1][row][i] * p
-    return FreeDComplex(nvars, ranks, {n: tuple(tuple(r) for r in m) for n, m in diffs.items()})
+            diffs[n][i] = diffs[n][i] + diffs[n][j].left_mul(p)
+        for k, row in enumerate(diffs.get(n + 1, ())):
+            if i in row.entries:
+                diffs[n + 1][k] = row - FreeModuleElement.sparse(r, nvars, {j: row.entries[i] * p})
+    return FreeDComplex(nvars, ranks, {n: Matrix(tuple(rows), ranks.get(n - 1, 0)) for n, rows in diffs.items()})
 
 
 def random_map_from_cone(rng: random.Random, z: FreeDComplex, x: FreeDComplex) -> ChainMap:
@@ -107,10 +107,10 @@ def random_map_from_cone(rng: random.Random, z: FreeDComplex, x: FreeDComplex) -
     u = {}
     for n in range(0, max(z.top + 2, x.top + 1) + 1):
         if z.rank(n - 1) and x.rank(n):
-            u[n] = tuple(
-                tuple(random_weyl(rng, nv, 1, 1) for _ in range(x.rank(n)))
+            u[n] = Matrix(tuple(
+                FreeModuleElement([random_weyl(rng, nv, 1, 1) for _ in range(x.rank(n))])
                 for _ in range(z.rank(n - 1))
-            )
+            ), x.rank(n))
     maps = {}
     for n in range(0, cone.top + 1):
         rows_z1, rows_z = z.rank(n - 1), z.rank(n)
@@ -119,9 +119,9 @@ def random_map_from_cone(rng: random.Random, z: FreeDComplex, x: FreeDComplex) -
             continue
         v = zero_matrix(rows_z, cols, nv)
         if n in u:
-            v = mat_add(v, mat_mul(z.diff(n), u[n], nv))
-        if (n + 1) in u and x.rank(n + 1):
-            v = mat_add(v, mat_mul(u[n + 1], x.diff(n + 1), nv))
+            v = mat_add(v, mat_mul(z.diff(n), u[n]))
+        if (n + 1) in u:
+            v = mat_add(v, mat_mul(u[n + 1], x.diff(n + 1)))
         maps[n] = block_matrix([[u.get(n)], [v]], (rows_z1, rows_z), (cols,), nv)
     return ChainMap(cone, x, maps)
 
@@ -167,16 +167,14 @@ def random_cycle(rng: random.Random, c: FreeDComplex, n: int) -> FreeModuleEleme
     out = FreeModuleElement.zero(r, nvars)
     if c.rank(n + 1):
         w = FreeModuleElement([random_weyl(rng, nvars, 1, 1) for _ in range(c.rank(n + 1))])
-        out = out + mat_apply(w, c.diff(n + 1), nvars, r)
+        out = out + mat_apply(w, c.diff(n + 1))
     if c.rank(n - 1) == 0 or n == 0:
         # everything is a cycle
         out = out + FreeModuleElement([random_weyl(rng, nvars, 1, 1) for _ in range(r)])
     else:
-        for i in range(r):
-            unit = FreeModuleElement.unit(r, nvars, i)
-            if mat_apply(unit, c.diff(n), nvars, c.rank(n - 1)).is_zero():
-                if rng.random() < 0.5:
-                    out = out + unit.left_mul(random_weyl(rng, nvars, 1, 1))
+        for i, row in enumerate(c.diff(n).rows):
+            if row.is_zero() and rng.random() < 0.5:
+                out = out + FreeModuleElement.unit(r, nvars, i).left_mul(random_weyl(rng, nvars, 1, 1))
     return out
 
 

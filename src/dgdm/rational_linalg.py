@@ -5,10 +5,12 @@ rationals: `Fraction`s, or `int`s where a kernel keeps integral values.
 This module holds the one sparse-vector kernel every other module uses:
 `add_term` adds into one coordinate, `vec_add` adds a scaled vector in
 place, and `apply_linear` extends a map on keys linearly; all three drop
-zero coefficients.  On top of the kernel sits a fraction-free echelon
-form with a deterministic pivot rule (smallest column key), which is
-enough for span membership and nullspace computation.  Its rows hold
-`int`s; kernel vectors leave as `Fraction`s.
+zero coefficients.  `add_term` and `vec_add` also serve vectors whose
+coefficients are other ring elements with `+`, `*` and a falsy zero,
+such as the rows over D of `groebner`.  On top of the kernel sits a
+fraction-free echelon form with a deterministic pivot rule (smallest
+column key), which is enough for span membership and nullspace
+computation.  Its rows hold `int`s; kernel vectors leave as `Fraction`s.
 No floating point.
 """
 
@@ -40,11 +42,17 @@ def add_term(store: Vec, key: Hashable, c: Fraction):
         store.pop(key, None)
 
 
-def vec_add(target: Vec, src: Vec, scale: Fraction = Fraction(1)):
-    """target += scale*src in place, with zero coefficients dropped."""
+def vec_add(target: Vec, src: Vec, scale=None):
+    """target += scale*src in place, with zero coefficients dropped.
+
+    scale multiplies each coefficient on the left, which matters where
+    coefficients do not commute (rows over D); None adds src as it is.
+    """
     for k, c in src.items():
+        if scale is not None:
+            c = scale * c
         old = target.get(k)
-        s = scale * c if old is None else old + scale * c
+        s = c if old is None else old + c
         if s:
             target[k] = s
         else:

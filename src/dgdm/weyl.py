@@ -162,6 +162,9 @@ class WeylElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_polynomial(self) -> bool:
         """True iff the element lies in O (no d's)."""
         zero = (0,) * self.nvars

@@ -269,6 +269,16 @@ def test_attach_subcommand(tmp_path, capsys):
     assert out["complex"]["ranks"] == {"0": 1, "1": 1}
 
 
+@pytest.mark.parametrize("cell", [{"degree": 1}, {"degree": 1, "cycle": []}], ids=["no-cycle", "empty-cycle"])
+def test_attach_over_an_empty_degree(tmp_path, capsys, cell):
+    # C_0 = 0, so S^0 -> C is zero and the pushout along iota_1 is C (+) S^1
+    doc = make_document("attach-input", {"vars": 1, "base": {"ranks": {}}, "attachments": [cell]})
+    rc = dispatch(["attach", "--file", write_doc(tmp_path, "a.doc", doc)])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0 and out["inclusion_certified"] == "certified"
+    assert out["complex"]["ranks"] == {"1": 1} and out["complex"]["differentials"] == {}
+
+
 def test_pushout_subcommand(tmp_path, capsys):
     f = {"source": {"ranks": {"0": 1}, "differentials": {}},
          "target": {"ranks": {"0": 1}, "differentials": {}},

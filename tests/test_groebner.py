@@ -154,6 +154,16 @@ def test_syzygies_map_to_zero_property():
             assert img0.is_zero() and img1.is_zero()
 
 
+def test_syzygies_reads_the_source_rank_off_the_shape():
+    # no rows is a map from D^0: a source rank of 2 disagrees with it
+    with pytest.raises(ValueError, match="0 rows, expected 2"):
+        syzygies([], 1, source_rank=2, target_rank=3)
+    # the zero map D^2 -> D^3, with its shape kept, has kernel D^2
+    ker = syzygies(groebner.Matrix((FreeModuleElement.zero(3, 1),) * 2, 3), 1)
+    assert ker.generators == [FreeModuleElement.unit(2, 1, i) for i in range(2)]
+    assert syzygies([[ZERO] * 3] * 2, 1, source_rank=2, target_rank=3).generators == ker.generators
+
+
 def _random_w(rng, nvars=1, max_terms=2, max_exp=2):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
@@ -792,7 +802,7 @@ def test_forced_modular_path_matches_q_loop(monkeypatch):
     # with the trigger at 0 bits every syzygies call takes them
     guard = get_degree_guard()
     for nvars, rows in _syzygy_family():
-        tagged = groebner._tagged(rows, len(rows[0]), nvars)
+        tagged = groebner._tagged(groebner.as_matrix(rows, nvars))
         q_rows = groebner._groebner_rows(tagged, guard)
         mod_rows = groebner._modular_rows(tagged, len(rows[0]), guard)
         assert mod_rows is not None
@@ -836,7 +846,7 @@ def test_small_primes_end_in_more_primes_or_the_fallback(monkeypatch, primes, ce
 
 def test_corrupted_coefficient_fails_the_checks(monkeypatch):
     rows = ladder_matrix(7)
-    tagged = groebner._tagged(rows, 2, 1)
+    tagged = groebner._tagged(groebner.as_matrix(rows, 1))
     guard = get_degree_guard()
     q_rows = groebner._groebner_rows(tagged, guard)
     assert groebner._certified(q_rows, tagged, 2, guard)
@@ -862,7 +872,7 @@ def test_each_check_rejects_what_only_it_sees():
     guard = get_degree_guard()
     # x | 1 | 0 and d | 0 | 1 are monic, reduced, in the module and generate
     # it, but their S-pair leaves (1 | d | -x): not a Groebner basis
-    tagged = groebner._tagged([[X()], [D()]], 1, 1)
+    tagged = groebner._tagged(groebner.as_matrix([[X()], [D()]], 1))
     rows = [groebner._Row(dict(v)) for v in tagged]
     assert not groebner._certified(rows, tagged, 1, guard)
     # the unit vectors are the reduced basis of all of D^3, which holds the
@@ -871,7 +881,7 @@ def test_each_check_rejects_what_only_it_sees():
     assert not groebner._certified(units, tagged, 1, guard)
     # rung 7's kernel rows alone are a Groebner basis of a smaller module:
     # the tagged inputs do not reduce to 0
-    tagged = groebner._tagged(ladder_matrix(7), 2, 1)
+    tagged = groebner._tagged(groebner.as_matrix(ladder_matrix(7), 1))
     q_rows = groebner._groebner_rows(tagged, guard)
     assert not groebner._certified([r for r in q_rows if r.lm[0] >= 2], tagged, 2, guard)
     # adding the last row to the first keeps a monic Groebner basis of the

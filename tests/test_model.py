@@ -22,7 +22,7 @@ from dgdm.complexes import (
     summand_projection,
     zero_map,
 )
-from dgdm.groebner import FreeModuleElement, express_in_inputs, lift_basis, submodule_equal, syzygies
+from dgdm.groebner import FreeModuleElement, as_matrix, express_in_inputs, lift_basis, submodule_equal, syzygies
 from dgdm.model import (
     AttachResult,
     CofibrationCertificate,
@@ -166,8 +166,12 @@ def test_attach_cells_rejects_non_cycle():
         attach_cells(c, [(-1, None)])
     with pytest.raises(ComplexError):
         attach_cells(c, [(1, FreeModuleElement([ONE, ONE]))])
-    with pytest.raises(ComplexError):
-        attach_cells(c, [(3, None)])  # degree 2 is zero
+    # over the zero degree 2 the cycle is the element of D^0: the cell splits off as S^3
+    res = attach_cells(c, [(3, None)])
+    assert res.complex == direct_sum(c, sphere(3))
+    assert certify_cofibration(res.inclusion).verdict == "certified"
+    assert (res.complex, res.inclusion) == _attach_by_pushouts(c, [(3, None)])
+    assert attach_cells(c, [(3, FreeModuleElement([], 1))]).complex == res.complex
 
 
 def test_model_loops_visit_occupied_degrees_only():
@@ -466,13 +470,11 @@ def test_splits_multiply_back_and_match_the_lift_basis():
             s = f.target.rank(n)
             w = FreeModuleElement([random_weyl(rng, f.nvars, 2, 2) for _ in range(s)])
             a, q = ours[n](w)
-            back = FreeModuleElement.zero(s, f.nvars)
-            if a:
-                back = back + mat_apply(FreeModuleElement(a), f.component(n), f.nvars, s)
-            for qk, cell in zip(q, cells.get(n, [])):
+            back = mat_apply(a, f.component(n))
+            for qk, cell in zip(q.coords, cells.get(n, [])):
                 back = back + cell.left_mul(qk)
             assert back == w
-            assert (a, q) == ref(w, n)
+            assert (list(a.coords), list(q.coords)) == ref(w, n)
             checked += 1
     assert checked >= 300
 
@@ -504,7 +506,7 @@ def test_lifting_through_a_zero_column():
     p = ChainMap(e, s0, {0: [[WeylElement.zero(1)], [ONE]]})
     h = solve_lifting(i, certify_cofibration(i), p, ChainMap(empty, e, {}), identity_map(s0))
     assert h is not None
-    assert h.component(0) == ((WeylElement.zero(1), ONE),)
+    assert h.component(0) == as_matrix([[WeylElement.zero(1), ONE]], 1)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2), (0, 1), (1, 0), (0, 0)])
