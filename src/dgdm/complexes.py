@@ -17,7 +17,9 @@ Homology is returned as a finite presentation: the kernel Groebner
 generators in ambient D^{r_n}, together with rows expressing (a) the
 image generators of the next differential and (b) the syzygies among
 the kernel generators.  Weak equivalence of chain maps is decided
-exactly through acyclicity of the mapping cone.
+exactly through acyclicity of the mapping cone: unit pivots (entries that
+are nonzero scalars) are cancelled first, and Groebner membership of the
+cycles in the boundaries decides what is left.
 
 Every map between direct sums (sums, summand maps, cones, pushouts,
 shears) is assembled by `block_matrix`, the one place that knows the
@@ -28,7 +30,8 @@ offset by the ranks before it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import (
     FreeModuleElement,
@@ -355,12 +358,65 @@ def _cycles_are_boundaries(c: FreeDComplex, n: int, kernel: List, image: List) -
     return all(member(k, gb_img) for k in kernel)
 
 
+def unit_pivot(row: Dict[int, WeylElement], below: Optional[int] = None) -> Optional[Tuple[int, Fraction]]:
+    """The first column of a sparse row, ascending and below `below` when
+    given, whose entry is a nonzero scalar, and that scalar."""
+    return next(((v, e.scalar_value()) for v, e in sorted(row.items())
+                 if (below is None or v < below) and e.is_scalar()), None)
+
+
+def clear_column(rows, pivot: Dict[int, WeylElement], v: int, sc: Fraction):
+    """Clear column v of each sparse row by row -= row[v]*sc^-1*pivot, the
+    left factor on the left, where pivot[v] is the nonzero scalar sc.
+
+    The entries at v are popped, the pivot's too, and never summed to zero.
+    """
+    del pivot[v]
+    inv = -1 / sc
+    for row in rows:
+        e = row.pop(v, None)
+        if e is not None:
+            vec_add(row, pivot, e.scale(inv))
+
+
+def _cancel_unit_pivots(c: FreeDComplex) -> FreeDComplex:
+    """A complex homotopy equivalent to c with no nonzero scalar entry.
+
+    While some d_n[i][j] is a nonzero scalar, the pair (e_i, f_j) spans a
+    contractible summand (the reduction lemma of Kaczynski, Mrozek and
+    Slusarek): d_n loses row i and column j after clearing column j,
+    d_{n+1} loses column i and d_{n-1} loses row j.  A cancellation in d_n
+    only drops entries of its neighbours, so one ascending pass suffices.
+    """
+    work = {n: {i: dict(row.entries) for i, row in enumerate(c.diff(n).rows)} for n in c.ranks}
+    for n in sorted(work):
+        rows = work[n]
+        while (found := next(((i, p) for i, row in rows.items() if (p := unit_pivot(row))), None)):
+            i, (j, sc) = found
+            clear_column(rows.values(), rows.pop(i), j, sc)
+            for row in work.get(n + 1, {}).values():
+                row.pop(i, None)
+            del work[n - 1][j]
+    diffs = {}
+    for n in work:
+        if n - 1 in work:
+            col = {j: k for k, j in enumerate(work[n - 1])}
+            diffs[n] = Matrix(tuple(FreeModuleElement.sparse(len(col), c.nvars, {col[j]: e for j, e in row.items()})
+                                    for row in work[n].values()), len(col))
+    return FreeDComplex(c.nvars, {n: len(rows) for n, rows in work.items()}, diffs)
+
+
 def is_acyclic(c: FreeDComplex) -> bool:
-    """Exact Groebner acyclicity: every cycle is a boundary, H_0 included."""
+    """Exact acyclicity: every cycle is a boundary, H_0 included.
+
+    Unit pivots are cancelled first (`_cancel_unit_pivots`); the zero
+    complex is acyclic, and Groebner membership decides what is left.
+    """
+    reduced = _cancel_unit_pivots(c)
     return all(
-        _cycles_are_boundaries(c, n, kernel_generators(c, n),
-                               [g for g in image_generators(c, n) if not g.is_zero()])
-        for n in c.degrees()
+        _cycles_are_boundaries(reduced, n, kernel_generators(reduced, n),
+                               [g for g in image_generators(reduced, n) if not g.is_zero()])
+        for n in reduced.degrees()
     )
 
 
@@ -476,43 +532,35 @@ class ConnectionModule:
         return True
 
 
-def _untwist(p: WeylElement, j: int, m: ConnectionModule) -> List[WeylElement]:
-    """Express the plain tensor p (x) e_j as sum_k Q_k acting on 1 (x) e_k.
+def _untwist(p: WeylElement, j: int, m: ConnectionModule) -> Dict[int, WeylElement]:
+    """Express the plain tensor p (x) e_j as sum_k Q_k acting on 1 (x) e_k,
+    returned as the sparse row {k: Q_k} of nonzero Q_k.
 
     Recursion peels one d off each monomial using
     (d_i R) (x) e_j = d_i . (R (x) e_j) - sum_k (R A_i[k][j]) (x) e_k.
     """
-    nvars = m.nvars
-    out = [WeylElement.zero(nvars) for _ in range(m.rank)]
+    out: Dict[int, WeylElement] = {}
     for (a, b), coef in p.terms.items():
-        term = _untwist_mono(a, b, j, m)
-        for k in range(m.rank):
-            out[k] = out[k] + term[k].scale(coef)
+        vec_add(out, _untwist_mono(a, b, j, m), coef)
     return out
 
 
-def _untwist_mono(a, b, j: int, m: ConnectionModule) -> List[WeylElement]:
+def _untwist_mono(a, b, j: int, m: ConnectionModule) -> Dict[int, WeylElement]:
     nvars = m.nvars
     if sum(b) == 0:
-        out = [WeylElement.zero(nvars) for _ in range(m.rank)]
-        out[j] = WeylElement.monomial(nvars, a, b)
-        return out
+        return {j: WeylElement.monomial(nvars, a, b)}
     i = next(idx for idx, e in enumerate(b) if e > 0)
     b_rest = tuple(e - 1 if idx == i else e for idx, e in enumerate(b))
-    rest = _untwist_mono((0,) * nvars, b_rest, j, m)
-    di = WeylElement.d(i + 1, nvars)
-    out = [di * q for q in rest]
+    out: Dict[int, WeylElement] = {}
+    vec_add(out, _untwist_mono((0,) * nvars, b_rest, j, m), WeylElement.d(i + 1, nvars))
     r_elt = WeylElement.monomial(nvars, (0,) * nvars, b_rest)
     for k in range(m.rank):
         gain = m.matrices[i][k][j]
-        if gain.is_zero():
-            continue
-        sub = _untwist(r_elt * gain, k, m)
-        for t in range(m.rank):
-            out[t] = out[t] - sub[t]
+        if gain:
+            vec_add(out, _untwist(r_elt * gain, k, m), -1)
     if sum(a) > 0:
         xa = WeylElement.monomial(nvars, a, (0,) * nvars)
-        out = [xa * q for q in out]
+        out = {t: xa * q for t, q in out.items()}
     return out
 
 
@@ -523,7 +571,7 @@ def _untwist_matrix(mat: Matrix, rows: int, cols: int, m: ConnectionModule, nvar
     blocks: List[List[Optional[Matrix]]] = [[None] * cols for _ in range(rows)]
     for u, row in enumerate(mat.rows):
         for v, e in row.entries.items():
-            blocks[u][v] = Matrix(tuple(FreeModuleElement(_untwist(e, j, m)) for j in range(s)), s)
+            blocks[u][v] = Matrix(tuple(FreeModuleElement.sparse(s, nvars, _untwist(e, j, m)) for j in range(s)), s)
     return block_matrix(blocks, (s,) * rows, (s,) * cols, nvars)
 
 

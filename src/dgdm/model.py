@@ -24,11 +24,13 @@ from .complexes import (
     ComplexError,
     FreeDComplex,
     block_matrix,
+    clear_column,
     compose,
     disk,
     identity_matrix,
     mat_apply,
     sphere,
+    unit_pivot,
 )
 from .groebner import (
     FreeModuleElement,
@@ -134,19 +136,14 @@ class CofibrationCertificate:
     splits: Dict[int, Callable] = field(default_factory=dict, compare=False, repr=False)
 
 
-def _scalar_entry(e: WeylElement) -> Optional[Fraction]:
-    if e.is_scalar() and not e.is_zero():
-        return e.scalar_value()
-    return None
-
-
 def _unit_pivot_split(mat: Matrix, nvars: int):
     """Unit-pivot row reduction of the tagged rows (M_u | e_u), or None.
 
     Pivot rule: the first unpivoted row, then its first unpivoted column
-    v whose entry is a nonzero scalar sc; the other rows are cleared at v
-    by row operations.  Every row stays (E_u*M | E_u) for one invertible
-    E, and column v_u of E*M holds sc_u at row u and zero elsewhere.
+    v whose entry is a nonzero scalar sc (`unit_pivot`); the other rows are
+    cleared at v by row operations (`clear_column`).  Every row stays
+    (E_u*M | E_u) for one invertible E, and column v_u of E*M holds sc_u at
+    row u and zero elsewhere; the pivot entries are not stored.
     None when some row is never pivoted.  When every row is, a kernel
     vector k of M gives k*E^-1 killing E*M, hence zero at each pivot
     column: M is injective, and with the unit vectors e_k of the free
@@ -161,18 +158,15 @@ def _unit_pivot_split(mat: Matrix, nvars: int):
     for i, w in enumerate(work):
         w[cols + i] = one
     pivots: Dict[int, Tuple[int, Fraction]] = {}  # row u -> (v_u, sc_u)
-    taken = set()
     while len(pivots) < rows:
-        found = next(((u, v, sc) for u in range(rows) if u not in pivots for v in sorted(work[u])
-                      if v < cols and v not in taken and (sc := _scalar_entry(work[u][v])) is not None), None)
+        # a cleared pivot column is gone from every row, so none is found twice
+        found = next(((u, p) for u in range(rows) if u not in pivots if (p := unit_pivot(work[u], cols))), None)
         if found is None:
             return None
-        u, v, sc = found
-        for t in range(rows):
-            if t != u and v in work[t]:
-                vec_add(work[t], work[u], -work[t][v].scale(Fraction(1) / sc))
+        u, (v, sc) = found
+        clear_column(work, work[u], v, sc)
         pivots[u] = (v, sc)
-        taken.add(v)
+    taken = {v for v, _ in pivots.values()}
     free = [k for k in range(cols) if k not in taken]
 
     def split(w: FreeModuleElement) -> Tuple[FreeModuleElement, FreeModuleElement]:
