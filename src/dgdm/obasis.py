@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, Hashable, Iterator, List, Sequence, Tuple
 
 from .complexes import FreeDComplex
-from .rational_linalg import add_term, apply_linear
+from .rational_linalg import add_term, apply_linear, integral
 from .slices import TruncationResult, bounded_acyclicity, dsquare_witness
 from .weyl import WeylElement, exponents_bounded
 
@@ -91,14 +91,14 @@ class OBasisComplex:
                 for (na, nb), c in carrier.terms.items():
                     nbs = (nb,) + bs[1:]
                     nkey = (tgt, na, nbs[:tgt_factors])
-                    add_term(out, nkey, c)
+                    add_term(out, nkey, integral(c))
             else:
                 carrier = WeylElement.monomial(self.nvars, zero_a, bs[factor]) * coef
                 for (na, nb), c in carrier.terms.items():
                     nalpha = tuple(x + y for x, y in zip(alpha, na))
                     nbs = bs[:factor] + (nb,) + bs[factor + 1:]
                     nkey = (tgt, nalpha, nbs[:tgt_factors])
-                    add_term(out, nkey, c)
+                    add_term(out, nkey, integral(c))
         return out
 
     def diff_key(self, key: Key) -> Element:

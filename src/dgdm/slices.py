@@ -19,15 +19,20 @@ claim about the full complex.
 
 `bounded_acyclicity` walks the degrees once, checking level N and then
 level N+1 at each degree, and evaluates each differential at most once.
-Boundaries enter the echelon by level block (weight <= N-1, then N,
-then N+1 at level N+1), and the walk stops inserting as soon as every
-cycle lies in their span, so a passing slice often never evaluates its
-later keys.  A failing level still sees every boundary.  The echelon of
-level N is extended to level N+1 rather than rebuilt, and the
-differentials of the next degree's cycle candidates are carried over
-from the boundary keys.  The witness is the one a level-major walk
-finds: the first level-N failure in degree order if there is one, else
-the first level-(N+1) failure.
+A level passes by counting: its cycles have dimension z = keys - rank
+of their images (one echelon, extended at level N+1).  Boundaries enter
+a second echelon by level block (weight <= N-1, then N, then N+1 at
+level N+1), tagged by band: 2 on keys of weight <= N-2, 1 on weight
+N-1, 0 elsewhere.  Rows pivot on their smallest key, so those pivoted in
+band >= b span the boundaries of band >= b, and the level passes once
+they number z, often before its later keys are evaluated.  The count
+needs d∘d = 0, so each counted row is checked to be a cycle on cached
+images; after one that is not, the degree inserts every boundary and
+decides by membership.  Only a level left short lists its cycles, with
+`nullspace`, and returns the first outside the span: the witness of a
+level-major walk, the first level-N failure in degree order, else the
+first level-(N+1) one.  The next degree's cycle candidates are carried
+over with the differentials the boundary echelon evaluated.
 
 A basis enumerator may replay stored keys: `SullivanAlgebra` and
 `AModule` build each (degree, max weight) slice once and keep the tuple
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
 
-from .rational_linalg import Echelon, Vec, apply_linear, nullspace
+from .rational_linalg import Echelon, Vec, apply_linear, integral, nullspace
 
 BasisFn = Callable[[int, int], Iterable[Hashable]]  # (degree, max weight) -> keys
 DiffFn = Callable[[Hashable], Dict[Hashable, Fraction]]
@@ -82,8 +87,11 @@ def slice_witness(
     that step stopped before evaluating it.  Returns the level-n
     witness, the level-(n+1) witness (each None if the slice is exact or
     was not checked) and, if `carry` is set and a boundary was built,
-    the keys and differentials carried to degree p+1.
+    the keys and differentials carried to degree p+1.  A level counts its
+    bands' boundary rows, each checked to be a cycle, against its cycle
+    dimension; `nullspace` runs only if one is short or a row no cycle.
     """
+    low = list(basis_of(p, n - 2))
     high = (list(carried) or list(basis_of(p, n - 1))) if upper else []
 
     def image(key):
@@ -92,24 +100,38 @@ def slice_witness(
             img = carried[key] = diff_of(key)
         return img
 
+    # 2 on basis_of(p, n - 2), 1 on the rest of basis_of(p, n - 1), else 0
+    band = dict.fromkeys(high, 1)
+    band.update(dict.fromkeys(low, 2))
+
+    def tagged(vec):
+        return {(band.get(k, 0), k): c for k, c in vec.items()}
+
+    def is_cycle(row):
+        return not apply_linear(lambda tk: image(tk[1]), row)
+
+    images = Echelon()  # of the cycle candidates: z = keys - rank
     ech: Optional[Echelon] = None
+    rows = [0, 0, 0]  # rows of ech by the band of their pivot
+    counting = True  # every row counted so far is a cycle (d∘d = 0 there)
     held = set()  # degree-(p+1) keys whose boundary ech holds
     nxt: Dict[Hashable, Optional[Vec]] = {}  # key of basis_of(p + 1, n - 1) -> its differential or None
 
-    def witness(keys, level):
-        nonlocal ech
-        if not keys:
-            return None
-        cycles = nullspace([(key, image(key)) for key in keys])
-        if not cycles:
+    def witness(keys, level, b):
+        nonlocal ech, counting
+        for key in keys:
+            if band[key] == b and image(key):
+                images.insert(image(key))
+        z = len(keys) - images.rank()
+        if not z:
             return None
         if ech is None:
             ech = Echelon()
             if carry:
                 nxt.update(dict.fromkeys(basis_of(p + 1, n - 1)))
-        # cycle index -> its residue modulo the boundaries inserted so far
-        pending = {i: r for i, r in enumerate(map(ech.reduce, cycles)) if r}
-        if not pending:
+        elif b == 1 and counting:  # the band-1 rows of level n were not checked there
+            counting = all(is_cycle(r) for q, r in ech.rows.items() if q[0] == 1)
+        if counting and sum(rows[b:]) >= z:
             return None
         for w in range(n - 1, level + 1):  # boundaries by level block
             for key in nxt if w == n - 1 and carry else basis_of(p + 1, w):
@@ -119,25 +141,24 @@ def slice_witness(
                 img = diff_of(key)
                 if key in nxt:
                     nxt[key] = img
-                q = ech.insert(img) if img else None
+                q = ech.insert(tagged(img)) if img else None
                 if q is None:
                     continue
-                for i, r in list(pending.items()):
-                    if q in r:
-                        r = ech.reduce(r)
-                        if r:
-                            pending[i] = r
-                        else:
-                            del pending[i]
-                if not pending:
-                    return None
+                rows[q[0]] += 1
+                if counting and q[0] >= b:
+                    counting = is_cycle(ech.rows[q])
+                    if counting and sum(rows[b:]) >= z:
+                        return None
         # every boundary of the level is in: the first cycle outside their span
-        return {"degree": p, "cycle": cycles[min(pending)], "level": level}
+        for cycle in nullspace([(key, image(key)) for key in keys]):
+            if ech.reduce(tagged(cycle)):
+                return {"degree": p, "cycle": cycle, "level": level}
+        return None
 
-    low = witness(list(basis_of(p, n - 2)), n)
-    if low is not None:
-        return low, None, {}
-    return None, witness(high, n + 1), nxt
+    found = witness(low, n, 2) if low else None
+    if found is not None:
+        return found, None, {}
+    return None, witness(high, n + 1, 1) if high else None, nxt
 
 
 def bounded_acyclicity(
@@ -160,9 +181,7 @@ def bounded_acyclicity(
             return TruncationResult("fail", (n, n + 1), low, degrees)
         if upper is None:
             upper = high
-    if upper is not None:
-        return TruncationResult("fail", (n, n + 1), upper, degrees)
-    return TruncationResult("bounded-pass", (n, n + 1), None, degrees)
+    return TruncationResult("bounded-pass" if upper is None else "fail", (n, n + 1), upper, degrees)
 
 
 def dsquare_witness(
@@ -204,7 +223,7 @@ def cone_adapters(
         if tag == "t":
             return {("t", k2): c for k2, c in tgt_diff(k).items() if c}
         out = {("s", k2): -c for k2, c in src_diff(k).items() if c}
-        out.update((("t", k2), c) for k2, c in map_fn(k).items() if c)
+        out.update((("t", k2), integral(c)) for k2, c in map_fn(k).items() if c)
         return out
 
     return basis, diff

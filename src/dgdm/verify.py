@@ -47,7 +47,7 @@ from .complexes import (
     zero_map,
 )
 from .groebner import FreeModuleElement, buchberger, member, normal_form, submodule_equal
-from .rational_linalg import apply_linear
+from .rational_linalg import apply_linear, vec_add
 from .weyl import WeylElement, act_on_poly, filtration_decompose
 
 
@@ -130,22 +130,21 @@ def check_filtration_splitting(rng, params):
     for _ in range(n_samples):
         p = rg.random_weyl(rng, 1, 5, cap)
         q = rg.random_weyl(rng, 1, 5, cap)
-        parts = filtration_decompose(p)
-        total = WeylElement.zero(1)
-        for j, comp in enumerate(parts):
-            total = total + comp
+        ps, qs, ss = filtration_decompose(p), filtration_decompose(q), filtration_decompose(p + q)
+        total = {}
+        for j, comp in enumerate(ps):
+            vec_add(total, comp.terms)
             if any(sum(b) != j for (_, b) in comp.terms):
                 return "fail", {"element": p, "bad_component": j}
-        if total != p:
-            return "fail", {"element": p, "reassembled": total}
+        if total != p.terms:
+            return "fail", {"element": p, "reassembled": WeylElement(1, total)}
         # linearity: decompose(p + q) is the componentwise sum
-        ps, qs, ss = filtration_decompose(p), filtration_decompose(q), filtration_decompose(p + q)
-        width = max(len(ps), len(qs))
-        for j in range(max(width, len(ss))):
-            a = ps[j] if j < len(ps) else WeylElement.zero(1)
-            b = qs[j] if j < len(qs) else WeylElement.zero(1)
-            c = ss[j] if j < len(ss) else WeylElement.zero(1)
-            if a + b != c:
+        for j in range(max(len(ps), len(qs), len(ss))):
+            total = {}
+            for xs in (ps, qs):
+                if j < len(xs):
+                    vec_add(total, xs[j].terms)
+            if total != (ss[j].terms if j < len(ss) else {}):
                 return "fail", {"p": p, "q": q, "component": j}
     return "pass", None
 

@@ -12,10 +12,12 @@ from fractions import Fraction
 
 import pytest
 
+from dgdm import slices
+from dgdm.cli import dispatch
 from dgdm.complexes import disk
 from dgdm.obasis import tensor_free, truncated_acyclicity
 from dgdm.rational_linalg import Echelon, nullspace, vec_add
-from dgdm.slices import TruncationResult, bounded_acyclicity
+from dgdm.slices import TruncationResult, bounded_acyclicity, dsquare_witness
 
 
 def _sliced(keys, diffs):
@@ -142,6 +144,19 @@ def _wide_sliced(rng, n, spread=1):
     return top, keys, diffs
 
 
+def _broken_sliced(rng, n, spread=1):
+    """Like `_random_sliced`, but the differential of one degree-(p+1) key
+    also takes a degree-p key with a nonzero differential, so d∘d != 0
+    there; a draw without such a pair keeps d∘d = 0."""
+    top, keys, diffs = _random_sliced(rng, n, spread)
+    pairs = [(k, h) for p in range(1, top + 1) for k, _ in keys[p] if diffs[k]
+             for h, _ in keys[p + 1]]
+    if pairs:
+        k, h = rng.choice(pairs)
+        vec_add(diffs[h], {k: Fraction(rng.choice((-1, 1)))})
+    return top, keys, diffs
+
+
 def _match_level_major(seeds, scaled=False, family=_random_sliced):
     """Check the walk against the level-major oracle on random sliced
     complexes; returns the outcomes, the witnesses and how many distinct
@@ -203,6 +218,28 @@ def test_wide_sliced_complexes_match_level_major_walk():
     assert skipped > 0
 
 
+def test_broken_sliced_complexes_match_level_major_walk():
+    # a boundary that is no cycle must not be counted as one
+    outcomes, _, _ = _match_level_major(range(3000, 3400), family=_broken_sliced)
+    assert set(outcomes) == {0, 1, "pass"}, outcomes
+    broken = 0
+    for seed in range(3000, 3400):
+        rng = random.Random(seed)
+        top, keys, diffs = _broken_sliced(rng, rng.randint(2, 4))
+        broken += dsquare_witness(*_sliced(keys, diffs), range(top + 2), 9) is not None
+    assert broken > 200, broken
+
+
+def test_boundary_that_is_no_cycle_is_not_counted():
+    # d a = x and d x = u: the slice of degree 0 at level 2 has one cycle,
+    # y, and one boundary, x, so the dimensions agree, but y is no boundary
+    keys = {-1: [("u", 0)], 0: [("x", 0), ("y", 0)], 1: [("a", 0)]}
+    basis_of, diff_of = _sliced(keys, {"a": {"x": 1}, "x": {"u": 1}})
+    res = bounded_acyclicity(basis_of, diff_of, [0], 2)
+    assert res.witness == {"degree": 0, "cycle": {"y": Fraction(1)}, "level": 2}
+    assert res == _level_major(basis_of, diff_of, [0], 2)
+
+
 @pytest.mark.parametrize("last", [True, False])
 def test_cycle_covered_only_by_the_last_key_of_the_top_block(last):
     # n = 3: level 4 checks the weight-2 cycle z1; in degree 1, b0 and e1
@@ -242,3 +279,29 @@ def test_tensor_of_disks_evaluates_each_differential_once():
     assert res.verdict == "bounded-pass"
     assert max(counts.values()) == 1
     assert sum(counts.values()) == PINNED_DISK_EVALS
+
+
+# `Echelon.reduce` calls in one `dgdm suite --seed 42`: every bounded slice
+# of the suite passes by counting dimensions, so none lists its cycles with
+# `nullspace`; reducing each cycle against the boundaries took 43,834
+PINNED_SUITE_REDUCES = 19315
+
+
+def test_suite_passes_its_slices_without_nullspace(monkeypatch, capsys):
+    calls = Counter()
+    nullspace_, reduce_ = slices.nullspace, Echelon.reduce
+
+    def counted_nullspace(images):
+        calls["nullspace"] += 1
+        return nullspace_(images)
+
+    def counted_reduce(self, vec):
+        calls["reduce"] += 1
+        return reduce_(self, vec)
+
+    monkeypatch.setattr(slices, "nullspace", counted_nullspace)
+    monkeypatch.setattr(Echelon, "reduce", counted_reduce)
+    assert dispatch(["suite", "--seed", "42"]) == 0
+    capsys.readouterr()
+    assert calls["nullspace"] == 0
+    assert calls["reduce"] <= PINNED_SUITE_REDUCES, calls

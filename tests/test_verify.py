@@ -142,3 +142,21 @@ def test_suite_report_bytes_match_pins(key):
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         assert cli.main(SUITE_RUNS[key]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SUITE_PINS[key]
+
+
+def test_filtration_splitting_check_builds_few_zero_weyl_elements(monkeypatch):
+    # padding the decompositions with zeros built 336 zero WeylElements in
+    # this check; the zeros left are the empty order components
+    from dgdm.weyl import WeylElement
+
+    zeros = 0
+    init = WeylElement.__init__
+
+    def counting_init(self, nvars, terms=None):
+        nonlocal zeros
+        init(self, nvars, terms)
+        zeros += not self.terms
+
+    monkeypatch.setattr(WeylElement, "__init__", counting_init)
+    assert run_check("filtration_splitting", None, 42).verdict == "pass"
+    assert zeros <= 133, zeros
