@@ -30,10 +30,11 @@ Its two instances supply only their W-blocks and twist terms:
 `TensorOverA` (N = B, w a V-atom (j, b) of A (x) V) and
 `BaseChangeModule` (w the atoms of B's new generators).
 
-The differentials and actions on keys are memoised per instance over
-the term kernel of `dga` and are read-only, with `int` coefficients
-where integral.  `AModuleElement` is the module kind of `dga`'s element
-class `GradedElement` and holds `Fraction`s.
+The differentials, the actions on keys and a morphism's values on atoms
+are memoised per instance over the term kernel of `dga` and are
+read-only, with `int` coefficients where integral.  `AModuleElement` is
+the module kind of `dga`'s element class `GradedElement` and holds
+`Fraction`s.
 """
 
 from __future__ import annotations
@@ -335,8 +336,8 @@ class AModuleMorphism(Morphism):
         _, alpha, atoms, j, b = key
         qv = self._qv_cache.get((j, b))
         if qv is None:
-            qv = self._qv_cache[(j, b)] = self.target.act_monomial(
-                (0,) * self.source.nvars, b, self.assignments[j].coeffs)
+            own = {k: integral(c) for k, c in self.assignments[j].coeffs.items()}
+            qv = self._qv_cache[(j, b)] = self.target.act_monomial((0,) * self.source.nvars, b, own)
         return apply_linear(lambda key2: self.target.act_algebra_term_key((alpha, atoms), key2), qv)
 
 

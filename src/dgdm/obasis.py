@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, Hashable, Iterator, List, Sequence, Tuple
 
 from .complexes import FreeDComplex
 from .rational_linalg import add_term, apply_linear, integral
 from .slices import TruncationResult, bounded_acyclicity, dsquare_witness
-from .weyl import WeylElement, exponents_bounded
+from .weyl import WeylElement, exponents_bounded, mono_mul
 
 SlotId = Hashable
 # a differential/map entry: (target slot, factor index, coefficient)
@@ -83,22 +84,17 @@ class OBasisComplex:
         zero_a = (0,) * self.nvars
         out: Element = {}
         for tgt, factor, coef in entries:
-            if coef.is_zero():
-                continue
             tgt_factors = self.slots[tgt].factors
-            if factor == 0:
-                carrier = WeylElement.monomial(self.nvars, alpha, bs[0]) * coef
-                for (na, nb), c in carrier.terms.items():
-                    nbs = (nb,) + bs[1:]
-                    nkey = (tgt, na, nbs[:tgt_factors])
-                    add_term(out, nkey, integral(c))
-            else:
-                carrier = WeylElement.monomial(self.nvars, zero_a, bs[factor]) * coef
-                for (na, nb), c in carrier.terms.items():
-                    nalpha = tuple(x + y for x, y in zip(alpha, na))
-                    nbs = bs[:factor] + (nb,) + bs[factor + 1:]
-                    nkey = (tgt, nalpha, nbs[:tgt_factors])
-                    add_term(out, nkey, integral(c))
+            # the factor's operator times coef; for a factor other than the
+            # first, the x-part of the product joins the O-coefficient
+            left = (zero_a, bs[factor]) if factor else (alpha, bs[0])
+            head, tail = bs[:factor], bs[factor + 1:]
+            for mono, c in coef.terms.items():
+                for (na, nb), k in mono_mul(left, mono).items():
+                    if factor:
+                        na = tuple(map(add, alpha, na))
+                    nkey = (tgt, na, (head + (nb,) + tail)[:tgt_factors])
+                    add_term(out, nkey, integral(c if k == 1 else c * k))
         return out
 
     def diff_key(self, key: Key) -> Element:

@@ -11,6 +11,13 @@ rational coefficients; that normal form is the stored representation.
 
 O = k[x_1..x_n] sits inside D as the operators of order 0 (b = 0), which
 `is_polynomial` recognises and on which D acts by `act_on_poly`.
+
+A product with a nonzero scalar factor (the units of D) scales the other
+factor's terms and runs no `mono_mul`; every other product expands all
+pairs of terms.  The public constructor checks and converts its input.
+Products, sums, negation and `scale` build their results with
+`_element`, which trusts its terms: normal-ordered monomials with
+nonzero `Fraction` coefficients, in a dict the new element owns.
 """
 
 from __future__ import annotations
@@ -116,7 +123,8 @@ class WeylElement:
         self.nvars = nvars
         clean: Dict[Monomial, Fraction] = {}
         for mono, coef in (terms or {}).items():
-            coef = Fraction(coef)
+            if type(coef) is not Fraction:
+                coef = Fraction(coef)
             if coef:
                 clean[mono] = coef
         self.terms = clean
@@ -171,8 +179,7 @@ class WeylElement:
         return all(b == zero for (_, b) in self.terms)
 
     def is_scalar(self) -> bool:
-        z = (0,) * self.nvars
-        return not self.terms or set(self.terms) == {(z, z)}
+        return not self.terms or _unit_value(self) is not None
 
     def scalar_value(self) -> Fraction:
         if not self.is_scalar():
@@ -187,10 +194,10 @@ class WeylElement:
         terms = dict(self.terms)
         for mono, coef in other.terms.items():
             add_term(terms, mono, coef)
-        return WeylElement(self.nvars, terms)
+        return _element(self.nvars, terms)
 
     def __neg__(self) -> "WeylElement":
-        return WeylElement(self.nvars, {m: -c for m, c in self.terms.items()})
+        return _element(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
         return self + (-other)
@@ -199,13 +206,20 @@ class WeylElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         _check_same_nvars(self, other)
+        # nonzero scalars are central, so either order scales the other factor
+        c = _unit_value(other)
+        if c is not None:
+            return self.scale(c)
+        c = _unit_value(self)
+        if c is not None:
+            return other.scale(c)
         terms: Dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for mono, coef in mono_mul(m1, m2).items():
                     add_term(terms, mono, c12 if coef == 1 else c12 * coef)
-        return WeylElement(self.nvars, terms)
+        return _element(self.nvars, terms)
 
     def __rmul__(self, other) -> "WeylElement":
         if isinstance(other, (int, Fraction)):
@@ -213,8 +227,13 @@ class WeylElement:
         return NotImplemented
 
     def scale(self, c) -> "WeylElement":
-        c = Fraction(c)
-        return WeylElement(self.nvars, {m: c * v for m, v in self.terms.items()})
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if not c:
+            return _element(self.nvars, {})
+        if c == 1:
+            return _element(self.nvars, dict(self.terms))
+        return _element(self.nvars, {m: c * v for m, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -242,6 +261,25 @@ class WeylElement:
             (self.terms[(a, b)], power_factors("x", a) + power_factors("d", b))
             for (a, b) in sorted(self.terms, key=lambda m: (sum(m[0]) + sum(m[1]), m))
         )
+
+
+def _element(nvars: int, terms: Dict[Monomial, Fraction]) -> WeylElement:
+    """The element with these terms, taken as they are: the caller passes
+    normal-ordered monomials with nonzero `Fraction` coefficients, in a
+    dict that nothing else holds."""
+    p = object.__new__(WeylElement)
+    p.nvars = nvars
+    p.terms = terms
+    return p
+
+
+def _unit_value(p: WeylElement):
+    """The coefficient of p when p is a nonzero scalar, else None."""
+    if len(p.terms) == 1:
+        for (a, b), c in p.terms.items():
+            if not any(a) and not any(b):
+                return c
+    return None
 
 
 def act_on_poly(p: WeylElement, f: WeylElement) -> WeylElement:

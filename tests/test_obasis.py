@@ -1,10 +1,13 @@
 """O-basis complexes: tensor structure, cones, bounded exactness."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from dgdm import weyl
 from dgdm.complexes import FreeDComplex, disk, sphere
+from dgdm.model import iota, pushout_product, zeta
 from dgdm.obasis import (
     OBasisChainMap,
     OBasisComplex,
@@ -17,6 +20,8 @@ from dgdm.obasis import (
     tensor_free,
     truncated_acyclicity,
 )
+from dgdm.randgen import random_complex
+from dgdm.rational_linalg import add_term, integral
 from dgdm.weyl import WeylElement
 
 ONE = WeylElement.one(1)
@@ -151,3 +156,98 @@ def test_dsquare_violation_detected():
     t = OBasisComplex(1, slots, diff)
     with pytest.raises(ValueError):
         t.validate_dsquare(2)
+
+
+# apply_entries through WeylElement products, kept as the reference for the
+# expansion by mono_mul.
+
+def _reference_apply_entries(t, key, entries):
+    sid, alpha, bs = key
+    zero_a = (0,) * t.nvars
+    out = {}
+    for tgt, factor, coef in entries:
+        if coef.is_zero():
+            continue
+        tgt_factors = t.slots[tgt].factors
+        if factor == 0:
+            carrier = WeylElement.monomial(t.nvars, alpha, bs[0]) * coef
+            for (na, nb), c in carrier.terms.items():
+                nbs = (nb,) + bs[1:]
+                add_term(out, (tgt, na, nbs[:tgt_factors]), integral(c))
+        else:
+            carrier = WeylElement.monomial(t.nvars, zero_a, bs[factor]) * coef
+            for (na, nb), c in carrier.terms.items():
+                nalpha = tuple(x + y for x, y in zip(alpha, na))
+                nbs = bs[:factor] + (nb,) + bs[factor + 1:]
+                add_term(out, (tgt, nalpha, nbs[:tgt_factors]), integral(c))
+    return out
+
+
+def _fractional(rng, nvars):
+    """A seeded element of one to three terms with x's, d's and rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        a = tuple(rng.randint(0, 2) for _ in range(nvars))
+        b = tuple(rng.randint(0, 2) for _ in range(nvars))
+        terms[(a, b)] = Fraction(rng.choice((-7, -3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))
+    return WeylElement(nvars, terms)
+
+
+def _seeded_complexes(rng, nvars):
+    """Seeded tensor products, cones and pushout products, each with a table of
+    entries to expand on its basis keys."""
+    t = tensor_free(random_complex(rng, nvars, 2, 2, 2), random_complex(rng, nvars, 2, 2, 2))
+    cone = obasis_cone(obasis_inclusion(obasis_of_free(random_complex(rng, nvars, 2, 2, 2)), t, 1))
+    pp = pushout_product(rng.choice((iota(1), iota(2), zeta(1))), rng.choice((iota(1), zeta(2))), nvars)
+    yield t, t.diff_entries
+    yield cone, cone.diff_entries
+    pp_cone = obasis_cone(pp.map)
+    yield pp.codomain, pp.map.entries
+    yield pp_cone, pp_cone.diff_entries
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_apply_entries_matches_weyl_products(nvars):
+    rng = random.Random(f"apply-entries:{nvars}")
+    factors, kinds = set(), set()
+    for _ in range(3):
+        for t, table in _seeded_complexes(rng, nvars):
+            for sid, entries in table.items():
+                perturbed = [(tgt, f, c * _fractional(rng, nvars) + _fractional(rng, nvars))
+                             for tgt, f, c in entries]
+                factors.update(f for _, f, _ in entries)
+                keys = [k for k in t.basis_keys(t.slots[sid].degree, 5) if k[0] == sid]
+                if nvars > 1:
+                    keys = rng.sample(keys, min(len(keys), 40))
+                for key in keys:
+                    for es in (entries, perturbed):
+                        got = t.apply_entries(key, es)
+                        assert got == _reference_apply_entries(t, key, es), (sid, key)
+                        assert all(c for c in got.values())
+                        kinds.update(type(c) for c in got.values())
+    # both factors of a tensor, integral and non-integral coefficients
+    assert factors == {0, 1} and kinds == {int, Fraction}
+
+
+def test_trivial_pp_weq_builds_few_weyl_elements(monkeypatch):
+    # expanding each entry through WeylElement products built 8,932
+    # elements in this check, mono_mul on the terms 72
+    from dgdm.verify import run_check
+
+    built = 0
+    init, element = WeylElement.__init__, weyl._element
+
+    def counting_init(self, nvars, terms=None):
+        nonlocal built
+        built += 1
+        init(self, nvars, terms)
+
+    def counting_element(nvars, terms):
+        nonlocal built
+        built += 1
+        return element(nvars, terms)
+
+    monkeypatch.setattr(WeylElement, "__init__", counting_init)
+    monkeypatch.setattr(weyl, "_element", counting_element)
+    assert run_check("trivial_pp_weq", None, 42).verdict == "bounded-pass"
+    assert built <= 100, built

@@ -147,16 +147,23 @@ def test_suite_report_bytes_match_pins(key):
 def test_filtration_splitting_check_builds_few_zero_weyl_elements(monkeypatch):
     # padding the decompositions with zeros built 336 zero WeylElements in
     # this check; the zeros left are the empty order components
+    from dgdm import weyl
     from dgdm.weyl import WeylElement
 
     zeros = 0
-    init = WeylElement.__init__
+    init, element = WeylElement.__init__, weyl._element
 
     def counting_init(self, nvars, terms=None):
         nonlocal zeros
         init(self, nvars, terms)
         zeros += not self.terms
 
+    def counting_element(nvars, terms):
+        nonlocal zeros
+        zeros += not terms
+        return element(nvars, terms)
+
     monkeypatch.setattr(WeylElement, "__init__", counting_init)
+    monkeypatch.setattr(weyl, "_element", counting_element)
     assert run_check("filtration_splitting", None, 42).verdict == "pass"
     assert zeros <= 133, zeros
