@@ -31,9 +31,13 @@ and attaching one generator is a `CellPushout` with its `pushout_factor`.
 Each object supplies its kind's `ground` and `morphism`.
 
 The arithmetic runs on term keys and raw coefficient dicts
-(`term_product`, `act_d_term`, `act_monomial`, `d_term`).  The memos of
-`d_term` and `_d_atom` live on the algebra, never per process, and are
-read-only; they hold `int` coefficients wherever the value is integral.
+(`term_product`, `coeffs_product`, `act_d_term`, `act_monomial`,
+`d_term`).  The memos of `d_term` and `_d_atom` live on the algebra,
+never per process, and are read-only; they hold `int` coefficients
+wherever the value is integral.  So do two more per-instance memos: the
+algebra keeps the exponent chains of each (budget, parity) that slice
+enumeration asks for, and an `AlgebraMorphism` keeps the image
+d^b . phi(g_j) of each atom, so `apply_key` only multiplies.
 The public wrapper `AlgebraElement`, and every report, holds `Fraction`s.
 """
 
@@ -51,6 +55,7 @@ Atom = Tuple[int, Exponent]  # (generator index, d-exponent)
 TermKey = Tuple[Exponent, Tuple[Atom, ...]]
 Coeffs = Dict[TermKey, Fraction]
 Multisets = Tuple[Tuple[Tuple[Atom, ...], int], ...]  # (sorted atoms, cost) pairs
+Chains = Tuple[Tuple[Tuple[Exponent, ...], int], ...]  # (sorted d-exponents, cost) pairs
 Parity = Callable[[Hashable], int]  # an atom's parity, for the Koszul sort
 
 DEFAULT_DEGREE_WINDOW = 6
@@ -126,6 +131,7 @@ class SullivanAlgebra:
         self._dterm_memo: Dict[TermKey, Coeffs] = {}
         # slice enumerations, each built once and replayed (see basis_keys)
         self._multiset_memo: Dict[Tuple[int, int, int], Multisets] = {}
+        self._chain_memo: Dict[Tuple[int, int], Chains] = {}  # (budget, parity) -> exponent chains
         self._basis_memo: Dict[Tuple[int, int], Tuple[TermKey, ...]] = {}
         for j, coeffs in diff.items():
             if not 0 <= j < len(self.generators):
@@ -220,13 +226,17 @@ class SullivanAlgebra:
     def multiply(self, u: "AlgebraElement", v: "AlgebraElement") -> "AlgebraElement":
         if u.algebra is not self and u.algebra != self:
             raise ValueError("element of a different algebra")
+        return AlgebraElement(self, self.coeffs_product(u.coeffs, v.coeffs))
+
+    def coeffs_product(self, u: Coeffs, v: Coeffs) -> Coeffs:
+        """The product of two coefficient dicts, u on the left."""
         out: Coeffs = {}
-        for k1, c1 in u.coeffs.items():
-            for k2, c2 in v.coeffs.items():
+        for k1, c1 in u.items():
+            for k2, c2 in v.items():
                 prod = self.term_product(k1, k2)
                 if prod is not None:
                     add_term(out, prod[1], c1 * c2 * prod[0])
-        return AlgebraElement(self, out)
+        return out
 
     # -- D-action ----------------------------------------------------------
 
@@ -324,11 +334,14 @@ class SullivanAlgebra:
             return
         gdeg = self.generators[j].degree
         odd = self.parities[j]
+        chains = self._chain_memo.get((budget, odd))
+        if chains is None:
+            chains = self._chain_memo[(budget, odd)] = tuple(
+                (bs, sum(sum(b) + 1 for b in bs)) for bs in self._exponent_chains(budget, strictly=bool(odd)))
         # choose a nonempty sorted tuple of d-exponents for generator j
-        for bs in self._exponent_chains(budget, strictly=bool(odd)):
+        for bs, cost in chains:
             used_deg = gdeg * len(bs)
-            cost = sum(sum(b) + 1 for b in bs)
-            if used_deg > degree or cost > budget:
+            if used_deg > degree:
                 continue
             for rest, rcost in self._atom_multisets(j + 1, degree - used_deg, budget - cost):
                 yield tuple((j, b) for b in bs) + rest, cost + rcost
@@ -553,15 +566,22 @@ class AlgebraMorphism(Morphism):
     """A DGDA morphism fixed by generator values: the identity on
     O-coefficients, d^b g_j |-> d^b . phi(g_j), extended multiplicatively."""
 
+    def __init__(self, source: SullivanAlgebra, target: SullivanAlgebra, assignments: Dict[int, AlgebraElement]):
+        self._atom_images: Dict[Atom, Coeffs] = {}  # before the chain-map check, which applies self
+        super().__init__(source, target, assignments)
+
     def apply_key(self, key: TermKey) -> Coeffs:
-        """x^alpha times the images d^b . phi(g_j) of the atoms of key."""
+        """x^alpha times the images d^b . phi(g_j) of the atoms of key, in order."""
         alpha, atoms = key
         tgt = self.target
-        term = AlgebraElement(tgt, {(alpha, ()): Fraction(1)})
-        for (j, b) in atoms:
-            img = tgt.act_monomial((0,) * tgt.nvars, b, self.assignments[j].coeffs)
-            term = term * AlgebraElement(tgt, img)
-        return term.coeffs
+        out: Coeffs = {(alpha, ()): 1}
+        for atom in atoms:
+            img = self._atom_images.get(atom)
+            if img is None:
+                own = {k: integral(c) for k, c in self.assignments[atom[0]].coeffs.items()}
+                img = self._atom_images[atom] = tgt.act_monomial((0,) * tgt.nvars, atom[1], own)
+            out = tgt.coeffs_product(out, img)
+        return out
 
 
 def initial_morphism(a: SullivanAlgebra) -> Morphism:

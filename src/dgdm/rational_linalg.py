@@ -11,6 +11,9 @@ such as the rows over D of `groebner`.  On top of the kernel sits a
 fraction-free echelon form with a deterministic pivot rule (smallest
 column key), which is enough for span membership and nullspace
 computation.  Its rows hold `int`s; kernel vectors leave as `Fraction`s.
+Most vectors the slice checks insert have one term {k: c}; such an
+insert runs no elimination unless a row of several terms pivots at k:
+it stores the unit row {k: 1}, or finds k spanned by the row {k: 1}.
 No floating point.
 """
 
@@ -129,7 +132,20 @@ class Echelon:
         return vec
 
     def insert(self, vec: Vec) -> Optional[Hashable]:
-        """Reduce vec and add it to the basis; returns its pivot (None if 0)."""
+        """Reduce vec and add it to the basis; returns its pivot (None if 0).
+
+        A one-term vector {k: c} is stored as {k: 1} when no row pivots at
+        k and is spanned when that row is {k: 1}; only against a longer
+        row is it reduced.  Rows and pivots are those `reduce` would give.
+        """
+        if len(vec) == 1:
+            (k,) = vec
+            row = self.rows.get(k)
+            if row is None:
+                self.rows[k] = {k: 1}
+                return k
+            if len(row) == 1:
+                return None
         red = self.reduce(vec)
         if not red:
             return None

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
 
-from .rational_linalg import Echelon, Vec, apply_linear, integral, nullspace
+from .rational_linalg import Echelon, Vec, apply_linear, nullspace
 
 BasisFn = Callable[[int, int], Iterable[Hashable]]  # (degree, max weight) -> keys
 DiffFn = Callable[[Hashable], Dict[Hashable, Fraction]]
@@ -223,7 +223,7 @@ def cone_adapters(
         if tag == "t":
             return {("t", k2): c for k2, c in tgt_diff(k).items() if c}
         out = {("s", k2): -c for k2, c in src_diff(k).items() if c}
-        out.update((("t", k2), integral(c)) for k2, c in map_fn(k).items() if c)
+        out.update((("t", k2), c) for k2, c in map_fn(k).items() if c)
         return out
 
     return basis, diff

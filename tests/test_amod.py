@@ -37,6 +37,7 @@ from dgdm.dga import (
     SullivanAlgebra,
     algebra_bounded_weq,
     compose_morphisms,
+    dga_pushout_gen,
     extend_morphism,
     identity_morphism,
     pushout_factor,
@@ -707,19 +708,26 @@ def test_checks_on_deep_copies_leave_the_memos_of_their_inputs_alone():
     f, m, b = _module_instance(1601)
     rng = random.Random(1601)
     _, g = random_algebra_weq(rng, random_algebra(rng, max_gens=2, max_degree=2))
-    inputs = (f.source, f.target, f.source.algebra, m, m.algebra, b, g.source, g.target)
-    names = ("_dterm_memo", "_datom_cache", "_diff_memo", "_act_memo", "_dv_cache", "_qv_cache")
-    memos = [getattr(obj, name) for obj in inputs + (f,) for name in names if hasattr(obj, name)]
+    # a pushout map along g, an AlgebraMorphism with its own atom images
+    w = g.source.d(random_algebra_element(rng, g.source, 1, 3))
+    h = dga_pushout_gen(g.source, g.target, g, 1, w).map
+    inputs = (f.source, f.target, f.source.algebra, m, m.algebra, b, g.source, g.target, h.source, h.target)
+    names = ("_dterm_memo", "_datom_cache", "_diff_memo", "_act_memo", "_dv_cache", "_qv_cache",
+             "_chain_memo", "_atom_images")
+    memos = [getattr(obj, name) for obj in inputs + (f, h) for name in names if hasattr(obj, name)]
     before = [len(memo) for memo in memos]
-    cf, cm, cb, cg = copy.deepcopy((f, m, b, g))
+    cf, cm, cb, cg, ch = copy.deepcopy((f, m, b, g, h))
     assert tensor_bounded_weq(cf, cm, 5, 3).ok
     assert base_change_bounded_weq(cb, cf, 5, 3).ok
     assert amodule_bounded_weq(cf, 5, 3).ok
     assert algebra_bounded_weq(cg, 5, 3).ok
+    assert algebra_bounded_weq(ch, 5, 3).ok
     assert [len(memo) for memo in memos] == before
     # the copies did the work
     assert len(cf.source._diff_memo) > len(f.source._diff_memo)
     assert len(cg.target._dterm_memo) > len(g.target._dterm_memo)
+    assert len(ch._atom_images) > len(h._atom_images)
+    assert len(ch.source._chain_memo) > len(h.source._chain_memo)
 
 
 def test_bounded_module_checks_keep_their_degree_ranges():

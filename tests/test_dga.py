@@ -1,6 +1,8 @@
 """Sullivan algebras: graded commutativity, derivations, pushouts."""
 
+import copy
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -25,7 +27,7 @@ from dgdm.dga import (
 )
 from dgdm.amod import free_sphere_module
 from dgdm.randgen import random_algebra, random_algebra_element, random_algebra_weq
-from dgdm.rational_linalg import apply_linear
+from dgdm.rational_linalg import apply_linear, integral
 from dgdm.weyl import WeylElement
 
 D1 = WeylElement.d(1, 1)
@@ -489,3 +491,134 @@ def test_term_kernel_squares_to_zero_and_is_a_graded_derivation():
             lhs = alg.d(u * v)
             rhs = alg.d(u) * v + (u * alg.d(v)).scale((-1) ** du)
             assert lhs == rhs, (alg, u, v)
+
+
+# ------------------------------------------------------- apply_key oracle
+
+def _reference_apply_key(f, key):
+    """`AlgebraMorphism.apply_key` as it was before its atom-image cache:
+    x^alpha, then each atom's image d^b . phi(g_j), multiplied on the
+    right one by one as `AlgebraElement`s."""
+    alpha, atoms = key
+    tgt = f.target
+    term = AlgebraElement(tgt, {(alpha, ()): Fraction(1)})
+    for (j, b) in atoms:
+        img = tgt.act_monomial((0,) * tgt.nvars, b, f.assignments[j].coeffs)
+        term = term * AlgebraElement(tgt, img)
+    return term.coeffs
+
+
+def _fractional_shear(y, s, c):
+    """The shear s of y with its g_j -> g_j + w scaled to g_j -> g_j + c*w."""
+    return AlgebraMorphism(y, y, {j: y.generator(j) + (v - y.generator(j)).scale(c)
+                                  for j, v in s.assignments.items()})
+
+
+def _oracle_morphisms(mixed):
+    """Seeded shears of `random_algebra_weq` (as drawn and with fractional
+    shears), `dga_pushout_gen` maps along them, and a map of `mixed` whose
+    values have fractional coefficients and several terms."""
+    shears = 0
+    for seed in range(200):
+        rng = random.Random(2500 + seed)
+        x = random_algebra(rng, nvars=1 + seed % 2, max_gens=2, max_degree=2)
+        y, f = random_algebra_weq(rng, x, 2)
+        if isinstance(f, Inclusion):  # no shear drawn
+            continue
+        shears += 1
+        if shears > 6:
+            break
+        shear = f.factors[1]
+        frac = _fractional_shear(y, shear, Fraction(-5, 3))
+        yield shear
+        yield frac
+        deg = rng.randint(1, 2)
+        w = x.d(random_algebra_element(rng, x, deg, 3)).scale(Fraction(3, 4))
+        yield dga_pushout_gen(x, y, compose_morphisms(f.factors[0], frac), deg, w).map
+    g, u, v = map(mixed.generator, range(3))
+    yield AlgebraMorphism(mixed, mixed, {0: g.scale(Fraction(5, 2)) + mixed.atom(0, (1,)).scale(Fraction(1, 3)),
+                                         1: u.scale(Fraction(-3, 4)), 2: v.scale(Fraction(-3, 4))})
+
+
+def _oracle_keys(rng, f):
+    """Source keys up to weight 5, sampled, and the same keys with an odd
+    atom repeated, whose images multiply to zero."""
+    keys = [k for p in range(5) for k in f.source.basis_keys(p, 5)]
+    keys = rng.sample(keys, min(len(keys), 120))
+    doubled = [(alpha, tuple(sorted(atoms + (a,)))) for alpha, atoms in keys
+               for a in atoms[:1] if f.source.atom_parity(a)]
+    return keys + doubled
+
+
+def _apply_key_mismatch(mixed, apply_key):
+    """The first (morphism, key) on which apply_key(f, key) and the
+    reference differ in value or key order, or, for integral values on
+    the generators, hold a `Fraction`; None if there is none."""
+    rng = random.Random(2525)
+    seen = Counter()
+    for f in _oracle_morphisms(mixed):
+        ints = all(c.denominator == 1 for v in f.assignments.values() for c in v.coeffs.values())
+        for key in _oracle_keys(rng, f):
+            got, want = apply_key(f, key), _reference_apply_key(f, key)
+            seen["vanish" if not want else "fraction" if
+                 any(c.denominator != 1 for c in want.values()) else "integral"] += 1
+            if list(got.items()) != list(want.items()):
+                return f, key
+            if ints and any(type(c) is not int for c in got.values()):
+                return f, key
+    assert min(seen.values()) > 100, seen
+    return None
+
+
+def test_apply_key_matches_the_element_fold(mixed):
+    assert _apply_key_mismatch(mixed, AlgebraMorphism.apply_key) is None
+
+
+def _mutant_apply_key(kind):
+    """AlgebraMorphism.apply_key with one fault in its cache or its fold."""
+    caches = {}
+
+    def apply_key(f, key):
+        alpha, atoms = key
+        tgt = f.target
+        cache = caches.setdefault(id(f), {})
+        out = {(alpha, ()): 1}
+        for j, b in atoms:
+            slot = j if kind == "cache-j" else (j, b)
+            img = cache.get(slot)
+            if img is None:
+                own = {k: integral(c) for k, c in f.assignments[j].coeffs.items()}
+                img = cache[slot] = tgt.act_monomial((0,) * tgt.nvars, b, own)
+            out = tgt.coeffs_product(img, out) if kind == "order" else tgt.coeffs_product(out, img)
+        return out
+
+    return apply_key
+
+
+@pytest.mark.parametrize("kind", ["cache-j", "order"])
+def test_the_apply_key_oracle_rejects_a_wrong_cache_or_order(mixed, kind):
+    assert _apply_key_mismatch(mixed, _mutant_apply_key(kind)) is not None
+
+
+# exponent chains one cold check of a pushout map builds: one per
+# (algebra, budget, parity); rebuilt for every atom multiset it took 110
+PINNED_CHAIN_BUILDS = 20
+
+
+def test_bounded_check_builds_each_exponent_chain_once(monkeypatch):
+    rng = random.Random(2529)
+    x = random_algebra(rng, max_gens=1, max_degree=2)
+    y, f = random_algebra_weq(rng, x)
+    deg = rng.randint(1, 2)
+    po = dga_pushout_gen(x, y, f, deg, x.d(random_algebra_element(rng, x, deg, 3)))
+    builds = Counter()
+    raw = SullivanAlgebra._exponent_chains
+
+    def counted(self, budget, strictly):
+        builds[(id(self), budget, strictly)] += 1
+        return raw(self, budget, strictly)
+
+    monkeypatch.setattr(SullivanAlgebra, "_exponent_chains", counted)
+    assert algebra_bounded_weq(copy.deepcopy(po.map), 7, 3).ok
+    assert max(builds.values()) == 1
+    assert sum(builds.values()) == PINNED_CHAIN_BUILDS

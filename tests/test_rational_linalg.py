@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from dgdm.rational_linalg import Echelon, add_term, apply_linear, nullspace, vec_add
 from dgdm.slices import dsquare_witness
 
@@ -201,3 +203,85 @@ def test_dsquare_witness_reports_the_first_failing_key():
     assert dsquare_witness(basis, diffs.__getitem__, range(6), 5) == 3
     assert dsquare_witness(basis, diffs.__getitem__, range(4, 6), 5) == 4
     assert dsquare_witness(basis, diffs.__getitem__, range(6), 2) is None
+
+
+# ------------------------------------------------------ one-term insert oracle
+
+def _reference_insert(ech, vec):
+    """`Echelon.insert` as it was before its one-term rule: every vector
+    goes through `reduce` and `_add_row`."""
+    red = ech.reduce(vec)
+    if not red:
+        return None
+    piv = min(red)
+    ech._add_row(piv, red)
+    return piv
+
+
+def _insert_sequences():
+    """Seeded vectors, most of one term, over few columns so keys repeat,
+    with int and Fraction coefficients (denominator-1 Fractions too)."""
+    rng = random.Random(2525)
+    coeffs = [-3, -1, 1, 2, 6, F(5, 2), F(-1, 3), F(4, 2), F(-7, 4)]
+    for _ in range(300):
+        columns = _random_columns(rng)
+        seq = []
+        for _ in range(rng.randint(1, 14)):
+            if seq and rng.random() < 0.1:
+                seq.append(dict(rng.choice(seq)))
+                continue
+            size = 1 if rng.random() < 0.6 else rng.randint(2, len(columns) + 1)
+            keys = sorted(set(rng.choice(columns) for _ in range(size)))
+            seq.append({k: rng.choice(coeffs) for k in keys})
+        yield seq
+
+
+def _insert_mismatch(insert):
+    """The first sequence on which insert(ech, vec) and the reference part
+    in a returned pivot, the rows (in insertion order), the rank or the
+    nullspace; None if there is none."""
+    one_term = 0
+    for seq in _insert_sequences():
+        ech, ref = Echelon(), Echelon()
+        for vec in seq:
+            one_term += len(vec) == 1
+            if insert(ech, vec) != _reference_insert(ref, vec):
+                return seq, vec
+            if [(p, list(r.items())) for p, r in ech.rows.items()] != \
+                    [(p, list(r.items())) for p, r in ref.rows.items()]:
+                return seq, vec
+        images = list(enumerate(seq))
+        kernel = nullspace(images)
+        if ech.rank() != ref.rank() or len(kernel) != len(seq) - ech.rank() \
+                or kernel != _fraction_nullspace(images):
+            return seq, None
+    assert one_term > 1000
+    return None
+
+
+def test_one_term_inserts_match_reduce():
+    assert _insert_mismatch(Echelon.insert) is None
+
+
+def _mutant_insert(kind):
+    """Echelon.insert with one fault in its one-term rule."""
+
+    def insert(ech, vec):
+        if len(vec) == 1:
+            ((k, c),) = vec.items()
+            row = ech.rows.get(k)
+            if row is None:
+                ech.rows[k] = {k: c} if kind == "coefficient" else {k: 1 if c > 0 else -1}
+                return k
+            if len(row) == 1 or kind == "long-row":
+                return None
+        return Echelon.insert(ech, vec)
+
+    return insert
+
+
+@pytest.mark.parametrize("kind", ["coefficient", "long-row", "sign"])
+def test_the_insert_oracle_rejects_a_wrong_one_term_rule(kind):
+    # storing {k: c}, returning None on a row at k with more terms, or
+    # keeping a negative pivot each change the rows or a returned pivot
+    assert _insert_mismatch(_mutant_insert(kind)) is not None

@@ -283,8 +283,9 @@ def test_tensor_of_disks_evaluates_each_differential_once():
 
 # `Echelon.reduce` calls in one `dgdm suite --seed 42`: every bounded slice
 # of the suite passes by counting dimensions, so none lists its cycles with
-# `nullspace`; reducing each cycle against the boundaries took 43,834
-PINNED_SUITE_REDUCES = 19315
+# `nullspace`; reducing each cycle against the boundaries took 43,834, and
+# 19,315 before one-term inserts (16,845 of the 19,315) skipped `reduce`
+PINNED_SUITE_REDUCES = 2487
 
 
 def test_suite_passes_its_slices_without_nullspace(monkeypatch, capsys):
@@ -305,3 +306,21 @@ def test_suite_passes_its_slices_without_nullspace(monkeypatch, capsys):
     capsys.readouterr()
     assert calls["nullspace"] == 0
     assert calls["reduce"] <= PINNED_SUITE_REDUCES, calls
+
+
+def test_suite_inserts_no_integral_fraction(monkeypatch, capsys):
+    # map values and differentials reach the echelon forms with their
+    # integral coefficients as ints, so the cone needs no conversion
+    inserts = Counter()
+    insert_ = Echelon.insert
+
+    def counted_insert(self, vec):
+        inserts["all"] += 1
+        inserts["integral Fraction"] += any(type(c) is Fraction and c.denominator == 1 for c in vec.values())
+        return insert_(self, vec)
+
+    monkeypatch.setattr(Echelon, "insert", counted_insert)
+    assert dispatch(["suite", "--seed", "42"]) == 0
+    capsys.readouterr()
+    assert inserts["all"] > 10000
+    assert inserts["integral Fraction"] == 0, inserts
