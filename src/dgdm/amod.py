@@ -57,9 +57,9 @@ from .dga import (
     atom_name,
     attach_cell,
 )
-from .rational_linalg import add_term, apply_linear, integral, vec_add
+from .rational_linalg import add_term, apply_linear, integral
 from .slices import TruncationResult, bounded_weq
-from .weyl import Exponent, WeylElement, exponents_bounded, join_terms, power_factors
+from .weyl import Exponent, exponents_bounded, join_terms, power_factors
 
 ModKey = Tuple  # ("v", alpha, atoms, j, b)
 ModCoeffs = Dict[ModKey, Fraction]
@@ -123,10 +123,6 @@ class AModule:
     def key_degree(self, key: ModKey) -> int:
         _, alpha, atoms, j, b = key
         return self.algebra.term_degree((alpha, atoms)) + self.generators[j].degree
-
-    def key_weight(self, key: ModKey) -> int:
-        _, alpha, atoms, j, b = key
-        return self.algebra.term_weight((alpha, atoms)) + sum(b) + 1
 
     def basis_keys(self, degree: int, max_weight: int) -> Tuple[ModKey, ...]:
         """The keys of the given degree and weight bound, enumerated once
@@ -200,12 +196,6 @@ class AModule:
         nb = tuple(e + 1 if k == i else e for k, e in enumerate(b))
         add_term(out, ("v", alpha, atoms, j, nb), 1)
         return out
-
-    def act_weyl(self, op: WeylElement, elt: "AModuleElement") -> "AModuleElement":
-        total: ModCoeffs = {}
-        for (a, b), coef in op.terms.items():
-            vec_add(total, self.act_monomial(a, b, elt.coeffs), coef)
-        return AModuleElement(self, total)
 
     def act_monomial(self, a: Exponent, b: Exponent, coeffs: ModCoeffs) -> ModCoeffs:
         """x^a d^b applied to a coefficient dict: d's first, then x's."""
@@ -426,9 +416,6 @@ class _TwistedTensor:
 
     def key_degree(self, key) -> int:
         return self.n_mod.key_degree(key[0]) + self.w_grading(key[1:])[0]
-
-    def key_weight(self, key) -> int:
-        return self.n_mod.key_weight(key[0]) + self.w_grading(key[1:])[1]
 
     def top_degree_hint(self, degree_window: int) -> int:
         return self.n_mod.top_degree_hint(degree_window) + self.w_top

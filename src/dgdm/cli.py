@@ -499,18 +499,6 @@ def algebra_from_body(body: Dict) -> SullivanAlgebra:
         raise DocumentError(str(e))
 
 
-def amodule_body(m: AModule) -> Dict:
-    return {
-        "vars": m.nvars,
-        "algebra": algebra_body(m.algebra),
-        "generators": [{"name": g.name, "degree": g.degree} for g in m.generators],
-        "differential": {
-            m.generators[j].name: AModuleElement(m, coeffs).to_string()
-            for j, coeffs in sorted(m.diff_coeffs.items())
-        },
-    }
-
-
 def amodule_from_body(body: Dict) -> AModule:
     algebra = algebra_from_body(dict(_object(body["algebra"], "algebra"), vars=_vars(body)))
     gens = _generators(body)

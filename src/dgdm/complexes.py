@@ -307,9 +307,6 @@ class HomologyPresentation:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def is_free_of_rank(self, r: int) -> bool:
-        return len(self.generators) == r and not self.relations
-
 
 def _whole_kernel(c: FreeDComplex, n: int) -> bool:
     """ker d_n is all of D^{rank(n)}: d_n is zero."""
@@ -459,20 +456,6 @@ def is_weak_equivalence(f: ChainMap) -> bool:
     return is_acyclic(mapping_cone(f))
 
 
-def cone_to_cokernel_projection(f: ChainMap, coker: FreeDComplex, proj: Dict[int, Matrix]) -> ChainMap:
-    """Assemble the canonical quasi-isomorphism Mc(f) -> coker(f).
-
-    The caller supplies the degreewise cokernel complex and projections
-    q_n: Y_n -> coker_n; the cone map is (c, c') |-> q(c').
-    """
-    cone = mapping_cone(f)
-    x, y = f.source, f.target
-    maps = {}
-    for n in coker.degrees():
-        maps[n] = block_matrix([[None], [proj.get(n)]], (x.rank(n - 1), y.rank(n)), (coker.rank(n),), f.nvars)
-    return ChainMap(cone, coker, maps)
-
-
 # ---------------------------------------------------------------- connections
 
 class ConnectionModule:
@@ -502,11 +485,6 @@ class ConnectionModule:
                     raise ValueError(f"connection entry {e!r} is not in O with nvars={nvars}")
         if not self.is_flat():
             raise ValueError("connection is not flat")
-
-    @classmethod
-    def trivial(cls, nvars: int) -> "ConnectionModule":
-        zero = WeylElement.zero(nvars)
-        return cls(nvars, 1, [[[zero]] for _ in range(nvars)])
 
     def is_flat(self) -> bool:
         if self.nvars == 1:

@@ -448,10 +448,6 @@ class AlgebraElement(GradedElement):
         )
 
 
-def apply_differential(u: AlgebraElement) -> AlgebraElement:
-    return u.algebra.d(u)
-
-
 # ------------------------------------- morphisms of both kinds of object
 
 class Morphism:
@@ -520,10 +516,6 @@ class ComposedMorphism(Morphism):
     def apply_key(self, key) -> Dict:
         f, g = self.factors
         return apply_linear(g.apply_key, f.apply_key(key))
-
-
-def identity_morphism(a) -> Morphism:
-    return Inclusion(a, a)
 
 
 def compose_morphisms(f: Morphism, g: Morphism) -> Morphism:

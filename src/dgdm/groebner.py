@@ -270,15 +270,7 @@ def _left_mono_mul(a: Tuple[int, ...], b: Tuple[int, ...], vec: VecT) -> VecT:
     out: VecT = {}
     for (pos, c, d), coef in vec.items():
         for (na, nb), k in mono_mul((a, b), (c, d)).items():
-            key = (pos, na, nb)
-            term = coef if k == 1 else coef * k
-            old = out.get(key)
-            if old is None:
-                out[key] = term
-            elif (s := old + term):
-                out[key] = s
-            else:
-                del out[key]
+            add_term(out, (pos, na, nb), coef if k == 1 else coef * k)
     return out
 
 

@@ -8,9 +8,9 @@ is an honest "don't know" (projectivity of a general cokernel is not
 decided here).  One unit-pivot row reduction per degree certifies,
 gives the complement and splits target elements along it; a certified
 certificate carries those splits next to the map it certifies, and
-`pushout` and `solve_lifting` read them from there.  Pushouts are taken
-along certified maps only, which is exactly the class of pushouts the
-underlying theory ever computes.
+`pushout` reads them from there.  Pushouts are taken along certified
+maps only, which is exactly the class of pushouts the underlying theory
+ever computes.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .groebner import (
     FreeModuleElement,
     Matrix,
     buchberger,
-    express_in_inputs,
-    lift_basis,
     member,
     syzygies,
 )
@@ -350,58 +348,6 @@ def attach_cells(base: FreeDComplex, attachments: Sequence[Tuple[int, Optional[F
     maps = {n: block_matrix([[identity_matrix(r, nvars), None]], (r,), (r, ranks[n] - r), nvars)
             for n, r in base.ranks.items()}
     return AttachResult(complex_, ChainMap(base, complex_, maps))
-
-
-# ---------------------------------------------------------------- lifting
-
-def solve_lifting(i: ChainMap, cert: CofibrationCertificate, p: ChainMap, u: ChainMap, v: ChainMap) -> Optional[ChainMap]:
-    """Solve h i = u, p h = v for a certified i: A -> C against p: E -> B.
-
-    Builds h degree by degree on A-part plus complement cells, choosing
-    cell values by exact membership (p(e), d(e)) = (v(c), h(dc)).
-    Returns None when some cell value has no preimage.
-    """
-    a, c = i.source, i.target
-    e, b = p.source, p.target
-    nvars = i.nvars
-    if u.source != a or u.target != e or v.source != c or v.target != b:
-        raise ComplexError("lifting square is malformed")
-    splits = _splits_of(i, cert)
-    h_on_cells: Dict[int, List[FreeModuleElement]] = {}
-    for n in c.degrees():
-        vals: List[FreeModuleElement] = []
-        for cell in cert.complement.get(n, []):
-            # target data; h(dc) is zero where C_{n-1} = 0
-            vc = Matrix((mat_apply(cell, v.component(n)),), b.rank(n))
-            hdc = None
-            if c.rank(n - 1):
-                dcell = mat_apply(cell, c.diff(n))
-                hdc = Matrix((_apply_extension(dcell, n - 1, splits, u, h_on_cells, e),), e.rank(n - 1))
-            # solve e with p(e) = vc, d(e) = hdc
-            cols = (b.rank(n), e.rank(n - 1))
-            *rows, tgt = block_matrix([[p.component(n), e.diff(n)], [vc, hdc]], (e.rank(n), 1), cols, nvars).rows
-            sol = express_in_inputs(tgt, lift_basis(rows, rank=sum(cols), nvars=nvars))
-            if sol is None:
-                return None
-            vals.append(FreeModuleElement(sol, nvars))
-        h_on_cells[n] = vals
-    # assemble h as a matrix: rows = C-units decomposed through (i, cells)
-    maps = {n: Matrix(tuple(_apply_extension(unit, n, splits, u, h_on_cells, e)
-                            for unit in identity_matrix(c.rank(n), nvars).rows), e.rank(n))
-            for n in c.degrees()}
-    h = ChainMap(c, e, maps)
-    if compose(i, h) != u or compose(h, p) != v:
-        return None
-    return h
-
-
-def _apply_extension(w, n, splits, u, h_on_cells, e):
-    """Evaluate the partial lift on w in C_n: through A via u, cells via chosen values."""
-    a_coeffs, q = splits[n](w)
-    out = dict(mat_apply(a_coeffs, u.component(n)).entries)
-    for k, qk in q.items():
-        vec_add(out, h_on_cells[n][k].entries, qk)
-    return FreeModuleElement.sparse(e.rank(n), e.nvars, out)
 
 
 # ---------------------------------------------------------------- box products

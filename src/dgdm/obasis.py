@@ -17,7 +17,8 @@ with any x-part joining the global O-coefficient.
 
 Acyclicity of these objects is only ever certified on truncation slices
 (exact Q-linear algebra, margin 2) and reported as "bounded-pass",
-never as unconditional truth.
+never as unconditional truth.  A chain map is checked on its mapping
+cone, the one `slices.cone_adapters` builds for every bounded check.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Dict, Hashable, Iterator, List, Sequence, Tuple
 
 from .complexes import FreeDComplex
 from .rational_linalg import add_term, apply_linear, integral
-from .slices import TruncationResult, bounded_acyclicity, dsquare_witness
+from .slices import TruncationResult, bounded_acyclicity, bounded_weq
 from .weyl import WeylElement, exponents_bounded, mono_mul
 
 SlotId = Hashable
@@ -111,17 +112,6 @@ class OBasisComplex:
             for exps in _bounded_exponent_blocks(self.nvars, k + 1, max_weight):
                 yield (sid, exps[0], tuple(exps[1:]))
 
-    @staticmethod
-    def weight(key: Key) -> int:
-        _, alpha, bs = key
-        return sum(alpha) + sum(sum(b) for b in bs)
-
-    def validate_dsquare(self, max_weight: int = 3):
-        """d*d = 0 on every basis element up to the given weight."""
-        key = dsquare_witness(self.basis_keys, self.diff_key, range(2, self.top + 1), max_weight)
-        if key is not None:
-            raise ValueError(f"d*d != 0 on basis element {key}")
-
 
 def _bounded_exponent_blocks(nvars: int, blocks: int, total: int):
     """All tuples of `blocks` exponent vectors with combined degree <= total."""
@@ -165,18 +155,18 @@ class OBasisChainMap:
                     raise ValueError(f"chain property fails on {key}")
 
 
-def obasis_of_free(c: FreeDComplex, tag: str = "F") -> OBasisComplex:
-    """View a free complex through its O-basis {x^a d^b e_s}."""
+def obasis_of_free(c: FreeDComplex) -> OBasisComplex:
+    """View a free complex through its O-basis {x^a d^b e_s}, slots ("F", n, s)."""
     slots: Dict[SlotId, Slot] = {}
     diff: Dict[SlotId, List[Entry]] = {}
     for n, r in c.ranks.items():
         for s in range(r):
-            slots[(tag, n, s)] = Slot(degree=n, factors=1)
+            slots[("F", n, s)] = Slot(degree=n, factors=1)
     for n, mat in c.differentials.items():
         for s, row in enumerate(mat.rows):
-            entries = [((tag, n - 1, v), 0, e) for v, e in row.items()]
+            entries = [(("F", n - 1, v), 0, e) for v, e in row.items()]
             if entries:
-                diff[(tag, n, s)] = entries
+                diff[("F", n, s)] = entries
     return OBasisComplex(c.nvars, slots, diff)
 
 
@@ -230,30 +220,6 @@ def obasis_inclusion(t1: OBasisComplex, t2: OBasisComplex, which: int) -> OBasis
     return OBasisChainMap(src, total, entries)
 
 
-def obasis_cone(f: OBasisChainMap) -> OBasisComplex:
-    """Mapping cone with d(c, c') = (-dc, f(c) + dc')."""
-    src, tgt = f.source, f.target
-    slots: Dict[SlotId, Slot] = {}
-    diff: Dict[SlotId, List[Entry]] = {}
-    for sid, s in src.slots.items():
-        slots[("s", sid)] = Slot(degree=s.degree + 1, factors=s.factors)
-    for sid, s in tgt.slots.items():
-        slots[("t", sid)] = Slot(degree=s.degree, factors=s.factors)
-    for sid in src.slots:
-        entries: List[Entry] = []
-        for tgt_slot, factor, coef in src.diff_entries.get(sid, ()):
-            entries.append((("s", tgt_slot), factor, -coef))
-        for tgt_slot, factor, coef in f.entries.get(sid, ()):
-            entries.append((("t", tgt_slot), factor, coef))
-        if entries:
-            diff[("s", sid)] = entries
-    for sid in tgt.slots:
-        entries = [(("t", t2), factor, coef) for t2, factor, coef in tgt.diff_entries.get(sid, ())]
-        if entries:
-            diff[("t", sid)] = entries
-    return OBasisComplex(src.nvars, slots, diff)
-
-
 # ---------------------------------------------------------------- truncation
 
 def truncated_acyclicity(t: OBasisComplex, n: int = DEFAULT_TRUNCATION) -> TruncationResult:
@@ -267,5 +233,9 @@ def truncated_acyclicity(t: OBasisComplex, n: int = DEFAULT_TRUNCATION) -> Trunc
 
 
 def is_bounded_weq(f: OBasisChainMap, n: int = DEFAULT_TRUNCATION) -> TruncationResult:
-    """Bounded weak-equivalence test: truncated acyclicity of the cone."""
-    return truncated_acyclicity(obasis_cone(f), n)
+    """Bounded weak-equivalence test: truncated acyclicity of the cone
+    `slices.cone_adapters` builds, on keys ("s", source key) and
+    ("t", target key), source degrees raised by one."""
+    src, tgt = f.source, f.target
+    degrees = range(0, max(src.top + 1, tgt.top) + 1)
+    return bounded_weq(src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key, f.apply_key, degrees, n)

@@ -160,9 +160,6 @@ class Echelon:
             g = -g
         self.rows[piv] = red if g == 1 else {k: c // g for k, c in red.items()}
 
-    def in_span(self, vec: Vec) -> bool:
-        return not self.reduce(vec)
-
     def rank(self) -> int:
         return len(self.rows)
 

@@ -61,11 +61,11 @@ class CheckReport:
     runtime: float = 0.0
     parameters: Dict = field(default_factory=dict)
 
-    def to_text(self, include_runtime: bool = False) -> str:
+    def to_text(self) -> str:
         """Stable one-document serialization (field order fixed).
 
-        Runtime is excluded by default so that identical (params, seed)
-        yield identical bytes.
+        Runtime is left out so that identical (params, seed) yield
+        identical bytes.
         """
         doc = {
             "check": self.name,
@@ -73,8 +73,6 @@ class CheckReport:
             "parameters": _jsonify(self.parameters),
             "witness": _jsonify(self.witness),
         }
-        if include_runtime:
-            doc["runtime_seconds"] = round(self.runtime, 3)
         return json.dumps(doc, sort_keys=False, indent=1)
 
 

@@ -331,15 +331,3 @@ def filtration_decompose(p: WeylElement) -> list:
         buckets[sum(b)][(a, b)] = c
     return [WeylElement(p.nvars, bucket) for bucket in buckets]
 
-
-def symbol_product(s1: Dict[Monomial, Fraction], s2: Dict[Monomial, Fraction]) -> Dict[Monomial, Fraction]:
-    """Commutative product of symbols in the associated graded ring."""
-    out: Dict[Monomial, Fraction] = {}
-    for (a1, b1), c1 in s1.items():
-        for (a2, b2), c2 in s2.items():
-            key = (
-                tuple(x + y for x, y in zip(a1, a2)),
-                tuple(x + y for x, y in zip(b1, b2)),
-            )
-            add_term(out, key, c1 * c2)
-    return out

@@ -39,7 +39,6 @@ from dgdm.dga import (
     compose_morphisms,
     dga_pushout_gen,
     extend_morphism,
-    identity_morphism,
     pushout_factor,
 )
 from dgdm.randgen import (
@@ -53,10 +52,6 @@ from dgdm.randgen import (
     random_module_element,
 )
 from dgdm.slices import dsquare_witness
-from dgdm.weyl import WeylElement
-
-D1 = WeylElement.d(1, 1)
-X1 = WeylElement.x(1, 1)
 
 
 @pytest.fixture
@@ -172,7 +167,7 @@ def test_extend_morphism_and_error_reporting(algebra):
     f = AModuleMorphism(zero_t, m, {0: m.zero()})
     assert f.apply(zero_t.generator(0)).is_zero()
     # identity extension
-    idm = identity_morphism(m)
+    idm = Inclusion(m, m)
     rng = random.Random(3)
     for _ in range(10):
         e = random_module_element(rng, m, rng.randint(0, 3), 3)
@@ -193,7 +188,7 @@ def test_inclusion_refuses_a_target_that_does_not_extend_its_source(algebra):
     m = free_disk_module(algebra, 2)
     bottom = free_sphere_module(algebra, 1, "e1")
     assert Inclusion(bottom, m).apply(bottom.generator(0)) == m.generator(0)
-    assert identity_morphism(m).apply(m.generator(1)) == m.generator(1)
+    assert Inclusion(m, m).apply(m.generator(1)) == m.generator(1)
     other = SullivanAlgebra(1, [Generator("v", 2)])
     for small, big in ((m, bottom),  # fewer generators
                        (free_sphere_module(algebra, 1, "f1"), m),  # another name
@@ -333,11 +328,11 @@ def test_transfinite_composition(algebra):
     )
     assert tr.module.generators[-1].degree == po_direct.extended.generators[-1].degree
     # stage-order stability for attachments landing in the base
-    z1 = b.act_weyl(D1, b.generator(0))
+    z1 = b.atom(0, (1,))
     flat_a = transfinite_compose_finite(b, [(1, z1), (1, None)]).module
     # compare against the swapped order
     b2 = free_sphere_module(algebra, 0, "b")
-    z1b = b2.act_weyl(D1, b2.generator(0))
+    z1b = b2.atom(0, (1,))
     tr_b = transfinite_compose_finite(b2, [(1, None)])
     z_in_mid = Inclusion(b2, tr_b.module).apply(z1b)
     flat_b = transfinite_compose_finite(tr_b.module, [(1, z_in_mid)]).module
@@ -424,7 +419,7 @@ def test_cmon_roundtrip_and_bilinearity(algebra):
     assert under_to_cmon(phi2).action_on_generators == n.action_on_generators
     # O case: the action is scalar multiplication
     o = SullivanAlgebra.oh(1)
-    n0 = under_to_cmon(identity_morphism(o))
+    n0 = under_to_cmon(Inclusion(o, o))
     f_elt = o.x_poly((2,))
     m_elt = o.x_poly((1,))
     assert n0.act(f_elt, m_elt) == o.x_poly((3,))
@@ -502,6 +497,12 @@ def test_base_change_free_case():
         assert bc.diff_key(k) == {}
 
 
+def _module_key_weight(m, key):
+    """x-degree, d-orders and atom count of A's term, plus g_j's d-orders and 1."""
+    _, alpha, atoms, _, b = key
+    return m.algebra.term_weight((alpha, atoms)) + sum(b) + 1
+
+
 def test_module_enumerations_replay_and_nest():
     rng = random.Random(24)  # A on generators of degrees 2 and 1; M built by pushouts
     a = random_algebra(rng, max_gens=2, max_degree=2)
@@ -509,9 +510,10 @@ def test_module_enumerations_replay_and_nest():
     t = TensorOverA(m, free_amodule(a, disk(1)))
     b = a.extended(Generator("w", 1), None).extended(Generator("v", 2), None)
     bc = BaseChangeModule(b, m)
-    assert_enumeration_contract(m.basis_keys, m.key_degree, m.key_weight)
-    assert_enumeration_contract(t.basis_keys, t.key_degree, t.key_weight)
-    assert_enumeration_contract(bc.basis_keys, bc.key_degree, bc.key_weight)
+    assert_enumeration_contract(m.basis_keys, m.key_degree, lambda k: _module_key_weight(m, k))
+    for tt in (t, bc):  # the weight of N's key plus the W-block's
+        assert_enumeration_contract(tt.basis_keys, tt.key_degree,
+                                    lambda k: _module_key_weight(m, k[0]) + tt.w_grading(k[1:])[1])
 
 
 # raw atom-multiset builds in the check below, each (algebra, j, degree,

@@ -15,7 +15,6 @@ from dgdm.cli import (
     ParseError,
     algebra_body,
     algebra_from_body,
-    amodule_body,
     amodule_from_body,
     chainmap_body,
     chainmap_from_body,
@@ -132,11 +131,11 @@ def test_module_element_parsing():
 def test_module_atoms_print_and_parse_by_name():
     a = SullivanAlgebra(1, [Generator("u", 2)])
     m = free_disk_module(a, 2)
-    d1 = WeylElement.d(1, 1)
-    assert m.atom(1, (2,)) == m.act_weyl(d1 * d1, m.generator(1))
+    assert m.atom(1, (2,)) == AModuleElement(m, m.act_monomial((0,), (2,), m.generator(1).coeffs))
     with pytest.raises(ValueError, match="no generator"):
         m.atom(2, (0,))
-    e = m.act_algebra(a.generator(0), m.generator(0)) + m.act_weyl(WeylElement.x(1, 1), m.atom(1, (1,))).scale(2)
+    x1_e2 = AModuleElement(m, m.act_monomial((1,), (0,), m.atom(1, (1,)).coeffs))
+    e = m.act_algebra(a.generator(0), m.generator(0)) + x1_e2.scale(2)
     assert e.to_string() == "u*e1 + 2*x1*e2[1]"
     assert parse_module_element(e.to_string(), m) == e
 
@@ -155,7 +154,13 @@ def test_document_round_trip_randomized():
     doc = make_document("algebra", algebra_body(a))
     assert algebra_from_body(parse_document(print_document(doc))) == a
     m = free_disk_module(a, 2)
-    doc = make_document("amodule", amodule_body(m))
+    doc = make_document("amodule", {
+        "vars": m.nvars,
+        "algebra": algebra_body(a),
+        "generators": [{"name": g.name, "degree": g.degree} for g in m.generators],
+        "differential": {m.generators[j].name: AModuleElement(m, coeffs).to_string()
+                         for j, coeffs in sorted(m.diff_coeffs.items())},
+    })
     assert amodule_from_body(parse_document(print_document(doc))) == m
 
 

@@ -13,6 +13,7 @@ from dgdm.complexes import (
     ComplexError,
     ConnectionModule,
     FreeDComplex,
+    block_matrix,
     compose,
     direct_sum,
     disk,
@@ -28,7 +29,6 @@ from dgdm.complexes import (
     summand_projection,
     tensor_with_connection,
     zero_map,
-    cone_to_cokernel_projection,
 )
 from dgdm.groebner import FreeModuleElement, as_matrix, submodule_equal, syzygies
 from dgdm.randgen import random_weyl
@@ -44,6 +44,19 @@ EMPTY = FreeDComplex(1, {}, {})
 def d_complex():
     # 0 -> D --(.d)--> D
     return FreeDComplex(1, {0: 1, 1: 1}, {1: [[D1]]})
+
+
+def _free_of_rank(h, r):
+    """A homology presentation by r generators and no relation."""
+    return len(h.generators) == r and not h.relations
+
+
+def _cone_to_cokernel(f, coker, proj):
+    """The map Mc(f) -> coker(f), (c, c') |-> q(c'), from projections q_n: Y_n -> coker_n."""
+    maps = {n: block_matrix([[None], [proj.get(n)]], (f.source.rank(n - 1), f.target.rank(n)),
+                            (coker.rank(n),), f.nvars)
+            for n in coker.degrees()}
+    return ChainMap(mapping_cone(f), coker, maps)
 
 
 def test_dsquare_enforced():
@@ -88,7 +101,7 @@ def test_homology_of_d_complex():
 
 def test_homology_sphere_free():
     h = homology(sphere(2), 2)
-    assert h.is_free_of_rank(1)
+    assert _free_of_rank(h, 1)
     assert homology(sphere(2), 1).is_zero()
     assert homology(sphere(2), 3).is_zero()
 
@@ -104,13 +117,13 @@ def test_cone_of_iota1_matches_cokernel():
     f = ChainMap(sphere(0), disk(1), {0: identity_matrix(1, 1)})
     cone = mapping_cone(f)
     assert homology(cone, 0).is_zero()
-    assert homology(cone, 1).is_free_of_rank(1)
+    assert _free_of_rank(homology(cone, 1), 1)
     assert homology(cone, 2).is_zero()
     coker = sphere(1)
     proj = {1: identity_matrix(1, 1)}
-    q = cone_to_cokernel_projection(f, coker, proj)
+    q = _cone_to_cokernel(f, coker, proj)
     assert is_weak_equivalence(q)
-    assert homology(coker, 1).is_free_of_rank(1)
+    assert _free_of_rank(homology(coker, 1), 1)
 
 
 def test_shift():
@@ -193,7 +206,7 @@ def test_mapping_cone_layout_is_pinned():
     assert cone.diff(1) == M([[], []], 0)
     assert cone.diff(2) == M([[-D1, X1 + D1], [-X1, ONE], [ZERO, X1 + ONE]], 2)
     # im f_1 is all of Y_1, so the cokernel is Y_2 alone
-    q = cone_to_cokernel_projection(f, sphere(2), {2: identity_matrix(1, 1)})
+    q = _cone_to_cokernel(f, sphere(2), {2: identity_matrix(1, 1)})
     assert _components(q) == [M([], 0), M([[], []], 0), M([[ZERO], [ZERO], [ONE]], 1), M([], 0)]
 
 
@@ -218,7 +231,7 @@ def test_connection_refuses_an_entry_outside_O(entry):
 
 def test_tensor_with_trivial_connection_is_identity():
     c = d_complex()
-    assert tensor_with_connection(c, ConnectionModule.trivial(1)) == c
+    assert tensor_with_connection(c, ConnectionModule(1, 1, [[[ZERO]]])) == c
 
 
 def test_tensor_with_rank1_twist():
@@ -342,8 +355,8 @@ def test_weq_agrees_with_truncation_oracle_on_elementary_complexes():
     for _ in range(8):
         f = random_weq(rng, nvars=1, max_top=1)
         assert is_weak_equivalence(f)
-        src_t = obasis_of_free(f.source, "S")
-        tgt_t = obasis_of_free(f.target, "T")
+        src_t = obasis_of_free(f.source)
+        tgt_t = obasis_of_free(f.target)
         entries = {}
         for n in f.maps:
             mat = f.component(n)
@@ -351,9 +364,9 @@ def test_weq_agrees_with_truncation_oracle_on_elementary_complexes():
                 es = []
                 for t, e in enumerate(mat.rows[s].coords):
                     if not e.is_zero():
-                        es.append((("T", n, t), 0, e))
+                        es.append((("F", n, t), 0, e))
                 if es:
-                    entries[("S", n, s)] = es
+                    entries[("F", n, s)] = es
         ob_f = OBasisChainMap(src_t, tgt_t, entries)
         assert is_bounded_weq(ob_f, 5).ok
         checked += 1
@@ -410,10 +423,10 @@ def test_weq_oracle_agreement_on_arbitrary_maps():
         for n in f.maps:
             mat = f.component(n)
             for s in range(x.rank(n)):
-                es = [(("T", n, t), 0, e) for t, e in enumerate(mat.rows[s].coords) if not e.is_zero()]
+                es = [(("F", n, t), 0, e) for t, e in enumerate(mat.rows[s].coords) if not e.is_zero()]
                 if es:
-                    entries[("S", n, s)] = es
-        ob_f = OBasisChainMap(obasis_of_free(x, "S"), obasis_of_free(y, "T"), entries)
+                    entries[("F", n, s)] = es
+        ob_f = OBasisChainMap(obasis_of_free(x), obasis_of_free(y), entries)
         bounded = is_bounded_weq(ob_f, 5)
         assert exact == bounded.ok, (exact, bounded.verdict)
         agree += 1
@@ -728,18 +741,7 @@ def test_the_oracle_rejects_a_wrong_cancellation(mutant):
     assert caught == {1, 2}
 
 
-def test_suite_runs_few_groebner_loops(monkeypatch, capsys):
+def test_suite_runs_few_groebner_loops(suite_counts):
     # the cones of the weak-equivalence checks cancel down to the zero
     # complex: 1,367 Groebner loops per suite before, 13 after
-    from dgdm import cli, groebner
-
-    loops = []
-    rows = groebner._groebner_rows
-
-    def counted_rows(vecs, guard, cut=None, p=0, watch=False):
-        loops.append(len(vecs))
-        return rows(vecs, guard, cut, p, watch)
-
-    monkeypatch.setattr(groebner, "_groebner_rows", counted_rows)
-    assert cli.main(["suite", "--seed", "42"]) == 0
-    assert len(loops) <= 100, len(loops)
+    assert suite_counts["groebner loops"] <= 100, suite_counts

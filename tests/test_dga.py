@@ -16,12 +16,10 @@ from dgdm.dga import (
     SullivanAlgebra,
     _normalize_atoms,
     algebra_bounded_weq,
-    apply_differential,
     Inclusion,
     compose_morphisms,
     dga_pushout_gen,
     extend_morphism,
-    identity_morphism,
     initial_morphism,
     pushout_factor,
 )
@@ -86,15 +84,15 @@ def test_d_action_is_derivation(mixed):
 
 def test_differential_is_odd_derivation(mixed):
     rng = random.Random(4)
-    assert apply_differential(mixed.one()).is_zero()
+    assert mixed.d(mixed.one()).is_zero()
     for _ in range(15):
         a = random_algebra_element(rng, mixed, rng.randint(0, 3), 2)
         b = random_algebra_element(rng, mixed, rng.randint(0, 3), 2)
         if a.is_zero():
             continue
         sign = -1 if a.degree() % 2 else 1
-        lhs = apply_differential(a * b)
-        rhs = apply_differential(a) * b + (a * apply_differential(b)).scale(sign)
+        lhs = mixed.d(a * b)
+        rhs = mixed.d(a) * b + (a * mixed.d(b)).scale(sign)
         assert lhs == rhs
 
 
@@ -102,9 +100,9 @@ def test_differential_squares_to_zero_and_D_linear(mixed):
     rng = random.Random(5)
     for _ in range(15):
         a = random_algebra_element(rng, mixed, rng.randint(0, 4), 3)
-        assert apply_differential(apply_differential(a)).is_zero()
-        assert apply_differential(mixed.act(D1, a)) == mixed.act(D1, apply_differential(a))
-        assert apply_differential(mixed.act(X1, a)) == mixed.act(X1, apply_differential(a))
+        assert mixed.d(mixed.d(a)).is_zero()
+        assert mixed.d(mixed.act(D1, a)) == mixed.act(D1, mixed.d(a))
+        assert mixed.d(mixed.act(X1, a)) == mixed.act(X1, mixed.d(a))
 
 
 def test_lowering_enforced():
@@ -154,7 +152,7 @@ def test_morphism_chain_condition_checked(mixed):
 
 def test_pushout_one_sphere_trivial_case():
     o = SullivanAlgebra.oh(1)
-    po = dga_pushout_gen(o, o, identity_morphism(o), 2, o.zero())
+    po = dga_pushout_gen(o, o, Inclusion(o, o), 2, o.zero())
     x_ext, y_ext = po.map.source, po.cell.extended
     assert len(x_ext.generators) == 1
     assert len(y_ext.generators) == 1
@@ -238,10 +236,10 @@ def test_random_algebra_weq_is_a_chain_map_on_every_draw(mixed):
 def test_apply_refuses_an_element_of_another_object(mixed):
     other = _acyclic_pair(mixed)
     module = free_sphere_module(mixed, 1)
-    for f, foreign in ((identity_morphism(mixed), other.generator(3)),
+    for f, foreign in ((Inclusion(mixed, mixed), other.generator(3)),
                        (AlgebraMorphism(mixed, mixed, {j: mixed.generator(j) for j in range(3)}), other.one()),
-                       (compose_morphisms(Inclusion(mixed, other), identity_morphism(other)), other.one()),
-                       (identity_morphism(module), free_sphere_module(mixed, 2).generator(0))):
+                       (compose_morphisms(Inclusion(mixed, other), Inclusion(other, other)), other.one()),
+                       (Inclusion(module, module), free_sphere_module(mixed, 2).generator(0))):
         with pytest.raises(ValueError, match="not in the source"):
             f.apply(foreign)
 
@@ -281,7 +279,7 @@ def test_non_closed_assignment_rejected(mixed):
     u = mixed.generator(1)  # d(v) = u so u is a boundary but d u = 0; use v instead
     v = mixed.generator(2)  # d v = u != 0: not closed
     with pytest.raises(ValueError):
-        dga_pushout_gen(mixed, mixed, identity_morphism(mixed), 4, v)
+        dga_pushout_gen(mixed, mixed, Inclusion(mixed, mixed), 4, v)
 
 
 def test_bounded_weq_accepts_acyclic_extension_rejects_sphere():

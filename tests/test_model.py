@@ -20,9 +20,8 @@ from dgdm.complexes import (
     mat_apply,
     sphere,
     summand_projection,
-    zero_map,
 )
-from dgdm.groebner import FreeModuleElement, as_matrix, express_in_inputs, lift_basis, submodule_equal, syzygies
+from dgdm.groebner import FreeModuleElement, express_in_inputs, lift_basis, submodule_equal, syzygies
 from dgdm.model import (
     AttachResult,
     CofibrationCertificate,
@@ -34,7 +33,6 @@ from dgdm.model import (
     pushout,
     pushout_factor,
     pushout_product,
-    solve_lifting,
     zeta,
 )
 from dgdm.obasis import is_bounded_weq, truncated_acyclicity
@@ -186,7 +184,6 @@ def test_model_loops_visit_occupied_degrees_only():
     assert cert.verdict == "certified" and set(cert.complement) == {top + 1, top + 2}
     assert pushout(identity_map(base), i).complex == c
     assert is_fibration(identity_map(c)) and not is_fibration(i)
-    assert solve_lifting(i, cert, identity_map(c), i, identity_map(c)) == identity_map(c)
     assert time.perf_counter() - start < 0.25
 
 
@@ -477,36 +474,6 @@ def test_splits_multiply_back_and_match_the_lift_basis():
             assert (list(a.coords), list(q.coords)) == ref(w, n)
             checked += 1
     assert checked >= 300
-
-
-def test_lifting_spot_check():
-    # i: S^0 -> D^1 certified cofibration; p: (S^0 (+) D^1) -> S^0 a
-    # trivial fibration; u hits the D^1 summand, v = 0
-    i = iota(1).chain_map()
-    cert = certify_cofibration(i)
-    c1, c2 = sphere(0), disk(1)
-    p = summand_projection(c1, c2, 0)
-    assert is_fibration(p) and is_weak_equivalence(p)
-    total = p.source
-    u = ChainMap(sphere(0), total, {0: ((WeylElement.zero(1), ONE),)})
-    v = zero_map(disk(1), sphere(0))
-    assert compose(i, v) == compose(u, p)
-    h = solve_lifting(i, cert, p, u, v)
-    assert h is not None
-    assert compose(i, h) == u
-    assert compose(h, p) == v
-
-
-def test_lifting_through_a_zero_column():
-    # i: 0 -> S^0, p: D^2 -> S^0 sends the first unit to zero, v = id: the
-    # cell's lift must give the zero column a coefficient of its own
-    empty, s0 = FreeDComplex(1, {}, {}), sphere(0)
-    i = ChainMap(empty, s0, {})
-    e = FreeDComplex(1, {0: 2}, {})
-    p = ChainMap(e, s0, {0: [[WeylElement.zero(1)], [ONE]]})
-    h = solve_lifting(i, certify_cofibration(i), p, ChainMap(empty, e, {}), identity_map(s0))
-    assert h is not None
-    assert h.component(0) == as_matrix([[WeylElement.zero(1), ONE]], 1)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2), (0, 1), (1, 0), (0, 0)])

@@ -9,15 +9,16 @@ oracle for verdicts and witnesses.
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from dgdm import slices
-from dgdm.cli import dispatch
-from dgdm.complexes import disk
-from dgdm.obasis import tensor_free, truncated_acyclicity
+from dgdm.complexes import disk, sphere
+from dgdm.model import iota, pushout_product, zeta
+from dgdm.obasis import is_bounded_weq, obasis_inclusion, obasis_of_free, tensor_free, truncated_acyclicity
+from dgdm.randgen import random_complex
 from dgdm.rational_linalg import Echelon, nullspace, vec_add
-from dgdm.slices import TruncationResult, bounded_acyclicity, dsquare_witness
+from dgdm.slices import TruncationResult, bounded_acyclicity, cone_adapters, dsquare_witness
 
 
 def _sliced(keys, diffs):
@@ -56,7 +57,7 @@ def _level_major_witness(basis_of, diff_of, degrees, level):
             if img:
                 ech.insert(img)
         for z in cycles:
-            if not ech.in_span(z):
+            if ech.reduce(z):
                 return {"degree": p, "cycle": z, "level": level}
     return None
 
@@ -230,6 +231,35 @@ def test_broken_sliced_complexes_match_level_major_walk():
     assert broken > 200, broken
 
 
+def _obasis_maps(rng):
+    """O-basis chain maps and the verdict each must get: the pushout
+    products of every pair of iota_0..3 and zeta_1..3 (weak equivalences
+    unless both are iotas), inclusions of N into D^n (x) M (+) N (the monoid
+    axiom's, weak equivalences) and of N into S^k (+) N (never one)."""
+    generating = [iota(k) for k in range(4)] + [zeta(k) for k in range(1, 4)]
+    for f, g in product(generating, repeat=2):
+        yield pushout_product(f, g).map, "fail" if f.kind == g.kind == "iota" else "bounded-pass"
+    for _ in range(6):
+        m_cx = random_complex(rng, max_top=1, max_cells=2, twists=1)
+        n_ob = obasis_of_free(random_complex(rng, max_top=2, max_cells=2, twists=1))
+        yield obasis_inclusion(tensor_free(disk(rng.randint(1, 2)), m_cx), n_ob, 1), "bounded-pass"
+        yield obasis_inclusion(obasis_of_free(sphere(rng.randint(0, 2))), n_ob, 1), "fail"
+
+
+def test_obasis_maps_match_level_major_walk():
+    # is_bounded_weq walks the cone of slices.cone_adapters; the oracle
+    # walks the same cone level by level
+    verdicts = Counter()
+    for f, verdict in _obasis_maps(random.Random(4000)):
+        src, tgt = f.source, f.target
+        cone = cone_adapters(src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key, f.apply_key)
+        res = is_bounded_weq(f, 4)
+        assert res == _level_major(*cone, range(0, max(src.top + 1, tgt.top) + 1), 4)
+        assert res.verdict == verdict
+        verdicts[verdict] += 1
+    assert verdicts == {"fail": 22, "bounded-pass": 39}, verdicts
+
+
 def test_boundary_that_is_no_cycle_is_not_counted():
     # d a = x and d x = u: the slice of degree 0 at level 2 has one cycle,
     # y, and one boundary, x, so the dimensions agree, but y is no boundary
@@ -288,39 +318,13 @@ def test_tensor_of_disks_evaluates_each_differential_once():
 PINNED_SUITE_REDUCES = 2487
 
 
-def test_suite_passes_its_slices_without_nullspace(monkeypatch, capsys):
-    calls = Counter()
-    nullspace_, reduce_ = slices.nullspace, Echelon.reduce
-
-    def counted_nullspace(images):
-        calls["nullspace"] += 1
-        return nullspace_(images)
-
-    def counted_reduce(self, vec):
-        calls["reduce"] += 1
-        return reduce_(self, vec)
-
-    monkeypatch.setattr(slices, "nullspace", counted_nullspace)
-    monkeypatch.setattr(Echelon, "reduce", counted_reduce)
-    assert dispatch(["suite", "--seed", "42"]) == 0
-    capsys.readouterr()
-    assert calls["nullspace"] == 0
-    assert calls["reduce"] <= PINNED_SUITE_REDUCES, calls
+def test_suite_passes_its_slices_without_nullspace(suite_counts):
+    assert suite_counts["nullspace"] == 0
+    assert suite_counts["reduce"] <= PINNED_SUITE_REDUCES, suite_counts
 
 
-def test_suite_inserts_no_integral_fraction(monkeypatch, capsys):
+def test_suite_inserts_no_integral_fraction(suite_counts):
     # map values and differentials reach the echelon forms with their
     # integral coefficients as ints, so the cone needs no conversion
-    inserts = Counter()
-    insert_ = Echelon.insert
-
-    def counted_insert(self, vec):
-        inserts["all"] += 1
-        inserts["integral Fraction"] += any(type(c) is Fraction and c.denominator == 1 for c in vec.values())
-        return insert_(self, vec)
-
-    monkeypatch.setattr(Echelon, "insert", counted_insert)
-    assert dispatch(["suite", "--seed", "42"]) == 0
-    capsys.readouterr()
-    assert inserts["all"] > 10000
-    assert inserts["integral Fraction"] == 0, inserts
+    assert suite_counts["insert"] > 10000
+    assert suite_counts["integral Fraction"] == 0, suite_counts

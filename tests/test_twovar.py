@@ -6,6 +6,7 @@ from dgdm.complexes import FreeDComplex, homology, is_acyclic
 from dgdm.groebner import FreeModuleElement, buchberger, member
 from dgdm.model import iota, pushout_product, zeta
 from dgdm.obasis import is_bounded_weq, tensor_free, truncated_acyclicity
+from dgdm.slices import dsquare_witness
 from dgdm.weyl import WeylElement
 
 
@@ -60,7 +61,7 @@ def test_tensor_acyclicity_two_variables():
     from dgdm.complexes import disk, sphere
 
     t = tensor_free(disk(1, nvars=2), sphere(0, nvars=2))
-    t.validate_dsquare(2)
+    assert dsquare_witness(t.basis_keys, t.diff_key, range(2, t.top + 1), 2) is None
     assert truncated_acyclicity(t, 4).ok
     bad = tensor_free(sphere(0, nvars=2), sphere(0, nvars=2))
     assert truncated_acyclicity(bad, 4).verdict == "fail"

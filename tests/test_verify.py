@@ -95,7 +95,6 @@ def test_report_serialization_stable_field_order():
     assert text.index('"check"') < text.index('"verdict"') < text.index('"parameters"')
     # runtime excluded from the canonical form
     assert "runtime" not in text
-    assert "runtime_seconds" in r.to_text(include_runtime=True)
 
 
 def test_fail_witness_reverifies_independently():
@@ -115,7 +114,7 @@ def test_fail_witness_reverifies_independently():
         img = t.diff_key(key)
         if img:
             ech.insert(img)
-    assert not ech.in_span(cycle)
+    assert ech.reduce(cycle)
 
 
 def test_bounded_pass_records_truncation_levels():
