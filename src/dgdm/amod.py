@@ -395,7 +395,7 @@ def _twisted_diff_key(t, key) -> Dict:
     terms = t._twist_memo.get(w)
     if terms is None:
         terms = t._twist_memo[w] = tuple(t.twist_terms(w))
-    ndeg = t.n_mod.key_degree(nk)
+    ndeg = t.n_mod.key_degree(nk) if terms else 0
     for aterm, adeg, w2, c in terms:
         sign = -c if ndeg * (1 + adeg) % 2 else c
         for k3, c3 in t.n_mod.act_algebra_term_key(aterm, nk).items():
@@ -404,8 +404,8 @@ def _twisted_diff_key(t, key) -> Dict:
 
 
 class _TwistedTensor:
-    """N (x) W of the module docstring; a subclass supplies `w_blocks`,
-    `w_grading` and `twist_terms` (d(w) as (a, |a|, w', c)), and keeps
+    """N (x) W of the module docstring; a subclass supplies `w_blocks` and
+    `twist_terms` (d(w) as (a, |a|, w', c)), and keeps
     `basis_keys`/`diff_key` in its own body (perfbench/tracing.py patches them)."""
 
     def __init__(self, n_mod: AModule, w_top: int):
@@ -413,9 +413,6 @@ class _TwistedTensor:
         self.nvars = n_mod.nvars
         self.w_top = w_top
         self._twist_memo: Dict[Tuple, Tuple] = {}
-
-    def key_degree(self, key) -> int:
-        return self.n_mod.key_degree(key[0]) + self.w_grading(key[1:])[0]
 
     def top_degree_hint(self, degree_window: int) -> int:
         return self.n_mod.top_degree_hint(degree_window) + self.w_top
@@ -438,9 +435,6 @@ class TensorOverA(_TwistedTensor):
 
     def w_blocks(self, degree: int, max_weight: int):
         return _v_atoms(self.m.generators, self.nvars, degree, max_weight)
-
-    def w_grading(self, w) -> Tuple[int, int]:
-        return self.m.generators[w[0]].degree, sum(w[1]) + 1
 
     def twist_terms(self, w):
         # d(d^b g_j) in A (x) V: keys ("v", a, atoms, j', b')
@@ -507,10 +501,6 @@ class BaseChangeModule(_TwistedTensor):
         for deg_w in range(0, degree + 1):
             for watoms, cost in self.b._atom_multisets(self.w_start, deg_w, max_weight):
                 yield (watoms,), deg_w, cost
-
-    def w_grading(self, w) -> Tuple[int, int]:
-        term = ((0,) * self.nvars,) + w  # the B-term 1 * watoms
-        return self.b.term_degree(term), self.b.term_weight(term)
 
     def twist_terms(self, w):
         # d of the W-monomial in B, each term split into its A- and W-atoms

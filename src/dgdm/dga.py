@@ -49,7 +49,7 @@ from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 from .rational_linalg import add_term, apply_linear, integral, vec_add
 from .slices import TruncationResult, bounded_weq
-from .weyl import Exponent, WeylElement, exponents_bounded, join_terms, power_factors
+from .weyl import Exponent, exponents_bounded, join_terms, power_factors
 
 Atom = Tuple[int, Exponent]  # (generator index, d-exponent)
 TermKey = Tuple[Exponent, Tuple[Atom, ...]]
@@ -211,11 +211,6 @@ class SullivanAlgebra:
     def atom_parity(self, atom: Atom) -> int:
         return self.parities[atom[0]]
 
-    def term_weight(self, key: TermKey) -> int:
-        """|alpha| + sum over atoms of (|b| + 1); slices are finite."""
-        alpha, atoms = key
-        return sum(alpha) + sum(sum(b) + 1 for (_, b) in atoms)
-
     def term_product(self, k1: TermKey, k2: TermKey) -> Optional[Tuple[int, TermKey]]:
         """The product of two term keys as (sign, key); None when it vanishes."""
         norm = _normalize_atoms(k1[1] + k2[1], self.atom_parity)
@@ -261,15 +256,6 @@ class SullivanAlgebra:
                 coeffs = apply_linear(lambda key: self.act_d_term(i, key), coeffs)
         return {(tuple(x + y for x, y in zip(alpha, a)), atoms): c for (alpha, atoms), c in coeffs.items()}
 
-    def act(self, op: WeylElement, u: "AlgebraElement") -> "AlgebraElement":
-        """Action of a Weyl element, term by term in normal order."""
-        if op.nvars != self.nvars:
-            raise ValueError("operator over the wrong Weyl algebra")
-        total: Coeffs = {}
-        for (a, b), coef in op.terms.items():
-            vec_add(total, self.act_monomial(a, b, u.coeffs), coef)
-        return AlgebraElement(self, total)
-
     # -- differential -------------------------------------------------------
 
     def _d_atom(self, atom: Atom) -> Coeffs:
@@ -295,7 +281,8 @@ class SullivanAlgebra:
     # -- slice enumeration -----------------------------------------------
 
     def basis_keys(self, degree: int, max_weight: int) -> Tuple[TermKey, ...]:
-        """All canonical term keys of the given algebra degree and weight bound.
+        """All canonical term keys of the given algebra degree and weight
+        bound; x^alpha times atoms d^b g_j weighs |alpha| + sum(|b| + 1).
 
         Each (degree, max_weight) is enumerated once and kept on this
         algebra: a repeat call returns the stored tuple, in the order of

@@ -101,9 +101,6 @@ class OBasisComplex:
     def diff_key(self, key: Key) -> Element:
         return self.apply_entries(key, self.diff_entries.get(key[0], ()))
 
-    def diff_element(self, elt: Element) -> Element:
-        return apply_linear(self.diff_key, elt)
-
     # -- basis enumeration ---------------------------------------------
 
     def basis_keys(self, p: int, max_weight: int) -> Iterator[Key]:

@@ -4,12 +4,15 @@ Any complex whose degree-p piece carries a countable k-basis with a
 weight function making slices finite-dimensional can be checked here:
 the caller supplies a basis enumerator and a differential on basis
 keys.  `basis_of(p, w)` yields the degree-p keys of weight <= w, so the
-slices of one degree are nested.  Keys must be hashable and mutually
-sortable within one check, and keys of different degrees differ.
+slices of one degree are nested.  Keys must be hashable, and keys of
+different degrees differ.
 
-A differential handed to a check is read-only: it may return a dict it
-keeps (the Sullivan algebras and A-modules memoise theirs), so the walk
-and the echelon form copy what they change and never write to it.
+A check numbers each key the first time it lists it or meets it in a
+differential, and walks on the numbers: a `BasisFn` or `DiffFn` sees
+only its own keys, witnesses come back on them, and a differential is
+read once, never written (Sullivan algebras and A-modules return the
+dicts they memoise).  The numbering moves echelon rows, never spans,
+band counts or nullspace bases, so no verdict or witness depends on it.
 
 The contract of a check at level N (margin 2): every cycle assembled
 from basis keys of weight <= N-2 must be an exact boundary of an
@@ -23,7 +26,7 @@ A level passes by counting: its cycles have dimension z = keys - rank
 of their images (one echelon, extended at level N+1).  Boundaries enter
 a second echelon by level block (weight <= N-1, then N, then N+1 at
 level N+1), tagged by band: 2 on keys of weight <= N-2, 1 on weight
-N-1, 0 elsewhere.  Rows pivot on their smallest key, so those pivoted in
+N-1, 0 elsewhere.  Rows pivot on their least (band, number), so those in
 band >= b span the boundaries of band >= b, and the level passes once
 they number z, often before its later keys are evaluated.  The count
 needs d∘d = 0, so each counted row is checked to be a cycle on cached
@@ -70,34 +73,53 @@ class TruncationResult:
         return self.verdict == "bounded-pass"
 
 
+class _KeyNumbers(dict):
+    """The keys of one check, numbered on first lookup; `order[i]` is key i."""
+
+    def __init__(self):
+        self.order = []
+
+    def __missing__(self, key):
+        self.order.append(key)
+        i = self[key] = len(self)
+        return i
+
+
 def slice_witness(
     basis_of: BasisFn,
     diff_of: DiffFn,
     p: int,
     n: int,
     upper: bool,
-    carried: Dict[Hashable, Optional[Vec]],
+    carried: Dict[int, Optional[Vec]],
     carry: bool,
-) -> Tuple[Optional[Dict], Optional[Dict], Dict[Hashable, Optional[Vec]]]:
+    numbers: _KeyNumbers,
+) -> Tuple[Optional[Dict], Optional[Dict], Dict[int, Optional[Vec]]]:
     """Degree p of the walk: level n, then level n+1 if `upper` is set.
 
-    `carried` holds the keys of `basis_of(p, n - 1)`, in that order,
-    when the step at p-1 built a boundary echelon, and is empty
-    otherwise; it maps each key to its differential, or to None where
-    that step stopped before evaluating it.  Returns the level-n
-    witness, the level-(n+1) witness (each None if the slice is exact or
-    was not checked) and, if `carry` is set and a boundary was built,
-    the keys and differentials carried to degree p+1.  A level counts its
-    bands' boundary rows, each checked to be a cycle, against its cycle
-    dimension; `nullspace` runs only if one is short or a row no cycle.
+    On key numbers: `carried` holds the numbers of `basis_of(p, n - 1)`,
+    in that order, when the step at p-1 built a boundary echelon, and is
+    empty otherwise; it maps each to its differential, or to None where
+    that step stopped before evaluating it.  Returns the level-n and the
+    level-(n+1) witness on the caller's keys (each None if the slice is
+    exact or was not checked) and, if `carry` is set and a boundary was
+    built, what goes to degree p+1.  A level counts its bands' boundary
+    rows, each checked to be a cycle, against its cycle dimension;
+    `nullspace` runs only if one is short or a row no cycle.
     """
-    low = list(basis_of(p, n - 2))
-    high = (list(carried) or list(basis_of(p, n - 1))) if upper else []
+    number, order = numbers.__getitem__, numbers.order
 
-    def image(key):
-        img = carried.get(key)
+    def evaluated(i):
+        img = diff_of(order[i])
+        return {number(k): c for k, c in img.items()} if img else {}
+
+    low = list(map(number, basis_of(p, n - 2)))
+    high = (list(carried) or list(map(number, basis_of(p, n - 1)))) if upper else []
+
+    def image(i):
+        img = carried.get(i)
         if img is None:
-            img = carried[key] = diff_of(key)
+            img = carried[i] = evaluated(i)
         return img
 
     # 2 on basis_of(p, n - 2), 1 on the rest of basis_of(p, n - 1), else 0
@@ -105,42 +127,45 @@ def slice_witness(
     band.update(dict.fromkeys(low, 2))
 
     def tagged(vec):
-        return {(band.get(k, 0), k): c for k, c in vec.items()}
+        return {(band.get(i, 0), i): c for i, c in vec.items()}
 
     def is_cycle(row):
-        return not apply_linear(lambda tk: image(tk[1]), row)
+        if len(row) == 1:
+            ((_, i),) = row
+            return not image(i)
+        return not apply_linear(lambda ti: image(ti[1]), row)
 
     images = Echelon()  # of the cycle candidates: z = keys - rank
     ech: Optional[Echelon] = None
     rows = [0, 0, 0]  # rows of ech by the band of their pivot
     counting = True  # every row counted so far is a cycle (d∘d = 0 there)
-    held = set()  # degree-(p+1) keys whose boundary ech holds
-    nxt: Dict[Hashable, Optional[Vec]] = {}  # key of basis_of(p + 1, n - 1) -> its differential or None
+    held = set()  # numbers of degree-(p+1) keys whose boundary ech holds
+    nxt: Dict[int, Optional[Vec]] = {}  # number in basis_of(p + 1, n - 1) -> its differential or None
 
     def witness(keys, level, b):
         nonlocal ech, counting
-        for key in keys:
-            if band[key] == b and image(key):
-                images.insert(image(key))
+        for img in (image(i) for i in keys if band[i] == b):
+            if img:
+                images.insert(img)
         z = len(keys) - images.rank()
         if not z:
             return None
         if ech is None:
             ech = Echelon()
             if carry:
-                nxt.update(dict.fromkeys(basis_of(p + 1, n - 1)))
+                nxt.update(dict.fromkeys(map(number, basis_of(p + 1, n - 1))))
         elif b == 1 and counting:  # the band-1 rows of level n were not checked there
             counting = all(is_cycle(r) for q, r in ech.rows.items() if q[0] == 1)
         if counting and sum(rows[b:]) >= z:
             return None
         for w in range(n - 1, level + 1):  # boundaries by level block
-            for key in nxt if w == n - 1 and carry else basis_of(p + 1, w):
-                if key in held:
+            for i in nxt if w == n - 1 and carry else map(number, basis_of(p + 1, w)):
+                if i in held:
                     continue
-                held.add(key)
-                img = diff_of(key)
-                if key in nxt:
-                    nxt[key] = img
+                held.add(i)
+                img = evaluated(i)
+                if i in nxt:
+                    nxt[i] = img
                 q = ech.insert(tagged(img)) if img else None
                 if q is None:
                     continue
@@ -150,9 +175,9 @@ def slice_witness(
                     if counting and sum(rows[b:]) >= z:
                         return None
         # every boundary of the level is in: the first cycle outside their span
-        for cycle in nullspace([(key, image(key)) for key in keys]):
+        for cycle in nullspace([(i, image(i)) for i in keys]):
             if ech.reduce(tagged(cycle)):
-                return {"degree": p, "cycle": cycle, "level": level}
+                return {"degree": p, "cycle": {order[i]: c for i, c in cycle.items()}, "level": level}
         return None
 
     found = witness(low, n, 2) if low else None
@@ -172,11 +197,12 @@ def bounded_acyclicity(
         raise ValueError("truncation too small: need N >= 2")
     degrees = tuple(degrees)
     upper = None  # the first level-(n+1) failure
-    carried: Dict[Hashable, Optional[Vec]] = {}
+    carried: Dict[int, Optional[Vec]] = {}
+    numbers = _KeyNumbers()
     for i, p in enumerate(degrees):
         carry = i + 1 < len(degrees) and degrees[i + 1] == p + 1
         low, high, carried = slice_witness(
-            basis_of, diff_of, p, n, upper is None, carried, carry)
+            basis_of, diff_of, p, n, upper is None, carried, carry, numbers)
         if low is not None:
             return TruncationResult("fail", (n, n + 1), low, degrees)
         if upper is None:

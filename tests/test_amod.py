@@ -8,7 +8,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from test_dga import _as_fractions, _ref_act_d, _ref_d_key, _ref_multiply, assert_enumeration_contract
+from test_dga import _as_fractions, _ref_act_d, _ref_d_key, _ref_multiply, _term_weight, assert_enumeration_contract
+from test_slices import _order_digest
 
 from dgdm.amod import (
     AModule,
@@ -500,7 +501,20 @@ def test_base_change_free_case():
 def _module_key_weight(m, key):
     """x-degree, d-orders and atom count of A's term, plus g_j's d-orders and 1."""
     _, alpha, atoms, _, b = key
-    return m.algebra.term_weight((alpha, atoms)) + sum(b) + 1
+    return _term_weight((alpha, atoms)) + sum(b) + 1
+
+
+def _w_grading(tt, w):
+    """(degree, weight) of the W-block w of a twisted-tensor key: the atom
+    d^b g_j of M for a tensor, the B-term 1 * watoms for a base change."""
+    if isinstance(tt, TensorOverA):
+        return tt.m.generators[w[0]].degree, sum(w[1]) + 1
+    term = ((0,) * tt.nvars,) + w
+    return tt.b.term_degree(term), _term_weight(term)
+
+
+def _twisted_key_degree(tt, key):
+    return tt.n_mod.key_degree(key[0]) + _w_grading(tt, key[1:])[0]
 
 
 def test_module_enumerations_replay_and_nest():
@@ -512,8 +526,8 @@ def test_module_enumerations_replay_and_nest():
     bc = BaseChangeModule(b, m)
     assert_enumeration_contract(m.basis_keys, m.key_degree, lambda k: _module_key_weight(m, k))
     for tt in (t, bc):  # the weight of N's key plus the W-block's
-        assert_enumeration_contract(tt.basis_keys, tt.key_degree,
-                                    lambda k: _module_key_weight(m, k[0]) + tt.w_grading(k[1:])[1])
+        assert_enumeration_contract(tt.basis_keys, lambda k: _twisted_key_degree(tt, k),
+                                    lambda k: _module_key_weight(m, k[0]) + _w_grading(tt, k[1:])[1])
 
 
 # raw atom-multiset builds in the check below, each (algebra, j, degree,
@@ -685,6 +699,8 @@ def test_memoised_module_kernel_matches_fresh_instances_around_a_check():
 # before it, so 210 of the 441 module keys in the checked degrees 0..6 of
 # both tensors are built
 PINNED_TENSOR_DIFF_BUILDS = 210
+# sha256 of the module keys in the order they are built, one repr a line
+PINNED_TENSOR_DIFF_ORDER = "48f30fd92ab8773f9c028d58b547719753e6b67557ce5330b6e000d71376de3d"
 
 
 def test_tensor_check_builds_each_module_differential_once(monkeypatch):
@@ -704,6 +720,7 @@ def test_tensor_check_builds_each_module_differential_once(monkeypatch):
     assert tensor_bounded_weq(f, m, 6, 3).ok
     assert max(builds.values()) == 1
     assert sum(builds.values()) == PINNED_TENSOR_DIFF_BUILDS
+    assert _order_digest(key for _, key in builds) == PINNED_TENSOR_DIFF_ORDER
 
 
 def test_checks_on_deep_copies_leave_the_memos_of_their_inputs_alone():

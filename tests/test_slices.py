@@ -6,17 +6,35 @@ level n over every degree and then level n+1 from scratch, kept as the
 oracle for verdicts and witnesses.
 """
 
+import copy
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
 
 import pytest
 
+from dgdm import obasis, slices
+from dgdm.amod import (
+    amodule_bounded_weq,
+    base_change_bounded_weq,
+    tensor_bounded_weq,
+    transfinite_compose_finite,
+)
 from dgdm.complexes import disk, sphere
+from dgdm.dga import Generator, Inclusion, algebra_bounded_weq, compose_morphisms, dga_pushout_gen
 from dgdm.model import iota, pushout_product, zeta
 from dgdm.obasis import is_bounded_weq, obasis_inclusion, obasis_of_free, tensor_free, truncated_acyclicity
-from dgdm.randgen import random_complex
+from dgdm.randgen import (
+    random_algebra,
+    random_algebra_element,
+    random_algebra_weq,
+    random_amodule,
+    random_amodule_weq,
+    random_complex,
+)
 from dgdm.rational_linalg import Echelon, nullspace, vec_add
 from dgdm.slices import TruncationResult, bounded_acyclicity, cone_adapters, dsquare_witness
 
@@ -41,6 +59,11 @@ def _counting(diff_of):
         return diff_of(key)
 
     return counted, counts
+
+
+def _order_digest(keys):
+    """sha256 of the keys in the order given, one repr a line."""
+    return hashlib.sha256("\n".join(map(repr, keys)).encode()).hexdigest()
 
 
 def _level_major_witness(basis_of, diff_of, degrees, level):
@@ -299,6 +322,8 @@ def test_cycle_covered_only_by_the_last_key_of_the_top_block(last):
 # 224 of the 416 keys whose boundaries a full echelon needs; the level-major
 # walk made 976 evaluations of those 416
 PINNED_DISK_EVALS = 224
+# sha256 of the keys in the order the walk evaluates them, one repr a line
+PINNED_DISK_EVAL_ORDER = "e491e0e00e358ced3ce2c9a268369453d093935b5cd58359affe24095809abfb"
 
 
 def test_tensor_of_disks_evaluates_each_differential_once():
@@ -309,6 +334,7 @@ def test_tensor_of_disks_evaluates_each_differential_once():
     assert res.verdict == "bounded-pass"
     assert max(counts.values()) == 1
     assert sum(counts.values()) == PINNED_DISK_EVALS
+    assert _order_digest(counts) == PINNED_DISK_EVAL_ORDER
 
 
 # `Echelon.reduce` calls in one `dgdm suite --seed 42`: every bounded slice
@@ -328,3 +354,100 @@ def test_suite_inserts_no_integral_fraction(suite_counts):
     # integral coefficients as ints, so the cone needs no conversion
     assert suite_counts["insert"] > 10000
     assert suite_counts["integral Fraction"] == 0, suite_counts
+
+
+def _module_control(rng):
+    """A weak equivalence f: P -> Q of A-modules followed by the inclusion
+    of Q into Q plus a free sphere S^k (d = 0), and k: the cone of the
+    composite has one cycle more than a boundary, in degree k."""
+    a = random_algebra(rng, max_gens=1, max_degree=2)
+    q, f = random_amodule_weq(rng, random_amodule(rng, a, cells=2, max_degree=2))
+    k = rng.randint(0, 3)
+    return compose_morphisms(f, Inclusion(q, transfinite_compose_finite(q, [(k, None)]).module)), k
+
+
+def _algebra_control(rng, k):
+    """The algebra counterpart: a weak equivalence X -> Y followed by the
+    inclusion of Y into Y extended by a generator of degree k with d = 0."""
+    y, f = random_algebra_weq(rng, random_algebra(rng, max_gens=1, max_degree=2))
+    return compose_morphisms(f, Inclusion(y, y.extended(Generator("ctl", k), None)))
+
+
+def test_negative_controls_fail_with_witnesses_on_cone_keys():
+    # the walk runs on key numbers; the witness it returns must be the
+    # level-major oracle's, on the cone's own keys
+    for seed in range(20):
+        rng = random.Random(seed)
+        g, k = _module_control(rng)
+        h = _algebra_control(rng, k)
+        src, tgt = g.source, g.target
+        top = max(src.top_degree_hint(3), tgt.top_degree_hint(3))
+        checks = [
+            (amodule_bounded_weq(g, 5, 3), range(top + 1),
+             cone_adapters(src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key, g.apply_key)),
+            (algebra_bounded_weq(h, 5, 3), range(4),
+             cone_adapters(h.source.basis_keys, h.source.d_term, h.target.basis_keys, h.target.d_term,
+                           h.apply_key)),
+        ]
+        for res, degrees, (basis, diff) in checks:
+            assert res == _level_major(basis, diff, degrees, 5), seed
+            assert res.verdict == "fail" and res.witness["degree"] == k, (seed, res)
+            cycle = res.witness["cycle"]
+            assert cycle and set(cycle) <= set(basis(k, res.witness["level"] - 2)), (seed, cycle)
+            assert all(type(c) is Fraction for c in cycle.values())
+
+
+def _bounded_entry_points():
+    """One call of each bounded check, and a failing control, as
+    (check, arguments)."""
+    rng = random.Random(2700)
+    m_cx = random_complex(rng, max_top=1, max_cells=2, twists=1)
+    inc = obasis_inclusion(tensor_free(disk(1), m_cx),
+                           obasis_of_free(random_complex(rng, max_top=2, max_cells=2, twists=1)), 1)
+    x = random_algebra(rng, max_gens=1, max_degree=2)
+    y, f = random_algebra_weq(rng, x)
+    po = dga_pushout_gen(x, y, f, 2, x.d(random_algebra_element(rng, x, 2, 3)))
+    a = random_algebra(rng, max_gens=1, max_degree=2)
+    _, g = random_amodule_weq(rng, random_amodule(rng, a, cells=2, max_degree=2))
+    m = random_amodule(rng, a, cells=2, max_degree=2)
+    b = a.extended(Generator("w", 1), None)
+    control, _ = _module_control(rng)
+    return [
+        (truncated_acyclicity, (pushout_product(zeta(1), iota(0)).codomain, 5)),
+        (is_bounded_weq, (inc, 5)),
+        (algebra_bounded_weq, (po.map, 5, 3)),
+        (tensor_bounded_weq, (g, m, 5, 3)),
+        (base_change_bounded_weq, (b, g, 5, 3)),
+        (amodule_bounded_weq, (g, 5, 3)),
+        (amodule_bounded_weq, (control, 5, 3)),
+    ]
+
+
+def test_checks_only_read_the_differentials_they_are_handed(monkeypatch):
+    # every differential the walk and the cone get is a read-only view;
+    # each check runs on its own deep copy of the inputs, so from cold
+    # memos, with and without the views
+    calls = _bounded_entry_points()
+    plain = [check(*copy.deepcopy(args)) for check, args in calls]
+    assert [res.verdict for res in plain] == ["bounded-pass"] * 6 + ["fail"]
+    views = Counter()
+
+    def read_only(fn):
+        def view(key):
+            views["views"] += 1
+            return MappingProxyType(fn(key))
+        return view
+
+    walk, cone = slices.bounded_acyclicity, slices.cone_adapters
+
+    def walk_read_only(basis_of, diff_of, degrees, n):
+        return walk(basis_of, read_only(diff_of), degrees, n)
+
+    monkeypatch.setattr(slices, "bounded_acyclicity", walk_read_only)
+    monkeypatch.setattr(obasis, "bounded_acyclicity", walk_read_only)
+    monkeypatch.setattr(slices, "cone_adapters", lambda sb, sd, tb, td, f: cone(
+        sb, read_only(sd), tb, read_only(td), read_only(f)))
+    for (check, args), res in zip(calls, plain):
+        views.clear()
+        assert check(*copy.deepcopy(args)) == res
+        assert views["views"] > 0
