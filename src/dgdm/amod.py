@@ -10,13 +10,14 @@ A (x) V_{<j} (lowering) and extends by
 which squares to zero and commutes with the A-action; morphisms extend
 assignments q(g_j) with d_B q(g_j) = q(d g_j) by q(a (x) v) = a . q(v).
 
-A relative Sullivan A-module T (+) A (x) V is T's generators followed
-by V's, as `SullivanAlgebra.extended` builds relative Sullivan algebras:
-`AModule.extended` appends one generator, and a pushout along a
-generating cofibration is one such step.  `AModuleMorphism` is the module
-kind of `dga`'s `Morphism`; the inclusion, composite, extension and
-pushout record are `dga`'s, shared with algebras.  The key
-("v", alpha, atoms, j, b) is x^alpha * (A-monomial atoms) (x) d^b g_j.
+`AModule` is the module kind of `dga`'s `GeneratedObject`, which holds
+the constructor checks, `extended`, the atoms, `d` and the memo of
+d(d^b g_j), as for Sullivan algebras; a relative Sullivan A-module
+T (+) A (x) V is T's generators followed by V's, and a pushout along a
+generating cofibration is one `extended` step.  `AModuleMorphism` is the
+module kind of `dga`'s `Morphism`, which memoises its atom images; the
+inclusion, composite, extension and pushout record are `dga`'s too.  The
+key ("v", alpha, atoms, j, b) is x^alpha * (A-monomial atoms) (x) d^b g_j.
 
 Weights (x-degree + d-orders + atom counts) slice every degree finitely,
 so bounded weak-equivalence checks run on the underlying complexes.
@@ -30,9 +31,9 @@ Its two instances supply only their W-blocks and twist terms:
 `TensorOverA` (N = B, w a V-atom (j, b) of A (x) V) and
 `BaseChangeModule` (w the atoms of B's new generators).
 
-The differentials, the actions on keys and a morphism's values on atoms
-are memoised per instance over the term kernel of `dga` and are
-read-only, with `int` coefficients where integral.  `AModuleElement` is
+The differentials and the actions on keys are memoised per instance
+over the term kernel of `dga` and are read-only, with `int`
+coefficients where integral.  `AModuleElement` is
 the module kind of `dga`'s element class `GradedElement` and holds
 `Fraction`s.
 """
@@ -49,6 +50,7 @@ from .dga import (
     AlgebraElement,
     AlgebraMorphism,
     CellPushout,
+    GeneratedObject,
     Generator,
     GradedElement,
     Morphism,
@@ -57,7 +59,7 @@ from .dga import (
     atom_name,
     attach_cell,
 )
-from .rational_linalg import add_term, apply_linear, integral
+from .rational_linalg import add_term, apply_linear
 from .slices import TruncationResult, bounded_weq
 from .weyl import Exponent, exponents_bounded, join_terms, power_factors
 
@@ -73,8 +75,32 @@ def _v_atoms(gens: Sequence[Generator], nvars: int, degree: int, max_weight: int
                 yield (j, b), g.degree, sum(b) + 1
 
 
-class AModule:
+class AModuleElement(GradedElement):
+    """An element of an A-module, on the element class of `dga`."""
+
+    __slots__ = ()
+    module = property(lambda self: self.owner)
+
+    def __repr__(self):
+        return f"AModuleElement({dict(list(self.coeffs.items())[:4])!r}...)" if len(
+            self.coeffs
+        ) > 4 else f"AModuleElement({self.coeffs!r})"
+
+    def to_string(self) -> str:
+        agens, mgens = self.module.algebra.generators, self.module.generators
+
+        def term(key):
+            _, alpha, atoms, j, b = key
+            names = [atom_name(agens[ja].name, ba) for ja, ba in atoms] + [atom_name(mgens[j].name, b)]
+            return self.coeffs[key], power_factors("x", alpha) + names
+
+        return join_terms(map(term, sorted(self.coeffs, key=repr)))
+
+
+class AModule(GeneratedObject):
     """A (x) V with a lowering differential (see module docstring)."""
+
+    element = AModuleElement
 
     def __init__(
         self,
@@ -84,41 +110,23 @@ class AModule:
     ):
         self.algebra = algebra
         self.nvars = algebra.nvars
-        self.generators = tuple(generators)
-        self.diff_coeffs: Dict[int, ModCoeffs] = {
-            j: dict(v) for j, v in (diff or {}).items() if v
-        }
-        self._dv_cache: Dict[Tuple[int, Exponent], ModCoeffs] = {}
         self._diff_memo: Dict[ModKey, ModCoeffs] = {}
         self._act_memo: Dict[Tuple[TermKey, ModKey], ModCoeffs] = {}
         self._basis_memo: Dict[Tuple[int, int], Tuple[ModKey, ...]] = {}
-        for j, coeffs in self.diff_coeffs.items():
-            if not 0 <= j < len(self.generators):
-                raise ValueError(f"differential assigned to unknown generator {j}")
-            want = self.generators[j].degree - 1
-            for key in coeffs:
-                if key[3] >= j:
-                    raise ValueError(f"d({self.generators[j].name}) hits generator {key[3]}: not lowering")
-                if self.key_degree(key) != want:
-                    raise ValueError(f"d({self.generators[j].name}) has a term of degree "
-                                     f"{self.key_degree(key)}, expected {want}")
-        for j in self.diff_coeffs:
-            if self.diff_element(self.diff_coeffs[j]):
-                raise ValueError(f"d*d != 0 on generator {self.generators[j].name}")
+        super().__init__(generators, diff)
 
     ground = property(lambda self: self.algebra)  # what both ends of a morphism share
 
     def morphism(self, target: "AModule", assignments: Dict[int, "AModuleElement"]) -> "AModuleMorphism":
         return AModuleMorphism(self, target, assignments)
 
-    def extended(self, gen: Generator, d_assignment: "AModuleElement | None") -> "AModule":
-        """A new module with one more (last) generator."""
-        diff = dict(self.diff_coeffs)
-        if d_assignment is not None and not d_assignment.is_zero():
-            diff[len(self.generators)] = d_assignment.coeffs
-        return AModule(self.algebra, self.generators + (gen,), diff)
-
     # -- key structure ----------------------------------------------------
+
+    def atom_key(self, j: int, b: Exponent) -> ModKey:
+        return "v", (0,) * self.nvars, (), j, b
+
+    def key_atoms(self, key: ModKey) -> Tuple[Tuple[int, Exponent], ...]:
+        return (key[3:],)
 
     def key_degree(self, key: ModKey) -> int:
         _, alpha, atoms, j, b = key
@@ -143,22 +151,6 @@ class AModule:
         """Degrees worth checking: the generators plus the algebra window."""
         return max([g.degree for g in self.generators], default=0) + degree_window
 
-    # -- generators ---------------------------------------------------------
-
-    def generator(self, j: int) -> "AModuleElement":
-        return self.atom(j, (0,) * self.nvars)
-
-    def atom(self, j: int, b: Sequence[int]) -> "AModuleElement":
-        if not 0 <= j < len(self.generators):
-            raise ValueError(f"no generator with index {j}")
-        return AModuleElement(self, {("v", (0,) * self.nvars, (), j, tuple(b)): Fraction(1)})
-
-    def zero(self) -> "AModuleElement":
-        return AModuleElement(self, {})
-
-    def d_generator(self, j: int) -> "AModuleElement":
-        return AModuleElement(self, self.diff_coeffs.get(j, {}))
-
     # -- A-action -----------------------------------------------------------
 
     def act_algebra_term_key(self, aterm: TermKey, key: ModKey) -> ModCoeffs:
@@ -181,11 +173,6 @@ class AModule:
 
     # -- D-action -------------------------------------------------------------
 
-    def act_x_key(self, i: int, key: ModKey) -> ModCoeffs:
-        _, alpha, atoms, j, b = key
-        na = tuple(e + 1 if k == i else e for k, e in enumerate(alpha))
-        return {("v", na, atoms, j, b): 1}
-
     def act_d_key(self, i: int, key: ModKey) -> ModCoeffs:
         _, alpha, atoms, j, b = key
         out: ModCoeffs = {}
@@ -202,20 +189,10 @@ class AModule:
         for i, e in enumerate(b):
             for _ in range(e):
                 coeffs = apply_linear(lambda key: self.act_d_key(i, key), coeffs)
-        for i, e in enumerate(a):
-            for _ in range(e):
-                coeffs = apply_linear(lambda key: self.act_x_key(i, key), coeffs)
-        return coeffs
+        return {("v", tuple(x + y for x, y in zip(alpha, a)), atoms, j, bv): c
+                for (_, alpha, atoms, j, bv), c in coeffs.items()}
 
     # -- differential ------------------------------------------------------------
-
-    def _d_of_atom(self, j: int, b: Exponent) -> ModCoeffs:
-        """d(d^b g_j) = d^b . d(g_j), memoised; read-only."""
-        cached = self._dv_cache.get((j, b))
-        if cached is None:
-            own = {k: integral(c) for k, c in self.diff_coeffs.get(j, {}).items()}
-            cached = self._dv_cache[(j, b)] = self.act_monomial((0,) * self.nvars, b, own)
-        return cached
 
     def diff_key(self, key: ModKey) -> ModCoeffs:
         """The differential of one basis key, memoised; read-only."""
@@ -231,52 +208,14 @@ class AModule:
         out: ModCoeffs = {("v", a2, at2, j, b): c for (a2, at2), c in self.algebra.d_term(aterm).items()}
         # (-1)^{|a|} a . d(v)
         sign = -1 if self.algebra.term_degree(aterm) % 2 else 1
-        for key2, c in self._d_of_atom(j, b).items():
+        for key2, c in self._d_atom((j, b)).items():
             for k3, c3 in self.act_algebra_term_key(aterm, key2).items():
                 add_term(out, k3, sign * c * c3)
         return out
 
-    def diff_element(self, coeffs: ModCoeffs) -> ModCoeffs:
-        return apply_linear(self.diff_key, coeffs)
-
-    def d(self, elt: "AModuleElement") -> "AModuleElement":
-        return AModuleElement(self, self.diff_element(elt.coeffs))
-
-    # -- misc ------------------------------------------------------------------
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, AModule)
-            and self.algebra == other.algebra
-            and self.generators == other.generators
-            and self.diff_coeffs == other.diff_coeffs
-        )
-
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)
         return f"AModule(V=[{gens}])"
-
-
-class AModuleElement(GradedElement):
-    """An element of an A-module, on the element class of `dga`."""
-
-    __slots__ = ()
-    module = property(lambda self: self.owner)
-
-    def __repr__(self):
-        return f"AModuleElement({dict(list(self.coeffs.items())[:4])!r}...)" if len(
-            self.coeffs
-        ) > 4 else f"AModuleElement({self.coeffs!r})"
-
-    def to_string(self) -> str:
-        agens, mgens = self.module.algebra.generators, self.module.generators
-
-        def term(key):
-            _, alpha, atoms, j, b = key
-            names = [atom_name(agens[ja].name, ba) for ja, ba in atoms] + [atom_name(mgens[j].name, b)]
-            return self.coeffs[key], power_factors("x", alpha) + names
-
-        return join_terms(map(term, sorted(self.coeffs, key=repr)))
 
 
 # ------------------------------------------------------------- constructors
@@ -318,17 +257,10 @@ class AModuleMorphism(Morphism):
     """An A-linear chain map fixed by generator values, checked as every
     `dga.Morphism` is; evaluation follows q(a (x) v) = a . q(v)."""
 
-    def __init__(self, source: AModule, target: AModule, assignments: Dict[int, AModuleElement]):
-        self._qv_cache: Dict[Tuple[int, Exponent], ModCoeffs] = {}
-        super().__init__(source, target, assignments)
-
     def apply_key(self, key: ModKey) -> ModCoeffs:
-        _, alpha, atoms, j, b = key
-        qv = self._qv_cache.get((j, b))
-        if qv is None:
-            own = {k: integral(c) for k, c in self.assignments[j].coeffs.items()}
-            qv = self._qv_cache[(j, b)] = self.target.act_monomial((0,) * self.source.nvars, b, own)
-        return apply_linear(lambda key2: self.target.act_algebra_term_key((alpha, atoms), key2), qv)
+        aterm = key[1:3]
+        return apply_linear(lambda key2: self.target.act_algebra_term_key(aterm, key2),
+                            self._atom_image(key[3:]))
 
 
 # ------------------------------------------------------------- pushouts
@@ -438,7 +370,7 @@ class TensorOverA(_TwistedTensor):
 
     def twist_terms(self, w):
         # d(d^b g_j) in A (x) V: keys ("v", a, atoms, j', b')
-        for (_, a2, at2, j2, b2), c in self.m._d_of_atom(*w).items():
+        for (_, a2, at2, j2, b2), c in self.m._d_atom(w).items():
             yield (a2, at2), self.m.algebra.term_degree((a2, at2)), (j2, b2), c
 
     def basis_keys(self, degree: int, max_weight: int):

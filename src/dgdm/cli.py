@@ -485,34 +485,35 @@ def _generators(body: Dict) -> List[Generator]:
     return gens
 
 
-def algebra_from_body(body: Dict) -> SullivanAlgebra:
-    nvars = _vars(body)
+def _generator_index(obj, name: str, what: str) -> int:
+    """The index of the named generator of obj; a document error names an unknown one."""
+    try:
+        return obj.generator_index(name)
+    except KeyError:
+        raise DocumentError(f"{what} of unknown generator {name!r}")
+
+
+def _generated_from_body(kind, ground, body: Dict, parse):
+    """An algebra or module document: its generators, then d of each by name."""
     gens = _generators(body)
-    algebra = SullivanAlgebra(nvars, gens)  # no differential yet for parsing context
+    bare = kind(ground, gens)  # no differential yet for parsing context
     diff = {}
     for name, expr in _object(body.get("differential", {}), "differential").items():
-        j = algebra.generator_index(name)
-        diff[j] = parse_algebra_element(_text(expr, "differential"), algebra).coeffs
+        j = _generator_index(bare, name, "differential")
+        diff[j] = parse(_text(expr, "differential"), bare).coeffs
     try:
-        return SullivanAlgebra(nvars, gens, diff)
+        return kind(ground, gens, diff)
     except ValueError as e:
         raise DocumentError(str(e))
+
+
+def algebra_from_body(body: Dict) -> SullivanAlgebra:
+    return _generated_from_body(SullivanAlgebra, _vars(body), body, parse_algebra_element)
 
 
 def amodule_from_body(body: Dict) -> AModule:
     algebra = algebra_from_body(dict(_object(body["algebra"], "algebra"), vars=_vars(body)))
-    gens = _generators(body)
-    bare = AModule(algebra, gens)
-    diff = {}
-    for name, expr in _object(body.get("differential", {}), "differential").items():
-        j = next((i for i, g in enumerate(gens) if g.name == name), None)
-        if j is None:
-            raise DocumentError(f"differential of unknown generator {name!r}")
-        diff[j] = parse_module_element(_text(expr, "differential"), bare).coeffs
-    try:
-        return AModule(algebra, gens, diff)
-    except ValueError as e:
-        raise DocumentError(str(e))
+    return _generated_from_body(AModule, algebra, body, parse_module_element)
 
 
 def presentation_body(h) -> Dict:
@@ -718,7 +719,7 @@ def _run_command(args) -> int:
         y = algebra_from_body(_part(doc, "y"))
         assignments = {}
         for name, expr in _object(doc.get("map", {}), "map").items():
-            assignments[x.generator_index(name)] = parse_algebra_element(_text(expr, "map"), y)
+            assignments[_generator_index(x, name, "map")] = parse_algebra_element(_text(expr, "map"), y)
         f = AlgebraMorphism(x, y, assignments)
         n = _int(doc["n"], "n")
         w = doc.get("assignment")

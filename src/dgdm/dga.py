@@ -24,21 +24,20 @@ scales, degrees and equality of {key: Fraction} over an owner answering
 `key_degree`), the Koszul sort `_normalize_atoms` (parity given as a
 function of the atom) and the Leibniz rule `odd_derivation`.
 
-It is also the one home of the morphism code that algebras and A-modules,
-both free on generators, share: `Morphism` checks values on generators,
-`Inclusion`, `ComposedMorphism` and `extend_morphism` serve both kinds,
-and attaching one generator is a `CellPushout` with its `pushout_factor`.
-Each object supplies its kind's `ground` and `morphism`.
+It is also the one home of the code that algebras and A-modules, both
+free on generators, share: `GeneratedObject` (checks, `extended`, atoms,
+`d` and the memo `_d_atom` of d(d^b g_j)) is the base of both kinds,
+`Morphism` checks values on generators and memoises the atom images
+d^b . q(g_j), `Inclusion`, `ComposedMorphism` and `extend_morphism`
+serve both kinds, and attaching one generator is a `CellPushout`.
 
 The arithmetic runs on term keys and raw coefficient dicts
 (`term_product`, `coeffs_product`, `act_d_term`, `act_monomial`,
-`d_term`).  The memos of `d_term` and `_d_atom` live on the algebra,
-never per process, and are read-only; they hold `int` coefficients
-wherever the value is integral.  So do two more per-instance memos: the
-algebra keeps the exponent chains of each (budget, parity) that slice
-enumeration asks for, and an `AlgebraMorphism` keeps the image
-d^b . phi(g_j) of each atom, so `apply_key` only multiplies.
-The public wrapper `AlgebraElement`, and every report, holds `Fraction`s.
+`d_term`).  Every memo lives on its object or morphism, never per
+process, and is read-only, with `int` coefficients wherever the value
+is integral; the algebra also keeps the exponent chains of each
+(budget, parity) that slice enumeration asks for.  The public wrapper
+`AlgebraElement`, and every report, holds `Fraction`s.
 """
 
 from __future__ import annotations
@@ -112,9 +111,162 @@ def odd_derivation(alpha: Exponent, atoms: Tuple, d_atom: Callable[[Hashable], D
     return out
 
 
-class SullivanAlgebra:
+def atom_name(name: str, b: Exponent) -> str:
+    """An atom as text: the generator name, then its d-exponents if any."""
+    return name if sum(b) == 0 else f"{name}[{','.join(map(str, b))}]"
+
+
+class GradedElement:
+    """A finite sum {key: Fraction} of basis keys of a graded object, its
+    owner, which answers `key_degree`.  Algebra and module elements are
+    its two kinds; an element never equals one of the other kind."""
+
+    __slots__ = ("owner", "coeffs")
+
+    def __init__(self, owner, coeffs: Dict):
+        self.owner = owner
+        self.coeffs = {k: c if type(c) is Fraction else Fraction(c) for k, c in coeffs.items() if c}
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def degree(self) -> Optional[int]:
+        degs = {self.owner.key_degree(k) for k in self.coeffs}
+        if not degs:
+            return None
+        if len(degs) > 1:
+            raise ValueError("inhomogeneous element has no degree")
+        return degs.pop()
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        vec_add(out, other.coeffs)
+        return type(self)(self.owner, out)
+
+    def __neg__(self):
+        return type(self)(self.owner, {k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return type(self)(self.owner, {k: c * v for k, v in self.coeffs.items()})
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.owner == other.owner and self.coeffs == other.coeffs
+
+
+class AlgebraElement(GradedElement):
+    """A canonical-form element of a Sullivan algebra."""
+
+    __slots__ = ()
+    algebra = property(lambda self: self.owner)
+
+    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        return self.algebra.multiply(self, other)
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __repr__(self):
+        return f"AlgebraElement({self.to_string()!r})"
+
+    def to_string(self) -> str:
+        gens = self.algebra.generators
+        return join_terms(
+            (self.coeffs[(alpha, atoms)],
+             power_factors("x", alpha) + [atom_name(gens[j].name, b) for j, b in atoms])
+            for alpha, atoms in sorted(self.coeffs)
+        )
+
+
+class GeneratedObject:
+    """An object free on graded generators g_j whose differential sends g_j
+    to a closed element of degree |g_j| - 1 on g_0 .. g_{j-1}.  Its kinds,
+    `SullivanAlgebra` and `amod.AModule`, set up what they read before
+    calling this constructor and supply `ground`, `element`, the key shape
+    (`atom_key` of an atom (j, b), the atoms `key_atoms` of a key),
+    `key_degree`, `act_monomial` and `diff_key`."""
+
+    def __init__(self, generators: Sequence[Generator], differential: Optional[Dict[int, Dict]]):
+        self.generators = tuple(generators)
+        self.diff_coeffs: Dict[int, Dict] = {j: dict(v) for j, v in (differential or {}).items() if v}
+        self._datom_cache: Dict[Atom, Dict] = {}
+        for j, coeffs in self.diff_coeffs.items():
+            if not 0 <= j < len(self.generators):
+                raise ValueError(f"differential assigned to unknown generator {j}")
+            name, want = self.generators[j].name, self.generators[j].degree - 1
+            for key in coeffs:
+                reached = max((atom[0] for atom in self.key_atoms(key)), default=-1)
+                if reached >= j:
+                    raise ValueError(f"d({name}) reaches generator {reached}: the differential must be lowering")
+                if self.key_degree(key) != want:
+                    raise ValueError(f"d({name}) has a term of degree {self.key_degree(key)}, expected {want}")
+        for j, coeffs in self.diff_coeffs.items():
+            if apply_linear(self.diff_key, coeffs):
+                raise ValueError(f"d*d != 0 on generator {self.generators[j].name}")
+
+    def extended(self, gen: Generator, d_assignment: Optional[GradedElement]):
+        """A new object of this kind with one more (last) generator."""
+        diff = dict(self.diff_coeffs)
+        if d_assignment is not None:
+            diff[len(self.generators)] = d_assignment.coeffs
+        return type(self)(self.ground, self.generators + (gen,), diff)
+
+    # -- elements --------------------------------------------------------
+
+    def zero(self) -> GradedElement:
+        return self.element(self, {})
+
+    def generator(self, j: int) -> GradedElement:
+        return self.atom(j, (0,) * self.nvars)
+
+    def atom(self, j: int, b: Iterable[int]) -> GradedElement:
+        if not 0 <= j < len(self.generators):
+            raise ValueError(f"no generator with index {j}")
+        return self.element(self, {self.atom_key(j, tuple(b)): Fraction(1)})
+
+    def generator_index(self, name: str) -> int:
+        for j, g in enumerate(self.generators):
+            if g.name == name:
+                return j
+        raise KeyError(name)
+
+    def d_generator(self, j: int) -> GradedElement:
+        return self.element(self, self.diff_coeffs.get(j, {}))
+
+    # -- differential ----------------------------------------------------
+
+    def d_power(self, b: Exponent, coeffs: Dict) -> Dict:
+        """d^b applied to a coefficient dict, with `int` coefficients where integral."""
+        return self.act_monomial((0,) * self.nvars, b, {k: integral(c) for k, c in coeffs.items()})
+
+    def _d_atom(self, atom: Atom) -> Dict:
+        """d(d^b g_j) = d^b . d(g_j), memoised; read-only."""
+        cached = self._datom_cache.get(atom)
+        if cached is None:
+            cached = self._datom_cache[atom] = self.d_power(atom[1], self.diff_coeffs.get(atom[0], {}))
+        return cached
+
+    def d(self, u: GradedElement) -> GradedElement:
+        """The differential, key by key through the kind's `diff_key`."""
+        return self.element(self, apply_linear(self.diff_key, u.coeffs))
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is type(self)
+            and self.ground == other.ground
+            and self.generators == other.generators
+            and self.diff_coeffs == other.diff_coeffs
+        )
+
+
+class SullivanAlgebra(GeneratedObject):
     """Free graded-commutative D-algebra on graded generators, with a
     lowering differential.  O itself is the algebra with no generators."""
+
+    element = AlgebraElement
 
     def __init__(
         self,
@@ -123,35 +275,14 @@ class SullivanAlgebra:
         differential: Optional[Dict[int, Coeffs]] = None,
     ):
         self.nvars = nvars
-        self.generators = tuple(generators)
-        self.parities = tuple(g.degree % 2 for g in self.generators)
-        diff = {j: dict(v) for j, v in (differential or {}).items() if v}
-        self.diff_coeffs: Dict[int, Coeffs] = diff
-        self._datom_cache: Dict[Atom, Coeffs] = {}
+        generators = tuple(generators)
+        self.parities = tuple(g.degree % 2 for g in generators)
         self._dterm_memo: Dict[TermKey, Coeffs] = {}
         # slice enumerations, each built once and replayed (see basis_keys)
         self._multiset_memo: Dict[Tuple[int, int, int], Multisets] = {}
         self._chain_memo: Dict[Tuple[int, int], Chains] = {}  # (budget, parity) -> exponent chains
         self._basis_memo: Dict[Tuple[int, int], Tuple[TermKey, ...]] = {}
-        for j, coeffs in diff.items():
-            if not 0 <= j < len(self.generators):
-                raise ValueError(f"differential assigned to unknown generator {j}")
-            elt = AlgebraElement(self, coeffs)
-            deg = elt.degree()
-            if deg is not None and deg != self.generators[j].degree - 1:
-                raise ValueError(
-                    f"d({self.generators[j].name}) has degree {deg}, "
-                    f"expected {self.generators[j].degree - 1}"
-                )
-            for (_, atoms) in coeffs:
-                if any(a[0] >= j for a in atoms):
-                    raise ValueError(
-                        f"d({self.generators[j].name}) involves a non-earlier generator: "
-                        "the differential must be lowering"
-                    )
-        for j in diff:
-            if apply_linear(self.d_term, diff[j]):
-                raise ValueError(f"d*d != 0 on generator {self.generators[j].name}")
+        super().__init__(generators, differential)
 
     # -- constructors ---------------------------------------------------
 
@@ -165,41 +296,17 @@ class SullivanAlgebra:
     def morphism(self, target: "SullivanAlgebra", assignments: Dict[int, "AlgebraElement"]) -> "AlgebraMorphism":
         return AlgebraMorphism(self, target, assignments)
 
-    def extended(self, gen: Generator, d_assignment: "AlgebraElement | None") -> "SullivanAlgebra":
-        """A new algebra with one more (last) generator."""
-        diff = {j: dict(v) for j, v in self.diff_coeffs.items()}
-        if d_assignment is not None and not d_assignment.is_zero():
-            diff[len(self.generators)] = dict(d_assignment.coeffs)
-        return SullivanAlgebra(self.nvars, self.generators + (gen,), diff)
-
-    # -- element constructors --------------------------------------------
-
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
-
     def one(self, coef=1) -> "AlgebraElement":
         return AlgebraElement(self, {((0,) * self.nvars, ()): Fraction(coef)})
 
     def x_poly(self, alpha: Iterable[int], coef=1) -> "AlgebraElement":
         return AlgebraElement(self, {(tuple(alpha), ()): Fraction(coef)})
 
-    def generator(self, j: int) -> "AlgebraElement":
-        return self.atom(j, (0,) * self.nvars)
+    def atom_key(self, j: int, b: Exponent) -> TermKey:
+        return (0,) * self.nvars, ((j, b),)
 
-    def atom(self, j: int, b: Iterable[int]) -> "AlgebraElement":
-        if not 0 <= j < len(self.generators):
-            raise ValueError(f"no generator with index {j}")
-        key = ((0,) * self.nvars, ((j, tuple(b)),))
-        return AlgebraElement(self, {key: Fraction(1)})
-
-    def generator_index(self, name: str) -> int:
-        for j, g in enumerate(self.generators):
-            if g.name == name:
-                return j
-        raise KeyError(name)
-
-    def d_generator(self, j: int) -> "AlgebraElement":
-        return AlgebraElement(self, self.diff_coeffs.get(j, {}))
+    def key_atoms(self, key: TermKey) -> Tuple[Atom, ...]:
+        return key[1]
 
     # -- structure -------------------------------------------------------
 
@@ -258,15 +365,6 @@ class SullivanAlgebra:
 
     # -- differential -------------------------------------------------------
 
-    def _d_atom(self, atom: Atom) -> Coeffs:
-        """d(d^b g_j) = d^b . d(g_j), memoised; read-only."""
-        cached = self._datom_cache.get(atom)
-        if cached is None:
-            j, b = atom
-            own = {k: integral(c) for k, c in self.diff_coeffs.get(j, {}).items()}
-            cached = self._datom_cache[atom] = self.act_monomial((0,) * self.nvars, b, own)
-        return cached
-
     def d_term(self, key: TermKey) -> Coeffs:
         """The differential of one term key by `odd_derivation`, memoised; read-only."""
         out = self._dterm_memo.get(key)
@@ -274,9 +372,7 @@ class SullivanAlgebra:
             out = self._dterm_memo[key] = odd_derivation(key[0], key[1], self._d_atom, self.atom_parity)
         return out
 
-    def d(self, u: "AlgebraElement") -> "AlgebraElement":
-        """The odd derivation extending the generator assignment D-linearly."""
-        return AlgebraElement(self, apply_linear(self.d_term, u.coeffs))
+    diff_key = d_term  # the name `GeneratedObject.d` asks its kind for
 
     # -- slice enumeration -----------------------------------------------
 
@@ -350,89 +446,9 @@ class SullivanAlgebra:
 
         yield from rec(0, budget)
 
-    # -- misc ---------------------------------------------------------------
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, SullivanAlgebra)
-            and self.nvars == other.nvars
-            and self.generators == other.generators
-            and self.diff_coeffs == other.diff_coeffs
-        )
-
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)
         return f"SullivanAlgebra(nvars={self.nvars}, [{gens}])"
-
-
-def atom_name(name: str, b: Exponent) -> str:
-    """An atom as text: the generator name, then its d-exponents if any."""
-    return name if sum(b) == 0 else f"{name}[{','.join(map(str, b))}]"
-
-
-class GradedElement:
-    """A finite sum {key: Fraction} of basis keys of a graded object, its
-    owner, which answers `key_degree`.  Algebra and module elements are
-    its two kinds; an element never equals one of the other kind."""
-
-    __slots__ = ("owner", "coeffs")
-
-    def __init__(self, owner, coeffs: Dict):
-        self.owner = owner
-        self.coeffs = {k: c if type(c) is Fraction else Fraction(c) for k, c in coeffs.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> Optional[int]:
-        degs = {self.owner.key_degree(k) for k in self.coeffs}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("inhomogeneous element has no degree")
-        return degs.pop()
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        vec_add(out, other.coeffs)
-        return type(self)(self.owner, out)
-
-    def __neg__(self):
-        return type(self)(self.owner, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return type(self)(self.owner, {k: c * v for k, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.owner == other.owner and self.coeffs == other.coeffs
-
-
-class AlgebraElement(GradedElement):
-    """A canonical-form element of a Sullivan algebra."""
-
-    __slots__ = ()
-    algebra = property(lambda self: self.owner)
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self.algebra.multiply(self, other)
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self):
-        return f"AlgebraElement({self.to_string()!r})"
-
-    def to_string(self) -> str:
-        gens = self.algebra.generators
-        return join_terms(
-            (self.coeffs[(alpha, atoms)],
-             power_factors("x", alpha) + [atom_name(gens[j].name, b) for j, b in atoms])
-            for alpha, atoms in sorted(self.coeffs)
-        )
 
 
 # ------------------------------------- morphisms of both kinds of object
@@ -453,6 +469,7 @@ class Morphism:
         self.source = source
         self.target = target
         self.assignments = dict(assignments)
+        self._atom_images: Dict[Atom, Dict] = {}  # before the chain-map check, which applies self
         # lowering differentials: d(g_j) only needs the values checked before j
         for j, g in enumerate(source.generators):
             img = self.assignments.get(j)
@@ -472,6 +489,13 @@ class Morphism:
         if elt.owner != self.source:
             raise ValueError("element not in the source")
         return type(elt)(self.target, apply_linear(self.apply_key, elt.coeffs))
+
+    def _atom_image(self, atom: Atom) -> Dict:
+        """q(d^b g_j) = d^b . q(g_j), memoised; read-only."""
+        img = self._atom_images.get(atom)
+        if img is None:
+            img = self._atom_images[atom] = self.target.d_power(atom[1], self.assignments[atom[0]].coeffs)
+        return img
 
 
 class Inclusion(Morphism):
@@ -545,21 +569,12 @@ class AlgebraMorphism(Morphism):
     """A DGDA morphism fixed by generator values: the identity on
     O-coefficients, d^b g_j |-> d^b . phi(g_j), extended multiplicatively."""
 
-    def __init__(self, source: SullivanAlgebra, target: SullivanAlgebra, assignments: Dict[int, AlgebraElement]):
-        self._atom_images: Dict[Atom, Coeffs] = {}  # before the chain-map check, which applies self
-        super().__init__(source, target, assignments)
-
     def apply_key(self, key: TermKey) -> Coeffs:
         """x^alpha times the images d^b . phi(g_j) of the atoms of key, in order."""
         alpha, atoms = key
-        tgt = self.target
         out: Coeffs = {(alpha, ()): 1}
         for atom in atoms:
-            img = self._atom_images.get(atom)
-            if img is None:
-                own = {k: integral(c) for k, c in self.assignments[atom[0]].coeffs.items()}
-                img = self._atom_images[atom] = tgt.act_monomial((0,) * tgt.nvars, atom[1], own)
-            out = tgt.coeffs_product(out, img)
+            out = self.target.coeffs_product(out, self._atom_image(atom))
         return out
 
 

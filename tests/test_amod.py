@@ -116,6 +116,44 @@ def test_extend_differential_validation(algebra):
                 {0: {("v", (0,), (), 1, (0,)): Fraction(1)}})
 
 
+# the two kinds of object free on generators: a constructor from generators
+# and {index: coefficients}, and the key of the generator g_j
+KINDS = {
+    "algebra": (lambda gens, diff: SullivanAlgebra(1, gens, diff), lambda j: ((0,), ((j, (0,)),))),
+    "module": (lambda gens, diff: AModule(SullivanAlgebra(1), gens, diff), lambda j: ("v", (0,), (), j, (0,))),
+}
+ABC = (Generator("a", 1), Generator("b", 2), Generator("c", 3))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("gens, diff, message", [
+    (ABC[:2], {2: [0]}, "differential assigned to unknown generator 2"),
+    (ABC[:2], {0: [1]}, r"d\(a\) reaches generator 1: the differential must be lowering"),
+    (ABC[:2], {1: [1]}, r"d\(b\) reaches generator 1: the differential must be lowering"),
+    (ABC[::2], {1: [0]}, r"d\(c\) has a term of degree 1, expected 2"),
+    (ABC, {1: [0], 2: [1]}, r"d\*d != 0 on generator c"),
+], ids=["unknown", "later", "itself", "degree", "dsquare"])
+def test_both_kinds_refuse_a_malformed_differential_alike(kind, gens, diff, message):
+    make, gen_key = KINDS[kind]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(gens, {j: {gen_key(i): Fraction(1) for i in terms} for j, terms in diff.items()})
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_both_kinds_extend_and_name_their_generators_alike(kind):
+    make, gen_key = KINDS[kind]
+    obj = make(ABC[:1], {})
+    ext = obj.extended(ABC[1], obj.generator(0))
+    assert type(ext) is type(obj) and ext.ground == obj.ground
+    assert ext == make(ABC[:2], {1: {gen_key(0): Fraction(1)}}) != obj
+    assert ext.d(ext.generator(1)) == ext.generator(0) and ext.d(ext.generator(0)).is_zero()
+    assert [ext.generator_index(g.name) for g in ABC[:2]] == [0, 1]
+    with pytest.raises(KeyError):
+        ext.generator_index("c")
+    with pytest.raises(ValueError, match="no generator with index 2"):
+        ext.atom(2, (0,))
+
+
 def test_defamoddiff_formula(algebra):
     """d(t + a (x) v) = d_T(t) + d_A(a) (x) v + (-1)^k a . d(v), verbatim."""
     rng = random.Random(1)
@@ -363,7 +401,7 @@ def test_tensor_over_A_unit_and_free(algebra):
                 for k2, c in a_mod.diff_key(bk).items():
                     want[(k2, j, zero)] = c
                 sign = Fraction(-1) if a_mod.key_degree(bk) % 2 else Fraction(1)
-                for key2, c in v_mod._d_of_atom(j, zero).items():
+                for key2, c in v_mod._d_atom((j, zero)).items():
                     _, a2, at2, j2, b2 = key2
                     if (a2, at2) == ((0,), ()):
                         want[(bk, j2, b2)] = want.get((bk, j2, b2), Fraction(0)) + sign * c
@@ -707,7 +745,7 @@ def test_tensor_check_builds_each_module_differential_once(monkeypatch):
     f, m, _ = _module_instance(1501)
     # what building the instance left in the memos is not counted
     for mod in (f.source, f.target, m):
-        for memo in (mod._diff_memo, mod._dv_cache, mod._act_memo):
+        for memo in (mod._diff_memo, mod._datom_cache, mod._act_memo):
             memo.clear()
     builds = Counter()
     raw = AModule._build_diff_key
@@ -725,14 +763,16 @@ def test_tensor_check_builds_each_module_differential_once(monkeypatch):
 
 def test_checks_on_deep_copies_leave_the_memos_of_their_inputs_alone():
     f, m, b = _module_instance(1601)
+    # the same map as an AModuleMorphism, with its own atom images
+    f = extend_morphism(f, f.source, f.target, {})
+    assert isinstance(f, AModuleMorphism)
     rng = random.Random(1601)
     _, g = random_algebra_weq(rng, random_algebra(rng, max_gens=2, max_degree=2))
     # a pushout map along g, an AlgebraMorphism with its own atom images
     w = g.source.d(random_algebra_element(rng, g.source, 1, 3))
     h = dga_pushout_gen(g.source, g.target, g, 1, w).map
     inputs = (f.source, f.target, f.source.algebra, m, m.algebra, b, g.source, g.target, h.source, h.target)
-    names = ("_dterm_memo", "_datom_cache", "_diff_memo", "_act_memo", "_dv_cache", "_qv_cache",
-             "_chain_memo", "_atom_images")
+    names = ("_dterm_memo", "_datom_cache", "_diff_memo", "_act_memo", "_chain_memo", "_atom_images")
     memos = [getattr(obj, name) for obj in inputs + (f, h) for name in names if hasattr(obj, name)]
     before = [len(memo) for memo in memos]
     cf, cm, cb, cg, ch = copy.deepcopy((f, m, b, g, h))
@@ -746,6 +786,7 @@ def test_checks_on_deep_copies_leave_the_memos_of_their_inputs_alone():
     assert len(cf.source._diff_memo) > len(f.source._diff_memo)
     assert len(cg.target._dterm_memo) > len(g.target._dterm_memo)
     assert len(ch._atom_images) > len(h._atom_images)
+    assert len(cf._atom_images) > len(f._atom_images)
     assert len(ch.source._chain_memo) > len(h.source._chain_memo)
 
 

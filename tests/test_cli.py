@@ -473,6 +473,25 @@ def test_unknown_generator_in_module_differential(tmp_path, capsys):
     assert "unknown generator 'h'" in capsys.readouterr().err
 
 
+ALG_ZZ = dict(ONE_GEN_ALGEBRA, differential={"zz": "u"})
+
+
+@pytest.mark.parametrize("cmd, kind, body, message", [
+    # an algebra differential, a module differential and a map, each naming no generator
+    ("tensor-a", "tensor-input", {"b": dict(G_TO_F, algebra=ALG_ZZ), "m": G_TO_F},
+     "differential of unknown generator 'zz'"),
+    ("tensor-a", "tensor-input", {"b": dict(G_TO_F, differential={"qq": "f"}), "m": G_TO_F},
+     "differential of unknown generator 'qq'"),
+    ("sullivan-extend", "sullivan-extend-input",
+     {"x": ONE_GEN_ALGEBRA, "y": ONE_GEN_ALGEBRA, "map": {"nope": "u"}, "n": 3},
+     "map of unknown generator 'nope'"),
+])
+def test_unknown_generator_names_are_document_errors(cmd, kind, body, message, tmp_path, capsys):
+    doc = make_document(kind, dict(body, vars=1))
+    assert dispatch([cmd, "--file", write_doc(tmp_path, "u.doc", doc)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+
+
 def test_bound_flag_beats_environment(tmp_path, monkeypatch):
     doc = make_document("complex", {
         "vars": 1, "ranks": {"0": 1, "1": 2},
