@@ -632,12 +632,5 @@ def algebra_bounded_weq(
     algebra degrees 0..degree_window; bounded-pass semantics only.
     """
     src, tgt = f.source, f.target
-    return bounded_weq(
-        src.basis_keys,
-        src.d_term,
-        tgt.basis_keys,
-        tgt.d_term,
-        f.apply_key,
-        range(0, degree_window + 1),
-        n,
-    )
+    return bounded_weq(src.basis_keys, src.d_term, tgt.basis_keys, tgt.d_term,
+                       f.apply_key, range(0, degree_window + 1), n)

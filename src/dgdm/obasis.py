@@ -18,7 +18,7 @@ with any x-part joining the global O-coefficient.
 Acyclicity of these objects is only ever certified on truncation slices
 (exact Q-linear algebra, margin 2) and reported as "bounded-pass",
 never as unconditional truth.  A chain map is checked on its mapping
-cone, the one `slices.cone_adapters` builds for every bounded check.
+cone, the one `slices.bounded_weq` numbers for every bounded check.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Dict, Hashable, Iterator, List, Sequence, Tuple
 
 from .complexes import FreeDComplex
 from .rational_linalg import add_term, apply_linear, integral
-from .slices import TruncationResult, bounded_acyclicity, bounded_weq
+from .slices import TruncationResult, bounded_acyclicity, bounded_weq, numbered
 from .weyl import WeylElement, exponents_bounded, mono_mul
 
 SlotId = Hashable
@@ -226,13 +226,12 @@ def truncated_acyclicity(t: OBasisComplex, n: int = DEFAULT_TRUNCATION) -> Trunc
     runs at levels n and n+1 and only then reports bounded-pass.
     """
     degrees = range(0, t.top + 1)
-    return bounded_acyclicity(t.basis_keys, t.diff_key, degrees, n)
+    return bounded_acyclicity(*numbered(t.basis_keys, t.diff_key), degrees, n)
 
 
 def is_bounded_weq(f: OBasisChainMap, n: int = DEFAULT_TRUNCATION) -> TruncationResult:
-    """Bounded weak-equivalence test: truncated acyclicity of the cone
-    `slices.cone_adapters` builds, on keys ("s", source key) and
-    ("t", target key), source degrees raised by one."""
+    """Bounded weak-equivalence test on the cone `slices.bounded_weq` walks;
+    witnesses come back on keys ("s", source key) and ("t", target key)."""
     src, tgt = f.source, f.target
     degrees = range(0, max(src.top + 1, tgt.top) + 1)
     return bounded_weq(src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key, f.apply_key, degrees, n)

@@ -7,12 +7,13 @@ keys.  `basis_of(p, w)` yields the degree-p keys of weight <= w, so the
 slices of one degree are nested.  Keys must be hashable, and keys of
 different degrees differ.
 
-A check numbers each key the first time it lists it or meets it in a
-differential, and walks on the numbers: a `BasisFn` or `DiffFn` sees
-only its own keys, witnesses come back on them, and a differential is
-read once, never written (Sullivan algebras and A-modules return the
-dicts they memoise).  The numbering moves echelon rows, never spans,
-band counts or nullspace bases, so no verdict or witness depends on it.
+The walk runs on int keys its caller numbers: `basis_of` yields key
+numbers, `diff_of(i)` returns a dict over them, which the walk reads once
+and never writes, and `key_of(i)` gives a witness its caller's key.
+`numbered` numbers a complex's own keys as it first meets them;
+`bounded_weq` numbers the two sides of a mapping cone apart.  The
+numbering moves echelon rows, never spans, band counts or nullspace
+bases, so no verdict or witness depends on it.
 
 The contract of a check at level N (margin 2): every cycle assembled
 from basis keys of weight <= N-2 must be an exact boundary of an
@@ -37,14 +38,10 @@ level-major walk, the first level-N failure in degree order, else the
 first level-(N+1) one.  The next degree's cycle candidates are carried
 over with the differentials the boundary echelon evaluated.
 
-A basis enumerator may replay stored keys: `SullivanAlgebra` and
-`AModule` build each (degree, max weight) slice once and keep the tuple
-on the instance, and the twisted-tensor (`amod`) and cone enumerators loop
-over those tuples.  A replayed slice lists the same keys in the same
-order as a fresh enumeration, so nullspace bases and witnesses do not
-depend on what was enumerated before.  The memo lives per instance,
-never per process: nothing carries from one check to the next unless
-the check is handed the same objects.
+A basis enumerator may replay stored keys, as `SullivanAlgebra` and
+`AModule` do per instance, if it lists them in the order of a fresh
+enumeration: nullspace bases and witnesses do not depend on what was
+enumerated before.
 """
 
 from __future__ import annotations
@@ -57,6 +54,7 @@ from .rational_linalg import Echelon, Vec, apply_linear, nullspace
 
 BasisFn = Callable[[int, int], Iterable[Hashable]]  # (degree, max weight) -> keys
 DiffFn = Callable[[Hashable], Dict[Hashable, Fraction]]
+KeyFn = Callable[[int], Hashable]  # key number -> the caller's key
 
 
 @dataclass
@@ -74,15 +72,28 @@ class TruncationResult:
 
 
 class _KeyNumbers(dict):
-    """The keys of one check, numbered on first lookup; `order[i]` is key i."""
+    """Keys numbered on first lookup, the i-th as `sides * i + side`, so
+    numberings on distinct sides never meet; `order[i]` is the i-th key."""
 
-    def __init__(self):
-        self.order = []
+    def __init__(self, side: int = 0, sides: int = 1):
+        self.order, self.side, self.sides = [], side, sides
 
     def __missing__(self, key):
+        i = self[key] = self.sides * len(self.order) + self.side
         self.order.append(key)
-        i = self[key] = len(self)
         return i
+
+
+def numbered(basis_of: BasisFn, diff_of: DiffFn) -> Tuple[BasisFn, DiffFn, KeyFn]:
+    """The walk's callbacks for a complex on keys of its own."""
+    numbers = _KeyNumbers()
+    number, order = numbers.__getitem__, numbers.order
+
+    def diff(i: int):
+        img = diff_of(order[i])
+        return {number(k): c for k, c in img.items()} if img else {}
+
+    return lambda p, w: map(number, basis_of(p, w)), diff, order.__getitem__
 
 
 def slice_witness(
@@ -93,7 +104,7 @@ def slice_witness(
     upper: bool,
     carried: Dict[int, Optional[Vec]],
     carry: bool,
-    numbers: _KeyNumbers,
+    key_of: KeyFn,
 ) -> Tuple[Optional[Dict], Optional[Dict], Dict[int, Optional[Vec]]]:
     """Degree p of the walk: level n, then level n+1 if `upper` is set.
 
@@ -103,23 +114,15 @@ def slice_witness(
     that step stopped before evaluating it.  Returns the level-n and the
     level-(n+1) witness on the caller's keys (each None if the slice is
     exact or was not checked) and, if `carry` is set and a boundary was
-    built, what goes to degree p+1.  A level counts its bands' boundary
-    rows, each checked to be a cycle, against its cycle dimension;
-    `nullspace` runs only if one is short or a row no cycle.
+    built, what goes to degree p+1.
     """
-    number, order = numbers.__getitem__, numbers.order
-
-    def evaluated(i):
-        img = diff_of(order[i])
-        return {number(k): c for k, c in img.items()} if img else {}
-
-    low = list(map(number, basis_of(p, n - 2)))
-    high = (list(carried) or list(map(number, basis_of(p, n - 1)))) if upper else []
+    low = list(basis_of(p, n - 2))
+    high = (list(carried) or list(basis_of(p, n - 1))) if upper else []
 
     def image(i):
         img = carried.get(i)
         if img is None:
-            img = carried[i] = evaluated(i)
+            img = carried[i] = diff_of(i)
         return img
 
     # 2 on basis_of(p, n - 2), 1 on the rest of basis_of(p, n - 1), else 0
@@ -153,17 +156,17 @@ def slice_witness(
         if ech is None:
             ech = Echelon()
             if carry:
-                nxt.update(dict.fromkeys(map(number, basis_of(p + 1, n - 1))))
+                nxt.update(dict.fromkeys(basis_of(p + 1, n - 1)))
         elif b == 1 and counting:  # the band-1 rows of level n were not checked there
             counting = all(is_cycle(r) for q, r in ech.rows.items() if q[0] == 1)
         if counting and sum(rows[b:]) >= z:
             return None
         for w in range(n - 1, level + 1):  # boundaries by level block
-            for i in nxt if w == n - 1 and carry else map(number, basis_of(p + 1, w)):
+            for i in nxt if w == n - 1 and carry else basis_of(p + 1, w):
                 if i in held:
                     continue
                 held.add(i)
-                img = evaluated(i)
+                img = diff_of(i)
                 if i in nxt:
                     nxt[i] = img
                 q = ech.insert(tagged(img)) if img else None
@@ -177,7 +180,7 @@ def slice_witness(
         # every boundary of the level is in: the first cycle outside their span
         for cycle in nullspace([(i, image(i)) for i in keys]):
             if ech.reduce(tagged(cycle)):
-                return {"degree": p, "cycle": {order[i]: c for i, c in cycle.items()}, "level": level}
+                return {"degree": p, "cycle": {key_of(i): c for i, c in cycle.items()}, "level": level}
         return None
 
     found = witness(low, n, 2) if low else None
@@ -189,6 +192,7 @@ def slice_witness(
 def bounded_acyclicity(
     basis_of: BasisFn,
     diff_of: DiffFn,
+    key_of: KeyFn,
     degrees: Iterable[int],
     n: int,
 ) -> TruncationResult:
@@ -198,11 +202,10 @@ def bounded_acyclicity(
     degrees = tuple(degrees)
     upper = None  # the first level-(n+1) failure
     carried: Dict[int, Optional[Vec]] = {}
-    numbers = _KeyNumbers()
     for i, p in enumerate(degrees):
         carry = i + 1 < len(degrees) and degrees[i + 1] == p + 1
         low, high, carried = slice_witness(
-            basis_of, diff_of, p, n, upper is None, carried, carry, numbers)
+            basis_of, diff_of, p, n, upper is None, carried, carry, key_of)
         if low is not None:
             return TruncationResult("fail", (n, n + 1), low, degrees)
         if upper is None:
@@ -224,37 +227,6 @@ def dsquare_witness(
     return None
 
 
-def cone_adapters(
-    src_basis: BasisFn,
-    src_diff: DiffFn,
-    tgt_basis: BasisFn,
-    tgt_diff: DiffFn,
-    map_fn: DiffFn,
-) -> Tuple[BasisFn, DiffFn]:
-    """Basis and differential of the mapping cone of a sliced chain map.
-
-    Cone keys are ("s", k) for source keys k (degree raised by one) and
-    ("t", k) for target keys; d(c, c') = (-dc, f(c) + dc').
-    """
-
-    def basis(p: int, w: int):
-        for k in src_basis(p - 1, w):
-            yield ("s", k)
-        for k in tgt_basis(p, w):
-            yield ("t", k)
-
-    def diff(key):
-        # the "s" and "t" blocks never share a key, so nothing accumulates
-        tag, k = key
-        if tag == "t":
-            return {("t", k2): c for k2, c in tgt_diff(k).items() if c}
-        out = {("s", k2): -c for k2, c in src_diff(k).items() if c}
-        out.update((("t", k2), c) for k2, c in map_fn(k).items() if c)
-        return out
-
-    return basis, diff
-
-
 def bounded_weq(
     src_basis: BasisFn,
     src_diff: DiffFn,
@@ -264,6 +236,35 @@ def bounded_weq(
     degrees: Iterable[int],
     n: int,
 ) -> TruncationResult:
-    """Bounded weak-equivalence check through cone acyclicity."""
-    basis, diff = cone_adapters(src_basis, src_diff, tgt_basis, tgt_diff, map_fn)
-    return bounded_acyclicity(basis, diff, degrees, n)
+    """Bounded weak-equivalence check through cone acyclicity.
+
+    The cone has keys ("s", k) for source keys k (degree raised by one)
+    and ("t", k) for target keys, d(c, c') = (-dc, f(c) + dc'), and a
+    witness on them.  The walk numbers source key i as 2i and target key
+    j as 2j+1, so the blocks of an image never meet; the callbacks hold
+    no zero coefficient, so none is filtered.
+    """
+    src, tgt = _KeyNumbers(0, 2), _KeyNumbers(1, 2)
+    snum, tnum, s_order, t_order = src.__getitem__, tgt.__getitem__, src.order, tgt.order
+
+    def basis(p: int, w: int):
+        # lazy: a walk that stops inside the source block lists no target key
+        yield from map(snum, src_basis(p - 1, w))
+        yield from map(tnum, tgt_basis(p, w))
+
+    def diff(i: int):
+        if i & 1:
+            img = tgt_diff(t_order[i >> 1])
+            return {tnum(k): c for k, c in img.items()} if img else {}
+        k = s_order[i >> 1]
+        img, f_img = src_diff(k), map_fn(k)
+        out = {snum(k): -c for k, c in img.items()} if img else {}
+        for k, c in f_img.items():
+            out[tnum(k)] = c
+        return out
+
+    def key_of(i: int):
+        return ("t", t_order[i >> 1]) if i & 1 else ("s", s_order[i >> 1])
+
+    # looked up in the module at call time, so a patched walk sees every cone
+    return bounded_acyclicity(basis, diff, key_of, degrees, n)

@@ -347,7 +347,7 @@ def check_simpl_tens_iso(rng, params):
                 continue
             lhs = t.iso_from_tensor(b.act_algebra(aa, b_elt), a_one, j, bexp)
             adeg = aa.degree()
-            bdeg = b.key_degree(b_elt_key(b_elt))
+            bdeg = b.key_degree(key[0])  # the B-key of b_elt
             sign = Fraction(-1) if (adeg * bdeg) % 2 else Fraction(1)
             rhs_elt = {k: sign * c for k, c in t.iso_from_tensor(b_elt, aa, j, bexp).items()}
             if lhs != rhs_elt:
@@ -359,11 +359,6 @@ def check_simpl_tens_iso(rng, params):
         if not am.tensor_unit_case(b):
             return "fail", {"instance": idx, "law": "unit case"}
     return "pass", None
-
-
-def b_elt_key(b_elt) -> tuple:
-    (key,) = b_elt.coeffs.keys()
-    return key
 
 
 def _monad_probes(rng, cores, count: int) -> List[Dict]:
@@ -614,13 +609,24 @@ CATALOG: Dict[str, Tuple[Callable, Dict]] = {
 }
 
 
+# bounded check -> least truncation N (the walk needs N >= 2).  Level N checks
+# keys of weight <= N-2; one below, no walk of hac3, hac4, cofibrant_retract
+# and 100 of properness_random's 110 list one (seeds 42, 7), yet each passed
+_LEAST_TRUNCATION = {"trivial_pp_weq": 2, "monoid_axiom_pushout": 2, "properness_random": 3,
+                     "hac3_flatness": 4, "hac4_base_change": 3, "cofibrant_retract": 3}
+
+
 def run_check(name: str, params: Optional[Dict] = None, seed: int = 0) -> CheckReport:
-    """Run one catalog check; deterministic given (params, seed)."""
+    """Run one catalog check; deterministic given (params, seed).  A
+    bounded check refuses a truncation below its least with ValueError."""
     if name not in CATALOG:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(CATALOG)}")
     fn, defaults = CATALOG[name]
     merged = dict(defaults)
     merged.update(params or {})
+    least = _LEAST_TRUNCATION.get(name)
+    if least is not None and merged["truncation"] < least:
+        raise ValueError(f"{name} checks no key below truncation {least}, got {merged['truncation']}")
     rng = random.Random(f"{seed}:{name}")
     start = time.perf_counter()
     verdict, witness = fn(rng, merged)

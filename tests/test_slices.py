@@ -3,7 +3,9 @@
 A sliced complex here is a dict of weighted keys per degree and a dict
 of differentials; `_level_major` is a copy of the earlier walk, which ran
 level n over every degree and then level n+1 from scratch, kept as the
-oracle for verdicts and witnesses.
+oracle for verdicts and witnesses.  `_keyed_cone` is the mapping cone on
+tagged keys that the checks once built, kept as the oracle for the cone
+`slices.bounded_weq` numbers.
 """
 
 import copy
@@ -11,12 +13,13 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from types import MappingProxyType
 
 import pytest
 
-from dgdm import obasis, slices
+from dgdm import amod, dga, obasis, slices
 from dgdm.amod import (
     amodule_bounded_weq,
     base_change_bounded_weq,
@@ -36,7 +39,7 @@ from dgdm.randgen import (
     random_complex,
 )
 from dgdm.rational_linalg import Echelon, nullspace, vec_add
-from dgdm.slices import TruncationResult, bounded_acyclicity, cone_adapters, dsquare_witness
+from dgdm.slices import TruncationResult, bounded_acyclicity, dsquare_witness, numbered
 
 
 def _sliced(keys, diffs):
@@ -49,6 +52,35 @@ def _sliced(keys, diffs):
         return {k: Fraction(c) for k, c in diffs.get(key, {}).items()}
 
     return basis_of, diff_of
+
+
+def _walk(basis_of, diff_of, degrees, n):
+    """The walk on a complex with keys of its own."""
+    return bounded_acyclicity(*numbered(basis_of, diff_of), degrees, n)
+
+
+def _keyed_cone(src_basis, src_diff, tgt_basis, tgt_diff, map_fn):
+    """Basis and differential of the mapping cone of a sliced chain map.
+
+    Cone keys are ("s", k) for source keys k (degree raised by one) and
+    ("t", k) for target keys; d(c, c') = (-dc, f(c) + dc').
+    """
+
+    def basis(p, w):
+        for k in src_basis(p - 1, w):
+            yield ("s", k)
+        for k in tgt_basis(p, w):
+            yield ("t", k)
+
+    def diff(key):
+        tag, k = key
+        if tag == "t":
+            return {("t", k2): c for k2, c in tgt_diff(k).items() if c}
+        out = {("s", k2): -c for k2, c in src_diff(k).items() if c}
+        out.update((("t", k2), c) for k2, c in map_fn(k).items() if c)
+        return out
+
+    return basis, diff
 
 
 def _counting(diff_of):
@@ -103,7 +135,7 @@ def test_level_n_failure_beats_earlier_level_n_plus_1_failure():
         3: [("c", 0)],
     }
     basis_of, diff_of = _sliced(keys, {"y1": {"z0": 1}})
-    res = bounded_acyclicity(basis_of, diff_of, range(0, 4), 2)
+    res = _walk(basis_of, diff_of, range(0, 4), 2)
     assert res.verdict == "fail"
     assert res.witness == {"degree": 3, "cycle": {"c": Fraction(1)}, "level": 2}
     assert res == _level_major(basis_of, diff_of, range(0, 4), 2)
@@ -121,7 +153,7 @@ def test_level_n_plus_1_failure_is_returned_when_level_n_holds(preimage_weight, 
         2: [("v", 1)],
     }
     basis_of, diff_of = _sliced(keys, {"y": {"z": 1}, "v": {"u": 1}})
-    res = bounded_acyclicity(basis_of, diff_of, range(0, 3), n)
+    res = _walk(basis_of, diff_of, range(0, 3), n)
     assert res.verdict == verdict
     if verdict == "fail":
         assert res.witness == {"degree": 0, "cycle": {"z": Fraction(1)}, "level": n + 1}
@@ -202,14 +234,14 @@ def _match_level_major(seeds, scaled=False, family=_random_sliced):
             degrees = sorted(rng.sample(degrees, rng.randint(1, len(degrees))))
         integral = None
         if scaled:
-            integral = bounded_acyclicity(*_sliced(keys, diffs), degrees, n)
+            integral = _walk(*_sliced(keys, diffs), degrees, n)
             for p in range(1, top + 2):
                 scale = Fraction(rng.choice([-4, -3, -1, 1, 2, 3]), rng.randint(2, 5))
                 for k, _ in keys[p]:
                     diffs[k] = {k2: scale * c for k2, c in diffs[k].items()}
         basis_of, diff_of = _sliced(keys, diffs)
         counted, counts = _counting(diff_of)
-        res = bounded_acyclicity(basis_of, counted, degrees, n)
+        res = _walk(basis_of, counted, degrees, n)
         ref_counted, ref_counts = _counting(diff_of)
         ref = _level_major(basis_of, ref_counted, degrees, n)
         assert res == ref, seed
@@ -270,12 +302,12 @@ def _obasis_maps(rng):
 
 
 def test_obasis_maps_match_level_major_walk():
-    # is_bounded_weq walks the cone of slices.cone_adapters; the oracle
-    # walks the same cone level by level
+    # is_bounded_weq walks the numbered cone; the oracle walks the keyed
+    # cone level by level
     verdicts = Counter()
     for f, verdict in _obasis_maps(random.Random(4000)):
         src, tgt = f.source, f.target
-        cone = cone_adapters(src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key, f.apply_key)
+        cone = _keyed_cone(src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key, f.apply_key)
         res = is_bounded_weq(f, 4)
         assert res == _level_major(*cone, range(0, max(src.top + 1, tgt.top) + 1), 4)
         assert res.verdict == verdict
@@ -288,7 +320,7 @@ def test_boundary_that_is_no_cycle_is_not_counted():
     # y, and one boundary, x, so the dimensions agree, but y is no boundary
     keys = {-1: [("u", 0)], 0: [("x", 0), ("y", 0)], 1: [("a", 0)]}
     basis_of, diff_of = _sliced(keys, {"a": {"x": 1}, "x": {"u": 1}})
-    res = bounded_acyclicity(basis_of, diff_of, [0], 2)
+    res = _walk(basis_of, diff_of, [0], 2)
     assert res.witness == {"degree": 0, "cycle": {"y": Fraction(1)}, "level": 2}
     assert res == _level_major(basis_of, diff_of, [0], 2)
 
@@ -308,7 +340,7 @@ def test_cycle_covered_only_by_the_last_key_of_the_top_block(last):
         keys[1].pop()
     basis_of, diff_of = _sliced(keys, diffs)
     counted, counts = _counting(diff_of)
-    res = bounded_acyclicity(basis_of, counted, [0], n)
+    res = _walk(basis_of, counted, [0], n)
     assert res == _level_major(basis_of, diff_of, [0], n)
     assert max(counts.values()) == 1
     if last:
@@ -329,7 +361,7 @@ PINNED_DISK_EVAL_ORDER = "e491e0e00e358ced3ce2c9a268369453d093935b5cd58359affe24
 def test_tensor_of_disks_evaluates_each_differential_once():
     t = tensor_free(disk(1), disk(2))
     counted, counts = _counting(t.diff_key)
-    res = bounded_acyclicity(t.basis_keys, counted, range(0, t.top + 1), 6)
+    res = _walk(t.basis_keys, counted, range(0, t.top + 1), 6)
     assert res == truncated_acyclicity(t, 6)
     assert res.verdict == "bounded-pass"
     assert max(counts.values()) == 1
@@ -384,10 +416,10 @@ def test_negative_controls_fail_with_witnesses_on_cone_keys():
         top = max(src.top_degree_hint(3), tgt.top_degree_hint(3))
         checks = [
             (amodule_bounded_weq(g, 5, 3), range(top + 1),
-             cone_adapters(src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key, g.apply_key)),
+             _keyed_cone(src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key, g.apply_key)),
             (algebra_bounded_weq(h, 5, 3), range(4),
-             cone_adapters(h.source.basis_keys, h.source.d_term, h.target.basis_keys, h.target.d_term,
-                           h.apply_key)),
+             _keyed_cone(h.source.basis_keys, h.source.d_term, h.target.basis_keys, h.target.d_term,
+                         h.apply_key)),
         ]
         for res, degrees, (basis, diff) in checks:
             assert res == _level_major(basis, diff, degrees, 5), seed
@@ -397,10 +429,10 @@ def test_negative_controls_fail_with_witnesses_on_cone_keys():
             assert all(type(c) is Fraction for c in cycle.values())
 
 
-def _bounded_entry_points():
+def _bounded_entry_points(seed=2700):
     """One call of each bounded check, and a failing control, as
     (check, arguments)."""
-    rng = random.Random(2700)
+    rng = random.Random(seed)
     m_cx = random_complex(rng, max_top=1, max_cells=2, twists=1)
     inc = obasis_inclusion(tensor_free(disk(1), m_cx),
                            obasis_of_free(random_complex(rng, max_top=2, max_cells=2, twists=1)), 1)
@@ -423,6 +455,13 @@ def _bounded_entry_points():
     ]
 
 
+def _read_only(fn, views):
+    def view(key):
+        views["views"] += 1
+        return MappingProxyType(fn(key))
+    return view
+
+
 def test_checks_only_read_the_differentials_they_are_handed(monkeypatch):
     # every differential the walk and the cone get is a read-only view;
     # each check runs on its own deep copy of the inputs, so from cold
@@ -431,23 +470,110 @@ def test_checks_only_read_the_differentials_they_are_handed(monkeypatch):
     plain = [check(*copy.deepcopy(args)) for check, args in calls]
     assert [res.verdict for res in plain] == ["bounded-pass"] * 6 + ["fail"]
     views = Counter()
+    walk, cone, number = slices.bounded_acyclicity, slices.bounded_weq, slices.numbered
 
-    def read_only(fn):
-        def view(key):
-            views["views"] += 1
-            return MappingProxyType(fn(key))
-        return view
+    def walk_read_only(basis_of, diff_of, key_of, degrees, n):
+        return walk(basis_of, _read_only(diff_of, views), key_of, degrees, n)
 
-    walk, cone = slices.bounded_acyclicity, slices.cone_adapters
-
-    def walk_read_only(basis_of, diff_of, degrees, n):
-        return walk(basis_of, read_only(diff_of), degrees, n)
+    def cone_read_only(sb, sd, tb, td, f, degrees, n):
+        return cone(sb, _read_only(sd, views), tb, _read_only(td, views), _read_only(f, views), degrees, n)
 
     monkeypatch.setattr(slices, "bounded_acyclicity", walk_read_only)
     monkeypatch.setattr(obasis, "bounded_acyclicity", walk_read_only)
-    monkeypatch.setattr(slices, "cone_adapters", lambda sb, sd, tb, td, f: cone(
-        sb, read_only(sd), tb, read_only(td), read_only(f)))
+    monkeypatch.setattr(obasis, "numbered", lambda b, d: number(b, _read_only(d, views)))
+    for mod in (amod, dga, obasis):  # each imports bounded_weq by name
+        monkeypatch.setattr(mod, "bounded_weq", cone_read_only)
     for (check, args), res in zip(calls, plain):
         views.clear()
         assert check(*copy.deepcopy(args)) == res
         assert views["views"] > 0
+
+
+def _cone_checks():
+    """Calls of the five bounded weak-equivalence checks: on the O-basis
+    maps of `_obasis_maps`, on seeded algebra and module maps, and on the
+    negative controls."""
+    for f, _ in _obasis_maps(random.Random(4000)):
+        yield partial(is_bounded_weq, f, 4)
+    for seed in range(2700, 2704):
+        for check, args in _bounded_entry_points(seed)[1:]:
+            yield partial(check, *args)
+    for seed in range(6):
+        rng = random.Random(seed)
+        g, k = _module_control(rng)
+        yield partial(amodule_bounded_weq, g, 5, 3)
+        yield partial(algebra_bounded_weq, _algebra_control(rng, k), 5, 3)
+
+
+def _logged_walk(walk, log):
+    """`walk` that logs, on the caller's keys, each listing and each
+    differential it evaluates."""
+
+    def logged(basis_of, diff_of, key_of, degrees, n):
+        def basis(p, w):
+            keys = list(basis_of(p, w))
+            log.append(("basis", p, w, list(map(key_of, keys))))
+            return keys
+
+        def diff(i):
+            log.append(("diff", key_of(i)))
+            return diff_of(i)
+
+        return walk(basis, diff, key_of, degrees, n)
+
+    return logged
+
+
+def test_numbered_cone_walks_as_the_keyed_cone(monkeypatch):
+    # bounded_weq numbers the two sides of the cone apart and writes each
+    # image onto the numbers; the walk must list and evaluate the keyed
+    # cone's keys in the same order, each at most once, and return the
+    # same result, witnesses on the tagged keys included
+    walk, cone = slices.bounded_acyclicity, slices.bounded_weq
+    outcomes = Counter()
+
+    def both(sb, sd, tb, td, f, degrees, n):
+        degrees = tuple(degrees)
+        log, ref_log = [], []
+        with monkeypatch.context() as m:
+            m.setattr(slices, "bounded_acyclicity", _logged_walk(walk, log))
+            res = cone(sb, sd, tb, td, f, degrees, n)
+        keyed = _keyed_cone(sb, sd, tb, td, f)
+        ref = _logged_walk(walk, ref_log)(*numbered(*keyed), degrees, n)
+        assert res == ref == _level_major(*keyed, degrees, n)
+        assert log == ref_log
+        evaluated = Counter(entry[1] for entry in log if entry[0] == "diff")
+        assert max(evaluated.values()) == 1
+        outcomes[res.verdict] += 1
+        return res
+
+    for mod in (amod, dga, obasis):
+        monkeypatch.setattr(mod, "bounded_weq", both)
+    for check in _cone_checks():
+        check()
+    assert outcomes == {"fail": 38, "bounded-pass": 59}, outcomes
+
+
+def test_cone_inputs_hold_no_zero_coefficient(monkeypatch):
+    # the differentials and map images the five bounded checks hand the
+    # cone are zero-free, so the cone filters no coefficient
+    cone = slices.bounded_weq
+    images = Counter()
+
+    def zero_free(fn):
+        def checked(key):
+            img = fn(key)
+            assert all(img.values()), (key, img)
+            images["nonzero"] += bool(img)
+            return img
+        return checked
+
+    def checked_cone(sb, sd, tb, td, f, degrees, n):
+        images["cones"] += 1
+        return cone(sb, zero_free(sd), tb, zero_free(td), zero_free(f), degrees, n)
+
+    for mod in (amod, dga, obasis):
+        monkeypatch.setattr(mod, "bounded_weq", checked_cone)
+    for check in _cone_checks():
+        check()
+    assert images["cones"] == 97 and images["nonzero"] > 5000, images

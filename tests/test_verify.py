@@ -117,6 +117,42 @@ def test_fail_witness_reverifies_independently():
     assert ech.reduce(cycle)
 
 
+# bounded check -> least truncation: one below, level N of its walks lists
+# no key on seeds 42 and 7 (for properness_random, 100 of its 110 walks)
+LEAST_TRUNCATION = {
+    "trivial_pp_weq": 2,
+    "monoid_axiom_pushout": 2,
+    "properness_random": 3,
+    "hac3_flatness": 4,
+    "hac4_base_change": 3,
+    "cofibrant_retract": 3,
+}
+
+
+def test_every_bounded_check_has_a_least_truncation():
+    assert set(LEAST_TRUNCATION) == {name for name, (_, d) in CATALOG.items() if "truncation" in d}
+
+
+@pytest.mark.parametrize("name, least", sorted(LEAST_TRUNCATION.items()))
+def test_bounded_check_refuses_a_truncation_below_its_least(name, least, tmp_path, capsys):
+    message = f"{name} checks no key below truncation {least}, got {least - 1}"
+    with pytest.raises(ValueError, match=message):
+        run_check(name, {"truncation": least - 1})
+    assert cli.dispatch(["check", "--check", name, "--truncation", str(least - 1)]) == 2
+    assert message in capsys.readouterr().err
+    cfg = tmp_path / "cfg.doc"
+    cfg.write_text(cli.print_document(cli.make_document(
+        "suite-config", {"filter": name, "truncation": least - 1})))
+    assert cli.dispatch(["suite", "--file", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, least", sorted(LEAST_TRUNCATION.items()))
+def test_bounded_check_passes_at_its_least_truncation(name, least):
+    for seed in (42, 7):
+        assert run_check(name, {"truncation": least}, seed).verdict == "bounded-pass"
+
+
 def test_bounded_pass_records_truncation_levels():
     r = run_check("trivial_pp_weq", {"max_mn": 1, "truncation": 4}, seed=0)
     assert r.verdict == "bounded-pass"
