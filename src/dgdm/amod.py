@@ -16,20 +16,20 @@ d(d^b g_j), as for Sullivan algebras; a relative Sullivan A-module
 T (+) A (x) V is T's generators followed by V's, and a pushout along a
 generating cofibration is one `extended` step.  `AModuleMorphism` is the
 module kind of `dga`'s `Morphism`, which memoises its atom images; the
-inclusion, composite, extension and pushout record are `dga`'s too.  The
-key ("v", alpha, atoms, j, b) is x^alpha * (A-monomial atoms) (x) d^b g_j.
+inclusion, composite, extension and pushout record are `dga`'s too.
 
-Weights (x-degree + d-orders + atom counts) slice every degree finitely,
-so bounded weak-equivalence checks run on the underlying complexes.
-
-The HAC3 and HAC4 checks run on twisted tensors N (x) W with keys
+Every A-module complex is a twisted tensor N (x) W with keys
 (n_key,) + w: given d(w) = sum a (x) w' over A-monomials a,
 
     d(n (x) w) = dn (x) w + sum (-1)^{|n|(1+|a|)} (a . n) (x) w'.
 
-Its two instances supply only their W-blocks and twist terms:
-`TensorOverA` (N = B, w a V-atom (j, b) of A (x) V) and
-`BaseChangeModule` (w the atoms of B's new generators).
+Each instance supplies its N, its W-blocks and its twist terms:
+`AModule` itself (N = A, w a V-atom (j, b), so the key
+(term_key, j, b) is x^alpha * (A-monomial atoms) (x) d^b g_j and the
+formula above is its differential), `TensorOverA` (N = B, w a V-atom of
+A (x) V) and `BaseChangeModule` (w the atoms of B's new generators).
+Weights (x-degree + d-orders + atom counts) slice every degree finitely,
+so bounded weak-equivalence checks run on the underlying complexes.
 
 The differentials and the actions on keys are memoised per instance
 over the term kernel of `dga` and are read-only, with `int`
@@ -63,16 +63,8 @@ from .rational_linalg import add_term, apply_linear
 from .slices import TruncationResult, bounded_weq
 from .weyl import Exponent, exponents_bounded, join_terms, power_factors
 
-ModKey = Tuple  # ("v", alpha, atoms, j, b)
+ModKey = Tuple  # (term_key, j, b)
 ModCoeffs = Dict[ModKey, Fraction]
-
-
-def _v_atoms(gens: Sequence[Generator], nvars: int, degree: int, max_weight: int):
-    """((j, b), |g_j|, |b| + 1) for each V-atom d^b g_j within the bounds, in order."""
-    for j, g in enumerate(gens):
-        if g.degree <= degree:
-            for b in exponents_bounded(nvars, max_weight - 1):
-                yield (j, b), g.degree, sum(b) + 1
 
 
 class AModuleElement(GradedElement):
@@ -90,7 +82,7 @@ class AModuleElement(GradedElement):
         agens, mgens = self.module.algebra.generators, self.module.generators
 
         def term(key):
-            _, alpha, atoms, j, b = key
+            (alpha, atoms), j, b = key
             names = [atom_name(agens[ja].name, ba) for ja, ba in atoms] + [atom_name(mgens[j].name, b)]
             return self.coeffs[key], power_factors("x", alpha) + names
 
@@ -98,7 +90,8 @@ class AModuleElement(GradedElement):
 
 
 class AModule(GeneratedObject):
-    """A (x) V with a lowering differential (see module docstring)."""
+    """A (x) V with a lowering differential: the twisted tensor of the
+    module docstring with N = A and W the V-atoms."""
 
     element = AModuleElement
 
@@ -108,8 +101,9 @@ class AModule(GeneratedObject):
         generators: Sequence[Generator] = (),
         diff: Optional[Dict[int, ModCoeffs]] = None,
     ):
-        self.algebra = algebra
+        self.algebra = self.n_mod = algebra
         self.nvars = algebra.nvars
+        self._twist_memo: Dict[Tuple, Tuple] = {}
         self._diff_memo: Dict[ModKey, ModCoeffs] = {}
         self._act_memo: Dict[Tuple[TermKey, ModKey], ModCoeffs] = {}
         self._basis_memo: Dict[Tuple[int, int], Tuple[ModKey, ...]] = {}
@@ -123,14 +117,25 @@ class AModule(GeneratedObject):
     # -- key structure ----------------------------------------------------
 
     def atom_key(self, j: int, b: Exponent) -> ModKey:
-        return "v", (0,) * self.nvars, (), j, b
+        return ((0,) * self.nvars, ()), j, b
 
     def key_atoms(self, key: ModKey) -> Tuple[Tuple[int, Exponent], ...]:
-        return (key[3:],)
+        return (key[1:],)
 
     def key_degree(self, key: ModKey) -> int:
-        _, alpha, atoms, j, b = key
-        return self.algebra.term_degree((alpha, atoms)) + self.generators[j].degree
+        return self.algebra.term_degree(key[0]) + self.generators[key[1]].degree
+
+    def w_blocks(self, degree: int, max_weight: int):
+        """((j, b), |g_j|, |b| + 1) for each V-atom d^b g_j within the bounds, in order."""
+        for j, g in enumerate(self.generators):
+            if g.degree <= degree:
+                for b in exponents_bounded(self.nvars, max_weight - 1):
+                    yield (j, b), g.degree, sum(b) + 1
+
+    def twist_terms(self, w):
+        # d(d^b g_j) in A (x) V, keys (a, j', b')
+        for key, c in self._d_atom(w).items():
+            yield key[0], self.algebra.term_degree(key[0]), key[1:], c
 
     def basis_keys(self, degree: int, max_weight: int) -> Tuple[ModKey, ...]:
         """The keys of the given degree and weight bound, enumerated once
@@ -139,13 +144,8 @@ class AModule(GeneratedObject):
         keys = self._basis_memo.get((degree, max_weight))
         if keys is None:
             keys = self._basis_memo[(degree, max_weight)] = tuple(
-                self._build_basis_keys(degree, max_weight))
+                _twisted_basis_keys(self, degree, max_weight))
         return keys
-
-    def _build_basis_keys(self, degree: int, max_weight: int) -> Iterator[ModKey]:
-        for (j, b), v_degree, cost in _v_atoms(self.generators, self.nvars, degree, max_weight):
-            for alpha, atoms in self.algebra.basis_keys(degree - v_degree, max_weight - cost):
-                yield ("v", alpha, atoms, j, b)
 
     def top_degree_hint(self, degree_window: int) -> int:
         """Degrees worth checking: the generators plus the algebra window."""
@@ -155,12 +155,11 @@ class AModule(GeneratedObject):
 
     def act_algebra_term_key(self, aterm: TermKey, key: ModKey) -> ModCoeffs:
         """The action of a single algebra monomial on a basis element,
-        memoised; read-only."""
+        a . (n (x) w) = (a . n) (x) w, memoised; read-only."""
         out = self._act_memo.get((aterm, key))
         if out is None:
-            prod = self.algebra.term_product(aterm, key[1:3])
-            out = {} if prod is None else {("v",) + prod[1] + key[3:]: prod[0]}
-            self._act_memo[(aterm, key)] = out
+            out = self._act_memo[(aterm, key)] = {
+                (k,) + key[1:]: c for k, c in self.n_mod.act_algebra_term_key(aterm, key[0]).items()}
         return out
 
     def act_algebra(self, a: AlgebraElement, elt: "AModuleElement") -> "AModuleElement":
@@ -174,14 +173,13 @@ class AModule(GeneratedObject):
     # -- D-action -------------------------------------------------------------
 
     def act_d_key(self, i: int, key: ModKey) -> ModCoeffs:
-        _, alpha, atoms, j, b = key
+        aterm, j, b = key
         out: ModCoeffs = {}
         # Leibniz: derivative of the algebra part, then of the V-atom
-        da = self.algebra.act_d_term(i, (alpha, atoms))
-        for (a2, at2), c in da.items():
-            add_term(out, ("v", a2, at2, j, b), c)
+        for a2, c in self.algebra.act_d_term(i, aterm).items():
+            add_term(out, (a2, j, b), c)
         nb = tuple(e + 1 if k == i else e for k, e in enumerate(b))
-        add_term(out, ("v", alpha, atoms, j, nb), 1)
+        add_term(out, (aterm, j, nb), 1)
         return out
 
     def act_monomial(self, a: Exponent, b: Exponent, coeffs: ModCoeffs) -> ModCoeffs:
@@ -189,8 +187,8 @@ class AModule(GeneratedObject):
         for i, e in enumerate(b):
             for _ in range(e):
                 coeffs = apply_linear(lambda key: self.act_d_key(i, key), coeffs)
-        return {("v", tuple(x + y for x, y in zip(alpha, a)), atoms, j, bv): c
-                for (_, alpha, atoms, j, bv), c in coeffs.items()}
+        return {((tuple(x + y for x, y in zip(alpha, a)), atoms), j, bv): c
+                for ((alpha, atoms), j, bv), c in coeffs.items()}
 
     # -- differential ------------------------------------------------------------
 
@@ -198,19 +196,7 @@ class AModule(GeneratedObject):
         """The differential of one basis key, memoised; read-only."""
         out = self._diff_memo.get(key)
         if out is None:
-            out = self._diff_memo[key] = self._build_diff_key(key)
-        return out
-
-    def _build_diff_key(self, key: ModKey) -> ModCoeffs:
-        _, alpha, atoms, j, b = key
-        aterm = (alpha, atoms)
-        # d_A of the coefficient monomial, same V-atom
-        out: ModCoeffs = {("v", a2, at2, j, b): c for (a2, at2), c in self.algebra.d_term(aterm).items()}
-        # (-1)^{|a|} a . d(v)
-        sign = -1 if self.algebra.term_degree(aterm) % 2 else 1
-        for key2, c in self._d_atom((j, b)).items():
-            for k3, c3 in self.act_algebra_term_key(aterm, key2).items():
-                add_term(out, k3, sign * c * c3)
+            out = self._diff_memo[key] = _twisted_diff_key(self, key)
         return out
 
     def __repr__(self):
@@ -234,7 +220,7 @@ def free_amodule(algebra: SullivanAlgebra, c: FreeDComplex, name: str = "m") -> 
             coeffs: ModCoeffs = {}
             for v, entry in row.items():
                 for (a, b), coef in entry.terms.items():
-                    add_term(coeffs, ("v", a, (), index[(n - 1, v)], b), coef)
+                    add_term(coeffs, ((a, ()), index[(n - 1, v)], b), coef)
             if coeffs:
                 diff[index[(n, s)]] = coeffs
     return AModule(algebra, gens, diff)
@@ -258,9 +244,9 @@ class AModuleMorphism(Morphism):
     `dga.Morphism` is; evaluation follows q(a (x) v) = a . q(v)."""
 
     def apply_key(self, key: ModKey) -> ModCoeffs:
-        aterm = key[1:3]
+        aterm = key[0]
         return apply_linear(lambda key2: self.target.act_algebra_term_key(aterm, key2),
-                            self._atom_image(key[3:]))
+                            self._atom_image(key[1:]))
 
 
 # ------------------------------------------------------------- pushouts
@@ -336,9 +322,10 @@ def _twisted_diff_key(t, key) -> Dict:
 
 
 class _TwistedTensor:
-    """N (x) W of the module docstring; a subclass supplies `w_blocks` and
-    `twist_terms` (d(w) as (a, |a|, w', c)), and keeps
-    `basis_keys`/`diff_key` in its own body (perfbench/tracing.py patches them)."""
+    """N (x) W of the module docstring over an A-module N; a subclass
+    supplies `w_blocks` and `twist_terms` (d(w) as (a, |a|, w', c)), and
+    keeps `basis_keys`/`diff_key` in its own body, as `AModule` does
+    (perfbench/tracing.py patches them per class)."""
 
     def __init__(self, n_mod: AModule, w_top: int):
         self.n_mod = n_mod
@@ -364,14 +351,7 @@ class TensorOverA(_TwistedTensor):
             raise ValueError("factors over different algebras")
         super().__init__(b, max([g.degree for g in m.generators], default=0))
         self.m = m
-
-    def w_blocks(self, degree: int, max_weight: int):
-        return _v_atoms(self.m.generators, self.nvars, degree, max_weight)
-
-    def twist_terms(self, w):
-        # d(d^b g_j) in A (x) V: keys ("v", a, atoms, j', b')
-        for (_, a2, at2, j2, b2), c in self.m._d_atom(w).items():
-            yield (a2, at2), self.m.algebra.term_degree((a2, at2)), (j2, b2), c
+        self.w_blocks, self.twist_terms = m.w_blocks, m.twist_terms  # M's W and twist
 
     def basis_keys(self, degree: int, max_weight: int):
         return _twisted_basis_keys(self, degree, max_weight)

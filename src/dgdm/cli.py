@@ -267,7 +267,8 @@ def parse_module_element(text: str, module: AModule) -> AModuleElement:
     """Parse a module element over the flat Sullivan shape A (x) V.
 
     Atoms name algebra generators or module generators; each term must
-    contain exactly one module atom.
+    contain exactly one module atom.  An algebra factor b written after
+    the module atom m moves past it with the Koszul sign (-1)^{|m||b|}.
     """
     algebra = module.algebra
     nvars = module.nvars
@@ -287,7 +288,10 @@ def parse_module_element(text: str, module: AModule) -> AModuleElement:
             for (ae2, at2) in b.terms:
                 if at1 is not None and at2 is not None:
                     raise ParseError("a term may contain at most one module atom", 1, 1)
-                out.append((algebra.multiply(ae1, ae2), at1 or at2))
+                prod = algebra.multiply(ae1, ae2)  # each factor is a monomial: homogeneous or 0
+                if at1 is not None and module.generators[at1[0]].degree * (ae2.degree() or 0) % 2:
+                    prod = -prod
+                out.append((prod, at1 or at2))
         return Wrap(out)
 
     def neg(a: Wrap) -> Wrap:

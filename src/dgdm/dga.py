@@ -325,6 +325,11 @@ class SullivanAlgebra(GeneratedObject):
             return None
         return norm[0], (tuple(x + y for x, y in zip(k1[0], k2[0])), norm[1])
 
+    def act_algebra_term_key(self, aterm: TermKey, key: TermKey) -> Coeffs:
+        """A acting on itself, the N of `amod`'s twisted tensor A (x) V."""
+        prod = self.term_product(aterm, key)
+        return {} if prod is None else {prod[1]: prod[0]}
+
     def multiply(self, u: "AlgebraElement", v: "AlgebraElement") -> "AlgebraElement":
         if u.algebra is not self and u.algebra != self:
             raise ValueError("element of a different algebra")

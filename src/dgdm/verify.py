@@ -558,7 +558,6 @@ def check_hac1_arrows(rng, params):
 def check_cofibrant_retract(rng, params):
     """A Sullivan A-module C is a retract of the finite-stage QC = C (+)
     contractible cells through the lifting diagram."""
-    verdicts = []
     for idx in range(params["seeds"]):
         a = rg.random_algebra(rng, max_gens=1, max_degree=2)
         c = rg.random_amodule(rng, a, cells=2, max_degree=2)
@@ -578,8 +577,7 @@ def check_cofibrant_retract(rng, params):
         res = am.amodule_bounded_weq(r, params["truncation"], params["degree_window"])
         if not res.ok:
             return "fail", {"instance": idx, "law": "z'' weq", "witness": res.witness}
-        verdicts.append(res.verdict)
-    return _combine(verdicts + ["pass"]), None
+    return "bounded-pass", None
 
 
 # ================================================================ catalog

@@ -177,7 +177,7 @@ def test_criterion_08_extension_lemma_fidelity():
         # the Leibniz compatibility with the A-action somewhere
         candidates = [
             key for p in range(0, 4) for key in ext.basis_keys(p, 3)
-            if key[3] == len(t_mod.generators) and (key[2] or sum(key[1]) > 0)
+            if key[1] == len(t_mod.generators) and (key[0][1] or sum(key[0][0]) > 0)
         ]
         rng.shuffle(candidates)
         tested = 0
@@ -197,11 +197,11 @@ def test_criterion_08_extension_lemma_fidelity():
                 return base + w.scale(c0)
 
             # witness pair: a' = the monomial part of k0, m = the bare atom
-            _, alpha0, atoms0, j0, b0 = k0
+            (alpha0, atoms0), j0, b0 = k0
             from dgdm.dga import AlgebraElement
 
             a_mon = AlgebraElement(algebra, {(alpha0, atoms0): Fraction(1)})
-            m_elt = AModuleElement(ext, {("v", (0,) * 1, (), j0, b0): Fraction(1)})
+            m_elt = AModuleElement(ext, {(((0,) * 1, ()), j0, b0): Fraction(1)})
             adeg = algebra.term_degree((alpha0, atoms0))
             sign = Fraction(-1) if adeg % 2 else Fraction(1)
             lhs = perturbed(ext.act_algebra(a_mon, m_elt))

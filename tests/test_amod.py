@@ -11,6 +11,7 @@ import pytest
 from test_dga import _as_fractions, _ref_act_d, _ref_d_key, _ref_multiply, _term_weight, assert_enumeration_contract
 from test_slices import _order_digest
 
+import dgdm.amod
 from dgdm.amod import (
     AModule,
     AModuleElement,
@@ -113,14 +114,14 @@ def test_extend_differential_validation(algebra):
     # not lowering
     with pytest.raises(ValueError, match="lowering"):
         AModule(algebra, (Generator("a", 1), Generator("b", 2)),
-                {0: {("v", (0,), (), 1, (0,)): Fraction(1)}})
+                {0: {(((0,), ()), 1, (0,)): Fraction(1)}})
 
 
 # the two kinds of object free on generators: a constructor from generators
 # and {index: coefficients}, and the key of the generator g_j
 KINDS = {
     "algebra": (lambda gens, diff: SullivanAlgebra(1, gens, diff), lambda j: ((0,), ((j, (0,)),))),
-    "module": (lambda gens, diff: AModule(SullivanAlgebra(1), gens, diff), lambda j: ("v", (0,), (), j, (0,))),
+    "module": (lambda gens, diff: AModule(SullivanAlgebra(1), gens, diff), lambda j: (((0,), ()), j, (0,))),
 }
 ABC = (Generator("a", 1), Generator("b", 2), Generator("c", 3))
 
@@ -402,11 +403,30 @@ def test_tensor_over_A_unit_and_free(algebra):
                     want[(k2, j, zero)] = c
                 sign = Fraction(-1) if a_mod.key_degree(bk) % 2 else Fraction(1)
                 for key2, c in v_mod._d_atom((j, zero)).items():
-                    _, a2, at2, j2, b2 = key2
+                    (a2, at2), j2, b2 = key2
                     if (a2, at2) == ((0,), ()):
                         want[(bk, j2, b2)] = want.get((bk, j2, b2), Fraction(0)) + sign * c
                 want = {k: v for k, v in want.items() if v}
                 assert got == want
+
+
+def test_tensor_left_unit_reproduces_the_module_differential():
+    # A (x)_A M = M: with B the rank-one sphere at degree 0 and zero
+    # differential, the key ((a, 0, 0), j, b) of B (x) M is the key (a, j, b)
+    # of M, and the twisted differential of the tensor is M's own
+    nonzero = 0
+    for seed in range(4):
+        f, m, _ = _module_instance(1700 + seed)
+        for mod in (f.target, m):
+            unit = free_sphere_module(mod.algebra, 0, name="unit")
+            t = TensorOverA(unit, mod)
+            zero = (0,) * mod.nvars
+            for key in _keys(mod.basis_keys, 3, 3):
+                aterm, j, b = key
+                want = {((k[0], 0, zero),) + k[1:]: c for k, c in mod.diff_key(key).items()}
+                assert t.diff_key(((aterm, 0, zero), j, b)) == want, (seed, key)
+                nonzero += bool(want)
+    assert nonzero > 50
 
 
 def test_tensor_iso_round_trip(algebra):
@@ -538,8 +558,8 @@ def test_base_change_free_case():
 
 def _module_key_weight(m, key):
     """x-degree, d-orders and atom count of A's term, plus g_j's d-orders and 1."""
-    _, alpha, atoms, _, b = key
-    return _term_weight((alpha, atoms)) + sum(b) + 1
+    aterm, _, b = key
+    return _term_weight(aterm) + sum(b) + 1
 
 
 def _w_grading(tt, w):
@@ -607,18 +627,18 @@ def _acc(pairs):
 
 
 def _ref_act(m, aterm, key):
-    _, alpha, atoms, j, b = key
-    prod = _ref_multiply(m.algebra, {aterm: Fraction(1)}, {(alpha, atoms): Fraction(1)})
-    return {("v", a2, at2, j, b): c for (a2, at2), c in prod.items()}
+    akey, j, b = key
+    prod = _ref_multiply(m.algebra, {aterm: Fraction(1)}, {akey: Fraction(1)})
+    return {(a2, j, b): c for a2, c in prod.items()}
 
 
 def _ref_act_d_mod(m, i, coeffs):
     def terms():
         for key, c in coeffs.items():
-            _, alpha, atoms, j, b = key
-            for (a2, at2), c2 in _ref_act_d(m.algebra, i, {(alpha, atoms): c}).items():
-                yield ("v", a2, at2, j, b), c2
-            yield ("v", alpha, atoms, j, tuple(e + (k == i) for k, e in enumerate(b))), c
+            akey, j, b = key
+            for a2, c2 in _ref_act_d(m.algebra, i, {akey: c}).items():
+                yield (a2, j, b), c2
+            yield (akey, j, tuple(e + (k == i) for k, e in enumerate(b))), c
     return _acc(terms())
 
 
@@ -631,20 +651,20 @@ def _ref_d_of_atom(m, j, b):
 
 
 def _ref_diff_key(m, key):
-    _, alpha, atoms, j, b = key
-    sign = (-1) ** m.algebra.term_degree((alpha, atoms))
-    da = [(("v", a2, at2, j, b), c) for (a2, at2), c in _ref_d_key(m.algebra, (alpha, atoms)).items()]
+    akey, j, b = key
+    sign = (-1) ** m.algebra.term_degree(akey)
+    da = [((a2, j, b), c) for a2, c in _ref_d_key(m.algebra, akey).items()]
     return _acc(da + [(k3, sign * c * c3) for key2, c in _ref_d_of_atom(m, j, b).items()
-                      for k3, c3 in _ref_act(m, (alpha, atoms), key2).items()])
+                      for k3, c3 in _ref_act(m, akey, key2).items()])
 
 
 def _ref_tensor_diff(t, key):
     bk, j, bexp = key
     bdeg = t.n_mod.key_degree(bk)
     pairs = [((k2, j, bexp), c) for k2, c in _ref_diff_key(t.n_mod, bk).items()]
-    for (_, a2, at2, j2, b2), c in _ref_d_of_atom(t.m, j, bexp).items():
-        sign = Fraction(-1) ** bdeg * Fraction(-1) ** (t.m.algebra.term_degree((a2, at2)) * bdeg)
-        pairs += [((k3, j2, b2), sign * c * c3) for k3, c3 in _ref_act(t.n_mod, (a2, at2), bk).items()]
+    for (a2, j2, b2), c in _ref_d_of_atom(t.m, j, bexp).items():
+        sign = Fraction(-1) ** bdeg * Fraction(-1) ** (t.m.algebra.term_degree(a2) * bdeg)
+        pairs += [((k3, j2, b2), sign * c * c3) for k3, c3 in _ref_act(t.n_mod, a2, bk).items()]
     return _acc(pairs)
 
 
@@ -738,6 +758,7 @@ def test_memoised_module_kernel_matches_fresh_instances_around_a_check():
 # both tensors are built
 PINNED_TENSOR_DIFF_BUILDS = 210
 # sha256 of the module keys in the order they are built, one repr a line
+# in the ("v", alpha, atoms, j, b) shape the digest was first taken in
 PINNED_TENSOR_DIFF_ORDER = "48f30fd92ab8773f9c028d58b547719753e6b67557ce5330b6e000d71376de3d"
 
 
@@ -745,20 +766,21 @@ def test_tensor_check_builds_each_module_differential_once(monkeypatch):
     f, m, _ = _module_instance(1501)
     # what building the instance left in the memos is not counted
     for mod in (f.source, f.target, m):
-        for memo in (mod._diff_memo, mod._datom_cache, mod._act_memo):
+        for memo in (mod._diff_memo, mod._datom_cache, mod._act_memo, mod._twist_memo):
             memo.clear()
     builds = Counter()
-    raw = AModule._build_diff_key
+    raw = dgdm.amod._twisted_diff_key
 
-    def counted(self, key):
-        builds[(id(self), key)] += 1
-        return raw(self, key)
+    def counted(t, key):
+        if isinstance(t, AModule):  # not the tensors built on the modules
+            builds[(id(t), key)] += 1
+        return raw(t, key)
 
-    monkeypatch.setattr(AModule, "_build_diff_key", counted)
+    monkeypatch.setattr(dgdm.amod, "_twisted_diff_key", counted)
     assert tensor_bounded_weq(f, m, 6, 3).ok
     assert max(builds.values()) == 1
     assert sum(builds.values()) == PINNED_TENSOR_DIFF_BUILDS
-    assert _order_digest(key for _, key in builds) == PINNED_TENSOR_DIFF_ORDER
+    assert _order_digest(_old_shape(key) for _, key in builds) == PINNED_TENSOR_DIFF_ORDER
 
 
 def test_checks_on_deep_copies_leave_the_memos_of_their_inputs_alone():
@@ -772,7 +794,8 @@ def test_checks_on_deep_copies_leave_the_memos_of_their_inputs_alone():
     w = g.source.d(random_algebra_element(rng, g.source, 1, 3))
     h = dga_pushout_gen(g.source, g.target, g, 1, w).map
     inputs = (f.source, f.target, f.source.algebra, m, m.algebra, b, g.source, g.target, h.source, h.target)
-    names = ("_dterm_memo", "_datom_cache", "_diff_memo", "_act_memo", "_chain_memo", "_atom_images")
+    names = ("_dterm_memo", "_datom_cache", "_diff_memo", "_act_memo", "_twist_memo", "_chain_memo",
+             "_atom_images")
     memos = [getattr(obj, name) for obj in inputs + (f, h) for name in names if hasattr(obj, name)]
     before = [len(memo) for memo in memos]
     cf, cm, cb, cg, ch = copy.deepcopy((f, m, b, g, h))
@@ -808,8 +831,14 @@ def test_deep_copied_composite_applies_like_the_original():
         assert copied.apply_key(key) == f.apply_key(key), key
 
 
+def _old_shape(key):
+    """A module key (term_key, j, b) as ("v", alpha, atoms, j, b), the shape
+    the pinned digests were taken in; both shapes sort alike by repr."""
+    return ("v",) + key[0] + key[1:]
+
+
 def _norm(coeffs):
-    return sorted((repr(k), str(Fraction(c))) for k, c in coeffs.items())
+    return sorted((repr(_old_shape(k)), str(Fraction(c))) for k, c in coeffs.items())
 
 
 def test_flat_modules_and_maps_are_pinned():
@@ -827,7 +856,7 @@ def test_flat_modules_and_maps_are_pinned():
             lines.append(repr(sorted((j, _norm(v)) for j, v in m.diff_coeffs.items())))
         for deg in range(4):
             keys = list(p.basis_keys(deg, 3))
-            lines.append(repr(keys))
+            lines.append(repr([_old_shape(k) for k in keys]))
             lines += [repr(_norm(f.apply_key(k))) for k in keys]
     assert len(lines) == 620
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -128,6 +128,24 @@ def test_module_element_parsing():
         parse_module_element("e1*e2", m)  # two module atoms
 
 
+def test_algebra_factor_after_a_module_atom_takes_the_koszul_sign():
+    # (a (x) m) * b = (-1)^{|m||b|} ab (x) m
+    a = SullivanAlgebra(1, [Generator("u", 1), Generator("w", 2)])
+    m = AModule(a, [Generator("m", 1), Generator("n", 2)])
+
+    def parse(text):
+        return parse_module_element(text, m)
+
+    assert parse("m*u") == -parse("u*m") != parse("u*m")  # odd past odd
+    for even, odd in (("n*u", "u*n"), ("m*w", "w*m"), ("m*x1", "x1*m"), ("n*w", "w*n")):
+        assert parse(even) == parse(odd), even
+    assert parse("m*u*w") == -parse("u*w*m")
+    assert parse("2*m*u - x1*n*u") == parse("-2*u*m - x1*u*n")
+    for text in ("m*u*w", "x1*m[1]*u", "n*u*w - m*w^2"):
+        e = parse(text)
+        assert parse(e.to_string()) == e, text
+
+
 def test_module_atoms_print_and_parse_by_name():
     a = SullivanAlgebra(1, [Generator("u", 2)])
     m = free_disk_module(a, 2)

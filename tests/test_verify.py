@@ -159,6 +159,16 @@ def test_bounded_pass_records_truncation_levels():
     assert r.parameters["truncation_levels"] == [4, 5]
 
 
+SEEDED_BOUNDED = sorted(n for n, (_, d) in CATALOG.items() if "seeds" in d and "truncation" in d)
+
+
+@pytest.mark.parametrize("name", SEEDED_BOUNDED)
+def test_bounded_check_on_no_seeds_stays_bounded(name):
+    # a bounded check never says an exact `pass`, not even when it draws no instance
+    r = run_check(name, {"seeds": 0})
+    assert r.verdict == "bounded-pass" and r.witness is None
+
+
 # literal copies of the benchmark's pinned suite digests (stdout of
 # `dgdm suite --seed 42`, and of the same with `--filter f`)
 SUITE_PINS = {
