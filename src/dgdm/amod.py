@@ -106,7 +106,7 @@ class AModule(GeneratedObject):
         self._twist_memo: Dict[Tuple, Tuple] = {}
         self._diff_memo: Dict[ModKey, ModCoeffs] = {}
         self._act_memo: Dict[Tuple[TermKey, ModKey], ModCoeffs] = {}
-        self._basis_memo: Dict[Tuple[int, int], Tuple[ModKey, ...]] = {}
+        self._basis_memo: Dict[Tuple[int, int], Tuple[Tuple[ModKey, int], ...]] = {}
         super().__init__(generators, diff)
 
     ground = property(lambda self: self.algebra)  # what both ends of a morphism share
@@ -137,15 +137,15 @@ class AModule(GeneratedObject):
         for key, c in self._d_atom(w).items():
             yield key[0], self.algebra.term_degree(key[0]), key[1:], c
 
-    def basis_keys(self, degree: int, max_weight: int) -> Tuple[ModKey, ...]:
-        """The keys of the given degree and weight bound, enumerated once
-        per (degree, max_weight) and kept on this module, in the order a
-        fresh enumeration yields (see `SullivanAlgebra.basis_keys`)."""
-        keys = self._basis_memo.get((degree, max_weight))
-        if keys is None:
-            keys = self._basis_memo[(degree, max_weight)] = tuple(
+    def basis_keys(self, degree: int, max_weight: int) -> Tuple[Tuple[ModKey, int], ...]:
+        """The (key, weight) pairs of the given degree and weight bound,
+        enumerated once per (degree, max_weight) and kept on this module,
+        in the order a fresh enumeration yields (see `SullivanAlgebra.basis_keys`)."""
+        pairs = self._basis_memo.get((degree, max_weight))
+        if pairs is None:
+            pairs = self._basis_memo[(degree, max_weight)] = tuple(
                 _twisted_basis_keys(self, degree, max_weight))
-        return keys
+        return pairs
 
     def top_degree_hint(self, degree_window: int) -> int:
         """Degrees worth checking: the generators plus the algebra window."""
@@ -299,11 +299,11 @@ def transfinite_compose_finite(
 
 # ------------------------------------------------------ twisted tensors
 
-def _twisted_basis_keys(t, degree: int, max_weight: int) -> Iterator[Tuple]:
-    """The keys (n_key,) + w of a twisted tensor: W-blocks outside, N inside."""
+def _twisted_basis_keys(t, degree: int, max_weight: int) -> Iterator[Tuple[Tuple, int]]:
+    """Keys (n_key,) + w, W-blocks outside, N inside, weighing n_key's weight + w's cost."""
     for w, w_degree, cost in t.w_blocks(degree, max_weight):
-        for nk in t.n_mod.basis_keys(degree - w_degree, max_weight - cost):
-            yield (nk,) + w
+        for nk, weight in t.n_mod.basis_keys(degree - w_degree, max_weight - cost):
+            yield (nk,) + w, weight + cost
 
 
 def _twisted_diff_key(t, key) -> Dict:
@@ -385,7 +385,7 @@ def tensor_unit_case(b: AModule) -> bool:
     t = TensorOverA(b, m)
     zero = (0,) * b.nvars
     for p in range(0, 4):
-        for bk in b.basis_keys(p, 3):
+        for bk, _ in b.basis_keys(p, 3):
             got = t.diff_key((bk, 0, zero))
             want = {(k, 0, zero): c for k, c in b.diff_key(bk).items()}
             if got != want:

@@ -281,7 +281,7 @@ class SullivanAlgebra(GeneratedObject):
         # slice enumerations, each built once and replayed (see basis_keys)
         self._multiset_memo: Dict[Tuple[int, int, int], Multisets] = {}
         self._chain_memo: Dict[Tuple[int, int], Chains] = {}  # (budget, parity) -> exponent chains
-        self._basis_memo: Dict[Tuple[int, int], Tuple[TermKey, ...]] = {}
+        self._basis_memo: Dict[Tuple[int, int], Tuple[Tuple[TermKey, int], ...]] = {}
         super().__init__(generators, differential)
 
     # -- constructors ---------------------------------------------------
@@ -381,23 +381,23 @@ class SullivanAlgebra(GeneratedObject):
 
     # -- slice enumeration -----------------------------------------------
 
-    def basis_keys(self, degree: int, max_weight: int) -> Tuple[TermKey, ...]:
-        """All canonical term keys of the given algebra degree and weight
-        bound; x^alpha times atoms d^b g_j weighs |alpha| + sum(|b| + 1).
+    def basis_keys(self, degree: int, max_weight: int) -> Tuple[Tuple[TermKey, int], ...]:
+        """(key, weight) for the canonical term keys of the given degree and
+        weight bound; x^alpha times atoms d^b g_j weighs |alpha| + sum(|b| + 1).
 
         Each (degree, max_weight) is enumerated once and kept on this
-        algebra: a repeat call returns the stored tuple, in the order of
+        algebra: a repeat call returns the stored pairs, in the order of
         a fresh enumeration.  The memo lives per instance, never per
         process, so nothing carries over to another algebra.
         """
-        keys = self._basis_memo.get((degree, max_weight))
-        if keys is None:
-            keys = self._basis_memo[(degree, max_weight)] = tuple(
-                (alpha, atoms)
+        pairs = self._basis_memo.get((degree, max_weight))
+        if pairs is None:
+            pairs = self._basis_memo[(degree, max_weight)] = tuple(
+                ((alpha, atoms), sum(alpha) + cost)
                 for atoms, cost in self._atom_multisets(0, degree, max_weight)
                 for alpha in exponents_bounded(self.nvars, max_weight - cost)
             )
-        return keys
+        return pairs
 
     def _atom_multisets(self, j: int, degree: int, budget: int) -> Multisets:
         """Sorted atom tuples over generators j.. with given total degree
@@ -424,8 +424,7 @@ class SullivanAlgebra(GeneratedObject):
         odd = self.parities[j]
         chains = self._chain_memo.get((budget, odd))
         if chains is None:
-            chains = self._chain_memo[(budget, odd)] = tuple(
-                (bs, sum(sum(b) + 1 for b in bs)) for bs in self._exponent_chains(budget, strictly=bool(odd)))
+            chains = self._chain_memo[(budget, odd)] = tuple(self._exponent_chains(budget, strictly=bool(odd)))
         # choose a nonempty sorted tuple of d-exponents for generator j
         for bs, cost in chains:
             used_deg = gdeg * len(bs)
@@ -435,7 +434,7 @@ class SullivanAlgebra(GeneratedObject):
                 yield tuple((j, b) for b in bs) + rest, cost + rcost
 
     def _exponent_chains(self, budget: int, strictly: bool):
-        """Nonempty sorted tuples of d-exponents with sum(|b|+1) <= budget."""
+        """Nonempty sorted tuples of d-exponents with cost sum(|b|+1) <= budget, each with its cost."""
         singles = sorted(exponents_bounded(self.nvars, budget - 1))
 
         def rec(start_idx, remaining):
@@ -444,10 +443,10 @@ class SullivanAlgebra(GeneratedObject):
                 cost = sum(b) + 1
                 if cost > remaining:
                     continue
-                yield (b,)
+                yield (b,), cost
                 nxt = idx + 1 if strictly else idx
-                for rest in rec(nxt, remaining - cost):
-                    yield (b,) + rest
+                for rest, rest_cost in rec(nxt, remaining - cost):
+                    yield (b,) + rest, cost + rest_cost
 
         yield from rec(0, budget)
 

@@ -103,23 +103,24 @@ class OBasisComplex:
 
     # -- basis enumeration ---------------------------------------------
 
-    def basis_keys(self, p: int, max_weight: int) -> Iterator[Key]:
+    def basis_keys(self, p: int, max_weight: int) -> Iterator[Tuple[Key, int]]:
+        """The (key, weight) pairs of degree p and weight <= max_weight."""
         for sid in self.slots_in_degree(p):
             k = self.slots[sid].factors
-            for exps in _bounded_exponent_blocks(self.nvars, k + 1, max_weight):
-                yield (sid, exps[0], tuple(exps[1:]))
+            for exps, weight in _bounded_exponent_blocks(self.nvars, k + 1, max_weight):
+                yield (sid, exps[0], tuple(exps[1:])), weight
 
 
 def _bounded_exponent_blocks(nvars: int, blocks: int, total: int):
-    """All tuples of `blocks` exponent vectors with combined degree <= total."""
+    """Each tuple of `blocks` exponent vectors of combined degree <= total, with that degree."""
     def rec(i, budget):
-        if i == blocks - 1:
-            for e in exponents_bounded(nvars, budget):
-                yield (e,)
-            return
         for e in exponents_bounded(nvars, budget):
-            for rest in rec(i + 1, budget - sum(e)):
-                yield (e,) + rest
+            used = sum(e)
+            if i == blocks - 1:
+                yield (e,), used
+            else:
+                for rest, more in rec(i + 1, budget - used):
+                    yield (e,) + rest, used + more
 
     yield from rec(0, total)
 
@@ -145,7 +146,7 @@ class OBasisChainMap:
     def check_chain_property(self, max_weight: int = 3):
         """f d = d f on basis elements up to the given weight."""
         for p in range(1, self.source.top + 1):
-            for key in self.source.basis_keys(p, max_weight):
+            for key, _ in self.source.basis_keys(p, max_weight):
                 lhs = apply_linear(self.apply_key, self.source.diff_key(key))
                 rhs = apply_linear(self.target.diff_key, self.apply_key(key))
                 if lhs != rhs:
@@ -160,10 +161,8 @@ def obasis_of_free(c: FreeDComplex) -> OBasisComplex:
         for s in range(r):
             slots[("F", n, s)] = Slot(degree=n, factors=1)
     for n, mat in c.differentials.items():
-        for s, row in enumerate(mat.rows):
-            entries = [(("F", n - 1, v), 0, e) for v, e in row.items()]
-            if entries:
-                diff[("F", n, s)] = entries
+        for s, row in enumerate(mat.rows):  # the constructor drops empty entry lists
+            diff[("F", n, s)] = [(("F", n - 1, v), 0, e) for v, e in row.items()]
     return OBasisComplex(c.nvars, slots, diff)
 
 
@@ -191,8 +190,7 @@ def tensor_free(c1: FreeDComplex, c2: FreeDComplex) -> OBasisComplex:
         if j in c2.differentials:
             sign = 1 if i % 2 == 0 else -1
             entries += [((i, j - 1, s, w), 1, e.scale(sign)) for w, e in c2.differentials[j].rows[t].items()]
-        if entries:
-            diff[(i, j, s, t)] = entries
+        diff[(i, j, s, t)] = entries
     return OBasisComplex(nvars, slots, diff)
 
 

@@ -204,7 +204,7 @@ def random_algebra(
 def _random_element(rng: random.Random, owner, element_class, degree: int, max_weight: int):
     """One or two random keys of the slice, with coefficients in -2..2
     (zero when the slice is empty); algebras and modules draw alike."""
-    keys = list(owner.basis_keys(degree, max_weight))
+    keys = [key for key, _ in owner.basis_keys(degree, max_weight)]
     coeffs = {}
     for _ in range(rng.randint(1, 2) if keys else 0):
         coeffs[rng.choice(keys)] = Fraction(rng.randint(-2, 2))

@@ -3,16 +3,16 @@
 Any complex whose degree-p piece carries a countable k-basis with a
 weight function making slices finite-dimensional can be checked here:
 the caller supplies a basis enumerator and a differential on basis
-keys.  `basis_of(p, w)` yields the degree-p keys of weight <= w, so the
-slices of one degree are nested.  Keys must be hashable, and keys of
-different degrees differ.
+keys.  `basis_of(p, w)` yields (key, weight) pairs, the degree-p keys
+of weight <= w, so the slices of one degree are nested.  Keys must be
+hashable, and keys of different degrees differ.
 
-The walk runs on int keys its caller numbers: `basis_of` yields key
-numbers, `diff_of(i)` returns a dict over them, which the walk reads once
-and never writes, and `key_of(i)` gives a witness its caller's key.
-`numbered` numbers a complex's own keys as it first meets them;
-`bounded_weq` numbers the two sides of a mapping cone apart.  The
-numbering moves echelon rows, never spans, band counts or nullspace
+The walk runs on int keys its caller numbers: `basis_of` pairs key
+numbers with weights, `diff_of(i)` returns a dict over numbers, which
+the walk reads once and never writes, and `key_of(i)` gives a witness
+its caller's key.  `numbered` numbers a complex's own keys as it first
+meets them; `bounded_weq` numbers the two sides of a mapping cone apart.
+The numbering moves echelon rows, never spans, band counts or nullspace
 bases, so no verdict or witness depends on it.
 
 The contract of a check at level N (margin 2): every cycle assembled
@@ -26,19 +26,20 @@ level N+1 at each degree, and evaluates each differential at most once.
 A level passes by counting: its cycles have dimension z = keys - rank
 of their images (one echelon, extended at level N+1).  Boundaries enter
 a second echelon by level block (weight <= N-1, then N, then N+1 at
-level N+1), tagged by band: 2 on keys of weight <= N-2, 1 on weight
-N-1, 0 elsewhere.  Rows pivot on their least (band, number), so those in
-band >= b span the boundaries of band >= b, and the level passes once
-they number z, often before its later keys are evaluated.  The count
-needs d∘d = 0, so each counted row is checked to be a cycle on cached
-images; after one that is not, the degree inserts every boundary and
-decides by membership.  Only a level left short lists its cycles, with
-`nullspace`, and returns the first outside the span: the witness of a
-level-major walk, the first level-N failure in degree order, else the
-first level-(N+1) one.  The next degree's cycle candidates are carried
-over with the differentials the boundary echelon evaluated.
+level N+1), tagged by band, cut from the weights of the degree's one
+listing of candidates: 2 on weight <= N-2, 1 on N-1, 0 elsewhere.  Rows
+pivot on their least (band, number), so those in band >= b span the
+boundaries of band >= b, and the level passes once they number z, often
+before its later keys are evaluated.  The count needs d∘d = 0, so each
+counted row is checked to be a cycle on cached images; after one that
+is not, the degree inserts every boundary and decides by membership.
+Only a level left short lists its cycles, with `nullspace`, and returns
+the first outside the span: the witness of a level-major walk, the
+first level-N failure in degree order, else the first level-(N+1) one.
+The next degree's candidates are carried over with their weights and
+the differentials the boundary echelon evaluated.
 
-A basis enumerator may replay stored keys, as `SullivanAlgebra` and
+A basis enumerator may replay stored pairs, as `SullivanAlgebra` and
 `AModule` do per instance, if it lists them in the order of a fresh
 enumeration: nullspace bases and witnesses do not depend on what was
 enumerated before.
@@ -52,7 +53,7 @@ from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
 
 from .rational_linalg import Echelon, Vec, apply_linear, nullspace
 
-BasisFn = Callable[[int, int], Iterable[Hashable]]  # (degree, max weight) -> keys
+BasisFn = Callable[[int, int], Iterable[Tuple[Hashable, int]]]  # (degree, max weight) -> (key, weight)
 DiffFn = Callable[[Hashable], Dict[Hashable, Fraction]]
 KeyFn = Callable[[int], Hashable]  # key number -> the caller's key
 
@@ -93,7 +94,7 @@ def numbered(basis_of: BasisFn, diff_of: DiffFn) -> Tuple[BasisFn, DiffFn, KeyFn
         img = diff_of(order[i])
         return {number(k): c for k, c in img.items()} if img else {}
 
-    return lambda p, w: map(number, basis_of(p, w)), diff, order.__getitem__
+    return lambda p, w: ((number(k), wt) for k, wt in basis_of(p, w)), diff, order.__getitem__
 
 
 def slice_witness(
@@ -102,32 +103,32 @@ def slice_witness(
     p: int,
     n: int,
     upper: bool,
-    carried: Dict[int, Optional[Vec]],
+    carried: Tuple[Dict[int, int], Dict[int, Vec]],
     carry: bool,
     key_of: KeyFn,
-) -> Tuple[Optional[Dict], Optional[Dict], Dict[int, Optional[Vec]]]:
+) -> Tuple[Optional[Dict], Optional[Dict], Tuple[Dict[int, int], Dict[int, Vec]]]:
     """Degree p of the walk: level n, then level n+1 if `upper` is set.
 
-    On key numbers: `carried` holds the numbers of `basis_of(p, n - 1)`,
-    in that order, when the step at p-1 built a boundary echelon, and is
-    empty otherwise; it maps each to its differential, or to None where
-    that step stopped before evaluating it.  Returns the level-n and the
+    On key numbers: when the step at p-1 built a boundary echelon,
+    `carried` holds the pairs of `basis_of(p, n - 1)`, number to weight
+    in that order, and the differentials of those that step evaluated;
+    otherwise both dicts are empty.  Returns the level-n and the
     level-(n+1) witness on the caller's keys (each None if the slice is
     exact or was not checked) and, if `carry` is set and a boundary was
     built, what goes to degree p+1.
     """
-    low = list(basis_of(p, n - 2))
-    high = (list(carried) or list(basis_of(p, n - 1))) if upper else []
+    listed, diffs = carried
+    # one listing: 2 on weight <= n - 2, 1 on weight n - 1 if level n+1 is checked, else 0
+    band = {i: 2 if wt <= n - 2 else int(upper)
+            for i, wt in listed.items() or basis_of(p, n - 1 if upper else n - 2)}
+    low = [i for i, b in band.items() if b == 2]
+    high = list(band) if upper else []
 
     def image(i):
-        img = carried.get(i)
+        img = diffs.get(i)
         if img is None:
-            img = carried[i] = diff_of(i)
+            img = diffs[i] = diff_of(i)
         return img
-
-    # 2 on basis_of(p, n - 2), 1 on the rest of basis_of(p, n - 1), else 0
-    band = dict.fromkeys(high, 1)
-    band.update(dict.fromkeys(low, 2))
 
     def tagged(vec):
         return {(band.get(i, 0), i): c for i, c in vec.items()}
@@ -143,7 +144,7 @@ def slice_witness(
     rows = [0, 0, 0]  # rows of ech by the band of their pivot
     counting = True  # every row counted so far is a cycle (d∘d = 0 there)
     held = set()  # numbers of degree-(p+1) keys whose boundary ech holds
-    nxt: Dict[int, Optional[Vec]] = {}  # number in basis_of(p + 1, n - 1) -> its differential or None
+    nxt, nxt_diffs = {}, {}  # to degree p+1: the pairs of basis_of(p + 1, n - 1), their images
 
     def witness(keys, level, b):
         nonlocal ech, counting
@@ -156,19 +157,19 @@ def slice_witness(
         if ech is None:
             ech = Echelon()
             if carry:
-                nxt.update(dict.fromkeys(basis_of(p + 1, n - 1)))
+                nxt.update(basis_of(p + 1, n - 1))
         elif b == 1 and counting:  # the band-1 rows of level n were not checked there
             counting = all(is_cycle(r) for q, r in ech.rows.items() if q[0] == 1)
         if counting and sum(rows[b:]) >= z:
             return None
         for w in range(n - 1, level + 1):  # boundaries by level block
-            for i in nxt if w == n - 1 and carry else basis_of(p + 1, w):
+            for i, _ in nxt.items() if w == n - 1 and carry else basis_of(p + 1, w):
                 if i in held:
                     continue
                 held.add(i)
                 img = diff_of(i)
                 if i in nxt:
-                    nxt[i] = img
+                    nxt_diffs[i] = img
                 q = ech.insert(tagged(img)) if img else None
                 if q is None:
                     continue
@@ -185,8 +186,8 @@ def slice_witness(
 
     found = witness(low, n, 2) if low else None
     if found is not None:
-        return found, None, {}
-    return None, witness(high, n + 1, 1) if high else None, nxt
+        return found, None, ({}, {})
+    return None, witness(high, n + 1, 1) if high else None, (nxt, nxt_diffs)
 
 
 def bounded_acyclicity(
@@ -201,7 +202,7 @@ def bounded_acyclicity(
         raise ValueError("truncation too small: need N >= 2")
     degrees = tuple(degrees)
     upper = None  # the first level-(n+1) failure
-    carried: Dict[int, Optional[Vec]] = {}
+    carried: Tuple[Dict[int, int], Dict[int, Vec]] = ({}, {})
     for i, p in enumerate(degrees):
         carry = i + 1 < len(degrees) and degrees[i + 1] == p + 1
         low, high, carried = slice_witness(
@@ -221,7 +222,7 @@ def dsquare_witness(
 ) -> Optional[Hashable]:
     """The first basis key of weight <= max_weight with d(d(key)) != 0, or None."""
     for p in degrees:
-        for key in basis_of(p, max_weight):
+        for key, _ in basis_of(p, max_weight):
             if apply_linear(diff_of, diff_of(key)):
                 return key
     return None
@@ -249,8 +250,10 @@ def bounded_weq(
 
     def basis(p: int, w: int):
         # lazy: a walk that stops inside the source block lists no target key
-        yield from map(snum, src_basis(p - 1, w))
-        yield from map(tnum, tgt_basis(p, w))
+        for k, wt in src_basis(p - 1, w):
+            yield snum(k), wt
+        for k, wt in tgt_basis(p, w):
+            yield tnum(k), wt
 
     def diff(i: int):
         if i & 1:

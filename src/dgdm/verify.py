@@ -330,7 +330,7 @@ def check_simpl_tens_iso(rng, params):
         b = rg.random_amodule(rng, a, cells=2, max_degree=2)
         m = rg.random_amodule(rng, a, cells=1, max_degree=2)
         t = am.TensorOverA(b, m)
-        keys = [k for p in range(0, 4) for k in t.basis_keys(p, 3)]
+        keys = [k for p in range(0, 4) for k, _ in t.basis_keys(p, 3)]
         if not keys:
             continue
         for _ in range(4):

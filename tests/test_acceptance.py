@@ -176,7 +176,7 @@ def test_criterion_08_extension_lemma_fidelity():
         # (c) uniqueness: perturbing the extension off the generators breaks
         # the Leibniz compatibility with the A-action somewhere
         candidates = [
-            key for p in range(0, 4) for key in ext.basis_keys(p, 3)
+            key for p in range(0, 4) for key, _ in ext.basis_keys(p, 3)
             if key[1] == len(t_mod.generators) and (key[0][1] or sum(key[0][0]) > 0)
         ]
         rng.shuffle(candidates)
@@ -185,7 +185,7 @@ def test_criterion_08_extension_lemma_fidelity():
             if tested >= 10:
                 break
             deg0 = ext.key_degree(k0)
-            wit_keys = [k for k in ext.basis_keys(deg0 - 1, 3)]
+            wit_keys = [k for k, _ in ext.basis_keys(deg0 - 1, 3)]
             if not wit_keys:
                 continue
             w = AModuleElement(ext, {wit_keys[0]: Fraction(1)})

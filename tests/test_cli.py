@@ -103,12 +103,12 @@ def test_printed_elements_are_pinned(seed):
         key = (tuple(rng.randint(0, 2) for _ in range(2)), tuple(rng.randint(0, 2) for _ in range(2)))
         w[key] = rng.choice(coeffs)
     a = SullivanAlgebra(2, [Generator("a", 1), Generator("b", 2)])
-    akeys = [k for deg in range(4) for k in a.basis_keys(deg, 3)]
+    akeys = [k for deg in range(4) for k, _ in a.basis_keys(deg, 3)]
     ac = {((0, 0), ()): rng.choice(coeffs)}
     for k in rng.sample(akeys, 4):
         ac[k] = rng.choice(coeffs)
     m = AModule(a, [Generator("e", 0), Generator("f", 1)])
-    mkeys = [k for deg in range(3) for k in m.basis_keys(deg, 3)]
+    mkeys = [k for deg in range(3) for k, _ in m.basis_keys(deg, 3)]
     mc = {k: rng.choice(coeffs) for k in rng.sample(mkeys, 4)}
     got = (WeylElement(2, w).to_string(), AlgebraElement(a, ac).to_string(),
            AModuleElement(m, mc).to_string())

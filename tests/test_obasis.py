@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_dga import assert_enumeration_contract
 
 from dgdm import weyl
 from dgdm.complexes import FreeDComplex, disk, sphere
@@ -66,11 +67,15 @@ def test_leibniz_action_in_diff():
 
 def test_weight_and_basis_enumeration():
     t = tensor_free(disk(1), disk(1))
-    keys = list(t.basis_keys(2, 3))
+    keys = [k for k, _ in t.basis_keys(2, 3)]
     assert all(sum(alpha) + sum(map(sum, bs)) <= 3 for _, alpha, bs in keys)
     assert len(set(keys)) == len(keys)
     # degree 1 has two slots
-    assert {k[0] for k in t.basis_keys(1, 1)} == {(0, 1, 0, 0), (1, 0, 0, 0)}
+    assert {k[0] for k, _ in t.basis_keys(1, 1)} == {(0, 1, 0, 0), (1, 0, 0, 0)}
+    # the listed weight of (slot, alpha, bs) is the sum of its exponent blocks
+    for t in (tensor_free(disk(1), disk(2)), tensor_free(sphere(0, 2), disk(1, 2))):
+        assert_enumeration_contract(t.basis_keys, lambda k: t.slots[k[0]].degree,
+                                    lambda k: sum(k[1]) + sum(map(sum, k[2])), top=4)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (3, 3)])
@@ -213,7 +218,7 @@ def test_apply_entries_matches_weyl_products(nvars):
                 perturbed = [(tgt, f, c * _fractional(rng, nvars) + _fractional(rng, nvars))
                              for tgt, f, c in entries]
                 factors.update(f for _, f, _ in entries)
-                keys = [k for k in src.basis_keys(src.slots[sid].degree, 5) if k[0] == sid]
+                keys = [k for k, _ in src.basis_keys(src.slots[sid].degree, 5) if k[0] == sid]
                 if nvars > 1:
                     keys = rng.sample(keys, min(len(keys), 40))
                 for key in keys:

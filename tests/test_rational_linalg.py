@@ -199,7 +199,7 @@ def test_integer_kernel_matches_fraction_oracle():
 def test_dsquare_witness_reports_the_first_failing_key():
     # key k sits in degree k and has weight k; d(d(k)) != 0 exactly for k = 3, 4
     diffs = {0: {}, 1: {}, 2: {1: F(1)}, 3: {2: F(1)}, 4: {2: F(1)}, 5: {1: F(1)}}
-    basis = lambda p, w: [k for k in diffs if k == p and k <= w]  # noqa: E731
+    basis = lambda p, w: [(k, k) for k in diffs if k == p and k <= w]  # noqa: E731
     assert dsquare_witness(basis, diffs.__getitem__, range(6), 5) == 3
     assert dsquare_witness(basis, diffs.__getitem__, range(4, 6), 5) == 4
     assert dsquare_witness(basis, diffs.__getitem__, range(6), 2) is None

@@ -46,7 +46,7 @@ def _sliced(keys, diffs):
     """basis_of/diff_of for {degree: [(key, weight)]} and {key: {key: coeff}}."""
 
     def basis_of(p, w):
-        return [k for k, wt in keys.get(p, ()) if wt <= w]
+        return [(k, wt) for k, wt in keys.get(p, ()) if wt <= w]
 
     def diff_of(key):
         return {k: Fraction(c) for k, c in diffs.get(key, {}).items()}
@@ -67,10 +67,10 @@ def _keyed_cone(src_basis, src_diff, tgt_basis, tgt_diff, map_fn):
     """
 
     def basis(p, w):
-        for k in src_basis(p - 1, w):
-            yield ("s", k)
-        for k in tgt_basis(p, w):
-            yield ("t", k)
+        for k, wt in src_basis(p - 1, w):
+            yield ("s", k), wt
+        for k, wt in tgt_basis(p, w):
+            yield ("t", k), wt
 
     def diff(key):
         tag, k = key
@@ -100,14 +100,14 @@ def _order_digest(keys):
 
 def _level_major_witness(basis_of, diff_of, degrees, level):
     for p in degrees:
-        low = list(basis_of(p, level - 2))
+        low = [key for key, _ in basis_of(p, level - 2)]
         if not low:
             continue
         cycles = nullspace([(key, diff_of(key)) for key in low])
         if not cycles:
             continue
         ech = Echelon()
-        for key in basis_of(p + 1, level):
+        for key, _ in basis_of(p + 1, level):
             img = diff_of(key)
             if img:
                 ech.insert(img)
@@ -425,7 +425,7 @@ def test_negative_controls_fail_with_witnesses_on_cone_keys():
             assert res == _level_major(basis, diff, degrees, 5), seed
             assert res.verdict == "fail" and res.witness["degree"] == k, (seed, res)
             cycle = res.witness["cycle"]
-            assert cycle and set(cycle) <= set(basis(k, res.witness["level"] - 2)), (seed, cycle)
+            assert cycle and set(cycle) <= {key for key, _ in basis(k, res.witness["level"] - 2)}, (seed, cycle)
             assert all(type(c) is Fraction for c in cycle.values())
 
 
@@ -453,6 +453,28 @@ def _bounded_entry_points(seed=2700):
         (amodule_bounded_weq, (g, 5, 3)),
         (amodule_bounded_weq, (control, 5, 3)),
     ]
+
+
+# (key, weight) pairs the walk lists on the seven cold checks of
+# `_bounded_entry_points()`, each listing counted in full: every degree
+# lists its cycle candidates once and cuts the weight <= N-2 band from
+# that listing; listing that band apart as well, the walk listed 1,113
+PINNED_WALK_PAIRS = 776
+
+
+def test_walk_lists_each_degree_once(monkeypatch):
+    # every check passes or fails at level N, so both levels are checked
+    # at every degree walked, and no weight-(N-2) slice is listed
+    log = []
+    walk = _logged_walk(slices.bounded_acyclicity, log)
+    monkeypatch.setattr(slices, "bounded_acyclicity", walk)
+    monkeypatch.setattr(obasis, "bounded_acyclicity", walk)
+    for check, args in _bounded_entry_points():
+        res = check(*copy.deepcopy(args))
+        n = res.levels[0]
+        assert res.witness is None or res.witness["level"] == n, res
+        assert not [entry for entry in log if entry[0] == "basis" and entry[2] == n - 2], check
+    assert sum(len(entry[3]) for entry in log if entry[0] == "basis") == PINNED_WALK_PAIRS
 
 
 def _read_only(fn, views):
@@ -511,9 +533,9 @@ def _logged_walk(walk, log):
 
     def logged(basis_of, diff_of, key_of, degrees, n):
         def basis(p, w):
-            keys = list(basis_of(p, w))
-            log.append(("basis", p, w, list(map(key_of, keys))))
-            return keys
+            pairs = list(basis_of(p, w))
+            log.append(("basis", p, w, [(key_of(i), wt) for i, wt in pairs]))
+            return pairs
 
         def diff(i):
             log.append(("diff", key_of(i)))

@@ -110,7 +110,7 @@ def test_fail_witness_reverifies_independently():
     cycle = res.witness["cycle"]
     degree = res.witness["degree"]
     ech = Echelon()
-    for key in t.basis_keys(degree + 1, 9):
+    for key, _ in t.basis_keys(degree + 1, 9):
         img = t.diff_key(key)
         if img:
             ech.insert(img)
