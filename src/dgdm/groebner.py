@@ -7,13 +7,12 @@ of such rows and its column count, and `as_matrix` turns dense nested
 lists into one, checking their shape.  The dense view, zeros included,
 is `FreeModuleElement.coords`, which documents and reports print.
 
-A module monomial is a
-triple (position, a, b); the admissible order is degree-reverse-lex on
-the 2n exponents (x block before d block) with position over term, so it
-refines total (x,d)-degree and the commutator corrections of the Weyl
-relations strictly drop below leading terms.  Consequently leading
-monomials multiply as in the commutative case, Buchberger's algorithm
-applies verbatim, and termination follows from Dickson's lemma.
+A module monomial is a triple (position, a, b); the admissible order is
+degree-reverse-lex on the 2n exponents (x block before d block) with
+position over term, so it refines total (x,d)-degree and the commutator
+corrections of the Weyl relations strictly drop below leading terms.  So
+leading monomials multiply as in the commutative case, Buchberger's
+algorithm applies verbatim, and termination follows from Dickson's lemma.
 
 One Buchberger loop serves every job.  It keeps rows monic and drops the
 S-pairs that the chain criterion shows redundant.  Kernels (syzygies) are
@@ -29,14 +28,17 @@ Kernels whose coefficients swell take a modular path.  `syzygies` starts
 the Q loop; once a new row's leading coefficient passes _SWELL_BITS bits,
 it runs the same loop again on int coefficients mod a large prime,
 reconstructs the rationals (Wang; CRT over more primes of _PRIMES when
-one is not enough) and accepts the rows only if four exact checks over Q
-hold: every row (v | c) multiplies back, v = sum_j c_j*row_j, in
-integers; every tagged input reduces to 0 by the rows; so does every
-S-pair that `_update_pairs` keeps; and the rows are monic and reduced.
-The reduced Groebner basis is unique, so such rows are the Q loop's.  If
-no prime passes, the Q loop runs to the end.  `buchberger` and the lift
-stay on the Q loop: their rows are not the full basis of a tagged
-module, so these checks do not prove them right.
+one is not enough) and accepts the rows only if four exact checks hold:
+the rows are monic and reduced; every row (v | c) multiplies back,
+v = sum_j c_j*row_j; every tagged input reduces to 0 by the rows; so does
+every S-pair that `_update_pairs` keeps.  The last three run in integers,
+on rows cleared of denominators, by which `_reduce` pseudo-divides (the
+fraction-free elimination of Bareiss 1968).  The reduced Groebner basis
+is unique, so such rows are the Q loop's.  If no prime passes, the Q loop
+runs to the end.  `buchberger` and the lift stay on the Q loop: their
+rows are not the full basis of a tagged module, so these checks do not
+prove them right.  Each public call keeps one memo of monomial products,
+which all its loops and checks share and which dies with the call.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .rational_linalg import add_term, vec_add
+from .rational_linalg import add_term, cleared, vec_add
 from .weyl import Monomial, NvarsMismatch, WeylElement, mono_mul
 
 # module monomial: (position, x-exponents, d-exponents)
@@ -257,11 +259,12 @@ def _lm(vec: VecT) -> ModMonomial:
     return min(vec, key=_key)
 
 
-def _left_mono_mul(a: Tuple[int, ...], b: Tuple[int, ...], vec: VecT) -> VecT:
+def _left_mono_mul(a: Tuple[int, ...], b: Tuple[int, ...], vec: VecT, products: dict) -> VecT:
     """Left-multiply a module vector by the ring monomial x^a d^b.
 
     Without d's the product only shifts x exponents, and by 1 it is vec
-    itself, so callers must not change the result.
+    itself, so callers must not change the result.  Otherwise `mono_mul`
+    is read from products, the memo of one public call, or added to it.
     """
     if not any(b):
         if not any(a):
@@ -269,7 +272,9 @@ def _left_mono_mul(a: Tuple[int, ...], b: Tuple[int, ...], vec: VecT) -> VecT:
         return {(pos, tuple(map(add, a, c)), d): coef for (pos, c, d), coef in vec.items()}
     out: VecT = {}
     for (pos, c, d), coef in vec.items():
-        for (na, nb), k in mono_mul((a, b), (c, d)).items():
+        if (prod := products.get(key := (a, b, c, d))) is None:
+            prod = products[key] = mono_mul((a, b), (c, d))
+        for (na, nb), k in prod.items():
             add_term(out, (pos, na, nb), coef if k == 1 else coef * k)
     return out
 
@@ -284,11 +289,15 @@ class _Row:
         self.lm = _lm(vec)
 
 
-def _reduce(vec: VecT, rows: List[_Row], guard: int, p: int = 0) -> VecT:
-    """Full left normal form of vec against monic rows: the remainder.
+def _reduce(vec: VecT, rows: List[_Row], guard: int, products: dict, p: int = 0) -> VecT:
+    """Full left normal form of vec against the rows: the remainder.
 
     With p > 0 the coefficients are ints mod p.  The work vector then
     holds them unreduced, and a term is reduced mod p when it is popped.
+    Rows over Q or mod p are monic.  An int row with leading coefficient
+    l != 1 pseudo-divides a term c: the work vector and the remainder are
+    scaled by l/gcd(c, l) first, so the remainder is a nonzero int multiple
+    of the one over Q and is zero exactly when that one is.
     """
     result: VecT = {}
     work = dict(vec)
@@ -314,15 +323,21 @@ def _reduce(vec: VecT, rows: List[_Row], guard: int, p: int = 0) -> VecT:
             result[m] = c
             continue
         lm_r = row.lm
-        qa = tuple(x - y for x, y in zip(m[1], lm_r[1]))
-        qb = tuple(x - y for x, y in zip(m[2], lm_r[2]))
-        for k, v in _left_mono_mul(qa, qb, row.vec).items():
+        if (lc := row.vec[lm_r]) != 1:
+            g = math.gcd(c, lc)
+            for part in (work, result):
+                for k in part:
+                    part[k] *= lc // g
+            c //= g
+        c = -c
+        qa, qb = tuple(map(sub, m[1], lm_r[1])), tuple(map(sub, m[2], lm_r[2]))
+        for k, v in _left_mono_mul(qa, qb, row.vec, products).items():
             old = work.get(k)
             if old is None:
-                work[k] = -c * v
+                work[k] = c * v
                 heapq.heappush(heap, _guarded_entry(k, guard))
             else:
-                s = old - c * v
+                s = old + c * v
                 if s:
                     work[k] = s
                 else:
@@ -419,7 +434,8 @@ def lift_basis(
 
 
 def _groebner_rows(
-    vecs: List[VecT], guard: int, cut: Optional[int] = None, p: int = 0, watch: bool = False
+    vecs: List[VecT], guard: int, cut: Optional[int] = None, p: int = 0, watch: bool = False,
+    products: Optional[dict] = None,
 ) -> List[_Row]:
     """The Buchberger loop on input vectors over one Weyl algebra.
 
@@ -434,15 +450,17 @@ def _groebner_rows(
 
     With p > 0 the loop runs on int coefficients mod the prime p.  With
     watch, the Q loop raises `_CoefficientSwell` on a new row whose leading
-    coefficient passes _SWELL_BITS.
+    coefficient passes _SWELL_BITS.  products: see `_left_mono_mul`.
     """
+    products = {} if products is None else products
     rows: List[_Row] = []
     live: List[int] = []  # the rows that form pairs and enter the final basis
     pairs: List[Tuple[int, int, int]] = []  # heap of (lcm degree, j, i), j < i
 
-    def add_row(red: VecT):
-        lm = _lm(red)
-        if cut is None or lm[0] < cut:
+    def add_row(vec: VecT):
+        red = _reduce(vec, rows, guard, products, p)
+        lm = red and _lm(red)
+        if lm and (cut is None or lm[0] < cut):
             lc = red[lm]
             if p:
                 inv = pow(lc, -1, p)
@@ -454,36 +472,26 @@ def _groebner_rows(
             _update_pairs(rows, live, pairs)
 
     for v in vecs:
-        red = _reduce(v, rows, guard, p)
-        if red:
-            add_row(red)
-
+        add_row(v)
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        red = _reduce(_spoly(rows[i], rows[j]), rows, guard, p)
-        if red:
-            add_row(red)
+        add_row(_spoly(rows[i], rows[j], products))
 
-    return _interreduce([rows[k] for k in live], guard, p)
+    return _interreduce([rows[k] for k in live], guard, products, p)
 
 
 class _CoefficientSwell(Exception):
     """The Q loop of `syzygies` made a row with a leading coefficient above _SWELL_BITS."""
 
 
-def _spoly(ri: _Row, rj: _Row) -> VecT:
+def _spoly(ri: _Row, rj: _Row, products: dict) -> VecT:
     """The S-vector of two monic rows whose leading monomials share a position."""
-    mi, mj = ri.lm, rj.lm
-    _, la, lb = _lcm(mi, mj)
+    _, la, lb = _lcm(ri.lm, rj.lm)
     spoly: VecT = {}
-    # int scales: rows mod p must stay ints
-    vec_add(spoly, _left_mono_mul(_sub(la, mi[1]), _sub(lb, mi[2]), ri.vec), 1)
-    vec_add(spoly, _left_mono_mul(_sub(la, mj[1]), _sub(lb, mj[2]), rj.vec), -1)
+    for r, scale in ((ri, None), (rj, -1)):  # an int scale: rows mod p must stay ints
+        qa, qb = tuple(map(sub, la, r.lm[1])), tuple(map(sub, lb, r.lm[2]))
+        vec_add(spoly, _left_mono_mul(qa, qb, r.vec, products), scale)
     return spoly
-
-
-def _sub(e: Tuple[int, ...], f: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(x - y for x, y in zip(e, f))
 
 
 def _lcm(mi: ModMonomial, mj: ModMonomial) -> ModMonomial:
@@ -526,7 +534,7 @@ def _update_pairs(rows: List[_Row], live: List[int], pairs: list):
     live.append(h)
 
 
-def _interreduce(rows: List[_Row], guard: int, p: int = 0) -> List[_Row]:
+def _interreduce(rows: List[_Row], guard: int, products: dict, p: int = 0) -> List[_Row]:
     """Tail-reduce the live rows, sorted by decreasing leading monomial.
 
     The live rows are already minimal: each new row is reduced by every
@@ -538,7 +546,7 @@ def _interreduce(rows: List[_Row], guard: int, p: int = 0) -> List[_Row]:
     """
     out: List[_Row] = []
     for r in sorted(rows, key=lambda r: _key(r.lm), reverse=True):
-        out.append(_Row(_reduce(r.vec, out, guard, p)))
+        out.append(_Row(_reduce(r.vec, out, guard, products, p)))
     out.reverse()
     return out
 
@@ -546,7 +554,7 @@ def _interreduce(rows: List[_Row], guard: int, p: int = 0) -> List[_Row]:
 def normal_form(v: FreeModuleElement, gb: GrobnerBasis) -> FreeModuleElement:
     """Left normal form of v modulo the basis; zero iff v is a member."""
     _check_compat(v, gb)
-    red = _reduce(_to_vec(v), gb._rows, _GUARD.get())
+    red = _reduce(_to_vec(v), gb._rows, _GUARD.get(), {})
     return _from_vec(red, gb.rank, gb.nvars)
 
 
@@ -580,10 +588,11 @@ def express_in_inputs(
     """
     _check_compat(v, gb)
     guard = _GUARD.get()
+    products: dict = {}
     if gb._lift_rows is None:
         tagged = _tagged(Matrix(tuple(gb.inputs), gb.rank))
-        gb._lift_rows = _groebner_rows(tagged, guard, cut=gb.rank)
-    red = _reduce(_to_vec(v), gb._lift_rows, guard)
+        gb._lift_rows = _groebner_rows(tagged, guard, cut=gb.rank, products=products)
+    red = _reduce(_to_vec(v), gb._lift_rows, guard, products)
     u: List[Dict[Monomial, Fraction]] = [{} for _ in gb.inputs]
     for (pos, a, b), c in red.items():
         if pos < gb.rank:
@@ -621,18 +630,19 @@ def syzygies(
     r, s = len(m.rows), m.cols
     tagged = _tagged(m)
     guard = _GUARD.get()
+    products: dict = {}
     try:
-        basis = _groebner_rows(tagged, guard, watch=True)
+        basis = _groebner_rows(tagged, guard, watch=True, products=products)
     except _CoefficientSwell:
-        basis = _modular_rows(tagged, s, guard)
+        basis = _modular_rows(tagged, s, guard, products)
         if basis is None:  # no reconstruction passed the checks
-            basis = _groebner_rows(tagged, guard)
+            basis = _groebner_rows(tagged, guard, products=products)
 
     # the leading monomial has the lowest position of a row, so a row lies
     # in the tag block iff its leading monomial does
     kernel = [row for row in basis if row.lm[0] >= s]
     # sanity: every kernel element must map to zero exactly
-    if not _multiplies_back(kernel, tagged, s):
+    if not _multiplies_back(kernel, tagged, s, products):
         raise AssertionError("syzygy candidate does not map to zero")
     kernel = [
         _from_vec({(pos - s, a, b): c for (pos, a, b), c in row.vec.items()}, r, nvars)
@@ -641,7 +651,7 @@ def syzygies(
     return GrobnerBasis(r, nvars, kernel, list(kernel))
 
 
-def _modular_rows(tagged: List[VecT], s: int, guard: int) -> Optional[List[_Row]]:
+def _modular_rows(tagged: List[VecT], s: int, guard: int, products: Optional[dict] = None) -> Optional[List[_Row]]:
     """The reduced basis of the tagged rows by the loop mod the primes of
     _PRIMES, or None if no prime gives a basis that `_certified` accepts.
 
@@ -650,6 +660,7 @@ def _modular_rows(tagged: List[VecT], s: int, guard: int) -> Optional[List[_Row]
     support starts the combination afresh.  After each prime the
     rationals are reconstructed from the combined residues and checked.
     """
+    products = {} if products is None else products
     acc: Optional[List[_Row]] = None
     modulus = 1
     for p in _PRIMES:
@@ -657,7 +668,7 @@ def _modular_rows(tagged: List[VecT], s: int, guard: int) -> Optional[List[_Row]
             continue
         vecs = [{m: r for m, c in v.items() if (r := c.numerator * pow(c.denominator, -1, p) % p)}
                 for v in tagged]
-        rows = _groebner_rows(vecs, guard, p=p)
+        rows = _groebner_rows(vecs, guard, p=p, products=products)
         if acc is not None and [r.vec.keys() for r in acc] == [r.vec.keys() for r in rows]:
             inv = pow(modulus, -1, p)
             for ra, rp in zip(acc, rows):
@@ -666,7 +677,7 @@ def _modular_rows(tagged: List[VecT], s: int, guard: int) -> Optional[List[_Row]
         else:
             acc, modulus = rows, p
         candidate = _reconstruct(acc, modulus)
-        if candidate is not None and _certified(candidate, tagged, s, guard):
+        if candidate is not None and _certified(candidate, tagged, s, guard, products):
             return candidate
     return None
 
@@ -674,16 +685,8 @@ def _modular_rows(tagged: List[VecT], s: int, guard: int) -> Optional[List[_Row]
 def _reconstruct(rows: List[_Row], modulus: int) -> Optional[List[_Row]]:
     """The rows with every residue mod modulus replaced by its rational
     reconstruction, or None if one has none."""
-    out = []
-    for row in rows:
-        vec: VecT = {}
-        for m, c in row.vec.items():
-            q = _rational(c, modulus)
-            if q is None:
-                return None
-            vec[m] = q
-        out.append(_Row(vec))
-    return out
+    vecs = [{m: _rational(c, modulus) for m, c in row.vec.items()} for row in rows]
+    return None if any(None in v.values() for v in vecs) else [_Row(v) for v in vecs]
 
 
 def _rational(c: int, m: int) -> Optional[Fraction]:
@@ -700,47 +703,44 @@ def _rational(c: int, m: int) -> Optional[Fraction]:
     return Fraction(r1, t1)
 
 
-def _certified(rows: List[_Row], tagged: List[VecT], s: int, guard: int) -> bool:
+def _certified(rows: List[_Row], tagged: List[VecT], s: int, guard: int, products: Optional[dict] = None) -> bool:
     """Is rows the reduced Groebner basis of the module the tagged rows span?
 
-    Checked exactly over Q: the rows are monic and reduced, each row lies
-    in the module (`_multiplies_back`), each tagged row reduces to 0 by the
-    rows, and so does every S-pair that `_update_pairs` keeps.  The reduced
+    Checked exactly: the rows are monic and reduced, each lies in the module
+    (`_multiplies_back`), and each tagged row and each S-pair that
+    `_update_pairs` keeps reduces to 0 by the rows, in ints: `_reduce`
+    pseudo-divides them by the rows cleared of denominators.  The reduced
     basis is unique, so such rows are the Q loop's.
     """
-    # monic first: `_reduce` relies on it
+    products = {} if products is None else products
     for r in rows:
         if r.vec[r.lm] != 1 or any(_divides(o.lm, m) for o in rows if o is not r for m in r.vec):
             return False
-    if not _multiplies_back(rows, tagged, s):
+    if not _multiplies_back(rows, tagged, s, products):
         return False
-    seen: List[_Row] = []
-    live: List[int] = []
-    pairs: List[Tuple[int, int, int]] = []
+    ints, live, pairs = [], [], []  # as in `_groebner_rows`
     for r in rows:
-        seen.append(r)
-        _update_pairs(seen, live, pairs)
-    return (all(not _reduce(_spoly(rows[i], rows[j]), rows, guard) for _, i, j in pairs)
-            and all(not _reduce(v, rows, guard) for v in tagged))
+        ints.append(_Row(cleared(r.vec)))
+        _update_pairs(ints, live, pairs)
+    return (all(not _reduce(cleared(_spoly(rows[i], rows[j], products)), ints, guard, products)
+                for _, i, j in pairs)
+            and all(not _reduce(cleared(v), ints, guard, products) for v in tagged))
 
 
-def _multiplies_back(rows: List[_Row], tagged: List[VecT], s: int) -> bool:
+def _multiplies_back(rows: List[_Row], tagged: List[VecT], s: int, products: dict) -> bool:
     """Does every row (v | c) of D^(s + len(tagged)) have v = sum_j c_j*row_j,
-    with tagged[j] = (row_j | e_j)?  Checked in integers: each row's
-    denominators are cleared by their lcm, and those of all row_j by theirs."""
+    with tagged[j] = (row_j | e_j)?  Checked in ints: each row is `cleared` of
+    its denominators, and all row_j of theirs by their lcm."""
     den = math.lcm(*(c.denominator for v in tagged for c in v.values()))
-    ints = [{m: c.numerator * (den // c.denominator) for m, c in v.items() if m[0] < s}
-            for v in tagged]
+    ints = [cleared({m: c for m, c in v.items() if m[0] < s}, den) for v in tagged]
     for row in rows:
-        scale = math.lcm(*(c.denominator for c in row.vec.values()))
         image: Dict[ModMonomial, int] = {}
         combo: Dict[ModMonomial, int] = {}
-        for (pos, a, b), c in row.vec.items():
-            c = c.numerator * (scale // c.denominator)
+        for (pos, a, b), c in cleared(row.vec).items():
             if pos < s:
                 image[(pos, a, b)] = c * den
             else:
-                for k, v in _left_mono_mul(a, b, ints[pos - s]).items():
+                for k, v in _left_mono_mul(a, b, ints[pos - s], products).items():
                     add_term(combo, k, c * v)
         if combo != image:
             return False

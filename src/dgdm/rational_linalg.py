@@ -5,16 +5,16 @@ rationals: `Fraction`s, or `int`s where a kernel keeps integral values.
 This module holds the one sparse-vector kernel every other module uses:
 `add_term` adds into one coordinate, `vec_add` adds a scaled vector in
 place, and `apply_linear` extends a map on keys linearly; all three drop
-zero coefficients.  `add_term` and `vec_add` also serve vectors whose
-coefficients are other ring elements with `+`, `*` and a falsy zero,
-such as the rows over D of `groebner`.  On top of the kernel sits a
-fraction-free echelon form with a deterministic pivot rule (smallest
-column key), which is enough for span membership and nullspace
-computation.  Its rows hold `int`s; kernel vectors leave as `Fraction`s.
-Most vectors the slice checks insert have one term {k: c}; such an
-insert runs no elimination unless a row of several terms pivots at k:
-it stores the unit row {k: 1}, or finds k spanned by the row {k: 1}.
-No floating point.
+zero coefficients; `cleared` makes a rational vector an int one.
+`add_term` and `vec_add` also serve vectors whose coefficients are other
+ring elements with `+`, `*` and a falsy zero, such as the rows over D of
+`groebner`.  On top of the kernel sits a fraction-free echelon form
+with a deterministic pivot rule (smallest column key), which is enough
+for span membership and nullspace computation.  Its rows hold `int`s;
+kernel vectors leave as `Fraction`s.  Most vectors the slice checks
+insert have one term {k: c}; such an insert runs no elimination unless
+a row of several terms pivots at k: it stores the unit row {k: 1}, or
+finds k spanned by the row {k: 1}.  No floating point.
 """
 
 from __future__ import annotations
@@ -62,6 +62,13 @@ def vec_add(target: Vec, src: Vec, scale=None):
             target.pop(k, None)
 
 
+def cleared(vec: Vec, den: Optional[int] = None) -> Dict[Hashable, int]:
+    """den*vec as a new int vector, den by default the lcm of the
+    denominators of vec's coefficients (ints or `Fraction`s)."""
+    den = den or lcm(*(c.denominator for c in vec.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+
+
 def apply_linear(key_map: Callable[[Hashable], Vec], vec: Vec) -> Vec:
     """The linear extension of key_map evaluated on vec."""
     out: Vec = {}
@@ -94,14 +101,7 @@ class Echelon:
     def reduce(self, vec: Vec) -> Dict[Hashable, int]:
         """A positive integer multiple of the residue of vec, as a new int
         vector with every pivot column cleared; empty iff vec is in the span."""
-        ints, den = True, 1
-        for c in vec.values():
-            if type(c) is not int:
-                ints, den = False, lcm(den, c.denominator)
-        if ints:
-            vec = dict(vec)
-        else:
-            vec = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+        vec = dict(vec) if all(type(c) is int for c in vec.values()) else cleared(vec)  # ints: no lcm
         rows = self.rows
         heap = [k for k in vec if k in rows]  # candidate pivots, smallest first
         heapify(heap)

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import math
 import os
 import random
 from collections import Counter
@@ -11,7 +12,7 @@ from itertools import product
 import pytest
 
 import dgdm
-from dgdm import groebner
+from dgdm import groebner, weyl
 from dgdm.groebner import (
     DEFAULT_DEGREE_GUARD,
     DegreeGuardExceeded,
@@ -27,7 +28,7 @@ from dgdm.groebner import (
     syzygies,
 )
 from dgdm.randgen import random_weyl
-from dgdm.rational_linalg import Echelon, nullspace, vec_add
+from dgdm.rational_linalg import Echelon, cleared, nullspace, vec_add
 from dgdm.weyl import WeylElement
 
 
@@ -811,6 +812,47 @@ def test_ladder_kernels_match_pins(rung):
     assert kernel_digest(syzygies(ladder_matrix(rung), 1)) == LADDER_PINS[rung]
 
 
+def test_one_product_memo_per_syzygies_call(monkeypatch):
+    # each syzygies call keeps one memo of monomial products, shared by its
+    # Q loop, its loops mod p and its checks: rung 9 computes each of its
+    # 726 distinct products once (15,252 _normal_order calls without the
+    # memo).  The memo dies with the call, so a second identical call
+    # computes them all again; a process-wide cache would compute none.
+    calls = []
+    normal_order = weyl._normal_order
+    monkeypatch.setattr(weyl, "_normal_order", lambda m1, m2: calls.append((m1, m2)) or normal_order(m1, m2))
+    for _ in range(2):
+        calls.clear()
+        assert kernel_digest(syzygies(ladder_matrix(9), 1)) == LADDER_PINS[9]
+        assert len(calls) == len(set(calls)) == 726
+
+
+def two_variable_matrix(seed):
+    """A 3x2 matrix over D_2 with entries random_weyl(Random(seed), 2, 3, 1)."""
+    rng = random.Random(seed)
+    return [[random_weyl(rng, 2, 3, 1) for _ in range(2)] for _ in range(3)]
+
+
+# kernel digests and sizes over D_2, computed before the product memo and the
+# integer certification; seed 3 stays on the Q loop, seed 39 takes the
+# modular path, so its rows pass the integer certifier
+TWO_VARIABLE_PINS = {
+    3: ("c788088b3f7d632b71e82098c3d10d5459018f031d157c926d8ca148107fa586", 14, False),
+    39: ("8425d53f1e84756b91c10c8716af53719541c1170202f028fa0bb93fc999bcd8", 9, True),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TWO_VARIABLE_PINS))
+def test_two_variable_kernels_match_pins(monkeypatch, seed):
+    modular = groebner._modular_rows
+    taken = []
+    monkeypatch.setattr(groebner, "_modular_rows", lambda *a: taken.append(r := modular(*a)) or r)
+    gb = syzygies(two_variable_matrix(seed), 2)
+    digest, size, takes_modular = TWO_VARIABLE_PINS[seed]
+    assert (kernel_digest(gb), len(gb), bool(taken)) == (digest, size, takes_modular)
+    assert None not in taken
+
+
 @pytest.mark.parametrize("rung", [0, 2, 3, 6])
 def test_ladder_kernel_complete_in_low_degree(rung):
     # oracle: the kernel of the truncated map F_N^3 -> D^2, v |-> sum_i v_i*row_i,
@@ -952,3 +994,30 @@ def test_each_check_rejects_what_only_it_sees():
     # twice the basis is no longer monic
     doubled = [groebner._Row({m: 2 * c for m, c in r.vec.items()}) for r in q_rows]
     assert not groebner._certified(doubled, tagged, 2, guard)
+
+
+def test_pseudo_division_by_non_monic_int_rows_refuses_a_dropped_row():
+    # the certifier reduces in ints, by the candidate rows cleared of
+    # denominators; rung 7's are primitive and all lead with an int l != 1,
+    # so `_reduce` pseudo-divides by them.  Oracle: each int remainder is a nonzero int
+    # multiple of the remainder over Q, term by term.
+    guard = get_degree_guard()
+    tagged = groebner._tagged(groebner.as_matrix(ladder_matrix(7), 1))
+    q_rows = groebner._groebner_rows(tagged, guard)
+    int_rows = [groebner._Row(cleared(r.vec)) for r in q_rows]
+    assert all(r.vec[r.lm] != 1 and math.gcd(*r.vec.values()) == 1 for r in int_rows)
+    # without its first row the basis is monic, reduced and inside the
+    # module, but spans less: only the reductions of the tagged inputs see it
+    candidate = q_rows[1:]
+    assert groebner._multiplies_back(candidate, tagged, 2, {})
+    assert not groebner._certified(candidate, tagged, 2, guard)
+    left = []
+    for rows, ints in ((q_rows, int_rows), (candidate, int_rows[1:])):
+        for v in tagged:
+            q = groebner._reduce(v, rows, guard, {})
+            z = groebner._reduce(cleared(v), ints, guard, {})
+            assert z.keys() == q.keys()
+            ratios = {Fraction(z[m]) / q[m] for m in q}
+            assert len(ratios) <= 1 and all(r != 0 and r.denominator == 1 for r in ratios)
+            left.append(len(q))
+    assert left[:3] == [0, 0, 0] and left[3:] == [5, 65, 0]
