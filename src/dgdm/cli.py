@@ -22,7 +22,7 @@ import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import verify
 from .amod import (
@@ -126,18 +126,17 @@ class _Parser:
         shown = value or kind
         raise ParseError(f"unexpected token {shown!r}", line, col, expected)
 
-    def expect_op(self, op: str):
-        kind, value, line, col = self.peek()
+    def accept(self, op: str) -> bool:
+        """Consume the operator op if it comes next; whether it did."""
+        kind, value, _, _ = self.peek()
         if kind == "op" and value == op:
-            return self.advance()
-        self.error((op,))
+            self.advance()
+            return True
+        return False
 
     def parse_sum(self):
         # expr := ['-'] term (('+'|'-') term)*
-        negate = False
-        if self.peek()[0] == "op" and self.peek()[1] == "-":
-            self.advance()
-            negate = True
+        negate = self.accept("-")
         total = self.parse_term()
         if negate:
             total = self.neg(total)
@@ -152,13 +151,9 @@ class _Parser:
 
     def parse_term(self):
         total = self.parse_factor()
-        while True:
-            kind, value, _, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                total = self.mul(total, self.parse_factor())
-            else:
-                return total
+        while self.accept("*"):
+            total = self.mul(total, self.parse_factor())
+        return total
 
     def parse_factor(self):
         kind, value, line, col = self.peek()
@@ -176,8 +171,7 @@ class _Parser:
                 self.error(("rational", "x<i>", "d<i>"))
             self.advance()
             dexp = (0,) * self.nvars
-            if self.peek()[0] == "op" and self.peek()[1] == "[":
-                self.advance()
+            if self.accept("["):
                 exps = []
                 while True:
                     k2, v2, l2, c2 = self.peek()
@@ -185,12 +179,10 @@ class _Parser:
                         self.error(("integer",))
                     exps.append(int(v2))
                     self.advance()
-                    k2, v2, _, _ = self.peek()
-                    if k2 == "op" and v2 == ",":
-                        self.advance()
-                        continue
-                    break
-                self.expect_op("]")
+                    if not self.accept(","):
+                        break
+                if not self.accept("]"):
+                    self.error(("]",))
                 if len(exps) != self.nvars:
                     raise ParseError(
                         f"atom exponent vector has length {len(exps)}, expected {self.nvars}",
@@ -203,8 +195,7 @@ class _Parser:
             self.error(("rational", "x<i>", "d<i>", "name"))
         # postfix ^; stacked exponents multiply, and each and their product are capped
         total = 1
-        while self.peek()[0] == "op" and self.peek()[1] == "^":
-            self.advance()
+        while self.accept("^"):
             k2, v2, l2, c2 = self.peek()
             if k2 != "rat" or "/" in v2:
                 self.error(("integer exponent",))
@@ -236,29 +227,31 @@ def parse_operator(text: str, nvars: int = 1) -> WeylElement:
     return p.finish(p.parse_sum())
 
 
+def _algebra_atom(algebra: SullivanAlgebra, name: str, dexp, line: int, col: int) -> AlgebraElement:
+    """The atom d^dexp of the algebra generator called name, parsed at (line, col)."""
+    try:
+        j = algebra.generator_index(name)
+    except KeyError:
+        raise ParseError(f"unknown generator {name!r}", line, col)
+    return algebra.atom(j, dexp)
+
+
+def _algebra_x(algebra: SullivanAlgebra, kind: str, i: int, what: str) -> AlgebraElement:
+    """x_i in the algebra; a free d_i is refused, for it is none of `what`."""
+    if kind == "d":
+        raise ParseError(f"free d-factors are not {what}; use atom exponents", 1, 1)
+    return algebra.x_poly(tuple(1 if k == i - 1 else 0 for k in range(algebra.nvars)))
+
+
 def parse_algebra_element(text: str, algebra: SullivanAlgebra) -> AlgebraElement:
     """Parse an algebra element; generator atoms as `name` or `name[b...]`."""
-    nvars = algebra.nvars
-
-    def from_name(name, dexp, line, col):
-        try:
-            j = algebra.generator_index(name)
-        except KeyError:
-            raise ParseError(f"unknown generator {name!r}", line, col)
-        return algebra.atom(j, dexp)
-
-    def from_var(kind, i):
-        if kind == "d":
-            raise ParseError("free d-factors are not algebra elements; use atom exponents", 1, 1)
-        return algebra.x_poly(tuple(1 if k == i - 1 else 0 for k in range(nvars)))
-
     p = _Parser(
-        text, nvars,
+        text, algebra.nvars,
         mul=lambda a, b: a * b,
         neg=lambda a: -a,
         from_rat=lambda c: algebra.one(c),
-        from_var=from_var,
-        from_name=from_name,
+        from_var=lambda kind, i: _algebra_x(algebra, kind, i, "algebra elements"),
+        from_name=lambda name, dexp, line, col: _algebra_atom(algebra, name, dexp, line, col),
     )
     return p.finish(p.parse_sum())
 
@@ -300,16 +293,10 @@ def parse_module_element(text: str, module: AModule) -> AModuleElement:
     def from_name(name, dexp, line, col):
         if name in mod_names:
             return Wrap([(algebra.one(), (mod_names[name], dexp))])
-        try:
-            j = algebra.generator_index(name)
-        except KeyError:
-            raise ParseError(f"unknown generator {name!r}", line, col)
-        return Wrap([(algebra.atom(j, dexp), None)])
+        return Wrap([(_algebra_atom(algebra, name, dexp, line, col), None)])
 
     def from_var(kind, i):
-        if kind == "d":
-            raise ParseError("free d-factors are not module elements; use atom exponents", 1, 1)
-        return Wrap([(algebra.x_poly(tuple(1 if k == i - 1 else 0 for k in range(nvars))), None)])
+        return Wrap([(_algebra_x(algebra, kind, i, "module elements"), None)])
 
     p = _Parser(text, nvars, mul, neg, lambda c: Wrap([(algebra.one(c), None)]), from_var, from_name)
     w = p.finish(p.parse_sum())
@@ -343,22 +330,16 @@ def _int(value, what: str) -> int:
     raise DocumentError(f"{what} must be an integer, got {value!r}")
 
 
-def _object(value, what: str) -> Dict:
-    if not isinstance(value, dict):
-        raise DocumentError(f"{what} must be an object, got {value!r}")
-    return value
+def _typed(kind: type, kind_name: str) -> Callable:
+    """The reader of a field that must be a JSON value of this kind."""
+    def read(value, what: str):
+        if not isinstance(value, kind):
+            raise DocumentError(f"{what} must be {kind_name}, got {value!r}")
+        return value
+    return read
 
 
-def _list(value, what: str) -> List:
-    if not isinstance(value, list):
-        raise DocumentError(f"{what} must be a list, got {value!r}")
-    return value
-
-
-def _text(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise DocumentError(f"{what} must be a string, got {value!r}")
-    return value
+_object, _list, _text = _typed(dict, "an object"), _typed(list, "a list"), _typed(str, "a string")
 
 
 # The engine builds exponent tuples of length vars before it checks
@@ -385,9 +366,7 @@ def _operator_matrix(mat, nvars: int, what: str):
 
 
 def make_document(kind: str, body: Dict) -> Dict:
-    doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": kind}
-    doc.update(body)
-    return doc
+    return {"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": kind, **body}
 
 
 def print_document(doc: Dict) -> str:
@@ -625,10 +604,7 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
     except DegreeGuardExceeded as e:
         _diag(f"degree guard: {e}")
         return 3
-    except (DocumentError, ParseError, ComplexError, ValueError, KeyError) as e:
-        _diag(f"error: {e}")
-        return 2
-    except OSError as e:
+    except (DocumentError, ParseError, ComplexError, ValueError, KeyError, OSError) as e:
         _diag(f"error: {e}")
         return 2
 
@@ -673,9 +649,7 @@ def _run_command(args) -> int:
         kinds = args.kinds.split(",")
         if len(kinds) != 2 or any(k not in ("iota", "zeta") for k in kinds):
             raise DocumentError("--kinds must be two of iota|zeta separated by a comma")
-        maps = []
-        for kind, idx in zip(kinds, (args.m, args.n)):
-            maps.append(iota(idx) if kind == "iota" else zeta(idx))
+        maps = [iota(idx) if kind == "iota" else zeta(idx) for kind, idx in zip(kinds, (args.m, args.n))]
         r = pushout_product(maps[0], maps[1], _nvars(args.vars))
         body = {
             "m": args.m,
@@ -688,13 +662,12 @@ def _run_command(args) -> int:
                 str(deg): ["D(x)D" for _ in slots] for deg, slots in sorted(r.cokernel.items())
             },
         }
+        ok = True
         if "zeta" in kinds:
             res = is_bounded_weq(r.map, args.truncation)
-            body["cone"] = res.verdict
-            _emit(make_document("boxprod-report", body))
-            return 0 if res.ok else 1
+            body["cone"], ok = res.verdict, res.ok
         _emit(make_document("boxprod-report", body))
-        return 0
+        return 0 if ok else 1
 
     if cmd == "attach":
         doc = load_document(args.file, "attach-input")

@@ -39,6 +39,13 @@ runs to the end.  `buchberger` and the lift stay on the Q loop: their
 rows are not the full basis of a tagged module, so these checks do not
 prove them right.  Each public call keeps one memo of monomial products,
 which all its loops and checks share and which dies with the call.
+
+Every reduction finds divisors through a reducer index (`_Index`): the
+rows under the positions of their leading monomials, in the order they
+entered, each with a divisibility mask of its leading exponents, the
+"short exponent vectors" of Bachmann and Schönemann (ISSAC 1998).  A
+term is reduced by the first row at its position whose mask, and then
+exponents, divide it: the row a scan of all the rows in order finds.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .rational_linalg import add_term, cleared, vec_add
@@ -101,11 +108,20 @@ def _key(m: ModMonomial):
 
 def _divides(m1: ModMonomial, m2: ModMonomial) -> bool:
     """m1 divides m2: same position, componentwise <= exponents."""
-    return (
-        m1[0] == m2[0]
-        and all(x <= y for x, y in zip(m1[1], m2[1]))
-        and all(x <= y for x, y in zip(m1[2], m2[2]))
-    )
+    return m1[0] == m2[0] and all(map(le, m1[1], m2[1])) and all(map(le, m1[2], m2[2]))
+
+
+_LOW = tuple((1 << k) - 1 for k in range(9))  # _LOW[k]: the lowest k bits
+
+
+def _mask(m: ModMonomial) -> int:
+    """The divisibility mask of m's exponents: 8 bits per exponent e, the
+    lowest min(e, 8) of them set.  If m1 divides m2, every bit of m1's mask
+    is set in m2's; for exponents below 8 the converse holds too."""
+    mask = 0
+    for x in m[1] + m[2]:
+        mask = mask << 8 | _LOW[x if x < 8 else 8]
+    return mask
 
 
 class FreeModuleElement:
@@ -280,18 +296,45 @@ def _left_mono_mul(a: Tuple[int, ...], b: Tuple[int, ...], vec: VecT, products: 
 
 
 class _Row:
-    """A working basis row: vector and leading monomial."""
+    """A working basis row: vector, leading monomial (`_lm` unless given) and its `_mask`."""
 
-    __slots__ = ("vec", "lm")
+    __slots__ = ("vec", "lm", "mask")
 
-    def __init__(self, vec: VecT):
+    def __init__(self, vec: VecT, lm: Optional[ModMonomial] = None):
         self.vec = vec
-        self.lm = _lm(vec)
+        self.lm = lm or _lm(vec)
+        self.mask = _mask(self.lm)
 
 
-def _reduce(vec: VecT, rows: List[_Row], guard: int, products: dict, p: int = 0) -> VecT:
-    """Full left normal form of vec against the rows: the remainder.
+class _Index:
+    """The reducer index: rows in the order they entered, and `buckets`,
+    the same rows by the position of their leading monomials."""
 
+    def __init__(self, rows: Sequence[_Row] = ()):
+        self.rows: List[_Row] = []
+        self.buckets: Dict[int, List[_Row]] = {}
+        for r in rows:
+            self.add(r)
+
+    def add(self, row: _Row):
+        self.rows.append(row)
+        self.buckets.setdefault(row.lm[0], []).append(row)
+
+    def divisor(self, m: ModMonomial) -> Optional[_Row]:
+        """The first row entered whose leading monomial divides m, or None."""
+        bucket = self.buckets.get(m[0])
+        if bucket:
+            out = ~_mask(m)
+            for row in bucket:
+                if not row.mask & out and _divides(row.lm, m):
+                    return row
+        return None
+
+
+def _reduce(vec: VecT, index: _Index, guard: int, products: dict, p: int = 0) -> VecT:
+    """Full left normal form of vec against the rows of the index: the remainder.
+
+    Each term is reduced by its first divisor in the index (`_Index.divisor`).
     With p > 0 the coefficients are ints mod p.  The work vector then
     holds them unreduced, and a term is reduced mod p when it is popped.
     Rows over Q or mod p are monic.  An int row with leading coefficient
@@ -301,9 +344,11 @@ def _reduce(vec: VecT, rows: List[_Row], guard: int, products: dict, p: int = 0)
     """
     result: VecT = {}
     work = dict(vec)
-    # the terms of work, largest first; a popped term that has since
-    # cancelled is no longer in work and is skipped
-    heap = [_guarded_entry(m, guard) for m in work]
+    # the terms of work by `_key`, largest first; a popped term that has
+    # since cancelled is no longer in work and is skipped
+    heap = [(_key(m), m) for m in work]
+    if any(-k[1] > guard for k, _ in heap):
+        raise DegreeGuardExceeded(f"reduction exceeded total degree {guard}")
     heapq.heapify(heap)
     while heap:
         m = heapq.heappop(heap)[1]
@@ -315,10 +360,8 @@ def _reduce(vec: VecT, rows: List[_Row], guard: int, products: dict, p: int = 0)
             c %= p
             if not c:
                 continue
-        for row in rows:
-            if _divides(row.lm, m):
-                break
-        else:
+        row = index.divisor(m)
+        if row is None:
             del work[m]
             result[m] = c
             continue
@@ -335,7 +378,10 @@ def _reduce(vec: VecT, rows: List[_Row], guard: int, products: dict, p: int = 0)
             old = work.get(k)
             if old is None:
                 work[k] = c * v
-                heapq.heappush(heap, _guarded_entry(k, guard))
+                e = k[1] + k[2]
+                if (deg := sum(e)) > guard:
+                    raise DegreeGuardExceeded(f"reduction exceeded total degree {guard}")
+                heapq.heappush(heap, ((k[0], -deg, e[::-1]), k))
             else:
                 s = old + c * v
                 if s:
@@ -343,14 +389,6 @@ def _reduce(vec: VecT, rows: List[_Row], guard: int, products: dict, p: int = 0)
                 else:
                     del work[k]
     return result
-
-
-def _guarded_entry(m: ModMonomial, guard: int):
-    """The heap entry of a term entering a reduction, checked against the guard."""
-    hk = _key(m)
-    if -hk[1] > guard:
-        raise DegreeGuardExceeded(f"reduction exceeded total degree {guard}")
-    return hk, m
 
 
 class LiftBasis:
@@ -361,7 +399,7 @@ class LiftBasis:
         self.rank = rank
         self.nvars = nvars
         self.inputs = inputs
-        self._lift_rows: Optional[List[_Row]] = None
+        self._lift_rows: Optional[_Index] = None
 
 
 class GrobnerBasis(LiftBasis):
@@ -380,7 +418,7 @@ class GrobnerBasis(LiftBasis):
     ):
         super().__init__(rank, nvars, inputs)
         self.generators = generators
-        self._rows = [_Row(_to_vec(g)) for g in generators]
+        self._rows = _Index([_Row(_to_vec(g)) for g in generators])
 
     def __len__(self):
         return len(self.generators)
@@ -453,22 +491,23 @@ def _groebner_rows(
     coefficient passes _SWELL_BITS.  products: see `_left_mono_mul`.
     """
     products = {} if products is None else products
-    rows: List[_Row] = []
+    index = _Index()
+    rows = index.rows
     live: List[int] = []  # the rows that form pairs and enter the final basis
     pairs: List[Tuple[int, int, int]] = []  # heap of (lcm degree, j, i), j < i
 
     def add_row(vec: VecT):
-        red = _reduce(vec, rows, guard, products, p)
+        red = _reduce(vec, index, guard, products, p)
         lm = red and _lm(red)
         if lm and (cut is None or lm[0] < cut):
             lc = red[lm]
             if p:
                 inv = pow(lc, -1, p)
-                rows.append(_Row({m: c * inv % p for m, c in red.items()}))
+                index.add(_Row({m: c * inv % p for m, c in red.items()}, lm))
             else:
                 if watch and max(lc.numerator.bit_length(), lc.denominator.bit_length()) > _SWELL_BITS:
                     raise _CoefficientSwell()
-                rows.append(_Row({m: c / lc for m, c in red.items()}))
+                index.add(_Row({m: c / lc for m, c in red.items()}, lm))
             _update_pairs(rows, live, pairs)
 
     for v in vecs:
@@ -487,10 +526,9 @@ class _CoefficientSwell(Exception):
 def _spoly(ri: _Row, rj: _Row, products: dict) -> VecT:
     """The S-vector of two monic rows whose leading monomials share a position."""
     _, la, lb = _lcm(ri.lm, rj.lm)
-    spoly: VecT = {}
-    for r, scale in ((ri, None), (rj, -1)):  # an int scale: rows mod p must stay ints
-        qa, qb = tuple(map(sub, la, r.lm[1])), tuple(map(sub, lb, r.lm[2]))
-        vec_add(spoly, _left_mono_mul(qa, qb, r.vec, products), scale)
+    qi, qj = ((tuple(map(sub, la, r.lm[1])), tuple(map(sub, lb, r.lm[2]))) for r in (ri, rj))
+    spoly = dict(_left_mono_mul(*qi, ri.vec, products))
+    vec_add(spoly, {k: -c for k, c in _left_mono_mul(*qj, rj.vec, products).items()})
     return spoly
 
 
@@ -544,11 +582,10 @@ def _interreduce(rows: List[_Row], guard: int, products: dict, p: int = 0) -> Li
     whose coefficients are final and small.  Reduction keeps the leading
     term, so the rows stay monic.
     """
-    out: List[_Row] = []
+    out = _Index()
     for r in sorted(rows, key=lambda r: _key(r.lm), reverse=True):
-        out.append(_Row(_reduce(r.vec, out, guard, products, p)))
-    out.reverse()
-    return out
+        out.add(_Row(_reduce(r.vec, out, guard, products, p), r.lm))
+    return out.rows[::-1]
 
 
 def normal_form(v: FreeModuleElement, gb: GrobnerBasis) -> FreeModuleElement:
@@ -591,7 +628,7 @@ def express_in_inputs(
     products: dict = {}
     if gb._lift_rows is None:
         tagged = _tagged(Matrix(tuple(gb.inputs), gb.rank))
-        gb._lift_rows = _groebner_rows(tagged, guard, cut=gb.rank, products=products)
+        gb._lift_rows = _Index(_groebner_rows(tagged, guard, cut=gb.rank, products=products))
     red = _reduce(_to_vec(v), gb._lift_rows, guard, products)
     u: List[Dict[Monomial, Fraction]] = [{} for _ in gb.inputs]
     for (pos, a, b), c in red.items():
@@ -713,15 +750,16 @@ def _certified(rows: List[_Row], tagged: List[VecT], s: int, guard: int, product
     basis is unique, so such rows are the Q loop's.
     """
     products = {} if products is None else products
+    ints, live, pairs = _Index(), [], []  # as in `_groebner_rows`
     for r in rows:
-        if r.vec[r.lm] != 1 or any(_divides(o.lm, m) for o in rows if o is not r for m in r.vec):
-            return False
+        ints.add(_Row(cleared(r.vec), r.lm))
+        _update_pairs(ints.rows, live, pairs)
+    # reduced: a term's first divisor is none or its own row, and no later row retired one
+    if len(live) < len(rows) or any(r.vec[r.lm] != 1 or any(ints.divisor(m) not in (None, i) for m in r.vec)
+                                    for r, i in zip(rows, ints.rows)):
+        return False
     if not _multiplies_back(rows, tagged, s, products):
         return False
-    ints, live, pairs = [], [], []  # as in `_groebner_rows`
-    for r in rows:
-        ints.append(_Row(cleared(r.vec)))
-        _update_pairs(ints, live, pairs)
     return (all(not _reduce(cleared(_spoly(rows[i], rows[j], products)), ints, guard, products)
                 for _, i, j in pairs)
             and all(not _reduce(cleared(v), ints, guard, products) for v in tagged))

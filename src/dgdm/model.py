@@ -400,10 +400,9 @@ def pushout_product(a: GeneratingMap, b: GeneratingMap, nvars: int = 1) -> Pusho
     corner_map = OBasisChainMap(domain, codomain, entries)
     corner_map.check_chain_property(max_weight=2)
 
-    image_slots = set(domain.slots)
     cokernel: Dict[int, List[SlotId]] = {}
     for sid, slot in codomain.slots.items():
-        if sid not in image_slots:
+        if sid not in domain.slots:
             cokernel.setdefault(slot.degree, []).append(sid)
     for deg in cokernel:
         cokernel[deg].sort()

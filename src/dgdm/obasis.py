@@ -113,16 +113,13 @@ class OBasisComplex:
 
 def _bounded_exponent_blocks(nvars: int, blocks: int, total: int):
     """Each tuple of `blocks` exponent vectors of combined degree <= total, with that degree."""
-    def rec(i, budget):
-        for e in exponents_bounded(nvars, budget):
-            used = sum(e)
-            if i == blocks - 1:
-                yield (e,), used
-            else:
-                for rest, more in rec(i + 1, budget - used):
-                    yield (e,) + rest, used + more
-
-    yield from rec(0, total)
+    for e in exponents_bounded(nvars, total):
+        used = sum(e)
+        if blocks == 1:
+            yield (e,), used
+        else:
+            for rest, more in _bounded_exponent_blocks(nvars, blocks - 1, total - used):
+                yield (e,) + rest, used + more
 
 
 class OBasisChainMap:

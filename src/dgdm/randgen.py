@@ -94,15 +94,14 @@ def random_complex(
     return FreeDComplex(nvars, ranks, {n: Matrix(tuple(rows), ranks.get(n - 1, 0)) for n, rows in diffs.items()})
 
 
-def random_map_from_cone(rng: random.Random, z: FreeDComplex, x: FreeDComplex) -> ChainMap:
-    """A chain map cone(id_Z) -> X from arbitrary degree-raising data u.
+def random_map_from_cone(rng: random.Random, z: FreeDComplex, cone: FreeDComplex, x: FreeDComplex) -> ChainMap:
+    """A chain map cone -> X, for cone = cone(id_Z), from degree-raising data u.
 
     With cone(id_Z)_n = Z_{n-1} (+) Z_n, any family u_n: Z_{n-1} -> X_n
     determines the chain map (a, b) |-> u(a) + v(b) where the chain
     condition forces v_n = u_n o d_Z + d_X o u_{n+1}; every choice of u
     works, so the family is as random as u is.
     """
-    cone = mapping_cone(identity_map(z))
     nv = z.nvars
     u = {}
     for n in range(0, max(z.top + 2, x.top + 1) + 1):
@@ -143,7 +142,7 @@ def random_weq(
     cz = mapping_cone(identity_map(z))
     y = direct_sum(x, cz)
     inc = summand_inclusion(x, cz, 0)
-    psi = random_map_from_cone(rng, z, x)
+    psi = random_map_from_cone(rng, z, cz, x)
     # shear (x', c) |-> (x' + psi(c), c): a chain automorphism of Y
     maps = {}
     for n in y.degrees():

@@ -92,14 +92,6 @@ def _jsonify(value):
     return str(value)
 
 
-def _combine(verdicts: List[str]) -> str:
-    if any(v == "fail" for v in verdicts):
-        return "fail"
-    if any(v == "bounded-pass" for v in verdicts):
-        return "bounded-pass"
-    return "pass"
-
-
 # =================================================================== checks
 
 def check_flatness_counterexample(rng, params):
@@ -414,8 +406,8 @@ def check_limit_colimit_weq(rng, params):
             cz2 = mapping_cone(identity_map(z2))
             x_new = direct_sum(prev.source, cz1)
             y_new = direct_sum(prev.target, cz2)
-            rho = rg.random_map_from_cone(rng, z1, cz2)
-            tau = rg.random_map_from_cone(rng, z1, prev.target)
+            rho = rg.random_map_from_cone(rng, z1, cz1, cz2)
+            tau = rg.random_map_from_cone(rng, z1, cz1, prev.target)
             maps = {
                 n: block_matrix(
                     [[prev.component(n), None], [tau.component(n), rho.component(n)]],
@@ -652,4 +644,6 @@ def run_suite(
 
 
 def aggregate_verdict(reports: List[CheckReport]) -> str:
-    return _combine([r.verdict for r in reports])
+    """The weakest verdict of the reports: fail, then bounded-pass, then pass."""
+    verdicts = {r.verdict for r in reports}
+    return next((v for v in ("fail", "bounded-pass") if v in verdicts), "pass")

@@ -502,6 +502,17 @@ def test_degree_guard_raises_inside_buchberger():
         assert len(buchberger(gens)) > 0
 
 
+def test_degree_guard_raises_on_a_term_a_reduction_step_makes():
+    # x^3 d^3 | 0 has degree 6, but its reduction by 1 | x^5 leaves
+    # 0 | -x^3 d^3 x^5, whose leading term has degree 11
+    x3d3, x5 = WeylElement.monomial(1, (3,), (3,)), WeylElement.monomial(1, (5,), (0,))
+    gb = buchberger([vec(ONE, x5)])
+    with pytest.raises(DegreeGuardExceeded), degree_guard(10):
+        normal_form(vec(x3d3, ZERO), gb)
+    with degree_guard(11):
+        assert normal_form(vec(x3d3, ZERO), gb) == vec(ZERO, -(x3d3 * x5))
+
+
 def test_degree_guard_scope_restores_outer_value():
     gens = [vec(X() * X() * X() + D()), vec(D() * D() * D() + X())]
     assert get_degree_guard() == DEFAULT_DEGREE_GUARD
@@ -827,6 +838,112 @@ def test_one_product_memo_per_syzygies_call(monkeypatch):
         assert len(calls) == len(set(calls)) == 726
 
 
+TIMED_RUNGS = (0, 1, 2, 3, 4, 6, 10, 11)  # the benchmark's timed ladder pass
+
+
+def test_reducer_index_count_gate(monkeypatch):
+    # one timed ladder pass makes 91 reductions.  With a linear scan of the
+    # rows for each term, a pass made 3,931 `_divides` calls, 161 of them in
+    # `_update_pairs`.  The index tries only the rows at a term's position
+    # and calls `_divides` only where the mask allows it: 70 calls
+    calls = Counter()
+    for name in ("_divides", "_reduce"):
+        fn = getattr(groebner, name)
+        monkeypatch.setattr(groebner, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+    for rung in TIMED_RUNGS:
+        assert kernel_digest(syzygies(ladder_matrix(rung), 1)) == LADDER_PINS[rung]
+    assert calls == {"_divides": 231, "_reduce": 91}
+
+
+def _random_module_monomial(rng, nvars, positions, max_exp):
+    return (rng.randrange(positions), tuple(rng.randint(0, max_exp) for _ in range(nvars)),
+            tuple(rng.randint(0, max_exp) for _ in range(nvars)))
+
+
+def _linear_reduce(vec, rows, p=0):
+    """The reference for `_reduce`: the same steps on the largest remaining
+    term, with its divisor found by a scan of all the rows in order."""
+    result, work = {}, dict(vec)
+    while work:
+        m = min(work, key=groebner._key)
+        c = work[m] % p if p else work[m]
+        row = next((r for r in rows if groebner._divides(r.lm, m)), None)
+        if not c or row is None:
+            del work[m]
+            if c:
+                result[m] = c
+            continue
+        lc = row.vec[row.lm]
+        if lc != 1:  # pseudo-division by a non-monic int row
+            g = math.gcd(c, lc)
+            for part in (work, result):
+                for k in part:
+                    part[k] *= lc // g
+            c //= g
+        c = -c
+        q = [tuple(x - y for x, y in zip(m[i], row.lm[i])) for i in (1, 2)]
+        for k, v in groebner._left_mono_mul(*q, row.vec, {}).items():
+            vec_add(work, {k: c * v})
+    return result
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_reducer_index_finds_the_linear_scans_divisor(nvars):
+    # oracle: a scan of all rows in the order they entered.  Exponents up to
+    # 10 overflow the 8 mask bits of an exponent, so some masks admit rows
+    # that do not divide: `_divides` must still refuse them
+    rng = random.Random(40 + nvars)
+    rows = [groebner._Row({_random_module_monomial(rng, nvars, 3, 10): Fraction(1)}) for _ in range(40)]
+    index = groebner._Index(rows)
+    admitted = 0
+    for _ in range(3000):
+        m = _random_module_monomial(rng, nvars, 3, 10)
+        first = next((r for r in rows if groebner._divides(r.lm, m)), None)
+        assert index.divisor(m) is first
+        admitted += sum(1 for r in rows if r.lm[0] == m[0] and not r.mask & ~groebner._mask(m)
+                        and not groebner._divides(r.lm, m))
+    assert admitted > 0
+
+
+def _random_rows(rng, nvars, count):
+    """Rows over Q, monic, with leading monomials spread over 3 positions."""
+    rows = []
+    for _ in range(count):
+        vec = {_random_module_monomial(rng, nvars, 3, 3): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+               for _ in range(3)}
+        vec = {m: c for m, c in vec.items() if c}
+        if vec:
+            lc = vec[groebner._lm(vec)]
+            rows.append(groebner._Row({m: c / lc for m, c in vec.items()}))
+    return rows
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_reduce_by_the_index_matches_a_linear_scan(nvars):
+    # the one `_reduce` on its three kinds of rows: monic over Q, monic mod
+    # p, and primitive ints with leading coefficients != 1 (pseudo-division);
+    # the remainders equal the reference's term by term
+    rng, p, reduced = random.Random(50 + nvars), 101, Counter()
+    for _ in range(12):
+        q_rows = _random_rows(rng, nvars, 6)
+        mod_rows = [groebner._Row({m: c.numerator * pow(c.denominator, -1, p) % p for m, c in r.vec.items()})
+                    for r in q_rows]
+        int_rows = [groebner._Row(cleared(r.vec)) for r in q_rows]
+        for _ in range(4):
+            vec = {_random_module_monomial(rng, nvars, 3, 4): Fraction(rng.randint(1, 5), rng.randint(1, 2))
+                   for _ in range(4)}
+            for kind, rows, v, modulus in (
+                    ("Q", q_rows, vec, 0),
+                    ("mod p", mod_rows, {m: c.numerator % p for m, c in vec.items()}, p),
+                    ("int", int_rows, cleared(vec), 0)):
+                red = groebner._reduce(v, groebner._Index(rows), 10**6, {}, modulus)
+                assert red == _linear_reduce(v, rows, modulus)
+                reduced[kind] += red != v
+    # most inputs meet a divisor, and int rows lead with l != 1
+    assert min(reduced[kind] for kind in ("Q", "mod p", "int")) >= 24
+    assert any(r.vec[r.lm] != 1 for r in int_rows)
+
+
 def two_variable_matrix(seed):
     """A 3x2 matrix over D_2 with entries random_weyl(Random(seed), 2, 3, 1)."""
     rng = random.Random(seed)
@@ -889,7 +1006,7 @@ def test_only_coefficient_swell_takes_the_modular_path(monkeypatch):
     # the kernels of the suite and of the timed ladder rungs keep small
     # coefficients and stay on the Q loop; rung 9's swell at once
     monkeypatch.setattr(groebner, "_modular_rows", _refuse_modular)
-    for rung in (0, 1, 2, 3, 4, 6, 10, 11):
+    for rung in TIMED_RUNGS:
         assert kernel_digest(syzygies(ladder_matrix(rung), 1)) == LADDER_PINS[rung]
     for nvars, rows in _syzygy_family():
         syzygies(rows, nvars)
@@ -994,6 +1111,15 @@ def test_each_check_rejects_what_only_it_sees():
     # twice the basis is no longer monic
     doubled = [groebner._Row({m: 2 * c for m, c in r.vec.items()}) for r in q_rows]
     assert not groebner._certified(doubled, tagged, 2, guard)
+    # rung 0's basis led by d times its first row: a monic Groebner basis of
+    # the module whose terms meet no other row first in the index, but the
+    # new leading monomial is a multiple of a later row's, which retires it
+    tagged = groebner._tagged(groebner.as_matrix(ladder_matrix(0), 1))
+    q_rows = groebner._groebner_rows(tagged, guard)
+    rows = [groebner._Row(groebner._left_mono_mul((0,), (1,), q_rows[0].vec, {}))] + q_rows
+    index = groebner._Index(rows)
+    assert all(index.divisor(m) in (None, r) for r in rows for m in r.vec)
+    assert not groebner._certified(rows, tagged, 2, guard)
 
 
 def test_pseudo_division_by_non_monic_int_rows_refuses_a_dropped_row():
@@ -1014,8 +1140,8 @@ def test_pseudo_division_by_non_monic_int_rows_refuses_a_dropped_row():
     left = []
     for rows, ints in ((q_rows, int_rows), (candidate, int_rows[1:])):
         for v in tagged:
-            q = groebner._reduce(v, rows, guard, {})
-            z = groebner._reduce(cleared(v), ints, guard, {})
+            q = groebner._reduce(v, groebner._Index(rows), guard, {})
+            z = groebner._reduce(cleared(v), groebner._Index(ints), guard, {})
             assert z.keys() == q.keys()
             ratios = {Fraction(z[m]) / q[m] for m in q}
             assert len(ratios) <= 1 and all(r != 0 and r.denominator == 1 for r in ratios)

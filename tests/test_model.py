@@ -537,8 +537,8 @@ def test_pushout_universality_100_random_cocones():
         zc = po.complex
         # shear automorphism of Z built from a cone summand map
         w_cx = random_complex(rng, max_top=1, max_cells=1, twists=0)
-        psi = random_map_from_cone(rng, w_cx, zc)
-        cz = psi.source
+        cz = mapping_cone(identity_map(w_cx))
+        psi = random_map_from_cone(rng, w_cx, cz, zc)
         big = direct_sum(zc, cz)
         rows = {}
         for deg in big.degrees():

@@ -2,7 +2,7 @@
 
 import random
 
-from dgdm.complexes import is_weak_equivalence, mat_apply
+from dgdm.complexes import identity_map, is_weak_equivalence, mapping_cone, mat_apply
 from dgdm.amod import amodule_bounded_weq
 from dgdm.dga import algebra_bounded_weq
 from dgdm.randgen import (
@@ -49,7 +49,7 @@ def test_random_cone_maps_are_chain_maps():
         rng = random.Random(3000 + seed)
         z = random_complex(rng, max_top=1, max_cells=2, twists=0)
         x = random_complex(rng, max_top=2, max_cells=2)
-        random_map_from_cone(rng, z, x)
+        random_map_from_cone(rng, z, mapping_cone(identity_map(z)), x)
 
 
 def test_random_algebra_weqs_bounded_pass():
