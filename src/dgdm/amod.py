@@ -28,8 +28,8 @@ Each instance supplies its N, its W-blocks and its twist terms:
 (term_key, j, b) is x^alpha * (A-monomial atoms) (x) d^b g_j and the
 formula above is its differential), `TensorOverA` (N = B, w a V-atom of
 A (x) V) and `BaseChangeModule` (w the atoms of B's new generators).
-Weights (x-degree + d-orders + atom counts) slice every degree finitely,
-so bounded weak-equivalence checks run on the underlying complexes.
+Weights (x-degree + d-orders + atom counts) slice every degree finitely:
+each is a sliced object of `slices`, of top degree N's plus W's top.
 
 The differentials and the actions on keys are memoised per instance
 over the term kernel of `dga` and are read-only, with `int`
@@ -147,9 +147,9 @@ class AModule(GeneratedObject):
                 _twisted_basis_keys(self, degree, max_weight))
         return pairs
 
-    def top_degree_hint(self, degree_window: int) -> int:
-        """Degrees worth checking: the generators plus the algebra window."""
-        return max([g.degree for g in self.generators], default=0) + degree_window
+    def top_degree(self, window: int) -> int:
+        """The top degree a bounded check walks: the generators plus the algebra window."""
+        return max([g.degree for g in self.generators], default=0) + window
 
     # -- A-action -----------------------------------------------------------
 
@@ -322,10 +322,10 @@ def _twisted_diff_key(t, key) -> Dict:
 
 
 class _TwistedTensor:
-    """N (x) W of the module docstring over an A-module N; a subclass
-    supplies `w_blocks` and `twist_terms` (d(w) as (a, |a|, w', c)), and
-    keeps `basis_keys`/`diff_key` in its own body, as `AModule` does
-    (perfbench/tracing.py patches them per class)."""
+    """N (x) W of the module docstring over an A-module N, of top degree
+    N's plus `w_top`; a subclass supplies `w_blocks` and `twist_terms` (d(w)
+    as (a, |a|, w', c)), and keeps `basis_keys`/`diff_key` in its own body,
+    as `AModule` does (perfbench/tracing.py patches them per class)."""
 
     def __init__(self, n_mod: AModule, w_top: int):
         self.n_mod = n_mod
@@ -333,8 +333,8 @@ class _TwistedTensor:
         self.w_top = w_top
         self._twist_memo: Dict[Tuple, Tuple] = {}
 
-    def top_degree_hint(self, degree_window: int) -> int:
-        return self.n_mod.top_degree_hint(degree_window) + self.w_top
+    def top_degree(self, window: int) -> int:
+        return self.n_mod.top_degree(window) + self.w_top
 
 
 class TensorOverA(_TwistedTensor):
@@ -433,13 +433,6 @@ def _tensor_id(f: AModuleMorphism) -> Callable:
     return lambda key: {(k2,) + key[1:]: c for k2, c in f.apply_key(key[0]).items()}
 
 
-def _sliced_bounded_weq(src, tgt, apply_key: Callable, n: int, degree_window: int) -> TruncationResult:
-    """Bounded check of apply_key: src -> tgt up to the larger top-degree hint."""
-    top = max(src.top_degree_hint(degree_window), tgt.top_degree_hint(degree_window))
-    return bounded_weq(src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key,
-                       apply_key, range(0, top + 1), n)
-
-
 def tensor_bounded_weq(
     f: AModuleMorphism,
     m: AModule,
@@ -447,8 +440,7 @@ def tensor_bounded_weq(
     degree_window: int = 5,
 ) -> TruncationResult:
     """Bounded check that f (x)_A Id_M is a weak equivalence."""
-    return _sliced_bounded_weq(TensorOverA(f.source, m), TensorOverA(f.target, m),
-                               _tensor_id(f), n, degree_window)
+    return bounded_weq(TensorOverA(f.source, m), TensorOverA(f.target, m), _tensor_id(f), degree_window, n)
 
 
 def base_change_bounded_weq(
@@ -457,8 +449,8 @@ def base_change_bounded_weq(
     n: int = 5,
     degree_window: int = 5,
 ) -> TruncationResult:
-    return _sliced_bounded_weq(BaseChangeModule(b, f.source), BaseChangeModule(b, f.target),
-                               _tensor_id(f), n, degree_window)
+    return bounded_weq(BaseChangeModule(b, f.source), BaseChangeModule(b, f.target),
+                       _tensor_id(f), degree_window, n)
 
 
 # ------------------------------------------- modules <-> undercategory
@@ -508,4 +500,4 @@ def amodule_bounded_weq(
     degree_window: int = 4,
 ) -> TruncationResult:
     """Weak equivalence of A-module maps, tested on the underlying complexes."""
-    return _sliced_bounded_weq(f.source, f.target, f.apply_key, n, degree_window)
+    return bounded_weq(f.source, f.target, f.apply_key, degree_window, n)

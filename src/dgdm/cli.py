@@ -43,7 +43,7 @@ from .dga import AlgebraElement, AlgebraMorphism, Generator, SullivanAlgebra, dg
 from .groebner import DegreeGuardExceeded, FreeModuleElement, degree_guard, get_degree_guard
 from .model import certify_cofibration, attach_cells, iota, pushout, pushout_product, zeta
 from .obasis import is_bounded_weq
-from .slices import dsquare_witness
+from .slices import dsquare_witness, walked_degrees
 from .weyl import WeylElement
 
 FORMAT_NAME = "dgdm-doc"
@@ -716,8 +716,7 @@ def _run_command(args) -> int:
         if args.truncation < least:
             raise ValueError(f"{cmd} checks no key below --truncation {least}, got {args.truncation}")
         t = build(load_document(args.file, kind))
-        degrees = range(0, t.top_degree_hint(_DSQUARE_WINDOW) + 1)
-        key = dsquare_witness(t.basis_keys, t.diff_key, degrees, args.truncation - 2)
+        key = dsquare_witness(t.basis_keys, t.diff_key, walked_degrees(_DSQUARE_WINDOW, t), args.truncation - 2)
         _emit(make_document("check-report", {
             "check": check,
             "verdict": "pass" if key is None else "fail",

@@ -377,7 +377,10 @@ class SullivanAlgebra(GeneratedObject):
             out = self._dterm_memo[key] = odd_derivation(key[0], key[1], self._d_atom, self.atom_parity)
         return out
 
-    diff_key = d_term  # the name `GeneratedObject.d` asks its kind for
+    diff_key = d_term  # the name `GeneratedObject.d` and the slice checks ask for
+
+    def top_degree(self, window: int) -> int:
+        return window  # a bounded check walks algebra degrees 0..window
 
     # -- slice enumeration -----------------------------------------------
 
@@ -635,6 +638,4 @@ def algebra_bounded_weq(
     Checks cone acyclicity on the weight slice at levels n, n+1 over
     algebra degrees 0..degree_window; bounded-pass semantics only.
     """
-    src, tgt = f.source, f.target
-    return bounded_weq(src.basis_keys, src.d_term, tgt.basis_keys, tgt.d_term,
-                       f.apply_key, range(0, degree_window + 1), n)
+    return bounded_weq(f.source, f.target, f.apply_key, degree_window, n)

@@ -30,7 +30,7 @@ from typing import Dict, Hashable, Iterator, List, Sequence, Tuple
 
 from .complexes import FreeDComplex
 from .rational_linalg import add_term, apply_linear, integral
-from .slices import TruncationResult, bounded_acyclicity, bounded_weq, numbered
+from .slices import TruncationResult, bounded_weq, sliced_acyclicity
 from .weyl import WeylElement, exponents_bounded, mono_mul
 
 SlotId = Hashable
@@ -70,6 +70,9 @@ class OBasisComplex:
     @property
     def top(self) -> int:
         return max((s.degree for s in self.slots.values()), default=-1)
+
+    def top_degree(self, window) -> int:
+        return self.top + 1  # whatever the window: a cone shifts a source's `top` up by one
 
     def slots_in_degree(self, p: int) -> List[SlotId]:
         return sorted(
@@ -220,13 +223,10 @@ def truncated_acyclicity(t: OBasisComplex, n: int = DEFAULT_TRUNCATION) -> Trunc
     Cycles of weight <= n-2 must bound elements of weight <= n; the check
     runs at levels n and n+1 and only then reports bounded-pass.
     """
-    degrees = range(0, t.top + 1)
-    return bounded_acyclicity(*numbered(t.basis_keys, t.diff_key), degrees, n)
+    return sliced_acyclicity(t, None, n)
 
 
 def is_bounded_weq(f: OBasisChainMap, n: int = DEFAULT_TRUNCATION) -> TruncationResult:
     """Bounded weak-equivalence test on the cone `slices.bounded_weq` walks;
     witnesses come back on keys ("s", source key) and ("t", target key)."""
-    src, tgt = f.source, f.target
-    degrees = range(0, max(src.top + 1, tgt.top) + 1)
-    return bounded_weq(src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key, f.apply_key, degrees, n)
+    return bounded_weq(f.source, f.target, f.apply_key, None, n)

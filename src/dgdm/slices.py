@@ -1,16 +1,17 @@
-"""Generic bounded exactness checking on weight-sliced complexes.
+"""Generic bounded exactness checking on weight-sliced objects.
 
-Any complex whose degree-p piece carries a countable k-basis with a
-weight function making slices finite-dimensional can be checked here:
-the caller supplies a basis enumerator and a differential on basis
-keys.  `basis_of(p, w)` yields (key, weight) pairs, the degree-p keys
-of weight <= w, so the slices of one degree are nested.  Keys must be
-hashable, and keys of different degrees differ.
+A sliced object is a complex whose degree-p piece has a countable
+k-basis, sliced finite-dimensionally by a weight.  It answers
+`basis_keys(p, w)`, the (key, weight) pairs of degree p and weight <= w
+(nested in w; keys are hashable and differ across degrees),
+`diff_key(key)` and `top_degree(window)`.  `sliced_acyclicity` checks an
+object and `bounded_weq` a map on its cone, each over `walked_degrees`:
+0 up to the largest top degree of its objects, the one range of a check.
 
 The walk runs on int keys its caller numbers: `basis_of` pairs key
 numbers with weights, `diff_of(i)` returns a dict over numbers, which
 the walk reads once and never writes, and `key_of(i)` gives a witness
-its caller's key.  `numbered` numbers a complex's own keys as it first
+its caller's key.  `numbered` numbers an object's own keys as it first
 meets them; `bounded_weq` numbers the two sides of a mapping cone apart.
 The numbering moves echelon rows, never spans, band counts or nullspace
 bases, so no verdict or witness depends on it.
@@ -228,25 +229,28 @@ def dsquare_witness(
     return None
 
 
-def bounded_weq(
-    src_basis: BasisFn,
-    src_diff: DiffFn,
-    tgt_basis: BasisFn,
-    tgt_diff: DiffFn,
-    map_fn: DiffFn,
-    degrees: Iterable[int],
-    n: int,
-) -> TruncationResult:
-    """Bounded weak-equivalence check through cone acyclicity.
+def walked_degrees(window: Optional[int], *objects) -> range:
+    """Degrees 0 up to the largest top degree the objects report for the window."""
+    return range(0, max(obj.top_degree(window) for obj in objects) + 1)
+
+
+def sliced_acyclicity(obj, window: Optional[int], n: int) -> TruncationResult:
+    """Margin-2 exactness of a sliced object at levels n and n+1."""
+    return bounded_acyclicity(*numbered(obj.basis_keys, obj.diff_key), walked_degrees(window, obj), n)
+
+
+def bounded_weq(src, tgt, map_fn: DiffFn, window: Optional[int], n: int) -> TruncationResult:
+    """Bounded weak-equivalence check of map_fn: src -> tgt through cone acyclicity.
 
     The cone has keys ("s", k) for source keys k (degree raised by one)
     and ("t", k) for target keys, d(c, c') = (-dc, f(c) + dc'), and a
     witness on them.  The walk numbers source key i as 2i and target key
-    j as 2j+1, so the blocks of an image never meet; the callbacks hold
-    no zero coefficient, so none is filtered.
+    j as 2j+1, so the blocks of an image never meet; the differentials
+    and map_fn hold no zero coefficient, so none is filtered.
     """
-    src, tgt = _KeyNumbers(0, 2), _KeyNumbers(1, 2)
-    snum, tnum, s_order, t_order = src.__getitem__, tgt.__getitem__, src.order, tgt.order
+    src_basis, src_diff, tgt_basis, tgt_diff = src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key
+    snums, tnums = _KeyNumbers(0, 2), _KeyNumbers(1, 2)
+    snum, tnum, s_order, t_order = snums.__getitem__, tnums.__getitem__, snums.order, tnums.order
 
     def basis(p: int, w: int):
         # lazy: a walk that stops inside the source block lists no target key
@@ -270,4 +274,4 @@ def bounded_weq(
         return ("t", t_order[i >> 1]) if i & 1 else ("s", s_order[i >> 1])
 
     # looked up in the module at call time, so a patched walk sees every cone
-    return bounded_acyclicity(basis, diff, key_of, degrees, n)
+    return bounded_acyclicity(basis, diff, key_of, walked_degrees(window, src, tgt), n)

@@ -607,11 +607,14 @@ _LEAST_TRUNCATION = {"trivial_pp_weq": 2, "monoid_axiom_pushout": 2, "properness
 
 
 def run_check(name: str, params: Optional[Dict] = None, seed: int = 0) -> CheckReport:
-    """Run one catalog check; deterministic given (params, seed).  A
-    bounded check refuses a truncation below its least with ValueError."""
+    """Run one catalog check; deterministic given (params, seed).  ValueError
+    on a parameter with no default, or a truncation below a bounded check's least."""
     if name not in CATALOG:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(CATALOG)}")
     fn, defaults = CATALOG[name]
+    unknown = sorted(set(params or ()) - set(defaults))
+    if unknown:
+        raise ValueError(f"{name} takes no parameter {', '.join(unknown)}; known: {', '.join(defaults) or 'none'}")
     merged = dict(defaults)
     merged.update(params or {})
     least = _LEAST_TRUNCATION.get(name)

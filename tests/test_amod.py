@@ -53,6 +53,7 @@ from dgdm.randgen import (
     random_complex,
     random_module_element,
 )
+from dgdm.obasis import is_bounded_weq, obasis_inclusion, obasis_of_free, tensor_free, truncated_acyclicity
 from dgdm.slices import dsquare_witness
 
 
@@ -822,6 +823,19 @@ def test_bounded_module_checks_keep_their_degree_ranges():
     assert tensor_bounded_weq(f, m, 3, 2).degrees_checked == tuple(range(7))
     assert base_change_bounded_weq(b, f, 3, 2).degrees_checked == tuple(range(6))
     assert amodule_bounded_weq(f, 3, 2).degrees_checked == tuple(range(6))
+    # an algebra map walks its window
+    a = f.source.algebra
+    assert algebra_bounded_weq(Inclusion(a, a.extended(Generator("w", 1), None)), 3, 2).degrees_checked == (0, 1, 2)
+    # an O-basis check walks up to top + 1 of its complexes, so a cone
+    # reaches its source's top; `+ (4,)` marks a degree that lists no key
+    t, s0 = tensor_free(disk(1), disk(2)), obasis_of_free(sphere(0))
+    up, same = obasis_inclusion(t, s0, 1), obasis_inclusion(s0, t, 1)
+    assert (t.top, up.source.top, up.target.top, same.source.top) == (3, 0, 3, 3)
+    assert truncated_acyclicity(t, 4).degrees_checked == (0, 1, 2, 3) + (4,)
+    assert is_bounded_weq(up, 4).degrees_checked == (0, 1, 2, 3) + (4,)
+    assert is_bounded_weq(same, 4).degrees_checked == (0, 1, 2, 3, 4)
+    # the added degree 4 lists no key at any weight, on T or on the cone of `up`
+    assert not t.slots_in_degree(4) and not up.source.slots_in_degree(3) and not up.target.slots_in_degree(4)
 
 
 def test_deep_copied_composite_applies_like_the_original():

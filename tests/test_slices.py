@@ -5,7 +5,8 @@ of differentials; `_level_major` is a copy of the earlier walk, which ran
 level n over every degree and then level n+1 from scratch, kept as the
 oracle for verdicts and witnesses.  `_keyed_cone` is the mapping cone on
 tagged keys that the checks once built, kept as the oracle for the cone
-`slices.bounded_weq` numbers.
+`slices.bounded_weq` numbers.  `_Wrapped` hands a check a sliced object
+whose differential goes through a test's wrapper.
 """
 
 import copy
@@ -81,6 +82,14 @@ def _keyed_cone(src_basis, src_diff, tgt_basis, tgt_diff, map_fn):
         return out
 
     return basis, diff
+
+
+class _Wrapped:
+    """A sliced object with obj's keys and top degree, and `wrap(obj.diff_key)`
+    as its differential."""
+
+    def __init__(self, obj, wrap):
+        self.basis_keys, self.top_degree, self.diff_key = obj.basis_keys, obj.top_degree, wrap(obj.diff_key)
 
 
 def _counting(diff_of):
@@ -309,7 +318,9 @@ def test_obasis_maps_match_level_major_walk():
         src, tgt = f.source, f.target
         cone = _keyed_cone(src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key, f.apply_key)
         res = is_bounded_weq(f, 4)
-        assert res == _level_major(*cone, range(0, max(src.top + 1, tgt.top) + 1), 4)
+        # up to degree top + 1 of either side, where the cone of a target
+        # reaching above its source's top + 1 lists no key
+        assert res == _level_major(*cone, range(0, max(src.top, tgt.top) + 2), 4)
         assert res.verdict == verdict
         verdicts[verdict] += 1
     assert verdicts == {"fail": 22, "bounded-pass": 39}, verdicts
@@ -361,7 +372,8 @@ PINNED_DISK_EVAL_ORDER = "e491e0e00e358ced3ce2c9a268369453d093935b5cd58359affe24
 def test_tensor_of_disks_evaluates_each_differential_once():
     t = tensor_free(disk(1), disk(2))
     counted, counts = _counting(t.diff_key)
-    res = _walk(t.basis_keys, counted, range(0, t.top + 1), 6)
+    # degree top + 1 lists no key, so it evaluates no differential
+    res = _walk(t.basis_keys, counted, range(0, t.top + 2), 6)
     assert res == truncated_acyclicity(t, 6)
     assert res.verdict == "bounded-pass"
     assert max(counts.values()) == 1
@@ -413,7 +425,7 @@ def test_negative_controls_fail_with_witnesses_on_cone_keys():
         g, k = _module_control(rng)
         h = _algebra_control(rng, k)
         src, tgt = g.source, g.target
-        top = max(src.top_degree_hint(3), tgt.top_degree_hint(3))
+        top = max(src.top_degree(3), tgt.top_degree(3))
         checks = [
             (amodule_bounded_weq(g, 5, 3), range(top + 1),
              _keyed_cone(src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key, g.apply_key)),
@@ -468,7 +480,6 @@ def test_walk_lists_each_degree_once(monkeypatch):
     log = []
     walk = _logged_walk(slices.bounded_acyclicity, log)
     monkeypatch.setattr(slices, "bounded_acyclicity", walk)
-    monkeypatch.setattr(obasis, "bounded_acyclicity", walk)
     for check, args in _bounded_entry_points():
         res = check(*copy.deepcopy(args))
         n = res.levels[0]
@@ -492,17 +503,20 @@ def test_checks_only_read_the_differentials_they_are_handed(monkeypatch):
     plain = [check(*copy.deepcopy(args)) for check, args in calls]
     assert [res.verdict for res in plain] == ["bounded-pass"] * 6 + ["fail"]
     views = Counter()
-    walk, cone, number = slices.bounded_acyclicity, slices.bounded_weq, slices.numbered
+    walk, cone, acyclic = slices.bounded_acyclicity, slices.bounded_weq, slices.sliced_acyclicity
+    read_only = partial(_read_only, views=views)
 
     def walk_read_only(basis_of, diff_of, key_of, degrees, n):
-        return walk(basis_of, _read_only(diff_of, views), key_of, degrees, n)
+        return walk(basis_of, read_only(diff_of), key_of, degrees, n)
 
-    def cone_read_only(sb, sd, tb, td, f, degrees, n):
-        return cone(sb, _read_only(sd, views), tb, _read_only(td, views), _read_only(f, views), degrees, n)
+    def acyclic_read_only(t, window, n):
+        return acyclic(_Wrapped(t, read_only), window, n)
+
+    def cone_read_only(src, tgt, f, window, n):
+        return cone(_Wrapped(src, read_only), _Wrapped(tgt, read_only), read_only(f), window, n)
 
     monkeypatch.setattr(slices, "bounded_acyclicity", walk_read_only)
-    monkeypatch.setattr(obasis, "bounded_acyclicity", walk_read_only)
-    monkeypatch.setattr(obasis, "numbered", lambda b, d: number(b, _read_only(d, views)))
+    monkeypatch.setattr(obasis, "sliced_acyclicity", acyclic_read_only)
     for mod in (amod, dga, obasis):  # each imports bounded_weq by name
         monkeypatch.setattr(mod, "bounded_weq", cone_read_only)
     for (check, args), res in zip(calls, plain):
@@ -554,13 +568,13 @@ def test_numbered_cone_walks_as_the_keyed_cone(monkeypatch):
     walk, cone = slices.bounded_acyclicity, slices.bounded_weq
     outcomes = Counter()
 
-    def both(sb, sd, tb, td, f, degrees, n):
-        degrees = tuple(degrees)
+    def both(src, tgt, f, window, n):
+        degrees = tuple(slices.walked_degrees(window, src, tgt))
         log, ref_log = [], []
         with monkeypatch.context() as m:
             m.setattr(slices, "bounded_acyclicity", _logged_walk(walk, log))
-            res = cone(sb, sd, tb, td, f, degrees, n)
-        keyed = _keyed_cone(sb, sd, tb, td, f)
+            res = cone(src, tgt, f, window, n)
+        keyed = _keyed_cone(src.basis_keys, src.diff_key, tgt.basis_keys, tgt.diff_key, f)
         ref = _logged_walk(walk, ref_log)(*numbered(*keyed), degrees, n)
         assert res == ref == _level_major(*keyed, degrees, n)
         assert log == ref_log
@@ -590,9 +604,9 @@ def test_cone_inputs_hold_no_zero_coefficient(monkeypatch):
             return img
         return checked
 
-    def checked_cone(sb, sd, tb, td, f, degrees, n):
+    def checked_cone(src, tgt, f, window, n):
         images["cones"] += 1
-        return cone(sb, zero_free(sd), tb, zero_free(td), zero_free(f), degrees, n)
+        return cone(_Wrapped(src, zero_free), _Wrapped(tgt, zero_free), zero_free(f), window, n)
 
     for mod in (amod, dga, obasis):
         monkeypatch.setattr(mod, "bounded_weq", checked_cone)

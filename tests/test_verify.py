@@ -212,3 +212,23 @@ def test_filtration_splitting_check_builds_few_zero_weyl_elements(monkeypatch):
     monkeypatch.setattr(weyl, "_element", counting_element)
     assert run_check("filtration_splitting", None, 42).verdict == "pass"
     assert zeros <= 133, zeros
+
+
+UNBOUNDED = sorted(name for name, (_, d) in CATALOG.items() if "truncation" not in d)
+
+
+@pytest.mark.parametrize("name", UNBOUNDED)
+def test_check_refuses_a_parameter_it_does_not_read(name, capsys):
+    # a check without a truncation must not report one it never used
+    known = ", ".join(CATALOG[name][1]) or "none"
+    message = f"{name} takes no parameter truncation; known: {known}"
+    with pytest.raises(ValueError, match=message):
+        run_check(name, {"truncation": 3})
+    assert cli.dispatch(["check", "--check", name, "--truncation", "3"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bounded_check_names_every_unknown_parameter():
+    with pytest.raises(ValueError, match="hac3_flatness takes no parameter seed, window; "
+                                         "known: seeds, truncation, degree_window"):
+        run_check("hac3_flatness", {"window": 3, "seed": 1, "seeds": 2})
